@@ -8,10 +8,10 @@ traces, so this package provides everything needed to produce both:
 * :mod:`repro.mal.ast` — variables, instructions, programs;
 * :mod:`repro.mal.parser` / :mod:`repro.mal.printer` — the MAL text format;
 * :mod:`repro.mal.modules` — the instruction set (algebra, bat, aggr, ...);
-* :mod:`repro.mal.interpreter` — sequential reference interpreter with
-  profiler hooks;
-* :mod:`repro.mal.dataflow` — multi-worker dataflow scheduling (threaded
-  and deterministically simulated);
+* :mod:`repro.mal.interpreter` — the executor core (one per-instruction
+  step with profiler hooks) and the sequential reference interpreter;
+* :mod:`repro.mal.dataflow` — multi-worker dataflow scheduling policies
+  over that core (threaded and deterministically simulated);
 * :mod:`repro.mal.optimizer` — the optimizer pipeline (constant folding,
   dead code, CSE, mitosis, mergetable, dataflow).
 """

@@ -6,15 +6,11 @@ pool of worker threads drains the ready set.  Stethoscope's *multi-core
 utilisation analysis* (paper §5, online demo) inspects the thread field of
 trace events to see how well a plan parallelised.
 
-Two schedulers are provided:
-
-* :class:`SimulatedScheduler` — deterministic greedy list scheduling on a
-  virtual microsecond clock.  Instruction durations come from the cost
-  model, so the same plan and worker count always produce byte-identical
-  traces.  This is what benchmarks use.
-* :class:`ThreadedScheduler` — real Python threads with per-instruction
-  sleeps proportional to modelled cost; produces genuinely concurrent
-  wall-clock traces for the online demos.
+Two scheduling policies drive the executor core of
+:mod:`repro.mal.interpreter` (``Execution.step`` over a ``ReadySet``):
+:class:`ListSchedule`, deterministic on a virtual clock and what the
+benchmarks use (:class:`SimulatedScheduler`), and :class:`ThreadPool`,
+real threads on the wall clock (:class:`ThreadedScheduler`).
 
 Both honour ``program.dataflow_enabled``: when the dataflow optimizer pass
 did not run (or declined), execution degrades to sequential on one worker
@@ -27,360 +23,156 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Set, Tuple)
+from typing import Dict, List, Optional
 
-from repro.errors import MalRuntimeError, ReproError, WorkerCrashError
-
-if TYPE_CHECKING:  # pragma: no cover — avoids a repro.server import cycle
-    from repro.server.lifecycle import QueryContext
-from repro.faults.plan import ACTIVE
-from repro.mal.ast import MalInstruction, MalProgram
-from repro.mal.interpreter import (
-    CostModel,
-    EvalContext,
-    ExecutionResult,
-    InstructionRun,
-    RunListener,
-    bind_precomputed,
-    execute_instruction,
-    precompute_fragments,
-    record_execution,
-)
-from repro.mal.printer import format_instruction
-from repro.storage.bat import BAT
+from repro.errors import MalRuntimeError
+from repro.mal.interpreter import (CostModel, Execution, Executor, ReadySet,
+                                   RunListener)
+# Tracers patch ``execute_instruction`` in both executor modules, so the
+# name stays here; the core calls the interpreter module's.
+from repro.mal.interpreter import execute_instruction  # noqa: F401
 from repro.storage.catalog import Catalog
 
 
-def _first_bat_rows(outputs: List[Any]) -> int:
-    for value in outputs:
-        if isinstance(value, BAT):
-            return len(value)
-    return 0
+class ListSchedule(Execution):
+    """Greedy list scheduling on a virtual clock: the instruction that
+    became ready earliest (ties broken by pc) goes to the worker that
+    frees earliest.  Durations come from the cost model, so the same
+    plan and worker count always give byte-identical traces.  The
+    listener hears the interleaved start/done stream after the run, in
+    chronological order, both events carrying the finished record —
+    what the online Stethoscope would read off the wire."""
+
+    label = "simulated"
+    live = False
+    faults = True
+
+    def drive(self) -> None:
+        self.free = [0] * self.workers  # when each worker next idles
+        tracker = ReadySet(self.program)
+        ready = [(0, pc) for pc in tracker.initial]  # (ready_usec, pc)
+        heapq.heapify(ready)
+        ends: Dict[int, int] = {}
+        for _ in self.program.instructions:
+            if not ready:
+                raise MalRuntimeError("dataflow deadlock: no ready instruction")
+            self.ready_usec, pc = heapq.heappop(ready)
+            widx = min(range(self.workers), key=lambda w: (self.free[w], w))
+            ends[pc] = self.step(tracker.instructions[pc], widx).end_usec
+            for succ in tracker.complete(pc):
+                heapq.heappush(
+                    ready, (max(ends[d] for d in tracker.deps[succ]), succ))
+        if self.engine.listener is not None:
+            events = [(r.start_usec, r.pc, False, r) for r in self.runs]
+            events += [(r.end_usec, r.pc, True, r) for r in self.runs]
+            events.sort(key=lambda e: e[:3])
+            for _usec, _pc, done, run in events:
+                self.engine.listener("done" if done else "start", run)
+
+    def begin(self, thread: int, stall: int) -> int:
+        self.free[thread] += stall  # the worker idles before taking the job
+        return max(self.free[thread], self.ready_usec)
+
+    def finish(self, thread: int, start: int, cost: int) -> int:
+        if self.engine.contention > 0:
+            busy = sum(1 for w, free in enumerate(self.free)
+                       if w != thread and free > start)
+            cost = int(round(cost * (1 + self.engine.contention * busy)))
+        self.free[thread] = start + cost
+        return start + cost
 
 
-class SimulatedScheduler:
-    """Deterministic dataflow scheduling on a virtual clock.
+class SimulatedScheduler(Executor):
+    """Deterministic dataflow scheduling (:class:`ListSchedule`)."""
 
-    Greedy list scheduling: among instructions whose dependencies have
-    completed, the one that became ready earliest (ties broken by pc) is
-    assigned to the worker that frees earliest.  The emitted run records
-    carry the assigned worker index in their ``thread`` field and virtual
-    start/end microseconds, and the listener receives the interleaved
-    start/done event stream in chronological order — exactly what the
-    online Stethoscope would read off the wire.
-    """
+    policy = ListSchedule
 
     def __init__(self, catalog: Catalog, workers: int = 4,
                  cost_model: Optional[CostModel] = None,
                  listener: Optional[RunListener] = None,
-                 contention: float = 0.0,
-                 pool=None) -> None:
+                 contention: float = 0.0, pool=None) -> None:
         """``contention`` models shared-resource (memory bandwidth)
         pressure: an instruction starting while *n* other workers are
         busy runs ``1 + contention * n`` times slower.  Zero (default)
         gives the ideal-machine speedups; ~0.05-0.15 reproduces the
         sub-linear scaling real multi-cores show.
 
-        ``pool`` is an optional
-        :class:`~repro.mal.mpool.PartitionWorkerPool`: partition
-        fragments precompute in worker processes before the scheduling
-        loop, whose decisions (and the resulting trace) are unchanged —
-        precomputed results are bound where the kernels would have run.
+        ``pool`` is as for :class:`~repro.mal.interpreter.Interpreter`:
+        fragments precompute before the scheduling loop, whose decisions
+        (and the resulting trace) are unchanged.
         """
-        if workers < 1:
-            raise MalRuntimeError("need at least one worker")
         if contention < 0:
             raise MalRuntimeError("contention must be non-negative")
-        self.catalog = catalog
-        self.workers = workers
-        self.cost_model = cost_model or CostModel()
-        self.listener = listener
+        super().__init__(catalog, cost_model, listener, pool, workers)
         self.contention = contention
-        self.pool = pool
-
-    def run(self, program: MalProgram,
-            context: Optional["QueryContext"] = None) -> ExecutionResult:
-        """Execute ``program``; returns results plus scheduled run records.
-
-        ``context`` (a :class:`~repro.server.lifecycle.QueryContext`)
-        is checked at every dispatch, so cancellation and budget limits
-        stop the plan at an instruction boundary.
-        """
-        program.validate()
-        fault_plan = ACTIVE.plan  # captured once; stable for the run
-        workers = self.workers if program.dataflow_enabled else 1
-        precomputed = precompute_fragments(
-            self.pool, program, self.catalog, context)
-        ctx = EvalContext(self.catalog, program)
-        deps = program.dependencies()
-        instructions = {i.pc: i for i in program.instructions}
-        pending: Dict[int, Set[int]] = {pc: set(d) for pc, d in deps.items()}
-        end_times: Dict[int, int] = {}
-        ready_time: Dict[int, int] = {}
-        worker_free = [0] * workers
-        runs: List[InstructionRun] = []
-        ready: List[Tuple[int, int]] = []  # (ready_usec, pc)
-        for pc, wanted in pending.items():
-            if not wanted:
-                heapq.heappush(ready, (0, pc))
-                ready_time[pc] = 0
-        scheduled = 0
-        total = len(program.instructions)
-        # Side-effecting result delivery must keep program order even under
-        # dataflow; MonetDB serialises these on the main thread.  We model
-        # that by adding an artificial dependency chain between them.
-        self._chain_side_effects(program, pending, ready, ready_time)
-        while scheduled < total:
-            if context is not None:
-                context.check(ctx.rss_bytes())
-            if not ready:
-                raise MalRuntimeError("dataflow deadlock: no ready instruction")
-            ready_usec, pc = heapq.heappop(ready)
-            instr = instructions[pc]
-            widx = min(range(workers), key=lambda w: (worker_free[w], w))
-            if fault_plan is not None:
-                decision = fault_plan.decide("scheduler.worker",
-                                             detail=str(pc))
-                if decision is not None:
-                    if decision.action == "crash":
-                        raise WorkerCrashError(
-                            f"injected crash of worker {widx} at pc={pc}")
-                    if decision.action == "stall":
-                        # the worker sits idle before taking the job
-                        worker_free[widx] += int(decision.value or 1000)
-            start = max(worker_free[widx], ready_usec)
-            if pc in precomputed:
-                inputs, outputs = bind_precomputed(ctx, instr,
-                                                   precomputed[pc])
-            else:
-                inputs, outputs = execute_instruction(ctx, instr)
-            cost = self.cost_model.cost_usec(instr, inputs, outputs)
-            if self.contention > 0:
-                busy = sum(
-                    1 for w in range(workers)
-                    if w != widx and worker_free[w] > start
-                )
-                cost = int(round(cost * (1 + self.contention * busy)))
-            end = start + cost
-            worker_free[widx] = end
-            end_times[pc] = end
-            runs.append(InstructionRun(
-                pc=pc, stmt=format_instruction(instr, program),
-                module=instr.module, function=instr.function,
-                start_usec=start, end_usec=end, usec=cost, thread=widx,
-                rss_bytes=ctx.rss_bytes(), rows=_first_bat_rows(outputs),
-                rows_in=_first_bat_rows(inputs),
-            ))
-            scheduled += 1
-            for succ, wanted in pending.items():
-                if pc in wanted:
-                    wanted.discard(pc)
-                    ready_time[succ] = max(ready_time.get(succ, 0), end)
-                    if not wanted:
-                        heapq.heappush(ready, (ready_time[succ], succ))
-        self._emit_stream(runs)
-        total_usec = max((r.end_usec for r in runs), default=0)
-        record_execution("simulated", runs, workers, total_usec)
-        return ExecutionResult(result_sets=ctx.result_sets, runs=runs,
-                               total_usec=total_usec,
-                               affected_rows=ctx.affected_rows)
-
-    def _chain_side_effects(self, program: MalProgram,
-                            pending: Dict[int, Set[int]],
-                            ready: List[Tuple[int, int]],
-                            ready_time: Dict[int, int]) -> None:
-        side_effects = [
-            i.pc for i in program.instructions
-            if i.qualified_name in ("sql.rsColumn", "sql.exportResult",
-                                    "sql.append", "sql.affectedRows",
-                                    "bat.append", "bat.insert")
-        ]
-        for prev, nxt in zip(side_effects, side_effects[1:]):
-            if nxt in pending and not pending[nxt]:
-                # was ready; pull it back out of the initial ready heap
-                ready[:] = [(t, pc) for (t, pc) in ready if pc != nxt]
-                heapq.heapify(ready)
-            pending[nxt].add(prev)
-
-    def _emit_stream(self, runs: List[InstructionRun]) -> None:
-        if self.listener is None:
-            return
-        events: List[Tuple[int, int, str, InstructionRun]] = []
-        for run in runs:
-            events.append((run.start_usec, run.pc, "start", run))
-            events.append((run.end_usec, run.pc, "done", run))
-        events.sort(key=lambda e: (e[0], e[1], e[2] == "done"))
-        for _usec, _pc, phase, run in events:
-            self.listener(phase, run)
 
 
-class ThreadedScheduler:
-    """Dataflow execution on real Python threads.
+class ThreadPool(Execution):
+    """Real threads drain the ready set, each taking the env lock for
+    its step.  Timestamps are wall-clock microseconds since query start;
+    durations are enforced with ``time.sleep(cost * realtime_scale)``,
+    slept with the lock released, so concurrency is real while staying
+    fast.  Events reach the listener live, from the worker threads."""
 
-    Each worker pops ready instructions from a shared queue; durations are
-    enforced with ``time.sleep(cost * realtime_scale)`` so concurrency is
-    real (sleeps release the GIL) while staying fast.  Timestamps are
-    wall-clock microseconds since query start; events reach the listener
-    live, from the worker threads, in true arrival order.
-    """
+    label = "threaded"
+    faults = True
 
-    def __init__(self, catalog: Catalog, workers: int = 4,
-                 cost_model: Optional[CostModel] = None,
-                 listener: Optional[RunListener] = None,
-                 realtime_scale: float = 1e-3,
-                 pool=None) -> None:
-        if workers < 1:
-            raise MalRuntimeError("need at least one worker")
-        self.catalog = catalog
-        self.workers = workers
-        self.cost_model = cost_model or CostModel()
-        self.listener = listener
-        self.realtime_scale = realtime_scale
-        self.pool = pool
-
-    def run(self, program: MalProgram,
-            context: Optional["QueryContext"] = None) -> ExecutionResult:
-        """Execute ``program`` on the worker pool; blocks until done.
-
-        Workers check ``context`` between instructions, so a cancel (or
-        an expired deadline) stops the plan within one instruction
-        boundary instead of waiting for the whole plan.
-        """
-        program.validate()
-        fault_plan = ACTIVE.plan  # captured once; stable for the run
-        workers = self.workers if program.dataflow_enabled else 1
-        precomputed = precompute_fragments(
-            self.pool, program, self.catalog, context)
-        ctx = EvalContext(self.catalog, program)
-        deps = program.dependencies()
-        pending: Dict[int, Set[int]] = {pc: set(d) for pc, d in deps.items()}
-        instructions = {i.pc: i for i in program.instructions}
-        lock = threading.Lock()
-        ready_cv = threading.Condition(lock)
-        ready: List[int] = sorted(pc for pc, d in pending.items() if not d)
-        done: Set[int] = set()
-        runs: List[InstructionRun] = []
+    def drive(self) -> None:
+        self.lock = threading.Lock()  # guards the env, tracker and ready list
+        turn = threading.Condition(self.lock)
+        self.epoch = time.perf_counter()
+        tracker = ReadySet(self.program)
+        ready = sorted(tracker.initial)
         failure: List[BaseException] = []
-        epoch = time.perf_counter()
-        remaining = [len(program.instructions)]
-
-        def now_usec() -> int:
-            return int((time.perf_counter() - epoch) * 1_000_000)
 
         def worker(widx: int) -> None:
-            while True:
-                if context is not None:
-                    try:
-                        context.check()
-                    except ReproError as exc:
-                        with ready_cv:
-                            failure.append(exc)
-                            ready_cv.notify_all()
-                        return
-                with ready_cv:
-                    while not ready and remaining[0] > 0 and not failure \
-                            and not (context is not None
-                                     and context.cancelled):
-                        ready_cv.wait(0.05)
-                    if failure or remaining[0] <= 0 or \
-                            (context is not None and context.cancelled):
-                        if context is not None and context.cancelled \
-                                and not failure and remaining[0] > 0:
-                            try:
-                                context.check()
-                            except ReproError as exc:
-                                failure.append(exc)
-                        ready_cv.notify_all()
-                        return
+            with turn:
+                while not failure and len(self.runs) < len(tracker.instructions):
+                    if not ready:
+                        turn.wait()
+                        continue
                     pc = ready.pop(0)
-                if fault_plan is not None:
-                    decision = fault_plan.decide("scheduler.worker",
-                                                 detail=str(pc))
-                    if decision is not None:
-                        if decision.action == "crash":
-                            with ready_cv:
-                                failure.append(WorkerCrashError(
-                                    f"injected crash of worker {widx} "
-                                    f"at pc={pc}"))
-                                ready_cv.notify_all()
-                            return
-                        if decision.action == "stall":
-                            time.sleep((decision.value or 1000)
-                                       * self.realtime_scale / 1_000_000.0)
-                instr = instructions[pc]
-                stmt = format_instruction(instr, program)
-                start = now_usec()
-                start_run = InstructionRun(
-                    pc=pc, stmt=stmt, module=instr.module,
-                    function=instr.function, start_usec=start,
-                    end_usec=start, usec=0, thread=widx, rss_bytes=0, rows=0,
-                )
-                if self.listener is not None:
-                    self.listener("start", start_run)
-                try:
-                    with lock:
-                        if context is not None:
-                            context.check(ctx.rss_bytes())
-                        inputs = [ctx.value_of(a) for a in instr.args]
-                    if pc in precomputed:
-                        outputs = list(precomputed[pc])
-                    else:
-                        # run the implementation outside the env lock
-                        from repro.mal.interpreter import resolve_impl
-
-                        impl = resolve_impl(instr)
-                        out = impl(ctx, instr, inputs)
-                        if len(instr.results) <= 1:
-                            outputs = [out] if instr.results else []
-                        else:
-                            outputs = list(out)
-                    cost = self.cost_model.cost_usec(instr, inputs, outputs)
-                    if self.realtime_scale > 0:
-                        time.sleep(cost * self.realtime_scale / 1_000_000.0)
-                    with ready_cv:
-                        for name, value in zip(instr.results, outputs):
-                            ctx.env[name] = value
-                        end = now_usec()
-                        run = InstructionRun(
-                            pc=pc, stmt=stmt, module=instr.module,
-                            function=instr.function, start_usec=start,
-                            end_usec=end, usec=end - start, thread=widx,
-                            rss_bytes=ctx.rss_bytes(),
-                            rows=_first_bat_rows(outputs),
-                            rows_in=_first_bat_rows(inputs),
-                        )
-                        runs.append(run)
-                        done.add(pc)
-                        remaining[0] -= 1
-                        for succ, wanted in pending.items():
-                            if pc in wanted:
-                                wanted.discard(pc)
-                                if not wanted and succ not in done:
-                                    ready.append(succ)
+                    try:
+                        self.step(tracker.instructions[pc], widx)
+                        ready.extend(tracker.complete(pc))
                         ready.sort()
-                        ready_cv.notify_all()
-                    if self.listener is not None:
-                        self.listener("done", run)
-                except BaseException as exc:  # propagate to caller
-                    with ready_cv:
+                    except BaseException as exc:  # re-raised by drive()
                         failure.append(exc)
-                        ready_cv.notify_all()
-                    return
+                    turn.notify_all()
 
-        threads = [
-            threading.Thread(target=worker, args=(w,), daemon=True)
-            for w in range(workers)
-        ]
+        threads = [threading.Thread(target=worker, args=(w,), daemon=True)
+                   for w in range(self.workers)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
         if failure:
             raise failure[0]
-        runs.sort(key=lambda r: (r.start_usec, r.pc))
-        total_usec = max((r.end_usec for r in runs), default=0)
-        record_execution("threaded", runs, workers, total_usec)
-        return ExecutionResult(result_sets=ctx.result_sets, runs=runs,
-                               total_usec=total_usec,
-                               affected_rows=ctx.affected_rows)
+        self.runs.sort(key=lambda r: (r.start_usec, r.pc))
+
+    def begin(self, thread: int, stall: float) -> int:
+        """Let ``stall`` modelled microseconds pass without holding the
+        env lock; returns the wall clock after them."""
+        if stall * self.engine.realtime_scale > 0:
+            self.lock.release()
+            try:
+                time.sleep(stall * self.engine.realtime_scale / 1_000_000.0)
+            finally:
+                self.lock.acquire()
+        return int((time.perf_counter() - self.epoch) * 1_000_000)
+
+    def finish(self, thread: int, start: int, cost: int) -> int:
+        return self.begin(thread, cost)  # a cost elapses as a stall does
+
+
+class ThreadedScheduler(Executor):
+    """Dataflow execution on real Python threads (:class:`ThreadPool`)."""
+
+    policy = ThreadPool
+
+    def __init__(self, catalog: Catalog, workers: int = 4,
+                 cost_model: Optional[CostModel] = None,
+                 listener: Optional[RunListener] = None,
+                 realtime_scale: float = 1e-3, pool=None) -> None:
+        super().__init__(catalog, cost_model, listener, pool, workers)
+        self.realtime_scale = realtime_scale

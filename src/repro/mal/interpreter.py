@@ -1,34 +1,34 @@
-"""Sequential MAL interpreter with profiling hooks and a cost model.
+"""The MAL executor core: one per-instruction step, one scheduling policy.
 
-The interpreter executes a :class:`~repro.mal.ast.MalProgram` against a
-:class:`~repro.storage.Catalog`.  Every instruction execution produces an
+Every instruction of a :class:`~repro.mal.ast.MalProgram`, whichever
+engine runs it, goes through :meth:`Execution.step`, which produces an
 :class:`InstructionRun` record carrying the fields the MonetDB profiler
 reports (pc, thread, start/done timestamps in microseconds, elapsed usec,
 rss) — listeners such as :class:`repro.profiler.Profiler` turn those into
-trace events.
+trace events.  What differs between engines is the scheduling policy that
+drives the step: program order on one worker here (:class:`Interpreter`),
+list scheduling and real threads in :mod:`repro.mal.dataflow`.
 
 Timing is *virtual* by default: a deterministic :class:`CostModel` assigns
 each instruction a duration from its operator class and input/output
-cardinalities, so traces are reproducible across machines.  Passing
-``realtime_scale > 0`` additionally sleeps proportionally to the modelled
-cost, which makes threaded dataflow runs exhibit genuine wall-clock
-parallelism (sleeps release the GIL).
+cardinalities, so traces are reproducible across machines.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
-from repro.errors import MalRuntimeError
+from repro.errors import MalRuntimeError, WorkerCrashError
+from repro.faults.plan import ACTIVE
 
 if TYPE_CHECKING:  # pragma: no cover — avoids a repro.server import cycle
     from repro.server.lifecycle import QueryContext
 from repro.mal.ast import Const, MalInstruction, MalProgram, Var
 from repro.mal.modules import lookup
+from repro.mal.printer import format_instruction
 from repro.metrics.families import (
     MAL_EXECUTIONS,
     MAL_INSTRUCTIONS,
@@ -189,8 +189,8 @@ def record_execution(scheduler: str, runs: Sequence[InstructionRun],
                      workers: int, total_usec: int) -> None:
     """Feed one finished program run into the engine metrics.
 
-    Called by every execution engine (interpreter and both dataflow
-    schedulers) after the run completes, so the per-instruction hot loop
+    Called once per run by :meth:`Executor.run`, whatever the scheduling
+    policy, after the run completes, so the per-instruction hot loop
     stays free of metric updates.  Records instruction counts and
     modelled durations per MAL module, plus the run's worker
     utilisation — busy time over ``workers x makespan`` — whose low end
@@ -291,93 +291,192 @@ def precompute_fragments(pool, program: MalProgram, catalog: Catalog,
     return pool.precompute(program, catalog, context)
 
 
-class Interpreter:
+def _first_bat_rows(values: Sequence[Any]) -> int:
+    for value in values:
+        if isinstance(value, BAT):
+            return len(value)
+    return 0
+
+
+#: Result delivery and appends keep program order even under dataflow;
+#: MonetDB serialises them on the main thread.
+_SIDE_EFFECTS = frozenset((
+    "sql.rsColumn", "sql.exportResult", "sql.append", "sql.affectedRows",
+    "bat.append", "bat.insert"))
+
+
+class ReadySet:
+    """Which instructions may run: the dataflow dependencies, their
+    successor index and the side-effect chain, built once per run."""
+
+    def __init__(self, program: MalProgram) -> None:
+        self.instructions = {i.pc: i for i in program.instructions}
+        self.deps = program.dependencies()
+        chained = [i.pc for i in program.instructions
+                   if i.qualified_name in _SIDE_EFFECTS]
+        for prev, nxt in zip(chained, chained[1:]):
+            self.deps[nxt].add(prev)
+        self.successors: Dict[int, List[int]] = {pc: [] for pc in self.deps}
+        for pc, wanted in self.deps.items():
+            for dep in wanted:
+                self.successors[dep].append(pc)
+        self.waiting = {pc: len(wanted) for pc, wanted in self.deps.items()}
+        #: the instructions that wait for nothing
+        self.initial = [pc for pc, wanted in self.deps.items() if not wanted]
+
+    def complete(self, pc: int) -> List[int]:
+        """Record that ``pc`` finished; returns what that made ready."""
+        ready = []
+        for succ in self.successors[pc]:
+            self.waiting[succ] -= 1
+            if not self.waiting[succ]:
+                ready.append(succ)
+        return ready
+
+
+class Execution:
+    """One run of one program: the step every instruction goes through,
+    under the reference scheduling policy — program order on one worker
+    and a virtual clock, with no dispatch to inject a fault at.
+
+    A subclass is another policy.  It overrides ``drive`` (which
+    instruction next, on which worker) and ``begin``/``finish`` (the
+    clock: an injected stall and a modelled cost become the start and
+    end timestamps of the run record).
+    """
+
+    label = "interpreter"  #: ``record_execution`` scheduler label
+    live = True     #: the listener hears events from ``step``, as they happen
+    faults = False  #: ``step`` consults the ``scheduler.worker`` fault site
+    clock = 0
+
+    def __init__(self, engine: "Executor", program: MalProgram,
+                 context: Optional["QueryContext"]) -> None:
+        self.engine = engine
+        self.program = program
+        self.context = context
+        self.workers = engine.workers if program.dataflow_enabled else 1
+        self.fault_plan = ACTIVE.plan if self.faults else None  # captured once
+        self.precomputed = precompute_fragments(
+            engine.pool, program, engine.catalog, context)
+        self.ctx = EvalContext(engine.catalog, program)
+        self.rss = 0  # env RSS at the latest instruction boundary
+        self.runs: List[InstructionRun] = []
+
+    def step(self, instr: MalInstruction, thread: int) -> InstructionRun:
+        """Execute ``instr`` on worker ``thread``; returns its run record.
+
+        The one place that checks the query context (cancellation,
+        deadline, RSS budget), consults the fault plan, runs or binds the
+        instruction, asks the cost model and builds the run record.  A
+        live policy's listener hears ``start`` with the RSS before the
+        instruction and ``done`` with the RSS after it.
+        """
+        if self.context is not None:
+            self.context.check(self.rss)
+        stall = 0
+        if self.fault_plan is not None:
+            decision = self.fault_plan.decide("scheduler.worker",
+                                              detail=str(instr.pc))
+            if decision is not None and decision.action == "crash":
+                raise WorkerCrashError(
+                    f"injected crash of worker {thread} at pc={instr.pc}")
+            if decision is not None and decision.action == "stall":
+                stall = int(decision.value or 1000)
+        start = self.begin(thread, stall)
+        listener = self.engine.listener if self.live else None
+        common = dict(pc=instr.pc, stmt=format_instruction(instr, self.program),
+                      module=instr.module, function=instr.function,
+                      start_usec=start, thread=thread)
+        if listener is not None:
+            listener("start", InstructionRun(
+                end_usec=start, usec=0, rss_bytes=self.rss, rows=0, **common))
+        if instr.pc in self.precomputed:
+            inputs, outputs = bind_precomputed(
+                self.ctx, instr, self.precomputed[instr.pc])
+        else:
+            inputs, outputs = execute_instruction(self.ctx, instr)
+        cost = self.engine.cost_model.cost_usec(instr, inputs, outputs)
+        end = self.finish(thread, start, cost)
+        self.rss = self.ctx.rss_bytes()
+        run = InstructionRun(
+            end_usec=end, usec=end - start, rss_bytes=self.rss,
+            rows=_first_bat_rows(outputs), rows_in=_first_bat_rows(inputs),
+            **common)
+        self.runs.append(run)
+        if listener is not None:
+            listener("done", run)
+        return run
+
+    def drive(self) -> None:
+        """Run every instruction of the program through :meth:`step`."""
+        for instr in self.program.instructions:
+            self.step(instr, 0)
+
+    def begin(self, thread: int, stall: int) -> int:
+        """Start timestamp of the instruction ``thread`` takes next."""
+        return self.clock
+
+    def finish(self, thread: int, start: int, cost: int) -> int:
+        """End timestamp of an instruction of modelled ``cost``."""
+        self.clock = start + cost
+        return self.clock
+
+
+class Executor:
+    """A MAL engine: the shared step driven by one scheduling policy.
+
+    :class:`Interpreter` and the schedulers of :mod:`repro.mal.dataflow`
+    are constructors that bind a policy; ``run`` is the same for all three.
+    """
+
+    policy = Execution
+
+    def __init__(self, catalog: Catalog, cost_model: Optional[CostModel],
+                 listener: Optional[RunListener], pool, workers: int) -> None:
+        if workers < 1:
+            raise MalRuntimeError("need at least one worker")
+        self.catalog = catalog
+        self.cost_model = cost_model or CostModel()
+        self.listener = listener
+        self.pool = pool
+        self.workers = workers
+
+    def run(self, program: MalProgram,
+            context: Optional["QueryContext"] = None) -> ExecutionResult:
+        """Execute ``program``; returns results plus run records.
+
+        ``context`` (a :class:`~repro.server.lifecycle.QueryContext`) is
+        checked before every instruction, so cancellation, deadlines and
+        RSS budgets take effect at instruction boundaries.
+        """
+        program.validate()
+        execution = self.policy(self, program, context)
+        execution.drive()
+        runs = execution.runs
+        total_usec = max((run.end_usec for run in runs), default=0)
+        record_execution(execution.label, runs, execution.workers, total_usec)
+        return ExecutionResult(
+            result_sets=execution.ctx.result_sets, runs=runs,
+            total_usec=total_usec, affected_rows=execution.ctx.affected_rows)
+
+
+class Interpreter(Executor):
     """Reference (sequential) MAL interpreter.
 
     Args:
         catalog: catalog to resolve ``sql.bind``/``sql.tid`` against.
         cost_model: duration model; defaults to :class:`CostModel`.
-        listener: optional profiler callback, invoked with
-            ``("start", run)`` before and ``("done", run)`` after every
-            instruction.
-        realtime_scale: when > 0, additionally sleep
-            ``cost_usec * realtime_scale`` microseconds per instruction.
+        listener: optional profiler callback, invoked with ``("start",
+            run)`` before and ``("done", run)`` after every instruction.
         pool: optional :class:`~repro.mal.mpool.PartitionWorkerPool`;
-            when given, partition fragments of mitosis-split plans are
-            precomputed in worker processes and their results bound in
-            place of in-process kernel execution.
+            partition fragments of mitosis-split plans precompute in its
+            worker processes and their results are bound in place of
+            in-process kernel execution.
     """
 
     def __init__(self, catalog: Catalog,
                  cost_model: Optional[CostModel] = None,
                  listener: Optional[RunListener] = None,
-                 realtime_scale: float = 0.0,
                  pool=None) -> None:
-        self.catalog = catalog
-        self.cost_model = cost_model or CostModel()
-        self.listener = listener
-        self.realtime_scale = realtime_scale
-        self.pool = pool
-
-    def run(self, program: MalProgram,
-            context: Optional["QueryContext"] = None) -> ExecutionResult:
-        """Execute ``program`` start to finish; returns its results and
-        the per-instruction run records.
-
-        ``context`` is an optional
-        :class:`~repro.server.lifecycle.QueryContext`; when given, it is
-        checked before every instruction so cancellation, deadlines and
-        RSS budgets take effect at instruction boundaries.
-        """
-        program.validate()
-        ctx = EvalContext(self.catalog, program)
-        precomputed = precompute_fragments(
-            self.pool, program, self.catalog, context)
-        clock = 0
-        runs: List[InstructionRun] = []
-        from repro.mal.printer import format_instruction
-
-        for instr in program.instructions:
-            if context is not None:
-                context.check(ctx.rss_bytes())
-            stmt = format_instruction(instr, program)
-            start_run = InstructionRun(
-                pc=instr.pc, stmt=stmt, module=instr.module,
-                function=instr.function, start_usec=clock, end_usec=clock,
-                usec=0, thread=0, rss_bytes=ctx.rss_bytes(), rows=0,
-            )
-            if self.listener is not None:
-                self.listener("start", start_run)
-            if instr.pc in precomputed:
-                inputs, outputs = bind_precomputed(
-                    ctx, instr, precomputed[instr.pc])
-            else:
-                inputs, outputs = execute_instruction(ctx, instr)
-            cost = self.cost_model.cost_usec(instr, inputs, outputs)
-            if self.realtime_scale > 0:
-                time.sleep(cost * self.realtime_scale / 1_000_000.0)
-            clock += cost
-            rows = 0
-            for value in outputs:
-                if isinstance(value, BAT):
-                    rows = len(value)
-                    break
-            rows_in = 0
-            for value in inputs:
-                if isinstance(value, BAT):
-                    rows_in = len(value)
-                    break
-            done_run = InstructionRun(
-                pc=instr.pc, stmt=stmt, module=instr.module,
-                function=instr.function, start_usec=start_run.start_usec,
-                end_usec=clock, usec=cost, thread=0,
-                rss_bytes=ctx.rss_bytes(), rows=rows, rows_in=rows_in,
-            )
-            runs.append(done_run)
-            if self.listener is not None:
-                self.listener("done", done_run)
-        record_execution("interpreter", runs, 1, clock)
-        return ExecutionResult(
-            result_sets=ctx.result_sets, runs=runs, total_usec=clock,
-            affected_rows=ctx.affected_rows,
-        )
+        super().__init__(catalog, cost_model, listener, pool, workers=1)

@@ -9,7 +9,8 @@ from __future__ import annotations
 from repro.errors import MalRuntimeError, MalTypeError
 from repro.mal.modules import register
 from repro.storage.bat import BAT
-from repro.storage.types import cast_value, nil, type_by_name
+from repro.storage.types import (cast_value, infer_type, nil, promote,
+                                 type_by_name)
 
 _SYMBOL = {
     "add": "+",
@@ -104,10 +105,22 @@ def isnil(ctx, instr, args):
     return out
 
 
+def _branch_type(branch):
+    """Atom type of an ifthenelse branch; None for a nil scalar."""
+    if isinstance(branch, BAT):
+        return branch.tail_type
+    return None if branch is nil else infer_type(branch)
+
+
 @register("batcalc.ifthenelse")
 def ifthenelse(ctx, instr, args):
     """``batcalc.ifthenelse(cond, t, f)`` with BAT condition and scalar or
-    BAT branches."""
+    BAT branches.
+
+    The result is typed from the two branches, never from the values
+    picked: whichever branch row 0 takes, ``case when c then <dbl> else 0
+    end`` is a ``dbl`` column.
+    """
     cond = args[0]
     if not isinstance(cond, BAT):
         raise MalTypeError("batcalc.ifthenelse expects a BAT condition")
@@ -115,23 +128,18 @@ def ifthenelse(ctx, instr, args):
     def pick(branch, index):
         return branch.tail[index] if isinstance(branch, BAT) else branch
 
-    sample = None
-    tail = []
-    for index, flag in enumerate(cond.tail):
-        if flag is nil:
-            tail.append(nil)
-            continue
-        value = pick(args[1], index) if flag else pick(args[2], index)
-        tail.append(value)
-        if sample is None and value is not nil:
-            sample = value
-    from repro.storage.types import infer_type
-
-    out_type = infer_type(sample) if sample is not None else type_by_name("int")
+    then_type, else_type = _branch_type(args[1]), _branch_type(args[2])
+    if then_type is None or else_type is None or then_type is else_type:
+        out_type = then_type or else_type or type_by_name("int")
+    else:
+        out_type = promote(then_type, else_type)
     out = BAT(out_type)
     out.head = None if cond.head is None else list(cond.head)
     out.hseqbase = cond.hseqbase
-    out.tail = [nil if v is nil else cast_value(v, out_type) for v in tail]
+    out.tail = [
+        nil if flag is nil
+        else cast_value(pick(args[1] if flag else args[2], index), out_type)
+        for index, flag in enumerate(cond.tail)]
     return out
 
 

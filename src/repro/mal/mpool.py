@@ -151,10 +151,6 @@ def _strip(instr: MalInstruction) -> MalInstruction:
                           pc=instr.pc)
 
 
-def _worker_env_bytes(env: Dict[str, Any]) -> int:
-    return sum(v.bytes() for v in env.values() if isinstance(v, BAT))
-
-
 def _run_task(task: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one fragment task inside the worker process."""
     stall_ms = task.get("stall_ms")
@@ -175,8 +171,7 @@ def _run_task(task: Dict[str, Any]) -> Dict[str, Any]:
             if deadline is not None and time.monotonic() >= deadline:
                 return {"ok": False, "kind": "deadline",
                         "message": f"worker pc={instr.pc} past deadline"}
-            if rss_limit is not None and \
-                    _worker_env_bytes(ctx.env) > rss_limit:
+            if rss_limit is not None and ctx.rss_bytes() > rss_limit:
                 return {"ok": False, "kind": "rss",
                         "message": f"worker pc={instr.pc} over rss budget"}
             execute_instruction(ctx, instr)

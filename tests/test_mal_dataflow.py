@@ -1,5 +1,9 @@
 """Unit tests for the dataflow schedulers (simulated and threaded)."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.errors import MalRuntimeError
@@ -127,3 +131,84 @@ class TestThreadedScheduler:
             parallel_program()
         )
         assert sorted(r.pc for r in result.runs) == list(range(11))
+
+    def test_failing_kernel_is_wrapped_with_its_pc(self, catalog):
+        program = parallel_program()
+
+        def boom(ctx, instr, inputs):
+            raise ValueError("boom")
+
+        program.instructions[5].impl_cache = boom
+        with pytest.raises(MalRuntimeError, match=r"pc=5 aggr\.count: boom"):
+            ThreadedScheduler(catalog, workers=2, realtime_scale=0).run(program)
+
+    def test_multi_result_arity_is_checked(self, catalog):
+        program = parse_instruction_text("""
+            X_1 := sql.mvc();
+            X_2 := sql.bind(X_1,"sys","nums","a",0);
+            (X_3,X_4) := group.new(X_2);
+        """)
+        program.dataflow_enabled = True
+        program.instructions[2].impl_cache = \
+            lambda ctx, instr, inputs: (inputs[0], inputs[0], inputs[0])
+        with pytest.raises(MalRuntimeError, match="expected 2 results"):
+            ThreadedScheduler(catalog, workers=2, realtime_scale=0).run(program)
+
+    def test_side_effects_keep_program_order(self, catalog):
+        """Two appends that share no variable: the second is ready long
+        before the first, and must still wait for it."""
+        program = parse_instruction_text("""
+            X_1 := sql.mvc();
+            X_2 := sql.bind(X_1,"sys","nums","a",0);
+            X_3 := sql.bind(X_1,"sys","nums","b",0);
+            X_4 := bat.copy(X_2);
+            X_5 := bat.append(X_4,1);
+            X_6 := bat.append(X_3,2);
+        """)
+        program.dataflow_enabled = True
+        order = []
+
+        def slow_copy(ctx, instr, inputs):
+            time.sleep(0.05)
+            return inputs[0]
+
+        def append(ctx, instr, inputs):
+            order.append(instr.pc)
+            return inputs[0]
+
+        program.instructions[3].impl_cache = slow_copy
+        program.instructions[4].impl_cache = append
+        program.instructions[5].impl_cache = append
+        ThreadedScheduler(catalog, workers=2, realtime_scale=0).run(program)
+        assert order == [4, 5]
+
+    def test_stress_more_workers_than_cores(self, catalog):
+        """Eight threads contending for the env lock, switching as often
+        as the interpreter allows: every instruction still runs exactly
+        once and the answer is the sequential one."""
+        expected = Interpreter(catalog).run(
+            parse_instruction_text(PARALLEL_TEXT)).rows()
+        wrong = []
+
+        def hammer():
+            try:
+                for _ in range(40):
+                    result = ThreadedScheduler(
+                        catalog, workers=8, realtime_scale=1e-3,
+                    ).run(parallel_program())
+                    if sorted(r.pc for r in result.runs) != list(range(11)) \
+                            or result.rows() != expected:
+                        wrong.append(result)
+            except Exception as exc:
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=hammer, daemon=True)
+            thread.start()
+            thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive(), "threaded run did not finish"
+        assert not wrong

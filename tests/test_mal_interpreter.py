@@ -80,6 +80,21 @@ class TestExecution:
                 (X_3,X_4) := aggr.sum(X_2);
             """)
 
+    def test_ifthenelse_typed_from_branches_not_first_value(self, catalog):
+        """Row 0 takes the integer ``else``; the column is still dbl."""
+        result, _ = run_text(catalog, """
+            X_1 := sql.mvc();
+            X_2 := sql.bind(X_1,"sys","items","k",0);
+            X_3 := batcalc.gt(X_2,1);
+            X_4 := batcalc.mul(X_2,1.5);
+            X_5 := batcalc.ifthenelse(X_3,X_4,0);
+            X_9 := sql.resultSet(1,1);
+            X_10 := sql.rsColumn(X_9,"sys.items","c","dbl",X_5);
+            sql.exportResult(X_10);
+        """)
+        assert result.rows() == [(0.0,), (3.0,), (0.0,), (4.5,)]
+        assert all(isinstance(row[0], float) for row in result.rows())
+
     def test_affected_rows(self, catalog):
         result, _ = run_text(catalog, """
             X_1 := sql.mvc();

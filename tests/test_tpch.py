@@ -119,3 +119,17 @@ class TestQueries:
         assert len(rows) <= 10
         revenues = [r[1] for r in rows]
         assert revenues == sorted(revenues, reverse=True)
+
+    @pytest.mark.parametrize("scale", [0.1, 2])
+    def test_q14_is_dbl_whichever_branch_row_zero_takes(self, scale):
+        """``case when ... then <dbl expr> else 0 end`` used to be typed
+        from its first picked value: ``int`` whenever row 0 took the
+        ``else``, and then no later price could be cast."""
+        cat = Catalog()
+        populate(cat, scale_factor=scale, seed=3)
+        rows = Interpreter(cat).run(
+            compile_sql(cat, query_sql("q14"))
+        ).rows()
+        assert len(rows) == 1
+        assert isinstance(rows[0][0], float)
+        assert 0.0 <= rows[0][0] <= 100.0
