@@ -96,6 +96,20 @@ def _pipeline(select, leftfetchjoin, group, grouped_aggregate,
     return grouped_aggregate(vals, groups, len(hist.tail), "sum")
 
 
+def _partition_fetchjoin(select, leftjoin, measure, grp):
+    """One mitosis fragment: select on a partition slice, fetch another
+    column's slice through the mirrored candidates.
+
+    The slices are cut afresh on every run, as ``sql.bind(…, part,
+    nparts)`` cuts them for every query: whatever a kernel builds on
+    one (a head hash table, a sort index) is paid for here and thrown
+    away.  A slice of a void column is void, so the join is positional.
+    """
+    first, last = len(measure) // 2, len(measure) - 1
+    keys = select(measure.slice_(first, last), 100, 299).mirror()
+    return leftjoin(keys, grp.slice_(first, last))
+
+
 def run_kernel_benchmarks(rows=ROWS):
     measure, grp = _dataset(rows)
     keys = BAT(OID, list(range(0, rows, 2)))
@@ -120,6 +134,11 @@ def run_kernel_benchmarks(rows=ROWS):
         "leftjoin_hash": _race(
             lambda: keys.leftjoin(hashed),
             lambda: naive.leftjoin(keys, hashed)),
+        "partition_fetchjoin": _race(
+            lambda: _partition_fetchjoin(BAT.select, BAT.leftjoin,
+                                         measure, grp),
+            lambda: _partition_fetchjoin(naive.select, naive.leftjoin,
+                                         measure, grp)),
         "group": _race(
             lambda: grp.group(),
             lambda: naive.group(grp)),

@@ -7,6 +7,8 @@ concatenates the per-partition results back into one BAT.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from repro.errors import MalRuntimeError, MalTypeError
 from repro.mal.modules import register
 from repro.storage.bat import BAT
@@ -18,20 +20,24 @@ def pack(ctx, instr, args):
 
     Head oids are preserved (the partitions carry disjoint oid ranges), so
     positional relationships with the original table survive packing.
+    Void inputs whose oid ranges are adjacent (slices of one void column,
+    and whatever kept their heads) pack into one void BAT.
     """
     if not args:
         raise MalRuntimeError("mat.pack needs at least one argument")
-    bats = []
     for value in args:
         if not isinstance(value, BAT):
             raise MalTypeError("mat.pack expects BAT arguments")
-        bats.append(value)
-    out = BAT(bats[0].tail_type)
-    heads = []
-    tail = []
-    for bat in bats:
-        heads.extend(bat.heads())
-        tail.extend(bat.tail)
-    out.head = heads
-    out.tail = tail
+    first = args[0]
+    end = first.hseqbase
+    void = True
+    for bat in args:
+        if bat.head is not None or bat.hseqbase != end:
+            void = False
+            break
+        end += len(bat.tail)
+    out = BAT(first.tail_type, hseqbase=first.hseqbase if void else 0)
+    if not void:
+        out.head = list(chain.from_iterable(bat.heads() for bat in args))
+    out.tail = list(chain.from_iterable(bat.tail for bat in args))
     return out

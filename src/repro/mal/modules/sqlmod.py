@@ -98,7 +98,9 @@ def tid(ctx, instr, args):
     if not isinstance(args[0], MvcHandle):
         raise MalTypeError("sql.tid expects an mvc handle first")
     table = ctx.catalog.schema(str(args[1])).table(str(args[2]))
-    return BAT(OID, list(range(table.row_count())))
+    out = BAT(OID)
+    out.tail = list(range(table.row_count()))
+    return out
 
 
 @register("sql.resultSet")

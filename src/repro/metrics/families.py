@@ -621,7 +621,7 @@ ADAPTIVE_INDEX_BUILDS = REGISTRY.counter(
     "repro_adaptive_index_builds_total",
     "Order indexes built by the adaptive policy, by trigger: eager "
     "(access mix favors the index before the size threshold) or "
-    "threshold (classic min-rows heuristic on first touch).",
+    "threshold (second range select on a BAT of at least min-rows).",
     labels=("trigger",),
     unit="indexes",
 )

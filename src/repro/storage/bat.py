@@ -14,16 +14,38 @@ and ``algebra.leftjoin(a, b)`` matches ``a``'s tail against ``b``'s head.
 The kernels are written as *bulk* operations: each one makes a small,
 constant number of passes over its input using fused list comprehensions,
 ``map`` over :mod:`operator` functions, and C-level slicing — rather than
-dispatching a Python lambda per element.  Three memoized structures back
-the hot paths, all invalidated by :meth:`BAT.append`/:meth:`BAT.extend`
-(and double-guarded by the BAT's current length):
+dispatching a Python lambda per element.
 
-* a hash index on non-void heads (``{head oid: position}``), shared by
-  ``leftfetchjoin``/``semijoin``/``kdifference``;
-* a multi-map variant (``{head oid: [positions]}``) for ``leftjoin``,
-  which must produce every match of a duplicated head;
+**The voidness rule.**  A kernel returns ``head is None`` exactly when its
+output heads are ``hseqbase … hseqbase+n-1`` by construction — known from
+the voidness of its inputs and what the kernel does, never by inspecting
+the data.  So a slice of a void column is void (``hseqbase + first``),
+a join or elementwise kernel that keeps every row of a void ``self``
+keeps its head, ``mat.pack`` of adjacent void ranges is one void range,
+and a selection, sort or hash join materialises.  Void heads cost no
+memory and make every later lookup positional; a materialised dense
+head forces the next join to hash a column that is its own index.
+``docs/performance.md`` §1 has the rule kernel by kernel.
+
+Five memoized structures back the hot paths, all invalidated by
+:meth:`BAT.append`/:meth:`BAT.extend` (and double-guarded by the BAT's
+current length).  Each is built only when a kernel cannot avoid it:
+
+* a hash index on materialised heads (``{head oid: position}``), built by
+  the first ``leftfetchjoin``/``semijoin``/``kdifference`` *against* a
+  BAT with a materialised head;
+* a multi-map variant (``{head oid: [positions]}``), built by the first
+  ``leftjoin`` against such a BAT — it must produce every match of a
+  duplicated head;
+* a sort-order index on the tail, built by the *second* range or point
+  selection on a BAT of at least ``IndexPolicy.min_rows`` rows — one
+  select is no evidence of reuse, and most BATs (slices, intermediates)
+  die with their query — or after ``eager_after`` selects on a smaller
+  one;
 * the :meth:`BAT.bytes` footprint, which per-instruction RSS accounting
-  recomputes for every live BAT at every instruction boundary.
+  recomputes for every live BAT at every instruction boundary;
+* the :meth:`BAT.to_ship_bytes` payload, built when a BAT is first
+  shipped to a partition worker.
 
 ``tests/test_kernel_parity.py`` checks every kernel here against the
 per-row reference implementations in :mod:`repro.storage.naive`.
@@ -130,7 +152,8 @@ def _positions_range(tail: List[Any], low: Any, high: Any,
 
 
 #: BATs below this row count answer range selects by scanning; above it
-#: they build (and memoize) a sort-order index and answer by bisection.
+#: the second one builds (and memoizes) a sort-order index and every
+#: later one answers by bisection.
 #: Default for :class:`IndexPolicy.min_rows`; kept as a module constant
 #: for importers, but the live threshold is the configured policy's.
 ORDER_INDEX_MIN_ROWS = 512
@@ -148,7 +171,9 @@ class IndexPolicy:
     dropped (and stays off until the BAT next mutates).
 
     Attributes:
-        min_rows: classic build-on-first-touch threshold.
+        min_rows: row count from which the second range select on a
+            BAT builds its index (the first scans: a BAT selected once
+            is a per-query slice or intermediate, not a catalog column).
         scan_fallback_num: a bisected run of k rows falls back to the
             scan kernel when ``k * scan_fallback_num > rows`` — the
             default 4 is the historical >1/4-selectivity rule; 0
@@ -216,9 +241,9 @@ class BAT:
         hseqbase: seqbase of the void head (ignored when ``head`` given).
 
     The head is *void* when ``head is None``: the i-th association then has
-    head oid ``hseqbase + i``.  Operations preserve voidness when they can,
-    exactly like MonetDB, because void heads are what make positional
-    lookups (fetch joins) O(1).
+    head oid ``hseqbase + i``.  Operations preserve voidness by the rule in
+    the module docstring, exactly like MonetDB, because void heads are
+    what make positional lookups (fetch joins) O(1).
     """
 
     __slots__ = ("tail_type", "tail", "head", "hseqbase", "_bytes_cache",
@@ -422,6 +447,11 @@ class BAT:
         out.head = heads
         return out
 
+    def _same_heads(self, tail: List[Any], tail_type: MalType) -> "BAT":
+        """A new tail under self's head column: void stays void."""
+        heads = None if self.head is None else list(self.head)
+        return self._like(heads, tail, tail_type, self.hseqbase)
+
     def _take(self, positions: List[int]) -> "BAT":
         """Gather the associations at ``positions`` (order preserved)."""
         tail = self.tail
@@ -470,12 +500,13 @@ class BAT:
         """Memoized sort-order index: (positions of non-nil tails sorted
         by value, the values in that order).
 
-        Built lazily on the first range selection against a BAT of at
-        least ``policy.min_rows`` rows — or *eagerly* on smaller BATs
-        (down to ``policy.adaptive_min_rows``) once the observed access
-        mix shows ``policy.eager_after`` range selects.  BATs whose
-        tails refuse ordered comparison, and BATs whose index the
-        policy dropped for a poor hit-rate, answer by scanning.
+        Built on the second range selection against a BAT of at least
+        ``policy.min_rows`` rows (the first is no evidence of reuse, and
+        an index costs more than the scan it replaces) — or *eagerly* on
+        smaller BATs (down to ``policy.adaptive_min_rows``) once the
+        observed access mix shows ``policy.eager_after`` range selects.
+        BATs whose tails refuse ordered comparison, and BATs whose index
+        the policy dropped for a poor hit-rate, answer by scanning.
         Invalidated like every memoized structure by append/extend.
         """
         if self._order_disabled:
@@ -485,13 +516,12 @@ class BAT:
         if rows < policy.min_rows:
             if rows < policy.adaptive_min_rows:
                 return None
-            if self._order_cache is None and \
-                    self._range_selects < policy.eager_after:
-                return None
-            trigger = "eager"
+            needed, trigger = policy.eager_after, "eager"
         else:
-            trigger = "threshold"
+            needed, trigger = 2, "threshold"
         cached = self._order_cache
+        if cached is None and self._range_selects < needed:
+            return None
         if cached is not None and cached[0] == rows:
             return cached[1], cached[2]
         tail = self.tail
@@ -629,9 +659,11 @@ class BAT:
         self's order.  When ``other`` has a void head this is a positional
         fetch — and when self's tail is an int-typed, nil-free column whose
         min/max land inside ``other`` (one C-level prescan), the whole join
-        collapses to a single gather comprehension.  Otherwise a hash join
-        runs against other's memoized head multi-map.  nil tails in self
-        never match (oid nil semantics).
+        collapses to a single gather comprehension.  A positional fetch
+        that drops no row keeps self's head, so a void self gives a void
+        result.  Otherwise a hash join runs against other's memoized head
+        multi-map and the head is materialised.  nil tails in self never
+        match (oid nil semantics).
         """
         stail = self.tail
         heads: List[int]
@@ -648,24 +680,14 @@ class BAT:
                 except (IndexError, TypeError):
                     tail = None
                 if tail is not None:
-                    if self.head is None:
-                        heads = list(range(self.hseqbase,
-                                           self.hseqbase + len(stail)))
-                    else:
-                        heads = list(self.head)
-                    return self._like(heads, tail, tail_type=other.tail_type)
+                    return self._same_heads(tail, other.tail_type)
             elif (stail and self.tail_type.name in _INT_TAILS
                     and None not in stail):
                 if min(stail) >= base and max(stail) - base < size:
-                    # every oid hits: pure positional gather, dense heads
+                    # every oid hits: pure positional gather
                     tail = ([otail[v - base] for v in stail] if base
                             else [otail[v] for v in stail])
-                    if self.head is None:
-                        heads = list(range(self.hseqbase,
-                                           self.hseqbase + len(stail)))
-                    else:
-                        heads = list(self.head)
-                    return self._like(heads, tail, tail_type=other.tail_type)
+                    return self._same_heads(tail, other.tail_type)
             heads, tail = [], []
             add_head, add_tail = heads.append, tail.append
             for oid, value in self.items():
@@ -675,6 +697,9 @@ class BAT:
                 if 0 <= pos < size:
                     add_head(oid)
                     add_tail(otail[pos])
+            if self.head is None and len(tail) == len(stail):
+                # no row dropped: self's void head is the result's
+                return self._like(None, tail, other.tail_type, self.hseqbase)
         else:
             positions_of = other._head_multimap().get
             otail = other.tail
@@ -696,7 +721,9 @@ class BAT:
         is the projection step plans rely on to preserve cardinality.
         Nil-free int-typed inputs take the same prescan-then-gather fast
         path as :meth:`leftjoin`; a failed prescan means a guaranteed miss,
-        reported by the per-row path.
+        reported by the per-row path.  Every row of self yields exactly
+        one output row, so the result always has self's head (void stays
+        void).
         """
         stail = self.tail
         tail: Optional[List[Any]] = None
@@ -740,11 +767,7 @@ class BAT:
                     raise StorageError(
                         f"fetchjoin miss for oid {value}") from None
                 add_tail(otail[pos])
-        if self.head is None:
-            heads = list(range(self.hseqbase, self.hseqbase + len(stail)))
-        else:
-            heads = list(self.head)
-        return self._like(heads, tail, tail_type=other.tail_type)
+        return self._same_heads(tail, other.tail_type)
 
     def join(self, other: "BAT") -> "BAT":
         """``algebra.join``: equi-join self.tail with other.head.
@@ -768,9 +791,9 @@ class BAT:
         return self._like(list(self.tail), list(self.heads()), tail_type=OID)
 
     def mirror(self) -> "BAT":
-        """``bat.mirror``: (head, head) pairs — an identity over the head."""
-        heads = list(self.heads())
-        return self._like(list(heads), heads, tail_type=OID)
+        """``bat.mirror``: (head, head) pairs — an identity over the head
+        (the tail is materialised; a void head stays void)."""
+        return self._same_heads(list(self.heads()), OID)
 
     def mark(self, base: int = 0) -> "BAT":
         """``algebra.markT``: renumber as a dense void head starting at base."""
@@ -782,32 +805,30 @@ class BAT:
             from repro.storage.types import infer_type
 
             value_type = self.tail_type if value is nil else infer_type(value)
-        heads = None if self.head is None else list(self.head)
-        out = BAT(value_type, hseqbase=self.hseqbase)
-        out.head = heads
-        out.tail = [cast_value(value, value_type)] * len(self.tail)
-        return out
+        return self._same_heads(
+            [cast_value(value, value_type)] * len(self.tail), value_type)
 
     def slice_(self, first: int, last: int) -> "BAT":
-        """``algebra.slice``: positions ``first..last`` inclusive."""
+        """``algebra.slice``: positions ``first..last`` inclusive.
+
+        A slice of a void BAT is void with ``hseqbase + first`` — this is
+        what ``sql.bind(…, part, nparts)`` hands every mitosis fragment.
+        """
         first = max(first, 0)
-        last = min(last, len(self.tail) - 1)
-        if last < first:
-            return self._like([], [])
+        stop = max(min(last, len(self.tail) - 1) + 1, first)
         if self.head is None:
-            heads = list(range(self.hseqbase + first,
-                               self.hseqbase + last + 1))
-        else:
-            heads = self.head[first:last + 1]
-        return self._like(heads, self.tail[first:last + 1])
+            return self._like(None, self.tail[first:stop],
+                              hseqbase=self.hseqbase + first)
+        return self._like(self.head[first:stop], self.tail[first:stop])
 
     def kdifference(self, other: "BAT") -> "BAT":
         """``algebra.kdifference``: keep associations whose head is absent
         from other's head column (anti-semijoin on heads).
 
         Void-headed ``other`` reduces membership to range arithmetic;
-        void-on-void is two C-level slices.  Materialised others test
-        against the memoized head index.
+        void-on-void is two C-level slices, and stays void unless other
+        cuts self into two runs.  Materialised others test against the
+        memoized head index.
         """
         if other.head is None:
             lo = other.hseqbase
@@ -816,10 +837,14 @@ class BAT:
                 base, n = self.hseqbase, len(self.tail)
                 left_end = min(max(lo, base), base + n)
                 right_start = max(min(hi, base + n), base)
-                heads = (list(range(base, left_end))
-                         + list(range(right_start, base + n)))
                 tail = (self.tail[:left_end - base]
                         + self.tail[right_start - base:])
+                if left_end == base:    # a prefix (or nothing) removed
+                    return self._like(None, tail, hseqbase=right_start)
+                if right_start in (left_end, base + n):  # nothing, a suffix
+                    return self._like(None, tail, hseqbase=base)
+                heads = (list(range(base, left_end))
+                         + list(range(right_start, base + n)))
                 return self._like(heads, tail)
             shead = self.head
             return self._take([i for i, h in enumerate(shead)
@@ -834,18 +859,17 @@ class BAT:
 
     def semijoin(self, other: "BAT") -> "BAT":
         """``algebra.semijoin``: keep associations whose head occurs in
-        other's head column.  Same fast paths as :meth:`kdifference`."""
+        other's head column.  Same fast paths as :meth:`kdifference`;
+        void-on-void is one run of self, so always void."""
         if other.head is None:
             lo = other.hseqbase
             hi = lo + len(other.tail)
             if self.head is None:
                 base, n = self.hseqbase, len(self.tail)
                 start = max(lo, base)
-                end = min(hi, base + n)
-                if end <= start:
-                    return self._like([], [])
-                return self._like(list(range(start, end)),
-                                  self.tail[start - base:end - base])
+                end = max(min(hi, base + n), start)
+                return self._like(None, self.tail[start - base:end - base],
+                                  hseqbase=start)
             shead = self.head
             return self._take([i for i, h in enumerate(shead)
                                if lo <= h < hi])
@@ -1096,11 +1120,7 @@ class BAT:
                     skip_cast = op in ("+", "-", "*", "%")
         if not skip_cast:
             tail = [cast_value(v, out_type) for v in tail]
-        heads = None if self.head is None else list(self.head)
-        out = BAT(out_type, hseqbase=self.hseqbase)
-        out.head = heads
-        out.tail = tail
-        return out
+        return self._same_heads(tail, out_type)
 
 
 def _safe_div(a: Any, b: Any) -> Any:

@@ -49,6 +49,25 @@ def _like(src: BAT, heads: Optional[List[int]], tail: List[Any],
     return out
 
 
+def _same_heads(bat: BAT, heads: List[int], tail: List[Any],
+                tail_type: Optional[MalType] = None) -> BAT:
+    """The voidness rule for kernels that kept every row of ``bat``: the
+    output heads are bat's own, so a void ``bat`` gives a void result."""
+    if bat.head is None and len(heads) == len(bat):
+        return _like(bat, None, tail, tail_type, bat.hseqbase)
+    return _like(bat, heads, tail, tail_type)
+
+
+def _one_run(bat: BAT, other: BAT, heads: List[int], tail: List[Any]) -> BAT:
+    """The voidness rule for head-set kernels: two void inputs leave at
+    most two dense runs of ``bat``; exactly one (or none) stays void."""
+    if bat.head is None and other.head is None:
+        start = heads[0] if heads else bat.hseqbase
+        if heads == list(range(start, start + len(heads))):
+            return _like(bat, None, tail, hseqbase=start)
+    return _like(bat, heads, tail)
+
+
 def _filter(bat: BAT, predicate: Callable[[Any], bool]) -> BAT:
     heads: List[int] = []
     tail: List[Any] = []
@@ -114,16 +133,16 @@ def leftjoin(bat: BAT, other: BAT) -> BAT:
             if 0 <= pos < size:
                 heads.append(oid)
                 tail.append(other.tail[pos])
-    else:
-        index: dict = {}
-        for pos, hoid in enumerate(other.head):
-            index.setdefault(hoid, []).append(pos)
-        for oid, value in bat.items():
-            if value is nil:
-                continue
-            for pos in index.get(value, ()):
-                heads.append(oid)
-                tail.append(other.tail[pos])
+        return _same_heads(bat, heads, tail, other.tail_type)
+    index: dict = {}
+    for pos, hoid in enumerate(other.head):
+        index.setdefault(hoid, []).append(pos)
+    for oid, value in bat.items():
+        if value is nil:
+            continue
+        for pos in index.get(value, ()):
+            heads.append(oid)
+            tail.append(other.tail[pos])
     return _like(bat, heads, tail, tail_type=other.tail_type)
 
 
@@ -151,7 +170,7 @@ def leftfetchjoin(bat: BAT, other: BAT) -> BAT:
                 raise StorageError(f"fetchjoin miss for oid {value}") from None
         heads.append(oid)
         tail.append(other.tail[pos])
-    return _like(bat, heads, tail, tail_type=other.tail_type)
+    return _same_heads(bat, heads, tail, other.tail_type)
 
 
 def semijoin(bat: BAT, other: BAT) -> BAT:
@@ -163,7 +182,7 @@ def semijoin(bat: BAT, other: BAT) -> BAT:
         if oid in other_heads:
             heads.append(oid)
             tail.append(value)
-    return _like(bat, heads, tail)
+    return _one_run(bat, other, heads, tail)
 
 
 def kdifference(bat: BAT, other: BAT) -> BAT:
@@ -175,7 +194,7 @@ def kdifference(bat: BAT, other: BAT) -> BAT:
         if oid not in other_heads:
             heads.append(oid)
             tail.append(value)
-    return _like(bat, heads, tail)
+    return _one_run(bat, other, heads, tail)
 
 
 def sort(bat: BAT, reverse: bool = False) -> BAT:

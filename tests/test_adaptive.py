@@ -285,7 +285,9 @@ class TestIndexPolicy:
         configure_index_policy(min_rows=16)
         bat = BAT(INT, list(range(32)))
         assert bat.select(3, 5).tail == [3, 4, 5]
-        assert bat._order_cache is not None  # built on first touch
+        assert bat._order_cache is None      # one select: no reuse seen
+        assert bat.select(3, 5).tail == [3, 4, 5]
+        assert bat._order_cache is not None  # built on the second touch
 
     def test_serve_flag_parses(self):
         from repro.cli import _build_parser
@@ -321,9 +323,10 @@ class TestIndexPolicy:
                                scan_fallback_num=4)
         before = ADAPTIVE_INDEX_DROPS.value()
         bat = BAT(INT, list(range(1000)))
+        # the first select scans without an index; from the second on,
         # wide runs (901 * 4 > 1000 rows) always fall back to the scan
         # kernel: a full window of misses drops the index
-        for _ in range(8):
+        for _ in range(1 + 8):
             assert len(bat.select(0, 900)) == 901
         assert bat._order_disabled
         assert bat._order_cache is None
@@ -337,7 +340,9 @@ class TestIndexPolicy:
             self, restore_index_policy):
         configure_index_policy(min_rows=16, scan_fallback_num=0)
         bat = BAT(INT, list(range(1000)))
-        assert len(bat.select(0, 900)) == 901
+        assert len(bat.select(0, 900)) == 901    # first touch: plain scan
+        assert bat._order_hits == bat._order_misses == 0
+        assert len(bat.select(0, 900)) == 901    # second touch: indexed
         assert bat._order_misses == 0     # wide run answered as a hit
         assert bat._order_hits == 1
 

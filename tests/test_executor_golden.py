@@ -8,15 +8,26 @@ end_usec, usec, rss_bytes, rows, rows_in, stmt)`` and the listener
 stream ``(phase, pc, clock, rss)``.  A refactor of the executor passes
 only if all three stay byte-identical.
 
-``executor_golden.json`` was generated at commit dcabd7f (PR 11, the
-last commit with three separate ``run()`` loops) by copying this file
-into that checkout and running::
+There are two digest files.  ``executor_golden_norss.json`` leaves
+``rss_bytes`` out of the run tuples and ``rss`` out of the stream: it
+pins rows, modelled ``usec``, thread assignment and listener order, and
+was generated at commit d4f6f07 (PR 12) by copying this file into that
+checkout and running::
+
+    PYTHONPATH=src python tests/test_executor_golden.py --regen-norss
+
+``executor_golden.json`` is the full digest.  It was first generated at
+commit dcabd7f (PR 11, the last commit with three separate ``run()``
+loops) and regenerated in PR 13, whose void heads on mitosis slices,
+gather joins and packs are *meant* to lower the modelled RSS (a void
+head costs 0 bytes) and change nothing else — which the rss-free
+digests, passing unchanged, prove::
 
     PYTHONPATH=src python tests/test_executor_golden.py --regen
 
-Regenerate only for a change that is *meant* to alter rows, modelled
-costs or the event stream, and say so in CHANGES.md.  ``q14`` is left
-out: it did not run at every scale at the recording commit.
+Regenerate either only for a change that is *meant* to alter what the
+file pins, and say so in CHANGES.md.  ``q14`` is left out: it did not
+run at every scale at the first recording commit.
 """
 
 import contextlib
@@ -35,8 +46,9 @@ from repro.server.database import Database
 from repro.storage import Catalog
 from repro.tpch import QUERIES, populate, query_sql
 
-GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "executor_golden.json")
+_HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_PATH = os.path.join(_HERE, "executor_golden.json")
+GOLDEN_NORSS_PATH = os.path.join(_HERE, "executor_golden_norss.json")
 QUERY_NAMES = sorted(name for name in QUERIES if name != "q14")
 #: Low enough that the 0.05-scale lineitem (~300 rows) partitions.
 MITOSIS_THRESHOLD = 50
@@ -91,14 +103,18 @@ def engines():
         database.close()
 
 
-def digest(database: Database, pool, query: str, config: str) -> str:
+def digest(database: Database, pool, query: str, config: str,
+           rss: bool = True) -> str:
+    """sha256 over rows, run records and listener stream of one case;
+    ``rss=False`` leaves the modelled RSS out of both."""
     pipeline, factory, fault_spec = CONFIGS[config]
     program = database.compile(query_sql(query), pipeline_name=pipeline)
     stream = []
 
     def listener(phase, run):
         clock = run.start_usec if phase == "start" else run.end_usec
-        stream.append((phase, run.pc, clock, run.rss_bytes))
+        stream.append((phase, run.pc, clock, run.rss_bytes) if rss
+                      else (phase, run.pc, clock))
 
     engine = factory(database.catalog, listener, pool)
     if fault_spec is None:
@@ -106,7 +122,8 @@ def digest(database: Database, pool, query: str, config: str) -> str:
     else:
         with armed(FaultPlan.from_spec(fault_spec, seed=5)):
             result = engine.run(program)
-    runs = [(r.pc, r.thread, r.start_usec, r.end_usec, r.usec, r.rss_bytes,
+    runs = [(r.pc, r.thread, r.start_usec, r.end_usec, r.usec,
+             *((r.rss_bytes,) if rss else ()),
              r.rows, r.rows_in, r.stmt) for r in result.runs]
     payload = repr((result.rows(), runs, stream))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -121,14 +138,24 @@ def database_and_pool():
         yield pair
 
 
-@pytest.fixture(scope="module")
-def golden():
-    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+def _load(path):
+    with open(path, encoding="utf-8") as handle:
         return json.load(handle)
 
 
-def test_golden_covers_every_case(golden):
+@pytest.fixture(scope="module")
+def golden():
+    return _load(GOLDEN_PATH)
+
+
+@pytest.fixture(scope="module")
+def golden_norss():
+    return _load(GOLDEN_NORSS_PATH)
+
+
+def test_golden_covers_every_case(golden, golden_norss):
     assert sorted(golden) == sorted(f"{q}/{c}" for q, c in CASES)
+    assert sorted(golden_norss) == sorted(golden)
 
 
 @pytest.mark.parametrize("query,config", CASES)
@@ -137,13 +164,24 @@ def test_digest_unchanged(query, config, database_and_pool, golden):
         golden[f"{query}/{config}"]
 
 
+@pytest.mark.parametrize("query,config", CASES)
+def test_digest_without_rss_unchanged(query, config, database_and_pool,
+                                      golden_norss):
+    assert digest(*database_and_pool, query, config, rss=False) == \
+        golden_norss[f"{query}/{config}"]
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regen"]:
-        sys.exit("usage: python tests/test_executor_golden.py --regen")
+    targets = {"--regen": (GOLDEN_PATH, True),
+               "--regen-norss": (GOLDEN_NORSS_PATH, False)}
+    if len(sys.argv) != 2 or sys.argv[1] not in targets:
+        sys.exit("usage: python tests/test_executor_golden.py "
+                 "--regen | --regen-norss")
+    path, with_rss = targets[sys.argv[1]]
     with engines() as (database, pool):
-        digests = {f"{q}/{c}": digest(database, pool, q, c)
+        digests = {f"{q}/{c}": digest(database, pool, q, c, rss=with_rss)
                    for q, c in CASES}
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(digests, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {GOLDEN_PATH}")
+    print(f"wrote {path}")

@@ -6,6 +6,10 @@ implementation preserved in ``repro.storage.naive``, over randomized
 inputs covering void and materialised heads, nil-bearing columns and
 every atom type.  "Parity" is strict: same tails, same heads, same head
 materialisation (void stays void), same output types, same errors.
+Both implementations follow one voidness rule (``repro.storage.bat``'s
+module docstring); a hypothesis property checks it kernel by kernel
+against the same inputs with their heads written out, and a plan-level
+test checks that partitioned TPC-H plans never hash a dense head.
 
 The second half covers the SQL→MAL plan cache: hit/miss accounting,
 invalidation on DDL/DML and data loaded behind the catalog's back, and
@@ -15,9 +19,12 @@ cross-session isolation of per-session pipeline/worker overrides.
 import datetime
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import StorageError
+from repro.mal.modules.mat import pack as mat_pack
 from repro.storage import naive
 from repro.storage.bat import BAT
 from repro.storage.types import BIT, DATE, DBL, INT, LNG, OID, STR, nil
@@ -450,6 +457,226 @@ class TestCacheCoherence:
         wider = BAT(OID, [0, 1, 2])
         assert wider.leftfetchjoin(other).tail == ["a", "b", "c"]
         assert wider.semijoin(other).tail == [0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# the voidness rule: ``head is None`` exactly when the output heads are
+# ``hseqbase .. hseqbase+n-1`` by construction
+# ---------------------------------------------------------------------------
+
+
+def materialised(bat: BAT) -> BAT:
+    """The same associations under an explicit head column."""
+    out = bat.copy()
+    out.head = list(bat.heads())
+    return out
+
+
+def _retyped(bat: BAT, mal_type, fn) -> BAT:
+    return BAT(mal_type, [nil if v is nil else fn(v) for v in bat.tail],
+               head=bat.head, hseqbase=bat.hseqbase)
+
+
+def _groups(bat: BAT) -> BAT:
+    return bat.group()[0]
+
+
+#: every BAT-returning kernel as f(a, b): a and b are equally long with
+#: nilable oid tails in 0..24, so joins see hits, misses and all-hit runs
+KERNELS = {
+    "select": lambda a, b: a.select(5),
+    "select_range": lambda a, b: a.select(3, 12, True, False),
+    "thetaselect": lambda a, b: a.thetaselect(9, "<"),
+    "likeselect": lambda a, b: _retyped(a, STR, str).likeselect("1%"),
+    "leftjoin": lambda a, b: a.leftjoin(b),
+    "leftjoin_dbl_tail": lambda a, b: _retyped(a, DBL, float).leftjoin(b),
+    "leftfetchjoin": lambda a, b: a.leftfetchjoin(b),
+    "join": lambda a, b: a.join(b),
+    "reverse": lambda a, b: b.reverse() if nil not in b.tail else b,
+    "mirror": lambda a, b: a.mirror(),
+    "mark": lambda a, b: a.mark(4),
+    "project": lambda a, b: a.project(7),
+    "slice": lambda a, b: a.slice_(2, 9),
+    "slice_empty": lambda a, b: a.slice_(5, 3),
+    "semijoin": lambda a, b: a.semijoin(b.slice_(1, 6)),
+    "kdifference": lambda a, b: a.kdifference(b.slice_(1, 6)),
+    "kdifference_prefix": lambda a, b: a.kdifference(b.slice_(0, 3)),
+    "sort": lambda a, b: a.sort(),
+    "group": lambda a, b: a.group(),
+    "refine_group": lambda a, b: a.refine_group(_groups(b)),
+    "grouped_sum": lambda a, b: _retyped(a, INT, int).grouped_aggregate(
+        _groups(b), len(b.group()[1]), "sum"),
+    "calc": lambda a, b: a.calc(b, "+"),
+    "calc_const": lambda a, b: a.calc_const(2, "*"),
+    "copy": lambda a, b: a.copy(),
+    "pack": lambda a, b: mat_pack(None, None, [a, b]),
+    "pack_slices": lambda a, b: mat_pack(
+        None, None, [a.slice_(0, 3), a.slice_(4, 6), a.slice_(7, 99)]),
+}
+
+_oids = st.one_of(st.integers(0, 24), st.none())
+_pairs = st.lists(st.tuples(_oids, _oids), max_size=20)
+_bases = st.sampled_from([0, 0, 3, 17])
+
+
+def _outcome(fn, a, b):
+    try:
+        out = fn(a, b)
+    except StorageError as exc:
+        return str(exc)
+    return out if isinstance(out, tuple) else (out,)
+
+
+class TestVoidnessRule:
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=_pairs, base_a=_bases, base_b=_bases,
+           void_b=st.booleans())
+    def test_voidness_never_changes_the_associations(
+            self, kernel, pairs, base_a, base_b, void_b):
+        """A kernel run on void inputs returns the associations it
+        returns on the same inputs with their heads written out; and
+        where it answers ``head is None``, those heads are the run."""
+        a = BAT(OID, [x for x, _ in pairs], hseqbase=base_a)
+        b = BAT(OID, [y for _, y in pairs], hseqbase=base_b)
+        if not void_b:
+            b = materialised(b)
+        fast = _outcome(KERNELS[kernel], a, b)
+        reference = _outcome(KERNELS[kernel], materialised(a),
+                             materialised(b))
+        if isinstance(reference, str):
+            assert fast == reference
+            return
+        for out, ref in zip(fast, reference):
+            assert out.tail_type is ref.tail_type
+            assert out.tail == ref.tail
+            assert list(out.heads()) == list(ref.heads())
+            if out.head is None:
+                assert list(ref.heads()) == list(
+                    range(out.hseqbase, out.hseqbase + len(out)))
+
+    def test_slice_of_a_void_column_is_void(self):
+        column = BAT(INT, list(range(10)), hseqbase=100)
+        part = column.slice_(4, 6)
+        assert part.head is None and part.hseqbase == 104
+        assert part.tail == [4, 5, 6]
+        assert column.slice_(7, 3).head is None
+        assert BAT(INT, [1, 2, 3], head=[9, 8, 7]).slice_(1, 2).head == [8, 7]
+
+    def test_all_hit_gathers_keep_a_void_head(self):
+        column = BAT(STR, list("abcdef"), hseqbase=10).slice_(2, 5)
+        for tail_type in (OID, INT):    # blind gather needs base 0
+            left = BAT(tail_type, [12, 15, 13], hseqbase=7)
+            for kernel in ("leftjoin", "leftfetchjoin", "join"):
+                out = getattr(left, kernel)(column)
+                assert out.head is None and out.hseqbase == 7
+                assert out.tail == ["c", "f", "d"]
+        assert BAT(OID, [1, 0]).leftjoin(BAT(INT, [5, 6])).head is None
+        # a dropped row, or a hash join, materialises
+        assert BAT(OID, [12, 99]).leftjoin(column).head == [0]
+        hashed = BAT(STR, ["x", "y"], head=[12, 13])
+        assert BAT(OID, [12, 13]).leftjoin(hashed).head == [0, 1]
+        assert BAT(OID, [12, 13]).leftfetchjoin(hashed).head is None
+
+    def test_pack_of_adjacent_void_ranges_is_one_void_range(self):
+        column = BAT(INT, list(range(9)), hseqbase=20)
+        parts = [column.slice_(0, 2), column.slice_(3, 3),
+                 column.slice_(4, 8)]
+        whole = mat_pack(None, None, parts)
+        assert whole.head is None and whole.hseqbase == 20
+        assert whole.tail == column.tail
+        gapped = mat_pack(None, None, [parts[0], parts[2]])
+        assert gapped.head == [20, 21, 22, 24, 25, 26, 27, 28]
+        mixed = mat_pack(None, None, [parts[0], materialised(parts[1])])
+        assert mixed.head == [20, 21, 22, 23]
+
+    def test_head_set_kernels_keep_a_single_run_void(self):
+        column = BAT(INT, list(range(10)), hseqbase=5)      # oids 5..14
+        inside = BAT(INT, [0] * 4, hseqbase=8)              # oids 8..11
+        kept = column.semijoin(inside)
+        assert kept.head is None and kept.hseqbase == 8
+        assert kept.tail == [3, 4, 5, 6]
+        assert column.semijoin(BAT(INT, [0], hseqbase=40)).head is None
+        assert column.kdifference(inside).head == [5, 6, 7, 12, 13, 14]
+        prefix = column.kdifference(BAT(INT, [0] * 8, hseqbase=0))
+        assert prefix.head is None and prefix.hseqbase == 8
+        suffix = column.kdifference(BAT(INT, [0] * 9, hseqbase=12))
+        assert suffix.head is None and suffix.hseqbase == 5
+        assert suffix.tail == list(range(7))
+        untouched = column.kdifference(BAT(INT, [], hseqbase=9))
+        assert untouched.head is None and untouched.tail == column.tail
+        assert column.mirror().head is None
+        assert column.mirror().tail == list(range(5, 15))
+
+
+#: the timed ``tpch_scan`` mix of ``benchmarks/e2e``
+TIMED_TPCH = ["demo", "q1", "q3", "q4", "q5", "q6", "q10", "q12", "q17",
+              "q18", "q19"]
+
+
+def _dense(head) -> bool:
+    return len(head) >= 2 and head == list(range(head[0],
+                                                 head[0] + len(head)))
+
+
+class TestPartitionedPlansStayVoid:
+    def test_no_hash_table_over_a_dense_head(self, monkeypatch):
+        """Under ``default_pipe`` with mitosis on, the timed TPC-H
+        queries bind void partition slices and never hash a head that
+        is its own index.
+
+        A materialised head may still be dense by accident of the data
+        when its oids are *values*: ``bat.reverse`` of a key column, or
+        a join with a materialised side.  Anything else that is dense
+        (a slice, a pack, a gather of two void inputs, a mirror) should
+        have been void.
+        """
+        import repro.mal.interpreter as interpreter
+        from repro.tpch import populate, query_sql
+
+        catalog = Catalog()
+        populate(catalog, scale_factor=0.05, seed=7)
+        database = Database(catalog=catalog, workers=4,
+                            mitosis_threshold=50)
+        producer = {}    # id(BAT) -> (the BAT, its instruction, inputs)
+        slices, builds, offenders = [], [], []
+        execute = interpreter.execute_instruction
+        build_multimap = BAT._head_multimap
+
+        def recording_execute(ctx, instr):
+            inputs, outputs = execute(ctx, instr)
+            for out in outputs:
+                if isinstance(out, BAT):
+                    producer[id(out)] = (out, instr.qualified_name, inputs)
+            if instr.qualified_name == "sql.bind" and len(inputs) == 7:
+                total = ctx.catalog.bind(*inputs[1:4]).count()
+                slices.append((outputs[0], inputs[5] * total // inputs[6]))
+            return inputs, outputs
+
+        def recording_multimap(bat):
+            if bat._multimap_cache is None:
+                builds.append(bat)
+                _bat, name, inputs = producer[id(bat)]
+                by_value = name == "bat.reverse" or (
+                    name in ("algebra.leftjoin", "algebra.join")
+                    and any(side.head is not None for side in inputs))
+                if _dense(bat.head) and not by_value:
+                    offenders.append((name, len(bat)))
+            return build_multimap(bat)
+
+        monkeypatch.setattr(interpreter, "execute_instruction",
+                            recording_execute)
+        monkeypatch.setattr(BAT, "_head_multimap", recording_multimap)
+        try:
+            for name in TIMED_TPCH:
+                database.execute(query_sql(name))
+        finally:
+            database.close()
+        assert len(slices) >= 4 * len(TIMED_TPCH)
+        for part, first in slices:
+            assert part.head is None and part.hseqbase == first
+        assert builds, "the value-keyed joins still hash"
+        assert offenders == []
 
 
 # ---------------------------------------------------------------------------
