@@ -12,7 +12,8 @@ Subcommands mirror how the paper's tools are operated:
                write the dot/trace files
 ``offline``    open a dot + trace file pair, replay, and report
 ``analyze``    micro-analysis table of a trace file
-``datagen``    generate a TPC-H catalog and save it to disk
+``datagen``    generate a TPC-H catalog and save it as a checkpoint
+               directory
 ``metrics``    engine metrics in text exposition format (local registry,
                or a running server's via ``--port``)
 ``stats``      the adaptive feedback state: runtime statistics store
@@ -73,8 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--plan-cache-size", type=int, default=64,
                        help="optimized plans kept by the LRU plan cache "
                             "(0 disables plan caching)")
-    serve.add_argument("--catalog", help="load a saved catalog instead of "
-                                         "generating TPC-H data")
+    serve.add_argument("--catalog", help="load a saved catalog directory "
+                                         "instead of generating TPC-H data")
     serve.add_argument("--wal-dir", default=None,
                        help="durable mode: write-ahead log + checkpoint "
                             "directory; an empty directory starts fresh "
@@ -221,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     datagen = commands.add_parser("datagen",
                                   help="generate and save a TPC-H catalog")
-    datagen.add_argument("path")
+    datagen.add_argument("path", help="checkpoint directory to create")
     datagen.add_argument("--scale", type=float, default=0.1)
     datagen.add_argument("--seed", type=int, default=19920101)
 
@@ -329,7 +330,7 @@ def _cmd_serve(args, out) -> int:
         if db.recovery is not None and db.recovery.recovered_anything:
             out.write(db.recovery.describe() + "\n")
     elif args.catalog:
-        from repro.storage.persist import load_catalog
+        from repro.storage.durable import load_catalog
 
         catalog = load_catalog(args.catalog)
         db = Database(catalog=catalog, **db_options)
@@ -554,7 +555,7 @@ def _cmd_analyze(args, out) -> int:
 
 def _cmd_datagen(args, out) -> int:
     from repro.storage import Catalog
-    from repro.storage.persist import save_catalog
+    from repro.storage.durable import save_catalog
     from repro.tpch import populate
 
     catalog = Catalog()

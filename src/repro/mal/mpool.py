@@ -82,7 +82,7 @@ if TYPE_CHECKING:  # pragma: no cover — avoids a repro.server import cycle
 __all__ = ["PartitionWorkerPool", "ShadowBAT", "DEFAULT_MIN_ROWS"]
 
 #: Plans shipping fewer total partition rows than this run in-process:
-#: below it, fork/pickle/pipe overhead dwarfs the kernel work.
+#: below it, fork/encode/pipe overhead dwarfs the kernel work.
 DEFAULT_MIN_ROWS = 2048
 
 #: ``sql`` is catalog access; only these three are safe to re-execute in
@@ -145,7 +145,8 @@ def _decode_value(encoded: Tuple[str, Any]) -> Any:
 
 
 def _strip(instr: MalInstruction) -> MalInstruction:
-    """A picklable copy: ``impl_cache`` may hold closure-local kernels."""
+    """A copy the pipe can carry: ``impl_cache`` may hold closure-local
+    kernels."""
     return MalInstruction(results=instr.results, module=instr.module,
                           function=instr.function, args=instr.args,
                           pc=instr.pc)

@@ -246,7 +246,8 @@ PERSIST_WAL_APPENDS = REGISTRY.counter(
 
 PERSIST_WAL_BYTES = REGISTRY.counter(
     "repro_persist_wal_bytes_total",
-    "Bytes written to the write-ahead log (headers plus payloads).",
+    "Bytes written to the write-ahead log (16-byte record headers plus "
+    "JSON [kind, data] payloads).",
     unit="bytes",
 )
 

@@ -14,8 +14,8 @@ and rides the existing line protocol:
 * a **new or lagging** follower (its position predates the primary's
   newest checkpoint, or its history diverged) gets a **checkpoint
   bootstrap** instead: the primary's on-disk checkpoint files are
-  shipped chunk by chunk, landed through the normal tmp + fsync +
-  rename path, validated by
+  shipped chunk by chunk, landed by
+  :func:`~repro.storage.durable.land_directory`, validated by
   :func:`~repro.storage.durable.load_checkpoint`, and installed;
 * **writes on a replica** are rejected before execution with a typed
   :class:`~repro.errors.ReadOnlyReplicaError` carrying the current
@@ -46,7 +46,6 @@ import base64
 import json
 import os
 import re
-import shutil
 import socket
 import threading
 import time
@@ -73,9 +72,9 @@ from repro.storage.durable import (
     MANIFEST_FILENAME,
     WAL_FILENAME,
     WalError,
-    _fsync_dir,
     apply_record,
     decode_payload,
+    land_directory,
     load_checkpoint,
     read_wal_records,
     recover,
@@ -542,40 +541,28 @@ class ReplicationManager:
     def _bootstrap(self, client: Any, response: Dict[str, Any]) -> None:
         """Install the primary's checkpoint snapshot.
 
-        Files land through the same tmp + fsync + rename discipline a
-        local checkpoint uses, then :func:`load_checkpoint` validates
-        every CRC before the snapshot is installed — a crash at any
+        Files land through :func:`land_directory`, the routine a local
+        checkpoint uses, then :func:`load_checkpoint` validates every
+        CRC before the snapshot is installed — a crash at any
         point leaves either the old state or the new one, never a mix.
         """
         engine = self.database.durability
         lsn = int(response["lsn"])
         manifest = response["manifest"]
-        directory = engine.wal_dir
-        name = f"checkpoint-{lsn:012d}"
-        final = os.path.join(directory, name)
-        tmp = final + ".tmp"
-        if os.path.exists(tmp):
-            shutil.rmtree(tmp)
-        os.makedirs(tmp)
-        for schema_doc in manifest.get("schemas", []):
-            for table_doc in schema_doc.get("tables", []):
-                for column_doc in table_doc.get("columns", []):
-                    data = self._fetch_file(client, lsn,
-                                            column_doc["file"])
-                    with open(os.path.join(tmp, column_doc["file"]),
-                              "wb") as handle:
-                        handle.write(data)
-                        handle.flush()
-                        os.fsync(handle.fileno())
-        with open(os.path.join(tmp, MANIFEST_FILENAME), "w") as handle:
-            json.dump(manifest, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        _fsync_dir(tmp)
-        if os.path.exists(final):
-            shutil.rmtree(final)
-        os.rename(tmp, final)
-        _fsync_dir(directory)
+        final = os.path.join(engine.wal_dir, f"checkpoint-{lsn:012d}")
+
+        def files():
+            for schema_doc in manifest.get("schemas", []):
+                for table_doc in schema_doc.get("tables", []):
+                    for column_doc in table_doc.get("columns", []):
+                        name = column_doc["file"]
+                        if not _SAFE_FILE.match(name):
+                            raise ReplicationError(
+                                f"bad bootstrap file name {name!r}")
+                        yield name, self._fetch_file(client, lsn, name)
+            yield MANIFEST_FILENAME, json.dumps(manifest).encode("ascii")
+
+        land_directory(final, files())
         catalog, _ckpt_lsn, _rows = load_checkpoint(final)
         self.database.install_replica_snapshot(catalog, lsn)
         self.bootstraps += 1

@@ -25,14 +25,13 @@ Three consumers close the loop:
 Entries are additionally keyed by the catalog fingerprint, so statistics
 observed against one dataset never steer planning for another.  Memory
 is bounded (LRU over signatures); the whole store round-trips through a
-CRC-trailed JSON snapshot kept alongside the catalog, using the same
-trailer idiom as :mod:`repro.storage.persist`.
+CRC-trailed JSON snapshot (``stats.json`` in the WAL directory), written
+with :func:`repro.storage.durable.atomic_write`.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import zlib
 from collections import OrderedDict
@@ -43,9 +42,10 @@ from repro.mal.ast import Const, MalProgram, Var
 from repro.metrics.families import (
     STATS_ENTRIES, STATS_EVICTIONS, STATS_OBSERVATIONS, STATS_SNAPSHOTS,
 )
+from repro.storage.durable import atomic_write
 
 _FORMAT_VERSION = 1
-#: same whole-file checksum trailer the catalog persistence uses
+#: whole-file checksum trailer after the JSON document
 _CRC_PREFIX = "\n#crc32="
 
 #: instructions whose output/input ratio is an observed selectivity
@@ -390,26 +390,13 @@ class StatsStore:
     def save(self, path: str) -> int:
         """Atomically write the snapshot to ``path``; returns entry count.
 
-        Same discipline as the catalog: temp file in the same directory,
-        fsync, rename — plus the ``#crc32=`` trailer so a torn or
-        bit-rotted snapshot is detected at load instead of half-read.
+        The ``#crc32=`` trailer lets a bit-rotted snapshot be detected
+        at load instead of half-read.
         """
         document = self.snapshot()
         text = json.dumps(document)
         text += f"{_CRC_PREFIX}{zlib.crc32(text.encode('utf-8')):08x}\n"
-        tmp_path = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp_path, "w") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-        finally:
-            if os.path.exists(tmp_path):
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
+        atomic_write(path, text.encode("utf-8"))
         STATS_SNAPSHOTS.labels(op="save").inc()
         return len(document["entries"]) + len(document["queries"])
 

@@ -53,6 +53,8 @@ per-row reference implementations in :mod:`repro.storage.naive`.
 
 from __future__ import annotations
 
+import datetime
+import json
 import operator
 import re
 from bisect import bisect_left, bisect_right
@@ -66,7 +68,9 @@ from repro.metrics.families import (
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError, TypeMismatchError
-from repro.storage.types import BIT, DBL, LNG, OID, MalType, cast_value, nil
+from repro.storage.types import (
+    BIT, DATE, DBL, LNG, OID, MalType, cast_value, nil, type_by_name,
+)
 
 _OPS: dict = {
     "==": operator.eq,
@@ -389,23 +393,32 @@ class BAT:
         return total
 
     def to_ship_bytes(self) -> bytes:
-        """Serialized form for shipping to a partition worker process.
+        """The column's one byte form: what partition workers receive
+        over a pipe, checkpoints store as ``.col`` files and replication
+        bootstrap ships.  A JSON document ``[type, hseqbase, head,
+        tail]``: ``head`` null when void, nil ``null``, dates as
+        ordinals.  Only this and :meth:`from_ship_bytes` know the layout.
 
         Memoized like :meth:`bytes`: a column shipped to several workers
         (an unpartitioned join side, a partition slice re-run under the
-        plan cache) is pickled once and the payload reused.  Invalidated
+        plan cache) is encoded once and the payload reused.  Invalidated
         by :meth:`append`/:meth:`extend` and guarded by the current
         length as a backstop.
         """
-        import pickle
-
         cached = self._ship_cache
         if cached is not None and cached[0] == len(self.tail):
             return cached[1]
-        payload = pickle.dumps(
-            (self.tail_type.name, self.tail, self.head, self.hseqbase),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        tail = self.tail
+        try:
+            if self.tail_type is DATE:
+                tail = [None if v is None else v.toordinal() for v in tail]
+            payload = json.dumps(
+                [self.tail_type.name, self.hseqbase, self.head, tail],
+                separators=(",", ":")).encode("ascii")
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise StorageError(
+                f"{self.tail_type.name} column holds a value with no "
+                f"byte form: {exc}") from None
         self._ship_cache = (len(self.tail), payload)
         return payload
 
@@ -413,22 +426,29 @@ class BAT:
     def from_ship_bytes(cls, payload: bytes) -> "BAT":
         """Rebuild a BAT from :meth:`to_ship_bytes` output.
 
-        Decodes with the restricted unpickler (ship payloads hold only
-        scalars, containers, and ``datetime.date``), so a corrupted or
-        hostile payload fails with a typed :class:`StorageError`
-        instead of executing arbitrary reduces.
+        The document's shape and every element's type are checked
+        against the declared atom, so corrupted or hostile bytes fail
+        with a typed :class:`StorageError` and never yield a BAT a
+        kernel would choke on later.
         """
-        from repro.storage.types import type_by_name
-        from repro.storage.unpickle import restricted_loads
-
         try:
-            type_name, tail, head, hseqbase = restricted_loads(payload)
-        except StorageError:
-            raise
+            type_name, hseqbase, head, tail = json.loads(payload)
+            tail_type = type_by_name(type_name)
+            atom = int if tail_type is DATE else tail_type.pytypes[0]
+            if not (type(hseqbase) is int and hseqbase >= 0
+                    and type(tail) is list
+                    and set(map(type, tail)) <= {atom, type(None)}
+                    and (head is None or (
+                        type(head) is list and len(head) == len(tail)
+                        and set(map(type, head)) <= {int}))):
+                raise ValueError(f"not a {type_name} column document")
+            if tail_type is DATE:
+                fromordinal = datetime.date.fromordinal
+                tail = [None if v is None else fromordinal(v) for v in tail]
         except Exception as exc:
             raise StorageError(
                 f"undecodable ship payload: {exc}") from None
-        out = cls(type_by_name(type_name), hseqbase=hseqbase)
+        out = cls(tail_type, hseqbase=hseqbase)
         out.tail = tail
         out.head = head
         return out

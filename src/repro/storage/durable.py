@@ -7,11 +7,12 @@ reproduction the same property with the classic recipe:
   CRC32-checksummed records — one per DDL statement or INSERT batch —
   made durable by *group commit*: concurrent writers that land inside
   one commit window share a single ``fsync``;
-* binary **columnar checkpoints**: one file per BAT (reusing the
-  memoized :meth:`~repro.storage.bat.BAT.to_ship_bytes` payload), plus a
-  JSON manifest with per-file checksums, written to a temp directory and
+* **columnar checkpoints**: one file per BAT (the memoized
+  :meth:`~repro.storage.bat.BAT.to_ship_bytes` payload), plus a JSON
+  manifest with per-file checksums, written to a temp directory and
   atomically renamed into place — a successful checkpoint truncates the
-  WAL;
+  WAL.  A *saved catalog* (:func:`save_catalog`, ``repro datagen``) is
+  the same directory without a WAL beside it;
 * **recovery** on open: load the newest checkpoint that validates
   (falling back past damaged ones), replay the WAL tail record by
   record, and stop cleanly at the first torn or corrupt record.
@@ -36,9 +37,9 @@ for the on-disk formats and the recovery algorithm.
 
 from __future__ import annotations
 
+import datetime
 import json
 import os
-import pickle
 import re
 import shutil
 import struct
@@ -46,7 +47,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import CheckpointError, StorageError, WalError
 from repro.faults.plan import ACTIVE
@@ -55,12 +56,12 @@ from repro.metrics.families import (
     PERSIST_RECOVERIES, PERSIST_TORN_RECORDS_DROPPED, PERSIST_WAL_APPENDS,
     PERSIST_WAL_BYTES,
 )
+from repro.storage.bat import BAT
 from repro.storage.catalog import Catalog
 from repro.storage.types import type_by_name
-from repro.storage.unpickle import restricted_loads
 
 #: WAL record header: ``<QII`` = lsn (8 bytes), payload length (4),
-#: CRC32 of the payload (4).  The payload is a pickled ``(kind, data)``.
+#: CRC32 of the payload (4).  The payload is :func:`encode_payload`'s.
 _HEADER = struct.Struct("<QII")
 
 #: On-disk names inside a WAL directory.
@@ -69,8 +70,12 @@ MANIFEST_FILENAME = "manifest.json"
 EPOCH_FILENAME = "epoch"
 _CHECKPOINT_RE = re.compile(r"^checkpoint-(\d{12})$")
 
-#: Checkpoint manifest format version.
-CHECKPOINT_FORMAT = 1
+#: Checkpoint manifest format version.  Format 1 held columns and WAL
+#: payloads in a binary layout; this build reads and writes only 2.
+CHECKPOINT_FORMAT = 2
+
+#: First byte of every format-1 WAL payload; no JSON document has it.
+_FORMAT_1_MAGIC = b"\x80"
 
 #: Checkpoint directories kept after a successful checkpoint (the new
 #: one plus this many predecessors as fallback targets).
@@ -86,28 +91,95 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def encode_record(lsn: int, kind: str, data: Any) -> bytes:
-    """Serialize one WAL record (header + pickled payload)."""
-    payload = pickle.dumps((kind, data), protocol=pickle.HIGHEST_PROTOCOL)
-    return _HEADER.pack(lsn, len(payload), zlib.crc32(payload)) + payload
+def _write_synced(path: str, data: bytes) -> None:
+    with open(path, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
-def decode_payload(payload: bytes) -> Tuple[str, Any]:
-    """Decode one WAL record payload back to ``(kind, data)``.
-
-    Uses the restricted unpickler (WAL payloads hold only scalars,
-    containers, and ``datetime.date``), so corrupted or hostile bytes —
-    whether read from disk or received over the replication stream —
-    fail with a typed :class:`WalError` instead of executing
-    attacker-controlled reduces.
-    """
+def atomic_write(path: str, data: bytes) -> None:
+    """Replace the file at ``path`` with ``data``, all or nothing: temp
+    file beside it, fsync, rename over ``path``, fsync the directory.
+    A crash leaves the old contents or the new, never a torn mix, and a
+    failed write leaves no temp file."""
+    tmp = f"{path}.tmp"
     try:
-        kind, data = restricted_loads(payload)
+        _write_synced(tmp, data)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    _fsync_dir(os.path.dirname(path) or ".")
+
+
+def land_directory(final: str, files: Iterable[Tuple[str, bytes]]) -> None:
+    """Make ``final`` a directory holding exactly ``files``, atomically:
+    the one routine behind checkpoints, :func:`save_catalog` and the
+    replication bootstrap (whose ``files`` generator fetches as it goes).
+
+    Each ``(name, data)`` is written into ``final + ".tmp"`` and
+    fsynced, then the temp directory itself (so the renamed directory
+    cannot surface after a power loss with entries missing), and it is
+    renamed into place.  A directory already at ``final`` is moved
+    aside to ``.stale`` for the instant of the rename and removed after
+    — never deleted first.  An ``OSError`` removes the temp directory;
+    a crash, injected or real, leaves it to :func:`prune_checkpoints`.
+    """
+    tmp = final + ".tmp"
+    stale = final + ".stale"
+    if os.path.exists(tmp):
+        shutil.rmtree(tmp)
+    try:
+        os.makedirs(tmp)
+        for name, data in files:
+            _write_synced(os.path.join(tmp, name), data)
+        _fsync_dir(tmp)
+        if os.path.exists(final):
+            shutil.rmtree(stale, ignore_errors=True)
+            os.rename(final, stale)
+        os.rename(tmp, final)
+    except OSError:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    _fsync_dir(os.path.dirname(final) or ".")
+    shutil.rmtree(stale, ignore_errors=True)
+
+
+def _iso_date(value: Any) -> str:
+    if isinstance(value, datetime.date):
+        return value.isoformat()
+    raise TypeError(f"{type(value).__name__} has no WAL form")
+
+
+def encode_payload(kind: str, data: Dict[str, Any]) -> bytes:
+    """One WAL record payload: the JSON document ``[kind, data]``, dates
+    as ISO strings (replay hands rows to ``Table.insert_many``, whose
+    casters turn them back by column type).  Only this function and
+    :func:`decode_payload` know the layout."""
+    try:
+        return json.dumps([kind, data], default=_iso_date,
+                          separators=(",", ":")).encode("ascii")
+    except (TypeError, ValueError) as exc:
+        raise WalError(f"unloggable {kind} record: {exc}") from None
+
+
+def decode_payload(payload: bytes) -> Tuple[str, Dict[str, Any]]:
+    """Decode one WAL record payload back to ``(kind, data)``.  Corrupt
+    or hostile bytes, from disk or the replication stream, fail with a
+    typed :class:`WalError`; JSON yields only scalars, lists and dicts,
+    so nothing in them can execute."""
+    try:
+        kind, data = json.loads(payload)
     except Exception as exc:
         raise WalError(f"undecodable WAL record payload: {exc}") from None
-    if not isinstance(kind, str):
+    if not isinstance(kind, str) or not isinstance(data, dict):
         raise WalError(
-            f"malformed WAL record payload: kind is {type(kind).__name__}")
+            f"malformed WAL record payload: [{type(kind).__name__}, "
+            f"{type(data).__name__}] is not [kind, data]")
     return kind, data
 
 
@@ -126,20 +198,14 @@ def read_epoch(wal_dir: str) -> int:
 
 
 def write_epoch(wal_dir: str, epoch: int) -> None:
-    """Persist the replication epoch atomically (tmp + rename + fsync).
+    """Persist the replication epoch with :func:`atomic_write`.
 
     The stamp must never regress or tear: a promoted node's fencing
     guarantee rests on every restart observing the highest epoch this
     node ever acknowledged.
     """
-    final = os.path.join(wal_dir, EPOCH_FILENAME)
-    tmp = final + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write(f"{int(epoch)}\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.rename(tmp, final)
-    _fsync_dir(wal_dir)
+    atomic_write(os.path.join(wal_dir, EPOCH_FILENAME),
+                 f"{int(epoch)}\n".encode("ascii"))
 
 
 # --------------------------------------------------------------------------
@@ -232,64 +298,27 @@ class WriteAheadLog:
 
     # -- writing --------------------------------------------------------
 
-    def append(self, kind: str, data: Any) -> int:
+    def append(self, kind: str, data: Dict[str, Any]) -> int:
         """Write one record; returns its LSN (durable only after
         :meth:`commit`).  Raises :class:`WalError` if the log is
         poisoned or a ``persist.wal:torn-write`` fault fires."""
-        payload = pickle.dumps((kind, data),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        with self._cond:
-            while self._pending_rollbacks and not self._closed:
-                self._cond.wait()
-            if self._closed:
-                raise WalError("write-ahead log is closed")
-            if self._poisoned:
-                raise WalError(
-                    "write-ahead log poisoned by a torn write; "
-                    "reopen (recover) to continue")
-            plan = ACTIVE.plan
-            if plan is not None:
-                decision = plan.decide("persist.wal", detail=kind)
-                if decision is not None:
-                    if decision.action == "latency":
-                        time.sleep((decision.value or 1.0) / 1000.0)
-                    elif decision.action == "fsync-loss":
-                        self._fail_next_sync = True
-                    elif decision.action == "torn-write":
-                        lsn = self._next_lsn
-                        self._next_lsn += 1
-                        record = _HEADER.pack(
-                            lsn, len(payload), zlib.crc32(payload)) + payload
-                        torn = record[:max(1, len(record) // 2)]
-                        os.pwrite(self._fd, torn, self._written_bytes)
-                        self._written_bytes += len(torn)
-                        self._poisoned = True
-                        raise WalError(
-                            f"torn write at lsn {lsn}: only "
-                            f"{len(torn)}/{len(record)} bytes reached "
-                            f"the log")
-            lsn = self._next_lsn
-            self._next_lsn += 1
-            record = _HEADER.pack(lsn, len(payload),
-                                  zlib.crc32(payload)) + payload
-            os.pwrite(self._fd, record, self._written_bytes)
-            self._written_bytes += len(record)
-            self._written_lsn = lsn
-            self._unsynced.append(lsn)
-            self.appends += 1
-            PERSIST_WAL_APPENDS.labels(kind=kind).inc()
-            PERSIST_WAL_BYTES.inc(len(record))
-            return lsn
+        return self._write(kind, encode_payload(kind, data))
 
     def append_raw(self, lsn: int, kind: str, payload: bytes) -> int:
         """Append a record at an explicit, primary-assigned LSN.
 
-        The replica apply path: ``payload`` is the already-pickled
-        ``(kind, data)`` bytes exactly as the primary logged them, so
+        The replica apply path: ``payload`` is the already-encoded
+        ``[kind, data]`` bytes exactly as the primary logged them, so
         the follower's WAL is byte-compatible with the primary's and
         recovery replays it identically.  ``lsn`` must sort after every
         record already written.  Durable only after :meth:`commit`.
         """
+        return self._write(kind, payload, lsn)
+
+    def _write(self, kind: str, payload: bytes,
+               lsn: Optional[int] = None) -> int:
+        """The one locked write: frame ``payload`` and log it at ``lsn``
+        (the next local one when None — the only case faults fire in)."""
         with self._cond:
             while self._pending_rollbacks and not self._closed:
                 self._cond.wait()
@@ -299,20 +328,40 @@ class WriteAheadLog:
                 raise WalError(
                     "write-ahead log poisoned by a torn write; "
                     "reopen (recover) to continue")
-            if lsn <= self._written_lsn:
+            fault = None
+            if lsn is None:
+                plan = ACTIVE.plan
+                decision = (plan.decide("persist.wal", detail=kind)
+                            if plan is not None else None)
+                if decision is not None:
+                    fault = decision.action
+                    if fault == "latency":
+                        time.sleep((decision.value or 1.0) / 1000.0)
+                    elif fault == "fsync-loss":
+                        self._fail_next_sync = True
+                lsn = self._next_lsn
+            elif lsn <= self._written_lsn:
                 raise WalError(
                     f"replicated lsn {lsn} does not sort after the "
                     f"local tail (written lsn {self._written_lsn})")
+            self._next_lsn = lsn + 1
             record = _HEADER.pack(lsn, len(payload),
                                   zlib.crc32(payload)) + payload
+            whole = len(record)
+            if fault == "torn-write":
+                record = record[:max(1, whole // 2)]
             os.pwrite(self._fd, record, self._written_bytes)
             self._written_bytes += len(record)
+            if fault == "torn-write":
+                self._poisoned = True
+                raise WalError(
+                    f"torn write at lsn {lsn}: only {len(record)}/{whole} "
+                    f"bytes reached the log")
             self._written_lsn = lsn
-            self._next_lsn = lsn + 1
             self._unsynced.append(lsn)
             self.appends += 1
             PERSIST_WAL_APPENDS.labels(kind=kind).inc()
-            PERSIST_WAL_BYTES.inc(len(record))
+            PERSIST_WAL_BYTES.inc(whole)
             return lsn
 
     def commit(self, lsn: int) -> None:
@@ -400,18 +449,24 @@ class WriteAheadLog:
 
     # -- maintenance ----------------------------------------------------
 
+    def _cut(self, keep_bytes: int) -> None:
+        """Keep the first ``keep_bytes`` (0 or the durable prefix) and
+        forget everything unsynced; clears torn-write poisoning."""
+        if self._closed:
+            raise WalError("write-ahead log is closed")
+        os.ftruncate(self._fd, keep_bytes)
+        os.fsync(self._fd)
+        self._written_bytes = self._durable_bytes = keep_bytes
+        self._written_lsn = self._durable_lsn
+        self._unsynced.clear()
+        self._poisoned = False
+
     def truncate(self) -> None:
         """Drop every record (post-checkpoint).  LSNs keep counting from
         where they were, so later records still sort after the
         checkpoint; a poisoned tail is cleared along with the rest."""
         with self._cond:
-            os.ftruncate(self._fd, 0)
-            os.fsync(self._fd)
-            self._written_bytes = 0
-            self._durable_bytes = 0
-            self._written_lsn = self._durable_lsn
-            self._unsynced.clear()
-            self._poisoned = False
+            self._cut(0)
 
     def truncate_to_durable(self) -> int:
         """Drop the written-but-unsynced tail (promotion prologue).
@@ -423,16 +478,9 @@ class WriteAheadLog:
         dropped.  Clears torn-write poisoning along with the tail.
         """
         with self._cond:
-            if self._closed:
-                raise WalError("write-ahead log is closed")
             dropped = len(self._unsynced)
-            os.ftruncate(self._fd, self._durable_bytes)
-            os.fsync(self._fd)
-            self._written_bytes = self._durable_bytes
-            self._written_lsn = self._durable_lsn
+            self._cut(self._durable_bytes)
             self._next_lsn = self._durable_lsn + 1
-            self._unsynced.clear()
-            self._poisoned = False
             return dropped
 
     def reset_to(self, lsn: int) -> None:
@@ -443,17 +491,9 @@ class WriteAheadLog:
         the snapshot, and subsequent records continue at primary LSNs.
         """
         with self._cond:
-            if self._closed:
-                raise WalError("write-ahead log is closed")
-            os.ftruncate(self._fd, 0)
-            os.fsync(self._fd)
-            self._written_bytes = 0
-            self._durable_bytes = 0
-            self._written_lsn = int(lsn)
-            self._durable_lsn = int(lsn)
+            self._cut(0)
+            self._written_lsn = self._durable_lsn = int(lsn)
             self._next_lsn = int(lsn) + 1
-            self._unsynced.clear()
-            self._poisoned = False
 
     def simulate_crash(self, keep_bytes: Optional[int] = None) -> int:
         """Test hook: die abruptly, keeping an arbitrary prefix.
@@ -512,6 +552,20 @@ class WalScan:
     torn: bool = False
 
 
+def _frames(blob: bytes):
+    """Walk length-chained records: ``(offset, end, lsn, crc_ok,
+    payload)`` for each one wholly inside ``blob``."""
+    offset = 0
+    while offset + _HEADER.size <= len(blob):
+        lsn, length, crc = _HEADER.unpack_from(blob, offset)
+        end = offset + _HEADER.size + length
+        if end > len(blob):
+            return
+        payload = blob[offset + _HEADER.size:end]
+        yield offset, end, lsn, zlib.crc32(payload) == crc, payload
+        offset = end
+
+
 def scan_wal(path: str) -> WalScan:
     """Parse a WAL file up to the first torn/corrupt record.
 
@@ -520,6 +574,10 @@ def scan_wal(path: str) -> WalScan:
     header is short, its payload runs past EOF, its CRC mismatches, its
     payload fails to decode, its LSN is not strictly increasing, or a
     ``persist.recover:corrupt-record`` fault fires for it.
+
+    Raises:
+        WalError: the first record is intact but format 1 — an old log,
+            not a torn tail, which must never be truncated away as one.
     """
     scan = WalScan()
     try:
@@ -528,36 +586,30 @@ def scan_wal(path: str) -> WalScan:
     except FileNotFoundError:
         return scan
     scan.total_bytes = len(blob)
-    offset = 0
     plan = ACTIVE.plan
-    while offset + _HEADER.size <= len(blob):
-        lsn, length, crc = _HEADER.unpack_from(blob, offset)
-        end = offset + _HEADER.size + length
-        if lsn <= scan.last_lsn or end > len(blob):
-            scan.torn = True
-            break
-        payload = blob[offset + _HEADER.size:end]
-        if zlib.crc32(payload) != crc:
-            scan.torn = True
+    for offset, end, lsn, crc_ok, payload in _frames(blob):
+        if lsn <= scan.last_lsn or not crc_ok:
             break
         try:
             kind, data = decode_payload(payload)
         except WalError:
-            scan.torn = True
+            if offset == 0 and payload.startswith(_FORMAT_1_MAGIC):
+                raise WalError(
+                    f"{path} is an old format-1 (binary payload) WAL; "
+                    f"this build reads only format "
+                    f"{CHECKPOINT_FORMAT} and will not truncate it"
+                ) from None
             break
         if plan is not None:
             decision = plan.decide("persist.recover", detail=str(lsn))
             if decision is not None and decision.action == "corrupt-record":
-                scan.torn = True
                 break
         scan.records.append((lsn, kind, data))
         scan.last_lsn = lsn
         scan.valid_bytes = end
-        offset = end
-    else:
-        # a trailing partial header is a torn tail too
-        if offset < len(blob):
-            scan.torn = True
+    # every way out of the loop but exhaustion leaves bytes unaccounted
+    # for, and so does a trailing partial header or payload
+    scan.torn = scan.valid_bytes < scan.total_bytes
     return scan
 
 
@@ -584,17 +636,11 @@ def read_wal_records(path: str, from_lsn: int, durable_bytes: int,
             blob = handle.read(durable_bytes)
     except FileNotFoundError:
         return records, False, 0
-    offset = 0
     taken = 0
     pending = 0
     capped = False
-    while offset + _HEADER.size <= len(blob):
-        lsn, length, crc = _HEADER.unpack_from(blob, offset)
-        end = offset + _HEADER.size + length
-        if end > len(blob):
-            break
-        payload = blob[offset + _HEADER.size:end]
-        if zlib.crc32(payload) != crc:
+    for offset, _end, lsn, crc_ok, payload in _frames(blob):
+        if not crc_ok:
             raise WalError(
                 f"CRC mismatch at offset {offset} inside the durable "
                 f"prefix of {path}")
@@ -605,7 +651,6 @@ def read_wal_records(path: str, from_lsn: int, durable_bytes: int,
             else:
                 records.append((lsn, payload))
                 taken += len(payload)
-        offset = end
     return records, capped, pending
 
 
@@ -640,64 +685,16 @@ def list_checkpoints(directory: str) -> List[Tuple[int, str]]:
     return found
 
 
-def write_checkpoint(catalog: Catalog, directory: str,
-                     lsn: int) -> CheckpointReport:
-    """Write a checkpoint of ``catalog`` as of WAL position ``lsn``.
-
-    One ``.col`` file per column (the BAT's memoized ship payload), then
-    a manifest with per-file CRCs; everything goes to a ``.tmp``
-    directory, is fsynced (files *and* the directory), and the directory
-    is renamed into place.  A valid checkpoint already present at this
-    LSN is reused as-is — same LSN means same durable prefix, and
-    deleting it first would leave a crash window with no checkpoint
-    while its WAL coverage is already truncated.
-    Injected faults: ``partial-manifest`` truncates the manifest *and
-    still renames* (recovery must detect and fall back);
-    ``crash-before-rename`` abandons the temp directory.
-    """
-    name = f"checkpoint-{lsn:012d}"
-    final = os.path.join(directory, name)
-    tmp = final + ".tmp"
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
-    stale: Optional[str] = None
-    if os.path.exists(final):
-        # Same-LSN checkpoints (e.g. two `checkpoint` commands with no
-        # intervening statements) describe the same durable prefix.
-        # Deleting the existing directory before its replacement is
-        # renamed into place would open a crash window with *no*
-        # checkpoint at this LSN — and the WAL it covered was already
-        # truncated by the first success.  If it validates, it already
-        # is the checkpoint we would write: reuse it.  Only a damaged
-        # directory is moved aside, and removed after the replacement
-        # lands.
-        try:
-            _, _, existing_rows = load_checkpoint(final)
-        except CheckpointError:
-            stale = final + ".stale"
-            if os.path.exists(stale):
-                shutil.rmtree(stale)
-            os.rename(final, stale)
-        else:
-            files = 0
-            existing_bytes = 0
-            for entry in os.listdir(final):
-                if entry.endswith(".col"):
-                    files += 1
-                    existing_bytes += os.path.getsize(
-                        os.path.join(final, entry))
-            return CheckpointReport(path=final, lsn=lsn, files=files,
-                                    rows=existing_rows,
-                                    bytes=existing_bytes)
-    os.makedirs(tmp)
-    plan = ACTIVE.plan
-    decision = (plan.decide("persist.checkpoint", detail=name)
-                if plan is not None else None)
+def _snapshot_files(catalog: Catalog,
+                    lsn: int) -> Tuple[List[Tuple[str, bytes]], int]:
+    """A catalog as checkpoint files: ``(name, bytes)`` for one ``.col``
+    per column (the BAT's memoized ship payload) and, last, the manifest
+    that names, types, counts and checksums them.  Also returns the
+    total row count."""
+    files: List[Tuple[str, bytes]] = []
     manifest: Dict[str, Any] = {"format": CHECKPOINT_FORMAT, "lsn": lsn,
                                 "schemas": []}
-    index = 0
     total_rows = 0
-    total_bytes = 0
     for schema_name in sorted(catalog.schemas):
         schema = catalog.schemas[schema_name]
         schema_doc: Dict[str, Any] = {"name": schema.name, "tables": []}
@@ -706,12 +703,8 @@ def write_checkpoint(catalog: Catalog, directory: str,
             table_doc: Dict[str, Any] = {"name": table.name, "columns": []}
             for column in table.columns.values():
                 payload = column.bat.to_ship_bytes()
-                file_name = f"c{index:05d}.col"
-                index += 1
-                with open(os.path.join(tmp, file_name), "wb") as handle:
-                    handle.write(payload)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                file_name = f"c{len(files):05d}.col"
+                files.append((file_name, payload))
                 table_doc["columns"].append({
                     "name": column.name,
                     "type": column.mal_type.name,
@@ -719,33 +712,69 @@ def write_checkpoint(catalog: Catalog, directory: str,
                     "rows": column.bat.count(),
                     "crc32": zlib.crc32(payload),
                 })
-                total_bytes += len(payload)
             total_rows += table.row_count()
             schema_doc["tables"].append(table_doc)
         manifest["schemas"].append(schema_doc)
-    text = json.dumps(manifest)
-    if decision is not None and decision.action == "partial-manifest":
-        text = text[:max(1, len(text) // 2)]
-    with open(os.path.join(tmp, MANIFEST_FILENAME), "w") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    # fsync the temp directory itself (not just the files in it) so the
-    # renamed checkpoint cannot surface after a power loss with missing
-    # column-file entries while the later WAL truncate survives
-    _fsync_dir(tmp)
-    if decision is not None and decision.action == "crash-before-rename":
-        raise CheckpointError(
-            f"injected crash before renaming {tmp} into place")
-    os.rename(tmp, final)
-    _fsync_dir(directory)
-    if stale is not None:
-        shutil.rmtree(stale, ignore_errors=True)
-    if decision is not None and decision.action == "partial-manifest":
+    files.append((MANIFEST_FILENAME, json.dumps(manifest).encode("ascii")))
+    return files, total_rows
+
+
+def _crash_after(files: List[Tuple[str, bytes]], name: str):
+    """``files``, then the ``crash-before-rename`` fault: everything is
+    written and fsynced, and the temp directory is abandoned."""
+    yield from files
+    raise CheckpointError(
+        f"injected crash before renaming {name}.tmp into place")
+
+
+def write_checkpoint(catalog: Catalog, directory: str,
+                     lsn: int) -> CheckpointReport:
+    """Write a checkpoint of ``catalog`` as of WAL position ``lsn``:
+    :func:`_snapshot_files` landed by :func:`land_directory`.
+
+    A valid checkpoint already present at this LSN is reused as-is —
+    same LSN means same durable prefix, and replacing it would open a
+    crash window with no checkpoint while its WAL coverage is already
+    truncated; only a damaged one is replaced.  Injected faults: ``partial-manifest`` truncates the manifest *and
+    still renames* (recovery must detect and fall back);
+    ``crash-before-rename`` abandons the temp directory.
+    """
+    name = f"checkpoint-{lsn:012d}"
+    final = os.path.join(directory, name)
+    if os.path.exists(final):
+        try:
+            _, _, existing_rows = load_checkpoint(final)
+        except CheckpointError:
+            pass
+        else:
+            sizes = [os.path.getsize(os.path.join(final, entry))
+                     for entry in os.listdir(final)
+                     if entry.endswith(".col")]
+            return CheckpointReport(path=final, lsn=lsn, files=len(sizes),
+                                    rows=existing_rows, bytes=sum(sizes))
+    plan = ACTIVE.plan
+    decision = (plan.decide("persist.checkpoint", detail=name)
+                if plan is not None else None)
+    fault = decision.action if decision is not None else None
+    files, total_rows = _snapshot_files(catalog, lsn)
+    columns = files[:-1]
+    if fault == "partial-manifest":
+        text = files[-1][1]
+        files[-1] = (MANIFEST_FILENAME, text[:max(1, len(text) // 2)])
+    land_directory(final, _crash_after(files, name)
+                   if fault == "crash-before-rename" else files)
+    if fault == "partial-manifest":
         raise CheckpointError(
             f"checkpoint {name} renamed with a torn manifest")
-    return CheckpointReport(path=final, lsn=lsn, files=index,
-                            rows=total_rows, bytes=total_bytes)
+    return CheckpointReport(path=final, lsn=lsn, files=len(columns),
+                            rows=total_rows,
+                            bytes=sum(len(data) for _, data in columns))
+
+
+class _UnsupportedFormat(CheckpointError):
+    """An intact manifest of a format this build does not read (the
+    old format 1, or a newer one).  Unlike damage, recovery must not
+    fall back past it: the data is there, in another layout."""
 
 
 def load_checkpoint(path: str) -> Tuple[Catalog, int, int]:
@@ -753,26 +782,19 @@ def load_checkpoint(path: str) -> Tuple[Catalog, int, int]:
 
     Returns ``(catalog, lsn, rows)``.  Raises :class:`CheckpointError`
     on any damage: unreadable/truncated manifest, wrong format version,
-    missing column file, CRC mismatch, or a row-count mismatch.
+    missing column file, CRC mismatch, an undecodable column, ragged
+    columns, or a row-count or type mismatch.
     """
-    manifest_path = os.path.join(path, MANIFEST_FILENAME)
-    try:
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(
-            f"unreadable checkpoint manifest {manifest_path}: "
-            f"{exc}") from None
-    if not isinstance(manifest, dict) or \
-            manifest.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"unsupported checkpoint format in {manifest_path}: "
-            f"{manifest.get('format') if isinstance(manifest, dict) else manifest!r}")
-    from repro.storage.bat import BAT
-
     catalog = Catalog()
     total_rows = 0
     try:
+        with open(os.path.join(path, MANIFEST_FILENAME), "rb") as handle:
+            manifest = json.loads(handle.read())
+        if manifest["format"] != CHECKPOINT_FORMAT:
+            raise _UnsupportedFormat(
+                f"{path} is checkpoint format {manifest['format']!r}; "
+                f"this build reads only format {CHECKPOINT_FORMAT} "
+                f"(format 1 is the old binary layout)")
         lsn = int(manifest["lsn"])
         for schema_doc in manifest["schemas"]:
             name = schema_doc["name"]
@@ -787,13 +809,8 @@ def load_checkpoint(path: str) -> Tuple[Catalog, int, int]:
                 for column_doc, column in zip(table_doc["columns"],
                                               table.columns.values()):
                     file_path = os.path.join(path, column_doc["file"])
-                    try:
-                        with open(file_path, "rb") as handle:
-                            payload = handle.read()
-                    except OSError as exc:
-                        raise CheckpointError(
-                            f"missing checkpoint column file "
-                            f"{file_path}: {exc}") from None
+                    with open(file_path, "rb") as handle:
+                        payload = handle.read()
                     if zlib.crc32(payload) != column_doc["crc32"]:
                         raise CheckpointError(
                             f"checksum mismatch in {file_path}")
@@ -804,14 +821,34 @@ def load_checkpoint(path: str) -> Tuple[Catalog, int, int]:
                             f"column file {file_path} does not match "
                             f"its manifest entry")
                     column.bat = bat
+                if len({c["rows"] for c in table_doc["columns"]}) > 1:
+                    raise CheckpointError(
+                        f"table {table_doc['name']!r} in {path} has "
+                        f"ragged columns")
                 total_rows += table.row_count()
     except CheckpointError:
         raise
-    except (KeyError, TypeError, ValueError, StorageError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, AttributeError,
+            RecursionError, StorageError) as exc:
         raise CheckpointError(
-            f"malformed checkpoint manifest {manifest_path}: "
+            f"damaged checkpoint {path}: {type(exc).__name__}: "
             f"{exc}") from None
     return catalog, lsn, total_rows
+
+
+def save_catalog(catalog: Catalog, path: str) -> int:
+    """Save ``catalog`` as the checkpoint directory ``path`` (LSN 0, no
+    WAL beside it); returns total rows.  Atomic like any checkpoint:
+    a crash mid-save leaves the previous directory intact."""
+    files, total_rows = _snapshot_files(catalog, 0)
+    land_directory(path, files)
+    return total_rows
+
+
+def load_catalog(path: str) -> Catalog:
+    """Rebuild a catalog saved by :func:`save_catalog` (or point it at
+    any checkpoint directory); raises :class:`CheckpointError`."""
+    return load_checkpoint(path)[0]
 
 
 def prune_checkpoints(directory: str, keep: int = KEEP_CHECKPOINTS) -> int:
@@ -841,30 +878,36 @@ def prune_checkpoints(directory: str, keep: int = KEEP_CHECKPOINTS) -> int:
 # replay and recovery
 # --------------------------------------------------------------------------
 
-def apply_record(catalog: Catalog, kind: str, data: Any) -> int:
+def apply_record(catalog: Catalog, kind: str, data: Dict[str, Any]) -> int:
     """Apply one WAL record to ``catalog``; returns rows inserted.
 
     Records are validated *before* they are logged (see
     ``Database._execute_insert`` and friends), so replaying a valid WAL
-    against the checkpoint it extends cannot fail.
+    against the checkpoint it extends cannot fail; a record that
+    decodes but does not have its kind's shape raises :class:`WalError`.
     """
-    if kind == "ddl":
-        op = data["op"]
-        schema = catalog.schema(data.get("schema"))
-        if op == "create":
-            schema.create_table(
-                data["table"],
-                [(name, type_by_name(type_name))
-                 for name, type_name in data["columns"]])
-        elif op == "drop":
-            schema.drop_table(data["table"])
-        else:
-            raise StorageError(f"unknown DDL op {op!r} in WAL record")
-        catalog.invalidate()
-        return 0
-    if kind == "insert":
-        table = catalog.table(data["table"], data.get("schema"))
-        return table.insert_many(data["rows"])
+    try:
+        if kind == "ddl":
+            op = data["op"]
+            schema = catalog.schema(data.get("schema"))
+            if op == "create":
+                schema.create_table(
+                    data["table"],
+                    [(name, type_by_name(type_name))
+                     for name, type_name in data["columns"]])
+            elif op == "drop":
+                schema.drop_table(data["table"])
+            else:
+                raise StorageError(f"unknown DDL op {op!r} in WAL record")
+            catalog.invalidate()
+            return 0
+        if kind == "insert":
+            table = catalog.table(data["table"], data.get("schema"))
+            return table.insert_many(data["rows"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise WalError(
+            f"malformed {kind} record: {type(exc).__name__}: {exc}") \
+            from None
     raise StorageError(f"unknown WAL record kind {kind!r}")
 
 
@@ -933,6 +976,8 @@ def recover(wal_dir: str) -> Tuple[Catalog, RecoveryReport]:
     for lsn, path in reversed(list_checkpoints(wal_dir)):
         try:
             catalog, ckpt_lsn, rows = load_checkpoint(path)
+        except _UnsupportedFormat:
+            raise
         except CheckpointError:
             report.invalid_checkpoints += 1
             continue
@@ -1137,26 +1182,14 @@ class DurableEngine:
 # --------------------------------------------------------------------------
 
 def catalog_canonical_bytes(catalog: Catalog) -> bytes:
-    """A canonical byte serialization of a catalog's full contents.
+    """A canonical byte serialization of a catalog's full contents:
+    the files it would checkpoint to, concatenated.
 
-    Schemas and tables are visited in sorted-name order (so dict
-    insertion order — which replay does not preserve for re-created
-    tables — cannot leak in), columns in definition order, each
-    contributing its name, type, and ship payload.  Two catalogs with
-    identical data produce identical bytes; the ``durability-chaos``
-    harness compares these across crash/recover cycles.
+    :func:`_snapshot_files` visits schemas and tables in sorted-name
+    order (so dict insertion order — which replay does not preserve for
+    re-created tables — cannot leak in) and columns in definition
+    order.  Two catalogs with identical data produce identical bytes;
+    the ``durability-chaos`` harness compares these across
+    crash/recover cycles.
     """
-    parts: List[bytes] = []
-    for schema_name in sorted(catalog.schemas):
-        schema = catalog.schemas[schema_name]
-        parts.append(f"S:{schema.name}\n".encode())
-        for table_name in sorted(schema.tables):
-            table = schema.tables[table_name]
-            parts.append(f"T:{table.name}\n".encode())
-            for column in table.columns.values():
-                payload = column.bat.to_ship_bytes()
-                parts.append(
-                    f"C:{column.name}:{column.mal_type.name}:"
-                    f"{len(payload)}\n".encode())
-                parts.append(payload)
-    return b"".join(parts)
+    return b"".join(data for _, data in _snapshot_files(catalog, 0)[0])

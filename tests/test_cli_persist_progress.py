@@ -9,9 +9,11 @@ import pytest
 from repro.cli import main
 from repro.core.progress import Popup, PopupManager, ProgressWindow
 from repro.errors import StorageError
+from repro.storage.durable import (
+    CHECKPOINT_FORMAT, MANIFEST_FILENAME, load_catalog, save_catalog,
+)
 from repro.profiler.events import TraceEvent
 from repro.storage import Catalog, INT, STR, DATE
-from repro.storage.persist import load_catalog, save_catalog
 
 
 def run_cli(*argv):
@@ -36,7 +38,7 @@ class TestPersistence:
 
     def test_roundtrip(self, tmp_path):
         cat = self.make_catalog()
-        path = str(tmp_path / "db.json")
+        path = str(tmp_path / "db")
         rows = save_catalog(cat, path)
         assert rows == 2
         loaded = load_catalog(path)
@@ -44,29 +46,32 @@ class TestPersistence:
             list(cat.table("events").rows())
 
     def test_types_preserved(self, tmp_path):
-        path = str(tmp_path / "db.json")
+        path = str(tmp_path / "db")
         save_catalog(self.make_catalog(), path)
         loaded = load_catalog(path)
         types = [c.mal_type.name
                  for c in loaded.table("events").columns.values()]
         assert types == ["int", "str", "date"]
 
-    def test_corrupt_file_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
+    def test_corrupt_manifest_raises(self, tmp_path):
+        path = tmp_path / "bad"
+        path.mkdir()
+        (path / MANIFEST_FILENAME).write_text("{not json")
         with pytest.raises(StorageError):
             load_catalog(str(path))
 
     def test_version_check(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text('{"version": 99, "schemas": []}')
+        path = tmp_path / "old"
+        path.mkdir()
+        (path / MANIFEST_FILENAME).write_text(
+            '{"format": 99, "lsn": 0, "schemas": []}')
         with pytest.raises(StorageError):
             load_catalog(str(path))
 
     def test_loaded_catalog_queryable(self, tmp_path):
         from repro.server import Database
 
-        path = str(tmp_path / "db.json")
+        path = str(tmp_path / "db")
         save_catalog(self.make_catalog(), path)
         db = Database(catalog=load_catalog(path))
         rows = db.execute("select name from events where id = 1").rows
@@ -74,20 +79,20 @@ class TestPersistence:
 
     def test_save_is_atomic_on_crash(self, tmp_path, monkeypatch):
         """A crash mid-save must leave the previous catalog readable
-        and no temp file behind — the save goes through a same-dir
-        temp file plus ``os.replace``."""
+        and no temp directory behind — the save lands through a
+        sibling ``.tmp`` directory plus a rename."""
         import json as json_module
 
-        path = str(tmp_path / "db.json")
+        path = str(tmp_path / "db")
         save_catalog(self.make_catalog(), path)
         good = load_catalog(path)
 
         def explode(fd):
-            # the temp file holds a complete document by now; dying on
+            # the temp file holds a complete column by now; dying on
             # its fsync models a crash after a (possibly torn) write
             raise OSError("disk full")
 
-        monkeypatch.setattr("repro.storage.persist.os.fsync", explode)
+        monkeypatch.setattr("repro.storage.durable.os.fsync", explode)
         with pytest.raises(OSError):
             save_catalog(self.make_catalog(), path)
         monkeypatch.undo()
@@ -95,20 +100,21 @@ class TestPersistence:
         reloaded = load_catalog(path)
         assert list(reloaded.table("events").rows()) == \
             list(good.table("events").rows())
-        # ... and the temp file was cleaned up
+        # ... and the temp directory was cleaned up
         leftovers = [p.name for p in tmp_path.iterdir()
-                     if p.name != "db.json"]
+                     if p.name != "db"]
         assert leftovers == []
-        document, _crc = open(path).read().rsplit("#crc32=", 1)
-        assert json_module.loads(document)["version"] == 1
+        with open(tmp_path / "db" / MANIFEST_FILENAME) as handle:
+            assert json_module.load(handle)["format"] == CHECKPOINT_FORMAT
 
-    def test_save_replaces_existing_file(self, tmp_path):
-        path = str(tmp_path / "db.json")
+    def test_save_replaces_existing_directory(self, tmp_path):
+        path = str(tmp_path / "db")
         save_catalog(self.make_catalog(), path)
         cat = self.make_catalog()
         cat.table("events").insert([3, "gamma", None])
         assert save_catalog(cat, path) == 3
         assert len(list(load_catalog(path).table("events").rows())) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["db"]
 
 
 class TestProgressWindow:
@@ -188,7 +194,7 @@ class TestPopups:
 
 class TestCli:
     def test_datagen_and_offline_flow(self, tmp_path):
-        db_path = str(tmp_path / "tpch.json")
+        db_path = str(tmp_path / "tpch")
         code, out = run_cli("datagen", db_path, "--scale", "0.02")
         assert code == 0 and "wrote" in out
 
@@ -196,7 +202,6 @@ class TestCli:
         from repro.dot import plan_to_dot
         from repro.profiler import Profiler, write_trace
         from repro.server import Database
-        from repro.storage.persist import load_catalog
 
         db = Database(catalog=load_catalog(db_path))
         profiler = Profiler()

@@ -236,3 +236,15 @@ class TestProseMatchesCode:
                            for root in roots):
                     broken.append(f"{os.path.basename(path)}: {target}")
         assert not broken, f"docs mention missing files: {broken}"
+
+
+class TestNoPickleInSrc:
+    def test_no_source_file_mentions_pickle(self):
+        """ROADMAP item 3's done-when, kept true: column and WAL bytes
+        are JSON, so nothing under ``src/`` imports (or names) the
+        module — ``grep -rn pickle src/`` prints nothing."""
+        pattern = os.path.join(REPO_ROOT, "src", "**", "*.py")
+        offenders = [os.path.relpath(path, REPO_ROOT)
+                     for path in glob.glob(pattern, recursive=True)
+                     if "pickle" in open(path).read()]
+        assert not offenders, f"pickle is back in: {offenders}"

@@ -35,11 +35,12 @@ from repro.storage.durable import (
     WriteAheadLog,
     catalog_canonical_bytes,
     list_checkpoints,
+    load_catalog,
     load_checkpoint,
     recover,
+    save_catalog,
     scan_wal,
 )
-from repro.storage.persist import load_catalog, save_catalog
 from repro.storage.types import type_by_name
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(
@@ -498,7 +499,10 @@ class TestInsertBindTyping:
         assert len(scan.records) == 1  # just the CREATE
 
 
-class TestCatalogFilePersistence:
+class TestCatalogDirectoryPersistence:
+    """A saved catalog is a checkpoint directory: the manifest's
+    per-column CRCs and format number guard it, not a file trailer."""
+
     def _catalog(self) -> Catalog:
         catalog = Catalog()
         catalog.create_table_from_sql_types(
@@ -506,46 +510,59 @@ class TestCatalogFilePersistence:
         catalog.table("t").insert_many([[1, "one"], [2, "two"]])
         return catalog
 
-    def test_round_trip_carries_a_checksum(self, tmp_path):
-        path = str(tmp_path / "cat.json")
+    def _manifest(self, path) -> dict:
+        import json
+
+        with open(os.path.join(path, MANIFEST_FILENAME)) as handle:
+            return json.load(handle)
+
+    def test_round_trip_carries_checksums(self, tmp_path):
+        import zlib
+
+        path = str(tmp_path / "cat")
         save_catalog(self._catalog(), path)
-        with open(path) as handle:
-            assert "#crc32=" in handle.read()
+        columns = self._manifest(path)["schemas"][0]["tables"][0]["columns"]
+        for column in columns:
+            with open(os.path.join(path, column["file"]), "rb") as handle:
+                assert zlib.crc32(handle.read()) == column["crc32"]
         loaded = load_catalog(path)
         assert loaded.table("t").row_count() == 2
+        assert _bytes(loaded) == _bytes(self._catalog())
 
     def test_bit_rot_is_detected(self, tmp_path):
-        path = str(tmp_path / "cat.json")
+        path = str(tmp_path / "cat")
         save_catalog(self._catalog(), path)
-        with open(path) as handle:
-            text = handle.read()
-        with open(path, "w") as handle:
-            handle.write(text.replace('"one"', '"eno"', 1))
+        column = self._manifest(path)["schemas"][0]["tables"][0]["columns"][1]
+        file_path = os.path.join(path, column["file"])
+        with open(file_path, "rb") as handle:
+            data = handle.read()
+        with open(file_path, "wb") as handle:
+            handle.write(data.replace(b'"one"', b'"eno"', 1))
         with pytest.raises(StorageError, match="checksum mismatch"):
             load_catalog(path)
 
-    def test_legacy_files_without_trailer_load(self, tmp_path):
+    def test_old_single_file_catalogs_are_refused(self, tmp_path):
+        # the pre-format-2 save_catalog wrote one CRC-trailed JSON file;
+        # there is no reader for it any more, only a typed refusal
         path = str(tmp_path / "cat.json")
-        save_catalog(self._catalog(), path)
-        with open(path) as handle:
-            text = handle.read()
-        body = text[:text.rfind("\n#crc32=")]
         with open(path, "w") as handle:
-            handle.write(body)
-        assert load_catalog(path).table("t").row_count() == 2
+            handle.write('{"version": 1, "schemas": []}\n#crc32=00000000\n')
+        with pytest.raises(StorageError):
+            load_catalog(path)
 
     @pytest.mark.parametrize("payload", [
         "[]",
-        '{"version": 99, "schemas": []}',
-        '{"version": 1, "schemas": [{"nom": "sys"}]}',
-        '{"version": 1, "schemas": [{"name": "sys", "tables": '
+        '{"format": 99, "lsn": 0, "schemas": []}',
+        '{"format": 2, "lsn": 0, "schemas": [{"nom": "sys"}]}',
+        '{"format": 2, "lsn": 0, "schemas": [{"name": "sys", "tables": '
         '[{"name": "t", "columns": [{"name": "a", "type": "int"}]}]}]}',
-        '{"version": 1, "schemas": 7}',
+        '{"format": 2, "lsn": 0, "schemas": 7}',
     ])
-    def test_malformed_documents_raise_typed_errors(self, tmp_path,
+    def test_malformed_manifests_raise_typed_errors(self, tmp_path,
                                                     payload):
-        path = str(tmp_path / "cat.json")
-        with open(path, "w") as handle:
+        path = str(tmp_path / "cat")
+        os.makedirs(path)
+        with open(os.path.join(path, MANIFEST_FILENAME), "w") as handle:
             handle.write(payload)
         with pytest.raises(StorageError):
             load_catalog(path)
@@ -744,7 +761,7 @@ class _Evil:
         return (os.system, (f"touch {self.marker}",))
 
 
-class TestRestrictedUnpickle:
+class TestHostilePickleBytes:
     def _evil_payload(self, tmp_path):
         import pickle as _pickle
 
@@ -769,9 +786,9 @@ class TestRestrictedUnpickle:
         wal = WriteAheadLog(path, commit_window_ms=0.0)
         wal.commit(wal.append("insert", {"i": 1}))
         wal.close()
-        # a record with valid framing and CRC around hostile bytes: the
-        # restricted unpickler is the only thing standing between the
-        # scan and an attacker-controlled reduce
+        # a record with valid framing and CRC around hostile bytes: only
+        # the payload decoder stands between the scan and an
+        # attacker-controlled reduce — and it cannot run one
         payload = self._evil_payload(tmp_path)
         with open(path, "ab") as handle:
             handle.write(_HEADER.pack(2, len(payload),
@@ -796,7 +813,7 @@ class TestRestrictedUnpickle:
             manifest = json.load(handle)
         column = manifest["schemas"][0]["tables"][0]["columns"][0]
         # the attacker controls the whole directory, so the manifest
-        # CRC matches the hostile bytes — only the unpickler is left
+        # CRC matches the hostile bytes — only the column decoder is left
         column["crc32"] = zlib.crc32(payload)
         with open(os.path.join(report.path, column["file"]), "wb") as handle:
             handle.write(payload)
@@ -804,6 +821,23 @@ class TestRestrictedUnpickle:
             json.dump(manifest, handle)
         with pytest.raises(CheckpointError):
             load_checkpoint(report.path)
+        assert not os.path.exists(str(tmp_path / "pwned"))
+
+    def test_hostile_ship_payload_raises_typed(self, tmp_path):
+        """The fourth boundary: pickle bytes sent to a partition worker
+        come back as a ``decode`` reply, i.e. PartitionShipError."""
+        from repro.errors import PartitionShipError
+        from repro.mal import mpool
+        from repro.storage import BAT
+
+        payload = self._evil_payload(tmp_path)
+        with pytest.raises(StorageError):
+            BAT.from_ship_bytes(payload)
+        reply = mpool._run_task({"inputs": {"X_1": ("bat", payload)},
+                                 "instructions": [], "full": []})
+        assert (reply["ok"], reply["kind"]) == (False, "decode")
+        with pytest.raises(PartitionShipError):
+            mpool.PartitionWorkerPool._check_reply(reply, None)
         assert not os.path.exists(str(tmp_path / "pwned"))
 
 

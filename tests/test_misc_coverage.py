@@ -150,12 +150,12 @@ class TestCliServeCatalog:
         import time
 
         from repro.cli import main
-        from repro.storage.persist import save_catalog
+        from repro.storage.durable import save_catalog
 
         cat = Catalog()
         t = cat.schema().create_table("kv", [("k", INT)])
         t.insert_many([[1], [2], [3]])
-        db_path = str(tmp_path / "db.json")
+        db_path = str(tmp_path / "db")
         save_catalog(cat, db_path)
 
         probe = socket.socket()

@@ -9,6 +9,7 @@ by the replica itself.
 """
 
 import json
+import os
 import socket
 import threading
 import time
@@ -106,6 +107,17 @@ class TestStreaming:
                 replica.server.stop()
         finally:
             primary.server.stop()
+
+    def test_bootstrap_refuses_path_like_file_names(self, cluster):
+        # the manifest comes off the wire; a name with a path component
+        # must not be written (it would land outside the temp directory)
+        hostile = {"lsn": 9, "manifest": {"schemas": [{"tables": [
+            {"columns": [{"file": "../escaped.col"}]}]}]}}
+        wal_dir = cluster.replica.db.durability.wal_dir
+        with pytest.raises(ReplicationError, match="bad bootstrap file"):
+            cluster.replica.mgr._bootstrap(None, hostile)
+        assert not os.path.exists(os.path.join(wal_dir, "escaped.col"))
+        assert cluster.replica.mgr.bootstraps == 0
 
     def test_lag_drains_to_zero(self, cluster):
         with MClient(port=cluster.primary.port) as client:
