@@ -32,6 +32,7 @@ _TOKEN_RE = re.compile(
   | (?P<arrow>->)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*|-?\d+(?:\.\d+)?)
   | (?P<punct>[{}\[\];,=])
+  | (?P<bad>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -51,21 +52,19 @@ class _Token:
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
     line = 1
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise DotParseError(
-                f"line {line}: unexpected character {text[pos]!r}"
-            )
-        kind = match.lastgroup or ""
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
         value = match.group()
+        if kind == "bad":
+            raise DotParseError(
+                f"line {line}: unexpected character {value!r}"
+            )
         if kind in ("ws", "comment"):
             line += value.count("\n")
-        else:
-            tokens.append(_Token(kind, value, line))
+            continue
+        tokens.append(_Token(kind, value, line))
+        if kind == "string":  # the only token kind that can span lines
             line += value.count("\n")
-        pos = match.end()
     tokens.append(_Token("eof", "", line))
     return tokens
 
@@ -79,7 +78,7 @@ class _Parser:
         self.edge_defaults: Dict[str, str] = {}
 
     def peek(self) -> _Token:
-        return self.tokens[min(self.index, len(self.tokens) - 1)]
+        return self.tokens[self.index]  # advance() stops at eof
 
     def advance(self) -> _Token:
         token = self.tokens[self.index]

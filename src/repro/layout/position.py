@@ -24,37 +24,44 @@ def assign_coordinates(
     Returns:
         (xs, ys): centre x and y per node id.
     """
-    neighbours: Dict[str, List[str]] = {}
+    nodes = [node for layer in layers for node in layer]
+    slot = {node: index for index, node in enumerate(nodes)}
+    size = [widths.get(node, 1.0) for node in nodes]
+    half = [width / 2 for width in size]
+    neighbours: List[List[int]] = [[] for _node in nodes]
     for src, dst in segments:
-        neighbours.setdefault(src, []).append(dst)
-        neighbours.setdefault(dst, []).append(src)
+        neighbours[slot[src]].append(slot[dst])
+        neighbours[slot[dst]].append(slot[src])
 
-    xs: Dict[str, float] = {}
+    # a layer owns the slots first .. end - 1; gaps[i] is the least
+    # distance between the centres of slots i - 1 and i (never read for
+    # a layer's first slot, whose left neighbour is another layer's)
+    gaps = [0.0] + [left + h_gap + right
+                    for left, right in zip(half, half[1:])]
+    xs = [0.0] * len(nodes)
+    spans: List[Tuple[int, int, List[float], List[List[int]]]] = []
+    first = 0
     for layer in layers:
+        end = first + len(layer)
         cursor = 0.0
-        for node in layer:
-            width = widths.get(node, 1.0)
-            xs[node] = cursor + width / 2
-            cursor += width + h_gap
+        for index in range(first, end):
+            xs[index] = cursor + half[index]
+            cursor += size[index] + h_gap
+        spans.append((first, end, gaps[first:end], neighbours[first:end]))
+        first = end
 
+    x_at = xs.__getitem__
     for _round in range(iterations):
-        for layer in layers:
-            desired = []
-            for node in layer:
-                adjacent = neighbours.get(node, [])
-                if adjacent:
-                    desired.append(sum(xs[a] for a in adjacent) / len(adjacent))
-                else:
-                    desired.append(xs[node])
-            _resolve_overlaps(layer, desired, widths, xs, h_gap)
+        for first, end, layer_gaps, layer_neighbours in spans:
+            desired = [
+                sum(map(x_at, adjacent)) / len(adjacent) if adjacent else x
+                for adjacent, x in zip(layer_neighbours, xs[first:end])
+            ]
+            xs[first:end] = _resolve_overlaps(desired, layer_gaps)
 
     # normalise to start at 0
-    min_left = min(
-        (xs[n] - widths.get(n, 1.0) / 2 for layer in layers for n in layer),
-        default=0.0,
-    )
-    for node in xs:
-        xs[node] -= min_left
+    min_left = min((x - h for x, h in zip(xs, half)), default=0.0)
+    centre_x = {node: x - min_left for node, x in zip(nodes, xs)}
 
     ys: Dict[str, float] = {}
     cursor_y = 0.0
@@ -64,40 +71,33 @@ def assign_coordinates(
         for node in layer:
             ys[node] = centre
         cursor_y += layer_height + v_gap
-    return xs, ys
+    return centre_x, ys
 
 
-def _resolve_overlaps(layer: List[str], desired: List[float],
-                      widths: Dict[str, float], xs: Dict[str, float],
-                      h_gap: float) -> None:
-    """Place nodes as close to their desired x as possible, keeping the
-    layer order and the minimum gap between boxes."""
-    count = len(layer)
-    if count == 0:
-        return
-
-    def gap_between(left_index: int, right_index: int) -> float:
-        return (
-            widths.get(layer[left_index], 1.0) / 2 + h_gap
-            + widths.get(layer[right_index], 1.0) / 2
-        )
-
-    pos = [0.0] * count
+def _resolve_overlaps(desired: List[float],
+                      gaps: List[float]) -> List[float]:
+    """Place one layer's nodes as close to their desired x as possible,
+    keeping their order and ``gaps[i]`` between the centres of i - 1
+    and i (``gaps[0]`` is unused)."""
+    count = len(desired)
     # forward: honour desired positions, never overlapping the left box
-    for index in range(count):
-        pos[index] = desired[index]
-        if index > 0:
-            pos[index] = max(
-                pos[index], pos[index - 1] + gap_between(index - 1, index)
-            )
+    pos = list(desired)
+    for index in range(1, count):
+        least = pos[index - 1] + gaps[index]
+        if pos[index] < least:
+            pos[index] = least
     # backward: pull boxes that drifted right back toward desired,
     # bounded by their right neighbour
     for index in range(count - 2, -1, -1):
-        if pos[index] > desired[index]:
-            limit = pos[index + 1] - gap_between(index, index + 1)
-            pos[index] = max(desired[index], min(pos[index], limit))
+        x, wanted = pos[index], desired[index]
+        if x > wanted:
+            limit = pos[index + 1] - gaps[index + 1]
+            if limit < x:
+                x = limit
+            pos[index] = x if x > wanted else wanted
     # forward fix-up: the backward pass may have squeezed a left gap
     for index in range(1, count):
-        pos[index] = max(pos[index], pos[index - 1] + gap_between(index - 1, index))
-    for node, x in zip(layer, pos):
-        xs[node] = x
+        least = pos[index - 1] + gaps[index]
+        if pos[index] < least:
+            pos[index] = least
+    return pos

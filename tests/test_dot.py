@@ -177,6 +177,14 @@ class TestParser:
         with pytest.raises(DotParseError, match="line 2"):
             parse_dot("digraph {\n a = ; \n}")
 
+    def test_bad_character_carries_line(self):
+        # newlines inside a comment and a quoted id both count
+        with pytest.raises(DotParseError,
+                           match=r"line 5: unexpected character '@'"):
+            parse_dot('digraph {\n/* a\nb */ "c\nd";\n @ }')
+        with pytest.raises(DotParseError, match="unexpected character"):
+            parse_dot('digraph { a [label="unterminated]; }')
+
     def test_large_generated_graph(self):
         lines = ["digraph big {"]
         for i in range(1500):

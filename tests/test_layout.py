@@ -1,6 +1,10 @@
 """Tests for the Sugiyama layout engine."""
 
+import time
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.dot import Digraph, parse_dot, plan_to_graph
 from repro.layout import LayeredLayout, layout_graph
@@ -18,6 +22,31 @@ def diamond():
     g.add_edge("b", "d")
     g.add_edge("c", "d")
     return g
+
+
+def pairwise_crossings(layers, segments):
+    """The definition ``count_crossings`` must agree with: in each gap
+    between adjacent layers, the pairs of segments whose source and
+    destination positions are strictly in opposite order (so segments
+    sharing an endpoint never cross).  Quadratic; the test oracle."""
+    position = {}
+    layer_of = {}
+    for index, layer in enumerate(layers):
+        for pos, node in enumerate(layer):
+            position[node] = pos
+            layer_of[node] = index
+    by_gap = {}
+    for src, dst in segments:
+        by_gap.setdefault(layer_of[src], []).append(
+            (position[src], position[dst]))
+    total = 0
+    for pairs in by_gap.values():
+        pairs.sort()
+        for i in range(len(pairs)):
+            for j in range(i + 1, len(pairs)):
+                if pairs[i][0] != pairs[j][0] and pairs[i][1] > pairs[j][1]:
+                    total += 1
+    return total
 
 
 class TestAcyclic:
@@ -104,6 +133,52 @@ class TestOrdering:
         straight = [("a", "x"), ("b", "y")]
         assert count_crossings(layers, crossing) == 1
         assert count_crossings(layers, straight) == 0
+
+    def test_virtual_ids_avoid_real_node_ids(self):
+        """A plan may name a node ``__v0``; it keeps its own box and its
+        one place in its layer."""
+        g = Digraph()
+        g.add_edge("a", "__v0")
+        g.add_edge("__v0", "c")
+        g.add_edge("a", "c")  # long edge: needs one virtual node
+        oriented, _ = acyclic_orientation(g)
+        ranks = assign_ranks(list(g.nodes), oriented)
+        seg = insert_virtual_nodes(ranks, layers_from_ranks(ranks), oriented)
+        assert len(seg.virtual) == 1
+        assert not seg.virtual & set(g.nodes)
+        assert sorted(seg.layers[1]) == sorted({"__v0"} | seg.virtual)
+        layout = layout_graph(g)
+        assert layout.nodes["__v0"].width >= 40.0
+        assert layout.nodes["__v0"].height >= 30.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_count_crossings_matches_pairwise_definition(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=5))
+        layers = [[f"n{depth}_{i}" for i in range(size)]
+                  for depth, size in enumerate(sizes)]
+        # small layers and many draws: shared sources, shared
+        # destinations and duplicate segments all occur
+        segments = [
+            (data.draw(st.sampled_from(upper)), data.draw(st.sampled_from(lower)))
+            for upper, lower in zip(layers, layers[1:])
+            for _ in range(data.draw(st.integers(0, 12)))
+        ]
+        data.draw(st.randoms(use_true_random=False)).shuffle(segments)
+        assert count_crossings(layers, segments) == \
+            pairwise_crossings(layers, segments)
+
+    def test_count_crossings_is_not_quadratic(self):
+        """One gap, 20 000 segments: the pairwise loop needs ~2e8 steps."""
+        upper = [f"u{i}" for i in range(5000)]
+        lower = [f"l{i}" for i in range(5000)]
+        # 4 segments per source, destinations scattered by a stride
+        segments = [(upper[i % 5000], lower[(i * 7919) % 5000])
+                    for i in range(20000)]
+        began = time.perf_counter()
+        crossings = count_crossings([upper, lower], segments)
+        assert time.perf_counter() - began < 2.0
+        assert crossings > 10 ** 7
 
     def test_sweeps_remove_trivial_crossing(self):
         g = Digraph()
