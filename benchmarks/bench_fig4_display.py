@@ -2,8 +2,8 @@
 
 Regenerates the display-window artefact (the demo query's plan, coloured
 by its replayed trace, rendered to SVG and ASCII) and measures the full
-offline workflow: dot parse → layout → svg → svg parse → trace replay →
-render.
+offline workflow: dot parse → trace mapping → layout → display → trace
+replay → render.
 """
 
 import os

@@ -3,8 +3,8 @@
 Runs ``select l_tax from lineitem where l_partkey = 1`` (the exact query
 from the paper) on the embedded engine, captures its MAL plan and
 execution trace, and walks the Stethoscope's offline workflow: dot file →
-layout → svg → in-memory graph, trace replay with the §4.2.1 colouring
-algorithm, tool-tips, and the bird's-eye view.
+in-memory graph → layout → display, trace replay with the §4.2.1
+colouring algorithm, tool-tips, and the bird's-eye view.
 
 Run:  python examples/quickstart.py
 """

@@ -1,10 +1,14 @@
 """The Stethoscope facade: offline and online analysis sessions.
 
-Offline mode follows the paper's workflow to the letter (§4): "the dot
-file gets parsed and an intermediate scalar vector graphics (svg)
-representation gets created.  In the next step, the svg file gets parsed
-and an in memory graph structure gets created. ... Stethoscope parses
-the trace file in a sequential manner."
+The paper's offline workflow (§4): "the dot file gets parsed and an
+intermediate scalar vector graphics (svg) representation gets created.
+In the next step, the svg file gets parsed and an in memory graph
+structure gets created. ... Stethoscope parses the trace file in a
+sequential manner."  The svg step was how an external GraphViz handed
+its layout back; here the layout is in memory, so a session keeps the
+``parse_dot`` graph and builds the display from the layout.  The
+two-step parse lives in :mod:`repro.svg`, the importer for SVG files;
+``tests/test_scene_routes.py`` checks that it recovers the same graph.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from repro.errors import StethoscopeError
 from repro.layout import layout_graph
 from repro.profiler.events import TraceEvent
 from repro.profiler.traceio import iter_trace
-from repro.svg import layout_to_svg, svg_to_graph
+# unused here, but benchmarks/e2e's tracer patches both names in this module
+from repro.svg import layout_to_svg, svg_to_graph  # noqa: F401
 from repro.viz.color import gradient_for
 from repro.viz.events import EventDispatchQueue
 from repro.viz.view import View
@@ -48,22 +53,13 @@ class OfflineSession:
     def __init__(self, dot_text: str, events: List[TraceEvent],
                  threshold_usec: Optional[int] = None,
                  render_interval_ms: float = 150.0) -> None:
-        # the paper's exact pipeline: dot -> graph -> (layout) -> svg ->
-        # in-memory graph structure used for navigation
-        parsed = parse_dot(dot_text)
-        self.layout = layout_graph(parsed)
-        self.svg_text = layout_to_svg(self.layout)
-        self.graph: Digraph = svg_to_graph(self.svg_text)
-        # carry the plan labels over (svg preserves them, but keep the
-        # richer dot attrs too)
-        for node_id, node in parsed.nodes.items():
-            self.graph.node(node_id).attrs.setdefault(
-                "label", node.label
-            )
+        self.graph: Digraph = parse_dot(dot_text)
+        # before the layout: a trace of another plan fails in parse time
+        self.trace_map = PlanTraceMap(self.graph, events)
+        self.layout = layout_graph(self.graph)
         self.space = build_virtual_space(self.layout)
         self.view = View(self.space)
         self.view.fit_all()
-        self.trace_map = PlanTraceMap(self.graph, events)
         self.painter = GraphPainter(
             self.space, EventDispatchQueue(render_interval_ms)
         )

@@ -19,152 +19,151 @@ Comments (``//``, ``#``, ``/* */``) are ignored.  Errors raise
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, List, Optional
 
 from repro.errors import DotParseError
 from repro.dot.graph import Digraph
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*|\#[^\n]*|/\*.*?\*/)
-  | (?P<string>"(?:\\.|[^"\\])*")
-  | (?P<arrow>->)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*|-?\d+(?:\.\d+)?)
-  | (?P<punct>[{}\[\];,=])
-  | (?P<bad>.)
+    (?:\s+|//[^\n]*|\#[^\n]*|/\*.*?\*/)*        # blanks and comments, then
+    (?: ( "(?:\\.|[^"\\])*"                      # a token: a string,
+        | ->                                      #   an arrow,
+        | [A-Za-z_][A-Za-z_0-9]*|-?\d+(?:\.\d+)?  #   a name or a number,
+        | [{}\[\];,=]                             #   punctuation,
+        | $ )                                     #   '' at the end of the text;
+      | (.) )                                     # or a bad character
     """,
     re.VERBOSE | re.DOTALL,
 )
 
 _KEYWORDS = {"digraph", "graph", "subgraph", "node", "edge", "strict"}
+#: the token texts that are not a name, a number or a string
+_NOT_A_VALUE = {"", "->", "{", "}", "[", "]", ";", ",", "="}
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line")
+def _tokenize(text: str) -> List[str]:
+    """The token texts in order, ``''`` for the end of the text last.
 
-    def __init__(self, kind: str, text: str, line: int) -> None:
-        self.kind = kind
-        self.text = text
-        self.line = line
+    A string keeps its quotes, so a token's text says what kind it is,
+    and only an error message wants a line: :func:`_line_of` finds it
+    then.  Nothing is kept per token but its text — ``split`` returns
+    one flat list, no object per match for the collector to walk.
+    """
+    pieces = _TOKEN_RE.split(text)  # '', token, bad, '', token, bad, ...
+    bad = pieces[2::3]
+    if any(bad):
+        index = next(i for i, char in enumerate(bad) if char)
+        raise DotParseError(
+            f"line {_line_of(text, index)}: "
+            f"unexpected character {bad[index]!r}"
+        )
+    return pieces[1::3]
 
 
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    line = 1
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        value = match.group()
-        if kind == "bad":
-            raise DotParseError(
-                f"line {line}: unexpected character {value!r}"
-            )
-        if kind in ("ws", "comment"):
-            line += value.count("\n")
-            continue
-        tokens.append(_Token(kind, value, line))
-        if kind == "string":  # the only token kind that can span lines
-            line += value.count("\n")
-    tokens.append(_Token("eof", "", line))
-    return tokens
+def _line_of(text: str, index: int) -> int:
+    """The line on which token ``index`` of ``text`` starts."""
+    match = next(islice(_TOKEN_RE.finditer(text), index, None))
+    token = match[1] or match[2] or ""
+    return text.count("\n", 0, match.end() - len(token)) + 1
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
+        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         self.graph: Optional[Digraph] = None
         self.node_defaults: Dict[str, str] = {}
         self.edge_defaults: Dict[str, str] = {}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]  # advance() stops at eof
+    def peek(self) -> str:
+        return self.tokens[self.index]
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        if token.kind != "eof":
-            self.index += 1
-        return token
+    def error(self, message: str) -> DotParseError:
+        """``message`` behind the line of the token :meth:`peek` sees."""
+        line = _line_of(self.text, self.index)
+        return DotParseError(f"line {line}: {message}")
 
-    def expect(self, kind: str, text: Optional[str] = None) -> _Token:
+    def accept(self, text: str) -> bool:
+        """Step over the next token if it is ``text`` (never ``''``: the
+        end of the text is never stepped over)."""
+        if self.tokens[self.index] != text:
+            return False
+        self.index += 1
+        return True
+
+    def expect(self, text: str) -> None:
+        if not self.accept(text):
+            raise self.error(f"expected {text!r}, got {self.peek()!r}")
+
+    def value(self, what: str) -> str:
+        """Step over a name, number or string; what it says, unquoted."""
         token = self.peek()
-        if token.kind != kind or (text is not None and token.text != text):
-            raise DotParseError(
-                f"line {token.line}: expected {text or kind!r}, "
-                f"got {token.text!r}"
-            )
-        return self.advance()
-
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[_Token]:
-        token = self.peek()
-        if token.kind == kind and (text is None or token.text == text):
-            return self.advance()
-        return None
+        if token in _NOT_A_VALUE:
+            raise self.error(f"expected {what}, got {token!r}")
+        self.index += 1
+        if token[0] != '"':
+            return token
+        return token[1:-1].replace('\\"', '"').replace(
+            "\\\\", "\\").replace("\\n", "\n")
 
     # ------------------------------------------------------------------
 
     def parse(self) -> Digraph:
-        self.accept("name", "strict")
-        header = self.expect("name")
-        if header.text != "digraph":
-            raise DotParseError(
-                f"line {header.line}: only 'digraph' graphs are supported"
-            )
+        self.accept("strict")
+        header = self.peek()
+        if header in _NOT_A_VALUE or header[0] == '"':
+            raise self.error(f"expected 'name', got {header!r}")
+        if header != "digraph":
+            raise self.error("only 'digraph' graphs are supported")
+        self.index += 1
         name = "G"
-        token = self.peek()
-        if token.kind in ("name", "string") and token.text != "{":
-            name = self._unquote(self.advance())
+        if self.peek() not in _NOT_A_VALUE:
+            name = self.value("graph name")
         self.graph = Digraph(name)
         self._parse_body()
-        if self.peek().kind != "eof":
-            token = self.peek()
-            raise DotParseError(
-                f"line {token.line}: trailing input {token.text!r}"
-            )
+        if self.peek():
+            raise self.error(f"trailing input {self.peek()!r}")
         return self.graph
 
     def _parse_body(self) -> None:
-        self.expect("punct", "{")
-        while not self.accept("punct", "}"):
-            if self.peek().kind == "eof":
-                raise DotParseError(
-                    f"line {self.peek().line}: missing closing brace"
-                )
+        self.expect("{")
+        while not self.accept("}"):
+            if not self.peek():
+                raise self.error("missing closing brace")
             self._parse_statement()
 
     def _parse_statement(self) -> None:
         token = self.peek()
-        if token.kind == "name" and token.text == "subgraph":
-            self.advance()
-            if self.peek().kind in ("name", "string") and \
-                    self.peek().text != "{":
-                self.advance()  # subgraph name, ignored (flattened)
+        if token == "subgraph":
+            self.index += 1
+            if self.peek() not in _NOT_A_VALUE:
+                self.index += 1  # subgraph name, ignored (flattened)
             self._parse_body()
-            self.accept("punct", ";")
+            self.accept(";")
             return
-        if token.kind == "name" and token.text in ("node", "edge", "graph"):
-            kind = self.advance().text
+        if token in ("node", "edge", "graph"):
+            self.index += 1
             attrs = self._parse_attr_list() or {}
-            if kind == "node":
+            if token == "node":
                 self.node_defaults.update(attrs)
-            elif kind == "edge":
+            elif token == "edge":
                 self.edge_defaults.update(attrs)
             else:
                 self.graph.attrs.update(attrs)
-            self.accept("punct", ";")
+            self.accept(";")
             return
         first = self._parse_id()
-        if self.accept("punct", "="):
-            value_token = self.peek()
-            if value_token.kind not in ("name", "string"):
-                raise DotParseError(
-                    f"line {value_token.line}: expected attribute value"
-                )
-            self.graph.attrs[first] = self._unquote(self.advance())
-            self.accept("punct", ";")
+        if self.accept("="):
+            if self.peek() in _NOT_A_VALUE:
+                raise self.error("expected attribute value")
+            self.graph.attrs[first] = self.value("attribute value")
+            self.accept(";")
             return
         chain = [first]
-        while self.accept("arrow"):
+        while self.accept("->"):
             chain.append(self._parse_id())
         attrs = self._parse_attr_list()
         if len(chain) == 1:
@@ -182,50 +181,24 @@ class _Parser:
                 merged = dict(self.edge_defaults)
                 merged.update(attrs or {})
                 self.graph.add_edge(src, dst, merged)
-        self.accept("punct", ";")
+        self.accept(";")
 
     def _parse_id(self) -> str:
-        token = self.peek()
-        if token.kind not in ("name", "string"):
-            raise DotParseError(
-                f"line {token.line}: expected node id, got {token.text!r}"
-            )
-        if token.text in _KEYWORDS:
-            raise DotParseError(
-                f"line {token.line}: keyword {token.text!r} cannot be an id"
-            )
-        return self._unquote(self.advance())
+        if self.peek() in _KEYWORDS:
+            raise self.error(f"keyword {self.peek()!r} cannot be an id")
+        return self.value("node id")
 
     def _parse_attr_list(self) -> Optional[Dict[str, str]]:
-        if not self.accept("punct", "["):
+        if not self.accept("["):
             return None
         attrs: Dict[str, str] = {}
-        while not self.accept("punct", "]"):
-            key = self._unquote(self.expect_any(("name", "string")))
-            self.expect("punct", "=")
-            value = self._unquote(self.expect_any(("name", "string")))
-            attrs[key] = value
-            self.accept("punct", ",")
-            self.accept("punct", ";")
+        while not self.accept("]"):
+            key = self.value("name or string")
+            self.expect("=")
+            attrs[key] = self.value("name or string")
+            self.accept(",")
+            self.accept(";")
         return attrs
-
-    def expect_any(self, kinds: Tuple[str, ...]) -> _Token:
-        token = self.peek()
-        if token.kind not in kinds:
-            raise DotParseError(
-                f"line {token.line}: expected {' or '.join(kinds)}, "
-                f"got {token.text!r}"
-            )
-        return self.advance()
-
-    @staticmethod
-    def _unquote(token: _Token) -> str:
-        if token.kind == "string":
-            inner = token.text[1:-1]
-            return inner.replace('\\"', '"').replace("\\\\", "\\").replace(
-                "\\n", "\n"
-            )
-        return token.text
 
 
 def parse_dot(text: str) -> Digraph:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class Point:
-    """A 2D point in layout coordinates (y grows downward, like SVG)."""
+class Point(NamedTuple):
+    """A 2D point in layout coordinates (y grows downward, like SVG);
+    an ``(x, y)`` tuple, so a polyline is usable as a coordinate list
+    as it stands."""
 
     x: float
     y: float

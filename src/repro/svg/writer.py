@@ -8,11 +8,28 @@ can rebuild the graph structure from the drawing alone.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Optional
 from xml.sax.saxutils import escape, quoteattr
 
 from repro.layout.geometry import Layout
 from repro.svg.model import SvgEdge, SvgNode, SvgScene
+
+#: what XML 1.0's ``Char`` production leaves out; a file holding one of
+#: these, escaped or not, is not well-formed and no parser opens it
+_NOT_XML_CHAR = re.compile(
+    "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def xml_text(value: str) -> str:
+    """``value`` as element content: markup escaped, characters XML
+    forbids (a MAL string literal can hold one) replaced by U+FFFD."""
+    return escape(_NOT_XML_CHAR.sub("\ufffd", value))
+
+
+def xml_attr(value: str) -> str:
+    """``value`` as a quoted attribute value, the same way."""
+    return quoteattr(_NOT_XML_CHAR.sub("\ufffd", value))
 
 
 def layout_to_svg(layout: Layout,
@@ -38,7 +55,7 @@ def layout_to_scene(layout: Layout,
     for edge in layout.edges:
         scene.add_edge(SvgEdge(
             src=edge.src, dst=edge.dst,
-            points=[(p.x, p.y) for p in edge.points],
+            points=edge.points,
         ))
     return scene
 
@@ -58,14 +75,14 @@ def scene_to_svg(scene: SvgScene, margin: float = 10.0) -> str:
             f"{x + margin:.1f},{y + margin:.1f}" for x, y in edge.points
         )
         parts.append(
-            f'  <polyline class="edge" data-src={quoteattr(edge.src)} '
-            f'data-dst={quoteattr(edge.dst)} points="{points}" '
+            f'  <polyline class="edge" data-src={xml_attr(edge.src)} '
+            f'data-dst={xml_attr(edge.dst)} points="{points}" '
             f'fill="none" stroke="{edge.stroke}"/>'
         )
     for node in scene.nodes.values():
         left = node.left + margin
         top = node.top + margin
-        parts.append(f'  <g class="node" id={quoteattr(node.node_id)}>')
+        parts.append(f'  <g class="node" id={xml_attr(node.node_id)}>')
         parts.append(
             f'    <rect x="{left:.1f}" y="{top:.1f}" '
             f'width="{node.width:.1f}" height="{node.height:.1f}" '
@@ -75,7 +92,7 @@ def scene_to_svg(scene: SvgScene, margin: float = 10.0) -> str:
             f'    <text x="{node.x + margin:.1f}" y="{node.y + margin:.1f}" '
             f'text-anchor="middle" dominant-baseline="middle" '
             f'font-family="monospace" font-size="11">'
-            f"{escape(node.label)}</text>"
+            f"{xml_text(node.label)}</text>"
         )
         parts.append("  </g>")
     parts.append("</svg>")

@@ -79,6 +79,5 @@ class EdgeGlyph(Glyph):
     def bounds(self) -> Bounds:
         if not self.points:
             return (0.0, 0.0, 0.0, 0.0)
-        xs = [p[0] for p in self.points]
-        ys = [p[1] for p in self.points]
+        xs, ys = zip(*self.points)
         return (min(xs), min(ys), max(xs), max(ys))

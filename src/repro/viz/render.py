@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.svg.writer import xml_attr, xml_text
 from repro.viz.camera import Camera
 from repro.viz.color import Color, WHITE
 from repro.viz.glyph import EdgeGlyph, RectangleGlyph, TextGlyph
@@ -129,8 +130,6 @@ class SvgRenderer:
     """Serialise the current glyph state (colours included) as SVG."""
 
     def render(self, space: VirtualSpace) -> str:
-        from xml.sax.saxutils import escape, quoteattr
-
         left, top, right, bottom = space.bounds()
         width = max(right - left, 1.0) + 20
         height = max(bottom - top, 1.0) + 20
@@ -149,8 +148,8 @@ class SvgRenderer:
                 )
                 parts.append(
                     f'  <polyline class="edge" '
-                    f'data-src={quoteattr(glyph.src or "")} '
-                    f'data-dst={quoteattr(glyph.dst or "")} '
+                    f'data-src={xml_attr(glyph.src or "")} '
+                    f'data-dst={xml_attr(glyph.dst or "")} '
                     f'points="{points}" fill="none" '
                     f'stroke="{glyph.color.to_hex()}"/>'
                 )
@@ -160,7 +159,7 @@ class SvgRenderer:
             if isinstance(glyph, RectangleGlyph):
                 glyph_left, glyph_top, _r, _b = glyph.bounds()
                 parts.append(
-                    f'  <rect id={quoteattr(glyph.glyph_id)} '
+                    f'  <rect id={xml_attr(glyph.glyph_id)} '
                     f'x="{glyph_left + dx:.1f}" y="{glyph_top + dy:.1f}" '
                     f'width="{glyph.width:.1f}" height="{glyph.height:.1f}" '
                     f'fill="{glyph.fill.to_hex()}" '
@@ -170,7 +169,7 @@ class SvgRenderer:
                 parts.append(
                     f'  <text x="{glyph.x + dx:.1f}" y="{glyph.y + dy:.1f}" '
                     f'text-anchor="middle" font-family="monospace" '
-                    f'font-size="11">{escape(glyph.text)}</text>'
+                    f'font-size="11">{xml_text(glyph.text)}</text>'
                 )
         parts.append("</svg>")
         return "\n".join(parts)

@@ -7,6 +7,7 @@ views at different zoom levels, in a virtual space."
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import VizError
@@ -80,14 +81,24 @@ class VirtualSpace:
         return None
 
     def bounds(self):
-        """Bounding box of all glyphs (left, top, right, bottom)."""
-        boxes = [g.bounds() for g in self._glyphs.values() if g.visible]
-        if not boxes:
+        """Bounding box of all visible glyphs (left, top, right, bottom)."""
+        left = top = math.inf
+        right = bottom = -math.inf
+        for glyph in self._glyphs.values():
+            if not glyph.visible:
+                continue
+            g_left, g_top, g_right, g_bottom = glyph.bounds()
+            if g_left < left:
+                left = g_left
+            if g_top < top:
+                top = g_top
+            if g_right > right:
+                right = g_right
+            if g_bottom > bottom:
+                bottom = g_bottom
+        if left > right:  # nothing visible
             return (0.0, 0.0, 0.0, 0.0)
-        return (
-            min(b[0] for b in boxes), min(b[1] for b in boxes),
-            max(b[2] for b in boxes), max(b[3] for b in boxes),
-        )
+        return (left, top, right, bottom)
 
 
 def build_virtual_space(layout: Layout, name: str = "plan") -> VirtualSpace:
@@ -100,7 +111,7 @@ def build_virtual_space(layout: Layout, name: str = "plan") -> VirtualSpace:
     for edge_index, edge in enumerate(layout.edges):
         space.add(EdgeGlyph(
             glyph_id=f"edge:{edge_index}",
-            points=[(p.x, p.y) for p in edge.points],
+            points=edge.points,
             src=edge.src, dst=edge.dst,
         ))
     for node in layout.nodes.values():

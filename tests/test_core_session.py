@@ -9,13 +9,16 @@ from repro.core.pruning import (
     prune_administrative,
     pruning_report,
 )
+import repro.core.session as session_module
 from repro.core.session import OfflineSession, Stethoscope
 from repro.dot import plan_to_dot, plan_to_graph
-from repro.errors import StethoscopeError
+from repro.errors import MappingError, StethoscopeError
+from repro.layout import layout_graph
 from repro.mal import Interpreter
 from repro.mal.parser import parse_instruction_text
 from repro.profiler import Profiler, write_trace
 from repro.storage import Catalog, INT
+from repro.svg import layout_to_svg, parse_svg, svg_to_graph
 from repro.viz.color import GREEN, RED, WHITE
 
 
@@ -54,9 +57,15 @@ def session(catalog):
 
 class TestOfflineSession:
     def test_workflow_builds_graph_from_svg(self, session):
-        # the graph came out of the dot -> layout -> svg -> parse chain
+        # the dot -> layout -> svg -> parse chain of §4 yields the graph
+        # the session holds (it keeps the dot one, opened once)
         assert set(session.graph.nodes) == {f"n{i}" for i in range(8)}
-        assert session.svg_text.startswith('<?xml')
+        svg_text = layout_to_svg(session.layout)
+        assert svg_text.startswith('<?xml')
+        recovered = svg_to_graph(svg_text)
+        assert list(recovered.nodes) == list(session.graph.nodes)
+        assert [(e.src, e.dst) for e in recovered.edges] \
+            == [(e.src, e.dst) for e in session.graph.edges]
 
     def test_trace_mapped(self, session):
         assert session.trace_map.coverage() == 1.0
@@ -129,6 +138,35 @@ class TestOfflineSession:
         fills = {session.space.shape_of(f"n{i}").fill for i in range(8)}
         assert len(fills) > 1  # a range of colours, not binary
         assert WHITE not in fills
+
+    def test_label_with_character_xml_forbids_opens_and_saves(self,
+                                                              tmp_path):
+        # a MAL string literal can put a control character in a label;
+        # the saved display must still be a file an XML parser opens
+        session = Stethoscope.offline_from_memory(
+            'digraph G { n0 [label="a\x01b"]; n0 -> n1 }', [])
+        assert session.graph.node("n0").label == "a\x01b"
+        path = str(tmp_path / "display.svg")
+        session.save_svg(path)
+        with open(path) as f:
+            saved = f.read()
+        assert "a\ufffdb" in saved
+        scene = parse_svg(saved)
+        assert [(e.src, e.dst) for e in scene.edges] == [("n0", "n1")]
+
+    def test_trace_of_another_plan_fails_before_layout(self, catalog,
+                                                       monkeypatch):
+        program, events = run_and_capture(catalog)
+        calls = []
+        monkeypatch.setattr(
+            session_module, "layout_graph",
+            lambda graph: calls.append(graph) or layout_graph(graph))
+        with pytest.raises(MappingError):
+            Stethoscope.offline_from_memory(
+                "digraph G { n0 -> n1 }", events)
+        assert calls == []
+        Stethoscope.offline_from_memory(plan_to_dot(program), events)
+        assert len(calls) == 1
 
     def test_threshold_session(self, catalog):
         program, events = run_and_capture(catalog)

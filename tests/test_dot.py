@@ -185,6 +185,32 @@ class TestParser:
         with pytest.raises(DotParseError, match="unexpected character"):
             parse_dot('digraph { a [label="unterminated]; }')
 
+    @pytest.mark.parametrize("text, message", [
+        # every place the parser raises: the message and the line of the
+        # token it stopped at, which is worked out only now
+        ('"digraph" { }', "line 1: expected 'name', got '\"digraph\"'"),
+        ("\n\ngraph { }", "line 3: only 'digraph' graphs are supported"),
+        ("digraph G\n\n;", "line 3: expected '{', got ';'"),
+        ("digraph {\n a;\n}\n\n b", "line 5: trailing input 'b'"),
+        ("digraph { a;\n/* c\n */\n", "line 4: missing closing brace"),
+        ('digraph {\n "x\ny" = ; }', "line 3: expected attribute value"),
+        ("digraph {\n a ->\n ; }", "line 3: expected node id, got ';'"),
+        ("digraph {\n\n a -> node; }",
+         "line 3: keyword 'node' cannot be an id"),
+        ("digraph { a [\n=1]; }",
+         "line 2: expected name or string, got '='"),
+        ("digraph { a [k\n\n]; }", "line 3: expected '=', got ']'"),
+        ("digraph { a [k=\n// c\n]; }",
+         "line 3: expected name or string, got ']'"),
+        ("digraph { a; - }", "line 1: unexpected character '-'"),
+        # a bad character wins over a syntax error before it
+        ("digraph { = }\n\n\u00e9", "line 3: unexpected character '\u00e9'"),
+    ])
+    def test_every_error_names_its_line(self, text, message):
+        with pytest.raises(DotParseError) as caught:
+            parse_dot(text)
+        assert str(caught.value) == message
+
     def test_large_generated_graph(self):
         lines = ["digraph big {"]
         for i in range(1500):

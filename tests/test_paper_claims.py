@@ -129,10 +129,13 @@ class TestSection4Workflow:
 
     def test_dot_svg_graph_chain(self, db):
         session = offline_session(db, query_sql("demo"))
-        from repro.svg import parse_svg
+        from repro.svg import layout_to_svg, parse_svg, svg_to_graph
 
-        scene = parse_svg(session.svg_text)
-        assert set(scene.nodes) == set(session.graph.nodes)
+        svg_text = layout_to_svg(session.layout)
+        assert set(parse_svg(svg_text).nodes) == set(session.graph.nodes)
+        graph = svg_to_graph(svg_text)
+        for node_id, node in session.graph.nodes.items():
+            assert graph.node(node_id).label == node.label
 
 
 class TestSection5Demos:

@@ -40,6 +40,14 @@ class TestWriter:
         assert "x &lt; y &amp; z" in text
         assert parse_svg(text).node("a").label == "x < y & z"
 
+    def test_characters_xml_forbids_are_replaced(self):
+        g = Digraph()
+        g.add_node("a\x02", {"label": "x\x01y\ufffe"})
+        g.add_edge("a\x02", "b")
+        scene = parse_svg(layout_to_svg(layout_graph(g)))
+        assert scene.node("a\ufffd").label == "x\ufffdy\ufffd"
+        assert [(e.src, e.dst) for e in scene.edges] == [("a\ufffd", "b")]
+
     def test_fill_override(self, plan_layout):
         text = layout_to_svg(plan_layout, fills={"n2": "red"})
         assert 'fill="red"' in text
