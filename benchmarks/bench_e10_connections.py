@@ -16,17 +16,14 @@ rewrite bought:
   sequence with zero loss, and the watched query must not slow down.
 
 Raw throughput numbers are machine-dependent, so the regression gate
-(``benchmarks/check_regression.py``) checks the *invariants* recorded
-in the results — every connection served, zero events lost, responses
-in order — rather than rates.  Running this file standalone prints a
-summary and writes ``e10_connections_fresh.json`` into
-``benchmarks/artifacts/``; the committed
-``benchmarks/BENCH_E10_connections.json`` is the baseline the gate
-compares against.
+checks the *invariants* recorded in the results -- every connection
+served, zero events lost, responses in order -- and only shows the
+rates: the ``e10`` rows of the table in
+``benchmarks/check_regression.py``.  ``check_regression.py --only e10``
+runs this file against the committed
+``benchmarks/BENCH_E10_connections.json``.
 """
 
-import json
-import os
 import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -35,13 +32,11 @@ from repro.server import Database, MClient, Mserver
 from repro.server.protocol import decode_message, encode_message
 from repro.tpch import populate
 
+import check_regression
+
 CONNECTIONS = 256
 PIPELINE_DEPTH = 500
 SUBSCRIBERS = 128
-
-ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
-BASELINE_PATH = os.path.join(os.path.dirname(__file__),
-                             "BENCH_E10_connections.json")
 
 FANOUT_QUERY = "select count(*) from lineitem where l_quantity > 5"
 
@@ -180,56 +175,7 @@ def invariants(results):
     }
 
 
-def check_invariants(results):
-    """Failure strings for every violated invariant (empty = pass)."""
-    return [f"invariant violated: {name}"
-            for name, held in results["invariants"].items() if not held]
-
-
-def write_results(results, path):
-    with open(path, "w") as f:
-        json.dump(results, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# pytest entry points (ride the benchmarks/ suite)
-# ---------------------------------------------------------------------------
-
-
-def test_e10_connection_scaling(artifacts):
-    results = run_benchmarks()
-    write_results(results,
-                  os.path.join(artifacts, "e10_connections_fresh.json"))
-    failures = check_invariants(results)
-    assert not failures, "; ".join(failures)
-
-
-def main():
-    results = run_benchmarks()
-    os.makedirs(ARTIFACT_DIR, exist_ok=True)
-    write_results(results,
-                  os.path.join(ARTIFACT_DIR,
-                               "e10_connections_fresh.json"))
-    conn = results["connections"]
-    pipe = results["pipelining"]
-    fan = results["fanout"]
-    print(f"connections  {conn['ok']}/{conn['target']} served in "
-          f"{conn['seconds']}s ({conn['conns_per_s']} conn/s)")
-    print(f"pipelining   {pipe['responses']}/{pipe['depth']} responses "
-          f"in {pipe['seconds']}s ({pipe['requests_per_s']} req/s)")
-    print(f"fanout       {fan['subscribers']} subscribers x "
-          f"{fan['events_per_subscriber']} events, "
-          f"{fan['lost_events']} lost, ratio {fan['delivered_ratio']} "
-          f"({fan['delivered_per_s']} entries/s)")
-    for name, held in sorted(results["invariants"].items()):
-        print(f"invariant    {name}: {'ok' if held else 'VIOLATED'}")
-    print(f"wrote "
-          f"{os.path.join(ARTIFACT_DIR, 'e10_connections_fresh.json')}")
-    return 0 if not check_invariants(results) else 1
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())
+def test_e10_connection_scaling():
+    """Rides the ``benchmarks/`` suite: the run and the rows that
+    ``check_regression.py --only e10`` checks."""
+    assert check_regression.run("e10") == 0

@@ -10,36 +10,36 @@ in-process interpreter against 2- and 4-worker pools on wall clock, and
 records the deterministic modelled makespan speedup of the same
 partitioned plan.
 
-What is gated where:
+What is gated where (the ``e11`` rows of the table in
+``benchmarks/check_regression.py`` hold the numbers):
 
+- the *measured* wall-clock speedups are printed always, and first, but
+  compared against the baseline only when both the fresh run and the
+  baseline were taken on enough cores (a single-core container cannot
+  show real parallel speedup, only fork/ship overhead);
 - the *modelled* 4-worker speedup (virtual-clock makespan, identical on
-  every machine) must stay >= 2.5x and within tolerance of the
-  committed baseline — this is the acceptance number;
-- the *measured* wall-clock speedups are printed always but compared
-  against the baseline only when both the fresh run and the baseline
-  were taken on >= 4 cores (a single-core container cannot show real
-  parallel speedup, only fork/ship overhead);
+  every machine) must keep a floor and stay within tolerance of the
+  committed baseline -- it says what the cost model predicts, not what
+  the pool does;
 - the invariants are gated unconditionally: serial and pooled runs
   return identical rows, the pool really dispatched remotely
   (``repro_mpool_tasks_total`` advanced), and the pool survives a
   SIGKILLed worker by re-forking and answering the next query.
 
-Running this file standalone (``python benchmarks/bench_e11_parallel.py``)
-prints a summary and writes ``e11_parallel_fresh.json`` into
-``benchmarks/artifacts/``; ``benchmarks/check_regression.py --only e11``
-compares a fresh run against the committed
+``check_regression.py --only e11`` runs this file against the committed
 ``benchmarks/BENCH_E11_parallel.json``.
 """
 
-import json
 import os
-import time
 
 from repro.mal.dataflow import SimulatedScheduler
 from repro.metrics.families import MPOOL_TASKS, MPOOL_WORKER_RESTARTS
 from repro.server import Database
 from repro.storage.catalog import Catalog
 from repro.tpch import populate
+
+import check_regression
+from timing import interleaved_medians
 
 #: 20x the serve default scale 0.1 — ~12k lineitem rows, enough that
 #: every partition clears the pool's ship threshold.
@@ -49,21 +49,8 @@ NPARTS = 4
 POOL_SIZES = (2, 4)
 REPEAT = 5
 
-ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
-BASELINE_PATH = os.path.join(os.path.dirname(__file__),
-                             "BENCH_E11_parallel.json")
-
 QUERY = ("select sum(l_extendedprice * l_discount) from lineitem "
          "where l_quantity > 10")
-
-
-def _median_seconds(fn, repeat=REPEAT):
-    samples = []
-    for _ in range(repeat):
-        began = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - began)
-    return sorted(samples)[len(samples) // 2]
 
 
 def _catalog():
@@ -95,7 +82,8 @@ def run_measured(catalog):
     """
     serial_db = Database(catalog=catalog, workers=NPARTS)
     serial_rows = serial_db.execute(QUERY).rows
-    serial_s = _median_seconds(lambda: serial_db.execute(QUERY))
+    serial_s, = interleaved_medians(lambda: serial_db.execute(QUERY),
+                                    repeat=REPEAT, inner=1)
 
     invariants = {
         "results_identical": True,
@@ -114,16 +102,22 @@ def run_measured(catalog):
             if MPOOL_TASKS.labels(outcome="ok").value() >= \
                     ok_before + NPARTS:
                 invariants["remote_dispatch"] = True
-            pool_s = _median_seconds(lambda: db.execute(QUERY))
+            pool_s, = interleaved_medians(lambda: db.execute(QUERY),
+                                          repeat=REPEAT, inner=1)
             per_pool[str(workers)] = {
                 "ms": round(pool_s * 1e3, 3),
                 "speedup": round(serial_s / pool_s, 2),
             }
             if workers == max(POOL_SIZES):
                 # SIGKILL a live worker mid-pool: the next precompute
-                # must re-fork it and the query must still agree
+                # must re-fork it and the query must still agree.  The
+                # join is the wait for the signal to land: a worker still
+                # dying when the query starts is a typed crash mid-query
+                # (tests/test_mpool.py), not this invariant
                 restarts_before = MPOOL_WORKER_RESTARTS.value()
-                db.pool._workers[0].process.kill()
+                victim = db.pool._workers[0].process
+                victim.kill()
+                victim.join(timeout=5.0)
                 recovered = db.execute(QUERY).rows
                 invariants["pool_recovers_after_kill"] = (
                     recovered == serial_rows
@@ -142,7 +136,6 @@ def run_benchmarks():
     catalog = _catalog()
     modelled = run_modelled(catalog)
     measured, invariants = run_measured(catalog)
-    invariants["modelled_speedup_ge_2_5"] = modelled["speedup"] >= 2.5
     return {
         "rows": catalog.table("lineitem").row_count(),
         "modelled": modelled,
@@ -151,54 +144,7 @@ def run_benchmarks():
     }
 
 
-def check_invariants(results):
-    """Yield one failure string per violated invariant."""
-    for name, held in sorted(results["invariants"].items()):
-        if not held:
-            yield f"invariant violated: {name}"
-
-
-def write_results(results, path):
-    with open(path, "w") as f:
-        json.dump(results, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# pytest entry point (rides the benchmarks/ suite)
-# ---------------------------------------------------------------------------
-
-
-def test_e11_partition_parallel(artifacts):
-    results = run_benchmarks()
-    write_results(results,
-                  os.path.join(artifacts, "e11_parallel_fresh.json"))
-    failures = list(check_invariants(results))
-    assert not failures, failures
-    assert results["modelled"]["speedup"] >= 2.5, (
-        f"modelled 4-worker speedup only "
-        f"{results['modelled']['speedup']}x")
-
-
-def main():
-    results = run_benchmarks()
-    os.makedirs(ARTIFACT_DIR, exist_ok=True)
-    write_results(results,
-                  os.path.join(ARTIFACT_DIR, "e11_parallel_fresh.json"))
-    modelled = results["modelled"]
-    measured = results["measured"]
-    print(f"rows={results['rows']} cores={measured['cores']}")
-    print(f"modelled  serial={modelled['serial_usec']}usec "
-          f"{modelled['workers']}workers={modelled['parallel_usec']}usec "
-          f"speedup={modelled['speedup']}x")
-    print(f"measured  serial={measured['serial_ms']}ms")
-    for workers, result in sorted(measured["pools"].items()):
-        print(f"measured  {workers}-worker pool={result['ms']}ms "
-              f"speedup={result['speedup']}x")
-    for name, held in sorted(results["invariants"].items()):
-        print(f"{name:26s} {'ok' if held else 'VIOLATED'}")
-    print(f"wrote {os.path.join(ARTIFACT_DIR, 'e11_parallel_fresh.json')}")
-
-
-if __name__ == "__main__":
-    main()
+def test_e11_partition_parallel():
+    """Rides the ``benchmarks/`` suite: the run and the rows that
+    ``check_regression.py --only e11`` checks."""
+    assert check_regression.run("e11") == 0

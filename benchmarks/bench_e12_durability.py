@@ -16,17 +16,15 @@ tail.  These benchmarks measure what that design buys:
 - ``checkpoint``: serialise a populated TPC-H catalog and load it back
   byte-identically.
 
-Raw rates are machine-dependent, so the regression gate
-(``benchmarks/check_regression.py --only e12``) checks the recorded
-*invariants* — batching happened, nothing acknowledged was lost,
-round trips are byte-identical — rather than wall-clock numbers.
-Running this file standalone prints a summary and writes
-``e12_durability_fresh.json`` into ``benchmarks/artifacts/``; the
-committed ``benchmarks/BENCH_E12_durability.json`` is the baseline the
-gate compares against.
+Raw rates are machine-dependent, so the regression gate checks the
+recorded *invariants* -- batching happened, nothing acknowledged was
+lost, round trips are byte-identical -- and only shows the wall-clock
+numbers: the ``e12`` rows of the table in
+``benchmarks/check_regression.py``.  ``check_regression.py --only e12``
+runs this file against the committed
+``benchmarks/BENCH_E12_durability.json``.
 """
 
-import json
 import os
 import shutil
 import tempfile
@@ -44,14 +42,12 @@ from repro.storage.durable import (
 )
 from repro.tpch import populate
 
+import check_regression
+
 WRITERS = 8
 RECORDS_PER_WRITER = 50
 WAL_RECORDS = 1500
 TAIL_RECORDS = 100
-
-ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
-BASELINE_PATH = os.path.join(os.path.dirname(__file__),
-                             "BENCH_E12_durability.json")
 
 
 def _wal_throughput(commit_window_ms, writers=WRITERS,
@@ -223,64 +219,7 @@ def invariants(results):
     }
 
 
-def check_invariants(results):
-    """Failure strings for every violated invariant (empty = pass)."""
-    return [f"invariant violated: {name}"
-            for name, held in results["invariants"].items() if not held]
-
-
-def write_results(results, path):
-    with open(path, "w") as f:
-        json.dump(results, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# pytest entry point (rides the benchmarks/ suite)
-# ---------------------------------------------------------------------------
-
-
-def test_e12_durability(artifacts):
-    results = run_benchmarks()
-    write_results(results,
-                  os.path.join(artifacts, "e12_durability_fresh.json"))
-    failures = check_invariants(results)
-    assert not failures, "; ".join(failures)
-
-
-def main():
-    results = run_benchmarks()
-    os.makedirs(ARTIFACT_DIR, exist_ok=True)
-    write_results(results,
-                  os.path.join(ARTIFACT_DIR,
-                               "e12_durability_fresh.json"))
-    batched = results["group_commit"]["batched"]
-    per_record = results["group_commit"]["per_record"]
-    recovery = results["recovery"]
-    checkpoint = results["checkpoint"]
-    print(f"group commit  {batched['records']} records in "
-          f"{batched['fsyncs']} fsyncs "
-          f"({batched['records_per_fsync']} rec/fsync, "
-          f"{batched['records_per_s']} rec/s) vs per-record "
-          f"{per_record['fsyncs']} fsyncs "
-          f"({per_record['records_per_s']} rec/s)")
-    print(f"recovery      full replay "
-          f"{recovery['full_replay']['wal_records']} records in "
-          f"{recovery['full_replay']['seconds']}s; checkpointed "
-          f"{recovery['checkpointed']['wal_records']} records + "
-          f"{recovery['checkpointed']['checkpoint_rows']} rows in "
-          f"{recovery['checkpointed']['seconds']}s")
-    print(f"checkpoint    {checkpoint['rows']} rows -> "
-          f"{checkpoint['files']} files, {checkpoint['bytes']} bytes "
-          f"in {checkpoint['write_seconds']}s")
-    for name, held in sorted(results["invariants"].items()):
-        print(f"invariant     {name}: {'ok' if held else 'VIOLATED'}")
-    print(f"wrote "
-          f"{os.path.join(ARTIFACT_DIR, 'e12_durability_fresh.json')}")
-    return 0 if not check_invariants(results) else 1
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())
+def test_e12_durability():
+    """Rides the ``benchmarks/`` suite: the run and the rows that
+    ``check_regression.py --only e12`` checks."""
+    assert check_regression.run("e12") == 0

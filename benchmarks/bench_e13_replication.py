@@ -17,18 +17,15 @@ measure the two numbers an operator actually watches:
   bump, and a write must land on the new primary.
 
 Raw rates and times are machine-dependent, so the regression gate
-(``benchmarks/check_regression.py --only e13``) checks the recorded
-*invariants* — byte-identity, lag drained, clean prefix, epoch
-fencing — rather than wall-clock numbers.  Running this file
-standalone prints a summary and writes a fresh-run artifact
-(``e13_replication_fresh.json``) into ``benchmarks/artifacts/``; the
-committed ``benchmarks/BENCH_E13_replication.json`` is the one
-canonical baseline the gate compares against — the fresh artifact
-deliberately uses a different name so the baseline never exists in two
-places.
+checks the recorded *invariants* -- byte-identity, lag drained, clean
+prefix, epoch fencing -- and only shows the wall-clock numbers: the
+``e13`` rows of the table in ``benchmarks/check_regression.py``.
+``check_regression.py --only e13`` runs this file against the committed
+``benchmarks/BENCH_E13_replication.json``, the one canonical baseline;
+the fresh run it leaves in ``benchmarks/artifacts/`` deliberately has a
+different name, so the baseline never exists in two places.
 """
 
-import json
 import os
 import shutil
 import tempfile
@@ -42,12 +39,10 @@ from repro.server.database import Database
 from repro.server.mserver import Mserver
 from repro.storage.durable import catalog_canonical_bytes, recover
 
+import check_regression
+
 WRITERS = 4
 RECORDS_PER_WRITER = 75
-
-ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
-BASELINE_PATH = os.path.join(os.path.dirname(__file__),
-                             "BENCH_E13_replication.json")
 
 
 def _node(workdir, name, primary=None):
@@ -250,55 +245,7 @@ def invariants(results):
     }
 
 
-def check_invariants(results):
-    """Failure strings for every violated invariant (empty = pass)."""
-    return [f"invariant violated: {name}"
-            for name, held in results["invariants"].items() if not held]
-
-
-def write_results(results, path):
-    with open(path, "w") as f:
-        json.dump(results, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# pytest entry point (rides the benchmarks/ suite)
-# ---------------------------------------------------------------------------
-
-
-def test_e13_replication(artifacts):
-    results = run_benchmarks()
-    write_results(results,
-                  os.path.join(artifacts, "e13_replication_fresh.json"))
-    failures = check_invariants(results)
-    assert not failures, "; ".join(failures)
-
-
-def main():
-    results = run_benchmarks()
-    os.makedirs(ARTIFACT_DIR, exist_ok=True)
-    write_results(results,
-                  os.path.join(ARTIFACT_DIR,
-                               "e13_replication_fresh.json"))
-    lag = results["lag"]
-    failover = results["failover"]
-    print(f"lag           {lag['records']} records at "
-          f"{lag['records_per_s']} rec/s; max lag "
-          f"{lag['max_lag_records']} records, drained in "
-          f"{lag['drain_seconds']}s")
-    print(f"failover      promote {failover['promote_seconds']}s, "
-          f"first served read {failover['first_read_seconds']}s, "
-          f"epoch {failover['old_epoch']} -> {failover['new_epoch']}, "
-          f"dropped {failover['dropped_records']} unacked")
-    for name, held in sorted(results["invariants"].items()):
-        print(f"invariant     {name}: {'ok' if held else 'VIOLATED'}")
-    print(f"wrote "
-          f"{os.path.join(ARTIFACT_DIR, 'e13_replication_fresh.json')}")
-    return 0 if not check_invariants(results) else 1
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())
+def test_e13_replication():
+    """Rides the ``benchmarks/`` suite: the run and the rows that
+    ``check_regression.py --only e13`` checks."""
+    assert check_regression.run("e13") == 0

@@ -21,30 +21,9 @@ from repro.server import Database
 from repro.tpch import query_sql
 from repro.workloads import synthetic_trace
 
+from timing import interleaved_medians
+
 QUERY = query_sql("q6")
-
-
-def _median(values):
-    ordered = sorted(values)
-    return ordered[len(ordered) // 2]
-
-
-def _compare(run_bare, run_instrumented, repeat=9, inner=10):
-    """Median seconds-per-call for both variants, sampled interleaved
-    (bare, instrumented, bare, ...) so drifting machine load hits both
-    equally, with ``inner`` calls per timing sample to amortise timer
-    noise."""
-    import time
-
-    bare_samples, instr_samples = [], []
-    for _ in range(repeat):
-        for run, samples in ((run_bare, bare_samples),
-                             (run_instrumented, instr_samples)):
-            began = time.perf_counter()
-            for _ in range(inner):
-                run()
-            samples.append((time.perf_counter() - began) / inner)
-    return _median(bare_samples), _median(instr_samples)
 
 
 def test_e7_interpreter_overhead(benchmark, tpch_db_small, artifacts):
@@ -57,7 +36,7 @@ def test_e7_interpreter_overhead(benchmark, tpch_db_small, artifacts):
         with metrics.disabled():
             Interpreter(tpch_db_small.catalog).run(program)
 
-    bare, instrumented = _compare(run_bare, run_instrumented)
+    bare, instrumented = interleaved_medians(run_bare, run_instrumented)
     overhead = instrumented / bare - 1.0
 
     benchmark(run_instrumented)
@@ -77,7 +56,8 @@ def test_e7_scheduler_overhead(benchmark, tpch_db_small, artifacts):
         with metrics.disabled():
             tpch_db_small.execute(QUERY)
 
-    bare, instrumented = _compare(run_bare, run_instrumented, inner=5)
+    bare, instrumented = interleaved_medians(run_bare, run_instrumented,
+                                             inner=5)
     overhead = instrumented / bare - 1.0
 
     benchmark(run_instrumented)
@@ -102,7 +82,7 @@ def test_e7_udp_stream_overhead(benchmark, artifacts):
         with metrics.disabled():
             ship()
 
-    bare, instrumented = _compare(ship_bare, ship, inner=3)
+    bare, instrumented = interleaved_medians(ship_bare, ship, inner=3)
     per_datagram_usec = (instrumented - bare) / len(lines) * 1e6
 
     benchmark(ship)

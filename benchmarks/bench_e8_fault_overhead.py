@@ -24,25 +24,9 @@ from repro.profiler import UdpEmitter, format_event
 from repro.tpch import query_sql
 from repro.workloads import synthetic_trace
 
+from timing import interleaved_medians
+
 QUERY = query_sql("q6")
-
-
-def _median(values):
-    ordered = sorted(values)
-    return ordered[len(ordered) // 2]
-
-
-def _compare(run_a, run_b, repeat=9, inner=10):
-    """Median seconds-per-call for both variants, sampled interleaved
-    (a, b, a, b, ...) so drifting machine load hits both equally."""
-    a_samples, b_samples = [], []
-    for _ in range(repeat):
-        for run, samples in ((run_a, a_samples), (run_b, b_samples)):
-            began = time.perf_counter()
-            for _ in range(inner):
-                run()
-            samples.append((time.perf_counter() - began) / inner)
-    return _median(a_samples), _median(b_samples)
 
 
 def test_e8_guard_cost_isolated(benchmark, artifacts):
@@ -60,7 +44,7 @@ def test_e8_guard_cost_isolated(benchmark, artifacts):
         for _ in range(loops):
             pass
 
-    bare, guarded = _compare(spin_bare, spin_guarded, inner=3)
+    bare, guarded = interleaved_medians(spin_bare, spin_guarded, inner=3)
     per_check_ns = (guarded - bare) / loops * 1e9
 
     benchmark(spin_guarded)
@@ -94,8 +78,8 @@ def test_e8_scheduler_disarmed_overhead(benchmark, tpch_db_small,
         with armed(idle_plan):
             tpch_db_small.execute(QUERY)
 
-    disarmed, armed_idle = _compare(run_disarmed, run_armed_idle,
-                                    inner=5)
+    disarmed, armed_idle = interleaved_medians(
+        run_disarmed, run_armed_idle, inner=5)
     armed_overhead = armed_idle / disarmed - 1.0
 
     benchmark(run_disarmed)
@@ -164,8 +148,8 @@ def test_e8_udp_disarmed_overhead(benchmark, artifacts):
         with armed(idle_plan):
             ship_disarmed()
 
-    disarmed, armed_idle = _compare(ship_disarmed, ship_armed_idle,
-                                    inner=3)
+    disarmed, armed_idle = interleaved_medians(
+        ship_disarmed, ship_armed_idle, inner=3)
     added_usec = (armed_idle - disarmed) / len(lines) * 1e6
 
     benchmark(ship_disarmed)

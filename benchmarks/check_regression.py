@@ -1,413 +1,281 @@
 #!/usr/bin/env python
-"""Perf regression gate for the committed E9-E14 baselines.
+"""The regression gate for E9-E14: one table of rows, one engine.
 
-E9 (kernels): runs the kernel/plan-cache benchmarks fresh and compares
-every recorded speedup against the committed baseline in
-``benchmarks/BENCH_E9_kernels.json``.  A kernel that lost more than
---tolerance (default 25%) of its baseline speedup fails the check; so
-does a kernel missing from the fresh run.
-
-E10 (connections): runs the connection-scaling benchmarks fresh and
-checks the *invariants* — every connection served, every pipelined
-response delivered, zero broadcast events lost for keep-up
-subscribers, identical streams — against both the fresh run and the
-committed ``benchmarks/BENCH_E10_connections.json``.  Raw rates are
-machine-dependent, so they are printed but never gated.
-
-E11 (partition parallelism): runs the worker-pool benchmarks fresh,
-gates the deterministic *modelled* 4-worker speedup (must stay >= 2.5x
-and within --tolerance of ``benchmarks/BENCH_E11_parallel.json``) and
-the pool invariants (identical rows, real remote dispatch, recovery
-from a killed worker).  Measured wall-clock speedups are printed
-always, but gated against the baseline only when both the fresh run
-and the baseline were taken on >= 4 cores.
-
-E12 (durability): runs the WAL/checkpoint/recovery benchmarks fresh
-and checks the *invariants* -- group commit batched (fewer fsyncs than
-records), every record durable, recovery byte-identical to the
-acknowledged state from both a raw WAL and a checkpoint + tail,
-checkpoints round-trip byte-identically -- against both the fresh run
-and the committed ``benchmarks/BENCH_E12_durability.json``.  Rates are
-printed but never gated.
-
-E13 (replication): runs the WAL-shipping benchmarks fresh and checks
-the *invariants* -- replication lag drains to zero after the write
-load, the replica finishes byte-identical to the primary, failover
-promotes onto a clean acked prefix with a bumped epoch and serves
-reads -- against both the fresh run and the committed
-``benchmarks/BENCH_E13_replication.json``.  Lag and failover times are
-printed but never gated.
-
-E14 (adaptive optimization): runs the skewed-selectivity feedback
-benchmark fresh and gates the deterministic *modelled* warm-adaptive
-speedup (must stay >= 1.5x and within --tolerance of
-``benchmarks/BENCH_E14_adaptive.json``) plus the invariants — rows
-byte-identical between static and adaptive plans, the cold adaptive
-compile matching the static plan exactly, the warm plan actually
-reordered, and the stats-store snapshot round-tripping.  Measured
-wall-clock speedups are printed but never gated.
+Each experiment is a ``bench_eN_*.run_benchmarks()`` that returns a
+JSON-able results dict, and a committed ``benchmarks/BENCH_EN_*.json``
+holding one earlier run of it.  ``GATE`` below says, row by row, which
+number or fact in those results is gated, by which rule, and on which
+clock it was taken; ``check`` turns rows + a fresh run + the baseline
+into every printed line and every failure.  The pytest entry of each
+bench module and this command line both go through ``run``.
 
 Usage:
     PYTHONPATH=src python benchmarks/check_regression.py          # check
     PYTHONPATH=src python benchmarks/check_regression.py --write  # rebase
-    PYTHONPATH=src python benchmarks/check_regression.py --only e10
+    PYTHONPATH=src python benchmarks/check_regression.py --only e10 --only e12
 
 ``--write`` regenerates the committed baselines from a fresh run (use
-after deliberate changes, then commit the JSONs).  E9 speedups are
-ratios of interleaved medians, so they are robust to absolute machine
-speed — only a *relative* slowdown of the bulk kernels trips the gate.
+after deliberate changes, then commit the JSONs).  A fresh run that is
+checked is also left in ``benchmarks/artifacts/eN_fresh.json``.  Exit
+status: 0 every row holds, 1 a row failed, 2 a baseline is missing.
 """
 
 import argparse
+import importlib
 import json
 import os
 import sys
+from typing import NamedTuple, Optional, Tuple
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, HERE)
 
-import bench_e9_kernels  # noqa: E402
-import bench_e10_connections  # noqa: E402
-import bench_e11_parallel  # noqa: E402
-import bench_e12_durability  # noqa: E402
-import bench_e13_replication  # noqa: E402
-import bench_e14_adaptive  # noqa: E402
+#: experiment -> (bench module, committed baseline); modules are imported
+#: only when their experiment runs
+EXPERIMENTS = {
+    "e9": ("bench_e9_kernels", "BENCH_E9_kernels.json"),
+    "e10": ("bench_e10_connections", "BENCH_E10_connections.json"),
+    "e11": ("bench_e11_parallel", "BENCH_E11_parallel.json"),
+    "e12": ("bench_e12_durability", "BENCH_E12_durability.json"),
+    "e13": ("bench_e13_replication", "BENCH_E13_replication.json"),
+    "e14": ("bench_e14_adaptive", "BENCH_E14_adaptive.json"),
+}
+
+#: a row's clock.  MEASURED: a wall clock, or a fact observed in a real
+#: run.  MODELLED: ``CostModel``'s virtual clock -- the same on every
+#: machine, and not evidence of what a wall clock would say.
+MEASURED, MODELLED = "measured", "modelled"
+
+#: a row's rule, besides a float ``c`` meaning "value >= c".  HOLDS and
+#: floats are *invariants*; BASELINE is "fresh >= (1 - tolerance) x the
+#: baseline's value"; INFO is printed and never fails.
+HOLDS, BASELINE, INFO = "holds", "baseline", "info"
+
+#: the fraction of a baseline value a fresh run may lose (``--tolerance``)
+TOLERANCE = 0.25
 
 
-def check_e9(args) -> int:
-    fresh = bench_e9_kernels.run_benchmarks()
-    if args.write:
-        bench_e9_kernels.write_results(
-            fresh, bench_e9_kernels.BASELINE_PATH)
-        print(f"baseline rewritten: {bench_e9_kernels.BASELINE_PATH}")
-        return 0
+class Row(NamedTuple):
+    """One gated (or merely shown) entry of an experiment's results."""
 
-    if not os.path.exists(bench_e9_kernels.BASELINE_PATH):
-        print(f"no committed baseline at "
-              f"{bench_e9_kernels.BASELINE_PATH}; run with --write "
-              "first", file=sys.stderr)
+    experiment: str
+    #: dotted path into the results; ``*`` stands for every key there
+    path: str
+    rule: object
+    clock: str
+    #: ``(path, minimum)`` both runs must reach for the row to be
+    #: comparable between them; short of it the row demotes itself to INFO
+    needs: Optional[Tuple[str, float]] = None
+
+
+def _invariants(experiment, *names):
+    """One HOLDS row per fact under the results' ``invariants``."""
+    return [Row(experiment, f"invariants.{name}", HOLDS, MEASURED)
+            for name in names]
+
+
+GATE = [
+    # E9: speedups are ratios of interleaved medians, so they are robust
+    # to absolute machine speed -- only a *relative* slowdown of the bulk
+    # kernels against their naive references trips a row
+    Row("e9", "kernels.*.speedup", BASELINE, MEASURED),
+    Row("e9", "kernels.*.speedup", 1.0, MEASURED),
+    Row("e9", "kernels.pipeline.speedup", 3.0, MEASURED),
+    Row("e9", "plan_cache.speedup", BASELINE, MEASURED),
+    Row("e9", "plan_cache.speedup", 10.0, MEASURED),
+
+    # E10, E12, E13: raw rates are machine-dependent, so they are shown
+    # and the machine-independent facts are gated
+    *_invariants("e10", "all_connections_served", "all_pipelined_responses",
+                 "zero_events_lost", "identical_streams", "full_delivery"),
+    Row("e10", "connections.conns_per_s", INFO, MEASURED),
+    Row("e10", "pipelining.requests_per_s", INFO, MEASURED),
+    Row("e10", "fanout.delivered_per_s", INFO, MEASURED),
+
+    # E11: the wall clock of a forked pool is only comparable between two
+    # runs that both had cores to parallelize across; on fewer it shows
+    # fork/ship overhead.  Printed always, and first.
+    *_invariants("e11", "results_identical", "remote_dispatch",
+                 "pool_recovers_after_kill"),
+    Row("e11", "measured.pools.*.speedup", BASELINE, MEASURED,
+        needs=("measured.cores", 4)),
+    Row("e11", "modelled.speedup", 2.5, MODELLED),
+    Row("e11", "modelled.speedup", BASELINE, MODELLED),
+
+    *_invariants("e12", "all_records_durable", "group_commit_batches",
+                 "per_record_fsync_floor", "full_replay_byte_identical",
+                 "checkpointed_byte_identical", "checkpoint_shortens_replay",
+                 "checkpoint_round_trip_identical"),
+    Row("e12", "group_commit.batched.records_per_fsync", INFO, MEASURED),
+    Row("e12", "recovery.full_replay.seconds", INFO, MEASURED),
+    Row("e12", "recovery.checkpointed.seconds", INFO, MEASURED),
+
+    *_invariants("e13", "all_writes_acked", "lag_drains_to_zero",
+                 "replica_byte_identical", "failover_promoted",
+                 "failover_epoch_bumped", "failover_serves_reads",
+                 "failover_clean_acked_prefix"),
+    Row("e13", "lag.records_per_s", INFO, MEASURED),
+    Row("e13", "lag.max_lag_records", INFO, MEASURED),
+    Row("e13", "lag.drain_seconds", INFO, MEASURED),
+    Row("e13", "failover.promote_seconds", INFO, MEASURED),
+    Row("e13", "failover.first_read_seconds", INFO, MEASURED),
+
+    *_invariants("e14", "rows_byte_identical", "cold_plan_matches_static",
+                 "adaptive_plan_reordered", "stats_snapshot_roundtrips"),
+    Row("e14", "measured.speedup", INFO, MEASURED),
+    Row("e14", "modelled.speedup", 1.5, MODELLED),
+    Row("e14", "modelled.speedup", BASELINE, MODELLED),
+]
+
+
+def _lookup(results, keys):
+    for key in keys:
+        results = results.get(key) if isinstance(results, dict) else None
+    return results
+
+
+def _expand(path, *sides):
+    """The concrete key tuples ``path`` stands for: a ``*`` is every key
+    any of ``sides`` has at that place."""
+    found = [()]
+    for part in path.split("."):
+        if part != "*":
+            found = [keys + (part,) for keys in found]
+        else:
+            found = [keys + (key,) for keys in found
+                     for key in sorted({key for side in sides
+                                        for key in _lookup(side, keys) or ()})]
+    return found
+
+
+SIDES = ("fresh run", "committed baseline")
+
+
+def _problems(rule, values, share):
+    """What is wrong with a (fresh, baseline) pair of values under
+    ``rule``; nothing is ``[]``."""
+    if rule == INFO:
+        return []
+    missing = [f"missing from the {side}"
+               for side, value in zip(SIDES, values) if value is None]
+    if missing:
+        return missing
+    if rule == BASELINE:
+        got, want = values
+        if got >= want * share:
+            return []
+        return [f"fresh {got} < {share:.0%} of baseline {want}"]
+    # an invariant, asked of the baseline too: a baseline rebased over a
+    # violation is itself a bug
+    if rule == HOLDS:
+        return [f"violated by the {side}"
+                for side, value in zip(SIDES, values) if not value]
+    return [f"{side} has {value} < required {rule}"
+            for side, value in zip(SIDES, values) if value < rule]
+
+
+def check(rows, fresh, baseline, tolerance=TOLERANCE):
+    """``(lines, failures)`` for one experiment's ``rows``.
+
+    Measured rows come before modelled ones, so a row that holds on the
+    model is never read without the wall-clock rows above it.
+    """
+    lines, failures = [], []
+    share = 1.0 - tolerance
+    for row in sorted(rows, key=lambda row: row.clock != MEASURED):
+        rule, wording = row.rule, row.rule
+        if rule == BASELINE:
+            wording = f">= {share:.0%} of baseline"
+        elif rule not in (HOLDS, INFO):
+            wording = f">= {rule}"
+        if row.needs:
+            where, least = row.needs
+            have = [_lookup(side, where.split(".")) or 0
+                    for side in (fresh, baseline)]
+            if min(have) < least:
+                rule = INFO
+                wording = (f"info (not gated: needs {where} >= {least}, "
+                           f"fresh has {have[0]}, baseline {have[1]})")
+        for keys in _expand(row.path, fresh, baseline):
+            path = ".".join(keys)
+            values = _lookup(fresh, keys), _lookup(baseline, keys)
+            problems = _problems(rule, values, share)
+            verdict = "" if rule == INFO else " FAILED" if problems else " ok"
+            lines.append(f"{row.experiment:4s}{path:42s} {row.clock:9s}"
+                         f"fresh={values[0]} baseline={values[1]}  "
+                         f"{wording}{verdict}")
+            failures += [f"{path} ({row.clock}): {problem}"
+                         for problem in problems]
+    # bench and table cannot drift: a fact a bench records as an
+    # invariant is gated by a row, or it is not an invariant
+    covered = {row.path for row in rows}
+    for side, results in zip(SIDES, (fresh, baseline)):
+        failures += [f"invariants.{name}: in the {side}, but no row of "
+                     "the gate table covers it"
+                     for name in results.get("invariants", {})
+                     if f"invariants.{name}" not in covered]
+    return lines, failures
+
+
+def write_json(results, path):
+    """The one writer of baselines and fresh-run artefacts."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as f:
+        json.dump(results, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def gate(experiment, fresh, baseline_path, tolerance=TOLERANCE) -> int:
+    """Print the verdict on one fresh run; the exit status it earns."""
+    if not os.path.exists(baseline_path):
+        print(f"{experiment}: no committed baseline at {baseline_path}; "
+              "run with --write first", file=sys.stderr)
         return 2
-    with open(bench_e9_kernels.BASELINE_PATH) as f:
+    with open(baseline_path) as f:
         baseline = json.load(f)
-
-    failures = []
-    floor = 1.0 - args.tolerance
-    checks = dict(baseline.get("kernels", {}))
-    checks["plan_cache"] = baseline.get("plan_cache", {})
-    fresh_all = dict(fresh["kernels"])
-    fresh_all["plan_cache"] = fresh["plan_cache"]
-    for name, committed in sorted(checks.items()):
-        want = committed.get("speedup")
-        got = fresh_all.get(name, {}).get("speedup")
-        if got is None:
-            failures.append(f"{name}: missing from fresh run")
-            continue
-        status = "ok"
-        if got < want * floor:
-            status = "REGRESSED"
-            failures.append(
-                f"{name}: speedup {got}x < {floor:.0%} of baseline {want}x")
-        print(f"{name:22s} baseline={want:7.2f}x fresh={got:7.2f}x {status}")
-
+    lines, failures = check(
+        [row for row in GATE if row.experiment == experiment],
+        fresh, baseline, tolerance)
+    print("\n".join(lines))
     if failures:
-        print(f"\n{len(failures)} kernel(s) regressed beyond "
-              f"{args.tolerance:.0%}:", file=sys.stderr)
+        print(f"{len(failures)} {experiment} check(s) failed:",
+              file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print("\nall kernels within tolerance")
+    print(f"all {experiment} checks hold\n")
     return 0
 
 
-def check_e10(args) -> int:
-    fresh = bench_e10_connections.run_benchmarks()
-    if args.write:
-        bench_e10_connections.write_results(
-            fresh, bench_e10_connections.BASELINE_PATH)
-        print("baseline rewritten: "
-              f"{bench_e10_connections.BASELINE_PATH}")
+def run(experiment, write=False, tolerance=TOLERANCE) -> int:
+    """Run one experiment fresh, then rebase its baseline or gate it."""
+    module, baseline = EXPERIMENTS[experiment]
+    baseline_path = os.path.join(HERE, baseline)
+    fresh = importlib.import_module(module).run_benchmarks()
+    if write:
+        write_json(fresh, baseline_path)
+        print(f"baseline rewritten: {baseline_path}")
         return 0
-
-    if not os.path.exists(bench_e10_connections.BASELINE_PATH):
-        print(f"no committed baseline at "
-              f"{bench_e10_connections.BASELINE_PATH}; run with "
-              "--write first", file=sys.stderr)
-        return 2
-    with open(bench_e10_connections.BASELINE_PATH) as f:
-        baseline = json.load(f)
-
-    failures = list(bench_e10_connections.check_invariants(fresh))
-    # the committed baseline must hold every invariant the fresh run
-    # knows about — a baseline rebased over a violation is itself a bug
-    for name in fresh["invariants"]:
-        if not baseline.get("invariants", {}).get(name, False):
-            failures.append(
-                f"committed baseline violates invariant: {name}")
-    for name, held in sorted(fresh["invariants"].items()):
-        print(f"{name:26s} {'ok' if held else 'VIOLATED'}")
-    conn = fresh["connections"]
-    fan = fresh["fanout"]
-    print(f"(info) {conn['ok']}/{conn['target']} connections at "
-          f"{conn['conns_per_s']} conn/s; {fan['subscribers']} "
-          f"subscribers, {fan['lost_events']} lost, "
-          f"{fan['delivered_per_s']} entries/s")
-
-    if failures:
-        print(f"\n{len(failures)} E10 check(s) failed:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    print("\nall connection-scaling invariants hold")
-    return 0
-
-
-def check_e11(args) -> int:
-    fresh = bench_e11_parallel.run_benchmarks()
-    if args.write:
-        bench_e11_parallel.write_results(
-            fresh, bench_e11_parallel.BASELINE_PATH)
-        print("baseline rewritten: "
-              f"{bench_e11_parallel.BASELINE_PATH}")
-        return 0
-
-    if not os.path.exists(bench_e11_parallel.BASELINE_PATH):
-        print(f"no committed baseline at "
-              f"{bench_e11_parallel.BASELINE_PATH}; run with "
-              "--write first", file=sys.stderr)
-        return 2
-    with open(bench_e11_parallel.BASELINE_PATH) as f:
-        baseline = json.load(f)
-
-    failures = list(bench_e11_parallel.check_invariants(fresh))
-    for name in fresh["invariants"]:
-        if not baseline.get("invariants", {}).get(name, False):
-            failures.append(
-                f"committed baseline violates invariant: {name}")
-    for name, held in sorted(fresh["invariants"].items()):
-        print(f"{name:26s} {'ok' if held else 'VIOLATED'}")
-
-    floor = 1.0 - args.tolerance
-    want = baseline.get("modelled", {}).get("speedup", 2.5)
-    got = fresh["modelled"]["speedup"]
-    status = "ok"
-    if got < 2.5:
-        status = "REGRESSED"
-        failures.append(
-            f"modelled 4-worker speedup {got}x < required 2.5x")
-    elif got < want * floor:
-        status = "REGRESSED"
-        failures.append(
-            f"modelled 4-worker speedup {got}x < {floor:.0%} of "
-            f"baseline {want}x")
-    print(f"{'modelled_speedup':26s} baseline={want:.2f}x "
-          f"fresh={got:.2f}x {status}")
-
-    # measured wall clock: only comparable machine-to-machine when both
-    # runs had real cores to parallelize across
-    cores = fresh["measured"]["cores"]
-    base_cores = baseline.get("measured", {}).get("cores", 1)
-    gate_measured = cores >= 4 and base_cores >= 4
-    for workers, result in sorted(fresh["measured"]["pools"].items()):
-        got = result["speedup"]
-        want = baseline.get("measured", {}).get("pools", {}) \
-                       .get(workers, {}).get("speedup")
-        status = "info"
-        if gate_measured and want is not None and got < want * floor:
-            status = "REGRESSED"
-            failures.append(
-                f"measured {workers}-worker speedup {got}x < "
-                f"{floor:.0%} of baseline {want}x")
-        elif gate_measured:
-            status = "ok"
-        print(f"{'measured_' + workers + 'w':26s} "
-              f"baseline={want if want is not None else '-'}x "
-              f"fresh={got}x {status}")
-    if not gate_measured:
-        print(f"(info) measured speedups not gated: fresh run on "
-              f"{cores} core(s), baseline on {base_cores}")
-
-    if failures:
-        print(f"\n{len(failures)} E11 check(s) failed:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    print("\nall partition-parallel checks hold")
-    return 0
-
-
-def check_e12(args) -> int:
-    fresh = bench_e12_durability.run_benchmarks()
-    if args.write:
-        bench_e12_durability.write_results(
-            fresh, bench_e12_durability.BASELINE_PATH)
-        print("baseline rewritten: "
-              f"{bench_e12_durability.BASELINE_PATH}")
-        return 0
-
-    if not os.path.exists(bench_e12_durability.BASELINE_PATH):
-        print(f"no committed baseline at "
-              f"{bench_e12_durability.BASELINE_PATH}; run with "
-              "--write first", file=sys.stderr)
-        return 2
-    with open(bench_e12_durability.BASELINE_PATH) as f:
-        baseline = json.load(f)
-
-    failures = list(bench_e12_durability.check_invariants(fresh))
-    # the committed baseline must hold every invariant the fresh run
-    # knows about -- a baseline rebased over a violation is itself a bug
-    for name in fresh["invariants"]:
-        if not baseline.get("invariants", {}).get(name, False):
-            failures.append(
-                f"committed baseline violates invariant: {name}")
-    for name, held in sorted(fresh["invariants"].items()):
-        print(f"{name:32s} {'ok' if held else 'VIOLATED'}")
-    batched = fresh["group_commit"]["batched"]
-    recovery = fresh["recovery"]
-    print(f"(info) {batched['records']} records in "
-          f"{batched['fsyncs']} fsyncs "
-          f"({batched['records_per_fsync']} rec/fsync); full replay "
-          f"{recovery['full_replay']['wal_records']} records in "
-          f"{recovery['full_replay']['seconds']}s, checkpointed tail "
-          f"{recovery['checkpointed']['wal_records']} in "
-          f"{recovery['checkpointed']['seconds']}s")
-
-    if failures:
-        print(f"\n{len(failures)} E12 check(s) failed:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    print("\nall durability invariants hold")
-    return 0
-
-
-def check_e13(args) -> int:
-    fresh = bench_e13_replication.run_benchmarks()
-    if args.write:
-        bench_e13_replication.write_results(
-            fresh, bench_e13_replication.BASELINE_PATH)
-        print("baseline rewritten: "
-              f"{bench_e13_replication.BASELINE_PATH}")
-        return 0
-
-    if not os.path.exists(bench_e13_replication.BASELINE_PATH):
-        print(f"no committed baseline at "
-              f"{bench_e13_replication.BASELINE_PATH}; run with "
-              "--write first", file=sys.stderr)
-        return 2
-    with open(bench_e13_replication.BASELINE_PATH) as f:
-        baseline = json.load(f)
-
-    failures = list(bench_e13_replication.check_invariants(fresh))
-    # the committed baseline must hold every invariant the fresh run
-    # knows about -- a baseline rebased over a violation is itself a bug
-    for name in fresh["invariants"]:
-        if not baseline.get("invariants", {}).get(name, False):
-            failures.append(
-                f"committed baseline violates invariant: {name}")
-    for name, held in sorted(fresh["invariants"].items()):
-        print(f"{name:32s} {'ok' if held else 'VIOLATED'}")
-    lag = fresh["lag"]
-    failover = fresh["failover"]
-    print(f"(info) {lag['records']} records at {lag['records_per_s']} "
-          f"rec/s, max lag {lag['max_lag_records']} records, drained "
-          f"in {lag['drain_seconds']}s; failover promote "
-          f"{failover['promote_seconds']}s, first read "
-          f"{failover['first_read_seconds']}s")
-
-    if failures:
-        print(f"\n{len(failures)} E13 check(s) failed:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    print("\nall replication invariants hold")
-    return 0
-
-
-def check_e14(args) -> int:
-    fresh = bench_e14_adaptive.run_benchmarks()
-    if args.write:
-        bench_e14_adaptive.write_results(
-            fresh, bench_e14_adaptive.BASELINE_PATH)
-        print("baseline rewritten: "
-              f"{bench_e14_adaptive.BASELINE_PATH}")
-        return 0
-
-    if not os.path.exists(bench_e14_adaptive.BASELINE_PATH):
-        print(f"no committed baseline at "
-              f"{bench_e14_adaptive.BASELINE_PATH}; run with "
-              "--write first", file=sys.stderr)
-        return 2
-    with open(bench_e14_adaptive.BASELINE_PATH) as f:
-        baseline = json.load(f)
-
-    failures = list(bench_e14_adaptive.check_invariants(fresh))
-    # the committed baseline must hold every invariant the fresh run
-    # knows about -- a baseline rebased over a violation is itself a bug
-    for name in fresh["invariants"]:
-        if not baseline.get("invariants", {}).get(name, False):
-            failures.append(
-                f"committed baseline violates invariant: {name}")
-    for name, held in sorted(fresh["invariants"].items()):
-        print(f"{name:32s} {'ok' if held else 'VIOLATED'}")
-
-    floor = 1.0 - args.tolerance
-    required = bench_e14_adaptive.REQUIRED_SPEEDUP
-    want = baseline.get("modelled", {}).get("speedup", required)
-    got = fresh["modelled"]["speedup"]
-    status = "ok"
-    if got < required:
-        status = "REGRESSED"
-        failures.append(
-            f"modelled adaptive speedup {got}x < required {required}x")
-    elif got < want * floor:
-        status = "REGRESSED"
-        failures.append(
-            f"modelled adaptive speedup {got}x < {floor:.0%} of "
-            f"baseline {want}x")
-    print(f"{'modelled_speedup':32s} baseline={want:.2f}x "
-          f"fresh={got:.2f}x {status}")
-    print(f"(info) measured wall speedup {fresh['measured']['speedup']}x "
-          f"(not gated); {fresh['rows_returned']} rows returned")
-
-    if failures:
-        print(f"\n{len(failures)} E14 check(s) failed:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    print("\nall adaptive-optimization checks hold")
-    return 0
+    write_json(fresh, os.path.join(HERE, "artifacts",
+                                   f"{experiment}_fresh.json"))
+    return gate(experiment, fresh, baseline_path, tolerance)
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--write", action="store_true",
                         help="rewrite the committed baseline(s) and exit")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed fractional speedup loss (default .25)")
-    parser.add_argument("--only",
-                        choices=["e9", "e10", "e11", "e12", "e13", "e14"],
-                        default=None,
-                        help="run a single gate instead of all")
+    parser.add_argument("--tolerance", type=float, default=TOLERANCE,
+                        help="fraction of a baseline value a fresh run may "
+                             "lose (default %(default)s)")
+    parser.add_argument("--only", action="append", choices=list(EXPERIMENTS),
+                        help="gate this experiment only (may repeat; "
+                             "default: all)")
     args = parser.parse_args()
-
-    status = 0
-    if args.only in (None, "e9"):
-        status = max(status, check_e9(args))
-    if args.only in (None, "e10"):
-        print()
-        status = max(status, check_e10(args))
-    if args.only in (None, "e11"):
-        print()
-        status = max(status, check_e11(args))
-    if args.only in (None, "e12"):
-        print()
-        status = max(status, check_e12(args))
-    if args.only in (None, "e13"):
-        print()
-        status = max(status, check_e13(args))
-    if args.only in (None, "e14"):
-        print()
-        status = max(status, check_e14(args))
-    return status
+    return max(run(experiment, args.write, args.tolerance)
+               for experiment in args.only or EXPERIMENTS)
 
 
 if __name__ == "__main__":

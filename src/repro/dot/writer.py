@@ -8,9 +8,11 @@ file."  One edge per dataflow dependency.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List
 
 from repro.dot.graph import Digraph
+from repro.dot.parser import _KEYWORDS
 from repro.mal.ast import MalProgram
 from repro.mal.printer import format_instruction
 
@@ -44,15 +46,15 @@ def plan_to_dot(program: MalProgram) -> str:
 def graph_to_dot(graph: Digraph) -> str:
     """Render any :class:`Digraph` as dot text (parseable by
     :func:`repro.dot.parser.parse_dot`)."""
-    lines: List[str] = [f"digraph {graph.name} {{"]
+    lines: List[str] = [f"digraph {_quote(graph.name)} {{"]
     for key, value in graph.attrs.items():
-        lines.append(f"    {key}={_quote(value)};")
+        lines.append(f"    {_quote(key)}={_quote(value)};")
     for node in graph.nodes.values():
         attrs = _format_attrs(node.attrs)
-        lines.append(f"    {node.node_id}{attrs};")
+        lines.append(f"    {_quote(node.node_id)}{attrs};")
     for edge in graph.edges:
         attrs = _format_attrs(edge.attrs)
-        lines.append(f"    {edge.src} -> {edge.dst}{attrs};")
+        lines.append(f"    {_quote(edge.src)} -> {_quote(edge.dst)}{attrs};")
     lines.append("}")
     return "\n".join(lines)
 
@@ -60,16 +62,25 @@ def graph_to_dot(graph: Digraph) -> str:
 def _format_attrs(attrs: Dict[str, str]) -> str:
     if not attrs:
         return ""
-    inner = ", ".join(f"{key}={_quote(value)}" for key, value in attrs.items())
+    inner = ", ".join(f"{_quote(key)}={_quote(value)}"
+                      for key, value in attrs.items())
     return f" [{inner}]"
 
 
-_BARE_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+#: what ``parse_dot`` reads back as one token that says the same text: a
+#: name or a run of digits (``0X`` and ``1e`` are two tokens each)
+_BARE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|[0-9]+")
 
 
 def _quote(value: str) -> str:
+    """``value`` as one dot ID: bare when that parses back as the same
+    text, quoted otherwise.  Ids, attribute names and values and the
+    graph name all go through here.  One text has no spelling the parser
+    reads back: a backslash before an ``n``, which it takes for a newline.
+    """
     text = str(value)
-    if text and all(c in _BARE_OK for c in text):
+    # a bare keyword is syntax to the parser where an id may stand
+    if _BARE.fullmatch(text) and text not in _KEYWORDS:
         return text
     escaped = text.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'

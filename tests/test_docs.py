@@ -248,3 +248,42 @@ class TestNoPickleInSrc:
                      for path in glob.glob(pattern, recursive=True)
                      if "pickle" in open(path).read()]
         assert not offenders, f"pickle is back in: {offenders}"
+
+
+class TestRegressionGateDocs:
+    """The one gate (``benchmarks/check_regression.py``) and the places
+    that tell a reader to run it name the same experiments."""
+
+    ONLY = re.compile(r"--only[ =](e\d+)")
+    #: everything that spells a ``check_regression.py`` command line
+    CALLERS = ("EXPERIMENTS.md", ".github/workflows/ci.yml",
+               ".claude/skills/verify/SKILL.md", "benchmarks/e2e/README.md")
+
+    @staticmethod
+    def _experiments():
+        import sys
+
+        sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
+        import check_regression
+
+        return {row.experiment for row in check_regression.GATE}
+
+    def test_every_gated_experiment_has_an_experiments_heading(self):
+        text = open(os.path.join(REPO_ROOT, "EXPERIMENTS.md")).read()
+        headings = set(re.findall(r"^## (E\d+) ", text, re.MULTILINE))
+        missing = sorted(name for name in self._experiments()
+                         if name.upper() not in headings)
+        assert not missing, f"EXPERIMENTS.md has no section for {missing}"
+
+    def test_every_only_flag_names_an_experiment_in_the_table(self):
+        paths = _doc_files() + [os.path.join(REPO_ROOT, name)
+                                for name in self.CALLERS]
+        experiments = self._experiments()
+        written = {(os.path.relpath(path, REPO_ROOT), name)
+                   for path in paths
+                   for name in self.ONLY.findall(open(path).read())}
+        assert {name for _, name in written} >= experiments - {"e9"}, (
+            "the pattern no longer finds the gate's command lines")
+        unknown = sorted(pair for pair in written
+                         if pair[1] not in experiments)
+        assert not unknown, f"--only names no row of the gate table: {unknown}"

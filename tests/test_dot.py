@@ -1,6 +1,8 @@
 """Tests for the dot graph model, writer and parser."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.dot import Digraph, graph_to_dot, parse_dot, plan_to_dot, plan_to_graph
 from repro.errors import DotError, DotParseError
@@ -221,3 +223,60 @@ class TestParser:
         g = parse_dot("\n".join(lines))
         assert g.node_count() == 1500
         assert g.edge_count() == 1499
+
+
+#: any text the format can carry: the parser reads a backslash before an
+#: ``n`` as a newline, so no spelling of that pair survives a round trip
+_TEXT = st.one_of(
+    st.sampled_from(["a-b", "0X", "1e", "n 1", "node", "strict", "007",
+                     "", "-1", "1.5", 'say "hi"', "back\\slash", "a\nb"]),
+    st.text(alphabet=st.sampled_from('ab_09 -.\\"{}[];,=#/*>\n\r\u00e9'),
+            max_size=6),
+    st.text(max_size=6),
+).filter(lambda text: "\\n" not in text)
+_ATTRS = st.dictionaries(_TEXT, _TEXT, max_size=3)
+
+
+class TestRoundTrip:
+    """``parse_dot(graph_to_dot(g))`` is ``g``: every id, attribute name
+    and value and the graph name is written as an ID the parser reads
+    back as the same text.  ``OnlineResult.to_offline_session`` opens its
+    live graph through exactly this pair."""
+
+    @given(name=_TEXT, graph_attrs=_ATTRS,
+           nodes=st.dictionaries(_TEXT, _ATTRS, min_size=1, max_size=5),
+           data=st.data())
+    @example(name="G", graph_attrs={}, nodes={"a-b": {}}, data=None)
+    @example(name="G", graph_attrs={}, nodes={"a": {"label": "0X"}},
+             data=None)
+    @example(name="G", graph_attrs={}, nodes={"n 1": {}}, data=None)
+    @settings(max_examples=300, deadline=None)
+    def test_same_ids_labels_and_edges(self, name, graph_attrs, nodes, data):
+        graph = Digraph(name, graph_attrs)
+        for node_id, attrs in nodes.items():
+            graph.add_node(node_id, attrs)
+        if data is not None:
+            ends = st.sampled_from(sorted(nodes))
+            for src, dst, attrs in data.draw(
+                    st.lists(st.tuples(ends, ends, _ATTRS), max_size=6)):
+                graph.add_edge(src, dst, attrs)
+
+        parsed = parse_dot(graph_to_dot(graph))
+        assert parsed.name == graph.name
+        assert parsed.attrs == graph.attrs
+        assert [(n.node_id, n.attrs, n.label) for n in parsed.nodes.values()] \
+            == [(n.node_id, n.attrs, n.label) for n in graph.nodes.values()]
+        assert [(e.src, e.dst, e.attrs) for e in parsed.edges] \
+            == [(e.src, e.dst, e.attrs) for e in graph.edges]
+
+    def test_plan_ids_and_numbers_stay_bare(self):
+        """What ``plan_to_dot`` writes did not move: ``n<pc>`` ids, names
+        and digit runs are bare, everything else is quoted."""
+        graph = Digraph("user_s1_1", {"rankdir": "TB"})
+        graph.add_node("n0", {"label": "X_1 := sql.mvc();", "shape": "box",
+                              "pc": "0"})
+        graph.add_edge("n0", "n1")
+        assert graph_to_dot(graph) == (
+            'digraph user_s1_1 {\n    rankdir=TB;\n'
+            '    n0 [label="X_1 := sql.mvc();", shape=box, pc=0];\n'
+            '    n1;\n    n0 -> n1;\n}')
