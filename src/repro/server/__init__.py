@@ -10,7 +10,8 @@ embedded execution environment: catalog + SQL compiler + optimizer +
 interpreter + profiler), :class:`~repro.server.mserver.Mserver` (a TCP
 server around it) and :class:`~repro.server.client.MClient` (the client
 used by examples and the online Stethoscope).  The wire protocol is
-line-delimited JSON — a simplification of MonetDB's MAPI protocol that
+line-delimited JSON, with a result's columns as packed frames behind
+their header line — a simplification of MonetDB's MAPI protocol that
 keeps the same request/response structure (documented in DESIGN.md).
 """
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 import socket
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     ConnectionFailedError,
@@ -47,6 +47,15 @@ from repro.server.protocol import (
     encode_message,
     error_from_payload,
 )
+
+
+#: Bytes asked of the socket per receive while looking for a line end.
+_RECV_BYTES = 1 << 16
+
+#: A frame's buffer is allocated up front only this far; a longer frame
+#: doubles it as bytes arrive, so a header that lies about a length can
+#: make the client wait but never allocate what the peer did not send.
+_FRAME_PREALLOCATE = 1 << 20
 
 
 def _probe_status(addr: str, timeout: float = 0.75
@@ -112,16 +121,25 @@ class MClient:
     """
 
     class Result:
-        """One statement's outcome as seen by the client."""
+        """One statement's outcome as seen by the client.
 
-        def __init__(self, payload: Dict[str, Any]) -> None:
-            self.kind: str = payload.get("kind", "rows")
-            self.columns: List[str] = payload.get("columns", [])
-            self.rows: List[Tuple[Any, ...]] = decode_rows(
-                payload.get("rows", [])
-            )
-            self.affected: int = payload.get("affected", 0)
-            self.query_id: str = payload.get("query_id", "")
+        ``rows`` is a plain list of tuples, decoded from the column
+        frames before :meth:`MClient.query` returned.
+        """
+
+        def __init__(self, response: Dict[str, Any]) -> None:
+            self.kind: str = response.get("kind", "")
+            self.columns: List[str] = response.get("columns", [])
+            # a rows header never arrives without its frames decoded
+            # into this key (MClient._read_message)
+            self.rows: List[Tuple[Any, ...]] = \
+                response["rows"] if self.kind == "rows" else []
+            self.affected: int = response.get("affected", 0)
+            self.query_id: str = response.get("query_id", "")
+            if not (type(self.kind) is str and type(self.columns) is list
+                    and type(self.affected) is int
+                    and type(self.query_id) is str):
+                raise ServerError("malformed query response")
 
     def __init__(self, host: str = "127.0.0.1", port: int = 50000,
                  timeout: float = 30.0, retries: int = 2,
@@ -144,7 +162,7 @@ class MClient:
         self._routes_at = 0.0
         self._rng = random.Random(retry_seed)
         self._socket: Optional[socket.socket] = None
-        self._buffer = b""
+        self._buffer = bytearray()
         self._subscription: Optional["ClientSubscription"] = None
         # session-state requests replayed after a reconnect, keyed so a
         # later profiler/pipeline choice replaces the earlier one
@@ -174,7 +192,7 @@ class MClient:
             raise ConnectionFailedError(
                 f"cannot connect to {self.host}:{self.port}: {exc}"
             ) from exc
-        self._buffer = b""
+        self._buffer = bytearray()
 
     def _teardown(self) -> None:
         if self._socket is not None:
@@ -183,7 +201,7 @@ class MClient:
             except OSError:
                 pass
             self._socket = None
-        self._buffer = b""
+        self._buffer = bytearray()
 
     def _reconnect(self, deadline: Optional[float] = None) -> None:
         self._teardown()
@@ -386,13 +404,7 @@ class MClient:
         try:
             self._socket.settimeout(self._slice(deadline))
             self._socket.sendall(encode_message(request))
-            while b"\n" not in self._buffer:
-                self._socket.settimeout(self._slice(deadline))
-                chunk = self._socket.recv(65536)
-                if not chunk:
-                    raise ConnectionLostError(
-                        f"{self.host}:{self.port} closed the connection")
-                self._buffer += chunk
+            response = self._read_message(lambda: self._slice(deadline))
         except socket.timeout as exc:
             if deadline is not None and time.monotonic() >= deadline:
                 CLIENT_DEADLINE_EXCEEDED.inc()
@@ -402,11 +414,64 @@ class MClient:
             raise ConnectionLostError(
                 f"{self.host}:{self.port} timed out mid-request"
             ) from exc
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        response = decode_message(line)
         if not response.get("ok"):
             raise error_from_payload(response)
         return response
+
+    def _read_message(self, timeout: Callable[[], float]
+                      ) -> Dict[str, Any]:
+        """The one socket reader: the next line and, behind a ``rows``
+        header, its column frames, decoded into ``message["rows"]``.
+
+        ``timeout()`` is the budget of each receive; ``socket.timeout``
+        propagates.  Bytes already received stay buffered across calls,
+        and only newly received ones are searched for the line end.
+        """
+        assert self._socket is not None
+        buffer = self._buffer
+        searched = 0
+        while True:
+            end = buffer.find(b"\n", searched)
+            if end >= 0:
+                break
+            searched = len(buffer)
+            self._socket.settimeout(timeout())
+            chunk = self._socket.recv(_RECV_BYTES)
+            if not chunk:
+                raise ConnectionLostError(
+                    f"{self.host}:{self.port} closed the connection")
+            buffer += chunk
+        message = decode_message(buffer[:end])
+        del buffer[:end + 1]
+        if message.get("ok") and message.get("kind") == "rows":
+            try:
+                message["rows"] = decode_rows(
+                    message, lambda count: self._read_frame(count, timeout))
+            except (ReproError, OSError):
+                # part of a result is consumed: framing is lost
+                self._teardown()
+                raise
+        return message
+
+    def _read_frame(self, count: int,
+                    timeout: Callable[[], float]) -> bytearray:
+        """The next ``count`` bytes: what is buffered, then straight off
+        the socket into the frame's own buffer."""
+        frame = self._buffer[:count]
+        del self._buffer[:count]
+        have = len(frame)
+        while have < count:
+            if have == len(frame):
+                room = min(count, max(_FRAME_PREALLOCATE, 2 * have))
+                frame += bytes(room - have)
+            self._socket.settimeout(timeout())
+            got = self._socket.recv_into(memoryview(frame)[have:])
+            if not got:
+                raise ConnectionLostError(
+                    f"{self.host}:{self.port} closed the connection "
+                    "mid-frame")
+            have += got
+        return frame
 
     def _slice(self, deadline: Optional[float]) -> float:
         """Socket timeout for the next operation under ``deadline``."""
@@ -571,20 +636,11 @@ class MClient:
         return subscription
 
     def _recv_message(self, timeout: float) -> Optional[Dict[str, Any]]:
-        """Read one message line; None on timeout, raises on EOF."""
-        assert self._socket is not None
-        while b"\n" not in self._buffer:
-            try:
-                self._socket.settimeout(timeout)
-                chunk = self._socket.recv(65536)
-            except socket.timeout:
-                return None
-            if not chunk:
-                raise ConnectionLostError(
-                    f"{self.host}:{self.port} closed the connection")
-            self._buffer += chunk
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        return decode_message(line)
+        """Read one message; None on timeout, raises on EOF."""
+        try:
+            return self._read_message(lambda: timeout)
+        except socket.timeout:
+            return None
 
     def close(self) -> None:
         if self._socket is None:

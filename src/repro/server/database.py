@@ -16,6 +16,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
@@ -256,14 +257,23 @@ class PlanCache:
 
 @dataclass
 class QueryOutcome:
-    """What one SQL statement produced."""
+    """What one SQL statement produced.
+
+    A result is held the way the executor left it — ``vectors``, one
+    value list per entry of ``columns`` — which is also how the server
+    ships it; ``rows`` transposes them the first time it is asked for.
+    """
 
     kind: str  # "rows" | "ddl" | "insert"
     columns: List[str] = field(default_factory=list)
-    rows: List[Tuple[Any, ...]] = field(default_factory=list)
+    vectors: List[List[Any]] = field(default_factory=list)
     affected: int = 0
     program: Optional[MalProgram] = None
     execution: Optional[ExecutionResult] = None
+
+    @cached_property
+    def rows(self) -> List[Tuple[Any, ...]]:
+        return list(zip(*self.vectors))
 
 
 class Database:
@@ -563,8 +573,7 @@ class Database:
             plan_text = self.explain(stripped[len("explain "):],
                                      pipeline_name, workers)
             outcome = QueryOutcome(kind="rows", columns=["mal"],
-                                   rows=[(line,) for line in
-                                         plan_text.splitlines()])
+                                   vectors=[plan_text.splitlines()])
             outcome.program = self.last_program
             return outcome
         if head.startswith("trace "):
@@ -631,7 +640,7 @@ class Database:
         return QueryOutcome(
             kind="rows",
             columns=list(result_set.names) if result_set else [],
-            rows=execution.rows(),
+            vectors=result_set.columns if result_set else [],
             program=program,
             execution=execution,
         )
@@ -669,16 +678,14 @@ class Database:
         inner = self.execute(sql, listener=profiler, context=context,
                              pipeline_name=pipeline_name, workers=workers,
                              scheduler=scheduler)
-        rows = [
-            (e.event, e.clock_usec, e.status, e.pc, e.thread, e.usec,
-             e.rss_bytes, e.stmt)
-            for e in profiler.events
-        ]
         outcome = QueryOutcome(
             kind="rows",
             columns=["event", "clock", "status", "pc", "thread", "usec",
                      "rss", "stmt"],
-            rows=rows,
+            vectors=[[getattr(e, field_name) for e in profiler.events]
+                     for field_name in ("event", "clock_usec", "status",
+                                        "pc", "thread", "usec",
+                                        "rss_bytes", "stmt")],
         )
         outcome.program = inner.program
         outcome.execution = inner.execution

@@ -36,7 +36,7 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ReadOnlyReplicaError, ReproError, ServerError
 from repro.faults.plan import ACTIVE
@@ -302,7 +302,8 @@ class _Connection:
     ``_PIPELINE_DEPTH`` requests); the processor answers them one at a
     time so responses arrive in request order.  A hub subscription adds
     a third task streaming broadcast entries; all writes go through one
-    lock so entry lines and responses never interleave mid-line.
+    lock, one message a hold, so an entry line never lands inside a
+    response — not between a result's header and its column frames.
     """
 
     def __init__(self, server: Mserver, reader: asyncio.StreamReader,
@@ -413,18 +414,19 @@ class _Connection:
             if line is _HANGUP:
                 return
             if line is _OVERSIZED:
-                await self._send({
+                await self._send(encode_message({
                     "ok": False,
                     "error": f"request exceeds {MAX_MESSAGE_BYTES} "
                              "bytes without a newline",
-                })
+                }))
                 return
             op = "invalid"
+            frames: Sequence[bytes] = ()
             try:
                 request = decode_message(line)
                 if request.get("op") is not None:
                     op = str(request["op"])
-                response = await self._dispatch(op, request)
+                response, frames = await self._dispatch(op, request)
             except ReproError as exc:
                 response = error_payload(exc)
             except Exception as exc:  # surface, do not kill server
@@ -445,32 +447,40 @@ class _Connection:
                     elif decision.action == "reset":
                         # drop the connection without answering
                         return
-            if not await self._send(response):
+            if not await self._send(encode_message(response, frames)):
                 return
             if response.get("bye"):
                 return
 
-    async def _dispatch(self, op: str, request: Dict) -> Dict:
-        """Route one request: async verbs here, blocking ones offloaded."""
+    async def _dispatch(self, op: str, request: Dict
+                        ) -> Tuple[Dict, Sequence[bytes]]:
+        """Route one request: async verbs here, blocking ones offloaded.
+
+        Returns the response and, behind a ``rows`` header, its column
+        frames — already encoded by the executor thread that ran the
+        query, so a wide result costs the loop one join and one write.
+        """
         if op == "subscribe":
-            return self._handle_subscribe(request)
+            return self._handle_subscribe(request), ()
         if op == "unsubscribe":
-            return await self._handle_unsubscribe()
-        if op in ("query", "explain", "dot",
+            return await self._handle_unsubscribe(), ()
+        loop = asyncio.get_event_loop()
+        if op == "query":
+            return await loop.run_in_executor(
+                self.server._executor, self.session._handle_query, request)
+        if op in ("explain", "dot",
                   "repl.status", "repl.sync", "repl.promote"):
             # repl verbs offload too: sync reads WAL bytes from disk and
             # promote re-runs recovery — neither belongs on the loop
-            loop = asyncio.get_event_loop()
             return await loop.run_in_executor(
-                self.server._executor,
-                lambda: self.session.handle(request))
-        return self.session.handle(request)
+                self.server._executor, self.session.handle, request), ()
+        return self.session.handle(request), ()
 
-    async def _send(self, message: Dict[str, Any]) -> bool:
-        """Write one message line; False when the peer is gone."""
+    async def _send(self, data: bytes) -> bool:
+        """Write one encoded message; False when the peer is gone."""
         async with self.write_lock:
             try:
-                self.writer.write(encode_message(message))
+                self.writer.write(data)
                 await self.writer.drain()
                 return True
             except (ConnectionError, OSError):
@@ -568,7 +578,8 @@ class _Connection:
                     await self._wake.wait()
                     continue
                 for entry in batch:
-                    if not await self._send(entry.payload()):
+                    if not await self._send(
+                            encode_message(entry.payload())):
                         return
                     sent += 1
                 batch = []
@@ -610,6 +621,8 @@ class _ClientSession:
     # ------------------------------------------------------------------
 
     def handle(self, request: Dict) -> Dict:
+        """Answer any verb but ``query``, whose response has frames
+        behind it (:meth:`_handle_query`)."""
         op = request.get("op")
         if op == "ping":
             return {"ok": True, "pong": True}
@@ -627,8 +640,6 @@ class _ClientSession:
             return self._handle_set(request)
         if op == "profiler":
             return self._handle_profiler(request)
-        if op == "query":
-            return self._handle_query(request)
         if op == "cancel":
             return self._handle_cancel(request)
         if op == "queries":
@@ -716,8 +727,14 @@ class _ClientSession:
         verdict = self.server.registry.cancel(query_id, source="client")
         return {"ok": True, "query_id": query_id, **verdict}
 
-    def _handle_query(self, request: Dict) -> Dict:
+    def _handle_query(self, request: Dict
+                      ) -> Tuple[Dict, Sequence[bytes]]:
+        """Run one statement; a result's columns are encoded here, on
+        the thread that ran it, and returned beside their header."""
         sql = request.get("sql", "")
+        if not isinstance(sql, str):
+            # refused before it is registered: nothing would finish it
+            raise ServerError("query needs its sql as a string")
         server = self.server
         database = server.database
         deadline_s = request.get("deadline_s", server.default_deadline_s)
@@ -779,7 +796,10 @@ class _ClientSession:
         response = {"ok": True, "kind": outcome.kind,
                     "affected": outcome.affected,
                     "query_id": context.query_id}
-        if outcome.kind == "rows":
-            response["columns"] = outcome.columns
-            response["rows"] = encode_rows(outcome.rows)
-        return response
+        if outcome.kind != "rows":
+            return response, ()
+        vectors = outcome.vectors
+        response["columns"] = outcome.columns
+        response["row_count"] = len(vectors[0]) if vectors else 0
+        response["frames"], frames = encode_rows(vectors)
+        return response, frames

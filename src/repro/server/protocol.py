@@ -1,4 +1,5 @@
-"""The line-delimited JSON wire protocol between MClient and Mserver.
+"""The wire protocol between MClient and Mserver: JSON lines, and packed
+column frames behind the one response that carries a result.
 
 One JSON object per line in each direction.  Requests carry an ``op``:
 
@@ -7,7 +8,9 @@ One JSON object per line in each direction.  Requests carry an ``op``:
 ``query``    execute SQL → rows / ddl / insert outcome, plus the
              server-assigned ``query_id``; accepts optional
              ``deadline_s`` (server-side wall-clock budget) and
-             ``max_rss_bytes`` (simulated-RSS budget)
+             ``max_rss_bytes`` (simulated-RSS budget).  A ``rows``
+             outcome is a header line followed by one frame of raw
+             bytes per column (below)
 ``cancel``   cancel a running query by ``query_id`` → ``{"ok": true,
              "cancelled": bool, "state": ...}``
 ``queries``  list queued/running queries (id, sql, state, elapsed) and
@@ -48,17 +51,44 @@ Error responses are ``{"ok": false, "error": msg}`` plus an optional
 surfaces client-side as a typed
 :class:`~repro.errors.QueryCancelledError`, not a generic failure.
 
+Result frames.  A ``kind == "rows"`` response is the only message that
+is more than its line.  The line is the header: ``ok``, ``kind``,
+``columns``, ``affected``, ``query_id``, ``row_count`` and ``frames``,
+one ``[codec, byte length]`` pair per column; exactly that many raw
+bytes follow it, one frame per column in column order, and the next
+line starts right behind the last frame.  The codec is chosen by what
+the column *holds*, never by its declared SQL type, so every cell
+arrives equal in value and in type:
+
+=======  ============================================================
+``"q"``  every value an ``int`` that fits 64 bits: signed 64-bit
+         little-endian integers, 8 bytes a row
+``"d"``  every value a ``float``: IEEE 754 doubles, little-endian, 8
+         bytes a row (``nan``, ``inf`` and ``-0.0`` keep their bits)
+``"i"``  every value a ``datetime.date``: proleptic Gregorian ordinals
+         as signed 32-bit little-endian integers, 4 bytes a row
+``"j"``  anything else (strings, booleans, nils, integers beyond 64
+         bits, a column that mixes types): one JSON array of
+         ``row_count`` cells; a date inside it is ``{"date": ordinal}``
+=======  ============================================================
+
+A packed frame's length must equal ``row_count`` times its item size
+and a JSON frame must hold ``row_count`` cells of the types above;
+:func:`decode_rows` refuses anything else with a typed
+:class:`~repro.errors.ServerError`.  Only :func:`encode_rows` and
+:func:`decode_rows` know this layout.
+
 This replaces MonetDB's binary MAPI protocol; the substitution is
-documented in DESIGN.md.  Values that are not JSON-native (dates) are
-serialised as ISO strings tagged with ``"@date:"`` so they survive the
-round trip.
+documented in DESIGN.md.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
-from typing import Any, Dict
+import sys
+from array import array
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import (
     PartitionShipError,
@@ -72,8 +102,6 @@ from repro.errors import (
     ServerOverloadedError,
     WorkerCrashError,
 )
-
-_DATE_TAG = "@date:"
 
 #: Every request verb the server dispatches on.  ``docs/streaming.md``
 #: must document each of these — the docs-consistency gate
@@ -90,23 +118,17 @@ VERBS = (
 MAX_MESSAGE_BYTES = 1 << 20
 
 
-def encode_value(value: Any) -> Any:
-    """JSON-encode one cell value (dates are tagged strings)."""
-    if isinstance(value, datetime.date):
-        return _DATE_TAG + value.isoformat()
-    return value
+#: Built once: ``json.dumps`` with any non-default argument builds an
+#: encoder per call, which a one-row response would feel.
+_encode_line = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def decode_value(value: Any) -> Any:
-    """Invert :func:`encode_value`."""
-    if isinstance(value, str) and value.startswith(_DATE_TAG):
-        return datetime.date.fromisoformat(value[len(_DATE_TAG):])
-    return value
-
-
-def encode_message(message: Dict[str, Any]) -> bytes:
-    """Serialise one protocol message as a line."""
-    return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
+def encode_message(message: Dict[str, Any],
+                   frames: Sequence[bytes] = ()) -> bytes:
+    """Serialise one protocol message: its line, then the column frames
+    a ``rows`` header announces."""
+    line = (_encode_line(message) + "\n").encode("utf-8")
+    return b"".join((line, *frames)) if frames else line
 
 
 def decode_message(line: bytes) -> Dict[str, Any]:
@@ -117,7 +139,9 @@ def decode_message(line: bytes) -> Dict[str, Any]:
     """
     try:
         message = json.loads(line.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an integer of more digits than int() takes,
+        # brackets nested past the recursion limit
         raise ServerError(f"bad protocol line: {exc}") from None
     if not isinstance(message, dict):
         raise ServerError("protocol message must be a JSON object")
@@ -177,11 +201,113 @@ def error_from_payload(payload: Dict[str, Any]) -> ReproError:
     return cls(message)
 
 
-def encode_rows(rows) -> list:
-    """Encode a row list for transport."""
-    return [[encode_value(v) for v in row] for row in rows]
+#: Packed codecs: the ``array`` typecode that is the codec tag, by the
+#: one type a column holds, and the bytes an item has on the wire.
+_DATE = "i"
+_PACKED = {int: "q", float: "d", datetime.date: _DATE}
+_ITEM_BYTES = {"q": 8, "d": 8, _DATE: 4}
+_JSON = "j"
+_CELL_TYPES = {int, float, str, bool, type(None), datetime.date}
+_SWAP = sys.byteorder == "big"
 
 
-def decode_rows(rows) -> list:
-    """Decode a transported row list back to tuples."""
-    return [tuple(decode_value(v) for v in row) for row in rows]
+def _date_document(value: Any) -> Dict[str, int]:
+    """How a JSON frame spells the one cell type JSON lacks."""
+    if type(value) is datetime.date:
+        return {"date": value.toordinal()}
+    raise TypeError(f"{type(value).__name__} value has no wire form")
+
+
+def _date_from_document(document: Dict[str, Any]) -> datetime.date:
+    (key, ordinal), = document.items()
+    if key != "date" or type(ordinal) is not int:
+        raise ValueError("not a date cell")
+    return datetime.date.fromordinal(ordinal)
+
+
+_encode_cells = json.JSONEncoder(separators=(",", ":"),
+                                 default=_date_document).encode
+_decode_cells = json.JSONDecoder(object_hook=_date_from_document).decode
+
+
+def encode_rows(vectors: Sequence[Sequence[Any]]
+                ) -> Tuple[List[List[Any]], List[bytes]]:
+    """Encode a result's column vectors for transport.
+
+    Returns the header's ``frames`` field — ``[codec, byte length]`` per
+    column — and the frames themselves.  The codec follows the element
+    types actually present (module docstring).
+    """
+    specs: List[List[Any]] = []
+    frames: List[bytes] = []
+    for values in vectors:
+        kinds = set(map(type, values))
+        codec = _PACKED.get(kinds.pop()) if len(kinds) == 1 else None
+        if codec is not None:
+            try:
+                column = array(codec, map(datetime.date.toordinal, values)
+                               if codec == _DATE else values)
+            except OverflowError:  # an integer beyond 64 bits
+                codec = None
+        if codec is None:
+            codec = _JSON
+            frame = _encode_cells(values).encode("ascii")
+        else:
+            if _SWAP:
+                column.byteswap()
+            frame = column.tobytes()
+        specs.append([codec, len(frame)])
+        frames.append(frame)
+    return specs, frames
+
+
+def decode_rows(header: Dict[str, Any],
+                read: Callable[[int], Any]) -> List[Tuple[Any, ...]]:
+    """Read the column frames a ``rows`` header announces and rebuild
+    the row tuples.
+
+    ``read(n)`` returns the next ``n`` bytes of the response (any
+    bytes-like object).  The header's shape and each frame's length are
+    checked before the frame is asked for, each frame's content after.
+
+    Raises:
+        ServerError: on a header or frame that is not what
+            :func:`encode_rows` writes.
+    """
+    names = header.get("columns")
+    count = header.get("row_count")
+    specs = header.get("frames")
+    if not (type(count) is int and count >= 0
+            and type(names) is list and type(specs) is list
+            and len(names) == len(specs)
+            and set(map(type, names)) <= {str}):
+        raise ServerError("malformed rows header")
+    vectors = []
+    for name, spec in zip(names, specs):
+        if not (type(spec) is list and len(spec) == 2
+                and type(spec[0]) is str
+                and type(spec[1]) is int and spec[1] >= 0):
+            raise ServerError(f"malformed frame entry for column {name!r}")
+        codec, length = spec
+        try:
+            if codec == _JSON:
+                values = _decode_cells(str(read(length), "ascii"))
+                if not (type(values) is list and len(values) == count
+                        and set(map(type, values)) <= _CELL_TYPES):
+                    raise ValueError(f"not an array of {count} cells")
+            else:
+                item = _ITEM_BYTES.get(codec)
+                if item is None or length != count * item:
+                    raise ValueError(
+                        f"{length} bytes are not {count} {codec!r} items")
+                column = array(codec)
+                column.frombytes(read(length))
+                if _SWAP:
+                    column.byteswap()
+                values = list(map(datetime.date.fromordinal, column)) \
+                    if codec == _DATE else column.tolist()
+        except (ValueError, OverflowError, RecursionError) as exc:
+            raise ServerError(
+                f"undecodable frame for column {name!r}: {exc}") from None
+        vectors.append(values)
+    return list(zip(*vectors))

@@ -29,6 +29,7 @@ _GUARDED_MODULES = (
     "test_parallel_parity",
     "test_durability",
     "test_replication",
+    "test_wire_format",
 )
 
 
