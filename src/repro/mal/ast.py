@@ -115,11 +115,12 @@ class MalInstruction:
     #: Excluded from repr/equality: it is derived state, not identity.
     impl_cache: Optional[Callable] = field(default=None, repr=False,
                                            compare=False)
+    #: ``module.function`` as printed in plans and traces; nothing
+    #: assigns ``module`` or ``function`` after construction.
+    qualified_name: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def qualified_name(self) -> str:
-        """``module.function`` as printed in plans and traces."""
-        return f"{self.module}.{self.function}"
+    def __post_init__(self) -> None:
+        self.qualified_name = f"{self.module}.{self.function}"
 
     def uses(self) -> Iterator[str]:
         """Names of variables this instruction reads."""

@@ -57,7 +57,7 @@ class ListSchedule(Execution):
             if not ready:
                 raise MalRuntimeError("dataflow deadlock: no ready instruction")
             self.ready_usec, pc = heapq.heappop(ready)
-            widx = min(range(self.workers), key=lambda w: (self.free[w], w))
+            widx = self.free.index(min(self.free))  # lowest index on a tie
             ends[pc] = self.step(tracker.instructions[pc], widx).end_usec
             for succ in tracker.complete(pc):
                 heapq.heappush(

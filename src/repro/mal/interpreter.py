@@ -17,7 +17,8 @@ cardinalities, so traces are reproducible across machines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
@@ -49,13 +50,15 @@ class InstructionRun:
     that ran it (always 0 for the sequential interpreter); ``rows`` the
     output cardinality when the result is a BAT; ``rows_in`` the input
     cardinality (first BAT argument), which together with ``rows`` gives
-    the stats store an observed selectivity per selection.
+    the stats store an observed selectivity per selection.  The record
+    keeps the instruction and its program; ``stmt`` is rendered from
+    them the first time somebody reads it, so a run nobody listens to
+    formats nothing.
     """
 
-    pc: int
-    stmt: str
-    module: str
-    function: str
+    instr: MalInstruction = field(repr=False)
+    program: Optional[MalProgram] = field(repr=False)
+    pc: int  # copied: an optimizer pass may renumber ``instr`` later
     start_usec: int
     end_usec: int
     usec: int
@@ -63,6 +66,19 @@ class InstructionRun:
     rss_bytes: int
     rows: int
     rows_in: int = 0
+
+    @property
+    def module(self) -> str:
+        return self.instr.module
+
+    @property
+    def function(self) -> str:
+        return self.instr.function
+
+    @cached_property
+    def stmt(self) -> str:
+        """The instruction as the plan prints it (the trace's ``stmt``)."""
+        return format_instruction(self.instr, self.program)
 
 
 #: Listener protocol: called with ("start"|"done", run) around execution.
@@ -116,24 +132,29 @@ class CostModel:
         "sql.exportResult": "result",
     }
 
+    #: class of a function the table above does not name, by module
+    #: (``admin`` for any other module).
+    _MODULE_CLASS = {"calc": "calc", "batcalc": "calc", "bat": "calc",
+                     "aggr": "aggr"}
+
+    def __init__(self) -> None:
+        #: qualified name -> operator class, resolved once per name
+        self._class_of: Dict[str, str] = {}
+
     def cost_usec(self, instr: MalInstruction, inputs: Sequence[Any],
                   outputs: Sequence[Any]) -> int:
         """Modelled duration of one instruction execution."""
         qname = instr.qualified_name
-        klass = self._FUNCTION_CLASS.get(qname)
+        klass = self._class_of.get(qname)
         if klass is None:
-            if instr.module in ("language", "mtime"):
-                klass = "admin"
-            elif instr.module in ("calc", "batcalc"):
-                klass = "calc"
-            elif instr.module == "aggr":
-                klass = "aggr"
-            elif instr.module == "bat":
-                klass = "calc"
-            else:
-                klass = "admin"
+            klass = self._class_of[qname] = (
+                self._FUNCTION_CLASS.get(qname)
+                or self._MODULE_CLASS.get(instr.module, "admin"))
         base, per_row = self._CLASSES[klass]
-        rows_in = sum(len(v) for v in inputs if isinstance(v, BAT))
+        rows_in = 0
+        for value in inputs:
+            if isinstance(value, BAT):
+                rows_in += len(value)
         cost = base + per_row * rows_in
         if klass == "sort" and rows_in > 1:
             cost += 0.08 * rows_in * math.log2(rows_in)
@@ -147,6 +168,9 @@ class EvalContext:
         self.catalog = catalog
         self.program = program
         self.env: Dict[str, Any] = {}
+        #: simulated resident set, kept by :meth:`bind`: the bytes of
+        #: every BAT bound so far (``language.pass`` frees nothing)
+        self.rss = 0
         self.result_sets: List[Any] = []
         self.affected_rows = 0
 
@@ -161,8 +185,20 @@ class EvalContext:
             return arg.value
         raise MalRuntimeError(f"bad argument {arg!r}")
 
+    def bind(self, name: str, value: Any) -> None:
+        """Bind ``name`` in the environment — the one place a value
+        enters it — keeping :attr:`rss` equal to :meth:`rss_bytes`."""
+        old = self.env.get(name)
+        if isinstance(old, BAT):
+            self.rss -= old.bytes()
+        self.env[name] = value
+        if isinstance(value, BAT):
+            self.rss += value.bytes()
+
     def rss_bytes(self) -> int:
-        """Simulated resident set: bytes of all live BATs in the env."""
+        """Simulated resident set, summed from scratch: the definition
+        :attr:`rss` is maintained against, and what the kernels that
+        grow an already-bound BAT re-read after themselves."""
         return sum(v.bytes() for v in self.env.values() if isinstance(v, BAT))
 
 
@@ -201,7 +237,11 @@ def record_execution(scheduler: str, runs: Sequence[InstructionRun],
     durations = MAL_INSTRUCTION_USEC
     per_module: Dict[str, List[int]] = {}
     for run in runs:
-        per_module.setdefault(run.module, []).append(run.usec)
+        module = run.instr.module
+        if module in per_module:
+            per_module[module].append(run.usec)
+        else:
+            per_module[module] = [run.usec]
     busy = 0
     for module, usecs in per_module.items():
         instructions.labels(module).inc(len(usecs))
@@ -210,6 +250,11 @@ def record_execution(scheduler: str, runs: Sequence[InstructionRun],
     if runs and workers > 0 and total_usec > 0:
         utilization = 100.0 * busy / (workers * total_usec)
         MAL_WORKER_UTILIZATION.observe(min(100.0, utilization))
+
+
+#: The only kernels that grow a BAT some name is already bound to: what
+#: :meth:`EvalContext.bind` added for that name is stale after them.
+_GROWS_BOUND = frozenset(("bat.append", "bat.insert", "sql.append"))
 
 
 def resolve_impl(instr: MalInstruction):
@@ -255,7 +300,9 @@ def execute_instruction(ctx: EvalContext, instr: MalInstruction) -> Tuple[list, 
             )
         outputs = list(out)
     for name, value in zip(instr.results, outputs):
-        ctx.env[name] = value
+        ctx.bind(name, value)
+    if instr.qualified_name in _GROWS_BOUND:
+        ctx.rss = ctx.rss_bytes()
     return inputs, outputs
 
 
@@ -272,7 +319,7 @@ def bind_precomputed(ctx: EvalContext, instr: MalInstruction,
     """
     inputs = [ctx.value_of(arg) for arg in instr.args]
     for name, value in zip(instr.results, outputs):
-        ctx.env[name] = value
+        ctx.bind(name, value)
     return inputs, list(outputs)
 
 
@@ -300,9 +347,8 @@ def _first_bat_rows(values: Sequence[Any]) -> int:
 
 #: Result delivery and appends keep program order even under dataflow;
 #: MonetDB serialises them on the main thread.
-_SIDE_EFFECTS = frozenset((
-    "sql.rsColumn", "sql.exportResult", "sql.append", "sql.affectedRows",
-    "bat.append", "bat.insert"))
+_SIDE_EFFECTS = _GROWS_BOUND | frozenset((
+    "sql.rsColumn", "sql.exportResult", "sql.affectedRows"))
 
 
 class ReadySet:
@@ -360,7 +406,6 @@ class Execution:
         self.precomputed = precompute_fragments(
             engine.pool, program, engine.catalog, context)
         self.ctx = EvalContext(engine.catalog, program)
-        self.rss = 0  # env RSS at the latest instruction boundary
         self.runs: List[InstructionRun] = []
 
     def step(self, instr: MalInstruction, thread: int) -> InstructionRun:
@@ -372,8 +417,9 @@ class Execution:
         live policy's listener hears ``start`` with the RSS before the
         instruction and ``done`` with the RSS after it.
         """
+        ctx = self.ctx
         if self.context is not None:
-            self.context.check(self.rss)
+            self.context.check(ctx.rss)
         stall = 0
         if self.fault_plan is not None:
             decision = self.fault_plan.decide("scheduler.worker",
@@ -385,24 +431,22 @@ class Execution:
                 stall = int(decision.value or 1000)
         start = self.begin(thread, stall)
         listener = self.engine.listener if self.live else None
-        common = dict(pc=instr.pc, stmt=format_instruction(instr, self.program),
-                      module=instr.module, function=instr.function,
-                      start_usec=start, thread=thread)
+        # records are built positionally (a third of the keyword cost):
+        # instr, program, pc, start, end, usec, thread, rss, rows, rows_in
         if listener is not None:
             listener("start", InstructionRun(
-                end_usec=start, usec=0, rss_bytes=self.rss, rows=0, **common))
+                instr, self.program, instr.pc, start, start, 0, thread,
+                ctx.rss, 0))
         if instr.pc in self.precomputed:
             inputs, outputs = bind_precomputed(
-                self.ctx, instr, self.precomputed[instr.pc])
+                ctx, instr, self.precomputed[instr.pc])
         else:
-            inputs, outputs = execute_instruction(self.ctx, instr)
+            inputs, outputs = execute_instruction(ctx, instr)
         cost = self.engine.cost_model.cost_usec(instr, inputs, outputs)
         end = self.finish(thread, start, cost)
-        self.rss = self.ctx.rss_bytes()
         run = InstructionRun(
-            end_usec=end, usec=end - start, rss_bytes=self.rss,
-            rows=_first_bat_rows(outputs), rows_in=_first_bat_rows(inputs),
-            **common)
+            instr, self.program, instr.pc, start, end, end - start, thread,
+            ctx.rss, _first_bat_rows(outputs), _first_bat_rows(inputs))
         self.runs.append(run)
         if listener is not None:
             listener("done", run)

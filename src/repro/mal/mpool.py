@@ -160,7 +160,7 @@ def _run_task(task: Dict[str, Any]) -> Dict[str, Any]:
     ctx = EvalContext(None, None)
     try:
         for name, encoded in task["inputs"].items():
-            ctx.env[name] = _decode_value(encoded)
+            ctx.bind(name, _decode_value(encoded))
     except Exception as exc:
         return {"ok": False, "kind": "decode",
                 "message": f"partition shipment corrupt: {exc}"}
@@ -172,7 +172,7 @@ def _run_task(task: Dict[str, Any]) -> Dict[str, Any]:
             if deadline is not None and time.monotonic() >= deadline:
                 return {"ok": False, "kind": "deadline",
                         "message": f"worker pc={instr.pc} past deadline"}
-            if rss_limit is not None and ctx.rss_bytes() > rss_limit:
+            if rss_limit is not None and ctx.rss > rss_limit:
                 return {"ok": False, "kind": "rss",
                         "message": f"worker pc={instr.pc} over rss budget"}
             execute_instruction(ctx, instr)
@@ -358,7 +358,7 @@ class PartitionWorkerPool:
             ctx = EvalContext(catalog, program)
             for instr in prologue:
                 if context is not None:
-                    context.check(ctx.rss_bytes())
+                    context.check(ctx.rss)
                 execute_instruction(ctx, instr)
             shipped_rows = 0
             for fragment in fragments:
@@ -525,7 +525,7 @@ class PartitionWorkerPool:
             send_next(widx)
         while outstanding:
             if context is not None:
-                context.check(ctx.rss_bytes())
+                context.check(ctx.rss)
             if not inflight:  # pragma: no cover — defensive
                 raise MalRuntimeError("partition pool lost its tasks")
             for conn in _conn_wait(list(inflight), timeout=self.poll_s):

@@ -36,7 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.server.lifecycle import QueryContext
 from repro.mal.ast import MalProgram
 from repro.mal.dataflow import SimulatedScheduler, ThreadedScheduler
-from repro.mal.interpreter import ExecutionResult, Interpreter, RunListener
+from repro.mal.interpreter import (
+    CostModel, ExecutionResult, Interpreter, RunListener,
+)
 from repro.mal.mpool import DEFAULT_MIN_ROWS, PartitionWorkerPool
 from repro.mal.optimizer import (
     AdaptiveOrder, Mitosis, Pipeline, pipeline_by_name,
@@ -362,6 +364,9 @@ class Database:
         self.scheduler = scheduler
         self.mitosis_threshold = mitosis_threshold
         self.compiler = SqlCompiler(self.catalog)
+        #: the modelled clock of every run; one instance, so it resolves
+        #: an instruction's operator class once per function
+        self.cost_model = CostModel()
         #: LRU cache of optimized plans, shared by every session on this
         #: database; per-session pipeline/worker overrides are part of
         #: the key, so sessions never see each other's plans.
@@ -460,18 +465,19 @@ class Database:
 
     # ------------------------------------------------------------------
 
-    def _plan_key(self, sql: str, pipeline_name: Optional[str] = None,
+    def _plan_key(self, nsql: str, pipeline_name: Optional[str] = None,
                   workers: Optional[int] = None) -> tuple:
         """Plan-cache key: everything that shapes the compiled plan.
 
-        Normalized SQL text, the effective pipeline and worker count
-        (mitosis partitions by both), and the catalog fingerprint
-        (version, table count, total rows).  The scheduler is
-        deliberately absent: a compiled plan is scheduler-independent —
-        the same program object runs on any of them.
+        The statement as :func:`normalize_sql` left it, the effective
+        pipeline and worker count (mitosis partitions by both), and the
+        catalog fingerprint (version, table count, total rows).  The
+        scheduler is deliberately absent: a compiled plan is
+        scheduler-independent — the same program object runs on any of
+        them.
         """
         return (
-            normalize_sql(sql),
+            nsql,
             pipeline_name or self.pipeline_name,
             workers or self.workers,
             self.catalog.fingerprint(),
@@ -523,7 +529,7 @@ class Database:
         key = None
         program = None
         if self.plan_cache.enabled:
-            key = self._plan_key(sql, pipeline_name, workers)
+            key = self._plan_key(normalize_sql(sql), pipeline_name, workers)
             program = self.plan_cache.get(key)
         if program is None:
             program = self.compiler.compile_text(sql)
@@ -567,26 +573,31 @@ class Database:
         """
         if context is not None:
             context.check()
-        stripped = sql.lstrip()
-        head = stripped[:8].lower()
-        if head.startswith("explain "):
-            plan_text = self.explain(stripped[len("explain "):],
-                                     pipeline_name, workers)
+        # The statement's first word, however it is separated from the
+        # rest: "explain\nselect ..." is EXPLAIN like "explain select".
+        words = sql.split(None, 1)
+        head = words[0].lower() if words else ""
+        if head == "explain" and len(words) == 2:
+            plan_text = self.explain(words[1], pipeline_name, workers)
             outcome = QueryOutcome(kind="rows", columns=["mal"],
                                    vectors=[plan_text.splitlines()])
             outcome.program = self.last_program
             return outcome
-        if head.startswith("trace "):
-            return self._execute_traced(stripped[len("trace "):], context,
+        if head == "trace" and len(words) == 2:
+            return self._execute_traced(words[1], context,
                                         pipeline_name, workers, scheduler)
+        # Normalised once: the plan key, the deadline reroute and the
+        # whole-query observation below all read this text.
+        is_select = head.startswith("select")
+        nsql = normalize_sql(sql) if is_select else None
         # Deadline-carrying SELECTs compile against a Maliva-style
         # cheapest-feasible target: when the stats store has seen this
         # statement under several pipelines and predicts the default one
         # will blow the deadline, reroute to the cheapest variant.
-        if head.startswith("select") and context is not None and \
+        if is_select and context is not None and \
                 getattr(context, "deadline_s", None):
             chosen, rerouted = self.stats_store.choose_pipeline(
-                normalize_sql(sql), workers or self.workers,
+                nsql, workers or self.workers,
                 self.catalog.fingerprint(),
                 deadline_usec=context.deadline_s * 1_000_000.0,
                 default=pipeline_name or self.pipeline_name)
@@ -597,8 +608,8 @@ class Database:
         # the statement can run without being lexed or parsed at all.
         key = None
         program: Optional[MalProgram] = None
-        if self.plan_cache.enabled and head.startswith("select"):
-            key = self._plan_key(sql, pipeline_name, workers)
+        if self.plan_cache.enabled and is_select:
+            key = self._plan_key(nsql, pipeline_name, workers)
             program = self.plan_cache.get(key)
         if program is None:
             statement = parse_sql(sql)
@@ -619,6 +630,8 @@ class Database:
             if not isinstance(statement, Select):
                 raise SqlError(
                     f"unsupported statement {type(statement).__name__}")
+            if nsql is None:  # a SELECT behind a comment: never cached
+                nsql = normalize_sql(sql)
             program = self.compiler.compile(statement)
             program = self._pipeline(pipeline_name, workers).apply(program)
             if key is not None:
@@ -632,7 +645,7 @@ class Database:
         self.stats_store.observe_program(program, execution.runs,
                                          fingerprint)
         self.stats_store.observe_query(
-            normalize_sql(sql), pipeline_name or self.pipeline_name,
+            nsql, pipeline_name or self.pipeline_name,
             workers or self.workers, execution.total_usec, fingerprint)
         if key is not None:
             self.plan_cache.observe(key, execution.total_usec)
@@ -656,14 +669,16 @@ class Database:
         if scheduler == "threaded":
             return ThreadedScheduler(
                 self.catalog, workers=workers, listener=listener,
-                realtime_scale=1e-4, pool=self.pool,
+                cost_model=self.cost_model, realtime_scale=1e-4,
+                pool=self.pool,
             ).run(program, context)
         if program.dataflow_enabled:
             return SimulatedScheduler(
                 self.catalog, workers=workers, listener=listener,
-                pool=self.pool,
+                cost_model=self.cost_model, pool=self.pool,
             ).run(program, context)
         return Interpreter(self.catalog, listener=listener,
+                           cost_model=self.cost_model,
                            pool=self.pool).run(program, context)
 
     def _execute_traced(self, sql: str,

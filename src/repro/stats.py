@@ -229,18 +229,19 @@ class StatsStore:
         number of runs ingested.
         """
         signatures = program_signatures(program)
+        prefix = self._fp_key(fingerprint) + "|"
         ingested = 0
         with self._lock:
             for run in runs:
                 signature = signatures.get(run.pc)
                 if signature is None:
                     continue
-                entry = self._touch(self._entries, self._entry_key(
-                    fingerprint, signature), self.capacity)
+                entry = self._touch(self._entries, prefix + signature,
+                                    self.capacity)
                 entry.latency_usec = self._ewma(
                     entry.latency_usec if entry.observations else None,
                     float(run.usec))
-                rows_in = getattr(run, "rows_in", 0)
+                rows_in = run.rows_in
                 if "(" in signature and rows_in > 0:
                     entry.selectivity = self._ewma(
                         entry.selectivity, run.rows / float(rows_in))

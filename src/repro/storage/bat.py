@@ -32,18 +32,18 @@ Five memoized structures back the hot paths, all invalidated by
 current length).  Each is built only when a kernel cannot avoid it:
 
 * a hash index on materialised heads (``{head oid: position}``), built by
-  the first ``leftfetchjoin``/``semijoin``/``kdifference`` *against* a
-  BAT with a materialised head;
+  the first ``leftjoin``/``leftfetchjoin``/``semijoin``/``kdifference``
+  *against* a BAT with a materialised head;
 * a multi-map variant (``{head oid: [positions]}``), built by the first
-  ``leftjoin`` against such a BAT — it must produce every match of a
-  duplicated head;
+  ``leftjoin`` against such a BAT whose index shows a duplicated head —
+  it must produce every match of one;
 * a sort-order index on the tail, built by the *second* range or point
   selection on a BAT of at least ``IndexPolicy.min_rows`` rows — one
   select is no evidence of reuse, and most BATs (slices, intermediates)
   die with their query — or after ``eager_after`` selects on a smaller
   one;
-* the :meth:`BAT.bytes` footprint, which per-instruction RSS accounting
-  recomputes for every live BAT at every instruction boundary;
+* the :meth:`BAT.bytes` footprint, which RSS accounting reads when a
+  BAT is bound into an interpreter environment;
 * the :meth:`BAT.to_ship_bytes` payload, built when a BAT is first
   shipped to a partition worker.
 
@@ -373,10 +373,11 @@ class BAT:
     def bytes(self) -> int:
         """Approximate memory footprint, for rss accounting in traces.
 
-        Memoized: RSS accounting recomputes this for every live BAT at
-        every instruction boundary, and the str branch is O(n).  The
-        cache is invalidated by :meth:`append`/:meth:`extend` and
-        guarded by the current length as a backstop.
+        Memoized: RSS accounting reads it when a BAT is bound (and for
+        every bound BAT after a kernel that grows one), and the str
+        branch is O(n).  The cache is invalidated by
+        :meth:`append`/:meth:`extend` and guarded by the current length
+        as a backstop.
         """
         tail = self.tail
         key = (len(tail), self.head is None)
@@ -385,7 +386,11 @@ class BAT:
             return cached[1]
         head_bytes = 0 if self.head is None else 8 * len(tail)
         if self.tail_type.name == "str":
-            tail_bytes = sum(8 if v is None else 8 + len(v) for v in tail)
+            try:
+                tail_bytes = 8 * len(tail) + sum(map(len, tail))
+            except TypeError:  # a nil among them: 8 bytes, no payload
+                tail_bytes = sum(8 if v is None else 8 + len(v)
+                                 for v in tail)
         else:
             tail_bytes = self.tail_type.width * len(tail)
         total = head_bytes + tail_bytes
@@ -492,27 +497,32 @@ class BAT:
 
         Duplicate heads keep the *last* position, matching the index
         ``leftfetchjoin`` historically built per call.  ``semijoin`` and
-        ``kdifference`` use only the key set.
+        ``kdifference`` use only the key set; ``leftjoin`` probes it
+        directly when it has as many keys as the head has rows — every
+        key unique, so each has exactly one match.
         """
         head = self.head
         cached = self._index_cache
         if cached is not None and cached[0] == len(head):
             return cached[1]
-        index = {hoid: pos for pos, hoid in enumerate(head)}
+        index = dict(zip(head, range(len(head))))
         self._index_cache = (len(head), index)
         return index
 
     def _head_multimap(self) -> dict:
-        """Memoized ``{head oid: [positions]}`` over a materialised head,
-        in head order — ``leftjoin`` emits every match of a duplicate."""
+        """Memoized ``{head oid: [positions]}`` over a materialised head
+        with duplicates, in head order — ``leftjoin`` emits every match.
+        One list per distinct key, not per row."""
         head = self.head
         cached = self._multimap_cache
         if cached is not None and cached[0] == len(head):
             return cached[1]
         index: dict = {}
-        setdefault = index.setdefault
         for pos, hoid in enumerate(head):
-            setdefault(hoid, []).append(pos)
+            if hoid in index:
+                index[hoid].append(pos)
+            else:
+                index[hoid] = [pos]
         self._multimap_cache = (len(head), index)
         return index
 
@@ -682,8 +692,9 @@ class BAT:
         collapses to a single gather comprehension.  A positional fetch
         that drops no row keeps self's head, so a void self gives a void
         result.  Otherwise a hash join runs against other's memoized head
-        multi-map and the head is materialised.  nil tails in self never
-        match (oid nil semantics).
+        index — or, when that shows duplicate heads, its multi-map — and
+        the head is materialised.  nil tails in self never match (oid
+        nil semantics).
         """
         stail = self.tail
         heads: List[int]
@@ -721,16 +732,26 @@ class BAT:
                 # no row dropped: self's void head is the result's
                 return self._like(None, tail, other.tail_type, self.hseqbase)
         else:
-            positions_of = other._head_multimap().get
             otail = other.tail
             heads, tail = [], []
             add_head, add_tail = heads.append, tail.append
-            for oid, value in self.items():
-                if value is None:
-                    continue
-                for pos in positions_of(value, ()):
-                    add_head(oid)
-                    add_tail(otail[pos])
+            index = other._head_index()
+            if len(index) == len(otail):
+                # every key unique: one probe per row, no list anywhere
+                position_of = index.get
+                for oid, value in self.items():
+                    pos = position_of(value)
+                    if pos is not None and value is not None:
+                        add_head(oid)
+                        add_tail(otail[pos])
+            else:
+                positions_of = other._head_multimap().get
+                for oid, value in self.items():
+                    if value is None:
+                        continue
+                    for pos in positions_of(value, ()):
+                        add_head(oid)
+                        add_tail(otail[pos])
         return self._like(heads, tail, tail_type=other.tail_type)
 
     def leftfetchjoin(self, other: "BAT") -> "BAT":

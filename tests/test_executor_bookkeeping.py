@@ -1,0 +1,271 @@
+"""What a run keeps besides its results: the RSS figure and ``stmt``.
+
+``EvalContext.rss`` is maintained where a value is bound
+(``EvalContext.bind``) instead of being summed over the whole
+environment after every instruction; ``EvalContext.rss_bytes()`` stays
+as the definition.  The property here is that the two agree at *every*
+instruction boundary — checked from inside the run, by wrapping the two
+functions every engine executes or binds an instruction through — for
+the benchmark's TPC-H statements, generated statements and hand-built
+programs whose kernels grow a BAT that is already bound, under every
+engine, with and without the partition worker pool.
+
+The second half are counting guards that time nothing: a run nobody
+listens to renders no statement text and asks a BAT for its bytes at
+most once per binding.
+"""
+
+import random
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+import repro.mal.interpreter as interpreter
+import repro.mal.mpool as mpool
+from repro.mal import Interpreter
+from repro.mal.dataflow import SimulatedScheduler, ThreadedScheduler
+from repro.mal.parser import parse_instruction_text
+from repro.mal.printer import format_instruction
+from repro.profiler import Profiler
+from repro.server.database import Database
+from repro.storage import INT, STR, Catalog, naive
+from repro.storage.bat import BAT
+from repro.storage.types import nil
+from repro.tpch import QUERIES, populate, query_sql
+from repro.workloads import random_query
+
+ENGINES = {
+    "interpreter": lambda cat, pool: Interpreter(cat, pool=pool),
+    "simulated_w1": lambda cat, pool: SimulatedScheduler(
+        cat, workers=1, pool=pool),
+    "simulated_w4": lambda cat, pool: SimulatedScheduler(
+        cat, workers=4, pool=pool),
+    "threaded_w4": lambda cat, pool: ThreadedScheduler(
+        cat, workers=4, realtime_scale=0, pool=pool),
+}
+
+
+class Boundaries:
+    """Wraps the functions an instruction is executed or bound through;
+    after each call the maintained figure must be the recomputed one."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.checked = 0
+        self.precomputed = 0  # instructions bound from a worker's reply
+        self.after = {}  # id(ctx) -> (ctx, {pc: rss after that pc})
+        for module, name in ((interpreter, "execute_instruction"),
+                             (interpreter, "bind_precomputed"),
+                             (mpool, "execute_instruction")):
+            monkeypatch.setattr(module, name,
+                                self.checking(getattr(module, name)))
+
+    def checking(self, function):
+        def checked(ctx, instr, *rest):
+            out = function(ctx, instr, *rest)
+            assert ctx.rss == ctx.rss_bytes(), \
+                f"pc={instr.pc} {instr.qualified_name}"
+            self.checked += 1
+            self.precomputed += bool(rest)
+            self.after.setdefault(id(ctx), (ctx, {}))[1][instr.pc] = ctx.rss
+            return out
+        return checked
+
+    def run(self, engine, program):
+        """Run ``program``; every boundary was checked, and a
+        deterministic engine's records carry the figure of theirs."""
+        before = self.checked
+        result = engine.run(program)
+        assert self.checked - before >= len(program)
+        if not isinstance(engine, ThreadedScheduler):
+            # the run's own context is the one that saw every pc
+            seen = next(after for _ctx, after in self.after.values()
+                        if len(after) == len(program))
+            assert {r.pc: r.rss_bytes for r in result.runs} == seen
+        self.after.clear()
+        return result
+
+
+@pytest.fixture(scope="module")
+def catalog():
+    cat = Catalog()
+    populate(cat, scale_factor=0.05, seed=7)
+    return cat
+
+
+@pytest.fixture(scope="module")
+def database(catalog):
+    db = Database(catalog=catalog, workers=4, mitosis_threshold=50)
+    yield db
+    db.close()
+
+
+@pytest.fixture()
+def boundaries(monkeypatch):
+    return Boundaries(monkeypatch)
+
+
+@pytest.fixture()
+def pool(boundaries):
+    """Forked after the wrappers are in place, so the workers check
+    their own boundaries too (a failure comes back as the task's)."""
+    with mpool.PartitionWorkerPool(workers=2, min_rows=0) as started:
+        yield started
+
+
+class TestMaintainedRssIsTheRecomputedOne:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_tpch_in_process(self, query, engine, database, boundaries):
+        program = database.compile(query_sql(query))
+        boundaries.run(ENGINES[engine](database.catalog, None), program)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_tpch_on_the_pool(self, engine, database, boundaries, pool):
+        for query in sorted(QUERIES):
+            program = database.compile(query_sql(query))
+            boundaries.run(ENGINES[engine](database.catalog, pool), program)
+        assert boundaries.precomputed > 100  # the fragments ran remotely
+        assert pool.alive == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           engine=st.sampled_from(sorted(ENGINES)))
+    def test_generated_statements(self, seed, engine, database):
+        program = database.compile(random_query(random.Random(seed)))
+        # hypothesis forbids function-scoped fixtures: patch by hand
+        with pytest.MonkeyPatch.context() as patch:
+            Boundaries(patch).run(
+                ENGINES[engine](database.catalog, None), program)
+
+    GROWING = """
+        X_1 := sql.mvc();
+        X_2 := sql.bind(X_1,"sys","t","x",0);
+        X_3 := sql.bind(X_1,"sys","t","s",0);
+        X_4:bat[:oid,:int] := bat.new(nil:oid,nil:int);
+        X_5 := bat.append(X_4,7);
+        X_6 := bat.insert(X_5,X_2);
+        X_7:bat[:oid,:str] := bat.new(nil:oid,nil:str);
+        X_8 := bat.append(X_7,"a longer string than most");
+        X_9 := bat.insert(X_8,X_3);
+        X_10 := bat.append(X_9,nil);
+        X_11 := sql.append(X_1,"sys","t","x",X_6);
+        X_12 := sql.append(X_11,"sys","t","s",X_10);
+        X_13 := bat.copy(X_2);
+        X_14 := aggr.count(X_3);
+    """
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_kernels_that_grow_a_bound_bat(self, engine, boundaries):
+        """``bat.append``/``bat.insert`` return the BAT they grew, so
+        two names share it; ``sql.append`` grows a catalog column that
+        ``sql.bind`` already bound.  Every stale addend is re-read."""
+        cat = Catalog()
+        table = cat.schema().create_table("t", [("x", INT), ("s", STR)])
+        table.insert_many([[i, "v" * i] for i in range(9)])
+        program = parse_instruction_text(self.GROWING)
+        program.dataflow_enabled = True
+        result = boundaries.run(ENGINES[engine](cat, None), program)
+        assert len(cat.bind("sys", "t", "x")) == 9 + 1 + 9
+        rss = {r.pc: r.rss_bytes for r in result.runs}
+        if engine != "threaded_w4":
+            # sql.append grew the column X_3 names; no binding says so
+            assert rss[11] - rss[10] > naive.bat_bytes(
+                BAT(STR, ["v" * i for i in range(9)]))
+
+    def test_rebinding_a_name_subtracts_what_it_held(self, catalog):
+        ctx = interpreter.EvalContext(catalog)
+        small, big = BAT(INT, [1]), BAT(STR, ["abc", nil, "de"])
+        ctx.bind("a", small)
+        ctx.bind("b", small)      # one BAT under two names counts twice
+        ctx.bind("n", 5)
+        assert ctx.rss == ctx.rss_bytes() == 2 * small.bytes()
+        ctx.bind("a", big)
+        ctx.bind("b", "scalar now")
+        assert ctx.rss == ctx.rss_bytes() == big.bytes()
+
+    def test_a_worker_checks_its_budget_against_the_maintained_figure(self):
+        column = BAT(INT, list(range(100)))
+        task = {"instructions": parse_instruction_text(
+                    "X_2 := bat.mirror(X_1);\nX_3 := bat.mirror(X_2);"
+                ).instructions,
+                "inputs": {"X_1": ("bat", column.to_ship_bytes())},
+                "full": ["X_3"], "deadline": None,
+                "rss_limit": column.bytes()}
+        reply = mpool._run_task(task)
+        assert (reply["ok"], reply["kind"]) == (False, "rss")
+        assert "pc=1" in reply["message"]  # 400 fits, 400 + 800 does not
+        task["rss_limit"] = 10 * column.bytes()
+        assert mpool._run_task(task)["ok"]
+
+
+class TestStringFootprint:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.text(max_size=12), st.none()),
+                    max_size=30), st.booleans())
+    def test_bytes_equals_the_nil_aware_sum(self, values, void):
+        head = None if void else list(range(len(values)))
+        bat = BAT(STR, values, head=head)
+        expected = sum(8 if v is None else 8 + len(v) for v in values) \
+            + (0 if void else 8 * len(values))
+        assert bat.bytes() == expected == naive.bat_bytes(bat)
+
+    def test_with_and_without_nils(self):
+        assert BAT(STR, ["ab", "", "cde"]).bytes() == 3 * 8 + 5
+        assert BAT(STR, ["ab", nil, "cde"]).bytes() == 3 * 8 + 5
+        assert BAT(STR, [nil, nil]).bytes() == 16
+        assert BAT(STR, []).bytes() == 0
+
+
+class TestNothingIsComputedForNobody:
+    """Counts, not clocks.  Before this change a q1 nobody listened to
+    rendered every instruction once and, after each of them, asked
+    every BAT in the environment for its bytes."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        calls = {"format": 0, "bytes": 0, "bound": 0}
+        real_format, real_bytes = format_instruction, BAT.bytes
+        real_execute = interpreter.execute_instruction
+
+        def counting_format(instr, program=None):
+            calls["format"] += 1
+            return real_format(instr, program)
+
+        def counting_bytes(bat):
+            calls["bytes"] += 1
+            return real_bytes(bat)
+
+        def counting_execute(ctx, instr):
+            inputs, outputs = real_execute(ctx, instr)
+            calls["bound"] += sum(isinstance(out, BAT) for out in outputs)
+            return inputs, outputs
+
+        monkeypatch.setattr(interpreter, "format_instruction",
+                            counting_format)
+        monkeypatch.setattr(BAT, "bytes", counting_bytes)
+        monkeypatch.setattr(interpreter, "execute_instruction",
+                            counting_execute)
+        return calls
+
+    def test_a_listenerless_q1_formats_nothing(self, database, counts):
+        outcome = database.execute(query_sql("q1"))
+        assert len(outcome.execution.runs) > 100
+        assert counts["format"] == 0
+
+    def test_a_listenerless_q1_sizes_a_bat_once_per_binding(self, database,
+                                                            counts):
+        database.execute(query_sql("q1"))
+        assert 0 < counts["bytes"] <= counts["bound"]
+
+    def test_whoever_reads_stmt_gets_the_plan_text(self, database, counts):
+        profiler = Profiler()
+        outcome = database.execute(query_sql("q1"), listener=profiler)
+        program = outcome.program
+        assert counts["format"] > 0
+        by_pc = {i.pc: format_instruction(i, program) for i in program}
+        assert all(e.stmt == by_pc[e.pc] for e in profiler.events)
+        run = outcome.execution.runs[0]
+        before = counts["format"]
+        assert run.stmt == by_pc[run.pc] and run.stmt is run.stmt
+        assert counts["format"] <= before + 1  # rendered once, then kept

@@ -282,6 +282,90 @@ class TestJoinParity:
                 assert_parity(fast, reference)
 
 
+#: head columns a hash join meets, as (keys to draw heads from, keys the
+#: probing tail also draws): all-unique and heavily duplicated oids,
+#: value-keyed strings and dates, and keys of different types that hash
+#: and compare equal, which one dict entry must answer for
+_DAY = datetime.date(1996, 3, 1)
+_KEY_POOLS = {
+    "oids": (list(range(40)), [77, 99]),
+    "few oids": ([0, 1, 2, 3], [9]),
+    "strings": (_WORDS, ["missing!"]),
+    "dates": ([_DAY + datetime.timedelta(days=d) for d in range(12)],
+              [_DAY - datetime.timedelta(days=1)]),
+    "hash-equal": ([1, 1.0, True, 0, 0.0, False, 2, 2.0], [3, 3.0]),
+}
+
+
+def _raw(mal_type, tail, head=None) -> BAT:
+    """A BAT holding exactly these values: no cast of a mixed column."""
+    return BAT(mal_type)._like(None if head is None else list(head),
+                               list(tail))
+
+
+@st.composite
+def _hash_join_case(draw):
+    keys, misses = _KEY_POOLS[draw(st.sampled_from(sorted(_KEY_POOLS)))]
+    heads = draw(st.one_of(
+        st.lists(st.sampled_from(keys), max_size=25),             # dups
+        st.lists(st.sampled_from(keys), max_size=25, unique=True),
+        st.just([])))
+    probes = draw(st.lists(
+        st.one_of(st.sampled_from(keys + misses), st.none()), max_size=30))
+    left_heads = draw(st.one_of(
+        st.none(), st.lists(st.integers(0, 99), min_size=len(probes),
+                            max_size=len(probes))))
+    return heads, probes, left_heads
+
+
+class TestHashJoinIndexParity:
+    """``leftjoin``/``join`` against a materialised head: the unique-key
+    probe of the head index and the duplicate-key multi-map both give
+    the reference's heads, tails, order and ``head is None``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_hash_join_case())
+    def test_leftjoin_and_join_match_the_reference(self, case):
+        heads, probes, left_heads = case
+        other = _raw(LNG, range(100, 100 + len(heads)), head=heads)
+        left = _raw(OID, probes, head=left_heads)
+        reference = naive.leftjoin(left, other)
+        assert_parity(left.leftjoin(other), reference)
+        assert_parity(left.join(other), reference)  # memoised second use
+        unique = len(set(heads)) == len(heads)
+        assert (other._multimap_cache is None) == unique
+
+    @settings(max_examples=100, deadline=None)
+    @given(heads=st.lists(st.integers(0, 6), min_size=1, max_size=10),
+           probes=st.lists(st.one_of(st.integers(0, 9), st.none()),
+                           max_size=20),
+           appends=st.integers(1, 4))
+    def test_both_indexes_dropped_by_an_append_between_joins(
+            self, heads, probes, appends):
+        """``append`` continues the head densely, which can turn a
+        unique head into a duplicated one (and a join must then move
+        from the index to the multi-map) or extend either kind."""
+        other = _raw(INT, range(len(heads)), head=heads)
+        left = _raw(OID, probes)
+        assert_parity(left.leftjoin(other), naive.leftjoin(left, other))
+        for value in range(appends):
+            other.append(value)
+            assert other._index_cache is None
+            assert other._multimap_cache is None
+            assert_parity(left.leftjoin(other),
+                          naive.leftjoin(left, other))
+            assert_parity(left.join(other), naive.leftjoin(left, other))
+
+    def test_unique_heads_build_no_list(self, monkeypatch):
+        """The unique-key probe never reaches the multi-map builder."""
+        monkeypatch.setattr(BAT, "_head_multimap", lambda self: 1 / 0)
+        other = BAT(STR, ["a", "b", "c"], head=[7, 3, 5])
+        left = BAT(OID, [5, nil, 7, 4, 5])
+        joined = left.leftjoin(other)
+        assert (list(joined.heads()), joined.tail) == ([0, 2, 4],
+                                                       ["c", "a", "c"])
+
+
 # ---------------------------------------------------------------------------
 # ordering, grouping, aggregation
 # ---------------------------------------------------------------------------
@@ -641,7 +725,6 @@ class TestPartitionedPlansStayVoid:
         producer = {}    # id(BAT) -> (the BAT, its instruction, inputs)
         slices, builds, offenders = [], [], []
         execute = interpreter.execute_instruction
-        build_multimap = BAT._head_multimap
 
         def recording_execute(ctx, instr):
             inputs, outputs = execute(ctx, instr)
@@ -653,20 +736,28 @@ class TestPartitionedPlansStayVoid:
                 slices.append((outputs[0], inputs[5] * total // inputs[6]))
             return inputs, outputs
 
-        def recording_multimap(bat):
-            if bat._multimap_cache is None:
-                builds.append(bat)
-                _bat, name, inputs = producer[id(bat)]
-                by_value = name == "bat.reverse" or (
-                    name in ("algebra.leftjoin", "algebra.join")
-                    and any(side.head is not None for side in inputs))
-                if _dense(bat.head) and not by_value:
-                    offenders.append((name, len(bat)))
-            return build_multimap(bat)
+        def recording(build, cache):
+            """``build`` (a memoised head hash), noting each first build
+            and whether the head it hashes should have been void."""
+            def recorded(bat):
+                if getattr(bat, cache) is None:
+                    builds.append(bat)
+                    _bat, name, inputs = producer[id(bat)]
+                    by_value = name == "bat.reverse" or (
+                        name in ("algebra.leftjoin", "algebra.join")
+                        and any(side.head is not None for side in inputs))
+                    if _dense(bat.head) and not by_value:
+                        offenders.append((name, len(bat)))
+                return build(bat)
+            return recorded
 
         monkeypatch.setattr(interpreter, "execute_instruction",
                             recording_execute)
-        monkeypatch.setattr(BAT, "_head_multimap", recording_multimap)
+        # a join probes the head index, and the multi-map on duplicates
+        monkeypatch.setattr(BAT, "_head_index", recording(
+            BAT._head_index, "_index_cache"))
+        monkeypatch.setattr(BAT, "_head_multimap", recording(
+            BAT._head_multimap, "_multimap_cache"))
         try:
             for name in TIMED_TPCH:
                 database.execute(query_sql(name))

@@ -12,6 +12,25 @@ from repro.storage import Catalog
 from repro.tpch import populate
 
 
+#: a statement modifier is a word: whatever whitespace follows it
+MODIFIER_SEPARATORS = ["\n", "\t", "  ", " \r\n\t "]
+MODIFIER_CASES = [("explain", "trace"), ("EXPLAIN", "TRACE"),
+                  ("  Explain", "\ntrace")]
+
+
+def check_modifiers(query, explain, trace, separator):
+    """Run EXPLAIN and TRACE of one SELECT through ``query`` (the
+    database's ``execute`` or a client's); returns the EXPLAIN result."""
+    select = "select\tcount(*)\nfrom region"
+    plan = query(explain + separator + select)
+    assert plan.columns == ["mal"]
+    assert plan.rows == query("explain " + select).rows
+    traced = query(trace + separator + select)
+    assert traced.columns[:4] == ["event", "clock", "status", "pc"]
+    assert {row[2] for row in traced.rows} == {"start", "done"}
+    return plan
+
+
 @pytest.fixture(scope="module")
 def database():
     db = Database(workers=2, mitosis_threshold=50)
@@ -94,12 +113,44 @@ class TestDatabase:
         ).rows
         assert isinstance(rows[0][0], datetime.date)
 
+    @pytest.mark.parametrize("separator", MODIFIER_SEPARATORS)
+    @pytest.mark.parametrize("explain,trace", MODIFIER_CASES)
+    def test_modifier_separated_by_any_whitespace(self, database, explain,
+                                                  trace, separator):
+        """``explain\nselect`` failed with "expected SELECT ... (near
+        'explain')": the modifier was recognised by one trailing space."""
+        plan = check_modifiers(database.execute, explain, trace, separator)
+        assert plan.execution is None
+
+    def test_bare_modifier_is_still_a_parse_error(self, database):
+        for sql in ("explain", "trace\n", "explainselect 1"):
+            with pytest.raises(SqlError, match="expected SELECT"):
+                database.execute(sql)
+
+    def test_select_behind_a_comment_runs_uncached(self, database):
+        before = database.plan_cache.stats()
+        rows = database.execute("-- how many\nselect count(*) from region").rows
+        assert rows == database.execute("select count(*) from region").rows
+        after = database.plan_cache.stats()
+        # only the plain one looked in the plan cache
+        assert (after["hits"] + after["misses"]
+                - before["hits"] - before["misses"]) == 1
+
 
 class TestMserverProtocol:
     @pytest.fixture()
     def server(self, database):
         with Mserver(database) as srv:
             yield srv
+
+    @pytest.mark.parametrize("separator", MODIFIER_SEPARATORS)
+    @pytest.mark.parametrize("explain,trace", MODIFIER_CASES)
+    def test_modifier_separated_by_any_whitespace(self, server, explain,
+                                                  trace, separator):
+        """The server classes all of these as reads (``_READ_HEADS``);
+        the database must run them as the modifier they are."""
+        with MClient(port=server.port) as client:
+            check_modifiers(client.query, explain, trace, separator)
 
     def test_ping(self, server):
         with MClient(port=server.port) as client:
