@@ -65,7 +65,6 @@ def _build_database(pipeline_name):
     table = db.catalog.table("t")
     table.insert_many(
         [[rng.randrange(1000), rng.randrange(100)] for _ in range(ROWS)])
-    db.catalog.invalidate()
     return db
 
 

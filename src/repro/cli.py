@@ -614,7 +614,8 @@ def _render_stats(payload, out, top: int) -> None:
                 f"{'-' if recorded is None else round(recorded)}"
                 f"/{'-' if last is None else round(last)}  "
                 f"{'-' if drift is None else drift}  "
-                f"[{plan['pipeline']} w={plan['workers']}] "
+                f"[{plan['pipeline']} w={plan['workers']} "
+                f"reads {','.join(plan.get('tables', ()))}] "
                 f"{plan['sql']}\n")
 
 

@@ -106,8 +106,11 @@ class _Parser:
         self.index += 1
         if token[0] != '"':
             return token
-        return token[1:-1].replace('\\"', '"').replace(
-            "\\\\", "\\").replace("\\n", "\n")
+        # one pass, left to right: between two escaped backslashes
+        # the only escapes left are \" and \n
+        return "\\".join(
+            part.replace('\\"', '"').replace("\\n", "\n")
+            for part in token[1:-1].split("\\\\"))
 
     # ------------------------------------------------------------------
 

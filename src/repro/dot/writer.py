@@ -75,8 +75,7 @@ _BARE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|[0-9]+")
 def _quote(value: str) -> str:
     """``value`` as one dot ID: bare when that parses back as the same
     text, quoted otherwise.  Ids, attribute names and values and the
-    graph name all go through here.  One text has no spelling the parser
-    reads back: a backslash before an ``n``, which it takes for a newline.
+    graph name all go through here.
     """
     text = str(value)
     # a bare keyword is syntax to the parser where an id may stand

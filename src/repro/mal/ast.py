@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import MalError
+from repro.storage.catalog import UNOBSERVED, Observed
 from repro.storage.types import MalType, OID, format_value, type_by_name
 
 
@@ -154,6 +155,12 @@ class MalProgram:
         self._counter = 0
         #: set by the dataflow optimizer pass; the interpreter consults it.
         self.dataflow_enabled = False
+        #: what the plan assumed of the tables it reads (a
+        #: :class:`~repro.storage.catalog.Observed`), set by :meth:`seal`
+        self.reads = UNOBSERVED
+        #: None while passes may still edit the program; once sealed,
+        #: what :meth:`derived` computed from the instruction list
+        self._derived: Optional[Dict[Callable, Any]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -199,9 +206,51 @@ class MalProgram:
         for pc, instr in enumerate(self.instructions):
             instr.pc = pc
 
+    def seal(self, reads: Observed) -> None:
+        """Finish the program as a plan: no pass edits it from here on,
+        so whatever is computed from the instruction list
+        (:meth:`derived`) is computed once.  ``reads`` is what the plan
+        may assume of the tables it binds until one of them changes.
+
+        Optimizer passes hand instruction objects from program to
+        program and renumber them there, so the caller must hold the
+        only program these instructions are still part of.
+        ``Database._plan`` does: the compiler and ``Pipeline.apply``
+        keep none of the programs the plan was rebuilt from.  Copies
+        taken here would lift the condition at 1-1.4 us per instruction,
+        3-5 % of every compile.
+        """
+        self.reads = reads
+        self._derived = {}
+
+    def derived(self, build: Callable[["MalProgram"], Any]) -> Any:
+        """``build(self)`` — kept, for a sealed program, so that every
+        run after the first derives nothing; a program still open to
+        edits is asked again each time."""
+        memo = self._derived
+        if memo is None:
+            return build(self)
+        try:
+            return memo[build]
+        except KeyError:
+            value = memo[build] = build(self)
+            return value
+
     # ------------------------------------------------------------------
     # analysis
     # ------------------------------------------------------------------
+
+    def tables_read(self) -> List[Tuple[str, str]]:
+        """``(schema, table)`` of every table the plan reads, sorted:
+        the constant arguments of its ``sql.bind``/``sql.tid`` calls."""
+        names = set()
+        for instr in self.instructions:
+            if instr.module == "sql" and instr.function in ("bind", "tid") \
+                    and len(instr.args) >= 3:
+                schema, table = instr.args[1:3]
+                if isinstance(schema, Const) and isinstance(table, Const):
+                    names.add((str(schema.value), str(table.value)))
+        return sorted(names)
 
     def __len__(self) -> int:
         return len(self.instructions)

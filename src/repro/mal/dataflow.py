@@ -49,7 +49,8 @@ class ListSchedule(Execution):
 
     def drive(self) -> None:
         self.free = [0] * self.workers  # when each worker next idles
-        tracker = ReadySet(self.program)
+        tracker = self.program.derived(ReadySet)
+        waiting = dict(tracker.waiting)
         ready = [(0, pc) for pc in tracker.initial]  # (ready_usec, pc)
         heapq.heapify(ready)
         ends: Dict[int, int] = {}
@@ -59,7 +60,7 @@ class ListSchedule(Execution):
             self.ready_usec, pc = heapq.heappop(ready)
             widx = self.free.index(min(self.free))  # lowest index on a tie
             ends[pc] = self.step(tracker.instructions[pc], widx).end_usec
-            for succ in tracker.complete(pc):
+            for succ in tracker.complete(waiting, pc):
                 heapq.heappush(
                     ready, (max(ends[d] for d in tracker.deps[succ]), succ))
         if self.engine.listener is not None:
@@ -121,7 +122,8 @@ class ThreadPool(Execution):
         self.lock = threading.Lock()  # guards the env, tracker and ready list
         turn = threading.Condition(self.lock)
         self.epoch = time.perf_counter()
-        tracker = ReadySet(self.program)
+        tracker = self.program.derived(ReadySet)
+        waiting = dict(tracker.waiting)
         ready = sorted(tracker.initial)
         failure: List[BaseException] = []
 
@@ -134,7 +136,7 @@ class ThreadPool(Execution):
                     pc = ready.pop(0)
                     try:
                         self.step(tracker.instructions[pc], widx)
-                        ready.extend(tracker.complete(pc))
+                        ready.extend(tracker.complete(waiting, pc))
                         ready.sort()
                     except BaseException as exc:  # re-raised by drive()
                         failure.append(exc)

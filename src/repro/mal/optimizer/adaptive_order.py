@@ -31,7 +31,7 @@ without feedback reproduces today's plans byte for byte.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.mal.ast import Const, MalInstruction, MalProgram, Var, bat_of
 from repro.mal.optimizer.base import rebuild_program
@@ -80,20 +80,22 @@ class AdaptiveOrder:
         stats: the :class:`~repro.stats.StatsStore` to consult; injected
             by ``Database._pipeline`` (like ``Mitosis.catalog``).  With
             no store the pass is inert.
-        fingerprint: catalog fingerprint scoping the lookups.
+        scope: the tables the statement reads and their row counts
+            (:attr:`repro.storage.catalog.Observed.scope`), which the
+            lookups are keyed by; injected the same way.
     """
 
     name = "adaptive_order"
 
     def __init__(self, stats: Optional[StatsStore] = None,
-                 fingerprint: Optional[Tuple] = None) -> None:
+                 scope: Optional[str] = None) -> None:
         self.stats = stats
-        self.fingerprint = fingerprint
+        self.scope = scope
 
     # ------------------------------------------------------------------
 
     def run(self, program: MalProgram) -> MalProgram:
-        if self.stats is None or self.fingerprint is None:
+        if self.stats is None or self.scope is None:
             return program
         chains = self._find_chains(program)
         rewrites: List[_Rewrite] = []
@@ -230,7 +232,7 @@ class AdaptiveOrder:
             if column is not None:
                 estimate = self.stats.selectivity(
                     select_signature(link.qname, column, link.consts),
-                    self.fingerprint)
+                    self.scope)
             if estimate is not None:
                 observed += 1
             selectivities.append(1.0 if estimate is None else estimate)

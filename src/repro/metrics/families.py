@@ -128,14 +128,15 @@ PLAN_CACHE_MISSES = REGISTRY.counter(
     "repro_plan_cache_misses_total",
     "Cacheable SQL statements that had to be compiled because no "
     "current plan was cached (first sight, changed session settings, "
-    "or a stale catalog fingerprint).",
+    "or a table the cached plan reads has changed).",
     unit="plans",
 )
 
 PLAN_CACHE_EVICTIONS = REGISTRY.counter(
     "repro_plan_cache_evictions_total",
     "Cached plans dropped, by reason: lru (capacity pressure), "
-    "invalidate (explicit DDL/DML invalidation clearing the cache), or "
+    "invalidate (a table the plan reads changed, or DDL cleared the "
+    "cache), or "
     "drift (observed latency drifted >= 2x from the latency recorded "
     "when the plan was cached).",
     labels=("reason",),

@@ -515,7 +515,8 @@ class ReplicationManager:
                 last_lsn = lsn
         if last_lsn is not None:
             engine.wal.commit(last_lsn)
-            self.database._invalidate_plans()
+            if "ddl" in kinds:  # frees a dropped table's plans at once
+                self.database.plan_cache.clear()
             for kind in kinds:
                 REPL_RECORDS_APPLIED.labels(kind=kind).inc()
             self.records_applied += applied

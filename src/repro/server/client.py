@@ -506,7 +506,8 @@ class MClient:
         adaptive feedback state — ``stats_store`` / ``stats_top``
         (runtime statistics store summary and hottest signatures),
         ``plan_cache`` counters and per-entry ``plan_entries``
-        diagnostics (hits, age, recorded cost, observed drift)."""
+        diagnostics (the tables the plan reads, hits, age, recorded
+        cost, observed drift)."""
         return self._call({"op": "stats"})
 
     def query(self, sql: str,

@@ -112,14 +112,15 @@ class _PlanEntry:
 class PlanCache:
     """A thread-safe LRU cache of optimized MAL plans.
 
-    Keys are built by :meth:`Database._plan_key`: the normalized SQL
-    text plus everything else that shapes the compiled plan — optimizer
-    pipeline, worker count (mitosis partitioning), and the catalog
-    fingerprint (schema version, table count, total rows).  Folding the
-    fingerprint into the key makes stale entries unreachable the moment
-    the catalog changes; DDL/DML paths additionally call
-    :meth:`clear` so invalidated plans free their memory immediately
-    instead of waiting for LRU pressure.
+    A key is what shapes a compiled plan besides the data: the
+    normalized SQL text, the optimizer pipeline and the worker count
+    (mitosis partitions by it).  What the plan assumed of the data it
+    carries itself (``program.reads``, see :meth:`MalProgram.seal
+    <repro.mal.ast.MalProgram.seal>`): :meth:`get` serves it for as long
+    as each table it reads is the same table with the same row count,
+    so a write invalidates exactly the plans that read its table.  DDL
+    and ``swap_catalog`` also :meth:`clear`, which frees a dropped
+    table's plans at once instead of at their next lookup.
 
     Each entry remembers the latency of its first post-caching
     execution; :meth:`observe` compares later executions against it and
@@ -152,12 +153,23 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: tuple) -> Optional[MalProgram]:
-        """The cached plan for ``key``, or None (counts a hit/miss)."""
+    def get(self, key: tuple,
+            catalog: Optional[Catalog] = None) -> Optional[MalProgram]:
+        """The cached plan for ``key``, or None (counts a hit/miss).
+
+        A plan one of whose tables changed in ``catalog`` since it was
+        compiled is dropped: a miss plus an ``invalidate`` eviction."""
         if not self.capacity:
             return None
         with self._lock:
             entry = self._entries.get(key)
+            if entry is not None and catalog is not None \
+                    and not catalog.holds(entry.program.reads):
+                del self._entries[key]
+                self.evictions += 1
+                PLAN_CACHE_EVICTIONS.labels(reason="invalidate").inc()
+                PLAN_CACHE_SIZE.set(len(self._entries))
+                entry = None
             if entry is None:
                 self.misses += 1
                 PLAN_CACHE_MISSES.inc()
@@ -211,7 +223,7 @@ class PlanCache:
             return False
 
     def clear(self) -> int:
-        """Drop every entry (explicit DDL/DML invalidation); returns count."""
+        """Drop every entry (DDL, ``swap_catalog``); returns the count."""
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
@@ -248,6 +260,8 @@ class PlanCache:
                     "sql": nsql,
                     "pipeline": pipeline,
                     "workers": workers,
+                    "tables": [f"{schema}.{table}" for schema, table, *_
+                               in entry.program.reads.states],
                     "hits": entry.hits,
                     "age_s": round(now - entry.created_monotonic, 3),
                     "recorded_usec": entry.recorded_usec,
@@ -446,7 +460,8 @@ class Database:
         self.pipeline_name = name
 
     def _pipeline(self, name: Optional[str] = None,
-                  workers: Optional[int] = None) -> Pipeline:
+                  workers: Optional[int] = None,
+                  scope: Optional[str] = None) -> Pipeline:
         name = name or self.pipeline_name
         workers = workers or self.workers
         if name in ("default_pipe", "static_pipe"):
@@ -459,34 +474,11 @@ class Database:
                     opt_pass.catalog = self.catalog
                 elif isinstance(opt_pass, AdaptiveOrder):
                     opt_pass.stats = self.stats_store
-                    opt_pass.fingerprint = self.catalog.fingerprint()
+                    opt_pass.scope = scope
             return pipeline
         return pipeline_by_name(name)
 
     # ------------------------------------------------------------------
-
-    def _plan_key(self, nsql: str, pipeline_name: Optional[str] = None,
-                  workers: Optional[int] = None) -> tuple:
-        """Plan-cache key: everything that shapes the compiled plan.
-
-        The statement as :func:`normalize_sql` left it, the effective
-        pipeline and worker count (mitosis partitions by both), and the
-        catalog fingerprint (version, table count, total rows).  The
-        scheduler is deliberately absent: a compiled plan is
-        scheduler-independent — the same program object runs on any of
-        them.
-        """
-        return (
-            nsql,
-            pipeline_name or self.pipeline_name,
-            workers or self.workers,
-            self.catalog.fingerprint(),
-        )
-
-    def _invalidate_plans(self) -> None:
-        """DDL/DML hook: bump the catalog version, drop cached plans."""
-        self.catalog.invalidate()
-        self.plan_cache.clear()
 
     def swap_catalog(self, catalog: Catalog) -> None:
         """Replace the live catalog wholesale (replication only).
@@ -516,28 +508,51 @@ class Database:
         self.durability.install_snapshot(catalog, lsn)
         self.swap_catalog(catalog)
 
+    def _plan(self, sql: str, nsql: Optional[str],
+              pipeline_name: Optional[str] = None,
+              workers: Optional[int] = None,
+              statement: Optional[Select] = None,
+              ) -> Tuple[MalProgram, Optional[tuple]]:
+        """The optimized plan of one SELECT, and its plan-cache key.
+
+        The one place a plan is looked up, checked against the tables it
+        reads, compiled, sealed and cached.  The key is the statement as
+        :func:`normalize_sql` left it (``nsql``; None means never
+        cached) plus the effective pipeline and worker count; the
+        scheduler is absent, the same program runs on any of them.  A
+        hit skips lexing, parsing, binding and the optimizer pipeline.
+        """
+        key = None
+        program = None
+        if nsql is not None and self.plan_cache.enabled:
+            key = (nsql, pipeline_name or self.pipeline_name,
+                   workers or self.workers)
+            program = self.plan_cache.get(key, self.catalog)
+        if program is None:
+            tables = self.catalog.tables()  # before the binder reads them
+            program = self.compiler.compile(statement or parse_sql(sql))
+            # observed once, before any pass looks at a row count: what
+            # AdaptiveOrder looks statistics up under is what the plan is
+            # sealed with and what its runs are recorded under
+            reads = self.catalog.observe(program.tables_read(), tables)
+            program = self._pipeline(
+                pipeline_name, workers, reads.scope).apply(program)
+            program.seal(reads)
+            if key is not None:
+                self.plan_cache.put(key, program)
+        self.last_program = program
+        return program, key
+
     def compile(self, sql: str, pipeline_name: Optional[str] = None,
                 workers: Optional[int] = None) -> MalProgram:
         """Compile a SELECT to its optimized MAL plan.
 
         ``pipeline_name``/``workers`` override the instance defaults for
         this one compilation — how the server applies per-session
-        settings without mutating the shared database.  Warm plan-cache
-        hits skip lexing, parsing, binding and the optimizer pipeline
-        entirely.
+        settings without mutating the shared database.
         """
-        key = None
-        program = None
-        if self.plan_cache.enabled:
-            key = self._plan_key(normalize_sql(sql), pipeline_name, workers)
-            program = self.plan_cache.get(key)
-        if program is None:
-            program = self.compiler.compile_text(sql)
-            program = self._pipeline(pipeline_name, workers).apply(program)
-            if key is not None:
-                self.plan_cache.put(key, program)
-        self.last_program = program
-        return program
+        nsql = normalize_sql(sql) if self.plan_cache.enabled else None
+        return self._plan(sql, nsql, pipeline_name, workers)[0]
 
     def explain(self, sql: str, pipeline_name: Optional[str] = None,
                 workers: Optional[int] = None) -> str:
@@ -586,41 +601,17 @@ class Database:
         if head == "trace" and len(words) == 2:
             return self._execute_traced(words[1], context,
                                         pipeline_name, workers, scheduler)
-        # Normalised once: the plan key, the deadline reroute and the
-        # whole-query observation below all read this text.
-        is_select = head.startswith("select")
-        nsql = normalize_sql(sql) if is_select else None
-        # Deadline-carrying SELECTs compile against a Maliva-style
-        # cheapest-feasible target: when the stats store has seen this
-        # statement under several pipelines and predicts the default one
-        # will blow the deadline, reroute to the cheapest variant.
-        if is_select and context is not None and \
-                getattr(context, "deadline_s", None):
-            chosen, rerouted = self.stats_store.choose_pipeline(
-                nsql, workers or self.workers,
-                self.catalog.fingerprint(),
-                deadline_usec=context.deadline_s * 1_000_000.0,
-                default=pipeline_name or self.pipeline_name)
-            if rerouted:
-                pipeline_name = chosen
-                ADAPTIVE_DEADLINE_REROUTES.inc()
-        # Plan-cache fast path: only SELECTs are cached, so a hit means
-        # the statement can run without being lexed or parsed at all.
-        key = None
-        program: Optional[MalProgram] = None
-        if self.plan_cache.enabled and is_select:
-            key = self._plan_key(nsql, pipeline_name, workers)
-            program = self.plan_cache.get(key)
-        if program is None:
+        # Only a statement that starts with SELECT is looked up without
+        # being parsed; anything else is parsed to find out what it is.
+        statement = None
+        if not head.startswith("select"):
             statement = parse_sql(sql)
-            if isinstance(statement, CreateTable):
-                self._execute_create(statement)
-                self._invalidate_plans()
-                self._maybe_checkpoint()
-                return QueryOutcome(kind="ddl")
-            if isinstance(statement, DropTable):
-                self._execute_drop(statement)
-                self._invalidate_plans()
+            if isinstance(statement, (CreateTable, DropTable)):
+                if isinstance(statement, CreateTable):
+                    self._execute_create(statement)
+                else:
+                    self._execute_drop(statement)
+                self.plan_cache.clear()
                 self._maybe_checkpoint()
                 return QueryOutcome(kind="ddl")
             if isinstance(statement, Insert):
@@ -630,23 +621,35 @@ class Database:
             if not isinstance(statement, Select):
                 raise SqlError(
                     f"unsupported statement {type(statement).__name__}")
-            if nsql is None:  # a SELECT behind a comment: never cached
-                nsql = normalize_sql(sql)
-            program = self.compiler.compile(statement)
-            program = self._pipeline(pipeline_name, workers).apply(program)
-            if key is not None:
-                self.plan_cache.put(key, program)
-        self.last_program = program
+        # Normalised once: the plan key, the deadline reroute and the
+        # whole-query observation all read this text.
+        nsql = normalize_sql(sql)
+        cached_as = nsql if statement is None else None  # behind a comment
+        program, key = self._plan(sql, cached_as, pipeline_name, workers,
+                                  statement)
+        # Deadline-carrying SELECTs run a Maliva-style cheapest-feasible
+        # variant: when the stats store has seen this statement under
+        # several pipelines and predicts this one will blow the deadline,
+        # reroute to the cheapest.
+        if statement is None and context is not None and \
+                getattr(context, "deadline_s", None):
+            chosen, rerouted = self.stats_store.choose_pipeline(
+                nsql, workers or self.workers, program.reads.scope,
+                deadline_usec=context.deadline_s * 1_000_000.0,
+                default=pipeline_name or self.pipeline_name)
+            if rerouted:
+                pipeline_name = chosen
+                ADAPTIVE_DEADLINE_REROUTES.inc()
+                program, key = self._plan(sql, nsql, chosen, workers)
         execution = self.run_program(program, listener, context,
                                      workers, scheduler)
         # Close the feedback loop: fold the completed trace into the
         # stats store and check the cached plan for cost drift.
-        fingerprint = self.catalog.fingerprint()
-        self.stats_store.observe_program(program, execution.runs,
-                                         fingerprint)
+        scope = program.reads.scope
+        self.stats_store.observe_program(program, execution.runs, scope)
         self.stats_store.observe_query(
             nsql, pipeline_name or self.pipeline_name,
-            workers or self.workers, execution.total_usec, fingerprint)
+            workers or self.workers, execution.total_usec, scope)
         if key is not None:
             self.plan_cache.observe(key, execution.total_usec)
         result_set = execution.first
@@ -775,9 +778,8 @@ class Database:
                 for expr, column in zip(row_exprs, columns)
             ])
         if self.durability is None:
-            inserted = table.insert_many(rows)
-            self._invalidate_plans()
-            return QueryOutcome(kind="insert", affected=inserted)
+            return QueryOutcome(kind="insert",
+                                affected=table.insert_many(rows))
         data = {"schema": self.catalog.schema().name, "table": table.name,
                 "rows": rows}
         # Pre-insert lengths for rollback.  Captured inside apply() —
@@ -799,9 +801,9 @@ class Database:
                 del column.bat.tail[length:]
                 column.bat._invalidate_caches()
 
-        inserted = self.durability.log("insert", data, apply, undo)
-        self._invalidate_plans()
-        return QueryOutcome(kind="insert", affected=inserted)
+        return QueryOutcome(
+            kind="insert",
+            affected=self.durability.log("insert", data, apply, undo))
 
     def _bind_insert_value(self, expr: Any, column: Column) -> Any:
         """Evaluate one INSERT literal and type-check it at bind time.

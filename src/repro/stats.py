@@ -22,11 +22,14 @@ Three consumers close the loop:
   the cheapest plan variant predicted to fit (Maliva-style
   time-constrained planning).
 
-Entries are additionally keyed by the catalog fingerprint, so statistics
-observed against one dataset never steer planning for another.  Memory
-is bounded (LRU over signatures); the whole store round-trips through a
-CRC-trailed JSON snapshot (``stats.json`` in the WAL directory), written
-with :func:`repro.storage.durable.atomic_write`.
+Entries are additionally keyed by the *scope* of the plan they were
+observed under — the tables it reads and their row counts
+(:attr:`repro.storage.catalog.Observed.scope`) — so what was learned
+about one table survives a write to another, and what was learned about
+a table that has since changed steers nothing.  Memory is bounded (LRU
+over signatures); the whole store round-trips through a CRC-trailed JSON
+snapshot (``stats.json`` in the WAL directory), written with
+:func:`repro.storage.durable.atomic_write`.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from repro.metrics.families import (
 )
 from repro.storage.durable import atomic_write
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 #: whole-file checksum trailer after the JSON document
 _CRC_PREFIX = "\n#crc32="
 
@@ -136,7 +139,7 @@ def select_signature(qname: str, column: str,
 
 
 class _Entry:
-    """EWMA state for one (fingerprint, signature) key."""
+    """EWMA state for one (scope, signature) key."""
 
     __slots__ = ("latency_usec", "selectivity", "observations", "rows_in")
 
@@ -183,17 +186,9 @@ class StatsStore:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _fp_key(fingerprint: Tuple) -> str:
-        return ":".join(str(part) for part in fingerprint)
-
-    @classmethod
-    def _entry_key(cls, fingerprint: Tuple, signature: str) -> str:
-        return f"{cls._fp_key(fingerprint)}|{signature}"
-
-    @classmethod
-    def _query_key(cls, fingerprint: Tuple, nsql: str, pipeline: str,
+    def _query_key(scope: str, nsql: str, pipeline: str,
                    workers: int) -> str:
-        return f"{cls._fp_key(fingerprint)}|{pipeline}|{workers}|{nsql}"
+        return f"{scope}|{pipeline}|{workers}|{nsql}"
 
     def _touch(self, table: "OrderedDict[str, _Entry]", key: str,
                capacity: int) -> _Entry:
@@ -219,7 +214,7 @@ class StatsStore:
     # ------------------------------------------------------------------
 
     def observe_program(self, program: MalProgram, runs: Sequence,
-                        fingerprint: Tuple) -> int:
+                        scope: str) -> int:
         """Ingest one completed execution's instruction-run trace.
 
         ``runs`` are the :class:`~repro.mal.interpreter.InstructionRun`
@@ -228,8 +223,8 @@ class StatsStore:
         every selection are folded into the EWMA entries.  Returns the
         number of runs ingested.
         """
-        signatures = program_signatures(program)
-        prefix = self._fp_key(fingerprint) + "|"
+        signatures = program.derived(program_signatures)
+        prefix = scope + "|"
         ingested = 0
         with self._lock:
             for run in runs:
@@ -255,12 +250,12 @@ class StatsStore:
         return ingested
 
     def observe_query(self, nsql: str, pipeline: str, workers: int,
-                      usec: float, fingerprint: Tuple) -> None:
+                      usec: float, scope: str) -> None:
         """Fold one whole-query latency into its (sql, variant) entry."""
         with self._lock:
             entry = self._touch(
                 self._queries,
-                self._query_key(fingerprint, nsql, pipeline, workers),
+                self._query_key(scope, nsql, pipeline, workers),
                 max(1, self.capacity // 4))
             entry.latency_usec = self._ewma(
                 entry.latency_usec if entry.observations else None,
@@ -274,41 +269,37 @@ class StatsStore:
     # lookups
     # ------------------------------------------------------------------
 
-    def selectivity(self, signature: str,
-                    fingerprint: Tuple) -> Optional[float]:
+    def selectivity(self, signature: str, scope: str) -> Optional[float]:
         """Observed selectivity of a selection signature, or None."""
         with self._lock:
-            entry = self._entries.get(
-                self._entry_key(fingerprint, signature))
+            entry = self._entries.get(f"{scope}|{signature}")
             if entry is None:
                 return None
             return entry.selectivity
 
-    def latency_usec(self, signature: str,
-                     fingerprint: Tuple) -> Optional[float]:
+    def latency_usec(self, signature: str, scope: str) -> Optional[float]:
         """EWMA latency of an instruction signature, or None."""
         with self._lock:
-            entry = self._entries.get(
-                self._entry_key(fingerprint, signature))
+            entry = self._entries.get(f"{scope}|{signature}")
             if entry is None or not entry.observations:
                 return None
             return entry.latency_usec
 
     def query_latency(self, nsql: str, pipeline: str, workers: int,
-                      fingerprint: Tuple) -> Optional[float]:
+                      scope: str) -> Optional[float]:
         """EWMA latency of one (sql, pipeline, workers) variant."""
         with self._lock:
             entry = self._queries.get(
-                self._query_key(fingerprint, nsql, pipeline, workers))
+                self._query_key(scope, nsql, pipeline, workers))
             if entry is None or not entry.observations:
                 return None
             return entry.latency_usec
 
     def query_variants(self, nsql: str, workers: int,
-                       fingerprint: Tuple) -> Dict[str, float]:
+                       scope: str) -> Dict[str, float]:
         """Every observed pipeline variant of ``nsql`` with its
         predicted (EWMA) latency in microseconds."""
-        prefix = self._fp_key(fingerprint) + "|"
+        prefix = scope + "|"
         suffix = f"|{workers}|{nsql}"
         variants: Dict[str, float] = {}
         with self._lock:
@@ -320,7 +311,7 @@ class StatsStore:
                     variants[pipeline] = entry.latency_usec
         return variants
 
-    def choose_pipeline(self, nsql: str, workers: int, fingerprint: Tuple,
+    def choose_pipeline(self, nsql: str, workers: int, scope: str,
                         deadline_usec: float,
                         default: str) -> Tuple[str, bool]:
         """Maliva-style cheapest-feasible variant selection.
@@ -330,7 +321,7 @@ class StatsStore:
         observed); otherwise the cheapest observed variant is chosen —
         feasible if any variant fits, cheapest-overall if none does.
         """
-        variants = self.query_variants(nsql, workers, fingerprint)
+        variants = self.query_variants(nsql, workers, scope)
         if not variants:
             return default, False
         predicted_default = variants.get(default)

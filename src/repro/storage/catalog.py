@@ -8,7 +8,8 @@ table yields its BAT.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import CatalogError
 from repro.storage.bat import BAT
@@ -137,43 +138,79 @@ class Schema:
             raise CatalogError(f"no table {name!r} in schema {self.name!r}") from None
 
 
+class Observed(NamedTuple):
+    """What a reader assumed of the tables it read, as
+    :meth:`Catalog.observe` found them.
+
+    ``states`` holds one ``(schema key, table key, table, rows)`` per
+    table — its identity, so a table dropped and created again under
+    the same name is another table, and its row count, which in this
+    append-only dialect (INSERT, CREATE, DROP; a rolled-back insert
+    truncates to an earlier length) moves with every change of content.
+    ``scope`` says the same as text, ``sys.lineitem=6005,sys.part=200``,
+    for keys that outlive the process; it cannot carry the identity.
+    """
+
+    states: Tuple[Tuple[str, str, Optional[Table], int], ...]
+    scope: str
+
+
+#: the assumption of a reader that read no table
+UNOBSERVED = Observed((), "")
+
+
 class Catalog:
     """Top-level catalog; created with a default ``sys`` schema.
 
-    The catalog carries a monotonically increasing :attr:`version` that
-    plan caches fold into their keys: any DDL/DML path that changes what
-    a compiled plan would look like calls :meth:`invalidate`.  The
-    cheaper :meth:`fingerprint` additionally folds in table and row
-    counts, so data loaded behind the catalog's back (direct
-    ``Table.insert`` / ``populate``) still changes the key.
+    Nothing here is versioned.  Whoever keeps something derived from
+    tables — a compiled plan, a learned statistic — asks :meth:`observe`
+    what it may assume of exactly the tables it read and :meth:`holds`
+    whether that is still so; a write to any other table, through
+    ``Database`` or behind its back (``Table.insert``, ``populate``,
+    WAL replay), is invisible to it.
     """
 
     DEFAULT_SCHEMA = "sys"
 
     def __init__(self) -> None:
         self.schemas: Dict[str, Schema] = {}
-        #: bumped by every invalidating DDL/DML operation
-        self.version = 0
         self.create_schema(self.DEFAULT_SCHEMA)
 
-    def invalidate(self) -> None:
-        """Bump the structural version (plan-cache invalidation hook)."""
-        self.version += 1
+    def tables(self) -> Dict[Tuple[str, str], Table]:
+        """Every table by ``(schema key, table key)``, as of now; each
+        copy is one C-level call, so a concurrent DDL cannot tear it."""
+        return {(schema_key, table_key): table
+                for schema_key, schema in list(self.schemas.items())
+                for table_key, table in list(schema.tables.items())}
 
-    def fingerprint(self) -> Tuple[int, int, int]:
-        """(version, table count, total rows) — the plan-cache key part.
+    def observe(self, names: Iterable[Tuple[str, str]],
+                tables: Optional[Dict[Tuple[str, str], Table]] = None,
+                ) -> Observed:
+        """What a reader of the ``(schema, table)`` ``names`` may assume
+        until :meth:`holds` says otherwise.  ``tables`` is an earlier
+        :meth:`tables`: a plan's identities are taken from before its
+        compiler looked the tables up, its row counts from after."""
+        if tables is None:
+            tables = self.tables()
+        states = []
+        for schema, name in names:
+            key = (schema.lower(), name.lower())
+            table = tables.get(key)
+            states.append(
+                key + (table, table.row_count() if table is not None else 0))
+        return Observed(tuple(states), ",".join(
+            f"{schema}.{name}={rows}" for schema, name, _, rows in states))
 
-        Row counts matter because the default optimizer pipeline's
-        mitosis pass partitions by the largest table's cardinality: the
-        right plan for a table changes as the table grows.
-        """
-        tables = 0
-        rows = 0
-        for schema in self.schemas.values():
-            for table in schema.tables.values():
-                tables += 1
-                rows += table.row_count()
-        return (self.version, tables, rows)
+    def holds(self, observed: Observed) -> bool:
+        """True while every observed table is the same table with the
+        same number of rows."""
+        for schema, name, table, rows in observed.states:
+            found = self.schemas.get(schema)
+            if table is None or found is None \
+                    or found.tables.get(name) is not table \
+                    or table.row_count() != rows:
+                return False
+        return True
 
     def create_schema(self, name: str) -> Schema:
         """Create a schema; errors on duplicates."""

@@ -899,7 +899,6 @@ def apply_record(catalog: Catalog, kind: str, data: Dict[str, Any]) -> int:
                 schema.drop_table(data["table"])
             else:
                 raise StorageError(f"unknown DDL op {op!r} in WAL record")
-            catalog.invalidate()
             return 0
         if kind == "insert":
             table = catalog.table(data["table"], data.get("schema"))
@@ -1007,7 +1006,6 @@ def recover(wal_dir: str) -> Tuple[Catalog, RecoveryReport]:
             handle.truncate(scan.valid_bytes)
             handle.flush()
             os.fsync(handle.fileno())
-    catalog.invalidate()
     PERSIST_RECOVERIES.labels(outcome=report.outcome).inc()
     return catalog, report
 

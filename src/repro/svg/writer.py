@@ -23,8 +23,10 @@ _NOT_XML_CHAR = re.compile(
 
 def xml_text(value: str) -> str:
     """``value`` as element content: markup escaped, characters XML
-    forbids (a MAL string literal can hold one) replaced by U+FFFD."""
-    return escape(_NOT_XML_CHAR.sub("\ufffd", value))
+    forbids (a MAL string literal can hold one) replaced by U+FFFD, a
+    carriage return as ``&#13;`` (a parser reads a raw one as ``\\n``;
+    ``quoteattr`` already writes it so)."""
+    return escape(_NOT_XML_CHAR.sub("\ufffd", value), {"\r": "&#13;"})
 
 
 def xml_attr(value: str) -> str:

@@ -26,7 +26,7 @@ from repro.storage.bat import (
     index_policy,
 )
 
-FP = (1, 2, 3)
+FP = "sys.t=3"  # a scope: the tables a plan reads and their row counts
 
 
 def _skewed_db(**kwargs):
@@ -37,7 +37,6 @@ def _skewed_db(**kwargs):
     db.execute("create table t (a int, b int)")
     table = db.catalog.table("t")
     table.insert_many([[i % 1000, i % 100] for i in range(3000)])
-    db.catalog.invalidate()
     return db
 
 
@@ -162,6 +161,34 @@ class TestAdaptiveOrder:
         assert ADAPTIVE_REORDERS.labels(
             outcome="reordered").value() == before + 1
 
+    def test_what_was_learned_survives_writes_to_another_table(self):
+        db = _skewed_db(plan_cache_size=0)
+        db.execute("create table u (x int)")
+        sql = "select a, b from t where a < 900 and b = 7"
+        cold = db.execute(sql)
+        warm = db.execute(sql)
+        assert _plan_text(warm.program) != _plan_text(cold.program)
+        scope = warm.program.reads.scope
+        selections = {signature for signature  # one per mitosis part
+                      in program_signatures(cold.program).values()
+                      if "sys.t." in signature}
+        assert len(selections) == 2
+        for i in range(50):
+            db.execute(f"insert into u values ({i})")
+        for signature in selections:
+            assert db.stats_store.selectivity(signature, scope) is not None
+        again = db.compile(sql)
+        assert again.reads.scope == scope
+        assert _plan_text(again) == _plan_text(warm.program)
+        # one row into t: nothing learned about the old t applies
+        db.execute("insert into t values (5, 5)")
+        after = db.compile(sql)
+        assert after.reads.scope == "sys.t=3001"
+        for signature in selections:
+            assert db.stats_store.selectivity(
+                signature, after.reads.scope) is None
+        assert _plan_text(after) == _plan_text(cold.program)
+
     def test_static_pipe_restores_syntactic_plans(self):
         db = _skewed_db(plan_cache_size=0, pipeline_name="static_pipe")
         sql = "select a, b from t where a < 900 and b = 7"
@@ -184,7 +211,6 @@ class TestPlanCacheDrift:
         db.execute("create table t (a int, b int)")
         table = db.catalog.table("t")
         table.insert_many([[i % 1000, i % 100] for i in range(2000)])
-        db.catalog.invalidate()
         sql = "select a, b from t where a < 5"
         db.execute(sql)          # miss: compile, cache
         db.execute(sql)          # hit: records the cost baseline
@@ -236,8 +262,8 @@ class TestDeadlineReroute:
         before = ADAPTIVE_DEADLINE_REROUTES.value()
         db = _skewed_db(plan_cache_size=0)
         sql = "select a, b from t where a < 900 and b = 7"
-        expected = db.execute(sql).rows
-        fp = db.catalog.fingerprint()
+        cold = db.execute(sql)
+        expected, fp = cold.rows, cold.program.reads.scope
         nsql = normalize_sql(sql)
         # teach the store that the default variant blows a 1s deadline
         # while the sequential pipeline fits it comfortably
@@ -392,6 +418,27 @@ class TestStatsSurfaces:
 
         out = io.StringIO()
         assert cli_main(["stats"], out=out) == 2
+
+    def test_persisted_stats_match_an_unchanged_table_on_reopen(self):
+        sql = "select a, b from t where a < 900 and b = 7"
+        with tempfile.TemporaryDirectory() as workdir:
+            db = Database(workers=2, wal_dir=workdir, plan_cache_size=0)
+            db.execute("create table t (a int, b int)")
+            db.catalog.table("t").insert_many(
+                [[i % 1000, i % 100] for i in range(3000)])
+            db.checkpoint()
+            cold = db.execute(sql)
+            warm = db.execute(sql)
+            assert _plan_text(warm.program) != _plan_text(cold.program)
+            db.close()
+            reopened = Database(workers=2, wal_dir=workdir,
+                                plan_cache_size=0)
+            try:
+                first = reopened.compile(sql)
+                assert first.reads.scope == warm.program.reads.scope
+                assert _plan_text(first) == _plan_text(warm.program)
+            finally:
+                reopened.close()
 
     def test_database_persists_stats_alongside_catalog(self):
         with tempfile.TemporaryDirectory() as workdir:

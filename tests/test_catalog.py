@@ -95,6 +95,44 @@ class TestBind:
         assert bat.tail == [9]
 
 
+class TestObserve:
+    """What a reader may assume of the tables it read, and for how long."""
+
+    def test_holds_until_the_observed_table_changes(self, catalog):
+        catalog.schema().create_table("dept", [("id", INT)])
+        catalog.table("emp").insert([1, "ann"])
+        observed = catalog.observe([("sys", "EMP")])  # as sql.bind spells it
+        assert observed.scope == "sys.emp=1"
+        assert observed.states == (("sys", "emp", catalog.table("emp"), 1),)
+        catalog.table("dept").insert([7])
+        assert catalog.holds(observed)
+        catalog.table("emp").insert([2, "bob"])
+        assert not catalog.holds(observed)
+        del catalog.table("emp").column("id").bat.tail[1:]    # a WAL undo
+        del catalog.table("emp").column("name").bat.tail[1:]
+        assert catalog.holds(observed)
+
+    def test_a_recreated_table_is_another_table(self, catalog):
+        observed = catalog.observe([("sys", "emp")])
+        catalog.schema().drop_table("emp")
+        assert not catalog.holds(observed)
+        catalog.schema().create_table("emp", [("id", INT), ("name", STR)])
+        assert catalog.observe([("sys", "emp")]).scope == observed.scope
+        assert not catalog.holds(observed)
+
+    def test_identity_comes_from_the_earlier_snapshot(self, catalog):
+        before = catalog.tables()
+        catalog.schema().drop_table("emp")
+        catalog.schema().create_table("emp", [("id", STR)]).insert(["x"])
+        observed = catalog.observe([("sys", "emp")], before)
+        assert observed.states[0][2] is before[("sys", "emp")]
+        assert not catalog.holds(observed)
+
+    def test_a_table_that_is_not_there_never_holds(self, catalog):
+        assert not catalog.holds(catalog.observe([("sys", "nope")]))
+        assert catalog.holds(catalog.observe([]))
+
+
 class TestSqlTypes:
     def test_create_from_sql_types(self):
         cat = Catalog()

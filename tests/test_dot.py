@@ -225,15 +225,17 @@ class TestParser:
         assert g.edge_count() == 1499
 
 
-#: any text the format can carry: the parser reads a backslash before an
-#: ``n`` as a newline, so no spelling of that pair survives a round trip
+#: any text the format can carry, an escaped backslash before an ``n``
+#: (not a newline) included
 _TEXT = st.one_of(
     st.sampled_from(["a-b", "0X", "1e", "n 1", "node", "strict", "007",
-                     "", "-1", "1.5", 'say "hi"', "back\\slash", "a\nb"]),
+                     "", "-1", "1.5", 'say "hi"', "back\\slash", "a\nb",
+                     "a\\nb", "a\\\\nb", '\\"n']),
     st.text(alphabet=st.sampled_from('ab_09 -.\\"{}[];,=#/*>\n\r\u00e9'),
             max_size=6),
+    st.text(alphabet=st.sampled_from('\\"n\nab '), max_size=8),
     st.text(max_size=6),
-).filter(lambda text: "\\n" not in text)
+)
 _ATTRS = st.dictionaries(_TEXT, _TEXT, max_size=3)
 
 
@@ -250,6 +252,8 @@ class TestRoundTrip:
     @example(name="G", graph_attrs={}, nodes={"a": {"label": "0X"}},
              data=None)
     @example(name="G", graph_attrs={}, nodes={"n 1": {}}, data=None)
+    @example(name="G", graph_attrs={}, data=None,
+             nodes={"n0": {"label": 'X_1 := algebra.likeselect(X_0,"a\\nb");'}})
     @settings(max_examples=300, deadline=None)
     def test_same_ids_labels_and_edges(self, name, graph_attrs, nodes, data):
         graph = Digraph(name, graph_attrs)

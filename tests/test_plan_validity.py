@@ -1,0 +1,351 @@
+"""Exactness of plan invalidation: a cached plan is served for as long as
+the tables it reads are unchanged, and not once longer.
+
+One row per way a table can change.  After the change a plan that binds
+the table is not served (the next execution misses and returns the new
+rows), while a plan that binds only other tables is (the hit count
+rises and the program object is the one cached before).  Plus: results
+with and without a plan cache agree under interleaved writes, a reader
+keeps its hits while another table is written, and a warm run derives
+nothing from its program.
+"""
+
+import sys
+import threading
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+import repro.stats as stats_module
+from repro.errors import WalError
+from repro.faults import FaultPlan, armed
+from repro.mal.ast import MalProgram
+from repro.mal.interpreter import ReadySet
+from repro.server import Database, MClient
+from repro.storage import INT, STR, Catalog
+from repro.storage.durable import apply_record
+from repro.tpch import populate, query_sql
+from tests.test_replication import _caught_up, _node, _wait
+
+ON_T = "select a, b from t order by a"
+ON_U = "select a, c from u order by a"
+JOIN = "select t.a, u.c from t, u where t.a = u.a order by t.a"
+T_ROWS = [(1, 10), (2, 20), (3, 30)]
+U_ROWS = [(1, 7), (2, 8)]
+
+
+def _db(**kwargs) -> Database:
+    db = Database(workers=2, **kwargs)
+    db.execute("create table t (a int, b int)")
+    db.execute("create table u (a int, c int)")
+    db.execute("insert into t values (1, 10), (2, 20), (3, 30)")
+    db.execute("insert into u values (1, 7), (2, 8)")
+    return db
+
+
+def _warm(db):
+    """Every statement compiled and cached; {sql: its program}."""
+    return {sql: db.execute(sql).program for sql in (ON_T, ON_U, JOIN)}
+
+
+def _served(db, sql, program) -> bool:
+    """Execute ``sql``: was it a hit on exactly ``program``?"""
+    before = db.plan_cache.stats()
+    outcome = db.execute(sql)
+    after = db.plan_cache.stats()
+    if outcome.program is program:
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+        return True
+    assert after["misses"] == before["misses"] + 1
+    return False
+
+
+def _assert_only_t_readers_recompile(db, plans, t_rows):
+    evictions = db.plan_cache.stats()["evictions"]
+    assert _served(db, ON_U, plans[ON_U])
+    assert not _served(db, ON_T, plans[ON_T])
+    assert db.plan_cache.stats()["evictions"] == evictions + 1
+    assert db.execute(ON_U).rows == U_ROWS
+    recompiled = db.execute(ON_T)
+    assert recompiled.rows == t_rows
+    assert _served(db, ON_T, recompiled.program)  # and cached in its turn
+
+
+# ---------------------------------------------------------------------------
+# the matrix: every way rows reach ``t``
+# ---------------------------------------------------------------------------
+
+
+def _sql_insert(db):
+    db.execute("insert into t values (4, 40)")
+
+
+def _table_insert(db):
+    db.catalog.table("t").insert([4, 40])
+
+
+def _table_insert_many(db):
+    db.catalog.table("t").insert_many([[4, 40]])
+
+
+def _wal_replay(db):
+    apply_record(db.catalog, "insert",
+                 {"schema": "sys", "table": "t", "rows": [[4, 40]]})
+
+
+@pytest.mark.parametrize("write", [_sql_insert, _table_insert,
+                                   _table_insert_many, _wal_replay])
+@pytest.mark.parametrize("durable", [False, True])
+def test_insert_invalidates_only_the_readers_of_its_table(
+        tmp_path, write, durable):
+    db = _db(wal_dir=str(tmp_path), commit_window_ms=0.0) if durable \
+        else _db()
+    try:
+        plans = _warm(db)
+        write(db)
+        _assert_only_t_readers_recompile(db, plans, T_ROWS + [(4, 40)])
+        assert not _served(db, JOIN, plans[JOIN])
+    finally:
+        db.close()
+
+
+def test_join_plan_is_evicted_by_a_write_to_either_table():
+    db = _db()
+    plans = _warm(db)
+    db.execute("insert into u values (3, 9)")
+    assert _served(db, ON_T, plans[ON_T])
+    assert not _served(db, JOIN, plans[JOIN])
+    assert db.execute(JOIN).rows == [(1, 7), (2, 8), (3, 9)]
+    rejoined = db.last_program
+    db.execute("insert into t values (4, 40)")
+    assert not _served(db, JOIN, rejoined)
+
+
+def test_rolled_back_insert(tmp_path, monkeypatch):
+    """A durable insert whose commit fails is undone.  A read between
+    the apply and the undo sees the row and caches a plan for it; after
+    the undo that plan is refused, and nobody else's plan moved."""
+    db = _db(wal_dir=str(tmp_path), commit_window_ms=0.0)
+    try:
+        plans = _warm(db)
+        commit = db.durability.wal.commit
+        seen = {}
+
+        def commit_after_a_read(lsn):
+            assert not _served(db, ON_T, plans[ON_T])
+            seen["rows"], seen["plan"] = db.execute(ON_T).rows, \
+                db.last_program
+            return commit(lsn)
+
+        monkeypatch.setattr(db.durability.wal, "commit", commit_after_a_read)
+        with armed(FaultPlan.from_spec("persist.wal:fsync-loss@1.0#1",
+                                       seed=1)):
+            with pytest.raises(WalError):
+                db.execute("insert into t values (4, 40)")
+        assert seen["rows"] == T_ROWS + [(4, 40)]
+        assert not _served(db, ON_T, seen["plan"])
+        assert db.execute(ON_T).rows == T_ROWS
+        assert _served(db, ON_U, plans[ON_U])
+    finally:
+        db.close()
+
+
+def test_replica_applying_a_shipped_insert(tmp_path):
+    primary = _node(tmp_path, "primary")
+    replica = _node(tmp_path, "replica", primary=primary.addr)
+    try:
+        with MClient(port=primary.port) as client:
+            client.query("create table t (a int, b int)")
+            client.query("create table u (a int, c int)")
+            client.query("insert into t values (1, 10), (2, 20), (3, 30)")
+            client.query("insert into u values (1, 7), (2, 8)")
+            _wait(lambda: _caught_up(primary, replica), message="catch-up")
+            plans = _warm(replica.db)
+            client.query("insert into t values (4, 40)")
+            _wait(lambda: _caught_up(primary, replica), message="catch-up")
+            _assert_only_t_readers_recompile(replica.db, plans,
+                                             T_ROWS + [(4, 40)])
+            # a shipped DDL frees a dropped table's plans at once
+            client.query("drop table t")
+            _wait(lambda: _caught_up(primary, replica), message="catch-up")
+            assert replica.db.plan_cache.stats()["size"] == 0
+    finally:
+        replica.server.stop()
+        primary.server.stop()
+
+
+def test_table_recreated_behind_the_database():
+    """Same name, same row count, other column types: only identity
+    tells the new ``t`` from the one the plan was compiled for."""
+    db = _db()
+    plans = _warm(db)
+    schema = db.catalog.schema()
+    schema.drop_table("t")
+    schema.create_table("t", [("a", STR), ("b", INT)]).insert_many(
+        [["x", 1], ["y", 2], ["z", 3]])
+    _assert_only_t_readers_recompile(
+        db, plans, [("x", 1), ("y", 2), ("z", 3)])
+
+
+def test_sql_ddl_recreates_a_table():
+    db = _db()
+    plans = _warm(db)
+    db.execute("drop table t")
+    db.execute("create table t (a varchar(4), b int)")
+    db.execute("insert into t values ('x', 1)")
+    # DDL also clears: every plan goes, not only t's readers'
+    assert not _served(db, ON_T, plans[ON_T])
+    assert db.execute(ON_T).rows == [("x", 1)]
+    assert db.execute(ON_U).rows == U_ROWS
+
+
+def test_swap_catalog():
+    db = _db()
+    plans = _warm(db)
+    catalog = Catalog()
+    catalog.schema().create_table("t", [("a", INT), ("b", INT)]).insert_many(
+        [[9, 90], [8, 80], [7, 70]])
+    db.swap_catalog(catalog)
+    assert not _served(db, ON_T, plans[ON_T])
+    assert db.execute(ON_T).rows == [(7, 70), (8, 80), (9, 90)]
+
+
+def test_validity_alone_refuses_a_plan_of_another_catalog():
+    """Without ``swap_catalog``'s clear(): the check still says no."""
+    db = _db()
+    plans = _warm(db)
+    other = _db().catalog  # the same tables, by name and row count
+    assert db.catalog.holds(plans[ON_T].reads)
+    assert not other.holds(plans[ON_T].reads)
+    assert [entry["tables"] for entry in db.plan_cache.entries()] \
+        == [["sys.t"], ["sys.u"], ["sys.t", "sys.u"]]
+
+
+# ---------------------------------------------------------------------------
+# with and without a plan cache
+# ---------------------------------------------------------------------------
+
+_STEPS = st.lists(
+    st.sampled_from(["insert t", "insert u", ON_T, ON_U, JOIN]),
+    min_size=1, max_size=24)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_STEPS)
+def test_cached_and_uncached_databases_agree(steps):
+    # a low mitosis threshold: the right plan changes as a table grows
+    cached = _db(mitosis_threshold=16)
+    uncached = _db(mitosis_threshold=16, plan_cache_size=0)
+    next_id = {"t": 100, "u": 100}  # unique per table, shared across them
+    for step in steps:
+        if step.startswith("insert"):
+            table = step[-1]
+            values = ", ".join(f"({next_id[table] + i}, {i})"
+                               for i in range(8))
+            next_id[table] += 8
+            for db in (cached, uncached):
+                db.execute(f"insert into {table} values {values}")
+        else:
+            assert cached.execute(step).rows == uncached.execute(step).rows
+
+
+# ---------------------------------------------------------------------------
+# a reader beside a writer
+# ---------------------------------------------------------------------------
+
+
+def test_reader_keeps_its_plan_while_another_table_is_written():
+    iterations = 200
+    db = _db()
+    results, failures = [], []
+
+    def insert():
+        try:
+            for i in range(iterations):
+                db.execute(f"insert into u values ({i + 10}, {i})")
+        except BaseException as exc:  # reported by the main thread
+            failures.append(exc)
+
+    def read():
+        try:
+            for _ in range(iterations):
+                results.append(db.execute(ON_T).rows)
+        except BaseException as exc:
+            failures.append(exc)
+
+    before = db.plan_cache.stats()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=insert),
+                   threading.Thread(target=read)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    after = db.plan_cache.stats()
+    assert after["hits"] - before["hits"] == iterations - 1
+    assert after["misses"] - before["misses"] == 1
+    assert results == [T_ROWS] * iterations  # never torn
+    assert db.catalog.table("u").row_count() == len(U_ROWS) + iterations
+
+
+# ---------------------------------------------------------------------------
+# a warm run derives nothing (counts, no clock)
+# ---------------------------------------------------------------------------
+
+
+def test_warm_runs_derive_nothing_from_the_program(monkeypatch):
+    db = Database(workers=2)
+    populate(db.catalog, scale_factor=0.01, seed=3)
+    sql = query_sql("q6")
+    expected = db.execute(sql).rows  # compiled, cached, run once
+    calls = {"ReadySet": 0, "validate": 0, "signatures": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ReadySet, "__init__",
+                        counted("ReadySet", ReadySet.__init__))
+    monkeypatch.setattr(MalProgram, "validate",
+                        counted("validate", MalProgram.validate))
+    monkeypatch.setattr(stats_module, "program_signatures",
+                        counted("signatures",
+                                stats_module.program_signatures))
+    for _ in range(20):
+        assert db.execute(sql).rows == expected
+    assert db.plan_cache.stats()["hits"] == 20
+    assert all(count <= 1 for count in calls.values()), calls
+
+
+def test_a_cached_plan_keeps_its_numbering_while_others_compile():
+    """``seal`` copies nothing: the plan must be the only program its
+    instruction objects are still part of, or a later compile that
+    renumbers shared instructions would move its pcs under the
+    ``ReadySet`` it memoised."""
+    db = Database(workers=2)
+    populate(db.catalog, scale_factor=0.01, seed=3)
+    names = ("q1", "q3", "q6", "q12")
+    plans = {name: db.execute(query_sql(name)) for name in names}
+    for name in names:  # the same texts again, through every other pipe
+        for pipe in ("static_pipe", "sequential_pipe", "minimal_pipe"):
+            db.compile(query_sql(name), pipeline_name=pipe)
+        db.explain(query_sql(name))
+    for name, first in plans.items():
+        program = first.program
+        assert [i.pc for i in program.instructions] == \
+            list(range(len(program)))
+        template = program.derived(ReadySet)
+        assert all(template.instructions[i.pc] is i
+                   for i in program.instructions)
+        again = db.execute(query_sql(name))
+        assert again.program is program and again.rows == first.rows
