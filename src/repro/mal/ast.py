@@ -15,7 +15,8 @@ property — the plan's dot file is that DAG.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from functools import lru_cache
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import MalError
 from repro.storage.catalog import UNOBSERVED, Observed
@@ -47,6 +48,11 @@ class TypeSpec:
 ANY = TypeSpec("any")
 
 
+# A TypeSpec is immutable and there are few (atoms squared), so the two
+# constructors hand out one object per type: a compile asks ~15 times.
+
+
+@lru_cache(maxsize=None)
 def scalar_of(name_or_type: Union[str, MalType]) -> TypeSpec:
     """TypeSpec for a scalar atom, by name or MalType."""
     mal_type = (
@@ -55,6 +61,7 @@ def scalar_of(name_or_type: Union[str, MalType]) -> TypeSpec:
     return TypeSpec("scalar", tail=mal_type)
 
 
+@lru_cache(maxsize=None)
 def bat_of(tail: Union[str, MalType], head: Union[str, MalType] = OID) -> TypeSpec:
     """TypeSpec for a BAT with the given tail (and oid head by default)."""
     tail_type = type_by_name(tail) if isinstance(tail, str) else tail
@@ -139,6 +146,17 @@ class MalInstruction:
         return format_instruction(self)
 
 
+class DefUse(NamedTuple):
+    """What one walk over a valid program finds (:meth:`MalProgram.def_use`);
+    instructions are named by their index in the list."""
+
+    #: variable -> the instruction that assigns it
+    sites: Dict[str, int]
+    #: variable -> the last instruction that reads it, in order of
+    #: first use; a variable nothing reads is absent
+    last_use: Dict[str, int]
+
+
 class MalProgram:
     """A MAL function body: an ordered list of instructions plus types.
 
@@ -206,25 +224,32 @@ class MalProgram:
         for pc, instr in enumerate(self.instructions):
             instr.pc = pc
 
-    def seal(self, reads: Observed) -> None:
-        """Finish the program as a plan: no pass edits it from here on,
-        so whatever is computed from the instruction list
-        (:meth:`derived`) is computed once.  ``reads`` is what the plan
-        may assume of the tables it binds until one of them changes.
-
-        Optimizer passes hand instruction objects from program to
-        program and renumber them there, so the caller must hold the
-        only program these instructions are still part of.
-        ``Database._plan`` does: the compiler and ``Pipeline.apply``
-        keep none of the programs the plan was rebuilt from.  Copies
-        taken here would lift the condition at 1-1.4 us per instruction,
-        3-5 % of every compile.
-        """
-        self.reads = reads
+    def freeze(self) -> None:
+        """No pass edits the program from here on, so whatever is
+        computed from the instruction list (:meth:`derived`) is computed
+        once and kept."""
         self._derived = {}
 
+    def seal(self, reads: Observed) -> None:
+        """Finish the program as a plan: frozen (what
+        :meth:`Pipeline.apply <repro.mal.optimizer.Pipeline.apply>`
+        already derived from it — the validation verdict and the
+        def-use walk — stays), and ``reads`` is what the plan may
+        assume of the tables it binds until one of them changes.
+
+        The passes edited the one program they were handed, and the
+        numbering every derived structure is keyed by lives in its
+        instruction objects, so the caller must hold the only program
+        these instructions are part of.  ``Database._plan`` does: the
+        program the compiler built is the plan.  Copies taken here
+        would lift the condition at 1-1.4 us per instruction.
+        """
+        self.reads = reads
+        if self._derived is None:
+            self.freeze()
+
     def derived(self, build: Callable[["MalProgram"], Any]) -> Any:
-        """``build(self)`` — kept, for a sealed program, so that every
+        """``build(self)`` — kept, for a frozen program, so that every
         run after the first derives nothing; a program still open to
         edits is asked again each time."""
         memo = self._derived
@@ -300,25 +325,42 @@ class MalProgram:
         """Map variable name -> pcs of instructions that read it."""
         out: Dict[str, List[int]] = {}
         for instr in self.instructions:
-            for used in instr.uses():
-                out.setdefault(used, []).append(instr.pc)
+            for arg in instr.args:
+                if arg.__class__ is Var:
+                    out.setdefault(arg.name, []).append(instr.pc)
         return out
 
-    def validate(self) -> None:
-        """Check SSA discipline and use-before-def; raises MalError."""
-        defined: Set[str] = set()
-        for instr in self.instructions:
-            for used in instr.uses():
-                if used not in defined:
-                    raise MalError(
-                        f"pc={instr.pc}: variable {used} used before definition"
-                    )
+    def def_use(self) -> DefUse:
+        """Walk the instructions once: where each variable is assigned
+        and where it is last read — and, on the way, SSA discipline and
+        use-before-def.
+
+        Raises:
+            MalError: a variable is read before, or assigned after, its
+                one assignment.
+        """
+        sites: Dict[str, int] = {}
+        last_use: Dict[str, int] = {}
+        for index, instr in enumerate(self.instructions):
+            for arg in instr.args:
+                if arg.__class__ is Var:
+                    if arg.name not in sites:
+                        raise MalError(
+                            f"pc={instr.pc}: variable {arg.name} used "
+                            f"before definition"
+                        )
+                    last_use[arg.name] = index
             for res in instr.results:
-                if res in defined:
+                if res in sites:
                     raise MalError(
                         f"pc={instr.pc}: variable {res} assigned twice"
                     )
-                defined.add(res)
+                sites[res] = index
+        return DefUse(sites, last_use)
+
+    def validate(self) -> None:
+        """Check SSA discipline and use-before-def; raises MalError."""
+        self.derived(MalProgram.def_use)
 
     def __str__(self) -> str:
         from repro.mal.printer import format_program

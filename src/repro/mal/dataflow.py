@@ -50,7 +50,7 @@ class ListSchedule(Execution):
     def drive(self) -> None:
         self.free = [0] * self.workers  # when each worker next idles
         tracker = self.program.derived(ReadySet)
-        waiting = dict(tracker.waiting)
+        waiting = list(tracker.waiting)
         ready = [(0, pc) for pc in tracker.initial]  # (ready_usec, pc)
         heapq.heapify(ready)
         ends: Dict[int, int] = {}
@@ -123,7 +123,7 @@ class ThreadPool(Execution):
         turn = threading.Condition(self.lock)
         self.epoch = time.perf_counter()
         tracker = self.program.derived(ReadySet)
-        waiting = dict(tracker.waiting)
+        waiting = list(tracker.waiting)
         ready = sorted(tracker.initial)
         failure: List[BaseException] = []
 

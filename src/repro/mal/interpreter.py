@@ -352,10 +352,13 @@ _SIDE_EFFECTS = _GROWS_BOUND | frozenset((
 
 
 class ReadySet:
-    """Which instructions may run: the dataflow dependencies, their
-    successor index and the side-effect chain — ``program.derived
-    (ReadySet)``, so built once per sealed plan.  A run owns only its
-    countdown, a copy of ``waiting`` that it passes to :meth:`complete`.
+    """Which instructions may run: the dataflow dependencies (the
+    program's def-use walk), their successor index and the side-effect
+    chain — ``program.derived(ReadySet)``, so built once per sealed
+    plan.  A run owns only its countdown, a copy of ``waiting`` that it
+    passes to :meth:`complete`.  Every collection is indexed by an
+    instruction's place in the list, which in a numbered program is its
+    pc.
 
     A cached plan keeps its ReadySet for as long as it lives, so the
     per-instruction collections are tuples of ints: the cycle collector
@@ -365,24 +368,35 @@ class ReadySet:
     collection)."""
 
     def __init__(self, program: MalProgram) -> None:
-        self.instructions = {i.pc: i for i in program.instructions}
-        deps = program.dependencies()
-        chained = [i.pc for i in program.instructions
-                   if i.qualified_name in _SIDE_EFFECTS]
+        instructions = program.instructions
+        sites = program.derived(MalProgram.def_use).sites
+        deps: List[Tuple[int, ...]] = []
+        for instr in instructions:
+            wanted: List[int] = []  # the site of each variable it reads
+            for arg in instr.args:
+                if arg.__class__ is Var:
+                    site = sites[arg.name]
+                    if site not in wanted:
+                        wanted.append(site)
+            deps.append(tuple(wanted))
+        chained = [pc for pc, instr in enumerate(instructions)
+                   if instr.qualified_name in _SIDE_EFFECTS]
         for prev, nxt in zip(chained, chained[1:]):
-            deps[nxt].add(prev)
-        successors: Dict[int, List[int]] = {pc: [] for pc in deps}
-        for pc, wanted in deps.items():
+            if prev not in deps[nxt]:
+                deps[nxt] += (prev,)
+        successors: List[List[int]] = [[] for _ in deps]
+        for pc, wanted in enumerate(deps):
             for dep in wanted:
                 successors[dep].append(pc)
-        self.deps = {pc: tuple(wanted) for pc, wanted in deps.items()}
-        self.successors = {pc: tuple(after)
-                           for pc, after in successors.items()}
-        self.waiting = {pc: len(wanted) for pc, wanted in deps.items()}
+        self.instructions = instructions
+        self.deps = deps
+        self.successors = [tuple(after) for after in successors]
+        self.waiting = [len(wanted) for wanted in deps]
         #: the instructions that wait for nothing
-        self.initial = tuple(pc for pc, wanted in deps.items() if not wanted)
+        self.initial = tuple(pc for pc, wanted in enumerate(deps)
+                             if not wanted)
 
-    def complete(self, waiting: Dict[int, int], pc: int) -> List[int]:
+    def complete(self, waiting: List[int], pc: int) -> List[int]:
         """Record that ``pc`` finished; returns what that made ready."""
         ready = []
         for succ in self.successors[pc]:

@@ -69,18 +69,24 @@ class Pipeline:
         self.reports: List[PassReport] = []
 
     def apply(self, program: MalProgram) -> MalProgram:
-        """Run all passes in order over ``program``."""
+        """Run all passes in order over ``program`` and finish it:
+        numbered, validated, frozen with the one def-use walk that took.
+
+        ``program`` is consumed — the passes edit it in place and it is
+        what comes back — so a caller that wants anything of the
+        unoptimised plan reads it first.
+        """
         self.reports = []
-        current = program
         for opt_pass in self.passes:
-            before = len(current)
-            current = opt_pass.run(current)
-            current.renumber()
+            before = len(program.instructions)
+            program = opt_pass.run(program)
             self.reports.append(
-                PassReport(opt_pass.name, before, len(current))
+                PassReport(opt_pass.name, before, len(program.instructions))
             )
-        current.validate()
-        return current
+        program.renumber()
+        program.freeze()
+        program.derived(MalProgram.validate)  # the verdict a run asks for
+        return program
 
 
 def minimal_pipe() -> Pipeline:

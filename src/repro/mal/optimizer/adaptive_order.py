@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.mal.ast import Const, MalInstruction, MalProgram, Var, bat_of
-from repro.mal.optimizer.base import rebuild_program
 from repro.metrics.families import ADAPTIVE_REORDERS
 from repro.stats import StatsStore, select_signature
 
@@ -97,6 +96,10 @@ class AdaptiveOrder:
     def run(self, program: MalProgram) -> MalProgram:
         if self.stats is None or self.scope is None:
             return program
+        names = {instr.qualified_name for instr in program.instructions}
+        if not {"bat.mirror", "algebra.semijoin"} <= names:
+            return program  # a chain of two links has one of each
+        program.renumber()  # chains are found and rewritten by pc
         chains = self._find_chains(program)
         rewrites: List[_Rewrite] = []
         for links in chains:
@@ -356,4 +359,5 @@ class AdaptiveOrder:
             if instr.pc in skip:
                 continue
             instructions.append(instr)
-        return rebuild_program(program, instructions)
+        program.instructions = instructions
+        return program

@@ -1,10 +1,18 @@
-"""Shared helpers for optimizer passes."""
+"""Shared helpers for optimizer passes.
+
+A pass's ``run(program)`` edits the instruction list of the program it
+is given and returns that program; a pass with nothing to change
+touches nothing.  Passes name instructions by their index in the list:
+``pc`` is assigned once, by :meth:`Pipeline.apply
+<repro.mal.optimizer.Pipeline.apply>` after the last pass, and is stale
+in between (AdaptiveOrder, which works by pc, numbers the program first).
+"""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set
+from typing import Dict, Set
 
-from repro.mal.ast import Argument, Const, MalInstruction, MalProgram, Var
+from repro.mal.ast import Argument, MalInstruction, Var
 
 #: Instructions whose execution has effects beyond their result variables.
 #: Passes must never remove, duplicate or reorder these relative to each
@@ -24,11 +32,6 @@ SIDE_EFFECTS: Set[str] = {
 ALLOCATORS: Set[str] = {"bat.new", "sql.mvc", "sql.resultSet"}
 
 
-def has_side_effects(instr: MalInstruction) -> bool:
-    """True when the instruction must be preserved regardless of uses."""
-    return instr.qualified_name in SIDE_EFFECTS
-
-
 def substitute_args(instr: MalInstruction,
                     replacements: Dict[str, Argument]) -> None:
     """Rewrite the instruction's Var arguments through a replacement map
@@ -42,16 +45,3 @@ def substitute_args(instr: MalInstruction,
             arg = replacement
         new_args.append(arg)
     instr.args = new_args
-
-
-def rebuild_program(source: MalProgram,
-                    instructions: Iterable[MalInstruction]) -> MalProgram:
-    """A program with the same identity/types but a new instruction list."""
-    out = MalProgram(source.name, dict(source.properties))
-    out.var_types = dict(source.var_types)
-    out.dataflow_enabled = source.dataflow_enabled
-    out._counter = source._counter
-    for instr in instructions:
-        out.instructions.append(instr)
-    out.renumber()
-    return out

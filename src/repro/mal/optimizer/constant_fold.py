@@ -12,7 +12,7 @@ from typing import Dict, List
 
 from repro.mal.ast import Argument, Const, MalProgram, Var
 from repro.mal.modules import is_registered, lookup
-from repro.mal.optimizer.base import rebuild_program, substitute_args
+from repro.mal.optimizer.base import substitute_args
 from repro.storage.types import infer_type, nil
 
 
@@ -25,9 +25,10 @@ class ConstantFold:
 
     def run(self, program: MalProgram) -> MalProgram:
         replacements: Dict[str, Argument] = {}
-        kept: List = []
-        for instr in program.instructions:
-            substitute_args(instr, replacements)
+        folded: List[int] = []
+        for index, instr in enumerate(program.instructions):
+            if replacements:
+                substitute_args(instr, replacements)
             if (
                 instr.module in self.FOLDABLE_MODULES
                 and len(instr.results) == 1
@@ -38,10 +39,10 @@ class ConstantFold:
                 try:
                     value = impl(None, instr, [a.value for a in instr.args])
                 except Exception:
-                    kept.append(instr)  # fold failure: leave for runtime
-                    continue
+                    continue  # fold failure: leave for runtime
                 mal_type = None if value is nil else infer_type(value)
                 replacements[instr.results[0]] = Const(value, mal_type)
-                continue
-            kept.append(instr)
-        return rebuild_program(program, kept)
+                folded.append(index)
+        for index in reversed(folded):
+            del program.instructions[index]
+        return program

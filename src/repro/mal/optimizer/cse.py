@@ -13,17 +13,19 @@ from typing import Dict, List, Tuple
 from repro.mal.ast import Argument, Const, MalProgram, Var
 from repro.mal.optimizer.base import (
     ALLOCATORS,
-    has_side_effects,
-    rebuild_program,
+    SIDE_EFFECTS,
     substitute_args,
 )
 
 
 def _signature(instr) -> Tuple:
+    """Equal for two instructions exactly when they call the same
+    function over the same arguments: a variable by name, a literal by
+    its ``repr`` (``1``, ``1.0`` and ``True`` are equal and hash alike)."""
     parts: List = [instr.qualified_name]
     for arg in instr.args:
-        if isinstance(arg, Var):
-            parts.append(("v", arg.name))
+        if arg.__class__ is Var:
+            parts.append(arg.name)
         else:
             parts.append(("c", repr(arg.value)))
     return tuple(parts)
@@ -37,23 +39,22 @@ class CommonSubexpression:
     def run(self, program: MalProgram) -> MalProgram:
         seen: Dict[Tuple, List[str]] = {}
         replacements: Dict[str, Argument] = {}
-        kept: List = []
-        for instr in program.instructions:
-            substitute_args(instr, replacements)
-            mergeable = (
-                not has_side_effects(instr)
-                and instr.qualified_name not in ALLOCATORS
-                and instr.results
-            )
-            if not mergeable:
-                kept.append(instr)
+        merged: List[int] = []
+        for index, instr in enumerate(program.instructions):
+            if replacements:
+                substitute_args(instr, replacements)
+            qname = instr.qualified_name
+            if qname in SIDE_EFFECTS or qname in ALLOCATORS \
+                    or not instr.results:
                 continue
             signature = _signature(instr)
             prior = seen.get(signature)
             if prior is None:
-                seen[signature] = list(instr.results)
-                kept.append(instr)
+                seen[signature] = instr.results
                 continue
             for mine, theirs in zip(instr.results, prior):
                 replacements[mine] = Var(theirs)
-        return rebuild_program(program, kept)
+            merged.append(index)
+        for index in reversed(merged):
+            del program.instructions[index]
+        return program

@@ -13,8 +13,7 @@ with Stethoscope.
 
 from __future__ import annotations
 
-from repro.mal.ast import MalProgram
-from repro.mal.optimizer.base import rebuild_program
+from repro.mal.ast import MalInstruction, MalProgram
 
 
 class Dataflow:
@@ -23,13 +22,11 @@ class Dataflow:
     name = "dataflow"
 
     def run(self, program: MalProgram) -> MalProgram:
-        out = rebuild_program(program, program.instructions)
         if not any(
-            i.qualified_name == "language.dataflow" for i in out.instructions
+            i.qualified_name == "language.dataflow"
+            for i in program.instructions
         ):
-            marker = out.add("language", "dataflow")
-            out.instructions.remove(marker)
-            out.instructions.insert(0, marker)
-            out.renumber()
-        out.dataflow_enabled = True
-        return out
+            program.instructions.insert(
+                0, MalInstruction([], "language", "dataflow", []))
+        program.dataflow_enabled = True
+        return program

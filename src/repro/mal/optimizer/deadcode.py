@@ -7,10 +7,10 @@ that shrinks plans most visibly in the Stethoscope's graph view.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Set
 
-from repro.mal.ast import MalProgram
-from repro.mal.optimizer.base import has_side_effects, rebuild_program
+from repro.mal.ast import MalProgram, Var
+from repro.mal.optimizer.base import SIDE_EFFECTS
 
 
 class DeadCode:
@@ -19,17 +19,15 @@ class DeadCode:
     name = "deadcode"
 
     def run(self, program: MalProgram) -> MalProgram:
+        instructions = program.instructions
         live_vars: Set[str] = set()
-        keep: List[bool] = [False] * len(program.instructions)
-        for index in range(len(program.instructions) - 1, -1, -1):
-            instr = program.instructions[index]
-            needed = has_side_effects(instr) or any(
-                res in live_vars for res in instr.results
-            )
-            if needed:
-                keep[index] = True
-                live_vars.update(instr.uses())
-        kept = [
-            instr for flag, instr in zip(keep, program.instructions) if flag
-        ]
-        return rebuild_program(program, kept)
+        for index in range(len(instructions) - 1, -1, -1):
+            instr = instructions[index]
+            if instr.qualified_name in SIDE_EFFECTS or \
+                    not live_vars.isdisjoint(instr.results):
+                for arg in instr.args:
+                    if arg.__class__ is Var:
+                        live_vars.add(arg.name)
+            else:
+                del instructions[index]
+        return program

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from repro.mal.ast import MalInstruction, MalProgram, Var
-from repro.mal.optimizer.base import rebuild_program
+from repro.mal.ast import ANY, MalInstruction, MalProgram, Var
 
 
 class GarbageCollector:
@@ -28,40 +27,34 @@ class GarbageCollector:
     }
 
     def run(self, program: MalProgram) -> MalProgram:
-        last_use: Dict[str, int] = {}
-        producers: Dict[str, MalInstruction] = {}
-        for instr in program.instructions:
-            for name in instr.uses():
-                last_use[name] = instr.pc
-            for name in instr.results:
-                producers[name] = instr
+        instructions = program.instructions
+        walk = program.def_use()
         already_passed: Set[str] = {
             instr.args[0].name
-            for instr in program.instructions
+            for instr in instructions
             if instr.qualified_name == "language.pass" and instr.args
             and isinstance(instr.args[0], Var)
         }
+        sites, types = walk.sites, program.var_types
         releases_after: Dict[int, List[str]] = {}
-        for name, pc in last_use.items():
-            producer = producers.get(name)
-            if producer is None:
-                continue
+        for name, index in walk.last_use.items():
+            producer = instructions[sites[name]]
             if producer.qualified_name in self._PROTECTED_SOURCES:
                 continue
             if name in already_passed:
                 continue
             # only BAT-typed variables are worth releasing
-            spec = program.type_of(name)
-            if not spec.is_bat:
+            if not types.get(name, ANY).is_bat:  # ``program.type_of``
                 continue
-            releases_after.setdefault(pc, []).append(name)
+            releases_after.setdefault(index, []).append(name)
         if not releases_after:
             return program
         rebuilt: List[MalInstruction] = []
-        for instr in program.instructions:
+        for index, instr in enumerate(instructions):
             rebuilt.append(instr)
-            for name in releases_after.get(instr.pc, ()):  # insertion order
+            for name in releases_after.get(index, ()):  # in order of first use
                 rebuilt.append(MalInstruction(
                     [], "language", "pass", [Var(name)]
                 ))
-        return rebuild_program(program, rebuilt)
+        program.instructions = rebuilt
+        return program

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import OptimizerError
 from repro.mal.ast import Const, MalInstruction, MalProgram, Var
-from repro.mal.optimizer.base import rebuild_program
 
 _SELECTIONS = {"algebra.select", "algebra.thetaselect", "algebra.likeselect"}
 _LEFT_PARTITIONED_JOINS = {
@@ -70,34 +69,31 @@ class Mitosis:
         target = self._choose_target(program)
         if target is None:
             return program
-        out = MalProgram(program.name, dict(program.properties))
-        out.var_types = dict(program.var_types)
-        out.dataflow_enabled = program.dataflow_enabled
-        out._counter = program._counter
+        source = program.instructions
+        program.instructions = []  # rewritten from ``source``
         partitions: Dict[str, List[str]] = {}
         packed: Dict[str, str] = {}
-        for instr in program.instructions:
-            if self._is_target_bind(instr, target):
+        for instr in source:
+            if instr.qualified_name == "sql.bind" \
+                    and self._is_target_bind(instr, target):
                 partitions[instr.results[0]] = self._emit_partition_binds(
-                    out, instr
+                    program, instr
                 )
                 continue
-            part_args = [
-                a.name for a in instr.args
-                if isinstance(a, Var) and a.name in partitions
-            ]
-            if not part_args:
-                out.instructions.append(instr)
+            for arg in instr.args:
+                if arg.__class__ is Var and arg.name in partitions:
+                    break
+            else:  # reads nothing partitioned: kept as it is
+                program.instructions.append(instr)
                 continue
             if self._partition_transparent(instr, partitions, program):
-                self._emit_replicas(out, instr, partitions)
+                self._emit_replicas(program, instr, partitions)
                 continue
             if self._foldable_aggregate(instr, partitions):
-                self._emit_folded_aggregate(out, instr, partitions)
+                self._emit_folded_aggregate(program, instr, partitions)
                 continue
-            self._emit_with_packs(out, instr, partitions, packed)
-        out.renumber()
-        return out
+            self._emit_with_packs(program, instr, partitions, packed)
+        return program
 
     # ------------------------------------------------------------------
     # target choice
@@ -106,9 +102,10 @@ class Mitosis:
     def _choose_target(self, program: MalProgram) -> Optional[Tuple[str, str]]:
         counts: Dict[Tuple[str, str], int] = {}
         for instr in program.instructions:
-            key = self._bind_key(instr)
-            if key is not None:
-                counts[key] = counts.get(key, 0) + 1
+            if instr.qualified_name == "sql.bind":
+                key = self._bind_key(instr)
+                if key is not None:
+                    counts[key] = counts.get(key, 0) + 1
         if not counts:
             return None
         if self.catalog is not None:
@@ -162,39 +159,34 @@ class Mitosis:
                                program: Optional[MalProgram] = None) -> bool:
         qname = instr.qualified_name
         args = instr.args
-
-        def partitioned(arg) -> bool:
-            return isinstance(arg, Var) and arg.name in partitions
-
-        def oid_tailed(arg) -> bool:
-            if program is None or not isinstance(arg, Var):
-                return False
-            spec = program.type_of(arg.name)
-            return spec.is_bat and spec.tail is not None \
-                and spec.tail.name == "oid"
+        #: which arguments are partitioned variables
+        parted = [arg.__class__ is Var and arg.name in partitions
+                  for arg in args]
 
         if qname in _SELECTIONS:
-            return partitioned(args[0]) and not any(
-                partitioned(a) for a in args[1:]
-            )
+            return parted[0] and not any(parted[1:])
         if qname == "bat.mirror":
-            return partitioned(args[0])
+            return parted[0]
         if qname in _LEFT_PARTITIONED_JOINS:
-            if len(args) != 2 or not partitioned(args[0]):
+            if len(args) != 2 or not parted[0]:
                 return False
-            if not partitioned(args[1]):
+            if not parted[1]:
                 return True  # projection against the full column
             # both sides partitioned: only safe when the left side is a
             # candidate list (oid tails) matching the same oid ranges
-            return oid_tailed(args[0])
+            if program is None:
+                return False
+            spec = program.type_of(args[0].name)
+            return spec.is_bat and spec.tail is not None \
+                and spec.tail.name == "oid"
         if qname == "algebra.semijoin":
             # semijoin filters by head membership; heads of both sides
             # live in the same partition's oid range
-            return (len(args) == 2 and partitioned(args[0])
-                    and partitioned(args[1]))
+            return len(args) == 2 and parted[0] and parted[1]
         if instr.module == "batcalc":
             return all(
-                isinstance(a, Const) or partitioned(a) for a in args
+                is_part or isinstance(arg, Const)
+                for arg, is_part in zip(args, parted)
             )
         return False
 

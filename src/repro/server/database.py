@@ -46,45 +46,12 @@ from repro.mal.optimizer import (
 from repro.mal.printer import format_program
 from repro.sqlfe.ast import CreateTable, DropTable, Insert, Literal, Select, UnaryOp
 from repro.sqlfe.compiler import SqlCompiler
+from repro.sqlfe.lexer import normalize_sql
 from repro.sqlfe.parser import parse_sql
 from repro.storage.catalog import Catalog, Column, Table, _sql_type_to_mal
 from repro.storage.durable import (
     CheckpointReport, DurableEngine, RecoveryReport,
 )
-
-
-def normalize_sql(sql: str) -> str:
-    """Collapse insignificant whitespace for plan-cache keying.
-
-    Runs of whitespace *outside* single-quoted string literals become
-    one space (and a trailing semicolon plus surrounding blanks are
-    dropped), so reformatted but textually equivalent statements share
-    a cache entry.  Whitespace inside literals is preserved — collapsing
-    it would make ``'a  b'`` and ``'a b'`` collide on different plans.
-    """
-    out: List[str] = []
-    in_literal = False
-    pending_space = False
-    for ch in sql:
-        if in_literal:
-            out.append(ch)
-            if ch == "'":
-                in_literal = False
-            continue
-        if ch.isspace():
-            pending_space = True
-            continue
-        if pending_space:
-            if out:
-                out.append(" ")
-            pending_space = False
-        out.append(ch)
-        if ch == "'":
-            in_literal = True
-    text = "".join(out)
-    if text.endswith(";"):
-        text = text[:-1].rstrip()
-    return text
 
 
 #: Latency drift factor that evicts a cached plan: an entry observed

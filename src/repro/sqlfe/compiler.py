@@ -28,7 +28,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import SqlError
-from repro.mal.ast import Const, MalProgram, TypeSpec, Var, bat_of, scalar_of
+from repro.mal.ast import (
+    Const, MalInstruction, MalProgram, TypeSpec, Var, bat_of, scalar_of,
+)
 from repro.sqlfe.ast import (
     Between,
     BinaryOp,
@@ -132,11 +134,17 @@ class _SelectCompiler:
 
     def emit(self, module: str, function: str, args: Sequence,
              result_type: TypeSpec = None, is_bat: bool = True) -> Var:
-        spec = result_type if result_type is not None else bat_of("int")
-        var = self.program.call(module, function, list(args), spec)
+        """Append ``result := module.function(args)`` and return the
+        fresh result variable."""
+        program = self.program
+        name = program.new_var(
+            result_type if result_type is not None else bat_of("int"))
+        program.instructions.append(MalInstruction(
+            [name], module, function, list(args),
+            len(program.instructions)))
         if is_bat:
-            self._bat_vars.add(var.name)
-        return var
+            self._bat_vars.add(name)
+        return Var(name)
 
     def is_bat(self, value) -> bool:
         return isinstance(value, Var) and value.name in self._bat_vars
@@ -166,8 +174,6 @@ class _SelectCompiler:
         self.mvc = self.emit("sql", "mvc", [], scalar_of("oid"), is_bat=False)
         outputs = self._compile_body()
         self._emit_result(outputs)
-        self.program.renumber()
-        self.program.validate()
         return self.program
 
     def compile_subquery(self) -> OutputColumn:
@@ -718,6 +724,8 @@ class _SelectCompiler:
 
     def _compile_order_keys(self, outputs: List[OutputColumn], compile_fn):
         keys = []
+        if not self.select.order_by:
+            return keys
         aliases = {o.name: o for o in outputs}
         item_reprs = {
             repr(item.expr): output
@@ -815,9 +823,10 @@ class _GroupEnv:
 
     def compile(self, expr: Expression):
         c = self.compiler
-        key = repr(expr)
-        if key in self._key_by_repr:
-            return self._project_key(key)
+        if self._key_by_repr:  # (a scalar aggregate has no keys)
+            key = repr(expr)
+            if key in self._key_by_repr:
+                return self._project_key(key)
         if isinstance(expr, FuncCall):
             return self._aggregate(expr)
         if isinstance(expr, Literal):

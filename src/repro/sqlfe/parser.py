@@ -1,4 +1,5 @@
-"""Recursive-descent SQL parser.
+"""SQL parser: recursive descent over statements and clauses,
+precedence climbing over expressions.
 
 Entry point :func:`parse_sql` returns one statement per input string
 (trailing semicolon optional).  Errors raise
@@ -40,7 +41,22 @@ from repro.sqlfe.ast import (
 from repro.sqlfe.lexer import Token, tokenize
 
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
-_COMPARISONS = {"=", "<>", "!=", "<", "<=", ">", ">="}
+_KEYWORD_LITERALS = {"TRUE": True, "FALSE": False, "NULL": None}
+
+#: How tightly each infix token binds, loosest first.  A predicate (a
+#: comparison, ``[NOT] BETWEEN / IN / LIKE`` or ``IS [NOT] NULL``) does
+#: not chain — ``a = b = c`` is an error — and a prefix NOT takes one
+#: whole predicate; unary minus binds tighter than every infix operator.
+_OR, _AND, _NOT, _PREDICATE, _ADDITIVE, _MULTIPLICATIVE, _UNARY = range(1, 8)
+_INFIX = {
+    "OR": _OR, "AND": _AND,
+    "=": _PREDICATE, "<>": _PREDICATE, "!=": _PREDICATE, "<": _PREDICATE,
+    "<=": _PREDICATE, ">": _PREDICATE, ">=": _PREDICATE,
+    "NOT": _PREDICATE, "BETWEEN": _PREDICATE, "IN": _PREDICATE,
+    "LIKE": _PREDICATE, "IS": _PREDICATE,
+    "+": _ADDITIVE, "-": _ADDITIVE,
+    "*": _MULTIPLICATIVE, "/": _MULTIPLICATIVE, "%": _MULTIPLICATIVE,
+}
 
 
 class _Parser:
@@ -50,8 +66,10 @@ class _Parser:
 
     # -- token plumbing --------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        """The current token; the ``eof`` sentinel is never advanced
+        past, so the index needs no bound."""
+        return self.tokens[self.index]
 
     def advance(self) -> Token:
         token = self.tokens[self.index]
@@ -63,33 +81,41 @@ class _Parser:
         token = self.peek()
         return SqlParseError(f"{message} (near {token.text!r})")
 
-    def expect_keyword(self, *words: str) -> Token:
-        if not self.peek().is_keyword(*words):
-            raise self.error(f"expected {' or '.join(words)}")
-        return self.advance()
+    # A keyword, operator or name is never the sentinel, so accepting
+    # one steps over it without asking :meth:`advance`.
 
     def accept_keyword(self, *words: str) -> Optional[Token]:
-        if self.peek().is_keyword(*words):
-            return self.advance()
+        token = self.tokens[self.index]
+        if token.kind == "keyword" and token.text in words:
+            self.index += 1
+            return token
+        return None
+
+    def expect_keyword(self, *words: str) -> Token:
+        token = self.accept_keyword(*words)
+        if token is None:
+            raise self.error(f"expected {' or '.join(words)}")
+        return token
+
+    def accept_op(self, text: str) -> Optional[Token]:
+        token = self.tokens[self.index]
+        if token.kind == "op" and token.text == text:
+            self.index += 1
+            return token
         return None
 
     def expect_op(self, text: str) -> Token:
-        token = self.peek()
-        if token.kind != "op" or token.text != text:
+        token = self.accept_op(text)
+        if token is None:
             raise self.error(f"expected {text!r}")
-        return self.advance()
-
-    def accept_op(self, text: str) -> Optional[Token]:
-        token = self.peek()
-        if token.kind == "op" and token.text == text:
-            return self.advance()
-        return None
+        return token
 
     def expect_name(self) -> str:
-        token = self.peek()
+        token = self.tokens[self.index]
         if token.kind != "name":
             raise self.error("expected identifier")
-        return self.advance().text
+        self.index += 1
+        return token.text
 
     # -- statements --------------------------------------------------------
 
@@ -208,12 +234,12 @@ class _Parser:
         offset = 0
         if self.accept_keyword("LIMIT"):
             token = self.peek()
-            if token.kind != "number" or "." in token.text:
+            if token.kind != "number" or not token.text.isdigit():
                 raise self.error("LIMIT expects an integer")
             limit = int(self.advance().text)
             if self.accept_keyword("OFFSET"):
                 token = self.peek()
-                if token.kind != "number" or "." in token.text:
+                if token.kind != "number" or not token.text.isdigit():
                     raise self.error("OFFSET expects an integer")
                 offset = int(self.advance().text)
         return Select(items, tables, join_conditions, where, group_by,
@@ -254,39 +280,62 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
-    def parse_expression(self):
-        return self._parse_or()
+    def parse_expression(self, tightest: int = _OR):
+        """An expression whose infix operators all bind at least as
+        tightly as ``tightest``.
 
-    def _parse_or(self):
-        left = self._parse_and()
-        while self.accept_keyword("OR"):
-            left = BinaryOp("OR", left, self._parse_and())
-        return left
+        ``loosest`` bounds what may still take ``left`` as its left
+        operand: anything after a primary or a unary minus; only AND
+        and OR after a prefix NOT or a predicate; and after a binary
+        operator nothing tighter than it, which its right operand would
+        have consumed had it not stopped at such a predicate.
+        """
+        token = self.tokens[self.index]
+        text = token.text
+        loosest = _UNARY
+        if token.kind == "op" and text == "-":
+            self.index += 1
+            left = self.parse_expression(_UNARY)
+            if isinstance(left, Literal) and isinstance(
+                left.value, (int, float)
+            ):
+                left = Literal(-left.value)
+            else:
+                left = UnaryOp("-", left)
+        elif token.kind == "keyword" and text == "NOT" and tightest <= _NOT:
+            self.index += 1
+            left = UnaryOp("NOT", self.parse_expression(_NOT))
+            loosest = _AND
+        else:
+            left = self._parse_primary()
+        while True:
+            token = self.tokens[self.index]
+            text = token.text
+            level = _INFIX.get(text)
+            if level is None or level < tightest or level > loosest \
+                    or token.kind == "string" or token.kind == "name":
+                return left  # (``'AND'`` and ``"AND"`` are no operators)
+            if level == _PREDICATE:
+                left = self._parse_predicate(left)
+                loosest = _AND
+            else:
+                self.index += 1
+                left = BinaryOp(text, left, self.parse_expression(level + 1))
+                loosest = level
 
-    def _parse_and(self):
-        left = self._parse_not()
-        while self.accept_keyword("AND"):
-            left = BinaryOp("AND", left, self._parse_not())
-        return left
-
-    def _parse_not(self):
-        if self.accept_keyword("NOT"):
-            return UnaryOp("NOT", self._parse_not())
-        return self._parse_comparison()
-
-    def _parse_comparison(self):
-        left = self._parse_additive()
+    def _parse_predicate(self, left):
+        """What may follow the left operand of a predicate."""
         token = self.peek()
-        if token.kind == "op" and token.text in _COMPARISONS:
+        if token.kind == "op":
             op = self.advance().text
             if op == "!=":
                 op = "<>"
-            return BinaryOp(op, left, self._parse_additive())
+            return BinaryOp(op, left, self.parse_expression(_ADDITIVE))
         negated = bool(self.accept_keyword("NOT"))
         if self.accept_keyword("BETWEEN"):
-            low = self._parse_additive()
+            low = self.parse_expression(_ADDITIVE)
             self.expect_keyword("AND")
-            high = self._parse_additive()
+            high = self.parse_expression(_ADDITIVE)
             return Between(left, low, high, negated)
         if self.accept_keyword("IN"):
             self.expect_op("(")
@@ -308,111 +357,80 @@ class _Parser:
             is_negated = bool(self.accept_keyword("NOT"))
             self.expect_keyword("NULL")
             return IsNull(left, is_negated)
-        if negated:
-            raise self.error("expected BETWEEN, IN or LIKE after NOT")
-        return left
-
-    def _parse_additive(self):
-        left = self._parse_multiplicative()
-        while True:
-            if self.accept_op("+"):
-                left = BinaryOp("+", left, self._parse_multiplicative())
-            elif self.accept_op("-"):
-                left = BinaryOp("-", left, self._parse_multiplicative())
-            else:
-                return left
-
-    def _parse_multiplicative(self):
-        left = self._parse_unary()
-        while True:
-            if self.accept_op("*"):
-                left = BinaryOp("*", left, self._parse_unary())
-            elif self.accept_op("/"):
-                left = BinaryOp("/", left, self._parse_unary())
-            elif self.accept_op("%"):
-                left = BinaryOp("%", left, self._parse_unary())
-            else:
-                return left
-
-    def _parse_unary(self):
-        if self.accept_op("-"):
-            operand = self._parse_unary()
-            if isinstance(operand, Literal) and isinstance(
-                operand.value, (int, float)
-            ):
-                return Literal(-operand.value)
-            return UnaryOp("-", operand)
-        return self._parse_primary()
+        raise self.error("expected BETWEEN, IN or LIKE after NOT")
 
     def _parse_primary(self):
-        token = self.peek()
-        if token.kind == "number":
-            self.advance()
-            value = float(token.text) if "." in token.text or "e" in token.text.lower() else int(token.text)
-            return Literal(value)
-        if token.kind == "string":
-            self.advance()
+        token = self.tokens[self.index]
+        kind = token.kind
+        if kind == "name":
+            return self._parse_column_ref()
+        if kind == "number":
+            self.index += 1
+            text = token.text
+            return Literal(int(text) if text.isdigit() else float(text))
+        if kind == "string":
+            self.index += 1
             return Literal(token.text)
-        if token.is_keyword("TRUE"):
-            self.advance()
-            return Literal(True)
-        if token.is_keyword("FALSE"):
-            self.advance()
-            return Literal(False)
-        if token.is_keyword("NULL"):
-            self.advance()
-            return Literal(None)
-        if token.is_keyword("DATE"):
-            self.advance()
-            text_token = self.peek()
-            if text_token.kind != "string":
-                raise self.error("DATE expects a quoted ISO date")
-            self.advance()
-            try:
-                return Literal(datetime.date.fromisoformat(text_token.text))
-            except ValueError:
-                raise self.error(f"bad date literal {text_token.text!r}")
-        if token.is_keyword("INTERVAL"):
-            self.advance()
-            amount_token = self.peek()
-            if amount_token.kind == "string":
-                amount = int(self.advance().text)
-            elif amount_token.kind == "number":
-                amount = int(self.advance().text)
-            else:
-                raise self.error("INTERVAL expects a number")
-            unit = self.expect_keyword("DAY", "MONTH", "YEAR").text.lower()
-            return Interval(amount, unit)
-        if token.is_keyword("CASE"):
-            return self._parse_case()
-        if token.is_keyword("CAST"):
-            self.advance()
-            self.expect_op("(")
-            operand = self.parse_expression()
-            self.expect_keyword("AS")
-            type_name = self._parse_type_name()
-            self.expect_op(")")
-            return Cast(operand, type_name)
-        if token.is_keyword("EXTRACT"):
-            self.advance()
-            self.expect_op("(")
-            self.expect_keyword("YEAR")
-            self.expect_keyword("FROM")
-            operand = self.parse_expression()
-            self.expect_op(")")
-            return ExtractYear(operand)
-        if token.kind == "keyword" and token.text in _AGGREGATES:
-            self.advance()
-            name = token.text.lower()
-            self.expect_op("(")
-            if name == "count" and self.accept_op("*"):
+        if kind == "keyword":
+            word = token.text
+            if word in _AGGREGATES:
+                self.index += 1
+                name = word.lower()
+                self.expect_op("(")
+                if name == "count" and self.accept_op("*"):
+                    self.expect_op(")")
+                    return FuncCall(name, [], star=True)
+                self.accept_keyword("DISTINCT")  # parsed, handled by binder
+                args = [self.parse_expression()]
                 self.expect_op(")")
-                return FuncCall(name, [], star=True)
-            self.accept_keyword("DISTINCT")  # parsed, handled by binder
-            args = [self.parse_expression()]
-            self.expect_op(")")
-            return FuncCall(name, args)
-        if self.accept_op("("):
+                return FuncCall(name, args)
+            if word in _KEYWORD_LITERALS:
+                self.index += 1
+                return Literal(_KEYWORD_LITERALS[word])
+            if word == "DATE":
+                self.index += 1
+                text_token = self.peek()
+                if text_token.kind != "string":
+                    raise self.error("DATE expects a quoted ISO date")
+                self.advance()
+                try:
+                    return Literal(
+                        datetime.date.fromisoformat(text_token.text))
+                except ValueError:
+                    raise self.error(
+                        f"bad date literal {text_token.text!r}")
+            if word == "INTERVAL":
+                self.index += 1
+                amount = self.peek()
+                try:
+                    if amount.kind not in ("string", "number"):
+                        raise ValueError
+                    count = int(amount.text)
+                except ValueError:
+                    raise self.error("INTERVAL expects a number")
+                self.advance()
+                unit = self.expect_keyword("DAY", "MONTH", "YEAR")
+                return Interval(count, unit.text.lower())
+            if word == "CASE":
+                return self._parse_case()
+            if word == "CAST":
+                self.index += 1
+                self.expect_op("(")
+                operand = self.parse_expression()
+                self.expect_keyword("AS")
+                type_name = self._parse_type_name()
+                self.expect_op(")")
+                return Cast(operand, type_name)
+            if word == "EXTRACT":
+                self.index += 1
+                self.expect_op("(")
+                self.expect_keyword("YEAR")
+                self.expect_keyword("FROM")
+                operand = self.parse_expression()
+                self.expect_op(")")
+                return ExtractYear(operand)
+        elif kind == "op" and token.text == "(":
+            self.index += 1
             if self.peek().is_keyword("SELECT"):
                 sub_select = self.parse_select()
                 self.expect_op(")")
@@ -420,8 +438,6 @@ class _Parser:
             expr = self.parse_expression()
             self.expect_op(")")
             return expr
-        if token.kind == "name":
-            return self._parse_column_ref()
         raise self.error("expected expression")
 
     def _parse_case(self):

@@ -81,13 +81,15 @@ def program_signatures(program: MalProgram) -> Dict[int, str]:
     instruction is keyed by its qualified name alone, which is enough
     for per-operator latency profiles.
     """
-    defs: Dict[str, Any] = {}
-    for instr in program.instructions:
-        for result in instr.results:
-            defs[result] = instr
+    instructions = program.instructions
+    sites = program.derived(MalProgram.def_use).sites
+
+    def defining(var_name: str) -> Optional[Any]:
+        site = sites.get(var_name)
+        return None if site is None else instructions[site]
 
     def column_of(var_name: str) -> Optional[str]:
-        instr = defs.get(var_name)
+        instr = defining(var_name)
         hops = 0
         while instr is not None and hops < 16:
             qname = instr.qualified_name
@@ -108,7 +110,7 @@ def program_signatures(program: MalProgram) -> Dict[int, str]:
             source = instr.args[position]
             if not isinstance(source, Var):
                 return None
-            instr = defs.get(source.name)
+            instr = defining(source.name)
             hops += 1
         return None
 

@@ -42,7 +42,7 @@ class TestGarbageCollector:
 
     def test_release_placed_after_last_use(self):
         out = GarbageCollector().run(parse_instruction_text(TEXT))
-        by_pc = {i.pc: i for i in out}
+        out.renumber()  # a pass leaves pcs to Pipeline.apply
         release_pc = next(
             i.pc for i in out
             if i.qualified_name == "language.pass"

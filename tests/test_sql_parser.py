@@ -43,7 +43,7 @@ class TestLexer:
 
     def test_numbers(self):
         kinds = [t.text for t in tokenize("1 2.5 3e2 10.5e-3")[:-1]]
-        assert kinds == ["1", "2.5", "3", "e2", "10.5e-3"]
+        assert kinds == ["1", "2.5", "3e2", "10.5e-3"]
 
     def test_comments_dropped(self):
         tokens = tokenize("select -- a comment\n1")
@@ -160,6 +160,13 @@ class TestSelectParsing:
         stmt = parse_sql("select a from t where a > -5")
         assert stmt.where.right.value == -5
 
+    def test_exponent_is_part_of_the_number(self):
+        stmt = parse_sql("select 1e3 from region where r_regionkey < 1e1")
+        assert stmt.items[0].expr.value == 1000.0
+        assert stmt.items[0].alias is None  # not ``1`` aliased ``e3``
+        assert stmt.where.right.value == 10.0
+        assert parse_sql("select 2E-2 x from t").items[0].expr.value == 0.02
+
     def test_unary_not(self):
         stmt = parse_sql("select a from t where not a = 1")
         assert isinstance(stmt.where, UnaryOp) and stmt.where.op == "NOT"
@@ -210,3 +217,9 @@ class TestParseErrors:
     def test_empty_case(self):
         with pytest.raises(SqlParseError):
             parse_sql("select case end from t")
+
+    @pytest.mark.parametrize("sql", ["select .5 from t", "select 5. from t",
+                                     "select a from t limit 1e1"])
+    def test_a_number_needs_digits_on_both_sides_of_its_point(self, sql):
+        with pytest.raises(SqlParseError):
+            parse_sql(sql)
