@@ -17,6 +17,7 @@ baseline without unwiring anything.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -125,12 +126,8 @@ class Histogram(_Child):
         family = self._family
         if not family.registry.enabled:
             return
-        bounds = family.buckets
-        index = len(bounds)
-        for i, bound in enumerate(bounds):
-            if value <= bound:
-                index = i
-                break
+        # the first bound >= value; past the last one, the +Inf bucket
+        index = bisect_left(family.buckets, value)
         with family.lock:
             self._counts[index] += 1
             self._sum += value
@@ -145,17 +142,11 @@ class Histogram(_Child):
         if not family.registry.enabled:
             return
         bounds = family.buckets
-        last = len(bounds)
-        increments = [0] * (last + 1)
+        increments = [0] * (len(bounds) + 1)
         total = 0.0
         count = 0
         for value in values:
-            index = last
-            for i, bound in enumerate(bounds):
-                if value <= bound:
-                    index = i
-                    break
-            increments[index] += 1
+            increments[bisect_left(bounds, value)] += 1
             total += value
             count += 1
         if not count:
@@ -235,22 +226,27 @@ class MetricFamily:
                 raise MetricError("pass labels positionally or by name, "
                                   "not both")
             try:
-                values = tuple(str(kwargs[n]) for n in self.label_names)
+                values = tuple([kwargs[n] for n in self.label_names])
             except KeyError as exc:
                 raise MetricError(
                     f"{self.name}: missing label {exc.args[0]!r}"
                 ) from None
-        else:
-            values = tuple(str(v) for v in values)
-        if len(values) != len(self.label_names):
-            raise MetricError(
-                f"{self.name} expects labels {self.label_names}, "
-                f"got {values!r}"
-            )
-        child = self._children.get(values)
+        try:  # values that are already strings are the key: probe first
+            child = self._children.get(values)
+        except TypeError:  # an unhashable value still has a str()
+            child = None
         if child is None:
-            with self.lock:
-                child = self._children.setdefault(values, _KINDS[self.kind](self))
+            values = tuple([str(v) for v in values])
+            if len(values) != len(self.label_names):
+                raise MetricError(
+                    f"{self.name} expects labels {self.label_names}, "
+                    f"got {values!r}"
+                )
+            child = self._children.get(values)
+            if child is None:
+                with self.lock:
+                    child = self._children.setdefault(
+                        values, _KINDS[self.kind](self))
         return child
 
     def children(self) -> Dict[Tuple[str, ...], Any]:

@@ -138,18 +138,6 @@ class Subscription:
                 self._cv.wait(timeout)
         return self.pop_batch(max_entries)
 
-    def uncredit(self, count: int) -> None:
-        """Take back delivery credit for popped-but-never-sent entries.
-
-        The asyncio server pops a batch and then writes it to the
-        socket; if the stream task is cancelled between the two, the
-        popped entries were counted by :meth:`pop_batch` but the peer
-        never received them — the unsubscribe summary must not claim
-        they were delivered.
-        """
-        if count > 0:
-            self.delivered = max(0, self.delivered - count)
-
     def pending(self) -> int:
         """Entries buffered but not yet popped."""
         with self._cv:

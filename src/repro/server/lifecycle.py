@@ -32,9 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional
-
-from contextlib import contextmanager
+from typing import Deque, Dict, List, Optional
 
 from repro.errors import (
     QueryBudgetError,
@@ -60,7 +58,8 @@ class QueryContext:
     server and watchdog call :meth:`cancel` from other threads.  All
     state transitions are guarded by one lock, and a cancel of an
     already-finished query is a no-op, so metrics count each cancelled
-    query exactly once.
+    query exactly once.  :attr:`cancelled` is written under that lock
+    and read bare — :meth:`check` runs at every instruction.
     """
 
     def __init__(self, query_id: str, sql: str = "",
@@ -78,7 +77,8 @@ class QueryContext:
         self.cancel_reason = ""
         self.cancel_source = ""
         self._lock = threading.Lock()
-        self._cancelled = threading.Event()
+        #: True once cancellation has been requested
+        self.cancelled = False
 
     # -- transitions ----------------------------------------------------
 
@@ -103,10 +103,9 @@ class QueryContext:
         (shutdown) or ``rss-budget``.
         """
         with self._lock:
-            if self.state not in ("queued", "running") or \
-                    self._cancelled.is_set():
+            if self.state not in ("queued", "running") or self.cancelled:
                 return False
-            self._cancelled.set()
+            self.cancelled = True
             self.cancel_reason = reason
             self.cancel_source = source
         SERVER_QUERIES_CANCELLED.labels(source=source).inc()
@@ -115,11 +114,6 @@ class QueryContext:
         return True
 
     # -- queries --------------------------------------------------------
-
-    @property
-    def cancelled(self) -> bool:
-        """True once cancellation has been requested."""
-        return self._cancelled.is_set()
 
     def elapsed_s(self) -> float:
         """Seconds since the query was submitted."""
@@ -133,7 +127,7 @@ class QueryContext:
         deadline or a blown RSS budget inline, without waiting for the
         watchdog tick.
         """
-        if not self._cancelled.is_set():
+        if not self.cancelled:
             if self.deadline is not None and \
                     time.monotonic() >= self.deadline:
                 self.cancel(f"deadline of {self.deadline_s:g}s exceeded",
@@ -295,20 +289,16 @@ class AdmissionController:
         raise ServerOverloadedError(
             f"server overloaded ({reason}): {detail}")
 
-    @contextmanager
     def slot(self, context: QueryContext,
-             exclusive: bool = False) -> Iterator[None]:
-        """Hold one execution slot for the duration of the block.
+             exclusive: bool = False) -> "_Slot":
+        """``with controller.slot(context):`` holds one execution slot
+        for the duration of the block.
 
-        Raises :class:`~repro.errors.ServerOverloadedError` when the
-        query is shed, or the context's typed cancellation error when
-        it is cancelled while queued.
+        Entering raises :class:`~repro.errors.ServerOverloadedError`
+        when the query is shed, or the context's typed cancellation
+        error when it is cancelled while queued.
         """
-        self._admit(context, exclusive)
-        try:
-            yield
-        finally:
-            self._release(exclusive)
+        return _Slot(self, context, exclusive)
 
     def _admit(self, context: QueryContext, exclusive: bool) -> None:
         deadline = time.monotonic() + self.queue_wait_s
@@ -358,6 +348,24 @@ class AdmissionController:
             SERVER_QUERIES_ACTIVE.set(
                 self._active + (1 if self._exclusive_active else 0))
             self._cv.notify_all()
+
+
+class _Slot:
+    """One execution slot: admitted on entry, released on exit."""
+
+    __slots__ = ("_controller", "_context", "_exclusive")
+
+    def __init__(self, controller: AdmissionController,
+                 context: QueryContext, exclusive: bool) -> None:
+        self._controller = controller
+        self._context = context
+        self._exclusive = exclusive
+
+    def __enter__(self) -> None:
+        self._controller._admit(self._context, self._exclusive)
+
+    def __exit__(self, *exc) -> None:
+        self._controller._release(self._exclusive)
 
 
 class StuckQueryWatchdog:

@@ -1,18 +1,22 @@
 """The Mserver TCP server: an asyncio front-end over executor-run queries.
 
 The front-end is a single event loop (running in a background thread)
-that accepts connections, frames line-delimited JSON requests, and
-dispatches them.  Each connection gets a reader task that feeds a
-bounded queue and a processor task that answers requests **in order**
-— so clients may pipeline requests without waiting for responses, and
-ten thousand idle viewers cost ten thousand coroutines, not threads.
+serving one :class:`asyncio.Protocol` object per connection — no task,
+queue, lock or per-request timer.  ``data_received`` frames
+line-delimited JSON requests; they are answered one at a time, so
+responses leave **in request order** (clients may pipeline), each as
+one ``transport.write``.  A request that cannot block is answered inside
+the callback that heard it, and ten thousand idle viewers cost ten
+thousand small objects, not threads.
 
 Blocking work (SQL execution, plan explain/dot) runs on a thread-pool
-executor so the interpreter, schedulers and admission control are
-untouched: every query still gets a server-assigned id and a
-cancellation token threaded down to the schedulers, admission control
-bounds concurrency with typed load-shedding, a watchdog force-cancels
-queries past their deadline, and ``stop()`` drains gracefully.
+executor, whose thread also encodes the response and hands the bytes
+back — a query crosses the loop twice.  The interpreter, schedulers and
+admission control are untouched: every query still gets a
+server-assigned id and a cancellation token threaded down to the
+schedulers, admission control bounds concurrency with typed
+load-shedding, a watchdog force-cancels queries past their deadline,
+and ``stop()`` drains gracefully.
 
 Session state (optimizer pipeline choice, worker count, scheduler,
 profiler streaming target and filter) is per-connection, applied at
@@ -21,22 +25,21 @@ first ships its plan's dot file over the UDP stream, then streams the
 execution trace events, then an end marker — exactly the online-mode
 contract the Stethoscope expects (paper §4.2).
 
-New in the asyncio front-end: the **trace broadcast hub**
-(:mod:`repro.profiler.broadcast`).  Every profiled line is also
-published once into the hub, and any number of connections can
-``subscribe`` to follow it live with bounded drop-oldest buffers and
-resumable sequence numbers — the full wire contract is specified in
-``docs/streaming.md``.
+The **trace broadcast hub** (:mod:`repro.profiler.broadcast`): every
+profiled line is also published once into the hub, and any number of
+connections can ``subscribe`` to follow it live with bounded
+drop-oldest buffers and resumable sequence numbers — the full wire
+contract is specified in ``docs/streaming.md``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReadOnlyReplicaError, ReproError, ServerError
 from repro.faults.plan import ACTIVE
@@ -62,6 +65,7 @@ from repro.server.lifecycle import (
 )
 from repro.server.protocol import (
     MAX_MESSAGE_BYTES,
+    VERBS,
     decode_message,
     encode_message,
     encode_rows,
@@ -72,13 +76,14 @@ from repro.server.protocol import (
 #: else (DDL, INSERT) admits exclusively.
 _READ_HEADS = ("select", "explain", "trace")
 
-#: Seconds an idle connection may sit between requests before the
-#: server hangs up.  Connections with an active hub subscription are
-#: exempt — a viewer legitimately reads for minutes without writing.
+#: Seconds a connection may sit idle — nothing heard, nothing pending
+#: or running — before the server hangs up; read when a connection is
+#: made.  Connections with an active hub subscription are exempt — a
+#: viewer legitimately reads for minutes without writing.
 _IDLE_TIMEOUT_S = 30.0
 
-#: Pipelined requests buffered per connection before the reader stops
-#: pulling from the socket (TCP backpressure does the rest).
+#: Pipelined requests framed per connection before it stops pulling
+#: from the socket (TCP backpressure does the rest).
 _PIPELINE_DEPTH = 64
 
 
@@ -139,9 +144,8 @@ class Mserver:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[threading.Thread] = None
         self._aserver: Optional[asyncio.AbstractServer] = None
-        self._stopping = threading.Event()
-        self._conns_lock = threading.Lock()
-        self._conns: Dict[int, "_Connection"] = {}
+        #: live connections; touched on the loop thread only
+        self._conns: Set["_Connection"] = set()
         #: the node's :class:`~repro.replication.ReplicationManager`,
         #: attached after :meth:`start` (it advertises the bound port);
         #: None on standalone servers.
@@ -153,7 +157,6 @@ class Mserver:
         """Bind, listen, and serve on a background event loop."""
         if self._loop is not None:
             raise ServerError("server already started")
-        self._stopping.clear()
         self.admission.end_drain()
         self._executor = ThreadPoolExecutor(
             max_workers=self._executor_workers,
@@ -166,11 +169,9 @@ class Mserver:
             asyncio.set_event_loop(self._loop)
             try:
                 self._aserver = self._loop.run_until_complete(
-                    asyncio.start_server(
-                        self._handle_connection, host=self.host,
-                        port=self._requested_port,
-                        limit=MAX_MESSAGE_BYTES,
-                        reuse_address=True))
+                    self._loop.create_server(
+                        lambda: _Connection(self), host=self.host,
+                        port=self._requested_port, reuse_address=True))
                 sockets = self._aserver.sockets or []
                 self.port = sockets[0].getsockname()[1]
             except Exception as exc:  # bind failure surfaces in start()
@@ -216,7 +217,6 @@ class Mserver:
             return
         budget = self.drain_seconds if drain_seconds is None \
             else drain_seconds
-        self._stopping.set()
         if self.replication is not None:
             self.replication.stop()
         self.admission.begin_drain()
@@ -245,13 +245,11 @@ class Mserver:
         self.hub.close_all()
 
         async def close_connections() -> None:
-            with self._conns_lock:
-                conns = list(self._conns.values())
+            conns = list(self._conns)
             for conn in conns:
                 conn.kill()
-            waits = [c.done for c in conns if c.done is not None]
-            if waits:
-                await asyncio.wait(waits, timeout=2.0)
+            if conns:
+                await asyncio.wait([c.done for c in conns], timeout=2.0)
 
         _run_on_loop(loop, close_connections(), timeout=4.0)
         loop.call_soon_threadsafe(loop.stop)
@@ -271,19 +269,6 @@ class Mserver:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # ------------------------------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(self, reader, writer)
-        with self._conns_lock:
-            self._conns[id(conn)] = conn
-        try:
-            await conn.run()
-        finally:
-            with self._conns_lock:
-                self._conns.pop(id(conn), None)
-
 
 def _run_on_loop(loop: asyncio.AbstractEventLoop, coro,
                  timeout: float) -> None:
@@ -295,196 +280,242 @@ def _run_on_loop(loop: asyncio.AbstractEventLoop, coro,
         future.cancel()
 
 
-class _Connection:
-    """One client connection: reader task + in-order processor task.
+def _error_response(exc: Exception) -> Dict:
+    """What a request is answered when handling it raised: the typed
+    payload for the engine's own errors, and for anything else a
+    surfaced ``internal error`` — a bug costs one request, never the
+    connection or the server."""
+    if isinstance(exc, ReproError):
+        return error_payload(exc)
+    return {"ok": False, "error": f"internal error: {exc}"}
 
-    The reader frames lines into a bounded queue (pipelining up to
-    ``_PIPELINE_DEPTH`` requests); the processor answers them one at a
-    time so responses arrive in request order.  A hub subscription adds
-    a third task streaming broadcast entries; all writes go through one
-    lock, one message a hold, so an entry line never lands inside a
-    response — not between a result's header and its column frames.
+
+class _Connection(asyncio.Protocol):
+    """One client connection: a protocol object, no task of its own.
+
+    ``data_received`` frames lines into ``_pending`` (pausing the
+    transport at ``_PIPELINE_DEPTH``); ``_pump`` starts them one at a
+    time, so responses leave in request order.  A verb that cannot block
+    is answered right there, on the loop; a blocking one runs on the
+    executor, whose thread also encodes the response and hands the bytes
+    back with one ``call_soon_threadsafe``.  Every message — a result's
+    header and frames, a batch of hub entries — is a single
+    ``transport.write``, so nothing can land inside another and there is
+    no lock to hold.  ``pause_writing`` stops this connection's next
+    request and its entry stream, nobody else's, until the peer reads
+    again.  One timer, re-armed when it fires, hangs up an idle peer.
     """
 
-    def __init__(self, server: Mserver, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
+    def __init__(self, server: Mserver) -> None:
         self.server = server
-        self.reader = reader
-        self.writer = writer
         self.session = _ClientSession(server)
-        self.requests: asyncio.Queue = asyncio.Queue(
-            maxsize=_PIPELINE_DEPTH)
-        self.write_lock = asyncio.Lock()
         self.subscription: Optional[Subscription] = None
-        self._stream_task: Optional[asyncio.Task] = None
-        self._wake = asyncio.Event()
+        self.transport: Optional[asyncio.Transport] = None
+        #: resolved by ``connection_lost``; ``Mserver.stop`` waits on it
         self.done: Optional[asyncio.Future] = None
+        self._buffer = bytearray()              # bytes behind the last newline
+        self._pending: Deque[bytes] = deque()   # framed, not yet started
+        self._busy = False          # a request is started and not yet written
+        self._pumping = False
+        self._writable = True
         self._closing = False
+        #: what to write before hanging up once ``_pending`` is answered:
+        #: nothing after EOF, the refusal after an oversized line
+        self._farewell: Optional[bytes] = None
+        self._wake_queued = False
 
     # -- lifecycle ------------------------------------------------------
 
-    async def run(self) -> None:
-        loop = asyncio.get_event_loop()
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        loop = self._loop = asyncio.get_running_loop()
+        self.transport = transport
         self.done = loop.create_future()
+        self.server._conns.add(self)
         SERVER_CONNECTIONS.inc()
         SERVER_CONNECTIONS_ACTIVE.inc()
-        reader_task = loop.create_task(self._read_requests())
-        try:
-            await self._process_requests()
-        finally:
-            reader_task.cancel()
-            try:
-                await reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            await self._teardown()
-            SERVER_CONNECTIONS_ACTIVE.dec()
-            if not self.done.done():
-                self.done.set_result(None)
+        self._idle_timeout = _IDLE_TIMEOUT_S
+        self._active_at = loop.time()
+        self._check_idle()  # arms the one timer this connection has
 
-    async def _teardown(self) -> None:
+    def connection_lost(self, exc: Optional[Exception]) -> None:
         self._closing = True
+        self._idle_timer.cancel()
         if self.subscription is not None:
             self.subscription.close()
             self.subscription = None
-        if self._stream_task is not None:
-            self._wake.set()
-            self._stream_task.cancel()
-            try:
-                await self._stream_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._stream_task = None
         self.session.close()
-        try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except Exception:
-            pass
+        self.server._conns.discard(self)
+        SERVER_CONNECTIONS_ACTIVE.dec()
+        self.done.set_result(None)
 
     def kill(self) -> None:
-        """Force-close from the server loop thread (shutdown path)."""
+        """Hang up (on the loop thread); what is running for this
+        connection finishes and its answer is dropped."""
         self._closing = True
-        try:
-            self.writer.close()
-        except Exception:
-            pass
+        self.transport.close()
 
-    # -- reader ---------------------------------------------------------
+    def _check_idle(self) -> None:
+        """Idle is a whole period with no byte heard, nothing pending,
+        nothing running and no subscription — a statement that outruns
+        the period is not idleness, nor is a viewer reading a stream."""
+        now = self._loop.time()
+        if self._busy or self._pending or self.subscription is not None:
+            self._active_at = now
+        due = self._active_at + self._idle_timeout
+        if due <= now:
+            self.kill()
+        else:
+            self._idle_timer = self._loop.call_at(due, self._check_idle)
 
-    async def _read_requests(self) -> None:
-        """Frame lines off the socket into the pipeline queue."""
-        while not self._closing:
-            try:
-                if self.subscription is None:
-                    line = await asyncio.wait_for(
-                        self.reader.readline(), timeout=_IDLE_TIMEOUT_S)
-                else:
-                    # a subscriber legitimately idles while reading the
-                    # stream — no inbound timeout while subscribed
-                    line = await self.reader.readline()
-            except asyncio.TimeoutError:
-                # re-check before hanging up: a pipelined `subscribe`
-                # may have activated after this timed wait was armed —
-                # the exemption must hold even though the reader raced
-                # ahead of the processor
-                if self.subscription is not None:
-                    continue
-                await self.requests.put(_HANGUP)
-                return
-            except ValueError:
-                # StreamReader limit overrun: request line too long
-                await self.requests.put(_OVERSIZED)
-                return
-            except (ConnectionError, OSError):
-                await self.requests.put(_HANGUP)
-                return
-            if not line:
-                await self.requests.put(_HANGUP)
-                return
-            if not line.strip():
-                continue
-            await self.requests.put(line)
+    # -- in: framing and backpressure -----------------------------------
 
-    # -- processor ------------------------------------------------------
+    def data_received(self, data: bytes) -> None:
+        self._active_at = self._loop.time()
+        buffer = self._buffer
+        searched = len(buffer)
+        buffer += data
+        start = 0
+        end = buffer.find(b"\n", searched)
+        while end >= 0 and end - start <= MAX_MESSAGE_BYTES:
+            line = bytes(buffer[start:end])
+            if line.strip():
+                self._pending.append(line)
+            start = end + 1
+            end = buffer.find(b"\n", start)
+        del buffer[:start]
+        if end >= 0 or len(buffer) > MAX_MESSAGE_BYTES:
+            # framing garbage: answer what was framed before it, refuse,
+            # hang up — and hear no more
+            buffer.clear()
+            self._farewell = encode_message({
+                "ok": False,
+                "error": f"request exceeds {MAX_MESSAGE_BYTES} "
+                         "bytes without a newline"})
+        if self._farewell is not None or \
+                len(self._pending) >= _PIPELINE_DEPTH:
+            self.transport.pause_reading()
+        self._pump()
 
-    async def _process_requests(self) -> None:
-        while not self._closing:
-            line = await self.requests.get()
-            if line is _HANGUP:
-                return
-            if line is _OVERSIZED:
-                await self._send(encode_message({
-                    "ok": False,
-                    "error": f"request exceeds {MAX_MESSAGE_BYTES} "
-                             "bytes without a newline",
-                }))
-                return
-            op = "invalid"
-            frames: Sequence[bytes] = ()
-            try:
-                request = decode_message(line)
-                if request.get("op") is not None:
-                    op = str(request["op"])
-                response, frames = await self._dispatch(op, request)
-            except ReproError as exc:
-                response = error_payload(exc)
-            except Exception as exc:  # surface, do not kill server
-                response = {"ok": False,
-                            "error": f"internal error: {exc}"}
-            SERVER_REQUESTS.labels(op=op).inc()
-            if not response.get("ok"):
-                SERVER_REQUEST_ERRORS.labels(op=op).inc()
-            plan = ACTIVE.plan
-            if plan is not None:
-                decision = plan.decide("server.loop", detail=op)
-                if decision is not None:
-                    if decision.action == "latency":
-                        delay_ms = decision.value if decision.value \
-                            else 25.0
-                        await asyncio.sleep(
-                            min(delay_ms, 2000.0) / 1000.0)
-                    elif decision.action == "reset":
-                        # drop the connection without answering
-                        return
-            if not await self._send(encode_message(response, frames)):
-                return
-            if response.get("bye"):
-                return
+    def eof_received(self) -> bool:
+        if self._farewell is None:
+            if self._buffer.strip():  # a last line without its newline
+                self._pending.append(bytes(self._buffer))
+            self._farewell = b""
+        self._pump()
+        # stay open: every request already framed still gets its answer
+        return True
 
-    async def _dispatch(self, op: str, request: Dict
-                        ) -> Tuple[Dict, Sequence[bytes]]:
-        """Route one request: async verbs here, blocking ones offloaded.
+    def pause_writing(self) -> None:
+        self._writable = False
 
-        Returns the response and, behind a ``rows`` header, its column
-        frames — already encoded by the executor thread that ran the
-        query, so a wide result costs the loop one join and one write.
+    def resume_writing(self) -> None:
+        self._writable = True
+        self._stream()
+        self._pump()
+
+    # -- requests, one at a time ----------------------------------------
+
+    def _pump(self) -> None:
+        """Start pending requests until one has to wait for the executor,
+        for a fault's delay or for the peer to read.
+
+        A loop, and not re-entered: a verb answered on the loop gets here
+        again from its own ``_write``, and a burst of pipelined pings
+        would otherwise recurse once per request.
         """
-        if op == "subscribe":
-            return self._handle_subscribe(request), ()
-        if op == "unsubscribe":
-            return await self._handle_unsubscribe(), ()
-        loop = asyncio.get_event_loop()
-        if op == "query":
-            return await loop.run_in_executor(
-                self.server._executor, self.session._handle_query, request)
-        if op in ("explain", "dot",
-                  "repl.status", "repl.sync", "repl.promote"):
-            # repl verbs offload too: sync reads WAL bytes from disk and
-            # promote re-runs recovery — neither belongs on the loop
-            return await loop.run_in_executor(
-                self.server._executor, self.session.handle, request), ()
-        return self.session.handle(request), ()
+        if self._pumping:
+            return
+        self._pumping = True
+        try:
+            while self._writable and not (self._busy or self._closing):
+                if not self._pending:
+                    if self._farewell is not None:
+                        if self._farewell:
+                            self.transport.write(self._farewell)
+                        self.kill()
+                    return
+                line = self._pending.popleft()
+                if len(self._pending) == _PIPELINE_DEPTH - 1 and \
+                        self._farewell is None:  # just below the depth
+                    self.transport.resume_reading()
+                self._start(line)
+        finally:
+            self._pumping = False
 
-    async def _send(self, data: bytes) -> bool:
-        """Write one encoded message; False when the peer is gone."""
-        async with self.write_lock:
-            try:
-                self.writer.write(data)
-                await self.writer.drain()
-                return True
-            except (ConnectionError, OSError):
-                return False
+    def _start(self, line: bytes) -> None:
+        self._busy = True
+        op = "invalid"
+        try:
+            request = decode_message(line)
+        except ReproError as exc:
+            response = _error_response(exc)
+            self._finish(op, response, encode_message(response))
+            return
+        if request.get("op") is not None:
+            op = str(request["op"])
+        if op in _BLOCKING_VERBS:
+            self.server._executor.submit(self._answer, op, request, True)
+        else:
+            self._answer(op, request, False)
+
+    def _answer(self, op: str, request: Dict, offloaded: bool) -> None:
+        """Handle one request and encode its response — on the loop, or
+        on an executor thread that then hands the finished bytes back."""
+        frames: Sequence[bytes] = ()
+        try:
+            if op == "query":
+                response, frames = self.session._handle_query(request)
+            elif op == "subscribe":
+                response = self._handle_subscribe(request)
+            elif op == "unsubscribe":
+                response = self._handle_unsubscribe()
+            else:
+                response = self.session.handle(request)
+            data = encode_message(response, frames)
+        except Exception as exc:  # surface, do not kill server
+            response = _error_response(exc)
+            data = encode_message(response)
+        if not offloaded:
+            self._finish(op, response, data)
+            return
+        try:
+            self._loop.call_soon_threadsafe(
+                self._finish, op, response, data)
+        except RuntimeError:
+            pass  # the loop closed under a query that outlived the drain
+
+    def _finish(self, op: str, response: Dict, data: bytes) -> None:
+        """Count one handled request, consult the fault plan, write."""
+        # the label is ours, not the peer's: one child per verb
+        verb = op if op in VERBS else "invalid"
+        SERVER_REQUESTS.labels(verb).inc()
+        if not response.get("ok"):
+            SERVER_REQUEST_ERRORS.labels(verb).inc()
+        bye = response.get("bye")
+        plan = ACTIVE.plan
+        decision = None if plan is None else \
+            plan.decide("server.loop", detail=op)
+        if decision is None:
+            self._write(data, bye)
+        elif decision.action == "reset":
+            self.kill()  # drop the connection without answering
+        else:  # latency: this answer is late, and so all behind it
+            self._loop.call_later(
+                min(decision.value or 25.0, 2000.0) / 1000.0,
+                self._write, data, bye)
+
+    def _write(self, data: bytes, bye: Any) -> None:
+        if self._closing:
+            return
+        self.transport.write(data)
+        self._busy = False
+        self._active_at = self._loop.time()
+        if bye:
+            self.kill()
+            return
+        if self.subscription is not None:
+            self._stream()
+        self._pump()
 
     # -- the subscribe verb ---------------------------------------------
 
@@ -495,12 +526,7 @@ class _Connection:
                 "first")
         server = self.server
         query_id = str(request.get("query_id", "") or "")
-        from_seq = request.get("from_seq")
-        if from_seq is not None:
-            from_seq = int(from_seq)
-        buffer_size = request.get("buffer")
-        if buffer_size is not None:
-            buffer_size = int(buffer_size)
+        from_seq = request.get("from_seq")  # the hub checks the numbers
         if query_id and from_seq is None:
             # subscribing to a named query: it must be live, or at
             # least still retained in the hub's resume ring
@@ -512,88 +538,59 @@ class _Connection:
             if not live:
                 # finished but retained — replay its trace from the ring
                 from_seq = 0
-        loop = asyncio.get_event_loop()
-        wake_event = self._wake
-
-        def wake() -> None:
-            loop.call_soon_threadsafe(wake_event.set)
-
+        # any backfill is streamed by _write, right behind this response
         self.subscription = server.hub.subscribe(
-            from_seq=from_seq, buffer_size=buffer_size,
-            query_id=query_id, wake=wake)
-        self._wake.set()  # flush any backfill immediately
-        self._stream_task = loop.create_task(self._stream_entries())
+            from_seq=from_seq, buffer_size=request.get("buffer"),
+            query_id=query_id, wake=self._wake)
         return {"ok": True,
                 "subscriber_id": self.subscription.subscriber_id,
                 "next_seq": server.hub.next_seq(),
                 "missed": self.subscription.missed,
                 "buffer": self.subscription.buffer_size}
 
-    async def _handle_unsubscribe(self) -> Dict:
+    def _handle_unsubscribe(self) -> Dict:
         if self.subscription is None:
             raise ServerError("not subscribed")
         sub = self.subscription
         self.subscription = None
         sub.close()
-        task = self._stream_task
-        self._stream_task = None
-        if task is not None:
-            self._wake.set()
-            task.cancel()
-            # await it so an in-flight batch is accounted (the task's
-            # cancellation handler uncredits entries popped but never
-            # written) before the summary counters are read
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        # entries are popped only to be written at once (_stream), so
+        # what the summary counts as delivered was handed to the peer
         summary = sub.describe()
         return {"ok": True, "unsubscribed": True,
                 "delivered": summary["delivered"],
                 "dropped": summary["dropped"],
                 "missed": summary["missed"]}
 
-    async def _stream_entries(self) -> None:
-        """Pump hub entries to the peer as they arrive.
+    def _wake(self) -> None:
+        """The hub has an entry for us (any thread): one queued
+        ``_stream`` covers every entry offered before it runs."""
+        if not self._wake_queued:
+            self._wake_queued = True
+            self._loop.call_soon_threadsafe(self._stream)
+
+    def _stream(self) -> None:
+        """Write the hub entries buffered for this connection.
 
         Entry lines carry ``seq`` and never carry ``ok`` — a client
         reading the connection tells them apart from request responses
         by that key (``docs/streaming.md`` §5).
         """
-        sub = None
-        batch: list = []
-        sent = 0
-        try:
-            while not self._closing:
-                sub = self.subscription
-                if sub is None:
-                    return
-                batch = sub.pop_batch(max_entries=256)
-                sent = 0
-                if not batch:
-                    self._wake.clear()
-                    if self.subscription is None or \
-                            self.subscription.closed:
-                        return
-                    await self._wake.wait()
-                    continue
-                for entry in batch:
-                    if not await self._send(
-                            encode_message(entry.payload())):
-                        return
-                    sent += 1
-                batch = []
-        except asyncio.CancelledError:
-            # cancelled mid-batch (unsubscribe/teardown): entries popped
-            # but never written must not count as delivered in the
-            # summary; the one in flight is conservatively uncounted too
-            if sub is not None:
-                sub.uncredit(len(batch) - sent)
+        self._wake_queued = False
+        while self._writable and not self._closing and \
+                self.subscription is not None:
+            batch = self.subscription.pop_batch(max_entries=256)
+            if not batch:
+                return
+            self.transport.write(b"".join(
+                [encode_message(entry.payload()) for entry in batch]))
 
 
-#: Reader→processor sentinels (peer hung up / oversized request line).
-_HANGUP = object()
-_OVERSIZED = object()
+#: Verbs that may block — SQL, plan compilation, and the replication
+#: verbs (sync reads WAL bytes from disk, promote re-runs recovery):
+#: they run on the executor, every other verb on the loop.
+_BLOCKING_VERBS = frozenset((
+    "query", "explain", "dot", "repl.status", "repl.sync", "repl.promote"))
 
 
 class _ClientSession:
@@ -755,21 +752,15 @@ class _ClientSession:
         try:
             with server.admission.slot(context, exclusive=exclusive):
                 context.mark_running()
-                traced = self.emitter is not None or server.hub.active()
-                if not traced:
-                    outcome = database.execute(
-                        sql, context=context,
-                        pipeline_name=self.pipeline_name,
-                        workers=self.workers, scheduler=self.scheduler)
-                else:
+                profiler = None
+                sinks = []
+                if self.emitter is not None:
+                    sinks.append(self.emitter)
+                if server.hub.active():
+                    sinks.append(HubPipe(server.hub, context.query_id))
+                if sinks:
                     profiler = Profiler(self.event_filter,
                                         keep_events=False)
-                    sinks = []
-                    if self.emitter is not None:
-                        sinks.append(self.emitter)
-                    if server.hub.active():
-                        sinks.append(
-                            HubPipe(server.hub, context.query_id))
                     for sink in sinks:
                         profiler.add_sink(sink)
                     # ship the plan's dot file before execution begins
@@ -778,12 +769,12 @@ class _ClientSession:
                             sql, self.pipeline_name, self.workers)
                         for sink in sinks:
                             sink.send_dot(dot_text)
-                    outcome = database.execute(
-                        sql, listener=profiler, context=context,
-                        pipeline_name=self.pipeline_name,
-                        workers=self.workers, scheduler=self.scheduler)
-                    for sink in sinks:
-                        sink.send_end()
+                outcome = database.execute(
+                    sql, listener=profiler, context=context,
+                    pipeline_name=self.pipeline_name,
+                    workers=self.workers, scheduler=self.scheduler)
+                for sink in sinks:
+                    sink.send_end()
             state = "done"
         except ReproError as exc:
             state = "cancelled" if context.cancelled else "failed"

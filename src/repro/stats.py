@@ -227,21 +227,33 @@ class StatsStore:
         """
         signatures = program.derived(program_signatures)
         prefix = scope + "|"
+        entries = self._entries
+        alpha = self.alpha
         ingested = 0
         with self._lock:
+            # the hit half of _touch, and _ewma, inlined: once per instruction
             for run in runs:
                 signature = signatures.get(run.pc)
                 if signature is None:
                     continue
-                entry = self._touch(self._entries, prefix + signature,
-                                    self.capacity)
-                entry.latency_usec = self._ewma(
-                    entry.latency_usec if entry.observations else None,
-                    float(run.usec))
+                key = prefix + signature
+                entry = entries.get(key)
+                if entry is None:
+                    entry = self._touch(entries, key, self.capacity)
+                else:
+                    entries.move_to_end(key)
+                usec = float(run.usec)
+                if entry.observations:
+                    usec = entry.latency_usec + alpha * (
+                        usec - entry.latency_usec)
+                entry.latency_usec = usec
                 rows_in = run.rows_in
-                if "(" in signature and rows_in > 0:
-                    entry.selectivity = self._ewma(
-                        entry.selectivity, run.rows / float(rows_in))
+                if rows_in > 0 and "(" in signature:
+                    ratio = run.rows / float(rows_in)
+                    if entry.selectivity is not None:
+                        ratio = entry.selectivity + alpha * (
+                            ratio - entry.selectivity)
+                    entry.selectivity = ratio
                     entry.rows_in = rows_in
                 entry.observations += 1
                 ingested += 1

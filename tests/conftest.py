@@ -30,6 +30,7 @@ _GUARDED_MODULES = (
     "test_durability",
     "test_replication",
     "test_wire_format",
+    "test_connection",
 )
 
 

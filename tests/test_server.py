@@ -181,6 +181,25 @@ class TestMserverProtocol:
             # the connection survives the error
             assert client.ping()
 
+    def test_the_peer_does_not_choose_a_metric_label(self, server):
+        """Regression: ``repro_server_requests_total`` grew one child
+        per distinct ``op`` string a peer cared to send."""
+        from repro.metrics.families import SERVER_REQUESTS
+
+        before = set(SERVER_REQUESTS.children())
+        invalid = SERVER_REQUESTS.labels("invalid").value()
+        with MClient(port=server.port) as client:
+            for i in range(200):
+                with pytest.raises(ServerError, match=f"unknown op 'x{i}'"):
+                    client._call({"op": f"x{i}"})
+            with pytest.raises(ServerError, match="unknown op None"):
+                client._call({})
+            assert client.ping()
+        from repro.server.protocol import VERBS
+        assert {op for op, in set(SERVER_REQUESTS.children()) - before} \
+            <= {"invalid", *VERBS}
+        assert SERVER_REQUESTS.labels("invalid").value() == invalid + 201
+
     def test_set_pipeline_roundtrip(self, server):
         with MClient(port=server.port) as client:
             client.set_pipeline("sequential_pipe")

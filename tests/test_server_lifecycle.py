@@ -310,3 +310,42 @@ class TestPerSessionSettings:
                 client.set_scheduler("quantum")
             with pytest.raises(ServerError):
                 client.set_workers(0)
+
+
+class TestIdleHangup:
+    """Idle means nothing heard, nothing pending, nothing running and no
+    subscription (the subscribed half is in ``tests/test_broadcast.py``)."""
+
+    @pytest.fixture(autouse=True)
+    def short_idle_timeout(self, monkeypatch):
+        from repro.server import mserver as mserver_module
+        monkeypatch.setattr(mserver_module, "_IDLE_TIMEOUT_S", 0.3)
+
+    def test_a_statement_that_outruns_the_timeout_is_not_idleness(
+            self, server, database, monkeypatch):
+        """Regression: the reader's timed wait fired while the statement
+        ran, so its answer was followed by a hang-up and the connection's
+        next statement failed ``ConnectionLostError``."""
+        execute = database.execute
+
+        def slow_execute(sql, **kwargs):
+            time.sleep(0.8)
+            return execute(sql, **kwargs)
+
+        monkeypatch.setattr(database, "execute", slow_execute)
+        with MClient(port=server.port, retries=0) as client:
+            first = client.query(SQL)
+            assert client.query(SQL).rows == first.rows
+
+    def test_a_silent_connection_is_hung_up_a_talking_one_is_not(
+            self, server):
+        import socket
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5.0) as silent, \
+                MClient(port=server.port, retries=0) as talking:
+            began = time.monotonic()
+            while time.monotonic() - began < 0.7:
+                assert talking.ping()
+                time.sleep(0.1)
+            assert silent.recv(1) == b""  # hung up, within the timeout
+            assert talking.ping()

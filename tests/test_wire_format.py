@@ -4,15 +4,15 @@ per column (``repro.server.protocol``).
 Three things are pinned here.  Every cell crosses the wire equal in
 value *and* type — through ``encode_rows``/``decode_rows`` alone and
 through a live ``Mserver`` against ``Database.execute(sql).rows``.  A
-hub entry never lands between a header and its frames.  And every byte
-that crosses the trust boundary fails typed under mutation: a mutated
+hub entry never lands between a header and its frames
+(``tests/test_connection.py``: every message is one write).  And every
+byte that crosses the trust boundary fails typed under mutation: a mutated
 request line gets an ``{"ok": false}`` line or a clean close from the
 server, a mutated response makes ``MClient.query`` raise a
 ``ReproError`` or return a well-formed ``Result`` — never a hang, a
 ``ValueError``/``KeyError``/``TypeError`` or a ``MemoryError``.
 """
 
-import asyncio
 import datetime
 import json
 import socket
@@ -25,7 +25,6 @@ from hypothesis import given, settings
 
 from repro.errors import ConnectionLostError, ReproError, ServerError
 from repro.server import Database, MClient, Mserver
-from repro.server.mserver import _Connection
 from repro.server.protocol import (
     decode_message,
     decode_rows,
@@ -266,55 +265,6 @@ class TestLiveServerRoundTrip:
             assert result.rows[0] == (0, datetime.date(1995, 1, 1))
             assert not client._buffer  # nothing of it left on the socket
             assert client.ping()
-
-
-class TestResultIsOneHoldOfTheWriteLock:
-    def test_hub_entries_never_land_inside_a_result(self, database):
-        """One connection of a never-started ``Mserver`` driven over a
-        fake transport on which every write has to wait for the peer,
-        and during every response's wait the hub publishes: the stream
-        task is queued on the write lock each time a response lets go of
-        it, so were a result more than one hold of that lock an entry
-        line would be written between its header and its frames."""
-        sql = "select k, x, d, s from wide where k < 3000"
-        expected = database.execute(sql).rows
-        server = Mserver(database)
-
-        class Writer:
-            data = bytearray()
-
-            def write(self, chunk: bytes) -> None:
-                self.data += chunk
-                if b'"ok"' in chunk[:chunk.index(b"\n")]:
-                    server.hub.publish("event", "published mid-response")
-
-            async def drain(self) -> None:
-                for _ in range(5):
-                    await asyncio.sleep(0)
-
-            def close(self) -> None:
-                pass
-
-            async def wait_closed(self) -> None:
-                pass
-
-        async def converse() -> None:
-            reader = asyncio.StreamReader()
-            requests = [{"op": "subscribe"}]
-            requests += [{"op": "query", "sql": sql}] * 3
-            requests += [{"op": "quit"}]
-            reader.feed_data(b"".join(map(encode_message, requests)))
-            reader.feed_eof()
-            await _Connection(server, reader, Writer()).run()
-
-        asyncio.run(converse())
-        messages = list(_Stream(bytes(Writer.data)).messages())
-        answers = [m for m in messages if "ok" in m]
-        assert [m.get("kind") for m in answers] \
-            == [None, "rows", "rows", "rows", None]
-        assert all(m["rows"] == expected for m in answers[1:4])
-        assert any(m.get("line") == "published mid-response"
-                   for m in messages)
 
 
 # --------------------------------------------------------------------------
