@@ -9,8 +9,8 @@ execution the stats store has the observed selectivities, and the
 most-selective-first.
 
 The gated number is the *modelled* (virtual-clock, deterministic)
-median latency ratio of static vs warm-adaptive compiles -- like E11's
-modelled speedup it is machine-independent, so the regression gate can
+median latency ratio of static vs warm-adaptive compiles -- it is
+machine-independent, so the regression gate can
 require the full ratio rather than an invariant; the *measured* wall
 ratio of the same runs is printed above it, ungated.  Invariants gated
 alongside:

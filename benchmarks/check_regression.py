@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""The regression gate for E9-E14: one table of rows, one engine.
+"""The regression gate for E9, E10 and E12-E14: one table of rows, one
+engine.
 
 Each experiment is a ``bench_eN_*.run_benchmarks()`` that returns a
 JSON-able results dict, and a committed ``benchmarks/BENCH_EN_*.json``
@@ -25,7 +26,7 @@ import importlib
 import json
 import os
 import sys
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
@@ -35,7 +36,6 @@ sys.path.insert(0, HERE)
 EXPERIMENTS = {
     "e9": ("bench_e9_kernels", "BENCH_E9_kernels.json"),
     "e10": ("bench_e10_connections", "BENCH_E10_connections.json"),
-    "e11": ("bench_e11_parallel", "BENCH_E11_parallel.json"),
     "e12": ("bench_e12_durability", "BENCH_E12_durability.json"),
     "e13": ("bench_e13_replication", "BENCH_E13_replication.json"),
     "e14": ("bench_e14_adaptive", "BENCH_E14_adaptive.json"),
@@ -63,9 +63,6 @@ class Row(NamedTuple):
     path: str
     rule: object
     clock: str
-    #: ``(path, minimum)`` both runs must reach for the row to be
-    #: comparable between them; short of it the row demotes itself to INFO
-    needs: Optional[Tuple[str, float]] = None
 
 
 def _invariants(experiment, *names):
@@ -91,16 +88,6 @@ GATE = [
     Row("e10", "connections.conns_per_s", INFO, MEASURED),
     Row("e10", "pipelining.requests_per_s", INFO, MEASURED),
     Row("e10", "fanout.delivered_per_s", INFO, MEASURED),
-
-    # E11: the wall clock of a forked pool is only comparable between two
-    # runs that both had cores to parallelize across; on fewer it shows
-    # fork/ship overhead.  Printed always, and first.
-    *_invariants("e11", "results_identical", "remote_dispatch",
-                 "pool_recovers_after_kill"),
-    Row("e11", "measured.pools.*.speedup", BASELINE, MEASURED,
-        needs=("measured.cores", 4)),
-    Row("e11", "modelled.speedup", 2.5, MODELLED),
-    Row("e11", "modelled.speedup", BASELINE, MODELLED),
 
     *_invariants("e12", "all_records_durable", "group_commit_batches",
                  "per_record_fsync_floor", "full_replay_byte_identical",
@@ -183,19 +170,11 @@ def check(rows, fresh, baseline, tolerance=TOLERANCE):
     lines, failures = [], []
     share = 1.0 - tolerance
     for row in sorted(rows, key=lambda row: row.clock != MEASURED):
-        rule, wording = row.rule, row.rule
+        rule = wording = row.rule
         if rule == BASELINE:
             wording = f">= {share:.0%} of baseline"
         elif rule not in (HOLDS, INFO):
             wording = f">= {rule}"
-        if row.needs:
-            where, least = row.needs
-            have = [_lookup(side, where.split(".")) or 0
-                    for side in (fresh, baseline)]
-            if min(have) < least:
-                rule = INFO
-                wording = (f"info (not gated: needs {where} >= {least}, "
-                           f"fresh has {have[0]}, baseline {have[1]})")
         for keys in _expand(row.path, fresh, baseline):
             path = ".".join(keys)
             values = _lookup(fresh, keys), _lookup(baseline, keys)

@@ -1,4 +1,4 @@
-"""The one wall-clock timer the E7-E11 races share."""
+"""The one wall-clock timer the E7-E9 races share."""
 
 import time
 

@@ -54,18 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="TPC-H scale factor (1.0 = ~6000 lineitems)")
     serve.add_argument("--workers", type=int, default=4,
                        help="dataflow workers the schedulers model (also "
-                            "the mitosis partition count); scheduling "
-                            "only — kernels execute in-process unless "
-                            "--parallel-workers >= 2")
-    serve.add_argument("--parallel-workers", type=int, default=0,
-                       help="partition worker processes; the default 0 "
-                            "(and 1) keeps all kernel execution "
-                            "in-process, >= 2 forks a pool running "
-                            "mitosis fragments one per core")
-    serve.add_argument("--parallel-min-rows", type=int, default=2048,
-                       help="plans shipping fewer partition rows than "
-                            "this run in-process even with a pool "
-                            "(0 forces the pool)")
+                            "the mitosis partition count); kernels "
+                            "execute in-process")
     serve.add_argument("--order-index-min-rows", type=int, default=None,
                        help="BAT row count above which range selects "
                             "build the memoized sort-order index "
@@ -150,9 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("simulated", "threaded"),
                        help="execution scheduler for this session "
                             "(default: the server's, normally "
-                            "\"simulated\"); either way kernels run "
-                            "in-process unless the server was started "
-                            "with --parallel-workers >= 2")
+                            "\"simulated\")")
     query.add_argument("--deadline", type=float, default=None,
                        help="server-side deadline for this query (seconds)")
     query.add_argument("--cancel", metavar="QUERY_ID", default=None,
@@ -311,9 +299,7 @@ def _cmd_serve(args, out) -> int:
         configure_index_policy(min_rows=args.order_index_min_rows)
         out.write(f"order-index min rows: {args.order_index_min_rows}\n")
     db_options = dict(workers=args.workers,
-                      plan_cache_size=args.plan_cache_size,
-                      parallel_workers=args.parallel_workers,
-                      parallel_min_rows=args.parallel_min_rows)
+                      plan_cache_size=args.plan_cache_size)
     if args.wal_dir:
         db_options.update(wal_dir=args.wal_dir,
                           commit_window_ms=args.commit_window_ms,

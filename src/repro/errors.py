@@ -67,17 +67,10 @@ class OptimizerError(MalError):
 class WorkerCrashError(MalRuntimeError):
     """A dataflow worker crashed mid-plan.
 
-    Raised by the schedulers for injected ``scheduler.worker:crash``
-    faults, and by the partition worker pool when a worker *process*
-    dies (killed, OOM-killed, or an injected ``mpool.worker:crash``)
-    while holding a fragment — the pool restarts the worker so the
-    next query runs normally, but the in-flight query fails typed.
+    Raised by the simulated and threaded schedulers for an injected
+    ``scheduler.worker:crash`` fault: the in-flight query fails typed
+    (wire code ``worker-crash``) and the next query runs normally.
     """
-
-
-class PartitionShipError(MalRuntimeError):
-    """A shipped partition payload could not be decoded by a worker
-    (corrupt bytes, e.g. an injected ``mpool.ship:truncate`` fault)."""
 
 
 class FaultSpecError(ReproError):

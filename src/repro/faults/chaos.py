@@ -39,8 +39,6 @@ MIXES: Dict[str, str] = {
                      "scheduler.worker:crash@0.03#1"),
     "overload": "scheduler.worker:stall=400000000@0.7#16",
     "slow-query": "scheduler.worker:stall=1200000000@0.8#12",
-    "worker-chaos": ("mpool.worker:crash@0.25#1;mpool.worker:stall=40@0.3;"
-                     "mpool.ship:latency=5@0.3;mpool.ship:truncate@0.15#1"),
     # persist.recover:corrupt-record is deliberately absent: it models
     # media corruption of already-acknowledged records, which breaks the
     # acked-prefix byte-identity invariant this mix asserts.  It gets
@@ -152,8 +150,6 @@ def run_case(server, seed: int, mix: str, spec: Optional[str] = None,
         return _run_overload_case(server, seed, spec, wall_cap_s)
     if mix == "slow-query":
         return _run_slow_query_case(server, seed, spec, wall_cap_s)
-    if mix == "worker-chaos":
-        return _run_worker_chaos_case(server, seed, spec, wall_cap_s)
     if mix == "durability-chaos":
         return _run_durability_case(seed, spec, wall_cap_s)
     if mix == "replication-chaos":
@@ -378,75 +374,6 @@ def _run_slow_query_case(server, seed: int, spec: str,
     _check_responsive(server, violations)
     return CaseResult(
         seed=seed, mix="slow-query", ok=not violations, wall_s=wall_s,
-        outcome=outcome, error=error,
-        fault_fires=len(plan.journal), journal=list(plan.journal),
-        violations=violations,
-    )
-
-
-def _run_worker_chaos_case(server, seed: int, spec: str,
-                           wall_cap_s: float) -> CaseResult:
-    """The ``worker-chaos`` mix: faults inside the partition pool.
-
-    A crash fault SIGKILLs a real worker process mid-dispatch; stalls
-    and ship latency only slow things down; a ship truncate corrupts a
-    partition payload.  The invariants: the query ends in rows or a
-    typed pool error (:class:`~repro.errors.WorkerCrashError` /
-    :class:`~repro.errors.PartitionShipError` — never a hang, never an
-    untyped crash), and afterwards the pool has re-forked its workers
-    and answers the *next* query with correct rows.
-    """
-    from repro.errors import PartitionShipError, WorkerCrashError
-    from repro.server.client import MClient
-
-    plan = FaultPlan.from_spec(spec, seed=seed)
-    sql = "select count(*) from lineitem where l_quantity > 10"
-    violations: List[str] = []
-    outcome, error = "rows", ""
-    expected_rows = None
-    began = time.monotonic()
-    with armed(plan):
-        try:
-            client = MClient(port=server.port, timeout=5.0, retries=0,
-                             deadline_s=wall_cap_s / 2, retry_seed=seed)
-            try:
-                expected_rows = client.query(sql).rows
-                if not expected_rows:
-                    violations.append("query returned no rows")
-            finally:
-                client.close()
-        except (WorkerCrashError, PartitionShipError) as exc:
-            outcome, error = "typed-error", repr(exc)
-        except ReproError as exc:
-            outcome, error = "typed-error", repr(exc)
-            violations.append(f"expected a pool error, got {exc!r}")
-    wall_s = time.monotonic() - began
-    if wall_s >= wall_cap_s:
-        violations.append(f"case ran {wall_s:.1f}s >= cap {wall_cap_s}s")
-    # recovery: with faults disarmed, the pool must have healthy workers
-    # again and the very next query must succeed with correct rows
-    try:
-        client = MClient(port=server.port, timeout=5.0, retries=0,
-                         deadline_s=wall_cap_s / 2, retry_seed=seed)
-        try:
-            recovered = client.query(sql).rows
-        finally:
-            client.close()
-        if expected_rows is not None and recovered != expected_rows:
-            violations.append(
-                f"post-recovery rows {recovered!r} != {expected_rows!r}")
-        if not recovered:
-            violations.append("post-recovery query returned no rows")
-    except ReproError as exc:
-        violations.append(f"pool did not recover: {exc!r}")
-    pool = server.database.pool
-    if pool is not None and pool.alive < pool.workers:
-        violations.append(
-            f"pool has {pool.alive}/{pool.workers} live workers "
-            "after recovery")
-    _check_responsive(server, violations)
-    return CaseResult(
-        seed=seed, mix="worker-chaos", ok=not violations, wall_s=wall_s,
         outcome=outcome, error=error,
         fault_fires=len(plan.journal), journal=list(plan.journal),
         violations=violations,
@@ -827,11 +754,7 @@ def run_sweep(seeds: Sequence[int], mixes: Optional[Sequence[str]] = None,
         if mix not in MIXES:
             raise ReproError(f"unknown chaos mix {mix!r}; known: "
                              + ", ".join(MIXES))
-    # parallel_workers=2 backs the sweep with a real partition pool, so
-    # the mpool.* sites fire against forked worker processes;
-    # parallel_min_rows=0 keeps the tiny sweep tables above the floor
-    database = Database(workers=2, mitosis_threshold=50,
-                        parallel_workers=2, parallel_min_rows=0)
+    database = Database(workers=2, mitosis_threshold=50)
     populate(database.catalog, scale_factor=scale, seed=3)
     report = ChaosReport()
     with Mserver(database) as server:

@@ -15,8 +15,6 @@ site                   actions
 ``udp.emit``           ``drop``, ``dup``, ``reorder``, ``truncate``
 ``server.loop``        ``latency`` (ms), ``reset``
 ``scheduler.worker``   ``stall`` (usec), ``crash``
-``mpool.worker``       ``crash``, ``stall`` (ms)
-``mpool.ship``         ``truncate``, ``latency`` (ms)
 ``persist.wal``        ``torn-write``, ``fsync-loss``, ``latency`` (ms)
 ``persist.checkpoint`` ``partial-manifest``, ``crash-before-rename``
 ``persist.recover``    ``corrupt-record``
@@ -46,8 +44,6 @@ SITES: Dict[str, Tuple[str, ...]] = {
     "udp.emit": ("drop", "dup", "reorder", "truncate"),
     "server.loop": ("latency", "reset"),
     "scheduler.worker": ("stall", "crash"),
-    "mpool.worker": ("crash", "stall"),
-    "mpool.ship": ("truncate", "latency"),
     "persist.wal": ("torn-write", "fsync-loss", "latency"),
     "persist.checkpoint": ("partial-manifest", "crash-before-rename"),
     "persist.recover": ("corrupt-record",),

@@ -91,20 +91,16 @@ class SimulatedScheduler(Executor):
     def __init__(self, catalog: Catalog, workers: int = 4,
                  cost_model: Optional[CostModel] = None,
                  listener: Optional[RunListener] = None,
-                 contention: float = 0.0, pool=None) -> None:
+                 contention: float = 0.0) -> None:
         """``contention`` models shared-resource (memory bandwidth)
         pressure: an instruction starting while *n* other workers are
         busy runs ``1 + contention * n`` times slower.  Zero (default)
         gives the ideal-machine speedups; ~0.05-0.15 reproduces the
         sub-linear scaling real multi-cores show.
-
-        ``pool`` is as for :class:`~repro.mal.interpreter.Interpreter`:
-        fragments precompute before the scheduling loop, whose decisions
-        (and the resulting trace) are unchanged.
         """
         if contention < 0:
             raise MalRuntimeError("contention must be non-negative")
-        super().__init__(catalog, cost_model, listener, pool, workers)
+        super().__init__(catalog, cost_model, listener, workers)
         self.contention = contention
 
 
@@ -175,6 +171,6 @@ class ThreadedScheduler(Executor):
     def __init__(self, catalog: Catalog, workers: int = 4,
                  cost_model: Optional[CostModel] = None,
                  listener: Optional[RunListener] = None,
-                 realtime_scale: float = 1e-3, pool=None) -> None:
-        super().__init__(catalog, cost_model, listener, pool, workers)
+                 realtime_scale: float = 1e-3) -> None:
+        super().__init__(catalog, cost_model, listener, workers)
         self.realtime_scale = realtime_scale

@@ -306,38 +306,6 @@ def execute_instruction(ctx: EvalContext, instr: MalInstruction) -> Tuple[list, 
     return inputs, outputs
 
 
-def bind_precomputed(ctx: EvalContext, instr: MalInstruction,
-                     outputs: Sequence[Any]) -> Tuple[list, list]:
-    """Bind a partition worker's precomputed outputs for ``instr``.
-
-    Drop-in replacement for :func:`execute_instruction` when the
-    instruction already ran in a worker process (see
-    :mod:`repro.mal.mpool`): inputs are still resolved from the
-    environment and results still bound into it, so cost modelling,
-    rows and RSS accounting see exactly what an in-process execution
-    would have produced — only the kernel invocation is skipped.
-    """
-    inputs = [ctx.value_of(arg) for arg in instr.args]
-    for name, value in zip(instr.results, outputs):
-        ctx.bind(name, value)
-    return inputs, list(outputs)
-
-
-def precompute_fragments(pool, program: MalProgram, catalog: Catalog,
-                         context: Optional["QueryContext"] = None,
-                         ) -> Dict[int, List[Any]]:
-    """Shared engine entry point into the partition worker pool.
-
-    Returns ``{}`` (run everything in-process) when ``pool`` is None or
-    the plan has no dataflow barrier; otherwise defers to
-    :meth:`~repro.mal.mpool.PartitionWorkerPool.precompute`, which
-    applies its own fallbacks (fragment count, row threshold, purity).
-    """
-    if pool is None or not program.dataflow_enabled:
-        return {}
-    return pool.precompute(program, catalog, context)
-
-
 def _first_bat_rows(values: Sequence[Any]) -> int:
     for value in values:
         if isinstance(value, BAT):
@@ -429,8 +397,6 @@ class Execution:
         self.context = context
         self.workers = engine.workers if program.dataflow_enabled else 1
         self.fault_plan = ACTIVE.plan if self.faults else None  # captured once
-        self.precomputed = precompute_fragments(
-            engine.pool, program, engine.catalog, context)
         self.ctx = EvalContext(engine.catalog, program)
         self.runs: List[InstructionRun] = []
 
@@ -438,7 +404,7 @@ class Execution:
         """Execute ``instr`` on worker ``thread``; returns its run record.
 
         The one place that checks the query context (cancellation,
-        deadline, RSS budget), consults the fault plan, runs or binds the
+        deadline, RSS budget), consults the fault plan, runs the
         instruction, asks the cost model and builds the run record.  A
         live policy's listener hears ``start`` with the RSS before the
         instruction and ``done`` with the RSS after it.
@@ -463,11 +429,7 @@ class Execution:
             listener("start", InstructionRun(
                 instr, self.program, instr.pc, start, start, 0, thread,
                 ctx.rss, 0))
-        if instr.pc in self.precomputed:
-            inputs, outputs = bind_precomputed(
-                ctx, instr, self.precomputed[instr.pc])
-        else:
-            inputs, outputs = execute_instruction(ctx, instr)
+        inputs, outputs = execute_instruction(ctx, instr)
         cost = self.engine.cost_model.cost_usec(instr, inputs, outputs)
         end = self.finish(thread, start, cost)
         run = InstructionRun(
@@ -503,13 +465,12 @@ class Executor:
     policy = Execution
 
     def __init__(self, catalog: Catalog, cost_model: Optional[CostModel],
-                 listener: Optional[RunListener], pool, workers: int) -> None:
+                 listener: Optional[RunListener], workers: int) -> None:
         if workers < 1:
             raise MalRuntimeError("need at least one worker")
         self.catalog = catalog
         self.cost_model = cost_model or CostModel()
         self.listener = listener
-        self.pool = pool
         self.workers = workers
 
     def run(self, program: MalProgram,
@@ -539,14 +500,9 @@ class Interpreter(Executor):
         cost_model: duration model; defaults to :class:`CostModel`.
         listener: optional profiler callback, invoked with ``("start",
             run)`` before and ``("done", run)`` after every instruction.
-        pool: optional :class:`~repro.mal.mpool.PartitionWorkerPool`;
-            partition fragments of mitosis-split plans precompute in its
-            worker processes and their results are bound in place of
-            in-process kernel execution.
     """
 
     def __init__(self, catalog: Catalog,
                  cost_model: Optional[CostModel] = None,
-                 listener: Optional[RunListener] = None,
-                 pool=None) -> None:
-        super().__init__(catalog, cost_model, listener, pool, workers=1)
+                 listener: Optional[RunListener] = None) -> None:
+        super().__init__(catalog, cost_model, listener, workers=1)

@@ -26,8 +26,7 @@ the unpartitioned result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OptimizerError
 from repro.mal.ast import Const, MalInstruction, MalProgram, Var
@@ -277,102 +276,3 @@ class Mitosis:
                 new_args.append(arg)
         instr.args = new_args
         out.instructions.append(instr)
-
-
-# --------------------------------------------------------------------------
-# fragment extraction (for the process-based partition worker pool)
-# --------------------------------------------------------------------------
-
-#: Modules whose instructions are pure value transforms safe to run in a
-#: worker process: no catalog access, no result-set side effects, no use
-#: of ``ctx`` beyond the variable environment.
-_SHIPPABLE_MODULES = frozenset(("algebra", "batcalc", "aggr"))
-_SHIPPABLE_EXTRA = frozenset(("bat.mirror",))
-
-
-@dataclass(frozen=True)
-class PlanFragment:
-    """One partition's slice of a mitosis-rewritten plan, self-contained.
-
-    A fragment is the maximal chain of partition-transparent
-    instructions that touch exactly one partition's data.  ``inputs``
-    (partition binds plus any unpartitioned columns) must be provided by
-    the caller; running the member instructions in program order then
-    defines every variable in ``outputs`` (consumed by the rest of the
-    plan — ``mat.pack``, aggregate folds) and ``locals`` (intermediates
-    no one outside the fragment reads, so only their shape matters).
-    """
-
-    partition: int
-    pcs: Tuple[int, ...]
-    inputs: Tuple[str, ...]
-    outputs: Tuple[str, ...]
-    locals: Tuple[str, ...]
-
-
-def extract_fragments(program: MalProgram) -> List[PlanFragment]:
-    """Partition-parallel fragments of a mitosis-rewritten ``program``.
-
-    Walks the plan once, tracking which variables belong to which
-    partition: the results of 7-argument partition binds seed the
-    ownership map, and every shippable instruction whose variable
-    arguments all belong to one partition joins that partition's
-    fragment (its results inherit the owner).  Anything else — packs,
-    fold chains, result-set construction — stays residual.  Plans the
-    mitosis pass left alone (or rewrote without partition binds) yield
-    no fragments, which callers treat as "run in process".
-    """
-    owner: Dict[str, int] = {}
-    members: Dict[int, List[MalInstruction]] = {}
-    for instr in program.instructions:
-        if (instr.qualified_name == "sql.bind" and len(instr.args) == 7
-                and isinstance(instr.args[5], Const)
-                and len(instr.results) == 1):
-            owner[instr.results[0]] = int(instr.args[5].value)
-            continue
-        arg_parts = {owner[a.name] for a in instr.args
-                     if isinstance(a, Var) and a.name in owner}
-        if len(arg_parts) != 1:
-            continue
-        shippable = (instr.module in _SHIPPABLE_MODULES
-                     or instr.qualified_name in _SHIPPABLE_EXTRA)
-        if not shippable or not instr.results:
-            continue
-        part = arg_parts.pop()
-        members.setdefault(part, []).append(instr)
-        for result in instr.results:
-            owner[result] = part
-
-    member_pcs: Set[int] = {i.pc for batch in members.values()
-                            for i in batch}
-    # a member result is an *output* when a residual instruction other
-    # than ``language.pass`` (which only releases the variable) reads it
-    consumed: Set[str] = set()
-    for instr in program.instructions:
-        if instr.pc in member_pcs or instr.qualified_name == "language.pass":
-            continue
-        for arg in instr.args:
-            if isinstance(arg, Var):
-                consumed.add(arg.name)
-
-    fragments: List[PlanFragment] = []
-    for part in sorted(members):
-        batch = members[part]
-        produced = {r for i in batch for r in i.results}
-        inputs: List[str] = []
-        for instr in batch:
-            for arg in instr.args:
-                if isinstance(arg, Var) and arg.name not in produced \
-                        and arg.name not in inputs:
-                    inputs.append(arg.name)
-        outputs = [r for i in batch for r in i.results if r in consumed]
-        internal = [r for i in batch for r in i.results
-                    if r not in consumed]
-        fragments.append(PlanFragment(
-            partition=part,
-            pcs=tuple(i.pc for i in batch),
-            inputs=tuple(inputs),
-            outputs=tuple(outputs),
-            locals=tuple(internal),
-        ))
-    return fragments

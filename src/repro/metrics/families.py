@@ -186,55 +186,6 @@ MAL_WORKER_UTILIZATION = REGISTRY.histogram(
 )
 
 # --------------------------------------------------------------------------
-# repro.mal.mpool — the process-based partition worker pool
-# --------------------------------------------------------------------------
-
-MPOOL_WORKERS = REGISTRY.gauge(
-    "repro_mpool_workers",
-    "Worker processes currently alive in the partition pool (0 when "
-    "the pool is stopped or execution is in-process).",
-    unit="workers",
-)
-
-MPOOL_TASKS = REGISTRY.counter(
-    "repro_mpool_tasks_total",
-    "Plan fragments dispatched to pool workers, by outcome (ok, "
-    "error, crash).",
-    labels=("outcome",),
-    unit="tasks",
-)
-
-MPOOL_WORKER_RESTARTS = REGISTRY.counter(
-    "repro_mpool_worker_restarts_total",
-    "Worker processes re-forked after a crash, kill, or pool reset.",
-    unit="restarts",
-)
-
-MPOOL_SHIP_BYTES = REGISTRY.counter(
-    "repro_mpool_ship_bytes_total",
-    "Serialized partition payload bytes crossing the pool pipes, by "
-    "direction (to-worker, from-worker).",
-    labels=("direction",),
-    unit="bytes",
-)
-
-MPOOL_MERGE_USEC = REGISTRY.histogram(
-    "repro_mpool_merge_usec",
-    "Wall-clock time merging worker replies back into the plan "
-    "environment (decode plus bind), per pool-executed plan.",
-    unit="usec",
-    buckets=(50.0, 250.0, 1_000.0, 5_000.0, 25_000.0, 100_000.0),
-)
-
-MPOOL_FALLBACKS = REGISTRY.counter(
-    "repro_mpool_fallbacks_total",
-    "Plans the pool declined and sent back to in-process execution, "
-    "by reason (workers, no-fragments, small-plan, impure-input).",
-    labels=("reason",),
-    unit="plans",
-)
-
-# --------------------------------------------------------------------------
 # repro.storage.durable — WAL, checkpoints and crash recovery
 # --------------------------------------------------------------------------
 

@@ -39,7 +39,6 @@ from repro.mal.dataflow import SimulatedScheduler, ThreadedScheduler
 from repro.mal.interpreter import (
     CostModel, ExecutionResult, Interpreter, RunListener,
 )
-from repro.mal.mpool import DEFAULT_MIN_ROWS, PartitionWorkerPool
 from repro.mal.optimizer import (
     AdaptiveOrder, Mitosis, Pipeline, pipeline_by_name,
 )
@@ -269,16 +268,9 @@ class Database:
             ``sequential_pipe``, ``minimal_pipe``).
         scheduler: ``"simulated"`` (deterministic virtual time, default)
             or ``"threaded"`` (real threads).  Both run kernels
-            *in-process* by default — see ``parallel_workers``.
+            in-process.
         plan_cache_size: maximum optimized plans kept by the LRU plan
             cache; 0 disables plan caching.
-        parallel_workers: partition worker *processes*.  0 or 1 (the
-            default) keeps all kernel execution in-process; >= 2 forks a
-            :class:`~repro.mal.mpool.PartitionWorkerPool` that executes
-            mitosis partition fragments one-per-core and hands the
-            results back to whichever scheduler runs the plan.
-        parallel_min_rows: plans shipping fewer partition rows than this
-            stay in-process (pool overhead floor); 0 forces the pool.
         wal_dir: directory for the write-ahead log and checkpoints.
             When given, opening the database *recovers* whatever the
             directory holds (newest valid checkpoint + WAL replay; see
@@ -305,8 +297,6 @@ class Database:
                  scheduler: str = "simulated",
                  mitosis_threshold: int = 1000,
                  plan_cache_size: int = 64,
-                 parallel_workers: int = 0,
-                 parallel_min_rows: int = DEFAULT_MIN_ROWS,
                  wal_dir: Optional[str] = None,
                  commit_window_ms: float = 2.0,
                  checkpoint_interval: int = 0,
@@ -354,14 +344,6 @@ class Database:
         self.plan_cache = PlanCache(plan_cache_size)
         #: last compiled (optimized) plan, for explain/dot consumers
         self.last_program: Optional[MalProgram] = None
-        #: partition worker pool, or None for in-process execution.
-        #: Forked eagerly, before the server spins up executor threads —
-        #: forking a threaded process is where fork goes wrong.
-        self.pool: Optional[PartitionWorkerPool] = None
-        if parallel_workers and parallel_workers > 1:
-            self.pool = PartitionWorkerPool(
-                workers=parallel_workers,
-                min_rows=parallel_min_rows).start()
         #: runtime statistics feeding the adaptive optimizer; durable
         #: databases reload the previous run's snapshot so the feedback
         #: loop survives restarts
@@ -378,12 +360,10 @@ class Database:
                     pass  # cold stats beat refusing to open
 
     def close(self) -> None:
-        """Release owned resources (worker pool, WAL); idempotent.
+        """Release owned resources (stats snapshot, WAL); idempotent.
 
         Closing the WAL fsyncs it, so a *graceful* shutdown preserves
         every applied statement even if none were checkpointed."""
-        if self.pool is not None:
-            self.pool.close()
         if self._stats_path is not None and len(self.stats_store):
             try:
                 self.stats_store.save(self._stats_path)
@@ -640,16 +620,14 @@ class Database:
             return ThreadedScheduler(
                 self.catalog, workers=workers, listener=listener,
                 cost_model=self.cost_model, realtime_scale=1e-4,
-                pool=self.pool,
             ).run(program, context)
         if program.dataflow_enabled:
             return SimulatedScheduler(
                 self.catalog, workers=workers, listener=listener,
-                cost_model=self.cost_model, pool=self.pool,
+                cost_model=self.cost_model,
             ).run(program, context)
         return Interpreter(self.catalog, listener=listener,
-                           cost_model=self.cost_model,
-                           pool=self.pool).run(program, context)
+                           cost_model=self.cost_model).run(program, context)
 
     def _execute_traced(self, sql: str,
                         context: Optional["QueryContext"] = None,

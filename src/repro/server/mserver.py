@@ -65,6 +65,7 @@ from repro.server.lifecycle import (
 )
 from repro.server.protocol import (
     MAX_MESSAGE_BYTES,
+    MAX_WORKERS,
     VERBS,
     decode_message,
     encode_message,
@@ -665,8 +666,9 @@ class _ClientSession:
             self.pipeline_name = request["pipeline"]
         if "workers" in request:
             workers = int(request["workers"])
-            if workers < 1:
-                raise ServerError("workers must be >= 1")
+            if not 1 <= workers <= MAX_WORKERS:
+                raise ServerError(
+                    f"workers must be between 1 and {MAX_WORKERS}")
             self.workers = workers
         if "scheduler" in request:
             scheduler = str(request["scheduler"])

@@ -91,7 +91,6 @@ from array import array
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import (
-    PartitionShipError,
     QueryBudgetError,
     QueryCancelledError,
     QueryDeadlineError,
@@ -116,6 +115,11 @@ VERBS = (
 #: this without seeing a newline is framing garbage (or hostile); the
 #: server answers with an error and drops the connection.
 MAX_MESSAGE_BYTES = 1 << 20
+
+#: Upper bound on a session's ``set`` ``workers``.  That number is both
+#: the mitosis partition count and the threads a threaded run starts,
+#: so an unbounded one lets a peer make one query arbitrarily expensive.
+MAX_WORKERS = 64
 
 
 #: Built once: ``json.dumps`` with any non-default argument builds an
@@ -156,7 +160,6 @@ _ERROR_CODES = (
     ("cancelled", QueryCancelledError),
     ("overloaded", ServerOverloadedError),
     ("worker-crash", WorkerCrashError),
-    ("ship-corrupt", PartitionShipError),
     ("read-only-replica", ReadOnlyReplicaError),
     ("repl-fenced", ReplicationFencedError),
 )

@@ -44,8 +44,8 @@ current length).  Each is built only when a kernel cannot avoid it:
   one;
 * the :meth:`BAT.bytes` footprint, which RSS accounting reads when a
   BAT is bound into an interpreter environment;
-* the :meth:`BAT.to_ship_bytes` payload, built when a BAT is first
-  shipped to a partition worker.
+* the :meth:`BAT.to_ship_bytes` payload, built when a checkpoint or a
+  replication bootstrap first writes the column out.
 
 ``tests/test_kernel_parity.py`` checks every kernel here against the
 per-row reference implementations in :mod:`repro.storage.naive`.
@@ -398,15 +398,14 @@ class BAT:
         return total
 
     def to_ship_bytes(self) -> bytes:
-        """The column's one byte form: what partition workers receive
-        over a pipe, checkpoints store as ``.col`` files and replication
-        bootstrap ships.  A JSON document ``[type, hseqbase, head,
+        """The column's one byte form: what checkpoints store as ``.col``
+        files and replication bootstrap ships.  A JSON document ``[type, hseqbase, head,
         tail]``: ``head`` null when void, nil ``null``, dates as
         ordinals.  Only this and :meth:`from_ship_bytes` know the layout.
 
-        Memoized like :meth:`bytes`: a column shipped to several workers
-        (an unpartitioned join side, a partition slice re-run under the
-        plan cache) is encoded once and the payload reused.  Invalidated
+        Memoized like :meth:`bytes`: a column no statement changed
+        between two checkpoints (or bootstraps) is encoded once and the
+        payload reused.  Invalidated
         by :meth:`append`/:meth:`extend` and guarded by the current
         length as a backstop.
         """

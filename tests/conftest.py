@@ -1,32 +1,28 @@
 """Shared fixtures: the server-test leak guard.
 
-Server tests start real threads and sockets, and worker-pool tests fork
-real child processes; a test that forgets to stop a server or close a
-pool must fail loudly here rather than slowing every later test.  The
-guard snapshots non-daemon threads, this process's open socket fds,
-live multiprocessing children, and POSIX shared-memory/semaphore
-segments before each guarded test and asserts all four return to
-baseline afterwards, retrying briefly so orderly teardown has time to
-finish.  Module-scoped pools are fine: pytest instantiates them before
-the first test's snapshot and tears them down after the last one's.
+Server tests start real threads and sockets, and durability tests open
+WAL and checkpoint files; a test that forgets to stop a server or close
+a database must fail loudly here rather than slowing every later test.
+The guard snapshots non-daemon threads, this process's open socket fds
+and its open WAL/checkpoint fds before each guarded test and asserts all
+three return to baseline afterwards, retrying briefly so orderly
+teardown has time to finish.  Module-scoped servers are fine: pytest
+instantiates them before the first test's snapshot and tears them down
+after the last one's.
 """
 
-import multiprocessing
 import os
 import threading
 import time
 
 import pytest
 
-#: Test modules whose tests touch server sockets/threads or fork
-#: partition worker processes.
+#: Test modules whose tests touch server sockets/threads or WAL files.
 _GUARDED_MODULES = (
     "test_server",
     "test_server_lifecycle",
     "test_chaos_online",
     "test_broadcast",
-    "test_mpool",
-    "test_parallel_parity",
     "test_durability",
     "test_replication",
     "test_wire_format",
@@ -74,47 +70,26 @@ def _live_non_daemon() -> set:
             if t.is_alive() and not t.daemon}
 
 
-def _child_pids() -> set:
-    """PIDs of live multiprocessing children (also reaps finished ones)."""
-    return {p.pid for p in multiprocessing.active_children()
-            if p.is_alive()}
-
-
-def _shm_segments() -> set:
-    """POSIX shared-memory and named-semaphore segments of this boot."""
-    try:
-        return {name for name in os.listdir("/dev/shm")
-                if name.startswith(("psm_", "sem."))}
-    except OSError:
-        return set()  # no /dev/shm (non-Linux); other checks still apply
-
-
 @pytest.fixture(autouse=True)
 def leak_guard(request):
-    """Fail any guarded test that leaks threads, sockets, child
-    processes, or shared-memory segments."""
+    """Fail any guarded test that leaks threads, sockets or WAL and
+    checkpoint fds."""
     module = request.node.module.__name__.rsplit(".", 1)[-1]
     if module not in _GUARDED_MODULES:
         yield
         return
     threads_before = _live_non_daemon()
-    # counts, not identities, for sockets and children: a worker pool
-    # that (correctly) re-forks a crashed worker replaces its pipe fds
-    # and child pid without growing either total
+    # a count, not identities: a client that (correctly) reconnects
+    # replaces its socket fd without growing the total
     sockets_before = len(_socket_fds())
-    children_before = len(_child_pids())
-    shm_before = _shm_segments()
     durable_before = _durable_fds()
     yield
     deadline = time.monotonic() + 2.0
     while time.monotonic() < deadline:
         leaked_threads = _live_non_daemon() - threads_before
         leaked_sockets = len(_socket_fds()) - sockets_before
-        leaked_children = len(_child_pids()) - children_before
-        leaked_shm = _shm_segments() - shm_before
         leaked_durable = _durable_fds() - durable_before
         if not leaked_threads and leaked_sockets <= 0 \
-                and leaked_children <= 0 and not leaked_shm \
                 and leaked_durable <= 0:
             return
         time.sleep(0.05)
@@ -122,10 +97,5 @@ def leak_guard(request):
         f"leaked non-daemon threads: {[t.name for t in leaked_threads]}")
     assert leaked_sockets <= 0, (
         f"leaked {leaked_sockets} socket fd(s)")
-    assert leaked_children <= 0, (
-        f"leaked {leaked_children} child process(es): "
-        f"{sorted(_child_pids())}")
-    assert not leaked_shm, (
-        f"leaked shared-memory segments: {sorted(leaked_shm)}")
     assert leaked_durable <= 0, (
         f"leaked {leaked_durable} WAL/checkpoint fd(s)")

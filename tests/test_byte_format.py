@@ -1,8 +1,8 @@
 """The one byte format: column bytes (``BAT.to_ship_bytes``) and WAL
 payloads (``encode_payload``) round-trip every atom, and every byte
 that crosses a trust boundary — ship payload, WAL file, checkpoint
-directory — fails *typed* under mutation: a ``StorageError`` subclass
-(``WalError``/``CheckpointError``) or ``PartitionShipError``, never a
+directory — fails *typed* under mutation: a ``StorageError`` (or its
+``WalError``/``CheckpointError`` subclass), never a
 ``KeyError``/``TypeError`` and never a half-valid BAT.
 """
 
@@ -18,11 +18,9 @@ from hypothesis import given, settings
 
 from repro.errors import (
     CheckpointError,
-    PartitionShipError,
     StorageError,
     WalError,
 )
-from repro.mal import mpool
 from repro.storage import BAT, Catalog, type_by_name
 from repro.storage.durable import (
     _HEADER,
@@ -88,6 +86,15 @@ class TestColumnBytesRoundTrip:
         back = BAT.from_ship_bytes(payload)
         assert _image(back) == _image(bat)
         assert back.to_ship_bytes() == payload  # one canonical encoding
+
+    def test_memoized_until_mutation(self):
+        """A checkpoint re-encodes only the columns that changed."""
+        bat = BAT(type_by_name("int"))
+        bat.extend([1, 2, 3])
+        first = bat.to_ship_bytes()
+        assert bat.to_ship_bytes() is first
+        bat.append(4)
+        assert bat.to_ship_bytes() is not first
 
     @pytest.mark.parametrize("name", sorted(_ATOMS))
     def test_empty_and_all_nil_columns(self, name):
@@ -260,8 +267,7 @@ _SHIP_PAYLOADS = [bat.to_ship_bytes() for bat in _sample_bats()]
 
 
 class TestShipBytesFuzz:
-    """The boundary no earlier test mutated beyond one fixed truncation
-    (the ``mpool.ship:truncate`` fault)."""
+    """Column bytes as checkpoints and replication bootstrap ship them."""
 
     @_FUZZ
     @given(index=st.integers(0, len(_SHIP_PAYLOADS) - 1),
@@ -273,19 +279,6 @@ class TestShipBytesFuzz:
         except StorageError:
             return
         assert _well_formed(bat)
-
-    @_FUZZ
-    @given(index=st.integers(0, len(_SHIP_PAYLOADS) - 1),
-           mutate=_mutations())
-    def test_worker_reports_ship_errors_and_nothing_else(
-            self, index, mutate):
-        task = {"inputs": {"X_1": ("bat", mutate(_SHIP_PAYLOADS[index]))},
-                "instructions": [], "full": []}
-        reply = mpool._run_task(task)
-        if not reply["ok"]:
-            assert reply["kind"] == "decode"
-            with pytest.raises(PartitionShipError):
-                mpool.PartitionWorkerPool._check_reply(reply, None)
 
 
 def _write_wal(directory: str) -> str:

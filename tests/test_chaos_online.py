@@ -216,39 +216,6 @@ class TestDegradedSession:
         assert result.events == []
 
 
-class TestWorkerChaosCase:
-    """The ``worker-chaos`` mix against a real pool-backed server."""
-
-    @pytest.fixture(scope="class")
-    def pooled_server(self):
-        db = Database(workers=2, mitosis_threshold=50,
-                      parallel_workers=2, parallel_min_rows=0)
-        populate(db.catalog, scale_factor=0.02, seed=3)
-        with Mserver(db) as srv:
-            yield srv
-
-    def test_crash_is_typed_and_pool_recovers(self, pooled_server):
-        from repro.errors import WorkerCrashError
-        from repro.faults.chaos import run_case
-
-        # seed 0's first mpool.worker draw fires the crash rule
-        case = run_case(pooled_server, seed=0, mix="worker-chaos")
-        assert case.ok, case.violations
-        assert case.outcome == "typed-error"
-        assert WorkerCrashError.__name__ in case.error
-        assert ("mpool.worker", "crash", "0") in case.journal
-        pool = pooled_server.database.pool
-        assert pool.alive == pool.workers
-
-    def test_quiet_seed_returns_rows(self, pooled_server):
-        from repro.faults.chaos import run_case
-
-        # seed 1 draws no crash; stalls/latency may fire but only slow
-        case = run_case(pooled_server, seed=1, mix="worker-chaos")
-        assert case.ok, case.violations
-        assert case.outcome == "rows"
-
-
 class TestDurabilityChaosCase:
     """One durability-chaos case is self-contained: it builds its own
     WAL-backed database + server, crash-loops it, and needs no shared
@@ -273,9 +240,8 @@ class TestDurabilityChaosCase:
 
 class TestAcceptanceSweep:
     """The acceptance criterion: >= 20 seeds x every mix (including the
-    lifecycle mixes ``overload``/``slow-query`` and the pool mix
-    ``worker-chaos``), zero hangs, typed errors only, replays
-    byte-identical for the deterministic mixes."""
+    lifecycle mixes ``overload``/``slow-query``), zero hangs, typed
+    errors only, replays byte-identical for the deterministic mixes."""
 
     def test_full_sweep(self, tmp_path):
         from repro.faults.chaos import MIXES, REPLAY_EXEMPT, run_sweep
@@ -299,14 +265,6 @@ class TestAcceptanceSweep:
         assert sum(1 for c in report.cases if c.mix == "overload") == 20
         assert all(c.outcome == "typed-error" for c in report.cases
                    if c.mix == "slow-query")
-        # the pool mix ran on every seed; some seeds crashed a worker
-        # (surfacing typed) and every case recovered for its next query
-        worker_cases = [c for c in report.cases if c.mix == "worker-chaos"]
-        assert len(worker_cases) == 20
-        crashed = [c for c in worker_cases
-                   if any(site == "mpool.worker" and action == "crash"
-                          for site, action, _d in c.journal)]
-        assert crashed and all(c.outcome == "typed-error" for c in crashed)
         # the durability mix crash-looped a private WAL-backed server on
         # every seed (byte-identity of recovery vs the acked prefix is a
         # violation, so report.ok above already enforces it); across the

@@ -283,44 +283,13 @@ class TestCli:
         assert code == 0 and "function user." in out
         thread.join(timeout=10)
 
-    def test_serve_with_parallel_workers(self):
-        import socket
-        import time
-
-        from repro.metrics.families import MPOOL_TASKS, MPOOL_WORKERS
-
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-
-        server_out = io.StringIO()
-        thread = threading.Thread(
-            target=main,
-            args=(["serve", "--port", str(port), "--scale", "0.2",
-                   "--parallel-workers", "2", "--parallel-min-rows", "0",
-                   "--max-seconds", "6"],),
-            kwargs={"out": server_out},
-            daemon=True,
-        )
-        tasks_before = MPOOL_TASKS.labels(outcome="ok").value()
-        thread.start()
-        sql = ("select sum(l_extendedprice * l_discount) from lineitem "
-               "where l_quantity > 10")
-        deadline = time.monotonic() + 5
-        code, out = 1, ""
-        while time.monotonic() < deadline:
-            code, out = run_cli("query", sql, "--port", str(port),
-                                "--scheduler", "simulated")
-            if code == 0:
-                break
-            time.sleep(0.1)
-        assert code == 0 and "1 row(s)" in out
-        # the query's partition fragments really ran on the pool
-        # (scale 0.2 crosses the default mitosis threshold: 4 fragments)
-        assert MPOOL_TASKS.labels(outcome="ok").value() >= tasks_before + 4
-        thread.join(timeout=10)
-        assert MPOOL_WORKERS.value() == 0  # server stop closed the pool
+    @pytest.mark.parametrize("flag", ["--parallel-workers",
+                                      "--parallel-min-rows"])
+    def test_serve_refuses_the_retired_pool_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", flag, "2", "--max-seconds", "0"])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     def test_query_connection_error(self):
         code, _out = run_cli("query", "select 1 from t", "--port", "1")

@@ -824,20 +824,13 @@ class TestHostilePickleBytes:
         assert not os.path.exists(str(tmp_path / "pwned"))
 
     def test_hostile_ship_payload_raises_typed(self, tmp_path):
-        """The fourth boundary: pickle bytes sent to a partition worker
-        come back as a ``decode`` reply, i.e. PartitionShipError."""
-        from repro.errors import PartitionShipError
-        from repro.mal import mpool
+        """The fourth boundary: pickle bytes handed straight to the
+        column decoder checkpoint loading calls fail typed."""
         from repro.storage import BAT
 
         payload = self._evil_payload(tmp_path)
         with pytest.raises(StorageError):
             BAT.from_ship_bytes(payload)
-        reply = mpool._run_task({"inputs": {"X_1": ("bat", payload)},
-                                 "instructions": [], "full": []})
-        assert (reply["ok"], reply["kind"]) == (False, "decode")
-        with pytest.raises(PartitionShipError):
-            mpool.PartitionWorkerPool._check_reply(reply, None)
         assert not os.path.exists(str(tmp_path / "pwned"))
 
 

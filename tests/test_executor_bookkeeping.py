@@ -4,11 +4,11 @@
 (``EvalContext.bind``) instead of being summed over the whole
 environment after every instruction; ``EvalContext.rss_bytes()`` stays
 as the definition.  The property here is that the two agree at *every*
-instruction boundary — checked from inside the run, by wrapping the two
-functions every engine executes or binds an instruction through — for
+instruction boundary — checked from inside the run, by wrapping the
+function every engine executes an instruction through — for
 the benchmark's TPC-H statements, generated statements and hand-built
 programs whose kernels grow a BAT that is already bound, under every
-engine, with and without the partition worker pool.
+engine.
 
 The second half are counting guards that time nothing: a run nobody
 listens to renders no statement text and asks a BAT for its bytes at
@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 
 import repro.mal.interpreter as interpreter
-import repro.mal.mpool as mpool
 from repro.mal import Interpreter
 from repro.mal.dataflow import SimulatedScheduler, ThreadedScheduler
 from repro.mal.parser import parse_instruction_text
@@ -36,37 +35,30 @@ from repro.tpch import QUERIES, populate, query_sql
 from repro.workloads import random_query
 
 ENGINES = {
-    "interpreter": lambda cat, pool: Interpreter(cat, pool=pool),
-    "simulated_w1": lambda cat, pool: SimulatedScheduler(
-        cat, workers=1, pool=pool),
-    "simulated_w4": lambda cat, pool: SimulatedScheduler(
-        cat, workers=4, pool=pool),
-    "threaded_w4": lambda cat, pool: ThreadedScheduler(
-        cat, workers=4, realtime_scale=0, pool=pool),
+    "interpreter": lambda cat: Interpreter(cat),
+    "simulated_w1": lambda cat: SimulatedScheduler(cat, workers=1),
+    "simulated_w4": lambda cat: SimulatedScheduler(cat, workers=4),
+    "threaded_w4": lambda cat: ThreadedScheduler(
+        cat, workers=4, realtime_scale=0),
 }
 
 
 class Boundaries:
-    """Wraps the functions an instruction is executed or bound through;
-    after each call the maintained figure must be the recomputed one."""
+    """Wraps the function an instruction is executed through; after each
+    call the maintained figure must be the recomputed one."""
 
     def __init__(self, monkeypatch) -> None:
         self.checked = 0
-        self.precomputed = 0  # instructions bound from a worker's reply
         self.after = {}  # id(ctx) -> (ctx, {pc: rss after that pc})
-        for module, name in ((interpreter, "execute_instruction"),
-                             (interpreter, "bind_precomputed"),
-                             (mpool, "execute_instruction")):
-            monkeypatch.setattr(module, name,
-                                self.checking(getattr(module, name)))
+        monkeypatch.setattr(interpreter, "execute_instruction",
+                            self.checking(interpreter.execute_instruction))
 
     def checking(self, function):
-        def checked(ctx, instr, *rest):
-            out = function(ctx, instr, *rest)
+        def checked(ctx, instr):
+            out = function(ctx, instr)
             assert ctx.rss == ctx.rss_bytes(), \
                 f"pc={instr.pc} {instr.qualified_name}"
             self.checked += 1
-            self.precomputed += bool(rest)
             self.after.setdefault(id(ctx), (ctx, {}))[1][instr.pc] = ctx.rss
             return out
         return checked
@@ -105,28 +97,25 @@ def boundaries(monkeypatch):
     return Boundaries(monkeypatch)
 
 
-@pytest.fixture()
-def pool(boundaries):
-    """Forked after the wrappers are in place, so the workers check
-    their own boundaries too (a failure comes back as the task's)."""
-    with mpool.PartitionWorkerPool(workers=2, min_rows=0) as started:
-        yield started
-
-
 class TestMaintainedRssIsTheRecomputedOne:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("query", sorted(QUERIES))
     def test_tpch_in_process(self, query, engine, database, boundaries):
         program = database.compile(query_sql(query))
-        boundaries.run(ENGINES[engine](database.catalog, None), program)
+        boundaries.run(ENGINES[engine](database.catalog), program)
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_tpch_on_the_pool(self, engine, database, boundaries, pool):
-        for query in sorted(QUERIES):
-            program = database.compile(query_sql(query))
-            boundaries.run(ENGINES[engine](database.catalog, pool), program)
-        assert boundaries.precomputed > 100  # the fragments ran remotely
-        assert pool.alive == 2
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_tpch_at_eight_partitions(self, query, engine, catalog,
+                                      boundaries):
+        """Twice the partition binds, slices and packs of the plans
+        above, each bound while its siblings may still be live."""
+        db = Database(catalog=catalog, workers=8, mitosis_threshold=50)
+        try:
+            program = db.compile(query_sql(query))
+            boundaries.run(ENGINES[engine](catalog), program)
+        finally:
+            db.close()
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -135,8 +124,7 @@ class TestMaintainedRssIsTheRecomputedOne:
         program = database.compile(random_query(random.Random(seed)))
         # hypothesis forbids function-scoped fixtures: patch by hand
         with pytest.MonkeyPatch.context() as patch:
-            Boundaries(patch).run(
-                ENGINES[engine](database.catalog, None), program)
+            Boundaries(patch).run(ENGINES[engine](database.catalog), program)
 
     GROWING = """
         X_1 := sql.mvc();
@@ -165,7 +153,7 @@ class TestMaintainedRssIsTheRecomputedOne:
         table.insert_many([[i, "v" * i] for i in range(9)])
         program = parse_instruction_text(self.GROWING)
         program.dataflow_enabled = True
-        result = boundaries.run(ENGINES[engine](cat, None), program)
+        result = boundaries.run(ENGINES[engine](cat), program)
         assert len(cat.bind("sys", "t", "x")) == 9 + 1 + 9
         rss = {r.pc: r.rss_bytes for r in result.runs}
         if engine != "threaded_w4":
@@ -183,20 +171,6 @@ class TestMaintainedRssIsTheRecomputedOne:
         ctx.bind("a", big)
         ctx.bind("b", "scalar now")
         assert ctx.rss == ctx.rss_bytes() == big.bytes()
-
-    def test_a_worker_checks_its_budget_against_the_maintained_figure(self):
-        column = BAT(INT, list(range(100)))
-        task = {"instructions": parse_instruction_text(
-                    "X_2 := bat.mirror(X_1);\nX_3 := bat.mirror(X_2);"
-                ).instructions,
-                "inputs": {"X_1": ("bat", column.to_ship_bytes())},
-                "full": ["X_3"], "deadline": None,
-                "rss_limit": column.bytes()}
-        reply = mpool._run_task(task)
-        assert (reply["ok"], reply["kind"]) == (False, "rss")
-        assert "pc=1" in reply["message"]  # 400 fits, 400 + 800 does not
-        task["rss_limit"] = 10 * column.bytes()
-        assert mpool._run_task(task)["ok"]
 
 
 class TestStringFootprint:

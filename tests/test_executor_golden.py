@@ -25,6 +25,11 @@ digests, passing unchanged, prove::
 
     PYTHONPATH=src python tests/test_executor_golden.py --regen
 
+The ``interpreter_default`` and ``simulated_w8`` entries of both files
+were recorded at commit e809439, the last commit with the partition
+worker pool, by running both commands with this file copied into that
+checkout; every other entry they rewrote came out unchanged.
+
 Regenerate either only for a change that is *meant* to alter what the
 file pins, and say so in CHANGES.md.  ``q14`` is left out: it did not
 run at every scale at the first recording commit.
@@ -41,7 +46,6 @@ import pytest
 from repro.faults import FaultPlan, armed
 from repro.mal import Interpreter
 from repro.mal.dataflow import SimulatedScheduler
-from repro.mal.mpool import PartitionWorkerPool
 from repro.server.database import Database
 from repro.storage import Catalog
 from repro.tpch import QUERIES, populate, query_sql
@@ -53,57 +57,59 @@ QUERY_NAMES = sorted(name for name in QUERIES if name != "q14")
 #: Low enough that the 0.05-scale lineitem (~300 rows) partitions.
 MITOSIS_THRESHOLD = 50
 
-#: name -> (pipeline, engine factory taking (catalog, listener, pool),
+#: name -> (pipeline, engine factory taking (catalog, listener),
 #: fault spec armed with seed 5 for the run or None)
 CONFIGS = {
     "interpreter_sequential": (
         "sequential_pipe",
-        lambda cat, listener, pool: Interpreter(cat, listener=listener),
+        lambda cat, listener: Interpreter(cat, listener=listener),
         None),
     "simulated_w1": (
         "default_pipe",
-        lambda cat, listener, pool: SimulatedScheduler(
+        lambda cat, listener: SimulatedScheduler(
             cat, workers=1, listener=listener),
         None),
     "simulated_w4": (
         "default_pipe",
-        lambda cat, listener, pool: SimulatedScheduler(
+        lambda cat, listener: SimulatedScheduler(
             cat, workers=4, listener=listener),
         None),
     "simulated_w4_contention": (
         "default_pipe",
-        lambda cat, listener, pool: SimulatedScheduler(
+        lambda cat, listener: SimulatedScheduler(
             cat, workers=4, listener=listener, contention=0.15),
-        None),
-    "simulated_w4_pool2": (
-        "default_pipe",
-        lambda cat, listener, pool: SimulatedScheduler(
-            cat, workers=4, listener=listener, pool=pool),
         None),
     "simulated_w2_stall": (
         "default_pipe",
-        lambda cat, listener, pool: SimulatedScheduler(
+        lambda cat, listener: SimulatedScheduler(
             cat, workers=2, listener=listener),
         "scheduler.worker:stall=700@0.3"),
+    "interpreter_default": (
+        "default_pipe",
+        lambda cat, listener: Interpreter(cat, listener=listener),
+        None),
+    "simulated_w8": (
+        "default_pipe",
+        lambda cat, listener: SimulatedScheduler(
+            cat, workers=8, listener=listener),
+        None),
 }
 
 
 @contextlib.contextmanager
-def engines():
-    """The 0.05-scale TPC-H database and a 2-process partition pool."""
+def engine_database():
+    """The 0.05-scale TPC-H database every case compiles against."""
     catalog = Catalog()
     populate(catalog, scale_factor=0.05, seed=7)
     database = Database(catalog=catalog, workers=4,
                         mitosis_threshold=MITOSIS_THRESHOLD)
-    pool = PartitionWorkerPool(workers=2, min_rows=0).start()
     try:
-        yield database, pool
+        yield database
     finally:
-        pool.close()
         database.close()
 
 
-def digest(database: Database, pool, query: str, config: str,
+def digest(database: Database, query: str, config: str,
            rss: bool = True) -> str:
     """sha256 over rows, run records and listener stream of one case;
     ``rss=False`` leaves the modelled RSS out of both."""
@@ -116,7 +122,7 @@ def digest(database: Database, pool, query: str, config: str,
         stream.append((phase, run.pc, clock, run.rss_bytes) if rss
                       else (phase, run.pc, clock))
 
-    engine = factory(database.catalog, listener, pool)
+    engine = factory(database.catalog, listener)
     if fault_spec is None:
         result = engine.run(program)
     else:
@@ -133,9 +139,9 @@ CASES = [(query, config) for query in QUERY_NAMES for config in CONFIGS]
 
 
 @pytest.fixture(scope="module")
-def database_and_pool():
-    with engines() as pair:
-        yield pair
+def database():
+    with engine_database() as db:
+        yield db
 
 
 def _load(path):
@@ -159,15 +165,15 @@ def test_golden_covers_every_case(golden, golden_norss):
 
 
 @pytest.mark.parametrize("query,config", CASES)
-def test_digest_unchanged(query, config, database_and_pool, golden):
-    assert digest(*database_and_pool, query, config) == \
+def test_digest_unchanged(query, config, database, golden):
+    assert digest(database, query, config) == \
         golden[f"{query}/{config}"]
 
 
 @pytest.mark.parametrize("query,config", CASES)
-def test_digest_without_rss_unchanged(query, config, database_and_pool,
+def test_digest_without_rss_unchanged(query, config, database,
                                       golden_norss):
-    assert digest(*database_and_pool, query, config, rss=False) == \
+    assert digest(database, query, config, rss=False) == \
         golden_norss[f"{query}/{config}"]
 
 
@@ -178,8 +184,8 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_executor_golden.py "
                  "--regen | --regen-norss")
     path, with_rss = targets[sys.argv[1]]
-    with engines() as (database, pool):
-        digests = {f"{q}/{c}": digest(database, pool, q, c, rss=with_rss)
+    with engine_database() as db:
+        digests = {f"{q}/{c}": digest(db, q, c, rss=with_rss)
                    for q, c in CASES}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(digests, handle, indent=1, sort_keys=True)

@@ -479,12 +479,16 @@ class TestChaosSmoke:
         rendered = report.render()
         assert "RESULT: PASS" in rendered
 
-    def test_unknown_mix_rejected(self):
+    def test_unknown_mix_rejected(self, capsys):
+        from repro.cli import main
         from repro.errors import ReproError
         from repro.faults.chaos import run_sweep
 
         with pytest.raises(ReproError):
             run_sweep(seeds=[0], mixes=["nope"])
+        # a retired mix name is refused like any other unknown one
+        assert main(["chaos", "--mix", "worker-chaos"]) == 1 and \
+            "unknown chaos mix 'worker-chaos'" in capsys.readouterr().err
 
     def test_cli_chaos_single_seed(self, capsys):
         from repro.cli import main

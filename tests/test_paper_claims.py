@@ -18,6 +18,7 @@ from repro import (
     query_sql,
 )
 from repro.core.analysis import detect_sequential_anomaly
+from repro.mal.dataflow import ThreadedScheduler
 from repro.profiler.events import TraceEvent
 from repro.viz.color import RED
 
@@ -192,3 +193,19 @@ class TestSection6Finding:
         anomaly = detect_sequential_anomaly(profiler.events,
                                             expected_threads=4)
         assert anomaly.detected
+
+    @pytest.mark.parametrize("query, pipeline, sequential", [
+        ("q6", "default_pipe", False),
+        ("q1", "sequential_pipe", True)])
+    def test_anomaly_on_a_real_threaded_trace(self, db, query, pipeline,
+                                              sequential):
+        """The same detector on a trace real threads produced: a plan the
+        dataflow pass prepared is spread over the workers, one it did not
+        runs on one thread and is flagged."""
+        program = db.compile(query_sql(query), pipeline_name=pipeline)
+        profiler = Profiler()
+        ThreadedScheduler(db.catalog, workers=4, listener=profiler,
+                          realtime_scale=1e-4).run(program)
+        anomaly = detect_sequential_anomaly(profiler.events,
+                                            expected_threads=4)
+        assert anomaly.detected is sequential, anomaly.explanation

@@ -1,26 +1,30 @@
-"""Serial vs process-parallel parity across the TPC-H suite.
+"""Virtual-clock vs real-thread parity across the TPC-H suite.
 
-The partition worker pool must be invisible in every observable way
-except wall-clock: for each TPC-H query, for every mitosis partition
-count and pool size, the result rows AND the profiler trace events of a
-pool-backed run must be byte-identical to the in-process run.  The pool
-precomputes fragment outputs in worker processes; the parent replays
-the unchanged scheduling loop, so cost, rows, rss, thread assignments
-and clock values may not drift by a single byte.
+The in-process executor runs a mitosis-partitioned plan two ways: the
+list scheduler on a virtual clock (``SimulatedScheduler``), whose traces
+the benchmarks and goldens pin, and real Python threads on the wall
+clock (``ThreadedScheduler``), the path a ``--scheduler threaded`` run
+takes.  For each TPC-H query, every mitosis partition count and every
+thread count, a threaded run must return the simulated run's rows, run
+every instruction exactly once with the same statement text and the
+same cardinalities, keep to the worker threads it was given, start no
+instruction before the ones it reads have finished, and tell the
+profiler a start and a done for each.  Only the clock, the thread
+assignment and the modelled RSS (which follows the interleaving) may
+differ.
 """
 
 import pytest
 
-from repro.mal.dataflow import SimulatedScheduler
-from repro.mal.mpool import PartitionWorkerPool
-from repro.metrics.families import MPOOL_FALLBACKS, MPOOL_TASKS
+from repro.mal.dataflow import SimulatedScheduler, ThreadedScheduler
+from repro.mal.interpreter import ReadySet
 from repro.profiler import Profiler
 from repro.server.database import Database
 from repro.storage import Catalog
 from repro.tpch import QUERIES, populate, query_sql
 
 NPARTS = (1, 2, 4, 8)
-POOL_WORKERS = (1, 2, 4)
+THREADS = (1, 2, 4)
 
 #: Low enough that the 0.05-scale lineitem (~300 rows) partitions.
 MITOSIS_THRESHOLD = 50
@@ -36,80 +40,92 @@ def catalog():
 @pytest.fixture(scope="module")
 def databases(catalog):
     """One Database per partition count (its workers drive mitosis)."""
-    return {nparts: Database(catalog=catalog, workers=nparts,
-                             mitosis_threshold=MITOSIS_THRESHOLD)
-            for nparts in NPARTS}
+    dbs = {nparts: Database(catalog=catalog, workers=nparts,
+                            mitosis_threshold=MITOSIS_THRESHOLD)
+           for nparts in NPARTS}
+    yield dbs
+    for db in dbs.values():
+        db.close()
 
 
-@pytest.fixture(scope="module")
-def pools():
-    pools = {w: PartitionWorkerPool(workers=w, min_rows=0).start()
-             for w in POOL_WORKERS}
-    yield pools
-    for pool in pools.values():
-        pool.close()
+def _records(result):
+    """What a run computed, independent of when and where: one
+    ``(pc, stmt, rows, rows_in)`` per instruction, in pc order.  A
+    ``language.pass`` reads its variable's defining instruction only, so
+    it may see a BAT before or after a later ``bat.append`` grows it in
+    place: its ``rows_in`` follows the interleaving and is left out."""
+    return sorted((r.pc, r.stmt, r.rows,
+                   None if r.stmt.startswith("language.pass(") else r.rows_in)
+                  for r in result.runs)
 
 
-def _trace_run(catalog, program, pool):
+def _trace_run(catalog, program, scheduler, **kwargs):
     profiler = Profiler()
-    scheduler = SimulatedScheduler(catalog, workers=4, listener=profiler,
-                                   pool=pool)
-    result = scheduler.run(program)
-    events = [(e.event, e.clock_usec, e.status, e.pc, e.thread, e.usec,
-               e.rss_bytes, e.stmt) for e in profiler.events]
+    result = scheduler(catalog, listener=profiler, **kwargs).run(program)
+    events = sorted((e.pc, e.status, e.stmt) for e in profiler.events)
     return result, events
 
 
 @pytest.fixture(scope="module")
 def baselines(catalog, databases):
-    """Serial (in-process) rows + trace per (query, nparts), lazily."""
+    """Virtual-clock rows, records and trace per (query, nparts),
+    lazily."""
     cache = {}
 
     def get(name, nparts):
         key = (name, nparts)
         if key not in cache:
             program = databases[nparts].compile(query_sql(name))
-            result, events = _trace_run(catalog, program, None)
-            cache[key] = (result.rows(), events)
+            result, events = _trace_run(catalog, program,
+                                        SimulatedScheduler, workers=4)
+            cache[key] = (result.rows(), _records(result), events)
         return cache[key]
 
     return get
 
 
-@pytest.mark.parametrize("workers", POOL_WORKERS)
+@pytest.mark.parametrize("workers", THREADS)
 @pytest.mark.parametrize("nparts", NPARTS)
 @pytest.mark.parametrize("name", sorted(QUERIES))
-def test_parity(name, nparts, workers, catalog, databases, pools, baselines):
+def test_parity(name, nparts, workers, catalog, databases, baselines):
     program = databases[nparts].compile(query_sql(name))
-    serial_rows, serial_events = baselines(name, nparts)
-    result, events = _trace_run(catalog, program, pools[workers])
+    serial_rows, serial_records, serial_events = baselines(name, nparts)
+    result, events = _trace_run(catalog, program, ThreadedScheduler,
+                                workers=workers, realtime_scale=0)
     assert result.rows() == serial_rows
+    assert _records(result) == serial_records
     assert events == serial_events
+    assert {r.thread for r in result.runs} <= set(range(workers))
+    deps = program.derived(ReadySet).deps
+    ends = {r.pc: r.end_usec for r in result.runs}
+    for run in result.runs:
+        assert all(run.start_usec >= ends[d] for d in deps[run.pc])
 
 
-class TestActuallyRemote:
-    """Parity is vacuous if everything silently fell back in-process."""
+class TestActuallyParallel:
+    """Parity is vacuous if every threaded run kept to one thread or no
+    plan was partitioned."""
 
-    def test_fragments_dispatch_to_workers(self, catalog, databases, pools):
-        before = MPOOL_TASKS.labels(outcome="ok").value()
+    def test_partitions_spread_over_threads(self, catalog, databases):
         program = databases[4].compile(query_sql("q6"))
-        _trace_run(catalog, program, pools[2])
-        assert MPOOL_TASKS.labels(outcome="ok").value() >= before + 4
+        result = ThreadedScheduler(catalog, workers=4,
+                                   realtime_scale=1e-4).run(program)
+        assert len({r.thread for r in result.runs}) > 1
 
-    def test_single_worker_pool_falls_back(self, catalog, databases, pools):
-        before = MPOOL_FALLBACKS.labels(reason="workers").value()
+    def test_single_thread_runs_everything_on_it(self, catalog, databases):
         program = databases[4].compile(query_sql("q6"))
-        _trace_run(catalog, program, pools[1])
-        assert MPOOL_FALLBACKS.labels(reason="workers").value() == before + 1
+        result = ThreadedScheduler(catalog, workers=1,
+                                   realtime_scale=1e-4).run(program)
+        assert {r.thread for r in result.runs} == {0}
 
-    def test_row_threshold_falls_back(self, catalog, databases):
-        pool = PartitionWorkerPool(workers=2, min_rows=10**9).start()
+    def test_row_threshold_keeps_the_plan_whole(self, catalog, databases):
+        whole = Database(catalog=catalog, workers=4,
+                         mitosis_threshold=10**9)
         try:
-            before = MPOOL_FALLBACKS.labels(reason="small-plan").value()
-            program = databases[4].compile(query_sql("q6"))
-            result, _ = _trace_run(catalog, program, pool)
-            assert MPOOL_FALLBACKS.labels(
-                reason="small-plan").value() == before + 1
-            assert result.rows()  # still correct, just in-process
+            sql = query_sql("q6")
+            small, split = whole.compile(sql), databases[4].compile(sql)
+            assert len(small.instructions) < len(split.instructions)
+            engine = ThreadedScheduler(catalog, workers=4, realtime_scale=0)
+            assert engine.run(small).rows() == engine.run(split).rows()
         finally:
-            pool.close()
+            whole.close()

@@ -345,7 +345,9 @@ class TestMalProperties:
 
 @pytest.fixture(scope="module")
 def parallel_env():
-    """One catalog, two databases: in-process and pool-backed."""
+    """One catalog, two databases running the same mitosis-partitioned
+    plans: on the virtual-clock list scheduler and on four real
+    threads."""
     import repro.tpch as tpch
     from repro.server.database import Database
 
@@ -353,17 +355,17 @@ def parallel_env():
     tpch.populate(catalog, scale_factor=0.05, seed=7)
     serial = Database(catalog=catalog, workers=4, mitosis_threshold=50)
     parallel = Database(catalog=catalog, workers=4, mitosis_threshold=50,
-                        parallel_workers=2, parallel_min_rows=0)
+                        scheduler="threaded")
     yield serial, parallel
     parallel.close()
+    serial.close()
 
 
 @pytest.fixture(scope="module")
 def adaptive_env():
-    """Shared catalog, three databases: a ``static_pipe`` oracle, an
+    """Shared catalog, two databases: a ``static_pipe`` oracle and an
     adaptive database (plan cache off so warm executions recompile
-    against the stats the cold run fed back), and an adaptive database
-    executing on a 2-process partition worker pool."""
+    against the stats the cold run fed back)."""
     import repro.tpch as tpch
     from repro.server.database import Database
 
@@ -373,11 +375,7 @@ def adaptive_env():
                       pipeline_name="static_pipe")
     adaptive = Database(catalog=catalog, workers=4, mitosis_threshold=50,
                         pipeline_name="default_pipe", plan_cache_size=0)
-    pooled = Database(catalog=catalog, workers=4, mitosis_threshold=50,
-                      pipeline_name="default_pipe", plan_cache_size=0,
-                      parallel_workers=2, parallel_min_rows=0)
-    yield static, adaptive, pooled
-    pooled.close()
+    yield static, adaptive
     adaptive.close()
     static.close()
 
@@ -395,22 +393,21 @@ class TestAdaptiveOrderProperties:
     @given(st.integers(0, 2**32 - 1))
     def test_random_queries_agree_adaptive_on_vs_off(self, adaptive_env,
                                                      seed):
-        """For any generated query, cold and warm adaptive compiles —
-        serial and on the 2-worker pool — return byte-identical rows
-        and the same trace event shape as the static pipeline."""
+        """For any generated query, cold and warm adaptive compiles
+        return byte-identical rows and the same trace event shape as the
+        static pipeline."""
         import random
 
         from repro.workloads import random_query
 
-        static, adaptive, pooled = adaptive_env
+        static, adaptive = adaptive_env
         sql = random_query(random.Random(seed))
         expected = static.execute(sql)
         shape = _trace_shape(expected.execution)
-        for db in (adaptive, pooled):
-            for _warmth in ("cold", "warm"):
-                outcome = db.execute(sql)
-                assert outcome.rows == expected.rows
-                assert _trace_shape(outcome.execution) == shape
+        for _warmth in ("cold", "warm"):
+            outcome = adaptive.execute(sql)
+            assert outcome.rows == expected.rows
+            assert _trace_shape(outcome.execution) == shape
 
 
 class TestParallelProperties:

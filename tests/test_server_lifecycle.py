@@ -311,6 +311,23 @@ class TestPerSessionSettings:
             with pytest.raises(ServerError):
                 client.set_workers(0)
 
+    def test_workers_above_the_bound_are_refused(self, server):
+        """``workers`` is the partition count and the threads a threaded
+        run starts: a peer asking for thousands is refused typed, and the
+        session keeps the value it had."""
+        from repro.server.protocol import MAX_WORKERS
+
+        with MClient(port=server.port) as client:
+            client.set_workers(MAX_WORKERS)
+            client.set_workers(2)
+            for workers in (MAX_WORKERS + 1, 2000):
+                with pytest.raises(ServerError, match="between 1 and"):
+                    client.set_workers(workers)
+            assert client.explain(SQL).count('"l_quantity",0,') == 2
+            client.set_scheduler("threaded")
+            assert client.query(SQL).rows
+        assert MAX_WORKERS == 64
+
 
 class TestIdleHangup:
     """Idle means nothing heard, nothing pending, nothing running and no

@@ -84,18 +84,20 @@ class TestQueries:
         result = Interpreter(tpch_catalog).run(program)
         assert result.first is not None
 
+    @pytest.mark.parametrize("nparts", [2, 4, 8])
     @pytest.mark.parametrize("name", sorted(QUERIES))
-    def test_pipelines_agree(self, tpch_catalog, name):
+    def test_pipelines_agree(self, tpch_catalog, name, nparts):
         sql = query_sql(name)
         base = Interpreter(tpch_catalog).run(
             compile_sql(tpch_catalog, sql)
         ).rows()
         seq = sequential_pipe().apply(compile_sql(tpch_catalog, sql))
         assert Interpreter(tpch_catalog).run(seq).rows() == base
-        par = default_pipe(nparts=4, mitosis_threshold=50).apply(
+        par = default_pipe(nparts=nparts, mitosis_threshold=50).apply(
             compile_sql(tpch_catalog, sql)
         )
-        assert SimulatedScheduler(tpch_catalog, workers=4).run(par).rows() == base
+        assert SimulatedScheduler(
+            tpch_catalog, workers=nparts).run(par).rows() == base
 
     def test_q1_groups_by_flag_status(self, tpch_catalog):
         result = Interpreter(tpch_catalog).run(
