@@ -503,7 +503,6 @@ def _cmd_offline(args, out) -> int:
 
 def _cmd_screenshot(args, out) -> int:
     from repro.core.session import Stethoscope
-    from repro.viz.raster import screenshot
 
     session = Stethoscope.offline(args.dot_file, args.trace_file,
                                   threshold_usec=args.threshold)
@@ -511,8 +510,8 @@ def _cmd_screenshot(args, out) -> int:
         session.apply_gradient_coloring()
     else:
         session.replay.run_to_end()
-    screenshot(session.space, args.output,
-               width=args.width, height=args.height)
+    session.save_screenshot(args.output, width=args.width,
+                            height=args.height)
     out.write(f"wrote {args.output} ({args.width}x{args.height})\n")
     return 0
 

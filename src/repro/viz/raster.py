@@ -3,25 +3,25 @@
 The original Stethoscope paints into a Swing window; the closest headless
 equivalent is rendering the glyph scene into an RGB pixel buffer and
 writing a PPM file (the simplest lossless image format — viewable by any
-image tool, convertible to PNG with any converter).  numpy keeps the
-rasteriser vectorised enough for >1000-node scenes.
+image tool, convertible to PNG with any converter).  The buffer *is* the
+P6 payload, so a box is one byte-run assignment per row and saving is
+the header plus the buffer.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.errors import VizError
 from repro.viz.camera import Camera
 from repro.viz.color import Color, WHITE
-from repro.viz.glyph import EdgeGlyph, RectangleGlyph, TextGlyph
+from repro.viz.glyph import EdgeGlyph, RectangleGlyph
 from repro.viz.vspace import VirtualSpace
 
 
 class RasterImage:
-    """An RGB image backed by a numpy array (height × width × 3)."""
+    """An RGB image whose ``pixels`` bytearray is the P6 payload:
+    row-major, 3 bytes per pixel."""
 
     def __init__(self, width: int, height: int,
                  background: Color = WHITE) -> None:
@@ -29,8 +29,7 @@ class RasterImage:
             raise VizError("image dimensions must be positive")
         self.width = width
         self.height = height
-        self.pixels = np.empty((height, width, 3), dtype=np.uint8)
-        self.pixels[:, :] = (background.r, background.g, background.b)
+        self.pixels = bytearray(_rgb(background) * (width * height))
 
     # ------------------------------------------------------------------
 
@@ -45,9 +44,12 @@ class RasterImage:
         bottom = min(bottom, self.height - 1)
         if left > right or top > bottom:
             return
-        self.pixels[top:bottom + 1, left:right + 1] = (
-            color.r, color.g, color.b
-        )
+        run = _rgb(color) * (right - left + 1)
+        stride = self.width * 3
+        start = top * stride + left * 3
+        for offset in range(start, start + (bottom - top + 1) * stride,
+                            stride):
+            self.pixels[offset:offset + len(run)] = run
 
     def outline_rect(self, x0: int, y0: int, x1: int, y1: int,
                      color: Color) -> None:
@@ -62,6 +64,7 @@ class RasterImage:
     def draw_line(self, x0: int, y0: int, x1: int, y1: int,
                   color: Color) -> None:
         """Bresenham line (clipped per pixel)."""
+        rgb = _rgb(color)
         dx = abs(x1 - x0)
         dy = -abs(y1 - y0)
         step_x = 1 if x1 >= x0 else -1
@@ -70,7 +73,8 @@ class RasterImage:
         x, y = x0, y0
         while True:
             if 0 <= x < self.width and 0 <= y < self.height:
-                self.pixels[y, x] = (color.r, color.g, color.b)
+                offset = (y * self.width + x) * 3
+                self.pixels[offset:offset + 3] = rgb
             if x == x1 and y == y1:
                 return
             doubled = 2 * error
@@ -83,20 +87,27 @@ class RasterImage:
 
     def pixel(self, x: int, y: int) -> Color:
         """Read one pixel back as a Color."""
-        r, g, b = self.pixels[y, x]
-        return Color(int(r), int(g), int(b))
+        if not (0 <= x < self.width and 0 <= y < self.height):
+            raise VizError(f"pixel ({x}, {y}) outside "
+                           f"{self.width}x{self.height} image")
+        offset = (y * self.width + x) * 3
+        return Color(*self.pixels[offset:offset + 3])
 
     # ------------------------------------------------------------------
 
     def to_ppm(self) -> bytes:
         """Serialise as binary PPM (P6)."""
         header = f"P6\n{self.width} {self.height}\n255\n".encode("ascii")
-        return header + self.pixels.tobytes()
+        return header + bytes(self.pixels)
 
     def save(self, path: str) -> None:
         """Write a ``.ppm`` file."""
         with open(path, "wb") as handle:
             handle.write(self.to_ppm())
+
+
+def _rgb(color: Color) -> bytes:
+    return bytes((color.r, color.g, color.b))
 
 
 def load_ppm(path: str) -> RasterImage:
@@ -106,11 +117,18 @@ def load_ppm(path: str) -> RasterImage:
     parts = data.split(b"\n", 3)
     if len(parts) < 4 or parts[0] != b"P6":
         raise VizError(f"{path!r} is not a P6 PPM file")
-    width, height = (int(v) for v in parts[1].split())
+    size = parts[1].split()
+    if len(size) != 2 or not all(v.isdigit() for v in size):
+        raise VizError(f"{path!r}: bad size line {parts[1]!r}")
+    if parts[2] != b"255":
+        raise VizError(f"{path!r}: maxval {parts[2]!r} is not 255")
+    width, height = int(size[0]), int(size[1])
+    payload = width * height * 3
+    if len(parts[3]) < payload:
+        raise VizError(f"{path!r}: pixel data truncated "
+                       f"({len(parts[3])} of {payload} bytes)")
     image = RasterImage(width, height)
-    image.pixels = np.frombuffer(
-        parts[3][: width * height * 3], dtype=np.uint8
-    ).reshape((height, width, 3)).copy()
+    image.pixels = bytearray(parts[3][:payload])
     return image
 
 

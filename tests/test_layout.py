@@ -254,6 +254,16 @@ class TestEngine:
         assert len(layout.edges) == 1
         assert len(layout.edges[0].points) == 3
 
+    def test_ring_laid_out(self):
+        g = Digraph()
+        for i in range(8):
+            g.add_edge(f"n{i}", f"n{(i + 1) % 8}")
+        layout = layout_graph(g)
+        assert len(layout.nodes) == 8 and len(layout.edges) == 8
+        assert layout.width > 0 and layout.height > 0
+        for node in layout.nodes.values():
+            assert node.x >= 0 and node.y >= 0
+
     def test_label_size_model(self):
         small_w, _ = node_size_for_label("ab")
         large_w, _ = node_size_for_label("a" * 60)

@@ -27,6 +27,13 @@ def space():
     return build_virtual_space(layout_graph(plan_to_graph(program)))
 
 
+def rgb_triples(image):
+    """Every pixel's three bytes, row-major."""
+    data = bytes(image.pixels)
+    assert len(data) == image.width * image.height * 3
+    return [data[i:i + 3] for i in range(0, len(data), 3)]
+
+
 class TestRasterImage:
     def test_background_white(self):
         image = RasterImage(10, 10)
@@ -61,6 +68,10 @@ class TestRasterImage:
         with pytest.raises(VizError):
             RasterImage(0, 5)
 
+    def test_pixel_outside_image(self):
+        with pytest.raises(VizError):
+            RasterImage(4, 4).pixel(4, 0)
+
     def test_ppm_roundtrip(self, tmp_path):
         image = RasterImage(7, 3)
         image.fill_rect(1, 1, 2, 2, RED)
@@ -77,6 +88,28 @@ class TestRasterImage:
         with pytest.raises(VizError):
             load_ppm(str(path))
 
+    @staticmethod
+    def load_bytes(tmp_path, data):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(data)
+        return load_ppm(str(path))
+
+    def test_load_rejects_truncated_pixels(self, tmp_path):
+        with pytest.raises(VizError, match="truncated"):
+            self.load_bytes(tmp_path, b"P6\n4 4\n255\n" + bytes(10))
+
+    def test_load_rejects_non_numeric_size(self, tmp_path):
+        with pytest.raises(VizError, match="size"):
+            self.load_bytes(tmp_path, b"P6\nx y\n255\n" + bytes(48))
+
+    def test_load_rejects_three_numbers_in_size(self, tmp_path):
+        with pytest.raises(VizError, match="size"):
+            self.load_bytes(tmp_path, b"P6\n4 4 4\n255\n" + bytes(48))
+
+    def test_load_rejects_sixteen_bit_maxval(self, tmp_path):
+        with pytest.raises(VizError, match="maxval"):
+            self.load_bytes(tmp_path, b"P6\n4 4\n65535\n" + bytes(96))
+
 
 class TestRenderer:
     def test_nodes_visible_in_render(self, space):
@@ -84,9 +117,7 @@ class TestRenderer:
         camera.fit(space.bounds(), 200, 150)
         image = RasterRenderer(200, 150).render(space, camera)
         # some pixels must be non-white (boxes and edges drawn)
-        import numpy as np
-
-        non_white = (image.pixels != 255).any(axis=2).sum()
+        non_white = sum(rgb != b"\xff\xff\xff" for rgb in rgb_triples(image))
         assert non_white > 50
 
     def test_colored_state_visible(self, space):
@@ -94,12 +125,8 @@ class TestRenderer:
         camera = Camera()
         camera.fit(space.bounds(), 300, 200)
         rendered = RasterRenderer(300, 200).render(space, camera)
-        import numpy as np
-
-        reds = (
-            (rendered.pixels[:, :, 0] == RED.r)
-            & (rendered.pixels[:, :, 1] == RED.g)
-        ).sum()
+        reds = sum(rgb[:2] == bytes((RED.r, RED.g))
+                   for rgb in rgb_triples(rendered))
         assert reds > 0
 
     def test_screenshot_one_call(self, space, tmp_path):
