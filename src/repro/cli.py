@@ -41,6 +41,17 @@ import time
 from typing import List, Optional
 
 
+def _worker_count(text: str) -> int:
+    """``serve --workers``: the bound a session's ``set`` enforces."""
+    from repro.errors import ServerError
+    from repro.server.protocol import checked_workers
+
+    try:
+        return checked_workers(text)
+    except ServerError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -52,10 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=50000)
     serve.add_argument("--scale", type=float, default=0.1,
                        help="TPC-H scale factor (1.0 = ~6000 lineitems)")
-    serve.add_argument("--workers", type=int, default=4,
+    serve.add_argument("--workers", type=_worker_count, default=4,
                        help="dataflow workers the schedulers model (also "
-                            "the mitosis partition count); kernels "
-                            "execute in-process")
+                            "the mitosis partition count), 1 to 64; "
+                            "kernels execute in-process")
     serve.add_argument("--order-index-min-rows", type=int, default=None,
                        help="BAT row count above which range selects "
                             "build the memoized sort-order index "

@@ -7,8 +7,6 @@ concatenates the per-partition results back into one BAT.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from repro.errors import MalRuntimeError, MalTypeError
 from repro.mal.modules import register
 from repro.storage.bat import BAT
@@ -20,8 +18,11 @@ def pack(ctx, instr, args):
 
     Head oids are preserved (the partitions carry disjoint oid ranges), so
     positional relationships with the original table survive packing.
-    Void inputs whose oid ranges are adjacent (slices of one void column,
-    and whatever kept their heads) pack into one void BAT.
+    A column's own current ``BAT.partitions``, complete and in order,
+    pack into the column itself, memos and all.
+    Any other inputs are concatenated into a new BAT, which is void when
+    they are void with adjacent oid ranges (slices of one void column,
+    and whatever kept their heads).
     """
     if not args:
         raise MalRuntimeError("mat.pack needs at least one argument")
@@ -29,6 +30,9 @@ def pack(ctx, instr, args):
         if not isinstance(value, BAT):
             raise MalTypeError("mat.pack expects BAT arguments")
     first = args[0]
+    parent = first.parent
+    if parent is not None and parent.is_partitioned_as(args):
+        return parent
     end = first.hseqbase
     void = True
     for bat in args:
@@ -37,7 +41,11 @@ def pack(ctx, instr, args):
             break
         end += len(bat.tail)
     out = BAT(first.tail_type, hseqbase=first.hseqbase if void else 0)
+    tail = out.tail
+    for bat in args:
+        tail += bat.tail
     if not void:
-        out.head = list(chain.from_iterable(bat.heads() for bat in args))
-    out.tail = list(chain.from_iterable(bat.tail for bat in args))
+        head = out.head = []
+        for bat in args:
+            head += bat.heads()
     return out

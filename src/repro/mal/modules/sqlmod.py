@@ -74,7 +74,9 @@ def bind(ctx, instr, args):
     ``access`` 0 binds the full column.  The mitosis optimizer rewrites
     plans to the 7-argument partition form
     ``sql.bind(mvc, s, t, c, access, part, nparts)``, which binds the
-    part'th horizontal slice with its original head oids preserved.
+    part'th horizontal slice with its original head oids preserved:
+    ``BAT.partitions(nparts)[part]``, a slice the column owns, so every
+    run until the column changes binds the same one.
     """
     if not isinstance(args[0], MvcHandle):
         raise MalTypeError("sql.bind expects an mvc handle first")
@@ -85,10 +87,7 @@ def bind(ctx, instr, args):
     part, nparts = int(args[5]), int(args[6])
     if nparts <= 0 or not (0 <= part < nparts):
         raise MalRuntimeError(f"sql.bind: bad partition {part}/{nparts}")
-    total = bat.count()
-    first = part * total // nparts
-    last = (part + 1) * total // nparts - 1
-    return bat.slice_(first, last)
+    return bat.partitions(nparts)[part]
 
 
 @register("sql.tid")

@@ -43,6 +43,7 @@ from repro.mal.optimizer import (
     AdaptiveOrder, Mitosis, Pipeline, pipeline_by_name,
 )
 from repro.mal.printer import format_program
+from repro.server.protocol import checked_workers
 from repro.sqlfe.ast import CreateTable, DropTable, Insert, Literal, Select, UnaryOp
 from repro.sqlfe.compiler import SqlCompiler
 from repro.sqlfe.lexer import normalize_sql
@@ -263,7 +264,9 @@ class Database:
 
     Args:
         catalog: existing catalog (a fresh one when omitted).
-        workers: dataflow worker count (also the mitosis partition count).
+        workers: dataflow worker count (also the mitosis partition
+            count), 1 to :data:`~repro.server.protocol.MAX_WORKERS` like
+            a session's ``set``; anything else is a :class:`ServerError`.
         pipeline_name: optimizer pipeline (``default_pipe``,
             ``sequential_pipe``, ``minimal_pipe``).
         scheduler: ``"simulated"`` (deterministic virtual time, default)
@@ -301,6 +304,7 @@ class Database:
                  commit_window_ms: float = 2.0,
                  checkpoint_interval: int = 0,
                  stats_store: Optional[StatsStore] = None) -> None:
+        workers = checked_workers(workers)
         #: the durable engine (WAL + checkpoints), or None when opened
         #: without a ``wal_dir``.
         self.durability: Optional[DurableEngine] = None

@@ -65,8 +65,8 @@ from repro.server.lifecycle import (
 )
 from repro.server.protocol import (
     MAX_MESSAGE_BYTES,
-    MAX_WORKERS,
     VERBS,
+    checked_workers,
     decode_message,
     encode_message,
     encode_rows,
@@ -665,11 +665,7 @@ class _ClientSession:
             pipeline_by_name(request["pipeline"])  # validate eagerly
             self.pipeline_name = request["pipeline"]
         if "workers" in request:
-            workers = int(request["workers"])
-            if not 1 <= workers <= MAX_WORKERS:
-                raise ServerError(
-                    f"workers must be between 1 and {MAX_WORKERS}")
-            self.workers = workers
+            self.workers = checked_workers(request["workers"])
         if "scheduler" in request:
             scheduler = str(request["scheduler"])
             if scheduler not in ("simulated", "threaded"):

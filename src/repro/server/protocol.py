@@ -122,6 +122,16 @@ MAX_MESSAGE_BYTES = 1 << 20
 MAX_WORKERS = 64
 
 
+def checked_workers(value: Any) -> int:
+    """``value`` as a worker count: a typed :class:`ServerError` outside
+    1 to :data:`MAX_WORKERS`, wherever the count comes from — a session's
+    ``set``, ``Database(workers=…)`` or ``serve --workers``."""
+    workers = int(value)
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ServerError(f"workers must be between 1 and {MAX_WORKERS}")
+    return workers
+
+
 #: Built once: ``json.dumps`` with any non-default argument builds an
 #: encoder per call, which a one-row response would feel.
 _encode_line = json.JSONEncoder(separators=(",", ":")).encode

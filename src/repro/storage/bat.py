@@ -27,7 +27,7 @@ memory and make every later lookup positional; a materialised dense
 head forces the next join to hash a column that is its own index.
 ``docs/performance.md`` §1 has the rule kernel by kernel.
 
-Five memoized structures back the hot paths, all invalidated by
+Six memoized structures back the hot paths, all invalidated by
 :meth:`BAT.append`/:meth:`BAT.extend` (and double-guarded by the BAT's
 current length).  Each is built only when a kernel cannot avoid it:
 
@@ -39,13 +39,17 @@ current length).  Each is built only when a kernel cannot avoid it:
   it must produce every match of one;
 * a sort-order index on the tail, built by the *second* range or point
   selection on a BAT of at least ``IndexPolicy.min_rows`` rows — one
-  select is no evidence of reuse, and most BATs (slices, intermediates)
-  die with their query — or after ``eager_after`` selects on a smaller
-  one;
+  select is no evidence of reuse, and most intermediates die with their
+  query — or after ``eager_after`` selects on a smaller one;
 * the :meth:`BAT.bytes` footprint, which RSS accounting reads when a
   BAT is bound into an interpreter environment;
 * the :meth:`BAT.to_ship_bytes` payload, built when a checkpoint or a
-  replication bootstrap first writes the column out.
+  replication bootstrap first writes the column out;
+* the :meth:`BAT.partitions` a mitosis plan binds, built by the first
+  partitioned ``sql.bind`` of the column.  The column owns its slices
+  and each slice knows its column (:attr:`BAT.parent`), so a slice's
+  own memos live as long as the column does, and ``mat.pack`` of the
+  complete set is the column itself.
 
 ``tests/test_kernel_parity.py`` checks every kernel here against the
 per-row reference implementations in :mod:`repro.storage.naive`.
@@ -177,7 +181,8 @@ class IndexPolicy:
     Attributes:
         min_rows: row count from which the second range select on a
             BAT builds its index (the first scans: a BAT selected once
-            is a per-query slice or intermediate, not a catalog column).
+            is a per-query intermediate, not a catalog column or one of
+            its partitions).
         scan_fallback_num: a bisected run of k rows falls back to the
             scan kernel when ``k * scan_fallback_num > rows`` — the
             default 4 is the historical >1/4-selectivity rule; 0
@@ -250,10 +255,11 @@ class BAT:
     what make positional lookups (fetch joins) O(1).
     """
 
-    __slots__ = ("tail_type", "tail", "head", "hseqbase", "_bytes_cache",
-                 "_index_cache", "_multimap_cache", "_order_cache",
-                 "_ship_cache", "_range_selects", "_order_hits",
-                 "_order_misses", "_order_disabled")
+    __slots__ = ("tail_type", "tail", "head", "hseqbase", "parent",
+                 "_bytes_cache", "_index_cache", "_multimap_cache",
+                 "_order_cache", "_ship_cache", "_parts_cache",
+                 "_range_selects", "_order_hits", "_order_misses",
+                 "_order_disabled")
 
     def __init__(
         self,
@@ -268,11 +274,14 @@ class BAT:
         )
         self.head: Optional[List[int]] = list(head) if head is not None else None
         self.hseqbase = hseqbase
+        #: the column this BAT is one of the :meth:`partitions` of
+        self.parent: Optional[BAT] = None
         self._bytes_cache: Optional[Tuple[Any, int]] = None
         self._index_cache: Optional[Tuple[int, dict]] = None
         self._multimap_cache: Optional[Tuple[int, dict]] = None
         self._order_cache: Optional[Tuple[int, List[int], List[Any]]] = None
         self._ship_cache: Optional[Tuple[int, bytes]] = None
+        self._parts_cache: Optional[Tuple[int, Tuple[BAT, ...]]] = None
         # adaptive index accounting: range selects seen, order-index
         # hits/misses in the current decision window, and whether the
         # policy has disabled the index until the next mutation
@@ -363,6 +372,7 @@ class BAT:
         self._multimap_cache = None
         self._order_cache = None
         self._ship_cache = None
+        self._parts_cache = None
         # a mutation resets the adaptive accounting: the data changed,
         # so a dropped index gets a fresh chance to prove itself
         self._range_selects = 0
@@ -851,8 +861,8 @@ class BAT:
     def slice_(self, first: int, last: int) -> "BAT":
         """``algebra.slice``: positions ``first..last`` inclusive.
 
-        A slice of a void BAT is void with ``hseqbase + first`` — this is
-        what ``sql.bind(…, part, nparts)`` hands every mitosis fragment.
+        A slice of a void BAT is void with ``hseqbase + first`` — which
+        is what :meth:`partitions` hands every mitosis fragment.
         """
         first = max(first, 0)
         stop = max(min(last, len(self.tail) - 1) + 1, first)
@@ -860,6 +870,40 @@ class BAT:
             return self._like(None, self.tail[first:stop],
                               hseqbase=self.hseqbase + first)
         return self._like(self.head[first:stop], self.tail[first:stop])
+
+    def partitions(self, nparts: int) -> Tuple["BAT", ...]:
+        """The ``nparts`` horizontal slices ``sql.bind(…, part, nparts)``
+        binds: part ``p`` holds positions ``p*n//nparts`` up to
+        ``(p+1)*n//nparts - 1`` of the ``n`` rows (void stays void).
+
+        Memoized on the column for one ``nparts`` at a time, like every
+        memo invalidated by append/extend and guarded by the length, so
+        whatever a kernel builds on a slice (an order index, a head hash)
+        is built once per column state rather than once per run.  Two
+        threads that build the memo at once may each keep their own
+        slices: both are correct, one of them is just not shared.
+        """
+        total = len(self.tail)
+        cached = self._parts_cache
+        if cached is not None and cached[0] == total \
+                and len(cached[1]) == nparts:
+            return cached[1]
+        parts = tuple(self.slice_(part * total // nparts,
+                                  (part + 1) * total // nparts - 1)
+                      for part in range(nparts))
+        for part in parts:
+            part.parent = self
+        self._parts_cache = (total, parts)
+        return parts
+
+    def is_partitioned_as(self, parts: Sequence["BAT"]) -> bool:
+        """True when ``parts`` is this column's current :meth:`partitions`
+        list: the same objects, in order, all of them, and the column no
+        longer or shorter than when they were cut."""
+        cached = self._parts_cache
+        return (cached is not None and cached[0] == len(self.tail)
+                and len(parts) == len(cached[1])
+                and all(map(operator.is_, parts, cached[1])))
 
     def kdifference(self, other: "BAT") -> "BAT":
         """``algebra.kdifference``: keep associations whose head is absent

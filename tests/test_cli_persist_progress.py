@@ -291,6 +291,15 @@ class TestCli:
         assert exited.value.code == 2
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-1", "65", "100"])
+    def test_serve_refuses_workers_outside_the_session_bound(
+            self, workers, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--workers", workers, "--port", "0",
+                  "--scale", "0", "--max-seconds", "0.01"])
+        assert exited.value.code == 2
+        assert "must be between 1 and 64" in capsys.readouterr().err
+
     def test_query_connection_error(self):
         code, _out = run_cli("query", "select 1 from t", "--port", "1")
         assert code == 1

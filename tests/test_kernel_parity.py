@@ -596,6 +596,7 @@ KERNELS = {
     "pack": lambda a, b: mat_pack(None, None, [a, b]),
     "pack_slices": lambda a, b: mat_pack(
         None, None, [a.slice_(0, 3), a.slice_(4, 6), a.slice_(7, 99)]),
+    "pack_partitions": lambda a, b: mat_pack(None, None, a.partitions(3)),
 }
 
 _oids = st.one_of(st.integers(0, 24), st.none())
@@ -691,6 +692,74 @@ class TestVoidnessRule:
         assert untouched.head is None and untouched.tail == column.tail
         assert column.mirror().head is None
         assert column.mirror().tail == list(range(5, 15))
+
+
+def _cut(column: BAT, nparts: int):
+    """The partitions as ``sql.bind`` cut them before a column owned
+    them: one fresh ``slice_`` per part."""
+    total = len(column)
+    return [column.slice_(part * total // nparts,
+                          (part + 1) * total // nparts - 1)
+            for part in range(nparts)]
+
+
+def _assert_covers(packed: BAT, parts, column: BAT) -> None:
+    """``packed`` holds exactly the column's associations that ``parts``
+    cover, in the order of ``parts``."""
+    assert packed is not column
+    expected = [pair for part in parts for pair in part.items()]
+    assert list(packed.items()) == expected
+    rows = dict(column.items())
+    assert all(rows[oid] == value for oid, value in expected)
+
+
+class TestPartitions:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("nparts", range(1, 9))
+    def test_partitions_are_the_bind_arithmetic_and_memoized(
+            self, seed, nparts):
+        rng = random.Random(seed)
+        column = make_bat(rng, rng.choice(ALL_TYPES), n=rng.randrange(0, 30))
+        parts = column.partitions(nparts)
+        assert len(parts) == nparts
+        for part, cut in zip(parts, _cut(column, nparts)):
+            assert_parity(part, cut)
+            assert part.parent is column
+        assert all(again is part for again, part
+                   in zip(column.partitions(nparts), parts))
+
+    @pytest.mark.parametrize("grow", [lambda bat: bat.append(5),
+                                      lambda bat: bat.extend([5, nil, 6])])
+    def test_a_mutation_cuts_new_partitions(self, grow):
+        column = BAT(INT, list(range(12)), hseqbase=40)
+        parts = column.partitions(4)
+        grow(column)
+        again = column.partitions(4)
+        assert not any(old is new for old, new in zip(parts, again))
+        for part, cut in zip(again, _cut(column, 4)):
+            assert_parity(part, cut)
+        # the stale set no longer packs into the column
+        _assert_covers(mat_pack(None, None, parts), parts, column)
+
+    @pytest.mark.parametrize("nparts", range(1, 9))
+    def test_a_columns_own_partitions_pack_into_the_column(self, nparts):
+        for column in (BAT(STR, [str(i) for i in range(21)], hseqbase=3),
+                       BAT(INT, list(range(21)), head=list(range(50, 71))),
+                       BAT(DBL, [])):
+            assert mat_pack(None, None, column.partitions(nparts)) is column
+
+    def test_any_other_set_concatenates(self):
+        column = BAT(INT, [7, nil, 9, 4, 4, 1, 0, 8, 3, 2], hseqbase=100)
+        parts = column.partitions(4)
+        other = BAT(INT, list(column.tail), hseqbase=100).partitions(4)
+        for subset in (parts[:3], parts[1:], [parts[0], parts[2]],
+                       parts[::-1], [parts[1], parts[0], parts[2], parts[3]],
+                       list(parts) + [parts[3]], list(other),
+                       [other[0]] + list(parts[1:]), _cut(column, 4)):
+            _assert_covers(mat_pack(None, None, subset), subset, column)
+        # another nparts replaced the memo: the old set is stale
+        column.partitions(2)
+        _assert_covers(mat_pack(None, None, parts), parts, column)
 
 
 #: the timed ``tpch_scan`` mix of ``benchmarks/e2e``

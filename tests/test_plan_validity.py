@@ -6,10 +6,12 @@ the table is not served (the next execution misses and returns the new
 rows), while a plan that binds only other tables is (the hit count
 rises and the program object is the one cached before).  Plus: results
 with and without a plan cache agree under interleaved writes, a reader
-keeps its hits while another table is written, and a warm run derives
+keeps its hits while another table is written, a write (or its undo)
+drops the partition slices its columns own, and a warm run derives
 nothing from its program.
 """
 
+import datetime
 import sys
 import threading
 
@@ -294,6 +296,94 @@ def test_reader_keeps_its_plan_while_another_table_is_written():
     assert after["misses"] - before["misses"] == 1
     assert results == [T_ROWS] * iterations  # never torn
     assert db.catalog.table("u").row_count() == len(U_ROWS) + iterations
+
+
+# ---------------------------------------------------------------------------
+# a write drops the partitions a column owns
+# ---------------------------------------------------------------------------
+
+PARTITIONED = ("q1", "q6")
+
+
+def _tpch(**kwargs) -> Database:
+    """A scale-0.05 TPC-H database whose 300 lineitems are partitioned."""
+    catalog = Catalog()
+    populate(catalog, scale_factor=0.05, seed=7)
+    return Database(catalog=catalog, mitosis_threshold=50, **kwargs)
+
+
+def _literal(value) -> str:
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    if isinstance(value, datetime.date):
+        return f"'{value.isoformat()}'"
+    return repr(value)
+
+
+def _lineitem_insert(db, price_factor: float) -> str:
+    """An INSERT of copies of lineitems that q1 and q6 both count, with
+    their price scaled so that each factor yields other sums."""
+    rows = [list(row) for row in db.catalog.table("lineitem").rows()
+            if row[10].year == 1994 and 0.05 <= row[6] <= 0.07
+            and row[4] < 24][:4]
+    for row in rows:
+        row[5] = round(row[5] * price_factor, 2)
+    return "insert into lineitem values " + ", ".join(
+        "(" + ", ".join(map(_literal, row)) + ")" for row in rows)
+
+
+def _assert_partitioned_rows_match_one_worker(db, oracle):
+    """Equal rows; a float may differ in its last digit, because a
+    partitioned ``sum`` adds its per-partition partials."""
+    for name in PARTITIONED:
+        expected = [tuple(pytest.approx(value, rel=1e-12)
+                          if isinstance(value, float) else value
+                          for value in row)
+                    for row in oracle.execute(query_sql(name)).rows]
+        assert db.execute(query_sql(name)).rows == expected
+
+
+def test_insert_drops_the_partitions():
+    db, oracle = _tpch(workers=2), _tpch(workers=1)
+    _assert_partitioned_rows_match_one_worker(db, oracle)
+    columns = [column.bat for column
+               in db.catalog.table("lineitem").columns.values()]
+    before = [bat.partitions(2) for bat in columns]
+    for database in (db, oracle):
+        database.execute(_lineitem_insert(oracle, 2.0))
+    # dropped by the write itself, not only refused by a length check
+    assert all(bat._parts_cache is None for bat in columns)
+    _assert_partitioned_rows_match_one_worker(db, oracle)
+    assert not any(old[0] is bat.partitions(2)[0]
+                   for old, bat in zip(before, columns))
+
+
+def test_rolled_back_insert_drops_the_partitions(tmp_path):
+    """A durable INSERT undone after a read cut partitions at its length;
+    then an INSERT of as many other rows.  The column is as long as when
+    those partitions were cut, so only the undo's drop keeps them from
+    being bound again."""
+    db, oracle = _tpch(workers=2, wal_dir=str(tmp_path)), _tpch(workers=1)
+    try:
+        _assert_partitioned_rows_match_one_worker(db, oracle)
+        real_log, hooks = db.durability.log, {}
+
+        def keeping_undo(kind, data, apply, undo):
+            hooks["undo"] = undo
+            return real_log(kind, data, apply, undo)
+
+        db.durability.log = keeping_undo
+        db.execute(_lineitem_insert(oracle, 2.0))
+        db.durability.log = real_log
+        for name in PARTITIONED:  # partitions cut over the doomed rows
+            db.execute(query_sql(name))
+        hooks["undo"]()
+        kept = _lineitem_insert(oracle, 3.0)
+        for database in (db, oracle):
+            database.execute(kept)
+        _assert_partitioned_rows_match_one_worker(db, oracle)
+    finally:
+        db.close()
 
 
 # ---------------------------------------------------------------------------

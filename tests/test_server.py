@@ -54,6 +54,21 @@ class TestDatabase:
         with pytest.raises(Exception):
             db.execute("select x from gone")
 
+    @pytest.mark.parametrize("workers", [0, -1, 65, 100])
+    def test_workers_outside_the_session_bound_are_refused(self, workers):
+        """0 and -1 used to construct and then fail every ``default_pipe``
+        statement in mitosis; 65 and 100 were accepted though a session's
+        ``set`` refuses them."""
+        with pytest.raises(ServerError, match="between 1 and 64"):
+            Database(workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 64])
+    def test_workers_at_the_session_bound_construct(self, workers):
+        db = Database(workers=workers)
+        db.execute("create table n (x integer)")
+        db.execute("insert into n values (1)")
+        assert db.execute("select x from n").rows == [(1,)]
+
     def test_insert_negative_literal(self):
         db = Database()
         db.execute("create table n (x integer)")
