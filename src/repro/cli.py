@@ -17,8 +17,8 @@ Subcommands mirror how the paper's tools are operated:
 ``metrics``    engine metrics in text exposition format (local registry,
                or a running server's via ``--port``)
 ``stats``      the adaptive feedback state: runtime statistics store
-               summary, hottest instruction signatures, and per-entry
-               plan-cache diagnostics (live server or on-disk snapshot)
+               summary, the most observed selection signatures and
+               per-entry plan-cache diagnostics (live server or on-disk snapshot)
 ``chaos``      seeded fault-injection sweep against an in-process
                server; prints a pass/fail invariant report
 ``checkpoint``  recover a WAL directory, write a fresh checkpoint, and
@@ -52,6 +52,17 @@ def _worker_count(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_count(text: str) -> int:
+    """``stats --top``: how many entries to list, at least one."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a count >= 1")
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -67,11 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="dataflow workers the schedulers model (also "
                             "the mitosis partition count), 1 to 64; "
                             "kernels execute in-process")
-    serve.add_argument("--order-index-min-rows", type=int, default=None,
-                       help="BAT row count above which range selects "
-                            "build the memoized sort-order index "
-                            "(default 512); tunes the process-wide "
-                            "index policy")
     serve.add_argument("--plan-cache-size", type=int, default=64,
                        help="optimized plans kept by the LRU plan cache "
                             "(0 disables plan caching)")
@@ -245,8 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--snapshot", default=None,
                        help="read a stats.json snapshot from disk "
                             "instead of a server")
-    stats.add_argument("--top", type=int, default=10,
-                       help="hottest signature entries to list")
+    stats.add_argument("--top", type=_positive_count, default=10,
+                       help="most observed selection signatures to list")
 
     chaos = commands.add_parser(
         "chaos", help="seeded fault-injection sweep (invariant report)"
@@ -304,11 +310,6 @@ def _cmd_serve(args, out) -> int:
     from repro.server import Database, Mserver
     from repro.tpch import populate
 
-    if args.order_index_min_rows is not None:
-        from repro.storage.bat import configure_index_policy
-
-        configure_index_policy(min_rows=args.order_index_min_rows)
-        out.write(f"order-index min rows: {args.order_index_min_rows}\n")
     db_options = dict(workers=args.workers,
                       plan_cache_size=args.plan_cache_size)
     if args.wal_dir:
@@ -578,38 +579,32 @@ def _cmd_metrics(args, out) -> int:
 def _render_stats(payload, out, top: int) -> None:
     store = payload.get("stats_store") or {}
     out.write("stats store:\n")
-    for key in ("entries", "query_entries", "capacity", "alpha",
-                "observations", "evictions"):
+    for key in ("entries", "query_entries", "capacity", "observations",
+                "evictions"):
         if key in store:
             out.write(f"  {key}: {store[key]}\n")
     entries = (payload.get("stats_top") or [])[:top]
     if entries:
-        out.write("hottest signatures (EWMA usec, selectivity, n):\n")
+        out.write("most observed selections (n, selectivity):\n")
         for entry in entries:
             sel = entry.get("sel")
             sel_text = "-" if sel is None else f"{sel:.4f}"
-            out.write(f"  {entry['lat']:>10.1f}  {sel_text:>8}  "
-                      f"{entry['n']:>6}  {entry['key']}\n")
+            out.write(f"  {entry['n']:>6}  {sel_text:>8}  "
+                      f"{entry['key']}\n")
     cache = payload.get("plan_cache") or {}
     if cache:
         out.write("plan cache:\n")
-        for key in ("size", "capacity", "hits", "misses", "evictions",
-                    "drift_evictions"):
+        for key in ("size", "capacity", "hits", "misses", "evictions"):
             if key in cache:
                 out.write(f"  {key}: {cache[key]}\n")
     plans = payload.get("plan_entries") or []
     if plans:
-        out.write("cached plans (hits, age s, recorded/last usec, "
-                  "drift):\n")
+        out.write("cached plans (hits, age s, last usec):\n")
         for plan in plans:
-            recorded = plan.get("recorded_usec")
             last = plan.get("last_usec")
-            drift = plan.get("drift")
             out.write(
                 f"  {plan['hits']:>5}  {plan['age_s']:>8.1f}  "
-                f"{'-' if recorded is None else round(recorded)}"
-                f"/{'-' if last is None else round(last)}  "
-                f"{'-' if drift is None else drift}  "
+                f"{'-' if last is None else round(last)}  "
                 f"[{plan['pipeline']} w={plan['workers']} "
                 f"reads {','.join(plan.get('tables', ()))}] "
                 f"{plan['sql']}\n")

@@ -134,11 +134,9 @@ PLAN_CACHE_MISSES = REGISTRY.counter(
 
 PLAN_CACHE_EVICTIONS = REGISTRY.counter(
     "repro_plan_cache_evictions_total",
-    "Cached plans dropped, by reason: lru (capacity pressure), "
+    "Cached plans dropped, by reason: lru (capacity pressure) or "
     "invalidate (a table the plan reads changed, or DDL cleared the "
-    "cache), or "
-    "drift (observed latency drifted >= 2x from the latency recorded "
-    "when the plan was cached).",
+    "cache).",
     labels=("reason",),
     unit="plans",
 )
@@ -531,7 +529,7 @@ RENDER_QUEUE_WAIT_MS = REGISTRY.histogram(
 STATS_OBSERVATIONS = REGISTRY.counter(
     "repro_stats_observations_total",
     "Profiler observations folded into the stats store, by kind: "
-    "instruction (per-instruction latency/selectivity) or query "
+    "instruction (one per selection run, its selectivity) or query "
     "(whole-query latency per plan variant).",
     labels=("kind",),
     unit="observations",
@@ -539,7 +537,7 @@ STATS_OBSERVATIONS = REGISTRY.counter(
 
 STATS_ENTRIES = REGISTRY.gauge(
     "repro_stats_entries",
-    "EWMA entries currently held by the stats store (instruction "
+    "EWMA entries currently held by the stats store (selection "
     "signatures plus query variants).",
     unit="entries",
 )

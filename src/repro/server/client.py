@@ -504,10 +504,10 @@ class MClient:
     def stats_payload(self) -> Dict[str, Any]:
         """The full ``stats`` verb response: ``metrics`` plus the
         adaptive feedback state — ``stats_store`` / ``stats_top``
-        (runtime statistics store summary and hottest signatures),
-        ``plan_cache`` counters and per-entry ``plan_entries``
-        diagnostics (the tables the plan reads, hits, age, recorded
-        cost, observed drift)."""
+        (runtime statistics store summary and the most observed
+        selection signatures with their selectivities), ``plan_cache``
+        counters and per-entry ``plan_entries`` diagnostics (the tables
+        the plan reads, hits, age, the latest run's modelled cost)."""
         return self._call({"op": "stats"})
 
     def query(self, sql: str,

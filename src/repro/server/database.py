@@ -54,23 +54,13 @@ from repro.storage.durable import (
 )
 
 
-#: Latency drift factor that evicts a cached plan: an entry observed
-#: running at >= 2x (or <= 1/2x) the latency recorded when it was
-#: cached no longer describes the data it was optimized for.
-PLAN_DRIFT_FACTOR = 2.0
-
-
 class _PlanEntry:
-    """One cached plan plus the observations drift detection needs."""
+    """One cached plan plus what the ``stats`` verb shows of it."""
 
-    __slots__ = ("program", "recorded_usec", "last_usec", "hits",
-                 "created_monotonic")
+    __slots__ = ("program", "last_usec", "hits", "created_monotonic")
 
     def __init__(self, program: MalProgram) -> None:
         self.program = program
-        #: latency of the first post-caching execution — the cost the
-        #: plan was effectively "recorded at"; None until observed
-        self.recorded_usec: Optional[float] = None
         self.last_usec: Optional[float] = None
         self.hits = 0
         self.created_monotonic = time.monotonic()
@@ -87,14 +77,9 @@ class PlanCache:
     as each table it reads is the same table with the same row count,
     so a write invalidates exactly the plans that read its table.  DDL
     and ``swap_catalog`` also :meth:`clear`, which frees a dropped
-    table's plans at once instead of at their next lookup.
-
-    Each entry remembers the latency of its first post-caching
-    execution; :meth:`observe` compares later executions against it and
-    evicts the plan when the observed latency drifts by
-    :data:`PLAN_DRIFT_FACTOR` in either direction — the in-place data
-    skew it was optimized for no longer holds, so the next execution
-    recompiles against fresh statistics.
+    table's plans at once instead of at their next lookup.  Nothing
+    else evicts a plan but capacity: no statement rewrites rows in
+    place, so a plan whose tables are unchanged still fits their data.
 
     A ``capacity`` of 0 disables caching entirely (every ``get`` is a
     silent miss and ``put`` is a no-op) — useful for benchmarking cold
@@ -110,7 +95,6 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.drift_evictions = 0
 
     @property
     def enabled(self) -> bool:
@@ -160,34 +144,14 @@ class PlanCache:
                 PLAN_CACHE_EVICTIONS.labels(reason="lru").inc()
             PLAN_CACHE_SIZE.set(len(self._entries))
 
-    def observe(self, key: tuple, usec: float) -> bool:
-        """Fold one observed execution latency into ``key``'s entry.
-
-        The first observation after caching records the plan's baseline
-        cost; each later one is compared against it.  Returns True when
-        the entry was evicted for drift (the caller's next execution of
-        this statement will recompile).
-        """
+    def observe(self, key: tuple, usec: float) -> None:
+        """Record ``key``'s latest execution latency for :meth:`entries`."""
         if not self.capacity:
-            return False
+            return
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                return False
-            entry.last_usec = usec
-            if entry.recorded_usec is None:
-                entry.recorded_usec = usec
-                return False
-            recorded = entry.recorded_usec
-            if usec >= recorded * PLAN_DRIFT_FACTOR or \
-                    usec * PLAN_DRIFT_FACTOR <= recorded:
-                del self._entries[key]
-                self.evictions += 1
-                self.drift_evictions += 1
-                PLAN_CACHE_EVICTIONS.labels(reason="drift").inc()
-                PLAN_CACHE_SIZE.set(len(self._entries))
-                return True
-            return False
+            if entry is not None:
+                entry.last_usec = usec
 
     def clear(self) -> int:
         """Drop every entry (DDL, ``swap_catalog``); returns the count."""
@@ -209,20 +173,16 @@ class PlanCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "drift_evictions": self.drift_evictions,
             }
 
     def entries(self) -> List[Dict[str, Any]]:
         """Per-entry diagnostics for the ``stats`` verb: what is cached,
-        how hot it is, and how far its cost has moved since caching."""
+        how hot it is, and what its latest run cost."""
         now = time.monotonic()
         with self._lock:
             out = []
             for key, entry in self._entries.items():
                 nsql, pipeline, workers = key[0], key[1], key[2]
-                drift = None
-                if entry.recorded_usec and entry.last_usec is not None:
-                    drift = round(entry.last_usec / entry.recorded_usec, 4)
                 out.append({
                     "sql": nsql,
                     "pipeline": pipeline,
@@ -231,9 +191,7 @@ class PlanCache:
                                in entry.program.reads.states],
                     "hits": entry.hits,
                     "age_s": round(now - entry.created_monotonic, 3),
-                    "recorded_usec": entry.recorded_usec,
                     "last_usec": entry.last_usec,
-                    "drift": drift,
                 })
             return out
 
@@ -595,7 +553,7 @@ class Database:
         execution = self.run_program(program, listener, context,
                                      workers, scheduler)
         # Close the feedback loop: fold the completed trace into the
-        # stats store and check the cached plan for cost drift.
+        # stats store; the plan cache keeps the run's cost for display.
         scope = program.reads.scope
         self.stats_store.observe_program(program, execution.runs, scope)
         self.stats_store.observe_query(

@@ -1,26 +1,25 @@
 """Runtime statistics: the feedback store behind adaptive optimization.
 
 Every executed plan leaves a trail of :class:`~repro.mal.interpreter.
-InstructionRun` records — per-instruction wall latency plus input and
-output cardinalities, exactly what the profiler streams to the
-Stethoscope.  :class:`StatsStore` ingests those completed traces and
-keeps EWMA-smoothed summaries keyed by *normalized instruction
-signatures*: a selection is keyed by the column it touches and the
-constants it compares against (``algebra.select(sys.lineitem.l_quantity;
-24)``), not by the variable names of one particular compile, so the same
-logical operator accumulates statistics across compiles, plan-cache
-generations and mitosis partitions.
+InstructionRun` records — input and output cardinalities per
+instruction, exactly what the profiler streams to the Stethoscope.
+:class:`StatsStore` ingests those completed traces and keeps the
+EWMA-smoothed *selectivity* of every selection, keyed by a normalized
+signature: the column it touches and the constants it compares against
+(``algebra.select(sys.lineitem.l_quantity;24)``), not the variable
+names of one particular compile, so the same logical operator
+accumulates statistics across compiles, plan-cache generations and
+mitosis partitions.  A selectivity is a count over a count; it needs no
+clock.
 
-Three consumers close the loop:
+Two consumers close the loop:
 
 * the ``adaptive_order`` optimizer pass asks :meth:`StatsStore.
   selectivity` to run commutable select chains most-selective-first;
-* the plan cache compares a cached plan's recorded latency against what
-  :meth:`StatsStore.observe_query` keeps seeing and evicts on >= 2x
-  drift;
 * deadline-carrying queries ask :meth:`StatsStore.choose_pipeline` for
   the cheapest plan variant predicted to fit (Maliva-style
-  time-constrained planning).
+  time-constrained planning), from the whole-query latencies
+  :meth:`StatsStore.observe_query` keeps per variant.
 
 Entries are additionally keyed by the *scope* of the plan they were
 observed under — the tables it reads and their row counts
@@ -35,6 +34,7 @@ snapshot (``stats.json`` in the WAL directory), written with
 from __future__ import annotations
 
 import json
+import math
 import threading
 import zlib
 from collections import OrderedDict
@@ -47,9 +47,11 @@ from repro.metrics.families import (
 )
 from repro.storage.durable import atomic_write
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 #: whole-file checksum trailer after the JSON document
 _CRC_PREFIX = "\n#crc32="
+#: EWMA smoothing factor: the weight of the newest observation
+_ALPHA = 0.3
 
 #: instructions whose output/input ratio is an observed selectivity
 _SELECT_FUNCTIONS = frozenset((
@@ -71,15 +73,14 @@ def _format_const(value: Any) -> str:
 
 
 def program_signatures(program: MalProgram) -> Dict[int, str]:
-    """Normalized signature per pc of ``program``.
+    """Normalized signature per pc of each selection in ``program``.
 
-    Selection instructions resolve their source variable back through
+    A selection resolves its source variable back through
     projection/candidate plumbing (leftjoin, semijoin, mirror, slice) to
     the ``sql.bind`` that names the underlying column; the signature is
     then ``module.function(schema.table.column;consts)`` — stable across
     compiles, optimizer pipelines and mitosis partitioning.  Every other
-    instruction is keyed by its qualified name alone, which is enough
-    for per-operator latency profiles.
+    instruction has no signature: nothing reads what it would record.
     """
     instructions = program.instructions
     sites = program.derived(MalProgram.def_use).sites
@@ -126,8 +127,6 @@ def program_signatures(program: MalProgram) -> Dict[int, str]:
                 if isinstance(arg, Const)
             )
             signatures[instr.pc] = f"{qname}({column or '?'};{consts})"
-        else:
-            signatures[instr.pc] = qname
     return signatures
 
 
@@ -140,25 +139,39 @@ def select_signature(qname: str, column: str,
     return f"{qname}({column};{consts})"
 
 
+def _ewma(old: Optional[float], new: float) -> float:
+    if old is None:
+        return new
+    return old + _ALPHA * (new - old)
+
+
+def _finite(value: Any) -> Optional[float]:
+    """``value`` as a finite float, or None when it is no such number."""
+    if type(value) not in (int, float):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 class _Entry:
-    """EWMA state for one (scope, signature) key."""
+    """EWMA state for one key: a selection's selectivity (None until a
+    run of it saw an input row) or a query variant's latency."""
 
-    __slots__ = ("latency_usec", "selectivity", "observations", "rows_in")
+    __slots__ = ("value", "observations")
 
-    def __init__(self) -> None:
-        self.latency_usec: float = 0.0
-        self.selectivity: Optional[float] = None
-        self.observations: int = 0
-        self.rows_in: int = 0
+    def __init__(self, value: Optional[float] = None,
+                 observations: int = 0) -> None:
+        self.value = value
+        self.observations = observations
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "lat": round(self.latency_usec, 3),
-            "sel": (None if self.selectivity is None
-                    else round(self.selectivity, 9)),
-            "n": self.observations,
-            "rows_in": self.rows_in,
-        }
+
+def _selection_fields(entry: _Entry) -> Dict[str, Any]:
+    """A selection entry as the snapshot and ``top_entries`` show it."""
+    return {"sel": None if entry.value is None else round(entry.value, 9),
+            "n": entry.observations}
 
 
 class StatsStore:
@@ -167,16 +180,12 @@ class StatsStore:
     Args:
         capacity: maximum signature entries kept (LRU beyond it); the
             query-variant table is bounded by ``capacity // 4``.
-        alpha: EWMA smoothing factor — weight of the newest observation.
     """
 
-    def __init__(self, capacity: int = 4096, alpha: float = 0.3) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError("stats capacity must be >= 1")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
         self.capacity = capacity
-        self.alpha = alpha
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._queries: "OrderedDict[str, _Entry]" = OrderedDict()
@@ -206,11 +215,6 @@ class StatsStore:
             table.move_to_end(key)
         return entry
 
-    def _ewma(self, old: Optional[float], new: float) -> float:
-        if old is None:
-            return new
-        return old + self.alpha * (new - old)
-
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
@@ -221,17 +225,15 @@ class StatsStore:
 
         ``runs`` are the :class:`~repro.mal.interpreter.InstructionRun`
         records an execution produced (what the profiler saw); the
-        latency of every instruction and the observed selectivity of
-        every selection are folded into the EWMA entries.  Returns the
-        number of runs ingested.
+        observed selectivity of every selection run among them is folded
+        into its signature's EWMA entry.  Returns the number of
+        selection runs ingested.
         """
         signatures = program.derived(program_signatures)
         prefix = scope + "|"
         entries = self._entries
-        alpha = self.alpha
         ingested = 0
         with self._lock:
-            # the hit half of _touch, and _ewma, inlined: once per instruction
             for run in runs:
                 signature = signatures.get(run.pc)
                 if signature is None:
@@ -242,19 +244,9 @@ class StatsStore:
                     entry = self._touch(entries, key, self.capacity)
                 else:
                     entries.move_to_end(key)
-                usec = float(run.usec)
-                if entry.observations:
-                    usec = entry.latency_usec + alpha * (
-                        usec - entry.latency_usec)
-                entry.latency_usec = usec
-                rows_in = run.rows_in
-                if rows_in > 0 and "(" in signature:
-                    ratio = run.rows / float(rows_in)
-                    if entry.selectivity is not None:
-                        ratio = entry.selectivity + alpha * (
-                            ratio - entry.selectivity)
-                    entry.selectivity = ratio
-                    entry.rows_in = rows_in
+                if run.rows_in > 0:
+                    entry.value = _ewma(entry.value,
+                                        run.rows / float(run.rows_in))
                 entry.observations += 1
                 ingested += 1
             self.observations += ingested
@@ -271,9 +263,7 @@ class StatsStore:
                 self._queries,
                 self._query_key(scope, nsql, pipeline, workers),
                 max(1, self.capacity // 4))
-            entry.latency_usec = self._ewma(
-                entry.latency_usec if entry.observations else None,
-                float(usec))
+            entry.value = _ewma(entry.value, float(usec))
             entry.observations += 1
             self.observations += 1
             STATS_ENTRIES.set(len(self._entries) + len(self._queries))
@@ -289,25 +279,7 @@ class StatsStore:
             entry = self._entries.get(f"{scope}|{signature}")
             if entry is None:
                 return None
-            return entry.selectivity
-
-    def latency_usec(self, signature: str, scope: str) -> Optional[float]:
-        """EWMA latency of an instruction signature, or None."""
-        with self._lock:
-            entry = self._entries.get(f"{scope}|{signature}")
-            if entry is None or not entry.observations:
-                return None
-            return entry.latency_usec
-
-    def query_latency(self, nsql: str, pipeline: str, workers: int,
-                      scope: str) -> Optional[float]:
-        """EWMA latency of one (sql, pipeline, workers) variant."""
-        with self._lock:
-            entry = self._queries.get(
-                self._query_key(scope, nsql, pipeline, workers))
-            if entry is None or not entry.observations:
-                return None
-            return entry.latency_usec
+            return entry.value
 
     def query_variants(self, nsql: str, workers: int,
                        scope: str) -> Dict[str, float]:
@@ -318,11 +290,9 @@ class StatsStore:
         variants: Dict[str, float] = {}
         with self._lock:
             for key, entry in self._queries.items():
-                if not entry.observations:
-                    continue
                 if key.startswith(prefix) and key.endswith(suffix):
                     pipeline = key[len(prefix):-len(suffix)]
-                    variants[pipeline] = entry.latency_usec
+                    variants[pipeline] = entry.value
         return variants
 
     def choose_pipeline(self, nsql: str, workers: int, scope: str,
@@ -361,18 +331,17 @@ class StatsStore:
                 "entries": len(self._entries),
                 "query_entries": len(self._queries),
                 "capacity": self.capacity,
-                "alpha": self.alpha,
                 "observations": self.observations,
                 "evictions": self.evictions,
             }
 
     def top_entries(self, limit: int = 20) -> List[Dict[str, Any]]:
-        """The ``limit`` hottest signature entries, by EWMA latency."""
+        """The ``limit`` most observed selection signatures."""
         with self._lock:
             ranked = sorted(self._entries.items(),
-                            key=lambda kv: kv[1].latency_usec,
+                            key=lambda kv: kv[1].observations,
                             reverse=True)[:limit]
-            return [dict(key=key, **entry.as_dict())
+            return [dict(key=key, **_selection_fields(entry))
                     for key, entry in ranked]
 
     # ------------------------------------------------------------------
@@ -385,11 +354,11 @@ class StatsStore:
             return {
                 "version": _FORMAT_VERSION,
                 "capacity": self.capacity,
-                "alpha": self.alpha,
                 "observations": self.observations,
-                "entries": {key: entry.as_dict()
+                "entries": {key: _selection_fields(entry)
                             for key, entry in self._entries.items()},
-                "queries": {key: entry.as_dict()
+                "queries": {key: {"lat": round(entry.value, 3),
+                                  "n": entry.observations}
                             for key, entry in self._queries.items()},
             }
 
@@ -411,60 +380,72 @@ class StatsStore:
         """Rebuild a store saved by :meth:`save`.
 
         Raises:
-            StorageError: checksum mismatch, malformed JSON, or an
-                unsupported format version.
+            StorageError: whatever the file holds that :meth:`save`
+                would not have written — text that is not UTF-8, a
+                missing or mismatched checksum trailer, malformed JSON,
+                a format version other than this one, or a field of the
+                wrong type or range.
         """
-        with open(path) as handle:
-            text = handle.read()
-        crc_at = text.rfind(_CRC_PREFIX)
-        if crc_at != -1:
-            body = text[:crc_at]
-            trailer = text[crc_at + len(_CRC_PREFIX):]
-            try:
-                expected = int(trailer.strip(), 16)
-            except ValueError:
-                raise StorageError(
-                    f"corrupt stats snapshot {path!r}: malformed "
-                    f"checksum trailer") from None
-            actual = zlib.crc32(body.encode("utf-8"))
-            if actual != expected:
-                raise StorageError(
-                    f"corrupt stats snapshot {path!r}: checksum "
-                    f"mismatch (expected {expected:08x}, computed "
-                    f"{actual:08x})")
-            text = body
+        def corrupt(why: str) -> StorageError:
+            return StorageError(f"corrupt stats snapshot {path!r}: {why}")
+
+        with open(path, "rb") as handle:
+            raw = handle.read()
         try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise corrupt("not UTF-8 text") from None
+        body, found, trailer = text.rpartition(_CRC_PREFIX)
+        if not found:
+            raise corrupt("no checksum trailer")
+        try:
+            expected = int(trailer.strip(), 16)
+        except ValueError:
+            raise corrupt("malformed checksum trailer") from None
+        actual = zlib.crc32(body.encode("utf-8"))
+        if actual != expected:
+            raise corrupt(f"checksum mismatch (expected {expected:08x}, "
+                          f"computed {actual:08x})")
+        try:
+            document = json.loads(body)
+        except (ValueError, RecursionError) as exc:
+            raise corrupt(str(exc)) from None
+        version = (document.get("version")
+                   if isinstance(document, dict) else None)
+        if version != _FORMAT_VERSION:
             raise StorageError(
-                f"corrupt stats snapshot {path!r}: {exc}") from None
-        if not isinstance(document, dict) or \
-                document.get("version") != _FORMAT_VERSION:
-            raise StorageError(
-                f"unsupported stats snapshot version "
-                f"{document.get('version') if isinstance(document, dict) else document!r}")
-        store = cls(capacity=int(document.get("capacity", 4096)),
-                    alpha=float(document.get("alpha", 0.3)))
-        for table_name, table in (("entries", store._entries),
-                                  ("queries", store._queries)):
-            saved = document.get(table_name, {})
+                f"unsupported stats snapshot version {version!r} in "
+                f"{path!r}")
+
+        def count(fields: dict, name: str, minimum: int) -> int:
+            value = fields.get(name)
+            if type(value) is not int or value < minimum:
+                raise corrupt(f"{name} is {value!r}, not an integer "
+                              f">= {minimum}")
+            return value
+
+        def table(name: str, field: str, optional: bool
+                  ) -> "OrderedDict[str, _Entry]":
+            saved = document.get(name)
             if not isinstance(saved, dict):
-                raise StorageError(
-                    f"corrupt stats snapshot {path!r}: {table_name} is "
-                    f"not an object")
+                raise corrupt(f"{name} is not an object")
+            loaded: "OrderedDict[str, _Entry]" = OrderedDict()
             for key, fields in saved.items():
                 if not isinstance(fields, dict):
-                    raise StorageError(
-                        f"corrupt stats snapshot {path!r}: entry "
-                        f"{key!r} is not an object")
-                entry = _Entry()
-                entry.latency_usec = float(fields.get("lat", 0.0))
-                sel = fields.get("sel")
-                entry.selectivity = None if sel is None else float(sel)
-                entry.observations = int(fields.get("n", 0))
-                entry.rows_in = int(fields.get("rows_in", 0))
-                table[key] = entry
-        store.observations = int(document.get("observations", 0))
+                    raise corrupt(f"entry {key!r} is not an object")
+                value = fields.get(field)
+                if value is not None or not optional:
+                    value = _finite(value)
+                    if value is None:
+                        raise corrupt(f"entry {key!r}: {field} is "
+                                      f"{fields.get(field)!r}")
+                loaded[key] = _Entry(value, count(fields, "n", 1))
+            return loaded
+
+        store = cls(capacity=count(document, "capacity", 1))
+        store._entries = table("entries", "sel", optional=True)
+        store._queries = table("queries", "lat", optional=False)
+        store.observations = count(document, "observations", 0)
         STATS_SNAPSHOTS.labels(op="load").inc()
         STATS_ENTRIES.set(len(store))
         return store

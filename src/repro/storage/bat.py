@@ -38,9 +38,9 @@ current length).  Each is built only when a kernel cannot avoid it:
   ``leftjoin`` against such a BAT whose index shows a duplicated head —
   it must produce every match of one;
 * a sort-order index on the tail, built by the *second* range or point
-  selection on a BAT of at least ``IndexPolicy.min_rows`` rows — one
+  selection on a BAT of at least ``ORDER_INDEX_MIN_ROWS`` rows — one
   select is no evidence of reuse, and most intermediates die with their
-  query — or after ``eager_after`` selects on a smaller one;
+  query — or after ``ORDER_INDEX_EAGER_AFTER`` selects on a smaller one;
 * the :meth:`BAT.bytes` footprint, which RSS accounting reads when a
   BAT is bound into an interpreter environment;
 * the :meth:`BAT.to_ship_bytes` payload, built when a checkpoint or a
@@ -63,7 +63,6 @@ import operator
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 
 from repro.metrics.families import (
@@ -159,85 +158,22 @@ def _positions_range(tail: List[Any], low: Any, high: Any,
             if v is not None and low < v < high]
 
 
-#: BATs below this row count answer range selects by scanning; above it
-#: the second one builds (and memoizes) a sort-order index and every
-#: later one answers by bisection.
-#: Default for :class:`IndexPolicy.min_rows`; kept as a module constant
-#: for importers, but the live threshold is the configured policy's.
+# The sort-order index policy.  The static half: a BAT of at least
+# ORDER_INDEX_MIN_ROWS rows builds its index on the second range select
+# (the first scans: a BAT selected once is a per-query intermediate, not
+# a catalog column or one of its partitions), and a bisected run of k
+# rows falls back to the scan kernel when k * ORDER_INDEX_SCAN_FALLBACK
+# > rows.  The adaptive half: a smaller BAT, down to
+# ORDER_INDEX_EAGER_MIN_ROWS, builds after ORDER_INDEX_EAGER_AFTER range
+# selects, and an index answering fewer than ORDER_INDEX_HIT_FLOOR of
+# its consults over a window of ORDER_INDEX_WINDOW is dropped (and stays
+# off until the BAT next mutates).
 ORDER_INDEX_MIN_ROWS = 512
-
-
-@dataclass
-class IndexPolicy:
-    """Tunable heuristics governing the memoized sort-order indexes.
-
-    The static half (``min_rows``, the scan-fallback ratio) used to be
-    hard-wired module constants; the adaptive half closes the feedback
-    loop: BATs below ``min_rows`` whose observed access mix is
-    range-select-heavy get their index built *eagerly*, and an index
-    whose hit-rate over a decision window falls below ``hit_floor`` is
-    dropped (and stays off until the BAT next mutates).
-
-    Attributes:
-        min_rows: row count from which the second range select on a
-            BAT builds its index (the first scans: a BAT selected once
-            is a per-query intermediate, not a catalog column or one of
-            its partitions).
-        scan_fallback_num: a bisected run of k rows falls back to the
-            scan kernel when ``k * scan_fallback_num > rows`` — the
-            default 4 is the historical >1/4-selectivity rule; 0
-            disables the fallback entirely.
-        adaptive_min_rows: floor below which eager builds never happen
-            (tiny BATs scan faster than any index pays back).
-        eager_after: range selects observed on a sub-``min_rows`` BAT
-            before its index is built eagerly.
-        hit_floor: minimum fraction of index-answered range selects
-            over a window; below it the index is dropped.
-        window: accesses per hit-rate decision window.
-    """
-
-    min_rows: int = ORDER_INDEX_MIN_ROWS
-    scan_fallback_num: int = 4
-    adaptive_min_rows: int = 128
-    eager_after: int = 4
-    hit_floor: float = 0.1
-    window: int = 32
-
-
-#: The process-wide policy; replaced via :func:`configure_index_policy`
-#: (the ``serve --order-index-min-rows`` flag lands here).
-_INDEX_POLICY = IndexPolicy()
-
-
-def index_policy() -> IndexPolicy:
-    """The index policy currently in force."""
-    return _INDEX_POLICY
-
-
-def configure_index_policy(policy: Optional[IndexPolicy] = None,
-                           **overrides) -> IndexPolicy:
-    """Install (or derive-and-install) the process-wide index policy.
-
-    Pass a full :class:`IndexPolicy`, or keyword overrides applied to
-    the defaults (``configure_index_policy(min_rows=64)``).  Returns the
-    installed policy.  Tests that touch this must restore the previous
-    policy; the engine itself only calls it from CLI startup.
-    """
-    global _INDEX_POLICY
-    if policy is None:
-        policy = IndexPolicy(**overrides)
-    elif overrides:
-        raise ValueError("pass a policy or overrides, not both")
-    if policy.min_rows < 1 or policy.adaptive_min_rows < 1:
-        raise ValueError("index policy thresholds must be >= 1")
-    if policy.scan_fallback_num < 0:
-        raise ValueError("scan_fallback_num must be >= 0")
-    if not 0.0 <= policy.hit_floor <= 1.0:
-        raise ValueError("hit_floor must be in [0, 1]")
-    if policy.window < 1 or policy.eager_after < 1:
-        raise ValueError("window and eager_after must be >= 1")
-    _INDEX_POLICY = policy
-    return policy
+ORDER_INDEX_SCAN_FALLBACK = 4
+ORDER_INDEX_EAGER_MIN_ROWS = 128
+ORDER_INDEX_EAGER_AFTER = 4
+ORDER_INDEX_HIT_FLOOR = 0.1
+ORDER_INDEX_WINDOW = 32
 
 
 class BAT:
@@ -283,8 +219,8 @@ class BAT:
         self._ship_cache: Optional[Tuple[int, bytes]] = None
         self._parts_cache: Optional[Tuple[int, Tuple[BAT, ...]]] = None
         # adaptive index accounting: range selects seen, order-index
-        # hits/misses in the current decision window, and whether the
-        # policy has disabled the index until the next mutation
+        # hits/misses in the current decision window, and whether a poor
+        # hit-rate has disabled the index until the next mutation
         self._range_selects = 0
         self._order_hits = 0
         self._order_misses = 0
@@ -540,22 +476,22 @@ class BAT:
         by value, the values in that order).
 
         Built on the second range selection against a BAT of at least
-        ``policy.min_rows`` rows (the first is no evidence of reuse, and
-        an index costs more than the scan it replaces) — or *eagerly* on
-        smaller BATs (down to ``policy.adaptive_min_rows``) once the
-        observed access mix shows ``policy.eager_after`` range selects.
-        BATs whose tails refuse ordered comparison, and BATs whose index
-        the policy dropped for a poor hit-rate, answer by scanning.
+        ``ORDER_INDEX_MIN_ROWS`` rows (the first is no evidence of reuse,
+        and an index costs more than the scan it replaces) — or
+        *eagerly* on smaller BATs (down to ``ORDER_INDEX_EAGER_MIN_ROWS``)
+        once the observed access mix shows ``ORDER_INDEX_EAGER_AFTER``
+        range selects.  BATs whose tails refuse ordered comparison, and
+        BATs whose index was dropped for a poor hit-rate, answer by
+        scanning.
         Invalidated like every memoized structure by append/extend.
         """
         if self._order_disabled:
             return None
-        policy = _INDEX_POLICY
         rows = len(self.tail)
-        if rows < policy.min_rows:
-            if rows < policy.adaptive_min_rows:
+        if rows < ORDER_INDEX_MIN_ROWS:
+            if rows < ORDER_INDEX_EAGER_MIN_ROWS:
                 return None
-            needed, trigger = policy.eager_after, "eager"
+            needed, trigger = ORDER_INDEX_EAGER_AFTER, "eager"
         else:
             needed, trigger = 2, "threshold"
         cached = self._order_cache
@@ -577,16 +513,15 @@ class BAT:
 
     def _order_outcome(self, hit: bool) -> None:
         """Fold one index consult into the hit-rate window; drop the
-        index when a full window stays below the policy floor."""
+        index when a full window stays below ``ORDER_INDEX_HIT_FLOOR``."""
         if hit:
             self._order_hits += 1
         else:
             self._order_misses += 1
-        policy = _INDEX_POLICY
         decided = self._order_hits + self._order_misses
-        if decided < policy.window:
+        if decided < ORDER_INDEX_WINDOW:
             return
-        if self._order_hits < policy.hit_floor * decided:
+        if self._order_hits < ORDER_INDEX_HIT_FLOOR * decided:
             self._order_cache = None
             self._order_disabled = True
             ADAPTIVE_INDEX_DROPS.inc()
@@ -621,9 +556,7 @@ class BAT:
         if last <= first:
             self._order_outcome(hit=True)
             return self._take([])
-        if _INDEX_POLICY.scan_fallback_num and \
-                (last - first) * _INDEX_POLICY.scan_fallback_num > \
-                len(self.tail):
+        if (last - first) * ORDER_INDEX_SCAN_FALLBACK > len(self.tail):
             # wide runs: re-sorting k positions costs more than one scan
             self._order_outcome(hit=False)
             return None

@@ -1,13 +1,17 @@
 """Tests for the adaptive feedback loop: the runtime statistics store,
-selectivity-ordered recompilation (``adaptive_order``), plan-cache cost
-drift, deadline rerouting, and adaptive order-index management."""
+selectivity-ordered recompilation (``adaptive_order``), what the plan
+cache observes, deadline rerouting, and adaptive order-index
+management."""
 
+import json
 import os
 import tempfile
+import zlib
 
 import pytest
 
 from repro.errors import StorageError
+from repro.faults import FaultPlan, armed
 from repro.metrics.families import (
     ADAPTIVE_DEADLINE_REROUTES,
     ADAPTIVE_INDEX_BUILDS,
@@ -20,11 +24,7 @@ from repro.server.database import normalize_sql
 from repro.server.lifecycle import QueryContext
 from repro.stats import StatsStore, program_signatures, select_signature
 from repro.storage import INT, BAT
-from repro.storage.bat import (
-    IndexPolicy,
-    configure_index_policy,
-    index_policy,
-)
+from repro.storage import bat as bat_module
 
 FP = "sys.t=3"  # a scope: the tables a plan reads and their row counts
 
@@ -63,12 +63,48 @@ class TestStatsStore:
                                 [Const(5), Const(None)]) == \
             "algebra.select(sys.t.a;5,nil)"
 
+    def test_only_selections_have_signatures(self):
+        db = Database(workers=2)
+        db.execute("create table t (a int, b int)")
+        program = db.compile("select a from t where a < 5 and b = 7")
+        signatures = program_signatures(program)
+        assert signatures
+        for pc, signature in signatures.items():
+            assert program.instructions[pc].qualified_name in (
+                "algebra.select", "algebra.thetaselect")
+            assert signature.startswith(
+                program.instructions[pc].qualified_name + "(sys.t.")
+
+    def test_observe_program_folds_selection_runs_only(self):
+        db = _skewed_db(plan_cache_size=0)
+        outcome = db.execute("select a, b from t where a < 900 and b = 7")
+        runs = outcome.execution.runs
+        store = StatsStore()
+        selections = program_signatures(outcome.program)
+        ingested = store.observe_program(
+            outcome.program, runs, outcome.program.reads.scope)
+        assert ingested == sum(run.pc in selections for run in runs)
+        assert 0 < ingested < len(runs)
+        assert store.summary()["entries"] == len(set(selections.values()))
+        for entry in store.top_entries():
+            assert entry.keys() == {"key", "sel", "n"}
+            assert 0.0 <= entry["sel"] <= 1.0
+
+    def test_top_entries_rank_by_observations(self):
+        db = _skewed_db(plan_cache_size=0)
+        db.execute("select a, b from t where a < 900 and b = 7")
+        db.execute("select a from t where a = 3")
+        db.execute("select a from t where a = 3")
+        ranked = [entry["n"] for entry in db.stats_store.top_entries()]
+        assert ranked == sorted(ranked, reverse=True)
+        assert "sys.t.a;3" in db.stats_store.top_entries(1)[0]["key"]
+
     def test_query_latency_is_ewma_smoothed(self):
-        store = StatsStore(alpha=0.3)
+        store = StatsStore()
         store.observe_query("q", "default_pipe", 2, 100.0, FP)
         store.observe_query("q", "default_pipe", 2, 200.0, FP)
-        assert store.query_latency("q", "default_pipe", 2, FP) == \
-            pytest.approx(130.0)
+        assert store.query_variants("q", 2, FP) == \
+            {"default_pipe": pytest.approx(130.0)}
 
     def test_lru_eviction_is_bounded(self):
         store = StatsStore(capacity=8)  # query table caps at 8 // 4
@@ -77,17 +113,17 @@ class TestStatsStore:
         assert store.summary()["query_entries"] == 2
         assert store.summary()["evictions"] == 1
         # oldest evicted, newest retained
-        assert store.query_latency("q0", "default_pipe", 2, FP) is None
-        assert store.query_latency("q2", "default_pipe", 2, FP) == 10.0
+        assert store.query_variants("q0", 2, FP) == {}
+        assert store.query_variants("q2", 2, FP) == {"default_pipe": 10.0}
 
     def test_snapshot_roundtrip(self, tmp_path):
-        store = StatsStore(capacity=32, alpha=0.5)
+        store = StatsStore(capacity=32)
         store.observe_query("q", "default_pipe", 2, 42.0, FP)
         path = str(tmp_path / "stats.json")
         assert store.save(path) == 1
         reloaded = StatsStore.load(path)
         assert reloaded.snapshot() == store.snapshot()
-        assert reloaded.query_latency("q", "default_pipe", 2, FP) == 42.0
+        assert reloaded.query_variants("q", 2, FP) == {"default_pipe": 42.0}
 
     def test_corrupt_snapshot_raises_storage_error(self, tmp_path):
         store = StatsStore()
@@ -200,56 +236,46 @@ class TestAdaptiveOrder:
 
 
 # ---------------------------------------------------------------------------
-# plan-cache drift
+# what the plan cache observes
 # ---------------------------------------------------------------------------
 
 
-class TestPlanCacheDrift:
-    def test_skew_perturbation_evicts_and_recompiles(self):
-        before = PLAN_CACHE_EVICTIONS.labels(reason="drift").value()
+class TestPlanCacheObserve:
+    def test_a_stalled_run_does_not_evict_a_cached_plan(self):
         db = Database(workers=2, plan_cache_size=8)
         db.execute("create table t (a int, b int)")
-        table = db.catalog.table("t")
-        table.insert_many([[i % 1000, i % 100] for i in range(2000)])
+        db.catalog.table("t").insert_many(
+            [[i % 1000, i % 100] for i in range(2000)])
         sql = "select a, b from t where a < 5"
-        db.execute(sql)          # miss: compile, cache
-        db.execute(sql)          # hit: records the cost baseline
-        assert db.plan_cache.stats()["drift_evictions"] == 0
+        expected = db.execute(sql).rows      # miss: compile, cache
+        usual = db.execute(sql).execution.total_usec  # hit
+        with armed(FaultPlan.from_spec("scheduler.worker:stall=5000#1")):
+            stalled = db.execute(sql)        # hit, one worker stalls
+        # the stall shows in the run's cost, and still evicts nothing
+        assert stalled.execution.total_usec > 10 * usual
         cached_program = db.last_program
-
-        # perturb the skew *in place*: same row count, same plan key,
-        # but the select now passes every row instead of ~0.5%
-        bat = table.columns["a"].bat
-        bat.tail[:] = [i % 5 for i in range(2000)]
-        bat._invalidate_caches()
-
-        db.execute(sql)          # hit, but observed cost drifts >= 2x
+        assert db.execute(sql).rows == expected
         stats = db.plan_cache.stats()
-        assert stats["drift_evictions"] == 1
-        assert stats["size"] == 0
-        assert PLAN_CACHE_EVICTIONS.labels(
-            reason="drift").value() == before + 1
-
-        misses = stats["misses"]
-        outcome = db.execute(sql)  # miss again: recompiled
-        assert db.plan_cache.stats()["misses"] == misses + 1
-        assert outcome.program is not cached_program
+        assert stats["misses"] == 1
+        assert stats["hits"] == 3
+        assert stats["evictions"] == 0
+        assert db.last_program is cached_program
 
     def test_plan_entry_diagnostics(self):
         db = _skewed_db(plan_cache_size=8)
         sql = "select a, b from t where a < 900 and b = 7"
         db.execute(sql)
-        db.execute(sql)
+        outcome = db.execute(sql)
         (entry,) = db.plan_cache.entries()
         assert entry["sql"] == normalize_sql(sql)
         assert entry["pipeline"] == "default_pipe"
         assert entry["workers"] == 2
+        assert entry["tables"] == ["sys.t"]
         assert entry["hits"] == 1
         assert entry["age_s"] >= 0.0
-        assert entry["recorded_usec"] > 0
-        assert entry["last_usec"] > 0
-        assert entry["drift"] == pytest.approx(
-            entry["last_usec"] / entry["recorded_usec"], abs=1e-3)
+        assert entry["last_usec"] == outcome.execution.total_usec
+        assert set(entry) == {"sql", "pipeline", "workers", "tables",
+                              "hits", "age_s", "last_usec"}
 
 
 # ---------------------------------------------------------------------------
@@ -288,45 +314,25 @@ class TestDeadlineReroute:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def restore_index_policy():
-    previous = index_policy()
-    yield
-    configure_index_policy(previous)
-
-
 class TestIndexPolicy:
-    def test_configure_validates(self, restore_index_policy):
-        with pytest.raises(ValueError):
-            configure_index_policy(min_rows=0)
-        with pytest.raises(ValueError):
-            configure_index_policy(hit_floor=1.5)
-        with pytest.raises(ValueError):
-            configure_index_policy(IndexPolicy(), min_rows=64)
-        installed = configure_index_policy(min_rows=64)
-        assert index_policy() is installed
-        assert index_policy().min_rows == 64
+    def test_the_policy_is_six_constants(self):
+        assert (bat_module.ORDER_INDEX_MIN_ROWS,
+                bat_module.ORDER_INDEX_SCAN_FALLBACK,
+                bat_module.ORDER_INDEX_EAGER_MIN_ROWS,
+                bat_module.ORDER_INDEX_EAGER_AFTER,
+                bat_module.ORDER_INDEX_HIT_FLOOR,
+                bat_module.ORDER_INDEX_WINDOW) == (512, 4, 128, 4, 0.1, 32)
 
-    def test_min_rows_is_configurable(self, restore_index_policy):
-        configure_index_policy(min_rows=16)
+    def test_second_select_builds_from_min_rows(self, monkeypatch):
+        monkeypatch.setattr(bat_module, "ORDER_INDEX_MIN_ROWS", 16)
         bat = BAT(INT, list(range(32)))
         assert bat.select(3, 5).tail == [3, 4, 5]
         assert bat._order_cache is None      # one select: no reuse seen
         assert bat.select(3, 5).tail == [3, 4, 5]
         assert bat._order_cache is not None  # built on the second touch
 
-    def test_serve_flag_parses(self):
-        from repro.cli import _build_parser
-
-        args = _build_parser().parse_args(
-            ["serve", "--order-index-min-rows", "64"])
-        assert args.order_index_min_rows == 64
-        assert _build_parser().parse_args(
-            ["serve"]).order_index_min_rows is None
-
-    def test_eager_build_on_range_heavy_small_bat(
-            self, restore_index_policy):
-        configure_index_policy(adaptive_min_rows=64, eager_after=4)
+    def test_eager_build_on_range_heavy_small_bat(self, monkeypatch):
+        monkeypatch.setattr(bat_module, "ORDER_INDEX_EAGER_MIN_ROWS", 64)
         before = ADAPTIVE_INDEX_BUILDS.labels(trigger="eager").value()
         bat = BAT(INT, list(range(200)))  # below min_rows (512)
         for _ in range(3):
@@ -337,16 +343,18 @@ class TestIndexPolicy:
         assert ADAPTIVE_INDEX_BUILDS.labels(
             trigger="eager").value() == before + 1
 
-    def test_tiny_bats_never_build_eagerly(self, restore_index_policy):
-        configure_index_policy(adaptive_min_rows=64, eager_after=2)
-        bat = BAT(INT, list(range(32)))   # below adaptive_min_rows
+    def test_tiny_bats_never_build_eagerly(self, monkeypatch):
+        monkeypatch.setattr(bat_module, "ORDER_INDEX_EAGER_MIN_ROWS", 64)
+        monkeypatch.setattr(bat_module, "ORDER_INDEX_EAGER_AFTER", 2)
+        bat = BAT(INT, list(range(32)))   # below the eager floor
         for _ in range(8):
             bat.select(1, 3)
         assert bat._order_cache is None
 
-    def test_low_hit_rate_drops_index(self, restore_index_policy):
-        configure_index_policy(min_rows=16, window=8, hit_floor=0.5,
-                               scan_fallback_num=4)
+    def test_low_hit_rate_drops_index(self, monkeypatch):
+        monkeypatch.setattr(bat_module, "ORDER_INDEX_MIN_ROWS", 16)
+        monkeypatch.setattr(bat_module, "ORDER_INDEX_WINDOW", 8)
+        monkeypatch.setattr(bat_module, "ORDER_INDEX_HIT_FLOOR", 0.5)
         before = ADAPTIVE_INDEX_DROPS.value()
         bat = BAT(INT, list(range(1000)))
         # the first select scans without an index; from the second on,
@@ -362,20 +370,23 @@ class TestIndexPolicy:
         bat.append(1000)
         assert not bat._order_disabled
 
-    def test_scan_fallback_zero_disables_fallback(
-            self, restore_index_policy):
-        configure_index_policy(min_rows=16, scan_fallback_num=0)
-        bat = BAT(INT, list(range(1000)))
-        assert len(bat.select(0, 900)) == 901    # first touch: plain scan
-        assert bat._order_hits == bat._order_misses == 0
-        assert len(bat.select(0, 900)) == 901    # second touch: indexed
-        assert bat._order_misses == 0     # wide run answered as a hit
-        assert bat._order_hits == 1
-
 
 # ---------------------------------------------------------------------------
 # stats verb and CLI surfaces
 # ---------------------------------------------------------------------------
+
+
+#: a well-formed version-3 snapshot body, before its checksum trailer
+_V3 = json.dumps({
+    "version": 3, "capacity": 64, "observations": 3,
+    "entries": {f"{FP}|algebra.select(sys.t.a;5)": {"sel": 0.5, "n": 2}},
+    "queries": {f"{FP}|default_pipe|2|q": {"lat": 42.0, "n": 1}},
+})
+
+
+def _trailed(body):
+    return body + f"\n#crc32={zlib.crc32(body.encode('utf-8')):08x}\n"
+
 
 
 class TestStatsSurfaces:
@@ -393,7 +404,7 @@ class TestStatsSurfaces:
         (entry,) = payload["plan_entries"]
         assert entry["hits"] == 1
         assert "where a <" in entry["sql"]
-        assert payload["plan_cache"]["drift_evictions"] == 0
+        assert payload["plan_cache"]["evictions"] == 0
 
     def test_cli_stats_renders_snapshot(self, capsys):
         import io
@@ -410,6 +421,41 @@ class TestStatsSurfaces:
         text = out.getvalue()
         assert "stats store:" in text
         assert "observations: 1" in text
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_cli_stats_refuses_a_top_below_one(self, top, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        store = StatsStore()
+        store.observe_query("select 1", "default_pipe", 2, 42.0, FP)
+        path = str(tmp_path / "stats.json")
+        store.save(path)
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["stats", "--snapshot", path, "--top", top])
+        assert exited.value.code == 2
+        assert "--top" in capsys.readouterr().err
+
+    def test_cli_stats_lists_the_most_observed_selections(self):
+        import io
+
+        from repro.cli import main as cli_main
+
+        db = _skewed_db(plan_cache_size=0)
+        db.execute("select a, b from t where a < 900 and b = 7")
+        db.execute("select a from t where a = 3")
+        db.execute("select a from t where a = 3")
+        with tempfile.TemporaryDirectory() as workdir:
+            path = os.path.join(workdir, "stats.json")
+            db.stats_store.save(path)
+            out = io.StringIO()
+            assert cli_main(["stats", "--snapshot", path, "--top", "1"],
+                            out=out) == 0
+        lines = out.getvalue().splitlines()
+        heading = lines.index("most observed selections (n, selectivity):")
+        (listed,) = [line for line in lines[heading + 1:]
+                     if line.startswith("  ")]
+        assert listed.split()[0] == "4"   # 2 runs x 2 mitosis partitions
+        assert "sys.t.a;3" in listed
 
     def test_cli_stats_requires_target(self):
         import io
@@ -439,6 +485,58 @@ class TestStatsSurfaces:
                 assert _plan_text(first) == _plan_text(warm.program)
             finally:
                 reopened.close()
+
+    @pytest.mark.parametrize("content", [
+        pytest.param('{"version": 2, "capacity": 0}', id="v2-capacity-0"),
+        pytest.param('{"version": 2, "alpha": 5}', id="v2-alpha-5"),
+        pytest.param('{"version": 2, "entries": {"k": {"n": "x"}}}',
+                     id="v2-n-text"),
+        pytest.param('{"version": 2, "entries": {"k": {"lat": null}}}',
+                     id="v2-lat-null"),
+        pytest.param(_V3, id="v3-no-trailer"),
+        pytest.param(_trailed(_V3.replace('"capacity": 64',
+                                          '"capacity": 0')),
+                     id="v3-capacity-0"),
+        pytest.param(_trailed(_V3.replace('"capacity": 64',
+                                          '"capacity": "64"')),
+                     id="v3-capacity-text"),
+        pytest.param(_trailed(_V3.replace('"observations": 3',
+                                          '"observations": -1')),
+                     id="v3-observations-negative"),
+        pytest.param(_trailed(_V3.replace('"n": 2', '"n": "x"')),
+                     id="v3-n-text"),
+        pytest.param(_trailed(_V3.replace('"sel": 0.5', '"sel": "x"')),
+                     id="v3-sel-text"),
+        pytest.param(_trailed(_V3.replace('"lat": 42.0', '"lat": null')),
+                     id="v3-lat-null"),
+        pytest.param(_trailed(_V3.replace('"lat": 42.0', '"lat": 1e999')),
+                     id="v3-lat-infinite"),
+        pytest.param(_trailed(_V3.replace('"queries": {', '"queries": [{')
+                              .replace("}}}", "}}]}")),
+                     id="v3-queries-list"),
+        pytest.param(_trailed("[]"), id="v3-not-an-object"),
+        pytest.param("\udcff", id="not-utf8"),
+        pytest.param("", id="empty"),
+    ])
+    def test_a_malformed_snapshot_opens_cold(self, content, tmp_path):
+        with open(tmp_path / "stats.json", "w", encoding="utf-8",
+                  errors="surrogateescape") as handle:
+            handle.write(content)
+        db = Database(workers=2, wal_dir=str(tmp_path))
+        try:
+            assert len(db.stats_store) == 0
+        finally:
+            db.close()
+
+    def test_the_well_formed_snapshot_of_those_cases_loads(self, tmp_path):
+        path = tmp_path / "stats.json"
+        path.write_text(_trailed(_V3))
+        store = StatsStore.load(str(path))
+        assert store.summary() == {"entries": 1, "query_entries": 1,
+                                   "capacity": 64, "observations": 3,
+                                   "evictions": 0}
+        assert store.selectivity("algebra.select(sys.t.a;5)", FP) == 0.5
+        assert store.query_variants("q", 2, FP) == {"default_pipe": 42.0}
 
     def test_database_persists_stats_alongside_catalog(self):
         with tempfile.TemporaryDirectory() as workdir:

@@ -284,7 +284,8 @@ class TestCli:
         thread.join(timeout=10)
 
     @pytest.mark.parametrize("flag", ["--parallel-workers",
-                                      "--parallel-min-rows"])
+                                      "--parallel-min-rows",
+                                      "--order-index-min-rows"])
     def test_serve_refuses_the_retired_pool_flags(self, flag, capsys):
         with pytest.raises(SystemExit) as exited:
             main(["serve", flag, "2", "--max-seconds", "0"])

@@ -947,8 +947,7 @@ class TestPlanCache:
         assert second.rows == first.rows
         stats = db.plan_cache.stats()
         assert stats == {"size": 0, "capacity": 0, "hits": 0,
-                         "misses": 0, "evictions": 0,
-                         "drift_evictions": 0}
+                         "misses": 0, "evictions": 0}
 
     def test_explain_shares_cache_with_execute(self):
         db = _fresh_db()

@@ -19,7 +19,13 @@ wall-clock histogram, ``repro_server_query_usec``, the count), the
 the store is small enough here that it evicts) and the ``queries``
 verb's ``recent`` list without its wall-clock ``elapsed_s``.
 Regenerate only for a change that is *meant* to alter what a statement
-records, and say so in CHANGES.md.
+records, and say so in CHANGES.md.  It was regenerated once since: when
+the store stopped keeping a modelled latency per instruction and kept
+selections only, which changed the ``repro_stats_*`` samples and the
+snapshot bytes, and — because 48 entries of selections outlast 48 of
+every instruction — let two statements' select chains be reordered,
+which moved two ``repro_mal_instruction_usec`` sums by 8 µs and the
+utilisation sum; every count, row and ``repro_server_*`` sample held.
 """
 
 import json
