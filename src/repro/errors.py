@@ -118,8 +118,8 @@ class QueryCancelledError(ServerError):
 
 
 class QueryDeadlineError(QueryCancelledError):
-    """A query ran past its server-side deadline and was force-cancelled
-    (usually by the stuck-query watchdog)."""
+    """A query ran past its server-side deadline and was cancelled at
+    its next instruction boundary (or while it waited for a slot)."""
 
 
 class QueryBudgetError(QueryCancelledError):

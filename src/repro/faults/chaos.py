@@ -333,8 +333,8 @@ def _run_slow_query_case(server, seed: int, spec: str,
     """The ``slow-query`` mix: a stalled plan against a tight deadline.
 
     Heavy worker stalls push one threaded query far past its 0.25s
-    server-side deadline; the watchdog (or the inline check) must
-    cancel it with a typed :class:`~repro.errors.QueryDeadlineError`
+    server-side deadline; the lifecycle check at an instruction
+    boundary must cancel it with a typed :class:`~repro.errors.QueryDeadlineError`
     carrying the query id, the deadline counter must advance, and the
     server must stay responsive.
     """

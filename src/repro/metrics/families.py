@@ -77,16 +77,15 @@ SERVER_QUERIES_SHED = REGISTRY.counter(
 SERVER_QUERIES_CANCELLED = REGISTRY.counter(
     "repro_server_queries_cancelled_total",
     "Queries cancelled before completing, by source (client cancel op, "
-    "watchdog deadline enforcement, drain shutdown, inline deadline or "
-    "rss-budget checks).",
+    "deadline, drain shutdown, rss-budget).",
     labels=("source",),
     unit="queries",
 )
 
 SERVER_QUERY_DEADLINE_EXCEEDED = REGISTRY.counter(
     "repro_server_query_deadline_exceeded_total",
-    "Queries force-cancelled because they ran past their server-side "
-    "deadline (watchdog or inline discovery).",
+    "Queries cancelled because they ran past their server-side "
+    "deadline.",
     unit="queries",
 )
 
@@ -418,7 +417,8 @@ FAULT_INJECTIONS = REGISTRY.counter(
 
 CLIENT_RETRIES = REGISTRY.counter(
     "repro_client_retries_total",
-    "Requests re-sent by MClient after a connection failure, by op.",
+    "Requests re-sent by MClient after a connection failure, an "
+    "overload shed or a read-only-replica refusal, by op.",
     labels=("op",),
     unit="retries",
 )

@@ -46,7 +46,6 @@ import base64
 import json
 import os
 import re
-import socket
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -67,11 +66,10 @@ from repro.metrics.families import (
     REPL_RECORDS_APPLIED,
     REPL_ROLE,
 )
-from repro.server.protocol import decode_message, encode_message
+from repro.server.client import MClient, probe_status
 from repro.storage.durable import (
     MANIFEST_FILENAME,
     WAL_FILENAME,
-    WalError,
     apply_record,
     decode_payload,
     land_directory,
@@ -414,8 +412,6 @@ class ReplicationManager:
     # ------------------------------------------------------------------
 
     def _pull_loop(self) -> None:
-        from repro.server.client import MClient
-
         engine = self.database.durability
         client: Optional[MClient] = None
         backoff = 0.05
@@ -648,22 +644,5 @@ class ReplicationManager:
         self._note_contact()
         return False
 
-    @staticmethod
-    def _probe(addr: str, timeout: float = 0.75) -> Optional[Dict]:
-        """One-shot ``repl.status`` probe; None when unreachable."""
-        try:
-            host, port = split_addr(addr)
-            with socket.create_connection((host, port),
-                                          timeout=timeout) as sock:
-                sock.sendall(encode_message({"op": "repl.status"}))
-                sock.settimeout(timeout)
-                buffer = b""
-                while b"\n" not in buffer:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        return None
-                    buffer += chunk
-            response = decode_message(buffer.split(b"\n", 1)[0])
-            return response if response.get("ok") else None
-        except (ReproError, OSError, WalError):
-            return None
+    #: One-shot ``repl.status`` probe of a peer; None when unreachable.
+    _probe = staticmethod(probe_status)

@@ -1,27 +1,36 @@
 """MClient: the TCP client for Mserver (what Stethoscope connects with).
 
 Hardened against the failures the chaos harness injects: connection
-setup raises a typed :class:`~repro.errors.ConnectionFailedError`,
-requests that die mid-flight are retried with exponential backoff and
-jitter (reconnecting and replaying session state first), and every
-request observes a per-request deadline that converts into a
-:class:`~repro.errors.RequestTimeoutError` instead of blocking forever.
+setup raises a typed :class:`~repro.errors.ConnectionFailedError`, and
+every request runs under one per-request deadline whose only enforcer
+is :meth:`MClient._slice` — it caps every connect, send, receive and
+backoff sleep, and raises :class:`~repro.errors.RequestTimeoutError`
+once the budget cannot cover the next one.
 
 Server responses carrying an error ``code`` are re-raised as the typed
 lifecycle error they encode (``QueryCancelledError``,
 ``QueryDeadlineError``, ``QueryBudgetError``, ``ServerOverloadedError``)
-with the server-assigned ``query_id`` attached.  Overload sheds get
-their own retry classification: the query never ran, so it is safe to
-re-send after backoff — without reconnecting — even for writes.
+with the server-assigned ``query_id`` attached.
+
+One loop (:meth:`MClient._call`) re-sends a request after any of three
+failures, bounded by ``retries``; they differ only in what makes the
+re-send safe and what happens before it:
+
+* **connection lost or refused** — re-sent only when the request is
+  retryable (not a data statement, which may already have applied, nor
+  ``subscribe`` or a ``repl.sync``/``repl.promote``), after a jittered
+  exponential backoff, on a fresh connection that replays the session
+  state first;
+* **overloaded** — admission shed the query before it started, so any
+  statement is re-sent, after the backoff, on the same connection;
+* **read-only replica** (only with ``peers``) — the write was refused
+  before it ran, so it is re-sent at once to the primary the error
+  names, or to the one a fresh probe finds.
 
 Replication-aware routing (``peers=[...]``): the client probes the
-peer set's ``repl.status``, sends writes to the primary and
-load-balances SELECTs across replicas.  A write answered with
-:class:`~repro.errors.ReadOnlyReplicaError` (the topology changed under
-us) re-resolves the primary — following the error's ``primary`` hint
-when it carries one — and re-sends: the rejected write never executed,
-so this is safe even for non-retryable statements.  Connection losses
-likewise re-resolve through the same backoff machinery.
+peer set's ``repl.status`` (:func:`probe_status`), sends writes to the
+primary and load-balances SELECTs across replicas; after a lost
+connection it re-probes, since the node may be gone for good.
 """
 
 from __future__ import annotations
@@ -57,25 +66,35 @@ _RECV_BYTES = 1 << 16
 #: make the client wait but never allocate what the peer did not send.
 _FRAME_PREALLOCATE = 1 << 20
 
+#: Seconds one round of peer status probes stays fresh for routing.
+_ROUTE_TTL_S = 1.0
 
-def _probe_status(addr: str, timeout: float = 0.75
-                  ) -> Optional[Dict[str, Any]]:
-    """One-shot ``repl.status`` probe of ``"host:port"``.
 
-    Deliberately not an :class:`MClient`: no retries, no handshake, one
-    bounded connect + one request — routing probes a whole peer set and
-    must stay cheap even when half of it is down.  None on any failure.
-    """
+def _split_addr(addr: str) -> Optional[Tuple[str, int]]:
+    """``"host:port"`` as a pair; None when it is not one."""
     host, sep, port_text = addr.rpartition(":")
     if not sep or not host:
         return None
     try:
-        port = int(port_text)
+        return host, int(port_text)
     except ValueError:
         return None
+
+
+def probe_status(addr: str, timeout: float = 0.75
+                 ) -> Optional[Dict[str, Any]]:
+    """One-shot ``repl.status`` probe of ``"host:port"``.
+
+    Deliberately not an :class:`MClient`: no retries, no handshake, one
+    bounded connect + one request — client routing and replica
+    elections probe a whole peer set and must stay cheap even when half
+    of it is down.  None on any failure.
+    """
+    target = _split_addr(addr)
+    if target is None:
+        return None
     try:
-        with socket.create_connection((host, port),
-                                      timeout=timeout) as sock:
+        with socket.create_connection(target, timeout=timeout) as sock:
             sock.settimeout(timeout)
             sock.sendall(encode_message({"op": "repl.status"}))
             buffer = b""
@@ -101,8 +120,8 @@ class MClient:
     Args:
         host/port: where the Mserver listens.
         timeout: socket-level timeout for connect and each recv.
-        retries: how many times a failed *retryable* request is re-sent
-            after reconnecting (0 disables retry).
+        retries: how many times a failed request is re-sent, whichever
+            failure it was (0 disables retry).
         backoff_base_s/backoff_max_s: exponential backoff bounds; each
             delay is jittered to half-to-full of the nominal value.
         deadline_s: default per-request wall-clock budget (covers all
@@ -116,8 +135,6 @@ class MClient:
             everything else to the primary — re-resolving on failover.
             The constructor's ``host``/``port`` remain the first
             connection; routing moves it as needed.
-        route_ttl_s: how long one round of status probes stays fresh
-            before routing re-probes the peer set.
     """
 
     class Result:
@@ -147,8 +164,7 @@ class MClient:
                  deadline_s: Optional[float] = None,
                  retry_seed: Optional[int] = None,
                  handshake: bool = False,
-                 peers: Optional[Sequence[str]] = None,
-                 route_ttl_s: float = 1.0) -> None:
+                 peers: Optional[Sequence[str]] = None) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
@@ -157,7 +173,6 @@ class MClient:
         self.backoff_max_s = backoff_max_s
         self.deadline_s = deadline_s
         self.peers: List[str] = list(peers or [])
-        self.route_ttl_s = route_ttl_s
         self._routes: Optional[Dict[str, Any]] = None
         self._routes_at = 0.0
         self._rng = random.Random(retry_seed)
@@ -181,9 +196,11 @@ class MClient:
     # connection management
 
     def _connect(self, deadline: Optional[float] = None) -> None:
-        # the connect timeout is capped by the caller's deadline (via
-        # _slice, which raises RequestTimeoutError once it is spent) —
-        # a default 30s socket timeout must never outlive a 0.5s budget
+        """Open the connection and replay the session state (pipeline,
+        workers, scheduler, profiler target) on it, so every connection
+        this client opens behaves like the first — all under the
+        caller's deadline: a replay against a stalled server must fail
+        fast, not sleep out the whole socket timeout."""
         try:
             self._socket = socket.create_connection(
                 (self.host, self.port), timeout=self._slice(deadline))
@@ -193,6 +210,8 @@ class MClient:
                 f"cannot connect to {self.host}:{self.port}: {exc}"
             ) from exc
         self._buffer = bytearray()
+        for request in self._session_state.values():
+            self._call_once(request, deadline)
 
     def _teardown(self) -> None:
         if self._socket is not None:
@@ -203,16 +222,6 @@ class MClient:
             self._socket = None
         self._buffer = bytearray()
 
-    def _reconnect(self, deadline: Optional[float] = None) -> None:
-        self._teardown()
-        self._connect(deadline)
-        # replay session state (pipeline, workers, profiler target) so
-        # the fresh connection behaves like the one that died — under
-        # the caller's deadline: replays against a stalled server must
-        # fail fast, not sleep out the whole socket timeout
-        for request in self._session_state.values():
-            self._call_once(dict(request), deadline=deadline)
-
     # -- replication-aware routing --------------------------------------
 
     def _refresh_routes(self) -> None:
@@ -221,7 +230,7 @@ class MClient:
         hinted: Optional[str] = None
         replicas: List[str] = []
         for addr in self.peers:
-            status = _probe_status(addr, timeout=min(self.timeout, 0.75))
+            status = probe_status(addr, timeout=min(self.timeout, 0.75))
             if status is None:
                 continue
             role = status.get("role")
@@ -232,46 +241,31 @@ class MClient:
                 hinted = hinted or str(status.get("primary", "")) or None
         if primary is None and hinted and hinted not in self.peers:
             # every probed node is a replica but one names its primary
-            status = _probe_status(hinted, timeout=min(self.timeout, 0.75))
+            status = probe_status(hinted, timeout=min(self.timeout, 0.75))
             if status is not None and status.get("role") == "primary":
                 primary = hinted
         self._routes = {"primary": primary, "replicas": replicas}
         self._routes_at = time.monotonic()
 
-    def _resolve(self, role: str, refresh: bool = False) -> Optional[str]:
-        """The address to talk to for ``role`` ("primary"/"replica")."""
-        if not self.peers:
-            return None
-        stale = self._routes is None or \
-            time.monotonic() - self._routes_at > self.route_ttl_s
-        if refresh or stale:
+    def _route(self, role: str, refresh: bool = False) -> None:
+        """Point the client at a node serving ``role`` ("primary" or
+        "replica"); the next request connects there.
+
+        Unknown topology (every probe failed) or an address that is not
+        ``host:port`` keeps the current node — the request itself will
+        surface the failure.
+        """
+        if refresh or self._routes is None or \
+                time.monotonic() - self._routes_at > _ROUTE_TTL_S:
             self._refresh_routes()
         assert self._routes is not None
+        addr = self._routes["primary"]
         if role == "replica" and self._routes["replicas"]:
-            return self._rng.choice(self._routes["replicas"])
-        return self._routes["primary"]
-
-    def _ensure_route(self, role: str, deadline: Optional[float],
-                      refresh: bool = False) -> None:
-        """Point the connection at a node serving ``role``.
-
-        Unknown topology (all probes failed) keeps the current
-        connection — the request itself will surface the failure.
-        """
-        addr = self._resolve(role, refresh=refresh)
-        if addr is None:
-            return
-        host, _, port_text = addr.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise ConnectionFailedError(
-                f"bad peer address {addr!r}: want host:port") from None
-        if self._socket is not None and \
-                (host, port) == (self.host, self.port):
-            return
-        self.host, self.port = host, port
-        self._reconnect(deadline)
+            addr = self._rng.choice(self._routes["replicas"])
+        target = _split_addr(addr) if addr else None
+        if target is not None and target != (self.host, self.port):
+            self._teardown()
+            self.host, self.port = target
 
     @staticmethod
     def _state_key(request: Dict[str, Any]) -> Optional[str]:
@@ -297,106 +291,77 @@ class MClient:
                 "before issuing other requests (or use a second client)")
         budget = self.deadline_s if deadline_s is None else deadline_s
         deadline = None if budget is None else time.monotonic() + budget
-        op = str(request.get("op", "?"))
+        routed = route is not None and bool(self.peers)
+        if routed:
+            self._route(route)
         attempt = 0
-        if route is not None and self.peers:
-            try:
-                self._ensure_route(route, deadline)
-            except RequestTimeoutError:
-                raise
-            except (ReproError, OSError):
-                pass  # routing is best-effort; the request surfaces it
         while True:
             try:
                 if self._socket is None:
                     self._connect(deadline)
                 response = self._call_once(request, deadline)
+                break
             except RequestTimeoutError:
+                # the answer may still arrive: on this connection it
+                # would be read as the answer to the next request
+                self._teardown()
                 raise
-            except ReadOnlyReplicaError as exc:
-                # our primary view is stale (a failover happened): the
-                # rejected write never executed, so re-resolving and
-                # re-sending is safe even for non-retryable statements
-                attempt += 1
-                if not self.peers or attempt > self.retries:
-                    raise
-                CLIENT_RETRIES.labels(op=op).inc()
-                if exc.primary:
-                    self._routes = {"primary": exc.primary,
-                                    "replicas": []}
-                    self._routes_at = time.monotonic()
-                else:
-                    self._routes = None
-                try:
-                    self._ensure_route("primary", deadline, refresh=False)
-                except RequestTimeoutError:
-                    raise
-                except (ReproError, OSError):
-                    pass
-                continue
             except ServerOverloadedError as exc:
-                # the shed query never ran, so re-sending is safe even
-                # for writes — back off on the same connection and let
-                # the admission queue clear
-                attempt += 1
-                if attempt > self.retries:
+                failure: Exception = exc
+            except ReadOnlyReplicaError as exc:
+                if not self.peers:
                     raise
-                CLIENT_RETRIES.labels(op=op).inc()
-                nominal = min(self.backoff_max_s,
-                              self.backoff_base_s * (2 ** (attempt - 1)))
-                delay = nominal * (0.5 + self._rng.random() / 2.0)
-                if deadline is not None and \
-                        time.monotonic() + delay >= deadline:
-                    CLIENT_DEADLINE_EXCEEDED.inc()
-                    raise RequestTimeoutError(
-                        f"{op} to {self.host}:{self.port} exceeded its "
-                        f"{budget:g}s deadline after {attempt} "
-                        "overloaded attempt(s)"
-                    ) from exc
-                time.sleep(delay)
-                continue
+                failure = exc
             except (ConnectionFailedError, ConnectionLostError,
                     OSError) as exc:
                 self._teardown()
-                attempt += 1
-                if not retryable or attempt > self.retries:
-                    if isinstance(exc, (ConnectionFailedError,
-                                        ConnectionLostError)):
-                        raise
-                    raise ConnectionLostError(
-                        f"{op} to {self.host}:{self.port} failed: {exc}"
-                    ) from exc
-                CLIENT_RETRIES.labels(op=op).inc()
-                nominal = min(self.backoff_max_s,
-                              self.backoff_base_s * (2 ** (attempt - 1)))
-                delay = nominal * (0.5 + self._rng.random() / 2.0)
-                if deadline is not None and \
-                        time.monotonic() + delay >= deadline:
-                    CLIENT_DEADLINE_EXCEEDED.inc()
-                    raise RequestTimeoutError(
-                        f"{op} to {self.host}:{self.port} exceeded its "
-                        f"{budget:g}s deadline after {attempt} attempt(s)"
-                    ) from exc
-                time.sleep(delay)
-                try:
-                    if route is not None and self.peers:
-                        # the node may be gone for good (failover):
-                        # re-probe the topology instead of hammering it
-                        self._ensure_route(route, deadline, refresh=True)
-                        if self._socket is None:
-                            self._reconnect(deadline)
-                    else:
-                        self._reconnect(deadline)
-                except RequestTimeoutError:
-                    raise
-                except (ConnectionFailedError, ConnectionLostError,
-                        OSError):
-                    continue  # charged as the next attempt
+                if not retryable:
+                    raise self._lost(request, exc)
+                failure = exc
+            attempt += 1
+            if attempt > self.retries:
+                raise self._lost(request, failure)
+            CLIENT_RETRIES.labels(op=str(request.get("op", "?"))).inc()
+            if isinstance(failure, ReadOnlyReplicaError):
+                # our view of the primary is stale (a failover
+                # happened): follow the error's hint, else re-probe
+                self._routes = ({"primary": failure.primary,
+                                 "replicas": []}
+                                if failure.primary else None)
+                self._routes_at = time.monotonic()
+                self._route("primary")
                 continue
-            key = self._state_key(request)
-            if key is not None:
-                self._session_state[key] = dict(request)
-            return response
+            self._backoff(attempt, deadline)
+            if routed and not isinstance(failure, ServerOverloadedError):
+                # the node may be gone for good (failover): re-probe
+                # the topology instead of hammering it
+                self._route(route, refresh=True)
+        key = self._state_key(request)
+        if key is not None:
+            self._session_state[key] = dict(request)
+        return response
+
+    def _lost(self, request: Dict[str, Any],
+              exc: Exception) -> Exception:
+        """What a request that is not re-sent raises: a typed error as
+        it is, a bare socket error as :class:`ConnectionLostError`."""
+        if isinstance(exc, ReproError):
+            return exc
+        error = ConnectionLostError(
+            f"{request.get('op', '?')} to {self.host}:{self.port} "
+            f"failed: {exc}")
+        error.__cause__ = exc
+        return error
+
+    def _backoff(self, attempt: int, deadline: Optional[float]) -> None:
+        """Sleep before re-send ``attempt``: exponential in the attempt,
+        jittered to half-to-full of that; a delay the deadline cannot
+        cover fails now instead of sleeping into the timeout."""
+        nominal = min(self.backoff_max_s,
+                      self.backoff_base_s * (2 ** (attempt - 1)))
+        delay = nominal * (0.5 + self._rng.random() / 2.0)
+        self._slice(deadline, reserve=delay)
+        time.sleep(delay)
 
     def _call_once(self, request: Dict[str, Any],
                    deadline: Optional[float]) -> Dict[str, Any]:
@@ -406,11 +371,7 @@ class MClient:
             self._socket.sendall(encode_message(request))
             response = self._read_message(lambda: self._slice(deadline))
         except socket.timeout as exc:
-            if deadline is not None and time.monotonic() >= deadline:
-                CLIENT_DEADLINE_EXCEEDED.inc()
-                raise RequestTimeoutError(
-                    f"request to {self.host}:{self.port} exceeded its "
-                    "deadline") from exc
+            self._slice(deadline)  # a spent deadline is a timeout
             raise ConnectionLostError(
                 f"{self.host}:{self.port} timed out mid-request"
             ) from exc
@@ -473,12 +434,16 @@ class MClient:
             have += got
         return frame
 
-    def _slice(self, deadline: Optional[float]) -> float:
-        """Socket timeout for the next operation under ``deadline``."""
+    def _slice(self, deadline: Optional[float],
+               reserve: float = 0.0) -> float:
+        """Socket timeout for the next operation under ``deadline`` —
+        the client's one deadline check: it raises
+        :class:`~repro.errors.RequestTimeoutError` once no more than
+        ``reserve`` seconds of the budget are left."""
         if deadline is None:
             return self.timeout
         remaining = deadline - time.monotonic()
-        if remaining <= 0:
+        if remaining <= reserve:
             CLIENT_DEADLINE_EXCEEDED.inc()
             raise RequestTimeoutError(
                 f"request to {self.host}:{self.port} exceeded its "
@@ -737,16 +702,13 @@ class ClientSubscription:
         self._active = False
         client = self.client
         assert client._socket is not None
+        deadline = time.monotonic() + timeout
         try:
-            client._socket.settimeout(timeout)
+            client._socket.settimeout(client._slice(deadline))
             client._socket.sendall(encode_message({"op": "unsubscribe"}))
-            deadline = time.monotonic() + timeout
             while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise RequestTimeoutError(
-                        "unsubscribe response did not arrive in time")
-                message = client._recv_message(timeout=remaining)
+                message = client._recv_message(
+                    timeout=client._slice(deadline))
                 if message is None:
                     continue
                 if "seq" in message:

@@ -6,15 +6,21 @@ simulated-RSS budget — which is threaded through
 :meth:`~repro.server.database.Database.execute`, the interpreter and
 both dataflow schedulers.  Execution engines call
 :meth:`QueryContext.check` at every instruction boundary, so a
-``cancel`` issued from another connection (or by the stuck-query
-watchdog) stops a running plan within one instruction instead of
-waiting for the whole plan to finish.
+``cancel`` issued from another connection stops a running plan within
+one instruction instead of waiting for the whole plan to finish.
 
-Three cooperating pieces:
+:meth:`QueryContext.check` is also the server's one deadline enforcer:
+it runs at every instruction boundary and, while the query waits for a
+slot, at every wake-up of the admission queue, and it is what cancels
+a query whose deadline has passed.  No thread sweeps for expired
+queries — a cancel cannot stop a plan anywhere but at a check, so a
+sweeper could only flag what the next check discovers anyway.
+
+Two cooperating pieces:
 
 * :class:`QueryRegistry` — assigns query ids, tracks queued/running
   queries (the ``queries`` protocol op reads it) and keeps a short
-  history of finished ones, including watchdog kills.
+  history of finished ones, including deadline kills.
 * :class:`AdmissionController` — replaces the old single global query
   lock: a bounded concurrency limit plus a bounded wait queue with a
   queue-wait deadline.  Overflow sheds load with a typed
@@ -23,8 +29,6 @@ Three cooperating pieces:
   queries run.  Writes (DDL/INSERT) admit *exclusively* — they wait for
   running readers and block new ones — preserving the old serialised
   semantics where it matters.
-* :class:`StuckQueryWatchdog` — a background thread that force-cancels
-  queries past their deadline and records them in the registry.
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ class QueryContext:
     """Cancellation token, deadline and RSS budget for one query.
 
     Execution engines call :meth:`check` between instructions; the
-    server and watchdog call :meth:`cancel` from other threads.  All
+    ``cancel`` verb and the drain call :meth:`cancel` from other
+    threads.  All
     state transitions are guarded by one lock, and a cancel of an
     already-finished query is a no-op, so metrics count each cancelled
     query exactly once.  :attr:`cancelled` is written under that lock
@@ -99,8 +104,8 @@ class QueryContext:
         """Request cancellation; returns True if this call caused it.
 
         ``source`` labels the metrics: ``client`` (the ``cancel`` op),
-        ``watchdog`` / ``deadline`` (deadline enforcement), ``drain``
-        (shutdown) or ``rss-budget``.
+        ``deadline`` (:meth:`check` found the deadline passed),
+        ``drain`` (shutdown) or ``rss-budget``.
         """
         with self._lock:
             if self.state not in ("queued", "running") or self.cancelled:
@@ -109,7 +114,7 @@ class QueryContext:
             self.cancel_reason = reason
             self.cancel_source = source
         SERVER_QUERIES_CANCELLED.labels(source=source).inc()
-        if source in ("watchdog", "deadline"):
+        if source == "deadline":
             SERVER_QUERY_DEADLINE_EXCEEDED.inc()
         return True
 
@@ -123,9 +128,9 @@ class QueryContext:
         """Raise the typed cancellation error if this query must stop.
 
         Called by the execution engines at every instruction boundary
-        (and by admission while queued).  Also discovers an expired
-        deadline or a blown RSS budget inline, without waiting for the
-        watchdog tick.
+        (and by admission while queued).  This is where an expired
+        deadline or a blown RSS budget is discovered and the query
+        cancelled.
         """
         if not self.cancelled:
             if self.deadline is not None and \
@@ -141,7 +146,7 @@ class QueryContext:
                 return
         reason = self.cancel_reason or "cancelled"
         message = f"query {self.query_id} cancelled: {reason}"
-        if self.cancel_source in ("watchdog", "deadline"):
+        if self.cancel_source == "deadline":
             raise QueryDeadlineError(message, query_id=self.query_id)
         if self.cancel_source == "rss-budget":
             raise QueryBudgetError(message, query_id=self.query_id)
@@ -222,7 +227,7 @@ class QueryRegistry:
         return [context.describe() for context in contexts]
 
     def recent(self) -> List[Dict[str, object]]:
-        """The most recently finished queries (includes watchdog kills)."""
+        """The most recently finished queries (includes deadline kills)."""
         with self._lock:
             return list(self._recent)
 
@@ -366,57 +371,6 @@ class _Slot:
 
     def __exit__(self, *exc) -> None:
         self._controller._release(self._exclusive)
-
-
-class StuckQueryWatchdog:
-    """Background thread force-cancelling queries past their deadline.
-
-    Runs on a short interval; a query whose wall-clock deadline has
-    passed is cancelled with source ``watchdog`` and shows up in the
-    registry history with its cancel reason — the operator's record of
-    what was killed and why.
-    """
-
-    def __init__(self, registry: QueryRegistry,
-                 interval_s: float = 0.05) -> None:
-        self.registry = registry
-        self.interval_s = interval_s
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> "StuckQueryWatchdog":
-        """Start the watchdog thread (idempotent)."""
-        if self._thread is None:
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._loop, name="repro-watchdog", daemon=True)
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop and join the watchdog thread."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-    def sweep(self) -> int:
-        """One scan: cancel every live query past its deadline."""
-        cancelled = 0
-        now = time.monotonic()
-        for context in self.registry.active_contexts():
-            if context.deadline is not None and now >= context.deadline \
-                    and not context.cancelled:
-                if context.cancel(
-                        f"deadline of {context.deadline_s:g}s exceeded "
-                        f"(watchdog after {context.elapsed_s():.2f}s)",
-                        source="watchdog"):
-                    cancelled += 1
-        return cancelled
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            self.sweep()
 
 
 def record_drain(forced: bool) -> None:

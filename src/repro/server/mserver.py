@@ -14,9 +14,9 @@ executor, whose thread also encodes the response and hands the bytes
 back — a query crosses the loop twice.  The interpreter, schedulers and
 admission control are untouched: every query still gets a
 server-assigned id and a cancellation token threaded down to the
-schedulers, admission control bounds concurrency with typed
-load-shedding, a watchdog force-cancels queries past their deadline,
-and ``stop()`` drains gracefully.
+schedulers, whose check at every instruction boundary is also what
+enforces a query's deadline; admission control bounds concurrency with
+typed load-shedding, and ``stop()`` drains gracefully.
 
 Session state (optimizer pipeline choice, worker count, scheduler,
 profiler streaming target and filter) is per-connection, applied at
@@ -60,7 +60,6 @@ from repro.server.database import Database
 from repro.server.lifecycle import (
     AdmissionController,
     QueryRegistry,
-    StuckQueryWatchdog,
     record_drain,
 )
 from repro.server.protocol import (
@@ -118,7 +117,6 @@ class Mserver:
                  max_queue: int = 16, queue_wait_s: float = 5.0,
                  default_deadline_s: Optional[float] = None,
                  drain_seconds: float = 2.0,
-                 watchdog_interval_s: float = 0.05,
                  subscriber_buffer: int = 512,
                  max_subscribers: int = 1024,
                  trace_history: int = 8192) -> None:
@@ -132,8 +130,6 @@ class Mserver:
         self.admission = AdmissionController(
             max_concurrent=max_concurrent, max_queue=max_queue,
             queue_wait_s=queue_wait_s)
-        self.watchdog = StuckQueryWatchdog(
-            self.registry, interval_s=watchdog_interval_s)
         self.hub = TraceBroadcastHub(
             history=trace_history, default_buffer=subscriber_buffer,
             max_subscribers=max_subscribers)
@@ -202,7 +198,6 @@ class Mserver:
             self._executor.shutdown(wait=False)
             self._executor = None
             raise ServerError(f"could not start server: {failure[0]}")
-        self.watchdog.start()
         return self
 
     def stop(self, drain_seconds: Optional[float] = None) -> None:
@@ -261,7 +256,6 @@ class Mserver:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        self.watchdog.stop()
         self.database.close()
 
     def __enter__(self) -> "Mserver":

@@ -331,6 +331,32 @@ class TestHardenedClient:
             disarm()
             client.close()
 
+    def test_a_timed_out_answer_is_not_read_as_the_next_one(self, server):
+        """Regression: a request that timed out left its connection
+        open, so its late answer was read as the next request's."""
+        with armed(FaultPlan(seed=3).on("server.loop", "latency",
+                                        value=500.0, limit=1)):
+            with MClient(port=server.port, retries=0) as client:
+                with pytest.raises(RequestTimeoutError):
+                    client.query("select count(*) from region",
+                                 deadline_s=0.15)
+                rows = client.query("select count(*) from nation").rows
+        assert rows == [(25,)]
+
+    def test_session_state_replayed_after_a_request_that_failed(
+            self, server):
+        """A connection lost on a request that is not re-sent: the next
+        request's fresh connection still carries the session's
+        settings (it used to come up with the server's defaults)."""
+        sql = "select count(*) from lineitem where l_quantity > 10"
+        with MClient(port=server.port, retries=0) as client:
+            client.set_pipeline("minimal_pipe")
+            with armed(FaultPlan(seed=3).on("server.loop", "reset",
+                                            probability=1.0, limit=1)):
+                with pytest.raises(ServerError):
+                    client.explain(sql)
+            assert "language.dataflow" not in client.explain(sql)
+
     def test_non_select_not_retried(self, server):
         with armed(FaultPlan(seed=3).on("server.loop", "reset",
                                         probability=1.0, limit=1)):

@@ -144,6 +144,31 @@ class TestCancellation:
                 assert "deadline" in killed[0]["cancel_reason"]
         assert SERVER_QUERY_DEADLINE_EXCEEDED.value() > before
 
+    def test_deadline_passes_while_queued(self, server):
+        """The deadline's one enforcer also runs while a query waits
+        for a slot: it is cancelled there, typed, long before the
+        queue-wait shed."""
+        server.admission.configure(max_concurrent=1, queue_wait_s=5.0)
+        outcome = []
+        try:
+            with armed(FaultPlan.from_spec(SLOW_SPEC, seed=17)):
+                worker = start_slow_query(server, outcome)
+                with MClient(port=server.port, retries=0) as client:
+                    running = wait_for_running(client)
+                    began = time.monotonic()
+                    with pytest.raises(QueryDeadlineError) as err:
+                        client.query(SQL, server_deadline_s=0.2)
+                    assert time.monotonic() - began < 2.0
+                    recent = {entry["query_id"]: entry
+                              for entry in client.queries()["recent"]}
+                    assert recent[err.value.query_id]["state"] == \
+                        "cancelled"
+                    client.cancel(running)
+                worker.join(timeout=10.0)
+                assert not worker.is_alive()
+        finally:
+            server.admission.configure(max_concurrent=4, queue_wait_s=5.0)
+
     def test_rss_budget_cancels_with_typed_error(self, server):
         with MClient(port=server.port, retries=0) as client:
             with pytest.raises(QueryBudgetError) as err:
