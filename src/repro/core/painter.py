@@ -37,13 +37,16 @@ class GraphPainter:
             # is a no-op, matching ZGrviewer's behaviour for hidden glyphs
             return
         self.history.append(action)
+        # the task must not hold ``self``: the queue keeps it until it
+        # runs, and painter -> queue -> task -> painter would be a cycle
+        # that only a full collection frees
+        space, rendered, color = self.space, self.rendered, action.color
 
         def render() -> None:
-            shape = self.space.shape_of(node_id)
-            shape.fill = action.color
-            self.rendered[node_id] = action.color
+            space.shape_of(node_id).fill = color
+            rendered[node_id] = color
 
-        self.queue.post(f"paint {node_id} {action.color.to_hex()}", render)
+        self.queue.post(f"paint {node_id} {color.to_hex()}", render)
 
     def apply_all(self, actions) -> None:
         for action in actions:

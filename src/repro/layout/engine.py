@@ -52,21 +52,29 @@ class LayeredLayout:
         oriented, reversed_indices = acyclic_orientation(graph)
         rank = assign_ranks(node_ids, oriented)
         layers = layers_from_ranks(rank)
-        segmented = insert_virtual_nodes(rank, layers, oriented)
+        # the phases below number the nodes: real ones 0 .. n-1 in graph
+        # order, virtual ones from n (see repro.layout.ordering)
+        number = {node_id: index for index, node_id in enumerate(node_ids)}
+        segmented = insert_virtual_nodes(
+            [rank[node_id] for node_id in node_ids],
+            [[number[node_id] for node_id in layer] for layer in layers],
+            [(number[src], number[dst]) for src, dst in oriented],
+        )
         ordered = minimize_crossings(segmented, self.max_sweeps)
         self.last_crossings = count_crossings(ordered, segmented.segments)
 
-        widths: Dict[str, float] = {}
-        heights: Dict[str, float] = {}
-        for node_id in node_ids:
+        labels = [graph.node(node_id).label for node_id in node_ids]
+        virtual = segmented.size - len(node_ids)
+        widths: List[float] = []
+        heights: List[float] = []
+        for label in labels:
             width, height = node_size_for_label(
-                graph.node(node_id).label, self.char_width, self.line_height
+                label, self.char_width, self.line_height
             )
-            widths[node_id] = width
-            heights[node_id] = height
-        for vid in segmented.virtual:
-            widths[vid] = 1.0
-            heights[vid] = 1.0
+            widths.append(width)
+            heights.append(height)
+        widths += [1.0] * virtual
+        heights += [1.0] * virtual
 
         xs, ys = assign_coordinates(
             ordered, widths, heights, segmented.segments,
@@ -74,15 +82,17 @@ class LayeredLayout:
         )
 
         nodes: Dict[str, LayoutNode] = {}
-        for node_id in node_ids:
+        for index, node_id in enumerate(node_ids):
             nodes[node_id] = LayoutNode(
-                node_id=node_id, x=xs[node_id], y=ys[node_id],
-                width=widths[node_id], height=heights[node_id],
-                label=graph.node(node_id).label, rank=rank[node_id],
+                node_id=node_id, x=xs[index], y=ys[index],
+                width=widths[index], height=heights[index],
+                label=labels[index], rank=rank[node_id],
             )
 
+        # one point per node, shared by the polylines through it
+        point_at = list(map(Point, xs, ys)).__getitem__
         edges: List[LayoutEdge] = []
-        path_cursor = 0
+        paths = iter(segmented.edge_paths)
         for index, edge in enumerate(graph.edges):
             if edge.src == edge.dst:
                 # self-loop: a small triangle beside the node
@@ -93,9 +103,7 @@ class LayeredLayout:
                     Point(node.right, node.y + 4.0),
                 ]))
                 continue
-            chain = segmented.edge_paths[path_cursor]
-            path_cursor += 1
-            points = [Point(xs[n], ys[n]) for n in chain]
+            points = list(map(point_at, next(paths)))
             if index in reversed_indices:
                 points.reverse()
             # clip endpoints to the node borders (vertical flow)

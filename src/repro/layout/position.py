@@ -7,26 +7,31 @@ version of the priority method) while never re-introducing overlaps.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from operator import truediv
+from typing import List, Sequence, Tuple
 
 
 def assign_coordinates(
-    layers: List[List[str]],
-    widths: Dict[str, float],
-    heights: Dict[str, float],
-    segments: Sequence[Tuple[str, str]],
+    layers: List[List[int]],
+    widths: Sequence[float],
+    heights: Sequence[float],
+    segments: Sequence[Tuple[int, int]],
     h_gap: float = 30.0,
     v_gap: float = 40.0,
     iterations: int = 4,
-) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Compute centre coordinates for every (virtual) node.
+) -> Tuple[List[float], List[float]]:
+    """Compute centre coordinates for every (virtual) node; nodes are
+    numbered ``0 .. len(widths) - 1``.
 
     Returns:
-        (xs, ys): centre x and y per node id.
+        (xs, ys): centre x and y, indexed by node number.
     """
+    # a node's slot is its place in the layers laid end to end
     nodes = [node for layer in layers for node in layer]
-    slot = {node: index for index, node in enumerate(nodes)}
-    size = [widths.get(node, 1.0) for node in nodes]
+    slot = [0] * len(nodes)
+    for index, node in enumerate(nodes):
+        slot[node] = index
+    size = list(map(widths.__getitem__, nodes))
     half = [width / 2 for width in size]
     neighbours: List[List[int]] = [[] for _node in nodes]
     for src, dst in segments:
@@ -39,34 +44,48 @@ def assign_coordinates(
     gaps = [0.0] + [left + h_gap + right
                     for left, right in zip(half, half[1:])]
     xs = [0.0] * len(nodes)
-    spans: List[Tuple[int, int, List[float], List[List[int]]]] = []
+    # per layer: its slots' neighbours laid end to end, and per slot its
+    # slice of them and their count.  A slot without neighbours stands
+    # in for itself: (0.0 + x) / 1 is x for every x but -0.0, which no
+    # packing, mean or overlap pass here produces.
+    spans: List[Tuple[int, int, List[float], List[int], List[slice],
+                      List[int]]] = []
     first = 0
     for layer in layers:
         end = first + len(layer)
         cursor = 0.0
+        adjacent: List[int] = []
+        parts: List[slice] = []
+        counts: List[int] = []
         for index in range(first, end):
             xs[index] = cursor + half[index]
             cursor += size[index] + h_gap
-        spans.append((first, end, gaps[first:end], neighbours[first:end]))
+            around = neighbours[index] or [index]
+            parts.append(slice(len(adjacent), len(adjacent) + len(around)))
+            adjacent += around
+            counts.append(len(around))
+        spans.append((first, end, gaps[first:end], adjacent, parts, counts))
         first = end
 
     x_at = xs.__getitem__
     for _round in range(iterations):
-        for first, end, layer_gaps, layer_neighbours in spans:
-            desired = [
-                sum(map(x_at, adjacent)) / len(adjacent) if adjacent else x
-                for adjacent, x in zip(layer_neighbours, xs[first:end])
-            ]
+        for first, end, layer_gaps, adjacent, parts, counts in spans:
+            # the mean x of each slot's neighbours, summed by ``sum`` in
+            # segment order as always, so every mean is bit-equal
+            around_x = list(map(x_at, adjacent))
+            desired = list(map(truediv,
+                               map(sum, map(around_x.__getitem__, parts)),
+                               counts))
             xs[first:end] = _resolve_overlaps(desired, layer_gaps)
 
-    # normalise to start at 0
+    # normalise to start at 0, back in node order
     min_left = min((x - h for x, h in zip(xs, half)), default=0.0)
-    centre_x = {node: x - min_left for node, x in zip(nodes, xs)}
+    centre_x = [xs[index] - min_left for index in slot]
 
-    ys: Dict[str, float] = {}
+    ys = [0.0] * len(nodes)
     cursor_y = 0.0
     for layer in layers:
-        layer_height = max((heights.get(n, 1.0) for n in layer), default=1.0)
+        layer_height = max(map(heights.__getitem__, layer), default=1.0)
         centre = cursor_y + layer_height / 2
         for node in layer:
             ys[node] = centre

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Optional
 
 from repro.metrics.families import (
     RENDER_QUEUE_DEPTH,
@@ -49,7 +49,10 @@ class EventDispatchQueue:
     def __init__(self, min_interval_ms: float = 150.0) -> None:
         self.min_interval_ms = min_interval_ms
         self._queue: Deque[RenderTask] = deque()
-        self.executed: List[RenderTask] = []
+        #: tasks run so far, and the longest any of them waited (ms);
+        #: a task is dropped once it has run
+        self.executed = 0
+        self._max_wait_ms = 0.0
         self.clock_ms = 0.0
         self._next_slot_ms = 0.0
 
@@ -81,11 +84,14 @@ class EventDispatchQueue:
                 break
             task.executed_at_ms = execute_at
             task.action()
-            self.executed.append(task)
             self._next_slot_ms = execute_at + self.min_interval_ms
             ran += 1
-            RENDER_QUEUE_WAIT_MS.observe(execute_at - task.posted_at_ms)
+            wait = execute_at - task.posted_at_ms
+            if wait > self._max_wait_ms:
+                self._max_wait_ms = wait
+            RENDER_QUEUE_WAIT_MS.observe(wait)
         if ran:
+            self.executed += ran
             RENDER_TASKS_EXECUTED.inc(ran)
             RENDER_QUEUE_DEPTH.set(len(self._queue))
         self.clock_ms = clock_ms
@@ -104,11 +110,7 @@ class EventDispatchQueue:
 
     def max_latency_ms(self) -> float:
         """Worst queue latency (execution - posting) among executed tasks."""
-        waits = [
-            t.executed_at_ms - t.posted_at_ms
-            for t in self.executed if t.executed_at_ms is not None
-        ]
-        return max(waits, default=0.0)
+        return self._max_wait_ms
 
     def throughput_per_second(self) -> float:
         """Upper bound on renders per second under the configured delay."""

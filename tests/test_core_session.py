@@ -1,8 +1,11 @@
 """Tests for the Stethoscope facade: offline sessions, pruning,
 micro-analysis, tooltips, gradient colouring."""
 
+import gc
+
 import pytest
 
+from repro import Database, populate
 from repro.core.microanalysis import TraceAnalyzer
 from repro.core.pruning import (
     ADMINISTRATIVE_FUNCTIONS,
@@ -19,7 +22,9 @@ from repro.mal.parser import parse_instruction_text
 from repro.profiler import Profiler, write_trace
 from repro.storage import Catalog, INT
 from repro.svg import layout_to_svg, parse_svg, svg_to_graph
+from repro.tpch import query_sql
 from repro.viz.color import GREEN, RED, WHITE
+from repro.workloads import synthetic_plan, trace_for_program
 
 
 @pytest.fixture
@@ -296,3 +301,40 @@ class TestMicroAnalysis:
         analyzer = TraceAnalyzer([])
         assert analyzer.summary()["events"] == 0
         assert analyzer.percentile(50) == 0
+
+
+def _tpch_pair():
+    database = Database(workers=2)
+    populate(database.catalog, scale_factor=0.01, seed=3)
+    profiler = Profiler()
+    program = database.execute(query_sql("q5"), listener=profiler).program
+    database.close()
+    return plan_to_dot(program), profiler.events
+
+
+def _synthetic_pair():
+    program = synthetic_plan(chains=143)  # 1004 nodes
+    return plan_to_dot(program), trace_for_program(program, workers=4,
+                                                   seed=11)
+
+
+class TestSessionFreedByRefcount:
+    """A finished session is freed the moment its last reference goes:
+    nothing it owns (graph, layout, glyphs, render queue) sits in a
+    reference cycle waiting for a full collection."""
+
+    @pytest.mark.parametrize("pair", [_tpch_pair, _synthetic_pair],
+                             ids=["tpch_q5", "synthetic_143"])
+    def test_open_replay_paint_save_leaves_no_cycle(self, pair, tmp_path):
+        dot_text, events = pair()
+        gc.collect()
+        gc.disable()  # an automatic collection would hide a cycle
+        try:
+            session = Stethoscope.offline_from_memory(dot_text, events)
+            session.replay.run_to_end()
+            session.apply_gradient_coloring()
+            session.save_svg(str(tmp_path / "display.svg"))
+            del session
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

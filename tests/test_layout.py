@@ -24,6 +24,21 @@ def diamond():
     return g
 
 
+def numbered(graph):
+    """The integer input ``LayeredLayout.layout`` hands the ordering
+    phases: real nodes numbered ``0 .. n-1`` in graph order."""
+    node_ids = list(graph.nodes)
+    number = {node_id: index for index, node_id in enumerate(node_ids)}
+    oriented, _ = acyclic_orientation(graph)
+    ranks = assign_ranks(node_ids, oriented)
+    return (
+        [ranks[node_id] for node_id in node_ids],
+        [[number[node_id] for node_id in layer]
+         for layer in layers_from_ranks(ranks)],
+        [(number[src], number[dst]) for src, dst in oriented],
+    )
+
+
 def pairwise_crossings(layers, segments):
     """The definition ``count_crossings`` must agree with: in each gap
     between adjacent layers, the pairs of segments whose source and
@@ -117,20 +132,19 @@ class TestOrdering:
         g.add_edge("a", "b")
         g.add_edge("b", "c")
         g.add_edge("a", "c")  # spans 2 ranks
-        oriented, _ = acyclic_orientation(g)
-        ranks = assign_ranks(list(g.nodes), oriented)
-        seg = insert_virtual_nodes(ranks, layers_from_ranks(ranks), oriented)
-        assert len(seg.virtual) == 1
-        assert all(
-            abs(ranks.get(s, -1) - ranks.get(d, -1)) <= 1
-            or s in seg.virtual or d in seg.virtual
-            for s, d in seg.segments
-        )
+        ranks, layers, edges = numbered(g)
+        seg = insert_virtual_nodes(ranks, layers, edges)
+        # a, b, c are 0, 1, 2; the one virtual node is numbered next
+        assert seg.size == 4
+        assert seg.edge_paths == [[0, 1], [1, 2], [0, 3, 2]]
+        layer_of = {node: index for index, layer in enumerate(seg.layers)
+                    for node in layer}
+        assert all(layer_of[d] - layer_of[s] == 1 for s, d in seg.segments)
 
     def test_count_crossings_known_case(self):
-        layers = [["a", "b"], ["x", "y"]]
-        crossing = [("a", "y"), ("b", "x")]
-        straight = [("a", "x"), ("b", "y")]
+        layers = [[0, 1], [2, 3]]
+        crossing = [(0, 3), (1, 2)]
+        straight = [(0, 2), (1, 3)]
         assert count_crossings(layers, crossing) == 1
         assert count_crossings(layers, straight) == 0
 
@@ -141,22 +155,23 @@ class TestOrdering:
         g.add_edge("a", "__v0")
         g.add_edge("__v0", "c")
         g.add_edge("a", "c")  # long edge: needs one virtual node
-        oriented, _ = acyclic_orientation(g)
-        ranks = assign_ranks(list(g.nodes), oriented)
-        seg = insert_virtual_nodes(ranks, layers_from_ranks(ranks), oriented)
-        assert len(seg.virtual) == 1
-        assert not seg.virtual & set(g.nodes)
-        assert sorted(seg.layers[1]) == sorted({"__v0"} | seg.virtual)
+        ranks, layers, edges = numbered(g)
+        seg = insert_virtual_nodes(ranks, layers, edges)
+        assert seg.size == 4
+        assert sorted(seg.layers[1]) == [1, 3]  # the plan's __v0, then ours
         layout = layout_graph(g)
         assert layout.nodes["__v0"].width >= 40.0
         assert layout.nodes["__v0"].height >= 30.0
+        bend = layout.edges[2].points[1]
+        assert not layout.nodes["__v0"].contains(bend.x, bend.y)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_count_crossings_matches_pairwise_definition(self, data):
         sizes = data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=5))
-        layers = [[f"n{depth}_{i}" for i in range(size)]
-                  for depth, size in enumerate(sizes)]
+        starts = [sum(sizes[:depth]) for depth in range(len(sizes))]
+        layers = [list(range(start, start + size))
+                  for start, size in zip(starts, sizes)]
         # small layers and many draws: shared sources, shared
         # destinations and duplicate segments all occur
         segments = [
@@ -170,8 +185,8 @@ class TestOrdering:
 
     def test_count_crossings_is_not_quadratic(self):
         """One gap, 20 000 segments: the pairwise loop needs ~2e8 steps."""
-        upper = [f"u{i}" for i in range(5000)]
-        lower = [f"l{i}" for i in range(5000)]
+        upper = list(range(5000))
+        lower = list(range(5000, 10000))
         # 4 segments per source, destinations scattered by a stride
         segments = [(upper[i % 5000], lower[(i * 7919) % 5000])
                     for i in range(20000)]
@@ -179,6 +194,48 @@ class TestOrdering:
         crossings = count_crossings([upper, lower], segments)
         assert time.perf_counter() - began < 2.0
         assert crossings > 10 ** 7
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_renaming_nodes_moves_nothing(self, data):
+        """The layout depends on graph order, never on node names: a
+        rename, also to names like ``__v3``, keeps every box, every
+        polyline and the crossing count."""
+        count = data.draw(st.integers(1, 12))
+        order = data.draw(st.permutations(range(count)))
+        # edges point from the lower index to the higher (a DAG; equal
+        # indices make self-loops), while nodes join in a drawn order
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, count - 1), st.integers(0, count - 1))
+            .map(sorted), max_size=3 * count))
+        names = data.draw(st.lists(
+            st.one_of(st.integers(0, 40).map(lambda k: f"__v{k}"),
+                      st.text("abn_v0123456789", min_size=1, max_size=4)),
+            min_size=count, max_size=count, unique=True))
+
+        def build(name_of):
+            graph = Digraph()
+            for index in order:
+                graph.add_node(name_of[index], {"label": "x" * (index + 1)})
+            for src, dst in pairs:
+                graph.add_edge(name_of[src], name_of[dst])
+            return graph
+
+        original = [f"n{index}" for index in range(count)]
+        engines = LayeredLayout(), LayeredLayout()
+        before = engines[0].layout(build(original))
+        after = engines[1].layout(build(names))
+        assert engines[0].last_crossings == engines[1].last_crossings
+        for old, new in zip(original, names):
+            moved, kept = before.nodes[old], after.nodes[new]
+            assert (moved.x, moved.y, moved.width, moved.height,
+                    moved.label, moved.rank) == \
+                (kept.x, kept.y, kept.width, kept.height, kept.label,
+                 kept.rank)
+        rename = dict(zip(original, names))
+        assert [(rename[e.src], rename[e.dst], e.points)
+                for e in before.edges] == \
+            [(e.src, e.dst, e.points) for e in after.edges]
 
     def test_sweeps_remove_trivial_crossing(self):
         g = Digraph()

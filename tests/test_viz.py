@@ -168,7 +168,7 @@ class TestEventDispatchQueue:
             queue.post(f"n{i}", lambda: None)
         queue.drain()
         assert queue.pending() == 0
-        assert len(queue.executed) == 10
+        assert queue.executed == 10
 
     def test_max_latency_reflects_queueing(self):
         queue = EventDispatchQueue(min_interval_ms=100)
