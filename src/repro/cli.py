@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--scale", type=float, default=0.1,
                        help="TPC-H scale factor (1.0 = ~6000 lineitems)")
     serve.add_argument("--workers", type=_worker_count, default=4,
-                       help="dataflow workers the schedulers model (also "
+                       help="dataflow workers the scheduler models (also "
                             "the mitosis partition count), 1 to 64; "
                             "kernels execute in-process")
     serve.add_argument("--plan-cache-size", type=int, default=64,
@@ -153,11 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print the plan's dot file instead of executing")
     query.add_argument("--pipeline", default=None,
                        help="optimizer pipeline for this session")
-    query.add_argument("--scheduler", default=None,
-                       choices=("simulated", "threaded"),
-                       help="execution scheduler for this session "
-                            "(default: the server's, normally "
-                            "\"simulated\")")
     query.add_argument("--deadline", type=float, default=None,
                        help="server-side deadline for this query (seconds)")
     query.add_argument("--cancel", metavar="QUERY_ID", default=None,
@@ -409,8 +404,6 @@ def _cmd_query(args, out) -> int:
             return 2
         if args.pipeline:
             client.set_pipeline(args.pipeline)
-        if args.scheduler:
-            client.set_scheduler(args.scheduler)
         if args.explain:
             out.write(client.explain(args.sql) + "\n")
             return 0

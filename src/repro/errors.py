@@ -67,7 +67,7 @@ class OptimizerError(MalError):
 class WorkerCrashError(MalRuntimeError):
     """A dataflow worker crashed mid-plan.
 
-    Raised by the simulated and threaded schedulers for an injected
+    Raised by the dataflow scheduler for an injected
     ``scheduler.worker:crash`` fault: the in-flight query fails typed
     (wire code ``worker-crash``) and the next query runs normally.
     """

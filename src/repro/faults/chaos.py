@@ -28,8 +28,8 @@ from repro.errors import ReproError
 from repro.faults.plan import FaultPlan, armed
 
 #: The named fault mixes the acceptance sweep runs (spec-string form).
-#: Stall values are huge because the threaded scheduler sleeps
-#: ``value * realtime_scale(1e-4) / 1e6`` seconds — 4e8 is 0.04s real.
+#: A stall sleeps for real, ``value`` microseconds, inside the executor's
+#: step (and is modelled on the virtual clock as well): 40000 is 0.04s.
 MIXES: Dict[str, str] = {
     "drop10": "udp.emit:drop@0.10",
     "reorder": "udp.emit:reorder@0.25",
@@ -37,8 +37,8 @@ MIXES: Dict[str, str] = {
     "reset": "server.loop:reset@0.08#2;server.loop:latency=10@0.25",
     "worker-stall": ("scheduler.worker:stall=400@0.20;"
                      "scheduler.worker:crash@0.03#1"),
-    "overload": "scheduler.worker:stall=400000000@0.7#16",
-    "slow-query": "scheduler.worker:stall=1200000000@0.8#12",
+    "overload": "scheduler.worker:stall=40000@0.7#16",
+    "slow-query": "scheduler.worker:stall=120000@0.8#12",
     # persist.recover:corrupt-record is deliberately absent: it models
     # media corruption of already-acknowledged records, which breaks the
     # acked-prefix byte-identity invariant this mix asserts.  It gets
@@ -275,7 +275,6 @@ def _run_overload_case(server, seed: int, spec: str,
                              deadline_s=wall_cap_s / 2,
                              retry_seed=seed * 10 + i)
             try:
-                client.set_scheduler("threaded")
                 barrier.wait(timeout=5.0)
                 outcomes[i] = ("rows", client.query(sql).rows)
             finally:
@@ -332,7 +331,7 @@ def _run_slow_query_case(server, seed: int, spec: str,
                          wall_cap_s: float) -> CaseResult:
     """The ``slow-query`` mix: a stalled plan against a tight deadline.
 
-    Heavy worker stalls push one threaded query far past its 0.25s
+    Heavy worker stalls push one query far past its 0.25s
     server-side deadline; the lifecycle check at an instruction
     boundary must cancel it with a typed :class:`~repro.errors.QueryDeadlineError`
     carrying the query id, the deadline counter must advance, and the
@@ -353,7 +352,6 @@ def _run_slow_query_case(server, seed: int, spec: str,
             client = MClient(port=server.port, timeout=5.0, retries=0,
                              deadline_s=wall_cap_s / 2, retry_seed=seed)
             try:
-                client.set_scheduler("threaded")
                 client.query(sql, server_deadline_s=0.25)
                 violations.append(
                     "stalled query finished before its 0.25s deadline")

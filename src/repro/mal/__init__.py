@@ -10,8 +10,8 @@ traces, so this package provides everything needed to produce both:
 * :mod:`repro.mal.modules` — the instruction set (algebra, bat, aggr, ...);
 * :mod:`repro.mal.interpreter` — the executor core (one per-instruction
   step with profiler hooks) and the sequential reference interpreter;
-* :mod:`repro.mal.dataflow` — multi-worker dataflow scheduling policies
-  over that core (threaded and deterministically simulated);
+* :mod:`repro.mal.dataflow` — multi-worker dataflow list scheduling
+  over that core, on a deterministic virtual clock;
 * :mod:`repro.mal.optimizer` — the optimizer pipeline (constant folding,
   dead code, CSE, mitosis, mergetable, dataflow).
 """

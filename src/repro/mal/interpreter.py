@@ -7,7 +7,7 @@ reports (pc, thread, start/done timestamps in microseconds, elapsed usec,
 rss) — listeners such as :class:`repro.profiler.Profiler` turn those into
 trace events.  What differs between engines is the scheduling policy that
 drives the step: program order on one worker here (:class:`Interpreter`),
-list scheduling and real threads in :mod:`repro.mal.dataflow`.
+list scheduling over N modelled workers in :mod:`repro.mal.dataflow`.
 
 Timing is *virtual* by default: a deterministic :class:`CostModel` assigns
 each instruction a duration from its operator class and input/output
@@ -17,6 +17,7 @@ cardinalities, so traces are reproducible across machines.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
@@ -386,7 +387,6 @@ class Execution:
     """
 
     label = "interpreter"  #: ``record_execution`` scheduler label
-    live = True     #: the listener hears events from ``step``, as they happen
     faults = False  #: ``step`` consults the ``scheduler.worker`` fault site
     clock = 0
 
@@ -399,15 +399,19 @@ class Execution:
         self.fault_plan = ACTIVE.plan if self.faults else None  # captured once
         self.ctx = EvalContext(engine.catalog, program)
         self.runs: List[InstructionRun] = []
+        #: hears ``start``/``done`` from ``step``, as they happen; a
+        #: policy that releases events itself clears it
+        self.listener = engine.listener
 
     def step(self, instr: MalInstruction, thread: int) -> InstructionRun:
         """Execute ``instr`` on worker ``thread``; returns its run record.
 
         The one place that checks the query context (cancellation,
         deadline, RSS budget), consults the fault plan, runs the
-        instruction, asks the cost model and builds the run record.  A
-        live policy's listener hears ``start`` with the RSS before the
-        instruction and ``done`` with the RSS after it.
+        instruction, asks the cost model and builds the run record.  An
+        injected stall is slept for real (``value`` microseconds) and
+        modelled by ``begin``.  :attr:`listener` hears ``start`` with the
+        RSS before the instruction and ``done`` with the RSS after it.
         """
         ctx = self.ctx
         if self.context is not None:
@@ -421,8 +425,9 @@ class Execution:
                     f"injected crash of worker {thread} at pc={instr.pc}")
             if decision is not None and decision.action == "stall":
                 stall = int(decision.value or 1000)
+                time.sleep(stall / 1_000_000.0)
         start = self.begin(thread, stall)
-        listener = self.engine.listener if self.live else None
+        listener = self.listener
         # records are built positionally (a third of the keyword cost):
         # instr, program, pc, start, end, usec, thread, rss, rows, rows_in
         if listener is not None:
@@ -458,8 +463,8 @@ class Execution:
 class Executor:
     """A MAL engine: the shared step driven by one scheduling policy.
 
-    :class:`Interpreter` and the schedulers of :mod:`repro.mal.dataflow`
-    are constructors that bind a policy; ``run`` is the same for all three.
+    :class:`Interpreter` and :class:`~repro.mal.dataflow.SimulatedScheduler`
+    are constructors that bind a policy; ``run`` is the same for both.
     """
 
     policy = Execution

@@ -5,8 +5,8 @@ MonetDB wraps the side-effect-free region of a plan in a
 worker pool.  Here the pass inserts the marker instruction at the top of
 the plan (for plan-shape fidelity — it shows up as a node in the dot file,
 like the administrative instructions the paper's pruning feature targets)
-and sets :attr:`MalProgram.dataflow_enabled`, which both schedulers
-consult.  Skipping this pass is precisely how a plan ends up running
+and sets :attr:`MalProgram.dataflow_enabled`, which the executor
+consults.  Skipping this pass is precisely how a plan ends up running
 sequentially on a multi-core box — the anomaly the paper reports finding
 with Stethoscope.
 """

@@ -9,7 +9,7 @@ is the Prometheus client core, scaled to this codebase: a process-wide
 :class:`~repro.metrics.core.Gauge`,
 :class:`~repro.metrics.core.Histogram` with fixed bucket boundaries),
 updated from the hot paths of the server, the MAL interpreter and
-dataflow schedulers, the UDP profiler stream, the online monitor, and
+dataflow scheduler, the UDP profiler stream, the online monitor, and
 the render queue.
 
 Three ways out:

@@ -147,13 +147,12 @@ PLAN_CACHE_SIZE = REGISTRY.gauge(
 )
 
 # --------------------------------------------------------------------------
-# repro.mal — interpreter and dataflow schedulers
+# repro.mal — interpreter and dataflow scheduler
 # --------------------------------------------------------------------------
 
 MAL_EXECUTIONS = REGISTRY.counter(
     "repro_mal_executions_total",
-    "MAL programs executed, by scheduler (interpreter, simulated, "
-    "threaded).",
+    "MAL programs executed, by scheduler (interpreter, simulated).",
     labels=("scheduler",),
     unit="programs",
 )

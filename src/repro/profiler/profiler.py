@@ -1,6 +1,6 @@
 """The profiler proper: turns interpreter run records into trace events.
 
-A :class:`Profiler` is handed to an interpreter/scheduler as its run
+A :class:`Profiler` is handed to the interpreter or scheduler as its run
 listener.  Each instruction yields a *start* and a *done*
 :class:`~repro.profiler.events.TraceEvent`; events passing the configured
 :class:`~repro.profiler.filters.EventFilter` are fanned out to every
@@ -55,7 +55,7 @@ class Profiler:
         self.add_sink(sink)
 
     # ------------------------------------------------------------------
-    # listener protocol (plugs into Interpreter / schedulers)
+    # listener protocol (plugs into Interpreter / SimulatedScheduler)
     # ------------------------------------------------------------------
 
     def __call__(self, phase: str, run: InstructionRun) -> None:

@@ -197,7 +197,7 @@ class MClient:
 
     def _connect(self, deadline: Optional[float] = None) -> None:
         """Open the connection and replay the session state (pipeline,
-        workers, scheduler, profiler target) on it, so every connection
+        workers, profiler target) on it, so every connection
         this client opens behaves like the first — all under the
         caller's deadline: a replay against a stalled server must fail
         fast, not sleep out the whole socket timeout."""
@@ -551,10 +551,6 @@ class MClient:
     def set_workers(self, workers: int) -> None:
         """Choose the dataflow worker count."""
         self._call({"op": "set", "workers": workers})
-
-    def set_scheduler(self, name: str) -> None:
-        """Choose the execution scheduler (simulated or threaded)."""
-        self._call({"op": "set", "scheduler": name})
 
     def set_profiler(self, port: int, host: str = "127.0.0.1",
                      filter_options: Optional[Dict[str, Any]] = None) -> None:

@@ -3,7 +3,7 @@ interpreter and profiler in one object.
 
 ``Database.execute`` is the single entry point for SQL: DDL and INSERT
 apply directly to the catalog; SELECT compiles to MAL, runs through the
-configured optimizer pipeline, executes on the configured scheduler and
+configured optimizer pipeline, executes on the dataflow scheduler and
 returns rows.  Every compiled plan and its dot file are kept for the
 Stethoscope to pick up.
 """
@@ -35,7 +35,7 @@ from repro.stats import StatsStore
 if TYPE_CHECKING:  # pragma: no cover
     from repro.server.lifecycle import QueryContext
 from repro.mal.ast import MalProgram
-from repro.mal.dataflow import SimulatedScheduler, ThreadedScheduler
+from repro.mal.dataflow import SimulatedScheduler
 from repro.mal.interpreter import (
     CostModel, ExecutionResult, Interpreter, RunListener,
 )
@@ -227,9 +227,6 @@ class Database:
             a session's ``set``; anything else is a :class:`ServerError`.
         pipeline_name: optimizer pipeline (``default_pipe``,
             ``sequential_pipe``, ``minimal_pipe``).
-        scheduler: ``"simulated"`` (deterministic virtual time, default)
-            or ``"threaded"`` (real threads).  Both run kernels
-            in-process.
         plan_cache_size: maximum optimized plans kept by the LRU plan
             cache; 0 disables plan caching.
         wal_dir: directory for the write-ahead log and checkpoints.
@@ -255,7 +252,6 @@ class Database:
 
     def __init__(self, catalog: Optional[Catalog] = None, workers: int = 4,
                  pipeline_name: str = "default_pipe",
-                 scheduler: str = "simulated",
                  mitosis_threshold: int = 1000,
                  plan_cache_size: int = 64,
                  wal_dir: Optional[str] = None,
@@ -294,7 +290,6 @@ class Database:
         self.catalog = catalog or Catalog()
         self.workers = workers
         self.pipeline_name = pipeline_name
-        self.scheduler = scheduler
         self.mitosis_threshold = mitosis_threshold
         self.compiler = SqlCompiler(self.catalog)
         #: the modelled clock of every run; one instance, so it resolves
@@ -427,8 +422,7 @@ class Database:
         The one place a plan is looked up, checked against the tables it
         reads, compiled, sealed and cached.  The key is the statement as
         :func:`normalize_sql` left it (``nsql``; None means never
-        cached) plus the effective pipeline and worker count; the
-        scheduler is absent, the same program runs on any of them.  A
+        cached) plus the effective pipeline and worker count.  A
         hit skips lexing, parsing, binding and the optimizer pipeline.
         """
         key = None
@@ -477,8 +471,7 @@ class Database:
                 listener: Optional[RunListener] = None,
                 context: Optional["QueryContext"] = None,
                 pipeline_name: Optional[str] = None,
-                workers: Optional[int] = None,
-                scheduler: Optional[str] = None) -> QueryOutcome:
+                workers: Optional[int] = None) -> QueryOutcome:
         """Execute one SQL statement.
 
         ``listener`` (usually a :class:`~repro.profiler.Profiler`)
@@ -486,7 +479,7 @@ class Database:
         ``context`` is an optional
         :class:`~repro.server.lifecycle.QueryContext` checked at every
         instruction boundary (cancellation, deadline, RSS budget).
-        ``pipeline_name``/``workers``/``scheduler`` are per-call
+        ``pipeline_name``/``workers`` are per-call
         overrides of the instance defaults; the server uses them to
         apply per-session settings without mutating shared state.
 
@@ -509,7 +502,7 @@ class Database:
             return outcome
         if head == "trace" and len(words) == 2:
             return self._execute_traced(words[1], context,
-                                        pipeline_name, workers, scheduler)
+                                        pipeline_name, workers)
         # Only a statement that starts with SELECT is looked up without
         # being parsed; anything else is parsed to find out what it is.
         statement = None
@@ -550,8 +543,7 @@ class Database:
                 pipeline_name = chosen
                 ADAPTIVE_DEADLINE_REROUTES.inc()
                 program, key = self._plan(sql, nsql, chosen, workers)
-        execution = self.run_program(program, listener, context,
-                                     workers, scheduler)
+        execution = self.run_program(program, listener, context, workers)
         # Close the feedback loop: fold the completed trace into the
         # stats store; the plan cache keeps the run's cost for display.
         scope = program.reads.scope
@@ -573,16 +565,10 @@ class Database:
     def run_program(self, program: MalProgram,
                     listener: Optional[RunListener] = None,
                     context: Optional["QueryContext"] = None,
-                    workers: Optional[int] = None,
-                    scheduler: Optional[str] = None) -> ExecutionResult:
-        """Execute an already-compiled plan on the configured scheduler."""
+                    workers: Optional[int] = None) -> ExecutionResult:
+        """Execute an already-compiled plan: list-scheduled over the
+        workers when the dataflow pass admitted it, else in order."""
         workers = workers or self.workers
-        scheduler = scheduler or self.scheduler
-        if scheduler == "threaded":
-            return ThreadedScheduler(
-                self.catalog, workers=workers, listener=listener,
-                cost_model=self.cost_model, realtime_scale=1e-4,
-            ).run(program, context)
         if program.dataflow_enabled:
             return SimulatedScheduler(
                 self.catalog, workers=workers, listener=listener,
@@ -594,15 +580,13 @@ class Database:
     def _execute_traced(self, sql: str,
                         context: Optional["QueryContext"] = None,
                         pipeline_name: Optional[str] = None,
-                        workers: Optional[int] = None,
-                        scheduler: Optional[str] = None) -> QueryOutcome:
+                        workers: Optional[int] = None) -> QueryOutcome:
         """``TRACE SELECT ...``: run the query, return its trace rows."""
         from repro.profiler import Profiler
 
         profiler = Profiler()
         inner = self.execute(sql, listener=profiler, context=context,
-                             pipeline_name=pipeline_name, workers=workers,
-                             scheduler=scheduler)
+                             pipeline_name=pipeline_name, workers=workers)
         outcome = QueryOutcome(
             kind="rows",
             columns=["event", "clock", "status", "pc", "thread", "usec",

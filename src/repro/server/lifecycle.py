@@ -4,7 +4,7 @@ Every query the Mserver admits gets a server-assigned id and a
 :class:`QueryContext` — a cancellation token plus optional deadline and
 simulated-RSS budget — which is threaded through
 :meth:`~repro.server.database.Database.execute`, the interpreter and
-both dataflow schedulers.  Execution engines call
+the dataflow scheduler.  Execution engines call
 :meth:`QueryContext.check` at every instruction boundary, so a
 ``cancel`` issued from another connection stops a running plan within
 one instruction instead of waiting for the whole plan to finish.

@@ -11,15 +11,15 @@ thousand small objects, not threads.
 
 Blocking work (SQL execution, plan explain/dot) runs on a thread-pool
 executor, whose thread also encodes the response and hands the bytes
-back — a query crosses the loop twice.  The interpreter, schedulers and
-admission control are untouched: every query still gets a
-server-assigned id and a cancellation token threaded down to the
-schedulers, whose check at every instruction boundary is also what
-enforces a query's deadline; admission control bounds concurrency with
-typed load-shedding, and ``stop()`` drains gracefully.
+back — a query crosses the loop twice.  The MAL engine and admission
+control are untouched: every query still gets a server-assigned id and
+a cancellation token threaded down to the engine, whose check at
+every instruction boundary is also what enforces a query's deadline;
+admission control bounds concurrency with typed load-shedding, and
+``stop()`` drains gracefully.
 
-Session state (optimizer pipeline choice, worker count, scheduler,
-profiler streaming target and filter) is per-connection, applied at
+Session state (optimizer pipeline choice, worker count, profiler
+streaming target and filter) is per-connection, applied at
 execute time.  When a profiler target is set, every subsequent SELECT
 first ships its plan's dot file over the UDP stream, then streams the
 execution trace events, then an end marker — exactly the online-mode
@@ -75,6 +75,9 @@ from repro.server.protocol import (
 #: Statement heads that only read — they share execution slots; anything
 #: else (DDL, INSERT) admits exclusively.
 _READ_HEADS = ("select", "explain", "trace")
+
+#: What a ``set`` request may carry; any other key is a typed error.
+_SET_KEYS = frozenset(("op", "pipeline", "workers"))
 
 #: Seconds a connection may sit idle — nothing heard, nothing pending
 #: or running — before the server hangs up; read when a connection is
@@ -591,7 +594,7 @@ _BLOCKING_VERBS = frozenset((
 class _ClientSession:
     """Per-connection state and request dispatch (executor side).
 
-    ``pipeline_name``/``workers``/``scheduler`` are session-local
+    ``pipeline_name``/``workers`` are session-local
     overrides applied at execute time — ``op=set`` never mutates the
     shared :class:`~repro.server.database.Database`, so one client's
     settings cannot leak into another's queries.
@@ -603,7 +606,6 @@ class _ClientSession:
         self.event_filter = EventFilter()
         self.pipeline_name: Optional[str] = None
         self.workers: Optional[int] = None
-        self.scheduler: Optional[str] = None
 
     def close(self) -> None:
         if self.emitter is not None:
@@ -655,18 +657,15 @@ class _ClientSession:
         raise ServerError(f"unknown op {op!r}")
 
     def _handle_set(self, request: Dict) -> Dict:
+        unknown = sorted(set(request) - _SET_KEYS)
+        if unknown:
+            raise ServerError(
+                f"unknown setting {unknown[0]!r}; valid: pipeline, workers")
         if "pipeline" in request:
             pipeline_by_name(request["pipeline"])  # validate eagerly
             self.pipeline_name = request["pipeline"]
         if "workers" in request:
             self.workers = checked_workers(request["workers"])
-        if "scheduler" in request:
-            scheduler = str(request["scheduler"])
-            if scheduler not in ("simulated", "threaded"):
-                raise ServerError(
-                    f"unknown scheduler {scheduler!r}; valid: "
-                    "simulated, threaded")
-            self.scheduler = scheduler
         return {"ok": True}
 
     def _handle_profiler(self, request: Dict) -> Dict:
@@ -764,7 +763,7 @@ class _ClientSession:
                 outcome = database.execute(
                     sql, listener=profiler, context=context,
                     pipeline_name=self.pipeline_name,
-                    workers=self.workers, scheduler=self.scheduler)
+                    workers=self.workers)
                 for sink in sinks:
                     sink.send_end()
             state = "done"

@@ -18,8 +18,8 @@ One JSON object per line in each direction.  Requests carry an ``op``:
 ``explain``  optimized MAL plan text for a SELECT
 ``dot``      optimized plan's dot file for a SELECT
 ``set``      per-session settings: ``pipeline`` (optimizer pipe name),
-             ``workers``, ``scheduler`` — applied at execute time, the
-             shared database is never mutated
+             ``workers`` — applied at execute time, the shared
+             database is never mutated; any other key is an error
 ``profiler`` stream trace events (and dot files) to a UDP endpoint;
              carries optional filter options (statuses, modules,
              min_usec)
@@ -117,8 +117,9 @@ VERBS = (
 MAX_MESSAGE_BYTES = 1 << 20
 
 #: Upper bound on a session's ``set`` ``workers``.  That number is both
-#: the mitosis partition count and the threads a threaded run starts,
-#: so an unbounded one lets a peer make one query arbitrarily expensive.
+#: the mitosis partition count and the workers the list schedule
+#: models, so an unbounded one lets a peer make one query arbitrarily
+#: expensive.
 MAX_WORKERS = 64
 
 

@@ -4,7 +4,8 @@ Covers the hub's contract in isolation (sequence numbers, drop-oldest,
 resume backfill, subscriber caps) and end-to-end over the wire: many
 concurrent viewers following one query, slow consumers hitting
 drop-oldest without slowing the query, resume-from-sequence after a
-disconnect, and subscribing to unknown or finished queries.
+disconnect, subscribing to unknown or finished queries, and a query's
+events arriving while it still runs.
 """
 
 import threading
@@ -17,9 +18,11 @@ from repro.errors import (
     ServerError,
     ServerOverloadedError,
 )
+from repro.mal import interpreter
 from repro.profiler.broadcast import TraceBroadcastHub
+from repro.profiler.events import parse_event
 from repro.server import Database, MClient, Mserver
-from repro.tpch import populate
+from repro.tpch import populate, query_sql
 
 
 @pytest.fixture(scope="module")
@@ -355,3 +358,67 @@ class TestManySubscribers:
         reference = [e["seq"] for e in streams[0]]
         assert reference, "no entries delivered"
         assert all([e["seq"] for e in s] == reference for s in streams)
+
+
+class TestLiveTrace:
+    """The list schedule releases a query's events while the query runs,
+    in the order a sort of its finished trace gives."""
+
+    def test_a_done_arrives_while_the_query_is_running(
+            self, database, monkeypatch):
+        # the plan's last instruction waits until the viewer has heard a
+        # done and the server still lists the query as running
+        gate = threading.Event()
+        execute = interpreter.execute_instruction
+
+        def held(ctx, instr):
+            if instr.qualified_name == "sql.exportResult":
+                gate.wait(timeout=10.0)
+            return execute(ctx, instr)
+
+        monkeypatch.setattr(interpreter, "execute_instruction", held)
+        sql = query_sql("q6")
+        program = database.compile(sql)
+        # two mitosis partitions of every column it binds
+        assert database.explain(sql).count('"l_shipdate",0,') == 2
+        answers = []
+
+        def run_query():
+            with MClient(port=server.port) as runner:
+                answers.append(runner.query(sql))
+
+        with Mserver(database) as server, \
+                MClient(port=server.port) as viewer, \
+                MClient(port=server.port) as observer:
+            sub = viewer.subscribe()
+            runner = threading.Thread(target=run_query)
+            runner.start()
+            try:
+                entries, first_done = [], None
+                deadline = time.monotonic() + 5.0
+                while first_done is None and time.monotonic() < deadline:
+                    entry = sub.next_entry(timeout=0.2)
+                    if entry is None:
+                        continue
+                    entries.append(entry)
+                    if entry["kind"] == "event" and \
+                            parse_event(entry["line"]).status == "done":
+                        first_done = entry
+                assert first_done is not None, \
+                    "no done event while the plan's last instruction waits"
+                running = {q["query_id"]: q["state"]
+                           for q in observer.queries()["queries"]}
+                assert running.get(first_done["query_id"]) == "running"
+            finally:
+                gate.set()
+                runner.join(timeout=10.0)
+            entries += sub.entries(until_end=True, max_seconds=5.0)
+        assert answers and answers[0].rows
+        events = [parse_event(e["line"]) for e in entries
+                  if e["kind"] == "event"]
+        assert len(events) == 2 * len(program.instructions)
+        assert sorted(events, key=lambda e: (
+            e.clock_usec, e.pc, e.status == "done")) == events
+        assert [e.event for e in events] == list(range(len(events)))
+        seqs = [e["seq"] for e in entries]
+        assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))

@@ -8,7 +8,8 @@ instruction boundary — checked from inside the run, by wrapping the
 function every engine executes an instruction through — for
 the benchmark's TPC-H statements, generated statements and hand-built
 programs whose kernels grow a BAT that is already bound, under every
-engine.
+engine — the list schedule also with a listener attached, so its live
+release runs while the figures are checked.
 
 The second half are counting guards that time nothing: a run nobody
 listens to renders no statement text and asks a BAT for its bytes at
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 
 import repro.mal.interpreter as interpreter
 from repro.mal import Interpreter
-from repro.mal.dataflow import SimulatedScheduler, ThreadedScheduler
+from repro.mal.dataflow import SimulatedScheduler
 from repro.mal.parser import parse_instruction_text
 from repro.mal.printer import format_instruction
 from repro.profiler import Profiler
@@ -34,12 +35,19 @@ from repro.storage.types import nil
 from repro.tpch import QUERIES, populate, query_sql
 from repro.workloads import random_query
 
+class Heard(list):
+    """A listener that keeps the ``(kind, record)`` stream it hears."""
+
+    def __call__(self, kind, record):
+        self.append((kind, record))
+
+
 ENGINES = {
     "interpreter": lambda cat: Interpreter(cat),
     "simulated_w1": lambda cat: SimulatedScheduler(cat, workers=1),
     "simulated_w4": lambda cat: SimulatedScheduler(cat, workers=4),
-    "threaded_w4": lambda cat: ThreadedScheduler(
-        cat, workers=4, realtime_scale=0),
+    "listened_w4": lambda cat: SimulatedScheduler(cat, workers=4,
+                                                  listener=Heard()),
 }
 
 
@@ -64,16 +72,25 @@ class Boundaries:
         return checked
 
     def run(self, engine, program):
-        """Run ``program``; every boundary was checked, and a
-        deterministic engine's records carry the figure of theirs."""
+        """Run ``program``; every boundary was checked, and the run's
+        records carry the figure of theirs."""
         before = self.checked
         result = engine.run(program)
         assert self.checked - before >= len(program)
-        if not isinstance(engine, ThreadedScheduler):
-            # the run's own context is the one that saw every pc
-            seen = next(after for _ctx, after in self.after.values()
-                        if len(after) == len(program))
-            assert {r.pc: r.rss_bytes for r in result.runs} == seen
+        # the run's own context is the one that saw every pc
+        seen = next(after for _ctx, after in self.after.values()
+                    if len(after) == len(program))
+        assert {r.pc: r.rss_bytes for r in result.runs} == seen
+        heard = getattr(engine, "listener", None)
+        if heard is not None:
+            # released live, the stream is still each run's start and
+            # done in clock order, carrying the figures checked above
+            order = sorted((usec, r.pc, done) for r in result.runs
+                           for usec, done in ((r.start_usec, False),
+                                              (r.end_usec, True)))
+            assert [(kind, r.pc) for kind, r in heard] == [
+                ("done" if done else "start", pc) for _u, pc, done in order]
+            assert {r.pc: r.rss_bytes for _kind, r in heard} == seen
         self.after.clear()
         return result
 
@@ -156,10 +173,9 @@ class TestMaintainedRssIsTheRecomputedOne:
         result = boundaries.run(ENGINES[engine](cat), program)
         assert len(cat.bind("sys", "t", "x")) == 9 + 1 + 9
         rss = {r.pc: r.rss_bytes for r in result.runs}
-        if engine != "threaded_w4":
-            # sql.append grew the column X_3 names; no binding says so
-            assert rss[11] - rss[10] > naive.bat_bytes(
-                BAT(STR, ["v" * i for i in range(9)]))
+        # sql.append grew the column X_3 names; no binding says so
+        assert rss[11] - rss[10] > naive.bat_bytes(
+            BAT(STR, ["v" * i for i in range(9)]))
 
     def test_rebinding_a_name_subtracts_what_it_held(self, catalog):
         ctx = interpreter.EvalContext(catalog)

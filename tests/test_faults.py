@@ -17,7 +17,7 @@ from repro.errors import (
 )
 from repro.faults import ACTIVE, FaultPlan, arm, armed, disarm
 from repro.faults.plan import SITES
-from repro.mal.dataflow import SimulatedScheduler, ThreadedScheduler
+from repro.mal.dataflow import SimulatedScheduler
 from repro.profiler.stream import (
     END_MARKER,
     LineFaultPipe,
@@ -411,13 +411,22 @@ class TestSchedulerFaults:
         assert [(r.pc, r.start_usec, r.thread) for r in stalled_a.runs] \
             == [(r.pc, r.start_usec, r.thread) for r in stalled_b.runs]
 
-    def test_threaded_crash_raises_typed(self, database):
+    def test_stall_takes_its_value_in_wall_time(self, database):
+        """A stall is slept for real, ``value`` microseconds, besides
+        shifting the virtual clock: what keeps a stalled query slow
+        enough for a deadline or admission control to notice."""
         program = self._program(database)
-        with armed(FaultPlan(seed=1).on("scheduler.worker", "crash",
-                                        limit=1)):
-            with pytest.raises(WorkerCrashError):
-                ThreadedScheduler(database.catalog, workers=2,
-                                  realtime_scale=1e-4).run(program)
+        baseline = SimulatedScheduler(database.catalog, workers=2).run(
+            program)
+        plan = FaultPlan(seed=1).on("scheduler.worker", "stall",
+                                    value=30000, limit=2)
+        began = time.perf_counter()
+        with armed(plan):
+            stalled = SimulatedScheduler(database.catalog,
+                                         workers=2).run(program)
+        assert time.perf_counter() - began >= 0.06
+        assert len(plan.journal) == 2
+        assert stalled.total_usec > baseline.total_usec
 
     def test_crash_through_server_is_typed_not_fatal(self, server):
         with armed(FaultPlan(seed=1).on("scheduler.worker", "crash",

@@ -1,14 +1,10 @@
-"""Unit tests for the dataflow schedulers (simulated and threaded)."""
-
-import sys
-import threading
-import time
+"""Unit tests for the dataflow list schedule."""
 
 import pytest
 
 from repro.errors import MalRuntimeError
-from repro.mal import Interpreter
-from repro.mal.dataflow import SimulatedScheduler, ThreadedScheduler
+from repro.mal import Interpreter, interpreter
+from repro.mal.dataflow import SimulatedScheduler
 from repro.mal.parser import parse_instruction_text
 from repro.storage import Catalog, INT
 
@@ -81,34 +77,34 @@ class TestSimulatedScheduler:
             for dep in deps:
                 assert ends[dep] <= starts[pc], f"pc {pc} started before dep {dep}"
 
-    def test_listener_stream_in_time_order(self, catalog):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_listener_stream_in_time_order(self, catalog, workers):
+        """Exactly the order a sort of the finished trace by ``(usec,
+        pc, start before done)`` gives."""
         events = []
-        SimulatedScheduler(
-            catalog, workers=4,
+        result = SimulatedScheduler(
+            catalog, workers=workers,
             listener=lambda ph, r: events.append(
-                (r.start_usec if ph == "start" else r.end_usec, ph, r.pc)
+                (r.start_usec if ph == "start" else r.end_usec, r.pc,
+                 ph == "done")
             ),
         ).run(parallel_program())
-        times = [e[0] for e in events]
-        assert times == sorted(times)
-        assert sum(1 for e in events if e[1] == "start") == len(events) // 2
+        assert events == sorted(
+            [(r.start_usec, r.pc, False) for r in result.runs]
+            + [(r.end_usec, r.pc, True) for r in result.runs])
 
     def test_zero_workers_rejected(self, catalog):
         with pytest.raises(MalRuntimeError):
             SimulatedScheduler(catalog, workers=0)
 
 
-class TestThreadedScheduler:
-    def test_same_answer_as_sequential(self, catalog):
-        program = parallel_program()
-        seq = Interpreter(catalog).run(parse_instruction_text(PARALLEL_TEXT))
-        par = ThreadedScheduler(catalog, workers=4, realtime_scale=1e-4).run(program)
-        assert par.rows() == seq.rows()
+class TestListScheduleFailures:
+    """What a failing or order-bound plan does on the list schedule."""
 
     def test_events_start_before_done_per_pc(self, catalog):
         events = []
-        ThreadedScheduler(
-            catalog, workers=4, realtime_scale=1e-4,
+        SimulatedScheduler(
+            catalog, workers=4,
             listener=lambda ph, r: events.append((ph, r.pc)),
         ).run(parallel_program())
         seen_start = set()
@@ -124,12 +120,11 @@ class TestThreadedScheduler:
         )
         program.dataflow_enabled = True
         with pytest.raises(Exception):
-            ThreadedScheduler(catalog, workers=2, realtime_scale=0).run(program)
+            SimulatedScheduler(catalog, workers=2).run(program)
 
     def test_all_instructions_run_once(self, catalog):
-        result = ThreadedScheduler(catalog, workers=4, realtime_scale=0).run(
-            parallel_program()
-        )
+        result = SimulatedScheduler(catalog, workers=4).run(
+            parallel_program())
         assert sorted(r.pc for r in result.runs) == list(range(11))
 
     def test_failing_kernel_is_wrapped_with_its_pc(self, catalog):
@@ -140,7 +135,7 @@ class TestThreadedScheduler:
 
         program.instructions[5].impl_cache = boom
         with pytest.raises(MalRuntimeError, match=r"pc=5 aggr\.count: boom"):
-            ThreadedScheduler(catalog, workers=2, realtime_scale=0).run(program)
+            SimulatedScheduler(catalog, workers=2).run(program)
 
     def test_multi_result_arity_is_checked(self, catalog):
         program = parse_instruction_text("""
@@ -152,11 +147,12 @@ class TestThreadedScheduler:
         program.instructions[2].impl_cache = \
             lambda ctx, instr, inputs: (inputs[0], inputs[0], inputs[0])
         with pytest.raises(MalRuntimeError, match="expected 2 results"):
-            ThreadedScheduler(catalog, workers=2, realtime_scale=0).run(program)
+            SimulatedScheduler(catalog, workers=2).run(program)
 
     def test_side_effects_keep_program_order(self, catalog):
         """Two appends that share no variable: the second is ready long
-        before the first, and must still wait for it."""
+        before the first (whose input waits for a copy), and must still
+        wait for it."""
         program = parse_instruction_text("""
             X_1 := sql.mvc();
             X_2 := sql.bind(X_1,"sys","nums","a",0);
@@ -168,47 +164,33 @@ class TestThreadedScheduler:
         program.dataflow_enabled = True
         order = []
 
-        def slow_copy(ctx, instr, inputs):
-            time.sleep(0.05)
-            return inputs[0]
-
         def append(ctx, instr, inputs):
             order.append(instr.pc)
             return inputs[0]
 
-        program.instructions[3].impl_cache = slow_copy
         program.instructions[4].impl_cache = append
         program.instructions[5].impl_cache = append
-        ThreadedScheduler(catalog, workers=2, realtime_scale=0).run(program)
+        SimulatedScheduler(catalog, workers=2).run(program)
         assert order == [4, 5]
 
-    def test_stress_more_workers_than_cores(self, catalog):
-        """Eight threads contending for the env lock, switching as often
-        as the interpreter allows: every instruction still runs exactly
-        once and the answer is the sequential one."""
-        expected = Interpreter(catalog).run(
-            parse_instruction_text(PARALLEL_TEXT)).rows()
-        wrong = []
 
-        def hammer():
-            try:
-                for _ in range(40):
-                    result = ThreadedScheduler(
-                        catalog, workers=8, realtime_scale=1e-3,
-                    ).run(parallel_program())
-                    if sorted(r.pc for r in result.runs) != list(range(11)) \
-                            or result.rows() != expected:
-                        wrong.append(result)
-            except Exception as exc:
-                wrong.append(exc)
+class TestLiveRelease:
+    def test_a_done_is_heard_before_the_last_instruction_runs(
+            self, catalog, monkeypatch):
+        """The listener hears events while the run goes on, not in one
+        burst after it."""
+        executed = []
+        execute = interpreter.execute_instruction
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            thread = threading.Thread(target=hammer, daemon=True)
-            thread.start()
-            thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not thread.is_alive(), "threaded run did not finish"
-        assert not wrong
+        def counted(ctx, instr):
+            executed.append(instr.pc)
+            return execute(ctx, instr)
+
+        monkeypatch.setattr(interpreter, "execute_instruction", counted)
+        heard = []
+        result = SimulatedScheduler(
+            catalog, workers=4,
+            listener=lambda ph, r: heard.append((ph, len(executed))),
+        ).run(parallel_program())
+        first_done = next(ran for ph, ran in heard if ph == "done")
+        assert first_done < len(result.runs)

@@ -18,7 +18,7 @@ from repro import (
     query_sql,
 )
 from repro.core.analysis import detect_sequential_anomaly
-from repro.mal.dataflow import ThreadedScheduler
+from repro.mal.dataflow import SimulatedScheduler
 from repro.profiler.events import TraceEvent
 from repro.viz.color import RED
 
@@ -197,15 +197,15 @@ class TestSection6Finding:
     @pytest.mark.parametrize("query, pipeline, sequential", [
         ("q6", "default_pipe", False),
         ("q1", "sequential_pipe", True)])
-    def test_anomaly_on_a_real_threaded_trace(self, db, query, pipeline,
-                                              sequential):
-        """The same detector on a trace real threads produced: a plan the
-        dataflow pass prepared is spread over the workers, one it did not
-        runs on one thread and is flagged."""
+    def test_anomaly_on_a_four_worker_trace(self, db, query, pipeline,
+                                            sequential):
+        """The same detector on a trace four modelled workers produced:
+        a plan the dataflow pass prepared is spread over the workers, one
+        it did not runs on one thread and is flagged."""
         program = db.compile(query_sql(query), pipeline_name=pipeline)
         profiler = Profiler()
-        ThreadedScheduler(db.catalog, workers=4, listener=profiler,
-                          realtime_scale=1e-4).run(program)
+        SimulatedScheduler(db.catalog, workers=4,
+                           listener=profiler).run(program)
         anomaly = detect_sequential_anomaly(profiler.events,
                                             expected_threads=4)
         assert anomaly.detected is sequential, anomaly.explanation

@@ -1,22 +1,20 @@
-"""Virtual-clock vs real-thread parity across the TPC-H suite.
+"""Worker-count parity across the TPC-H suite.
 
-The in-process executor runs a mitosis-partitioned plan two ways: the
-list scheduler on a virtual clock (``SimulatedScheduler``), whose traces
-the benchmarks and goldens pin, and real Python threads on the wall
-clock (``ThreadedScheduler``), the path a ``--scheduler threaded`` run
-takes.  For each TPC-H query, every mitosis partition count and every
-thread count, a threaded run must return the simulated run's rows, run
-every instruction exactly once with the same statement text and the
-same cardinalities, keep to the worker threads it was given, start no
-instruction before the ones it reads have finished, and tell the
-profiler a start and a done for each.  Only the clock, the thread
-assignment and the modelled RSS (which follows the interleaving) may
-differ.
+The in-process executor runs a mitosis-partitioned plan on the list
+scheduler's virtual clock (``SimulatedScheduler``), whose traces the
+benchmarks and goldens pin.  For each TPC-H query, every mitosis
+partition count and every worker count, a run must return the
+four-worker run's rows, run every instruction exactly once with the
+same statement text and the same cardinalities, keep to the workers it
+was given, start no instruction before the ones it reads have finished,
+and tell the profiler a start and a done for each.  Only the clock, the
+worker assignment and the modelled RSS (which follows the interleaving)
+may differ.
 """
 
 import pytest
 
-from repro.mal.dataflow import SimulatedScheduler, ThreadedScheduler
+from repro.mal.dataflow import SimulatedScheduler
 from repro.mal.interpreter import ReadySet
 from repro.profiler import Profiler
 from repro.server.database import Database
@@ -24,7 +22,7 @@ from repro.storage import Catalog
 from repro.tpch import QUERIES, populate, query_sql
 
 NPARTS = (1, 2, 4, 8)
-THREADS = (1, 2, 4)
+WORKERS = (1, 2, 4)
 
 #: Low enough that the 0.05-scale lineitem (~300 rows) partitions.
 MITOSIS_THRESHOLD = 50
@@ -84,14 +82,14 @@ def baselines(catalog, databases):
     return get
 
 
-@pytest.mark.parametrize("workers", THREADS)
+@pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("nparts", NPARTS)
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_parity(name, nparts, workers, catalog, databases, baselines):
     program = databases[nparts].compile(query_sql(name))
     serial_rows, serial_records, serial_events = baselines(name, nparts)
-    result, events = _trace_run(catalog, program, ThreadedScheduler,
-                                workers=workers, realtime_scale=0)
+    result, events = _trace_run(catalog, program, SimulatedScheduler,
+                                workers=workers)
     assert result.rows() == serial_rows
     assert _records(result) == serial_records
     assert events == serial_events
@@ -103,19 +101,17 @@ def test_parity(name, nparts, workers, catalog, databases, baselines):
 
 
 class TestActuallyParallel:
-    """Parity is vacuous if every threaded run kept to one thread or no
-    plan was partitioned."""
+    """Parity is vacuous if every run kept to one worker or no plan was
+    partitioned."""
 
     def test_partitions_spread_over_threads(self, catalog, databases):
         program = databases[4].compile(query_sql("q6"))
-        result = ThreadedScheduler(catalog, workers=4,
-                                   realtime_scale=1e-4).run(program)
+        result = SimulatedScheduler(catalog, workers=4).run(program)
         assert len({r.thread for r in result.runs}) > 1
 
     def test_single_thread_runs_everything_on_it(self, catalog, databases):
         program = databases[4].compile(query_sql("q6"))
-        result = ThreadedScheduler(catalog, workers=1,
-                                   realtime_scale=1e-4).run(program)
+        result = SimulatedScheduler(catalog, workers=1).run(program)
         assert {r.thread for r in result.runs} == {0}
 
     def test_row_threshold_keeps_the_plan_whole(self, catalog, databases):
@@ -125,7 +121,7 @@ class TestActuallyParallel:
             sql = query_sql("q6")
             small, split = whole.compile(sql), databases[4].compile(sql)
             assert len(small.instructions) < len(split.instructions)
-            engine = ThreadedScheduler(catalog, workers=4, realtime_scale=0)
+            engine = SimulatedScheduler(catalog, workers=4)
             assert engine.run(small).rows() == engine.run(split).rows()
         finally:
             whole.close()

@@ -344,24 +344,6 @@ class TestMalProperties:
 
 
 @pytest.fixture(scope="module")
-def parallel_env():
-    """One catalog, two databases running the same mitosis-partitioned
-    plans: on the virtual-clock list scheduler and on four real
-    threads."""
-    import repro.tpch as tpch
-    from repro.server.database import Database
-
-    catalog = Catalog()
-    tpch.populate(catalog, scale_factor=0.05, seed=7)
-    serial = Database(catalog=catalog, workers=4, mitosis_threshold=50)
-    parallel = Database(catalog=catalog, workers=4, mitosis_threshold=50,
-                        scheduler="threaded")
-    yield serial, parallel
-    parallel.close()
-    serial.close()
-
-
-@pytest.fixture(scope="module")
 def adaptive_env():
     """Shared catalog, two databases: a ``static_pipe`` oracle and an
     adaptive database (plan cache off so warm executions recompile
@@ -411,18 +393,6 @@ class TestAdaptiveOrderProperties:
 
 
 class TestParallelProperties:
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_random_queries_agree_serial_vs_parallel(self, parallel_env,
-                                                     seed):
-        import random
-
-        from repro.workloads import random_query
-
-        serial, parallel = parallel_env
-        sql = random_query(random.Random(seed))
-        assert serial.execute(sql).rows == parallel.execute(sql).rows
-
     @settings(max_examples=50, deadline=None)
     @given(int_lists, st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_pack_of_any_partition_permutation_preserves_heads(

@@ -9,7 +9,6 @@ from repro.profiler import Profiler, UdpEmitter, write_trace
 from repro.server import Database
 from repro.sqlfe import compile_sql
 from repro.storage import Catalog, INT
-from repro.tpch import populate
 
 
 @pytest.fixture
@@ -69,29 +68,6 @@ class TestTracePlanMismatch:
 
         with pytest.raises(MappingError):
             Stethoscope.offline(dot_path, trace_path)
-
-
-class TestThreadedDatabase:
-    def test_threaded_scheduler_database(self):
-        db = Database(workers=3, scheduler="threaded",
-                      mitosis_threshold=100)
-        populate(db.catalog, scale_factor=0.05, seed=2)
-        profiler = Profiler()
-        outcome = db.execute(
-            "select count(*) from lineitem where l_quantity > 10",
-            listener=profiler,
-        )
-        check = Database(catalog=db.catalog, workers=1,
-                         pipeline_name="sequential_pipe").execute(
-            "select count(*) from lineitem where l_quantity > 10"
-        )
-        assert outcome.rows == check.rows
-        assert len({e.thread for e in profiler.events}) > 1
-
-    def test_threaded_error_propagates(self):
-        db = Database(scheduler="threaded")
-        with pytest.raises(Exception):
-            db.execute("select nope from nothing")
 
 
 class TestDegenerateInputs:

@@ -20,9 +20,9 @@ from repro.tpch import populate
 
 SQL = "select count(*) from lineitem where l_quantity > 10"
 
-#: Heavy worker stalls: 8e8 * realtime_scale(1e-4) / 1e6 = 0.08s real
-#: per fire, up to 40 fires — a threaded plan that runs for seconds.
-SLOW_SPEC = "scheduler.worker:stall=800000000@0.9#40"
+#: Heavy worker stalls: a stall sleeps its value in microseconds, 0.08s
+#: real per fire, up to 40 fires — a plan that runs for seconds.
+SLOW_SPEC = "scheduler.worker:stall=80000@0.9#40"
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ def always_disarm():
 
 
 def start_slow_query(server, outcome, seed=7, **query_kwargs):
-    """A background client running one stalled threaded query.
+    """A background client running one stalled query.
 
     Appends ``("rows", rows)`` or ``("error", exc)`` to ``outcome``.
     Call inside an ``armed(slow_plan())`` block.
@@ -54,7 +54,6 @@ def start_slow_query(server, outcome, seed=7, **query_kwargs):
     def runner():
         client = MClient(port=server.port, retries=0)
         try:
-            client.set_scheduler("threaded")
             outcome.append(("rows", client.query(SQL, **query_kwargs).rows))
         except ReproError as exc:
             outcome.append(("error", exc))
@@ -108,7 +107,7 @@ class TestQueryIds:
 class TestCancellation:
     def test_cancel_mid_flight_from_second_client(self, server):
         """The acceptance criterion: a cancel issued from another
-        connection terminates a running threaded plan within an
+        connection terminates a running plan within an
         instruction boundary, surfacing a typed error with the id."""
         outcome = []
         with armed(FaultPlan.from_spec(SLOW_SPEC, seed=7)):
@@ -132,7 +131,6 @@ class TestCancellation:
         before = SERVER_QUERY_DEADLINE_EXCEEDED.value()
         with armed(FaultPlan.from_spec(SLOW_SPEC, seed=5)):
             with MClient(port=server.port, retries=0) as client:
-                client.set_scheduler("threaded")
                 with pytest.raises(QueryDeadlineError) as err:
                     client.query(SQL, server_deadline_s=0.2)
                 assert err.value.query_id
@@ -233,7 +231,7 @@ class TestAdmissionControl:
             # moderate stall: the slot frees in well under the retry
             # budget (4 attempts x up to 0.8s backoff)
             with armed(FaultPlan.from_spec(
-                    "scheduler.worker:stall=400000000@0.9#10", seed=13)):
+                    "scheduler.worker:stall=40000@0.9#10", seed=13)):
                 worker = start_slow_query(server, outcome)
                 with MClient(port=server.port, retries=4,
                              backoff_base_s=0.2, backoff_max_s=0.8,
@@ -312,11 +310,9 @@ class TestPerSessionSettings:
         with MClient(port=server.port) as client:
             client.set_pipeline("sequential_pipe")
             client.set_workers(1)
-            client.set_scheduler("threaded")
             assert client.query(SQL).rows
         assert database.pipeline_name == "default_pipe"
         assert database.workers == 2
-        assert database.scheduler == "simulated"
 
     def test_sessions_are_isolated(self, server):
         with MClient(port=server.port) as one, \
@@ -331,14 +327,16 @@ class TestPerSessionSettings:
         with MClient(port=server.port) as client:
             with pytest.raises(ServerError):
                 client.set_pipeline("no_such_pipe")
-            with pytest.raises(ServerError):
-                client.set_scheduler("quantum")
+            # a misspelt key (or a retired one) is refused, not ignored
+            for key, value in (("worker", 2), ("scheduler", "simulated")):
+                with pytest.raises(ServerError, match="unknown setting"):
+                    client._call({"op": "set", key: value})
             with pytest.raises(ServerError):
                 client.set_workers(0)
 
     def test_workers_above_the_bound_are_refused(self, server):
-        """``workers`` is the partition count and the threads a threaded
-        run starts: a peer asking for thousands is refused typed, and the
+        """``workers`` is the partition count and the workers the list
+        schedule models: a peer asking for thousands is refused typed, and the
         session keeps the value it had."""
         from repro.server.protocol import MAX_WORKERS
 
@@ -349,7 +347,6 @@ class TestPerSessionSettings:
                 with pytest.raises(ServerError, match="between 1 and"):
                     client.set_workers(workers)
             assert client.explain(SQL).count('"l_quantity",0,') == 2
-            client.set_scheduler("threaded")
             assert client.query(SQL).rows
         assert MAX_WORKERS == 64
 

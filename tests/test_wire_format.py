@@ -467,7 +467,7 @@ _REQUESTS = [
          "deadline_s": 5.0, "max_rss_bytes": 1 << 30},
         {"op": "query", "sql": "insert into scratch values (1, 'x')"},
         {"op": "explain", "sql": "select count(*) from w"},
-        {"op": "set", "workers": 2, "scheduler": "simulated"},
+        {"op": "set", "workers": 2, "pipeline": "default_pipe"},
         {"op": "cancel", "query_id": "q1"},
         {"op": "subscribe", "buffer": 8, "from_seq": 0},
         {"op": "queries"},
