@@ -1,5 +1,6 @@
 """Tests for the Sugiyama layout engine."""
 
+import bisect
 import time
 
 import hypothesis.strategies as st
@@ -13,6 +14,9 @@ from repro.layout.geometry import node_size_for_label
 from repro.layout.ordering import count_crossings, insert_virtual_nodes
 from repro.layout.rank import assign_ranks, layers_from_ranks
 from repro.mal.parser import parse_instruction_text
+from repro.workloads import synthetic_plan
+
+from tests.test_layout_golden import dense_random_dag, dot_inputs
 
 
 def diamond():
@@ -340,3 +344,178 @@ class TestEngine:
         layout = layout_graph(diamond())
         left, top, right, bottom = layout.bounds_of(["a", "d"])
         assert right > left and bottom > top
+
+
+def reference_order(layers, segments, max_sweeps=8):
+    """The barycenter sweeps as recorded before long edges became
+    segments, on dicts: ``(layer orders, crossings)``.  On a graph whose
+    edges all join adjacent ranks no segment exists, so
+    ``LayeredLayout`` must reproduce this exactly."""
+    layers = [list(layer) for layer in layers]
+    position = {node: pos for layer in layers for pos, node in enumerate(layer)}
+    best_crossings = pairwise_crossings(layers, segments)
+    best = [list(layer) for layer in layers]
+    if best_crossings == 0:
+        return best, 0
+    down = {node: [] for node in position}
+    up = {node: [] for node in position}
+    for src, dst in segments:
+        down[src].append(dst)
+        up[dst].append(src)
+    for sweep in range(max_sweeps):
+        if sweep % 2 == 0:
+            indices, neighbours = range(1, len(layers)), up
+        else:
+            indices, neighbours = range(len(layers) - 2, -1, -1), down
+        for index in indices:
+            layer = layers[index]
+            barycenter = {
+                node: (sum(position[n] for n in neighbours[node])
+                       / len(neighbours[node]) if neighbours[node]
+                       else float(pos))
+                for pos, node in enumerate(layer)}
+            layer.sort(key=barycenter.__getitem__)
+            position.update((node, pos) for pos, node in enumerate(layer))
+        crossings = pairwise_crossings(layers, segments)
+        if crossings < best_crossings:
+            best_crossings = crossings
+            best = [list(layer) for layer in layers]
+        if crossings == 0:
+            break
+    return best, best_crossings
+
+
+def layer_orders(layout):
+    """Each rank's real nodes, left to right."""
+    by_rank = {}
+    for node in layout.nodes.values():
+        by_rank.setdefault(node.rank, []).append(node)
+    return {rank: [node.node_id for node in sorted(nodes, key=lambda n: n.x)]
+            for rank, nodes in by_rank.items()}
+
+
+def check_drawing(graph, layout):
+    """What every drawing keeps, however it places things: boxes of a
+    rank never overlap, a polyline runs one way in y, and no bend sits
+    inside a box its edge does not end at."""
+    rows = {}
+    for node in layout.nodes.values():
+        rows.setdefault(node.rank, []).append(node)
+    bands = []  # (top, bottom, lefts, nodes) per rank, sorted by top
+    for nodes in rows.values():
+        nodes.sort(key=lambda n: n.x)
+        for left, right in zip(nodes, nodes[1:]):
+            assert left.right < right.left, (left.node_id, right.node_id)
+        bands.append((min(n.top for n in nodes), max(n.bottom for n in nodes),
+                      [n.left for n in nodes], nodes))
+    bands.sort(key=lambda band: band[0])
+    tops = [band[0] for band in bands]
+    assert len(layout.edges) == graph.edge_count()
+    for edge in layout.edges:
+        ys = [point.y for point in edge.points]
+        assert ys == sorted(ys) or ys == sorted(ys, reverse=True), edge
+        for point in edge.points[1:-1]:
+            band = bisect.bisect_right(tops, point.y) - 1
+            if band < 0 or point.y > bands[band][1]:
+                continue
+            _top, _bottom, lefts, nodes = bands[band]
+            at = bisect.bisect_left(lefts, point.x) - 1
+            for node in nodes[max(at, 0):at + 2]:
+                if node.node_id in (edge.src, edge.dst):
+                    continue
+                assert not (node.left < point.x < node.right
+                            and node.top < point.y < node.bottom), \
+                    (edge.src, edge.dst, point, node.node_id)
+
+
+@st.composite
+def random_graphs(draw):
+    """Small digraphs: mostly forward edges (long ones included), some
+    backward ones that close cycles, self-loops, isolated nodes and
+    labels of varied width."""
+    count = draw(st.integers(1, 14))
+    graph = Digraph()
+    for index in range(count):
+        graph.add_node(f"n{index}", {"label": "x" * draw(st.integers(1, 30))})
+    pairs = draw(st.lists(st.tuples(st.integers(0, count - 1),
+                                    st.integers(0, count - 1)),
+                          max_size=3 * count))
+    backward = draw(st.integers(0, 3))
+    for number, (src, dst) in enumerate(pairs):
+        if number >= backward:
+            src, dst = min(src, dst), max(src, dst)
+        graph.add_edge(f"n{src}", f"n{dst}")
+    return graph
+
+
+@st.composite
+def adjacent_rank_graphs(draw):
+    """Layered DAGs whose every edge joins adjacent ranks: each node
+    below the top layer has a parent in the layer above it."""
+    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=6))
+    graph = Digraph()
+    layers = [[f"r{depth}_{i}" for i in range(size)]
+              for depth, size in enumerate(sizes)]
+    for layer in layers:
+        for node in draw(st.permutations(layer)):
+            graph.add_node(node)
+    for upper, lower in zip(layers, layers[1:]):
+        edges = [(draw(st.sampled_from(upper)), node) for node in lower]
+        edges += draw(st.lists(st.tuples(st.sampled_from(upper),
+                                         st.sampled_from(lower)),
+                               max_size=3 * len(lower)))
+        for src, dst in draw(st.permutations(edges)):
+            graph.add_edge(src, dst)
+    return graph
+
+
+def check_adjacent_rank_order(graph):
+    """``graph``'s edges all join adjacent ranks: its layer orders and
+    crossings are the reference sweeps', node for node."""
+    ranks, layers, edges = numbered(graph)
+    assert all(ranks[dst] - ranks[src] == 1 for src, dst in edges)
+    expected, crossings = reference_order(layers, edges)
+    engine = LayeredLayout()
+    orders = layer_orders(engine.layout(graph))
+    node_ids = list(graph.nodes)
+    assert [orders[rank] for rank in range(len(expected))] == \
+        [[node_ids[node] for node in layer] for layer in expected]
+    assert engine.last_crossings == crossings
+
+
+class TestDrawingProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(random_graphs())
+    def test_random_graph_drawings(self, graph):
+        check_drawing(graph, layout_graph(graph))
+
+    @settings(max_examples=150, deadline=None)
+    @given(adjacent_rank_graphs())
+    def test_adjacent_rank_orders_match_reference(self, graph):
+        check_adjacent_rank_order(graph)
+
+    def test_dense_random_dag_matches_reference(self):
+        """Span 1 everywhere and 1041 crossings: every sweep has work."""
+        graph = dense_random_dag()
+        check_adjacent_rank_order(graph)
+        engine = LayeredLayout()
+        engine.layout(graph)
+        assert engine.last_crossings == 1041
+
+    def test_large_plan_draws_without_crossings(self):
+        engine = LayeredLayout()
+        engine.layout(plan_to_graph(synthetic_plan(chains=143)))
+        assert engine.last_crossings == 0
+
+
+@pytest.fixture(scope="module")
+def golden_inputs():
+    return dot_inputs()
+
+
+@pytest.mark.parametrize("name", [
+    f"{q}_w{w}" for w in (2, 8) for q in ("q6", "q1", "q3", "q5", "q18")]
+    + ["synthetic_13", "synthetic_40", "synthetic_143", "dense_random_dag"])
+def test_golden_input_drawings(golden_inputs, name):
+    graph = parse_dot(golden_inputs[name])
+    check_drawing(graph, layout_graph(graph))
