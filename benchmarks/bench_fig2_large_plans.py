@@ -16,7 +16,8 @@ from repro.svg import layout_to_svg
 from repro.viz import build_virtual_space
 from repro.workloads import synthetic_plan
 
-#: chains * (chain_length + 1) + glue; sizes chosen to bracket 1000
+#: 1 + chains * (chain_length + 2) + (chains - 1) + 3 nodes: 59 to 2383,
+#: chosen to bracket 1000
 SWEEP = [(8, 4), (40, 4), (80, 4), (170, 4), (340, 4)]
 
 

@@ -8,8 +8,9 @@ pipeline from scratch:
 
 1. cycle removal (:mod:`repro.layout.acyclic`),
 2. layer assignment (:mod:`repro.layout.rank`),
-3. crossing minimisation with virtual nodes (:mod:`repro.layout.ordering`),
-4. coordinate assignment and edge routing (:mod:`repro.layout.position`),
+3. crossing minimisation, long edges carried as segments
+   (:mod:`repro.layout.ordering`),
+4. coordinate assignment (:mod:`repro.layout.position`) and edge routing,
 
 orchestrated by :class:`repro.layout.engine.LayeredLayout`.  Layout
 quality differs from GraphViz's, but the output contract is the same:

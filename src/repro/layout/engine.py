@@ -45,7 +45,8 @@ class LayeredLayout:
 
     def layout(self, graph: Digraph) -> Layout:
         """Lay out ``graph``; every node gets a box, every edge a
-        polyline routed through its virtual nodes."""
+        polyline: two points, three through a virtual node, or four,
+        ``src, p, q, dst``, with a vertical run from p to q."""
         node_ids = list(graph.nodes)
         if not node_ids:
             return Layout({}, [], 0.0, 0.0)
@@ -53,7 +54,7 @@ class LayeredLayout:
         rank = assign_ranks(node_ids, oriented)
         layers = layers_from_ranks(rank)
         # the phases below number the nodes: real ones 0 .. n-1 in graph
-        # order, virtual ones from n (see repro.layout.ordering)
+        # order, virtual, p- and q-vertices from n (repro.layout.ordering)
         number = {node_id: index for index, node_id in enumerate(node_ids)}
         segmented = insert_virtual_nodes(
             [rank[node_id] for node_id in node_ids],
@@ -61,7 +62,8 @@ class LayeredLayout:
             [(number[src], number[dst]) for src, dst in oriented],
         )
         ordered = minimize_crossings(segmented, self.max_sweeps)
-        self.last_crossings = count_crossings(ordered, segmented.segments)
+        self.last_crossings = count_crossings(
+            ordered, segmented.edges + segmented.segments)
 
         labels = [graph.node(node_id).label for node_id in node_ids]
         virtual = segmented.size - len(node_ids)
@@ -77,7 +79,7 @@ class LayeredLayout:
         heights += [1.0] * virtual
 
         xs, ys = assign_coordinates(
-            ordered, widths, heights, segmented.segments,
+            ordered, widths, heights, segmented.edges, segmented.segments,
             self.h_gap, self.v_gap,
         )
 
@@ -89,6 +91,9 @@ class LayeredLayout:
                 label=labels[index], rank=rank[node_id],
             )
 
+        # the bounds hold every box and every polyline point: a point is
+        # a node's centre, a border point of a box, or a self-loop's tip
+        width = max(max(node.right for node in nodes.values()), max(xs))
         # one point per node, shared by the polylines through it
         point_at = list(map(Point, xs, ys)).__getitem__
         edges: List[LayoutEdge] = []
@@ -97,9 +102,11 @@ class LayeredLayout:
             if edge.src == edge.dst:
                 # self-loop: a small triangle beside the node
                 node = nodes[edge.src]
+                tip = node.right + self.h_gap
+                width = max(width, tip)
                 edges.append(LayoutEdge(edge.src, edge.dst, [
                     Point(node.right, node.y),
-                    Point(node.right + self.h_gap, node.y),
+                    Point(tip, node.y),
                     Point(node.right, node.y + 4.0),
                 ]))
                 continue
@@ -116,8 +123,7 @@ class LayeredLayout:
                                else dst_node.bottom)
             edges.append(LayoutEdge(edge.src, edge.dst, points))
 
-        width = max((n.right for n in nodes.values()), default=0.0)
-        height = max((n.bottom for n in nodes.values()), default=0.0)
+        height = max(n.bottom for n in nodes.values())
         return Layout(nodes, edges, width, height)
 
 

@@ -1,122 +1,280 @@
 """Coordinate assignment: x positions within each layer, y per rank.
 
-Nodes are first packed left-to-right with their real widths, then nudged
-toward the mean x of their neighbours for a few iterations (a light
-version of the priority method) while never re-introducing overlaps.
+The x positions follow Brandes & Köpf ("Fast and Simple Horizontal
+Coordinate Assignment", GD 2001), run on the segmented layers of
+:mod:`repro.layout.ordering`:
+
+1. mark the edges that cross a segment (type-1 conflicts): they are
+   never aligned, so segments stay straight;
+2. four vertical alignments (towards the upper or the lower neighbours,
+   from the left or from the right): each node joins the block of a
+   median neighbour unless that would cross an earlier alignment or a
+   conflict.  A segment's p- and q-vertex are always one block, so a
+   long edge is drawn with one vertical run;
+3. block compaction per alignment: each block as far towards its side
+   as the blocks before it in every layer allow;
+4. the four results aligned to the narrowest and balanced: each node
+   takes the mean of its two median x values.
+
+Every pass is linear in the nodes, edges and containers of the layers;
+a container's segments are read only at its ends.
 """
 
 from __future__ import annotations
 
-from operator import truediv
-from typing import List, Sequence, Tuple
+from collections import Counter
+from itertools import repeat
+from operator import add, sub
+from typing import List, Sequence, Set, Tuple
+
+from repro.layout.ordering import Layer, Shared, arrange, segments_left_of
+
+Edge = Tuple[int, int]
 
 
 def assign_coordinates(
-    layers: List[List[int]],
+    layers: List[Layer],
     widths: Sequence[float],
     heights: Sequence[float],
-    segments: Sequence[Tuple[int, int]],
+    edges: Sequence[Edge],
+    segments: Sequence[Edge],
     h_gap: float = 30.0,
     v_gap: float = 40.0,
-    iterations: int = 4,
 ) -> Tuple[List[float], List[float]]:
-    """Compute centre coordinates for every (virtual) node; nodes are
-    numbered ``0 .. len(widths) - 1``.
+    """Compute centre coordinates for every node of the segmented
+    layers; nodes are numbered ``0 .. len(widths) - 1``, ``edges`` join
+    adjacent layers and ``segments`` are the (p, q) pairs.
 
     Returns:
         (xs, ys): centre x and y, indexed by node number.
     """
-    # a node's slot is its place in the layers laid end to end
-    nodes = [node for layer in layers for node in layer]
-    slot = [0] * len(nodes)
-    for index, node in enumerate(nodes):
-        slot[node] = index
-    size = list(map(widths.__getitem__, nodes))
-    half = [width / 2 for width in size]
-    neighbours: List[List[int]] = [[] for _node in nodes]
-    for src, dst in segments:
-        neighbours[slot[src]].append(slot[dst])
-        neighbours[slot[dst]].append(slot[src])
-
-    # a layer owns the slots first .. end - 1; gaps[i] is the least
-    # distance between the centres of slots i - 1 and i (never read for
-    # a layer's first slot, whose left neighbour is another layer's)
-    gaps = [0.0] + [left + h_gap + right
-                    for left, right in zip(half, half[1:])]
-    xs = [0.0] * len(nodes)
-    # per layer: its slots' neighbours laid end to end, and per slot its
-    # slice of them and their count.  A slot without neighbours stands
-    # in for itself: (0.0 + x) / 1 is x for every x but -0.0, which no
-    # packing, mean or overlap pass here produces.
-    spans: List[Tuple[int, int, List[float], List[int], List[slice],
-                      List[int]]] = []
-    first = 0
+    size = len(widths)
+    half = [width / 2 for width in widths]
+    up: List[List[int]] = [[] for _node in range(size)]
+    down: List[List[int]] = [[] for _node in range(size)]
+    for src, dst in edges:
+        down[src].append(dst)
+        up[dst].append(src)
+    top_of = [-1] * size
+    bottom_of = [-1] * size
+    partner = [-1] * size
+    for p, q in segments:
+        top_of[p] = bottom_of[q] = p
+        partner[p], partner[q] = q, p
+    position = [0] * size
+    # per layer: the segments it shares with the layer below / above
+    below: List[Shared] = []
+    above: List[Shared] = []
     for layer in layers:
-        end = first + len(layer)
-        cursor = 0.0
-        adjacent: List[int] = []
-        parts: List[slice] = []
-        counts: List[int] = []
-        for index in range(first, end):
-            xs[index] = cursor + half[index]
-            cursor += size[index] + h_gap
-            around = neighbours[index] or [index]
-            parts.append(slice(len(adjacent), len(adjacent) + len(around)))
-            adjacent += around
-            counts.append(len(around))
-        spans.append((first, end, gaps[first:end], adjacent, parts, counts))
-        first = end
+        shared_below, shared_above = arrange(layer, position, top_of,
+                                             bottom_of)
+        below.append(shared_below)
+        above.append(shared_above)
+    at = position.__getitem__
+    for adjacent in up + down:
+        if len(adjacent) > 1:
+            adjacent.sort(key=at)
 
-    x_at = xs.__getitem__
-    for _round in range(iterations):
-        for first, end, layer_gaps, adjacent, parts, counts in spans:
-            # the mean x of each slot's neighbours, summed by ``sum`` in
-            # segment order as always, so every mean is bit-equal
-            around_x = list(map(x_at, adjacent))
-            desired = list(map(truediv,
-                               map(sum, map(around_x.__getitem__, parts)),
-                               counts))
-            xs[first:end] = _resolve_overlaps(desired, layer_gaps)
+    conflicts = _conflicts(layers, up, position, below, above)
+    lefts, rights, gaps = _separations(layers, half, h_gap, top_of,
+                                       bottom_of)
+    results = []
+    for order, shared, neighbours, land in (
+            (layers, below, up, bottom_of),
+            (layers[::-1], above[::-1], down, top_of)):
+        for rightward in (False, True):
+            root = _align(order, shared, neighbours, land, partner,
+                          position, conflicts, rightward)
+            if rightward:
+                # mirrored: compact leftwards, then turn x round
+                block_x = _compact(root, rights, lefts, gaps)
+                results.append([-block_x[block] for block in root])
+            else:
+                block_x = _compact(root, lefts, rights, gaps)
+                results.append(list(map(block_x.__getitem__, root)))
 
-    # normalise to start at 0, back in node order
-    min_left = min((x - h for x, h in zip(xs, half)), default=0.0)
-    centre_x = [xs[index] - min_left for index in slot]
+    # align the four to the narrowest, then take each node's two median
+    # x values; every layout keeps the gaps, so their medians do too
+    leftmost = [min(map(sub, xs, half)) for xs in results]
+    rightmost = [max(map(add, xs, half)) for xs in results]
+    narrowest = min(range(4), key=lambda k: rightmost[k] - leftmost[k])
+    shifts = [leftmost[narrowest] - leftmost[k] if k % 2 == 0
+              else rightmost[narrowest] - rightmost[k] for k in range(4)]
+    shifted = [[x + shift for x in xs] if shift else xs
+               for xs, shift in zip(results, shifts)]
+    xs = [(a + b + c + d - max(a, b, c, d) - min(a, b, c, d)) / 2
+          for a, b, c, d in zip(*shifted)]
+    min_left = min(map(sub, xs, half))
+    xs = [x - min_left for x in xs]
 
-    ys = [0.0] * len(nodes)
+    ys = [0.0] * size
     cursor_y = 0.0
     for layer in layers:
-        layer_height = max(map(heights.__getitem__, layer), default=1.0)
+        nodes = [item for item in layer if item.__class__ is int]
+        layer_height = max(map(heights.__getitem__, nodes), default=1.0)
         centre = cursor_y + layer_height / 2
-        for node in layer:
+        for node in nodes:
             ys[node] = centre
         cursor_y += layer_height + v_gap
-    return centre_x, ys
+    return xs, ys
 
 
-def _resolve_overlaps(desired: List[float],
-                      gaps: List[float]) -> List[float]:
-    """Place one layer's nodes as close to their desired x as possible,
-    keeping their order and ``gaps[i]`` between the centres of i - 1
-    and i (``gaps[0]`` is unused)."""
-    count = len(desired)
-    # forward: honour desired positions, never overlapping the left box
-    pos = list(desired)
-    for index in range(1, count):
-        least = pos[index - 1] + gaps[index]
-        if pos[index] < least:
-            pos[index] = least
-    # backward: pull boxes that drifted right back toward desired,
-    # bounded by their right neighbour
-    for index in range(count - 2, -1, -1):
-        x, wanted = pos[index], desired[index]
-        if x > wanted:
-            limit = pos[index + 1] - gaps[index + 1]
-            if limit < x:
-                x = limit
-            pos[index] = x if x > wanted else wanted
-    # forward fix-up: the backward pass may have squeezed a left gap
-    for index in range(1, count):
-        least = pos[index - 1] + gaps[index]
-        if pos[index] < least:
-            pos[index] = least
-    return pos
+def _conflicts(layers: List[Layer], up: List[List[int]],
+               position: List[int], below: List[Shared],
+               above: List[Shared]) -> Set[Edge]:
+    """The edges that cross a segment, both ways round.
+
+    Segments keep their order across a gap, so an edge (u, v) crosses
+    one exactly when the segments left of u above are not the segments
+    left of v below; counting them is a bisection over the gap's runs.
+    """
+    conflicts: Set[Edge] = set()
+    at = position.__getitem__
+    for index, lower in enumerate(layers[1:]):
+        if not below[index][0]:
+            continue
+        edges = [(upper, node) for node in lower if node.__class__ is int
+                 for upper in up[node]]
+        uppers = [upper for upper, _node in edges]
+        lowers = [node for _upper, node in edges]
+        for edge, left_above, left_below in zip(
+                edges, segments_left_of(below[index], map(at, uppers)),
+                segments_left_of(above[index + 1], map(at, lowers))):
+            if left_above != left_below:
+                conflicts.add(edge)
+                conflicts.add(edge[::-1])
+    return conflicts
+
+
+def _separations(layers: List[Layer], half: List[float], h_gap: float,
+                 top_of: List[int], bottom_of: List[int]
+                 ) -> Tuple[List[int], List[int], List[float]]:
+    """Node pairs that share a layer, as parallel lists of the left
+    node, the right node and the least distance between their centres:
+    enough pairs that keeping all of them keeps every layer apart.
+
+    A segment stands for itself by its p-vertex.  Besides neighbours at
+    item boundaries, each segment end or container edge is paired with
+    the last segment before it that goes on to the next layer: two
+    segments next to each other inside a container were paired so in
+    the topmost layer where nothing separates them, so the inside of a
+    container is never read.
+    """
+    lefts: List[int] = []
+    rights: List[int] = []
+    for layer in layers:
+        previous = going = -1
+        for item in layer:
+            if item.__class__ is int:
+                first = last = item
+                if going >= 0 and going != previous and (
+                        top_of[item] >= 0 or bottom_of[item] >= 0):
+                    lefts.append(going)
+                    rights.append(item)
+                if top_of[item] >= 0:
+                    going = item
+            else:
+                first, last = item[0], item[-1]
+                if going >= 0 and going != previous:
+                    lefts.append(going)
+                    rights.append(first)
+                going = last
+            if previous >= 0:
+                lefts.append(previous)
+                rights.append(first)
+            previous = last
+    gaps = [left + h_gap + right for left, right in
+            zip(map(half.__getitem__, lefts), map(half.__getitem__, rights))]
+    return lefts, rights, gaps
+
+
+def _align(order: List[Layer], shared: List[Shared],
+           neighbours: List[List[int]], land: List[int],
+           partner: List[int], position: List[int], conflicts: Set[Edge],
+           rightward: bool) -> List[int]:
+    """One vertical alignment: each node's block root.
+
+    ``order`` lists the layers in the direction of the alignment,
+    ``shared[k]`` the segments ``order[k]`` shares with the next one,
+    and ``neighbours`` gives each node's neighbours in the layer before
+    it, sorted by position; ``land`` names the segment a node ends in
+    that direction.
+    """
+    root = list(range(len(position)))
+    if rightward:
+        key_of = [-pos for pos in position]
+        first, second = 1, 0  # try the right median first
+    else:
+        key_of = position
+        first, second = 0, 1
+    for previous, layer in enumerate(order[1:]):
+        segments, places = shared[previous]
+        if segments:
+            # a segment crossing the gap is a bound for every alignment
+            # after it: per item, the key of its last segment in the
+            # direction of the alignment, or None for a node to align
+            bound: List[object] = []
+            index = 0
+            for item in layer:
+                if item.__class__ is int:
+                    if land[item] < 0:
+                        bound.append(None)
+                        continue
+                    root[item] = root[partner[item]]
+                    last = index
+                    index += 1
+                else:
+                    last = index if rightward else index + len(item) - 1
+                    index += len(item)
+                bound.append(-places[last] if rightward else places[last])
+            items = zip(reversed(layer), reversed(bound)) if rightward \
+                else zip(layer, bound)
+        else:
+            items = zip(reversed(layer) if rightward else layer,
+                        repeat(None))
+        reach = float("-inf")
+        for node, limit in items:
+            if limit is not None:
+                reach = limit
+                continue
+            adjacent = neighbours[node]
+            count = len(adjacent)
+            if not count:
+                continue
+            medians = ((count - 1) >> 1, count >> 1)
+            for median in (medians[first], medians[second]):
+                u = adjacent[median]
+                key = key_of[u]
+                if reach < key and (not segments
+                                    or (u, node) not in conflicts):
+                    root[node] = root[u]
+                    reach = key
+                    break
+    return root
+
+
+def _compact(root: List[int], lefts: List[int], rights: List[int],
+             gaps: List[float]) -> List[float]:
+    """Block x coordinates, indexed by root: each block as far left as
+    the blocks left of its members allow, taking blocks in topological
+    order.  ``lefts[k]`` stays at least ``gaps[k]`` left of
+    ``rights[k]``."""
+    size = len(root)
+    after: List[List[int]] = [[] for _node in range(size)]
+    for pair, block in enumerate(map(root.__getitem__, lefts)):
+        after[block].append(pair)
+    targets = list(map(root.__getitem__, rights))
+    incoming = Counter(targets)
+    x = [0.0] * size
+    ready = [block for block in set(root) if block not in incoming]
+    while ready:
+        block = ready.pop()
+        base = x[block]
+        for pair in after[block]:
+            successor = targets[pair]
+            if x[successor] < base + gaps[pair]:
+                x[successor] = base + gaps[pair]
+            incoming[successor] -= 1
+            if not incoming[successor]:
+                ready.append(successor)
+    return x

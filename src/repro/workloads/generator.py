@@ -23,8 +23,10 @@ def synthetic_plan(chains: int = 8, chain_length: int = 4) -> MalProgram:
     """A plan with ``chains`` parallel partition chains of
     ``chain_length`` data operators each, plus fold and export glue.
 
-    Total size is ``2 + chains * (1 + chain_length) + (chains - 1) + 3``
-    instructions; e.g. ``chains=167, chain_length=4`` ≈ 1007 nodes.
+    Total size is ``1 + chains * (chain_length + 2) + (chains - 1) + 3``
+    instructions (one ``sql.mvc``; per chain a bind, its operators and a
+    sum; the folding adds; the result glue); e.g. ``chains=143,
+    chain_length=4`` gives 1004 nodes and ``chains=167`` gives 1172.
     """
     program = MalProgram("user.synthetic")
     mvc = program.call("sql", "mvc", [], scalar_of("oid"))

@@ -1,11 +1,12 @@
 """Golden digests of the painted display: dot + trace -> saved SVG, ASCII.
 
-``display_golden.json`` was recorded at commit f6ba21f (PR 15, the last
-commit whose ``OfflineSession`` wrote the layout out as SVG and parsed
-it back before building the display) by copying this file into that
-checkout and running::
+``display_golden.json`` was recorded when long edges became segments
+and coordinates moved to Brandes & Köpf, by running::
 
     PYTHONPATH=src python tests/test_display_golden.py --regen
+
+All 26 digests moved then because the layout they paint moved; the code
+that opens, replays, paints and saves a session did not change.
 
 For each of the thirteen ``steth_replay`` inputs of ``benchmarks/e2e``
 (five profiled TPC-H queries at two worker counts, three synthetic

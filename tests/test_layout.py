@@ -11,7 +11,11 @@ from repro.dot import Digraph, parse_dot, plan_to_graph
 from repro.layout import LayeredLayout, layout_graph
 from repro.layout.acyclic import acyclic_orientation
 from repro.layout.geometry import node_size_for_label
-from repro.layout.ordering import count_crossings, insert_virtual_nodes
+from repro.layout.ordering import (
+    count_crossings,
+    insert_virtual_nodes,
+    minimize_crossings,
+)
 from repro.layout.rank import assign_ranks, layers_from_ranks
 from repro.mal.parser import parse_instruction_text
 from repro.workloads import synthetic_plan
@@ -141,9 +145,25 @@ class TestOrdering:
         # a, b, c are 0, 1, 2; the one virtual node is numbered next
         assert seg.size == 4
         assert seg.edge_paths == [[0, 1], [1, 2], [0, 3, 2]]
+        assert seg.segments == []
         layer_of = {node: index for index, layer in enumerate(seg.layers)
                     for node in layer}
-        assert all(layer_of[d] - layer_of[s] == 1 for s, d in seg.segments)
+        assert all(layer_of[d] - layer_of[s] == 1 for s, d in seg.edges)
+
+    def test_segment_for_edges_spanning_three_ranks(self):
+        """a -> b -> c -> d -> e plus a -> e: one p-vertex below a, one
+        q-vertex above e, and the segment between passes rank 2 in a
+        container."""
+        g = Digraph()
+        for src, dst in ("ab", "bc", "cd", "de", "ae"):
+            g.add_edge(src, dst)
+        ranks, layers, edges = numbered(g)
+        seg = insert_virtual_nodes(ranks, layers, edges)
+        assert seg.size == 7
+        assert seg.edge_paths[-1] == [0, 5, 6, 4]
+        assert seg.segments == [(5, 6)]
+        assert seg.layers == [[0], [1, 5], [2, [5]], [3, 6], [4]]
+        assert (0, 5) in seg.edges and (6, 4) in seg.edges
 
     def test_count_crossings_known_case(self):
         layers = [[0, 1], [2, 3]]
@@ -519,3 +539,110 @@ def golden_inputs():
 def test_golden_input_drawings(golden_inputs, name):
     graph = parse_dot(golden_inputs[name])
     check_drawing(graph, layout_graph(graph))
+
+
+def expanded(layers, edges, segments):
+    """The same arrangement with one virtual node per segment and rank
+    it passes, named ``(p, rank)``: the graph the containers stand for."""
+    layer_of = {item: index for index, layer in enumerate(layers)
+                for item in layer if isinstance(item, int)}
+    plain = [[node for item in layer
+              for node in ([item] if isinstance(item, int)
+                           else [(p, index) for p in item])]
+             for index, layer in enumerate(layers)]
+    chains = list(edges)
+    for p, q in segments:
+        chain = [p] + [(p, rank) for rank in range(layer_of[p] + 1,
+                                                   layer_of[q])] + [q]
+        chains += zip(chain, chain[1:])
+    return plain, chains
+
+
+class TestSegments:
+    @settings(max_examples=150, deadline=None)
+    @given(random_graphs())
+    def test_count_matches_the_expanded_graph(self, graph):
+        """Counting over containers gives the crossings of the graph
+        with a virtual node per segment and rank, before and after the
+        sweeps: segments keep one order in every rank they share."""
+        ranks, layers, edges = numbered(graph)
+        seg = insert_virtual_nodes(ranks, layers, edges)
+        for arrangement in (seg.layers, minimize_crossings(seg)):
+            plain, chains = expanded(arrangement, seg.edges, seg.segments)
+            assert count_crossings(arrangement, seg.edges + seg.segments) \
+                == pairwise_crossings(plain, chains)
+            # a pair of segments is in one order in every rank they share
+            before = {(a[0], b[0]) for layer in plain
+                      for index, a in enumerate(layer) if isinstance(a, tuple)
+                      for b in layer[index + 1:] if isinstance(b, tuple)}
+            assert not any((b, a) in before for a, b in before)
+
+
+def check_long_edges(graph, layout):
+    """An edge spanning three ranks or more is drawn with four points,
+    its p -> q run is vertical, and the run passes no box of the ranks
+    between (except boxes it ends at)."""
+    boxes = list(layout.nodes.values())
+    long_edges = 0
+    for edge in layout.edges:
+        src, dst = layout.nodes[edge.src], layout.nodes[edge.dst]
+        if edge.src == edge.dst or abs(dst.rank - src.rank) < 3:
+            continue
+        long_edges += 1
+        assert len(edge.points) == 4, edge
+        _start, p, q, _end = edge.points
+        assert p.x == q.x, edge
+        low, high = min(p.y, q.y), max(p.y, q.y)
+        for box in boxes:
+            if box.node_id in (edge.src, edge.dst):
+                continue
+            if box.bottom > low and box.top < high:
+                assert not box.left <= p.x <= box.right, (edge, box.node_id)
+    return long_edges
+
+
+class TestLongEdges:
+    @settings(max_examples=150, deadline=None)
+    @given(random_graphs())
+    def test_random_graph_long_edges(self, graph):
+        check_long_edges(graph, layout_graph(graph))
+
+    def test_large_plan_long_edges(self):
+        graph = plan_to_graph(synthetic_plan(chains=143))
+        assert check_long_edges(graph, layout_graph(graph)) == 140
+
+
+@pytest.mark.parametrize("name", [
+    f"{q}_w{w}" for w in (2, 8) for q in ("q6", "q1", "q3", "q5", "q18")]
+    + ["synthetic_13", "synthetic_40", "synthetic_143", "dense_random_dag"])
+def test_golden_input_long_edges(golden_inputs, name):
+    graph = parse_dot(golden_inputs[name])
+    check_long_edges(graph, layout_graph(graph))
+
+
+class TestBounds:
+    """``Layout.width`` / ``height`` hold every polyline point, so an SVG
+    drawn at that size clips no edge."""
+
+    def check(self, graph):
+        layout = layout_graph(graph)
+        for edge in layout.edges:
+            for point in edge.points:
+                assert 0 <= point.x <= layout.width, (edge, layout.width)
+                assert 0 <= point.y <= layout.height, (edge, layout.height)
+
+    def test_self_loop(self):
+        g = Digraph()
+        g.add_edge("a", "a")
+        self.check(g)
+
+    def test_bend_beside_the_boxes(self):
+        g = Digraph()
+        for src, dst in ("ab", "bc", "ac", "ad", "dc"):
+            g.add_edge(src, dst)
+        self.check(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_graphs())
+    def test_random_graphs(self, graph):
+        self.check(graph)

@@ -1,11 +1,15 @@
 """Golden digests of the plan display: dot text -> graph -> layout -> svg.
 
-``layout_golden.json`` was recorded at commit 727a912 (PR 14, the last
-commit with the quadratic ``count_crossings`` and the dict/closure
-``assign_coordinates``) by copying this file into that checkout and
+``layout_golden.json`` was recorded when long edges became segments
+(Eiglsperger et al.) and coordinates moved to Brandes & Köpf, by
 running::
 
     PYTHONPATH=src python tests/test_layout_golden.py --regen
+
+Those two changes moved every ``svg`` digest on purpose: the layout is a
+different one (a long edge is drawn as four points with a vertical run,
+blocks are aligned to median neighbours), while the code that writes it
+out did not change, and every ``graph`` digest stayed byte-identical.
 
 For each input it holds two sha256 digests: ``svg`` over
 ``layout_to_svg(layout_graph(parse_dot(dot_text)))`` — every coordinate
