@@ -92,7 +92,8 @@ class LayeredLayout:
             )
 
         # the bounds hold every box and every polyline point: a point is
-        # a node's centre, a border point of a box, or a self-loop's tip
+        # a node's centre, a point on a box's border or a self-loop's tip
+        # right of its box, and none lies below the lowest box
         width = max(max(node.right for node in nodes.values()), max(xs))
         # one point per node, shared by the polylines through it
         point_at = list(map(Point, xs, ys)).__getitem__

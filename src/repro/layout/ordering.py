@@ -13,10 +13,10 @@ numbered by its p-vertex.
 
 Positions count a container's segments one each, so a node's position
 is the one it would have if every segment left a virtual node in every
-rank it crosses, and crossings are counted as in that graph.  The work
-of a sweep is proportional to the nodes and containers of the layers,
-not to the segments inside the containers: those move as whole lists,
-split where a node lands between two of them.
+rank it crosses, and crossings are counted as in that graph.  The
+Python work of a sweep is proportional to the nodes and containers of
+the layers, not to the segments inside the containers: those move as
+list slices, split where a node lands between two of them.
 
 The orders are refined by alternating down/up barycenter sweeps until
 the crossing count stops improving.  A sweep places a layer beside the
@@ -295,6 +295,7 @@ class _Arrangement:
                     )
                 items = sorted(free, key=barycenter.__getitem__)
                 layers[index] = items
+                # a layer no segment reaches needs only its positions
                 if crossed[index] or index and crossed[index - 1]:
                     self.below[index], self.above[index] = arrange(
                         items, position, top_of, bottom_of)

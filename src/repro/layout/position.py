@@ -27,9 +27,13 @@ from itertools import repeat
 from operator import add, sub
 from typing import List, Sequence, Set, Tuple
 
-from repro.layout.ordering import Layer, Shared, arrange, segments_left_of
-
-Edge = Tuple[int, int]
+from repro.layout.ordering import (
+    Edge,
+    Layer,
+    Shared,
+    arrange,
+    segments_left_of,
+)
 
 
 def assign_coordinates(
@@ -126,7 +130,7 @@ def _conflicts(layers: List[Layer], up: List[List[int]],
 
     Segments keep their order across a gap, so an edge (u, v) crosses
     one exactly when the segments left of u above are not the segments
-    left of v below; counting them is a bisection over the gap's runs.
+    left of v below; counting them is a bisection over their positions.
     """
     conflicts: Set[Edge] = set()
     at = position.__getitem__
