@@ -21,7 +21,7 @@ import os
 
 import pytest
 
-from repro.core.analysis import detect_sequential_anomaly, parallelism_profile
+from repro.core.analysis import TraceAnalyzer
 from repro.mal.dataflow import SimulatedScheduler
 from repro.mal.optimizer import default_pipe, sequential_pipe
 from repro.profiler import Profiler
@@ -50,7 +50,7 @@ def test_e4_worker_sweep_q1(benchmark, tpch_db, workers, artifacts):
         return result, profiler
 
     result, profiler = benchmark(run)
-    profile = parallelism_profile(profiler.events)
+    profile = TraceAnalyzer(profiler.events).parallelism_profile()
     line = (f"q1 workers={workers} makespan={result.total_usec}usec "
             f"threads={profile.threads_used} "
             f"speedup={profile.speedup_vs_serial:.2f}\n")
@@ -146,8 +146,8 @@ def test_e4_sequential_anomaly_reproduced(benchmark, tpch_db, artifacts):
         SimulatedScheduler(
             tpch_db.catalog, workers=4, listener=profiler
         ).run(program)
-        return detect_sequential_anomaly(profiler.events,
-                                         expected_threads=4)
+        return TraceAnalyzer(profiler.events).sequential_anomaly(
+            expected_threads=4)
 
     anomaly = benchmark(run)
     assert anomaly.detected

@@ -7,7 +7,7 @@ statistics table)."""
 
 import os
 
-from repro.core.microanalysis import TraceAnalyzer
+from repro.core.analysis import TraceAnalyzer
 from repro.core.pruning import prune_administrative
 from repro.core.session import Stethoscope
 from repro.dot.writer import plan_to_dot

@@ -62,7 +62,7 @@ def analyse(db: Database, name: str, workdir: str) -> None:
 
     # --- memory usage by operator ----------------------------------------
     print("memory by operator (top 3 by peak rss):")
-    for row in session.memory_by_operator()[:3]:
+    for row in session.analysis.memory_by_operator()[:3]:
         print(f"  {row.operator:<24} calls={row.calls:<4} "
               f"peak_rss={row.peak_rss_bytes}")
 
@@ -77,12 +77,12 @@ def analyse(db: Database, name: str, workdir: str) -> None:
           f"{pruned.node_count()} nodes")
 
     # --- micro-analysis interface ------------------------------------------
-    summary = session.analyzer().summary()
+    summary = session.analysis.summary()
     print(f"micro-analysis: makespan={summary['makespan_usec']} usec, "
           f"p95={summary['p95_usec']} usec, p99={summary['p99_usec']} usec")
 
     # --- memory timeline and overview --------------------------------------
-    print(f"rss timeline: {session.memory_sparkline(width=50)}")
+    print(f"rss timeline: {session.analysis.rss_sparkline(width=50)}")
     print("minimap (viewport marked):")
     session.view.camera.zoom_in(2)
     print(session.minimap(columns=50, rows=10))

@@ -16,7 +16,6 @@ Run:  python examples/online_monitoring.py
 import tempfile
 
 from repro import Database, MClient, Mserver, Stethoscope, populate, query_sql
-from repro.core.analysis import parallelism_profile
 from repro.core.textual import TextualStethoscope
 
 
@@ -48,7 +47,8 @@ def monitor_query(server: Mserver, sql: str, pipeline: str,
         print(f"instructions still RED at end (stuck/slow): "
               f"{result.red_pcs}")
 
-    profile = parallelism_profile(result.events)
+    # the analysis was folded live, one event at a time, as they arrived
+    profile = result.analysis.parallelism_profile()
     print(f"threads used: {profile.threads_used}, "
           f"max concurrency: {profile.max_concurrency}, "
           f"speedup vs serial: {profile.speedup_vs_serial:.2f}x")

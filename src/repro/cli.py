@@ -495,7 +495,7 @@ def _cmd_offline(args, out) -> int:
             out.write(f"  {node_id}: {color.to_hex()}\n")
     out.write("\nbird's-eye clustering:\n")
     out.write(session.birdseye() + "\n")
-    profile = session.parallelism()
+    profile = session.analysis.parallelism_profile()
     out.write(f"\nparallelism: {profile.threads_used} thread(s), "
               f"speedup {profile.speedup_vs_serial:.2f}x\n")
     if args.svg:
@@ -522,10 +522,10 @@ def _cmd_screenshot(args, out) -> int:
 
 
 def _cmd_analyze(args, out) -> int:
-    from repro.core.microanalysis import TraceAnalyzer
-    from repro.profiler import read_trace
+    from repro.core.analysis import TraceAnalyzer
+    from repro.profiler.traceio import iter_trace
 
-    analyzer = TraceAnalyzer(read_trace(args.trace_file))
+    analyzer = TraceAnalyzer(iter_trace(args.trace_file))
     if args.csv:
         out.write(analyzer.to_csv() + "\n")
         return 0

@@ -4,12 +4,15 @@ The paper's contribution — everything above the substrates: the textual
 Stethoscope (UDP trace client), trace↔dot mapping, the §4.2.1 colouring
 algorithms, offline replay (step / fast-forward / rewind / pause),
 online monitoring (listener, query and monitor threads with trace
-sampling), run-time analysis (thread utilisation, memory per operator,
-costly-instruction clustering), the bird's-eye view, tool-tips and debug
-windows, and the paper's future-work features (gradient colouring,
-administrative-instruction pruning, trace micro-analysis).
+sampling), tool-tips and debug windows, gradient colouring and
+administrative-instruction pruning.  Every run-time analysis — thread
+utilisation, memory per operator, costly-instruction clustering, the
+bird's-eye view, the micro-analysis table — is a view of one fold,
+:class:`TraceAnalyzer`, which offline sessions, ``repro analyze`` and
+the online monitor all feed.
 """
 
+from repro.core.analysis import TraceAnalyzer
 from repro.core.coloring import (
     ColorAction,
     PairSequenceColorizer,
@@ -17,7 +20,6 @@ from repro.core.coloring import (
 )
 from repro.core.inspect import DebugWindow, tooltip_text
 from repro.core.mapping import PlanTraceMap, node_for_pc, pc_for_node
-from repro.core.microanalysis import TraceAnalyzer
 from repro.core.navigation import Navigator
 from repro.core.options import FilterOptionsWindow
 from repro.core.painter import GraphPainter

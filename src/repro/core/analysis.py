@@ -1,18 +1,27 @@
-"""Run-time analysis over execution traces.
+"""Run-time analysis over execution traces: one fold, many views.
 
 The paper's offline demo shows "utilization distribution of threads,
-memory usage by operators, and costly instruction clustering"; the online
-demo adds "multi-core utilisation analysis [that] exhibits degree of
-multi-threaded parallelization of MAL instructions".  Each of those is a
-function here, and :func:`detect_sequential_anomaly` captures the
-reported finding of "sequential execution of a MAL plan where
-multithreaded execution was expected".
+memory usage by operators, and costly instruction clustering", a
+"birds eye view of the entire trace", and names "an analytic interface
+for micro analysis of trace" as future work; the online demo adds
+"multi-core utilisation analysis [that] exhibits degree of
+multi-threaded parallelization of MAL instructions".
+
+Every one of those is a method of :class:`TraceAnalyzer`, which is fed
+one event at a time (:meth:`TraceAnalyzer.push`) and groups done events
+by thread, operator and pc as they arrive.  A view reads what the
+pushes accumulated, so the same analyzer serves a trace file, a replay
+window and a live stream, and a view read after ``k`` pushes equals the
+view of the first ``k`` events of a file.  :meth:`sequential_anomaly`
+captures the reported finding of "sequential execution of a MAL plan
+where multithreaded execution was expected".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.profiler.events import TraceEvent
 
@@ -27,55 +36,29 @@ class ThreadUtilization:
     utilization: float  # busy / makespan
 
 
-def thread_utilization(events: Sequence[TraceEvent]) -> List[ThreadUtilization]:
-    """Per-thread busy time over the trace (done events carry usec)."""
-    makespan = max((e.clock_usec for e in events), default=0)
-    busy: Dict[int, int] = {}
-    counts: Dict[int, int] = {}
-    for event in events:
-        if event.status != "done":
-            continue
-        busy[event.thread] = busy.get(event.thread, 0) + event.usec
-        counts[event.thread] = counts.get(event.thread, 0) + 1
-    return [
-        ThreadUtilization(
-            thread=thread, busy_usec=busy[thread],
-            instructions=counts[thread],
-            utilization=(busy[thread] / makespan) if makespan else 0.0,
-        )
-        for thread in sorted(busy)
-    ]
-
-
 @dataclass
-class OperatorMemory:
-    """Memory behaviour of one MAL operator across the trace."""
+class OperatorStats:
+    """Time and memory of one MAL operator (module.function)."""
 
-    operator: str  # module.function
+    operator: str
     calls: int
     total_usec: int
+    share: float  # of total trace busy time
     peak_rss_bytes: int
     mean_rss_bytes: float
 
 
-def memory_by_operator(events: Sequence[TraceEvent]) -> List[OperatorMemory]:
-    """Memory usage by operator, sorted by peak rss (offline demo)."""
-    grouped: Dict[str, List[TraceEvent]] = {}
-    for event in events:
-        if event.status != "done":
-            continue
-        grouped.setdefault(f"{event.module}.{event.function}", []).append(event)
-    out = []
-    for operator, group in grouped.items():
-        rss = [e.rss_bytes for e in group]
-        out.append(OperatorMemory(
-            operator=operator, calls=len(group),
-            total_usec=sum(e.usec for e in group),
-            peak_rss_bytes=max(rss),
-            mean_rss_bytes=sum(rss) / len(rss),
-        ))
-    out.sort(key=lambda o: o.peak_rss_bytes, reverse=True)
-    return out
+@dataclass
+class InstructionStats:
+    """Aggregate statistics of one instruction (pc) across a trace."""
+
+    pc: int
+    stmt: str
+    executions: int
+    total_usec: int
+    min_usec: int
+    max_usec: int
+    mean_usec: float
 
 
 @dataclass
@@ -88,45 +71,6 @@ class CostCluster:
     @property
     def span(self) -> Tuple[int, int]:
         return (self.pcs[0], self.pcs[-1])
-
-
-def costly_instructions(events: Sequence[TraceEvent],
-                        top: int = 10) -> List[TraceEvent]:
-    """The top-N most expensive done events."""
-    done = [e for e in events if e.status == "done"]
-    done.sort(key=lambda e: e.usec, reverse=True)
-    return done[:top]
-
-
-def costly_clusters(events: Sequence[TraceEvent],
-                    fraction: float = 0.8) -> List[CostCluster]:
-    """Cluster costly instructions by pc adjacency.
-
-    Instructions are taken in decreasing cost until ``fraction`` of the
-    total time is covered, then grouped into maximal runs of consecutive
-    pcs — the "costly instruction clustering" view, which shows *where in
-    the plan* the time goes rather than just which instruction.
-    """
-    done = [e for e in events if e.status == "done"]
-    total = sum(e.usec for e in done)
-    if total == 0:
-        return []
-    chosen: Dict[int, int] = {}
-    covered = 0
-    for event in sorted(done, key=lambda e: e.usec, reverse=True):
-        if covered >= total * fraction:
-            break
-        chosen[event.pc] = chosen.get(event.pc, 0) + event.usec
-        covered += event.usec
-    clusters: List[CostCluster] = []
-    for pc in sorted(chosen):
-        if clusters and pc == clusters[-1].pcs[-1] + 1:
-            clusters[-1].pcs.append(pc)
-            clusters[-1].total_usec += chosen[pc]
-        else:
-            clusters.append(CostCluster([pc], chosen[pc]))
-    clusters.sort(key=lambda c: c.total_usec, reverse=True)
-    return clusters
 
 
 @dataclass
@@ -147,74 +91,15 @@ class ParallelismProfile:
         return self.busy_usec / self.makespan_usec
 
 
-def parallelism_profile(events: Sequence[TraceEvent]) -> ParallelismProfile:
-    """Concurrency statistics from start/done event interleaving."""
-    done = [e for e in events if e.status == "done"]
-    makespan = max((e.clock_usec for e in events), default=0)
-    busy = sum(e.usec for e in done)
-    # sweep the start/end intervals for concurrency
-    boundary: List[Tuple[int, int]] = []
-    for event in done:
-        boundary.append((event.clock_usec - event.usec, +1))
-        boundary.append((event.clock_usec, -1))
-    boundary.sort()
-    concurrency = 0
-    max_concurrency = 0
-    weighted = 0
-    previous_clock = None
-    for clock, delta in boundary:
-        if previous_clock is not None and concurrency > 0:
-            weighted += concurrency * (clock - previous_clock)
-        concurrency += delta
-        max_concurrency = max(max_concurrency, concurrency)
-        previous_clock = clock
-    mean = (weighted / makespan) if makespan else 0.0
-    return ParallelismProfile(
-        threads_used=len({e.thread for e in done}),
-        max_concurrency=max_concurrency,
-        mean_concurrency=mean,
-        makespan_usec=makespan,
-        busy_usec=busy,
-    )
+@dataclass
+class SequentialAnomaly:
+    """Diagnosis of a plan that failed to parallelise."""
 
-
-def rss_timeline(events: Sequence[TraceEvent],
-                 buckets: int = 60) -> List[Tuple[int, int]]:
-    """Resident-set size over the query's lifetime.
-
-    Returns (clock_usec, rss_bytes) samples — the peak rss observed in
-    each of ``buckets`` equal time windows — the data behind a memory
-    timeline in the analytic panel.
-    """
-    if not events:
-        return []
-    makespan = max(e.clock_usec for e in events) or 1
-    samples = [0] * buckets
-    for event in events:
-        index = min(buckets - 1, event.clock_usec * buckets // makespan)
-        samples[index] = max(samples[index], event.rss_bytes)
-    # carry the last known value through empty windows
-    current = 0
-    out: List[Tuple[int, int]] = []
-    for index, value in enumerate(samples):
-        current = value if value else current
-        out.append(((index + 1) * makespan // buckets, current))
-    return out
-
-
-def render_rss_sparkline(events: Sequence[TraceEvent],
-                         width: int = 60) -> str:
-    """The rss timeline as a one-line text sparkline."""
-    timeline = rss_timeline(events, buckets=width)
-    if not timeline:
-        return "(empty trace)"
-    levels = " _.-=#%@"
-    peak = max(v for _t, v in timeline) or 1
-    chars = [
-        levels[min(len(levels) - 1, v * (len(levels) - 1) // peak)]
-        for _t, v in timeline
-    ]
-    return "".join(chars) + f"  (peak {peak} bytes)"
+    detected: bool
+    threads_used: int
+    expected_threads: int
+    max_concurrency: int
+    explanation: str
 
 
 @dataclass
@@ -257,78 +142,347 @@ class InterferenceReport:
         return self.operators[:top]
 
 
-def compare_traces(baseline: Sequence[TraceEvent],
-                   loaded: Sequence[TraceEvent]) -> InterferenceReport:
-    """Quantify interference between two traces of the *same* plan.
+@dataclass
+class TraceSegment:
+    """A maximal run of consecutive done-events from one MAL module."""
 
-    Operators present in only one trace are skipped (a different plan
-    is a user error this analysis cannot repair).
+    module: str
+    first_event: int  # sequence number of first event in segment
+    count: int
+    total_usec: int
+    start_clock_usec: int
+    end_clock_usec: int
+
+
+class TraceAnalyzer:
+    """The fold every trace view reads.
+
+    ``TraceAnalyzer(events)`` pushes a whole trace; an empty analyzer
+    fed by :meth:`push` follows a live one.
     """
 
-    def per_operator(events: Sequence[TraceEvent]) -> Dict[str, int]:
-        out: Dict[str, int] = {}
+    def __init__(self, events: Iterable[TraceEvent] = ()) -> None:
+        self.events: List[TraceEvent] = []
+        self.done: List[TraceEvent] = []
+        self.makespan_usec = 0
+        self.busy_usec = 0
+        # done events grouped in first-seen order, which breaks ties
+        self._by_thread: Dict[int, List[TraceEvent]] = {}
+        self._by_operator: Dict[str, List[TraceEvent]] = {}
+        self._by_pc: Dict[int, List[TraceEvent]] = {}
         for event in events:
-            if event.status != "done":
-                continue
-            key = f"{event.module}.{event.function}"
-            out[key] = out.get(key, 0) + event.usec
+            self.push(event)
+
+    def push(self, event: TraceEvent) -> None:
+        """Fold one event in."""
+        self.events.append(event)
+        self.makespan_usec = max(self.makespan_usec, event.clock_usec)
+        if event.status != "done":
+            return
+        self.done.append(event)
+        self.busy_usec += event.usec
+        self._by_thread.setdefault(event.thread, []).append(event)
+        self._by_operator.setdefault(
+            f"{event.module}.{event.function}", []).append(event)
+        self._by_pc.setdefault(event.pc, []).append(event)
+
+    # ------------------------------------------------------------------
+    # threads and parallelism
+    # ------------------------------------------------------------------
+
+    def thread_utilization(self) -> List[ThreadUtilization]:
+        """Per-thread busy time over the trace (done events carry usec)."""
+        out = []
+        for thread in sorted(self._by_thread):
+            busy = sum(e.usec for e in self._by_thread[thread])
+            out.append(ThreadUtilization(
+                thread=thread, busy_usec=busy,
+                instructions=len(self._by_thread[thread]),
+                utilization=(busy / self.makespan_usec)
+                if self.makespan_usec else 0.0,
+            ))
         return out
 
-    base = per_operator(baseline)
-    load = per_operator(loaded)
-    operators = [
-        OperatorSlowdown(operator=op, baseline_usec=base[op],
-                         loaded_usec=load[op])
-        for op in base if op in load
-    ]
-    operators.sort(key=lambda o: o.slowdown, reverse=True)
-    return InterferenceReport(
-        baseline_makespan_usec=max(
-            (e.clock_usec for e in baseline), default=0
-        ),
-        loaded_makespan_usec=max(
-            (e.clock_usec for e in loaded), default=0
-        ),
-        operators=operators,
-    )
-
-
-@dataclass
-class SequentialAnomaly:
-    """Diagnosis of a plan that failed to parallelise."""
-
-    detected: bool
-    threads_used: int
-    expected_threads: int
-    max_concurrency: int
-    explanation: str
-
-
-def detect_sequential_anomaly(events: Sequence[TraceEvent],
-                              expected_threads: int) -> SequentialAnomaly:
-    """Flag sequential execution where multi-threading was expected.
-
-    The paper: "using Stethoscope we have uncovered several unusual
-    cases, such as sequential execution of a MAL plan where multithreaded
-    execution was expected."
-    """
-    profile = parallelism_profile(events)
-    detected = expected_threads > 1 and profile.threads_used <= 1
-    if detected:
-        explanation = (
-            f"plan ran on {profile.threads_used} thread(s) although "
-            f"{expected_threads} workers were available — check whether "
-            "the dataflow optimizer ran (e.g. sequential_pipe selected)"
+    def parallelism_profile(self) -> ParallelismProfile:
+        """Concurrency statistics from start/done event interleaving."""
+        # sweep the start/end intervals for concurrency
+        boundary: List[Tuple[int, int]] = []
+        for event in self.done:
+            boundary.append((event.clock_usec - event.usec, +1))
+            boundary.append((event.clock_usec, -1))
+        boundary.sort()
+        concurrency = 0
+        max_concurrency = 0
+        weighted = 0
+        previous_clock = None
+        for clock, delta in boundary:
+            if previous_clock is not None and concurrency > 0:
+                weighted += concurrency * (clock - previous_clock)
+            concurrency += delta
+            max_concurrency = max(max_concurrency, concurrency)
+            previous_clock = clock
+        makespan = self.makespan_usec
+        return ParallelismProfile(
+            threads_used=len(self._by_thread),
+            max_concurrency=max_concurrency,
+            mean_concurrency=(weighted / makespan) if makespan else 0.0,
+            makespan_usec=makespan,
+            busy_usec=self.busy_usec,
         )
-    else:
-        explanation = (
-            f"{profile.threads_used} thread(s) used, max concurrency "
-            f"{profile.max_concurrency}"
+
+    def sequential_anomaly(self, expected_threads: int) -> SequentialAnomaly:
+        """Flag sequential execution where multi-threading was expected.
+
+        The paper: "using Stethoscope we have uncovered several unusual
+        cases, such as sequential execution of a MAL plan where
+        multithreaded execution was expected."
+        """
+        profile = self.parallelism_profile()
+        detected = expected_threads > 1 and profile.threads_used <= 1
+        if detected:
+            explanation = (
+                f"plan ran on {profile.threads_used} thread(s) although "
+                f"{expected_threads} workers were available — check whether "
+                "the dataflow optimizer ran (e.g. sequential_pipe selected)"
+            )
+        else:
+            explanation = (
+                f"{profile.threads_used} thread(s) used, max concurrency "
+                f"{profile.max_concurrency}"
+            )
+        return SequentialAnomaly(
+            detected=detected,
+            threads_used=profile.threads_used,
+            expected_threads=expected_threads,
+            max_concurrency=profile.max_concurrency,
+            explanation=explanation,
         )
-    return SequentialAnomaly(
-        detected=detected,
-        threads_used=profile.threads_used,
-        expected_threads=expected_threads,
-        max_concurrency=profile.max_concurrency,
-        explanation=explanation,
-    )
+
+    # ------------------------------------------------------------------
+    # operators and instructions
+    # ------------------------------------------------------------------
+
+    def _operator_stats(self) -> List[OperatorStats]:
+        total = self.busy_usec or 1
+        out = []
+        for operator, group in self._by_operator.items():
+            usec = sum(e.usec for e in group)
+            rss = [e.rss_bytes for e in group]
+            out.append(OperatorStats(
+                operator=operator, calls=len(group), total_usec=usec,
+                share=usec / total, peak_rss_bytes=max(rss),
+                mean_rss_bytes=sum(rss) / len(rss),
+            ))
+        return out
+
+    def per_operator(self) -> List[OperatorStats]:
+        """Statistics per operator, ordered by total time descending."""
+        return sorted(self._operator_stats(),
+                      key=lambda s: s.total_usec, reverse=True)
+
+    def memory_by_operator(self) -> List[OperatorStats]:
+        """Memory usage by operator, sorted by peak rss (offline demo)."""
+        return sorted(self._operator_stats(),
+                      key=lambda s: s.peak_rss_bytes, reverse=True)
+
+    def per_instruction(self) -> List[InstructionStats]:
+        """Statistics per pc, ordered by total time descending."""
+        out = []
+        for pc, group in self._by_pc.items():
+            usecs = [e.usec for e in group]
+            out.append(InstructionStats(
+                pc=pc, stmt=group[-1].stmt, executions=len(group),
+                total_usec=sum(usecs), min_usec=min(usecs),
+                max_usec=max(usecs), mean_usec=sum(usecs) / len(usecs),
+            ))
+        out.sort(key=lambda s: s.total_usec, reverse=True)
+        return out
+
+    def costly_instructions(self, top: int = 10) -> List[TraceEvent]:
+        """The top-N most expensive done events."""
+        return sorted(self.done, key=lambda e: e.usec, reverse=True)[:top]
+
+    def costly_clusters(self, fraction: float = 0.8) -> List[CostCluster]:
+        """Cluster costly instructions by pc adjacency.
+
+        Instructions are taken in decreasing cost until ``fraction`` of
+        the total time is covered, then grouped into maximal runs of
+        consecutive pcs — the "costly instruction clustering" view, which
+        shows *where in the plan* the time goes rather than just which
+        instruction.
+        """
+        total = self.busy_usec
+        if total == 0:
+            return []
+        chosen: Dict[int, int] = {}
+        covered = 0
+        for event in sorted(self.done, key=lambda e: e.usec, reverse=True):
+            if covered >= total * fraction:
+                break
+            chosen[event.pc] = chosen.get(event.pc, 0) + event.usec
+            covered += event.usec
+        clusters: List[CostCluster] = []
+        for pc in sorted(chosen):
+            if clusters and pc == clusters[-1].pcs[-1] + 1:
+                clusters[-1].pcs.append(pc)
+                clusters[-1].total_usec += chosen[pc]
+            else:
+                clusters.append(CostCluster([pc], chosen[pc]))
+        clusters.sort(key=lambda c: c.total_usec, reverse=True)
+        return clusters
+
+    def compare(self, loaded: "TraceAnalyzer") -> InterferenceReport:
+        """Quantify interference between this trace (the baseline) and a
+        ``loaded`` trace of the *same* plan.
+
+        Operators present in only one trace are skipped (a different
+        plan is a user error this analysis cannot repair).
+        """
+        load = {s.operator: s.total_usec for s in loaded._operator_stats()}
+        operators = [
+            OperatorSlowdown(operator=s.operator, baseline_usec=s.total_usec,
+                             loaded_usec=load[s.operator])
+            for s in self._operator_stats() if s.operator in load
+        ]
+        operators.sort(key=lambda o: o.slowdown, reverse=True)
+        return InterferenceReport(
+            baseline_makespan_usec=self.makespan_usec,
+            loaded_makespan_usec=loaded.makespan_usec,
+            operators=operators,
+        )
+
+    # ------------------------------------------------------------------
+    # memory over time
+    # ------------------------------------------------------------------
+
+    def rss_timeline(self, buckets: int = 60) -> List[Tuple[int, int]]:
+        """Resident-set size over the query's lifetime.
+
+        Returns (clock_usec, rss_bytes) samples — the peak rss observed
+        in each of ``buckets`` equal time windows — the data behind a
+        memory timeline in the analytic panel.
+        """
+        if not self.events:
+            return []
+        makespan = self.makespan_usec or 1
+        samples = [0] * buckets
+        for event in self.events:
+            index = min(buckets - 1, event.clock_usec * buckets // makespan)
+            samples[index] = max(samples[index], event.rss_bytes)
+        # carry the last known value through empty windows
+        current = 0
+        out: List[Tuple[int, int]] = []
+        for index, value in enumerate(samples):
+            current = value if value else current
+            out.append(((index + 1) * makespan // buckets, current))
+        return out
+
+    def rss_sparkline(self, width: int = 60) -> str:
+        """The rss timeline as a one-line text sparkline."""
+        timeline = self.rss_timeline(buckets=width)
+        if not timeline:
+            return "(empty trace)"
+        levels = " _.-=#%@"
+        peak = max(v for _t, v in timeline) or 1
+        chars = [
+            levels[min(len(levels) - 1, v * (len(levels) - 1) // peak)]
+            for _t, v in timeline
+        ]
+        return "".join(chars) + f"  (peak {peak} bytes)"
+
+    # ------------------------------------------------------------------
+    # bird's-eye view
+    # ------------------------------------------------------------------
+
+    def segments(self) -> List[TraceSegment]:
+        """Cluster the done-event sequence by module: consecutive
+        instructions from the same module merge into one segment, which
+        is how plan stages (binds, selections, joins, aggregation,
+        result export) show up as bands."""
+        segments: List[TraceSegment] = []
+        for event in self.done:
+            if segments and segments[-1].module == event.module:
+                current = segments[-1]
+                current.count += 1
+                current.total_usec += event.usec
+                current.end_clock_usec = event.clock_usec
+            else:
+                segments.append(TraceSegment(
+                    module=event.module, first_event=event.event, count=1,
+                    total_usec=event.usec,
+                    start_clock_usec=event.clock_usec - event.usec,
+                    end_clock_usec=event.clock_usec,
+                ))
+        return segments
+
+    # ------------------------------------------------------------------
+    # micro-analysis table
+    # ------------------------------------------------------------------
+
+    def percentile(self, q: float) -> int:
+        """The q-th percentile (0..100) of done-event durations."""
+        if not (0 <= q <= 100):
+            raise ValueError("percentile must be in 0..100")
+        if not self.done:
+            return 0
+        ordered = sorted(e.usec for e in self.done)
+        rank = (q / 100) * (len(ordered) - 1)
+        low = math.floor(rank)
+        high = math.ceil(rank)
+        if low == high:
+            return ordered[low]
+        fraction = rank - low
+        return round(ordered[low] * (1 - fraction) + ordered[high] * fraction)
+
+    def window(self, start_usec: int, end_usec: int) -> "TraceAnalyzer":
+        """A sub-analyzer over one time window of the trace."""
+        return TraceAnalyzer(
+            e for e in self.events if start_usec <= e.clock_usec <= end_usec
+        )
+
+    def summary(self) -> Dict[str, float]:
+        """Headline numbers for the analytic panel."""
+        return {
+            "events": len(self.events),
+            "instructions": len(self._by_pc),
+            "makespan_usec": self.makespan_usec,
+            "busy_usec": self.busy_usec,
+            "p50_usec": self.percentile(50),
+            "p95_usec": self.percentile(95),
+            "p99_usec": self.percentile(99),
+        }
+
+    def to_csv(self) -> str:
+        """Per-instruction table as CSV (export for external tooling)."""
+        lines = ["pc,executions,total_usec,min_usec,max_usec,mean_usec,stmt"]
+        for stats in self.per_instruction():
+            stmt = stats.stmt.replace('"', '""')
+            lines.append(
+                f"{stats.pc},{stats.executions},{stats.total_usec},"
+                f"{stats.min_usec},{stats.max_usec},{stats.mean_usec:.1f},"
+                f'"{stmt}"'
+            )
+        return "\n".join(lines)
+
+
+def render_birdseye(segments: Sequence[TraceSegment],
+                    width: int = 72) -> str:
+    """Render segments as a proportional text band — one glance shows
+    where the time went."""
+    total = sum(s.total_usec for s in segments)
+    if total == 0:
+        return "(empty trace)"
+    lines = []
+    bar = []
+    for segment in segments:
+        share = segment.total_usec / total
+        cells = max(1, round(share * width))
+        bar.append((segment.module[:1] or "?") * cells)
+    lines.append("".join(bar))
+    for segment in segments:
+        share = 100.0 * segment.total_usec / total
+        lines.append(
+            f"{segment.module:<10} x{segment.count:<5} "
+            f"{segment.total_usec:>8} usec  {share:5.1f}%"
+        )
+    return "\n".join(lines)

@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
+from repro.core.analysis import TraceAnalyzer
 from repro.core.coloring import ColorAction, PairSequenceColorizer
 from repro.core.painter import GraphPainter
 from repro.core.textual import ServerConnection
@@ -179,6 +180,8 @@ class OnlineResult:
     degraded: bool = False
     #: normalised (deduped, seq-ordered, interpolated) event stream
     clean_events: List[TraceEvent] = field(default_factory=list)
+    #: every analysis view of the events, folded as they arrived
+    analysis: TraceAnalyzer = field(default_factory=TraceAnalyzer)
 
     def to_offline_session(self, threshold_usec: Optional[int] = None):
         """Reopen this run's plan and trace as an offline session — the
@@ -268,6 +271,7 @@ class OnlineSession:
         colorizer = PairSequenceColorizer()
         progress: Optional[ProgressWindow] = None
         popups = PopupManager(self.popup_threshold_usec)
+        analysis = TraceAnalyzer()
         consumed = 0
         sampled_out = 0
         plan_damaged = False
@@ -308,6 +312,7 @@ class OnlineSession:
                 if progress is not None:
                     progress.observe(event)
                 popups.observe(event)
+                analysis.push(event)
                 actions = colorizer.push(event)
                 if painter is not None:
                     sampled_out += self._apply_sampled(painter, actions)
@@ -350,10 +355,11 @@ class OnlineSession:
             clean, health.interpolated = interpolate_pairs(clean)
             if health.interpolated:
                 ONLINE_INTERPOLATED.inc(health.interpolated)
-            # repaint from the normalised stream: a fresh colorizer and
-            # painter see the events as if they had arrived in order,
-            # so the final coloring matches a clean run's
+            # repaint and re-fold from the normalised stream: a fresh
+            # colorizer, painter and analysis see the events as if they
+            # had arrived in order, so they match a clean run's
             colorizer = PairSequenceColorizer()
+            analysis = TraceAnalyzer(clean)
             if space is not None:
                 painter = GraphPainter(
                     space, EventDispatchQueue(self.render_interval_ms)
@@ -385,6 +391,7 @@ class OnlineSession:
             health=health,
             degraded=degraded,
             clean_events=clean,
+            analysis=analysis,
         )
 
     def _apply_sampled(self, painter: GraphPainter,

@@ -82,6 +82,7 @@ class Popup:
 
     pc: int
     stmt: str
+    started_at_usec: int
     raised_at_usec: int
     dismissed_at_usec: Optional[int] = None
 
@@ -91,7 +92,8 @@ class Popup:
 
     def message(self) -> str:
         return (f"pc={self.pc} still running after "
-                f"{self.raised_at_usec} usec: {self.stmt}")
+                f"{self.raised_at_usec - self.started_at_usec} usec: "
+                f"{self.stmt}")
 
 
 class PopupManager:
@@ -126,6 +128,7 @@ class PopupManager:
                 continue
             if clock_usec - start.clock_usec >= self.threshold_usec:
                 popup = Popup(pc=pc, stmt=start.stmt,
+                              started_at_usec=start.clock_usec,
                               raised_at_usec=clock_usec)
                 self.popups.append(popup)
                 self._active_by_pc[pc] = popup

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.core.analysis import TraceAnalyzer
 from repro.core.coloring import ColorAction, PairSequenceColorizer, ThresholdColorizer
 from repro.core.painter import GraphPainter
 from repro.errors import StethoscopeError
@@ -136,12 +137,9 @@ class ReplayController:
         """Most expensive instructions between two replay positions."""
         if not (0 <= start_position <= end_position <= len(self.events)):
             raise StethoscopeError("bad replay window")
-        window = [
-            e for e in self.events[start_position:end_position]
-            if e.status == "done"
-        ]
-        window.sort(key=lambda e: e.usec, reverse=True)
-        return window[:top]
+        return TraceAnalyzer(
+            self.events[start_position:end_position]
+        ).costly_instructions(top)
 
     def actions_so_far(self) -> List[ColorAction]:
         """Colour actions produced up to the current position."""

@@ -14,20 +14,13 @@ two-step parse lives in :mod:`repro.svg`, the importer for SVG files;
 from __future__ import annotations
 
 import os
+from functools import cached_property
 from typing import Callable, List, Optional
 
-from repro.core.analysis import (
-    costly_clusters,
-    detect_sequential_anomaly,
-    memory_by_operator,
-    parallelism_profile,
-    thread_utilization,
-)
-from repro.core.birdseye import render_birdseye, segment_trace
+from repro.core.analysis import TraceAnalyzer, render_birdseye
 from repro.core.coloring import ColorAction
 from repro.core.inspect import DebugWindow, tooltip_text
 from repro.core.mapping import PlanTraceMap
-from repro.core.microanalysis import TraceAnalyzer
 from repro.core.online import OnlineSession
 from repro.core.painter import GraphPainter
 from repro.core.pruning import prune_administrative
@@ -96,28 +89,20 @@ class OfflineSession:
             window.observe(event)
         return window
 
-    def birdseye(self, width: int = 72) -> str:
-        """The bird's-eye trace clustering band."""
-        return render_birdseye(segment_trace(self.events), width)
-
-    def analyzer(self) -> TraceAnalyzer:
-        """The micro-analysis interface over the full trace."""
+    @cached_property
+    def analysis(self) -> TraceAnalyzer:
+        """Every analysis view of the full trace, folded on first use."""
         return TraceAnalyzer(self.events)
 
-    def thread_utilization(self):
-        return thread_utilization(self.events)
+    def birdseye(self, width: int = 72) -> str:
+        """The bird's-eye trace clustering band."""
+        return render_birdseye(self.analysis.segments(), width)
 
-    def memory_by_operator(self):
-        return memory_by_operator(self.events)
+    def thread_utilization(self):
+        return self.analysis.thread_utilization()
 
     def costly_clusters(self, fraction: float = 0.8):
-        return costly_clusters(self.events, fraction)
-
-    def parallelism(self):
-        return parallelism_profile(self.events)
-
-    def sequential_anomaly(self, expected_threads: int):
-        return detect_sequential_anomaly(self.events, expected_threads)
+        return self.analysis.costly_clusters(fraction)
 
     # ------------------------------------------------------------------
     # display extensions
@@ -167,12 +152,6 @@ class OfflineSession:
         from repro.viz.minimap import Minimap
 
         return Minimap(self.space, columns, rows).render(self.view)
-
-    def memory_sparkline(self, width: int = 60) -> str:
-        """The rss-over-time sparkline of the trace."""
-        from repro.core.analysis import render_rss_sparkline
-
-        return render_rss_sparkline(self.events, width)
 
 
 class Stethoscope:

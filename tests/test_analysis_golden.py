@@ -25,19 +25,7 @@ import sys
 import pytest
 
 from repro import Database, Profiler, populate
-from repro.core.analysis import (
-    compare_traces,
-    costly_clusters,
-    costly_instructions,
-    detect_sequential_anomaly,
-    memory_by_operator,
-    parallelism_profile,
-    render_rss_sparkline,
-    rss_timeline,
-    thread_utilization,
-)
-from repro.core.birdseye import render_birdseye, segment_trace
-from repro.core.microanalysis import TraceAnalyzer
+from repro.core.analysis import TraceAnalyzer, render_birdseye
 from repro.mal.dataflow import SimulatedScheduler
 from repro.tpch import query_sql
 from repro.workloads import synthetic_plan, trace_for_program
@@ -87,58 +75,50 @@ OPERATOR_MEMORY = ("operator", "calls", "total_usec", "peak_rss_bytes",
                    "mean_rss_bytes")
 
 
-def window(events, start_usec, end_usec):
-    part = TraceAnalyzer(events).window(start_usec, end_usec)
+def window(fold, start_usec, end_usec):
+    part = fold.window(start_usec, end_usec)
     return {"summary": part.summary(),
             "per_instruction": plain(part.per_instruction())}
 
 
-def makespan(events):
-    return max((e.clock_usec for e in events), default=0)
-
-
-#: view name -> value of the view over (events, a baseline trace)
+#: view name -> value of the view over (a trace's fold, a baseline fold)
 VIEWS = {
-    "thread_utilization": lambda ev, base: plain(thread_utilization(ev)),
-    "per_operator": lambda ev, base: rows(
-        TraceAnalyzer(ev).per_operator(), OPERATOR_TIME),
-    "memory_by_operator": lambda ev, base: rows(
-        memory_by_operator(ev), OPERATOR_MEMORY),
-    "per_instruction": lambda ev, base: plain(
-        TraceAnalyzer(ev).per_instruction()),
-    "costly_instructions": lambda ev, base: plain(costly_instructions(ev)),
-    "costly_instructions(top=3)": lambda ev, base: plain(
-        costly_instructions(ev, top=3)),
-    "costly_clusters": lambda ev, base: plain(costly_clusters(ev)),
-    "costly_clusters(fraction=0.5)": lambda ev, base: plain(
-        costly_clusters(ev, fraction=0.5)),
-    "parallelism_profile": lambda ev, base: plain(parallelism_profile(ev)),
-    "sequential_anomaly(1)": lambda ev, base: plain(
-        detect_sequential_anomaly(ev, expected_threads=1)),
-    "sequential_anomaly(4)": lambda ev, base: plain(
-        detect_sequential_anomaly(ev, expected_threads=4)),
-    "rss_timeline": lambda ev, base: plain(rss_timeline(ev)),
-    "rss_timeline(buckets=7)": lambda ev, base: plain(
-        rss_timeline(ev, buckets=7)),
-    "rss_sparkline": lambda ev, base: render_rss_sparkline(ev),
-    "rss_sparkline(width=20)": lambda ev, base: render_rss_sparkline(
-        ev, width=20),
-    "compare(self)": lambda ev, base: plain(compare_traces(ev, ev)),
-    "compare(q1_w4)": lambda ev, base: plain(compare_traces(ev, base)),
-    "compare(q1_w4, reversed)": lambda ev, base: plain(
-        compare_traces(base, ev)),
-    "percentile": lambda ev, base: [
-        TraceAnalyzer(ev).percentile(q) for q in (0, 50, 95, 99, 100)],
-    "window(first half)": lambda ev, base: window(
-        ev, 0, makespan(ev) // 2),
-    "window(last three quarters)": lambda ev, base: window(
-        ev, makespan(ev) // 4, makespan(ev)),
-    "summary": lambda ev, base: TraceAnalyzer(ev).summary(),
-    "to_csv": lambda ev, base: TraceAnalyzer(ev).to_csv(),
-    "segments": lambda ev, base: plain(segment_trace(ev)),
-    "birdseye": lambda ev, base: render_birdseye(segment_trace(ev)),
-    "birdseye(width=40)": lambda ev, base: render_birdseye(
-        segment_trace(ev), width=40),
+    "thread_utilization": lambda t, base: plain(t.thread_utilization()),
+    "per_operator": lambda t, base: rows(t.per_operator(), OPERATOR_TIME),
+    "memory_by_operator": lambda t, base: rows(
+        t.memory_by_operator(), OPERATOR_MEMORY),
+    "per_instruction": lambda t, base: plain(t.per_instruction()),
+    "costly_instructions": lambda t, base: plain(t.costly_instructions()),
+    "costly_instructions(top=3)": lambda t, base: plain(
+        t.costly_instructions(top=3)),
+    "costly_clusters": lambda t, base: plain(t.costly_clusters()),
+    "costly_clusters(fraction=0.5)": lambda t, base: plain(
+        t.costly_clusters(fraction=0.5)),
+    "parallelism_profile": lambda t, base: plain(t.parallelism_profile()),
+    "sequential_anomaly(1)": lambda t, base: plain(
+        t.sequential_anomaly(expected_threads=1)),
+    "sequential_anomaly(4)": lambda t, base: plain(
+        t.sequential_anomaly(expected_threads=4)),
+    "rss_timeline": lambda t, base: plain(t.rss_timeline()),
+    "rss_timeline(buckets=7)": lambda t, base: plain(
+        t.rss_timeline(buckets=7)),
+    "rss_sparkline": lambda t, base: t.rss_sparkline(),
+    "rss_sparkline(width=20)": lambda t, base: t.rss_sparkline(width=20),
+    "compare(self)": lambda t, base: plain(t.compare(t)),
+    "compare(q1_w4)": lambda t, base: plain(t.compare(base)),
+    "compare(q1_w4, reversed)": lambda t, base: plain(base.compare(t)),
+    "percentile": lambda t, base: [
+        t.percentile(q) for q in (0, 50, 95, 99, 100)],
+    "window(first half)": lambda t, base: window(
+        t, 0, t.makespan_usec // 2),
+    "window(last three quarters)": lambda t, base: window(
+        t, t.makespan_usec // 4, t.makespan_usec),
+    "summary": lambda t, base: t.summary(),
+    "to_csv": lambda t, base: t.to_csv(),
+    "segments": lambda t, base: plain(t.segments()),
+    "birdseye": lambda t, base: render_birdseye(t.segments()),
+    "birdseye(width=40)": lambda t, base: render_birdseye(
+        t.segments(), width=40),
 }
 
 
@@ -148,8 +128,8 @@ def digest(value) -> str:
 
 
 def digests_of(traces):
-    base = traces["q1_w4"]
-    return {name: {view: digest(compute(events, base))
+    base = TraceAnalyzer(traces["q1_w4"])
+    return {name: {view: digest(compute(TraceAnalyzer(events), base))
                    for view, compute in VIEWS.items()}
             for name, events in traces.items()}
 
@@ -180,7 +160,8 @@ def test_the_traces_are_not_trivial(traces):
 @pytest.mark.parametrize("name", TRACES)
 @pytest.mark.parametrize("view", list(VIEWS))
 def test_view_unchanged(traces, golden, name, view):
-    value = VIEWS[view](traces[name], traces["q1_w4"])
+    value = VIEWS[view](TraceAnalyzer(traces[name]),
+                        TraceAnalyzer(traces["q1_w4"]))
     assert digest(value) == golden[name][view]
 
 

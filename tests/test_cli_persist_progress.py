@@ -166,6 +166,13 @@ class TestPopups:
         assert len(raised) == 1 and raised[0].pc == 5
         assert "still running" in raised[0].message()
 
+    def test_popup_reports_running_time_not_trace_clock(self):
+        manager = PopupManager(threshold_usec=100)
+        manager.observe(self.event(0, "start", 5, 5000))
+        (popup,) = manager.tick(5100)
+        assert (popup.started_at_usec, popup.raised_at_usec) == (5000, 5100)
+        assert "still running after 100 usec" in popup.message()
+
     def test_popup_not_duplicated(self):
         manager = PopupManager(threshold_usec=100)
         manager.observe(self.event(0, "start", 5, 0))

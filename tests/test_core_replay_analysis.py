@@ -3,15 +3,7 @@ micro-analysis — the Stethoscope's offline feature set."""
 
 import pytest
 
-from repro.core.analysis import (
-    costly_clusters,
-    costly_instructions,
-    detect_sequential_anomaly,
-    memory_by_operator,
-    parallelism_profile,
-    thread_utilization,
-)
-from repro.core.birdseye import render_birdseye, segment_trace
+from repro.core.analysis import TraceAnalyzer, render_birdseye
 from repro.core.coloring import ColorAction
 from repro.core.inspect import DebugWindow
 from repro.core.painter import GraphPainter
@@ -174,7 +166,7 @@ class TestAnalysis:
         ]
 
     def test_thread_utilization(self):
-        report = thread_utilization(self.parallel_trace())
+        report = TraceAnalyzer(self.parallel_trace()).thread_utilization()
         by_thread = {r.thread: r for r in report}
         assert by_thread[0].busy_usec == 150
         assert by_thread[1].busy_usec == 80
@@ -185,11 +177,11 @@ class TestAnalysis:
             make_event(0, "done", 0, module="algebra", rss=100),
             make_event(1, "done", 1, module="sql", rss=5000),
         ]
-        report = memory_by_operator(events)
+        report = TraceAnalyzer(events).memory_by_operator()
         assert report[0].operator.startswith("sql.")
 
     def test_costly_instructions_top(self):
-        top = costly_instructions(slow_trace(), top=2)
+        top = TraceAnalyzer(slow_trace()).costly_instructions(top=2)
         assert top[0].pc == 2
 
     def test_costly_clusters_adjacent_merge(self):
@@ -199,15 +191,15 @@ class TestAnalysis:
             make_event(2, "done", 9, usec=450),
             make_event(3, "done", 0, usec=1),
         ]
-        clusters = costly_clusters(events, fraction=0.95)
+        clusters = TraceAnalyzer(events).costly_clusters(fraction=0.95)
         spans = {c.span for c in clusters}
         assert (3, 4) in spans and (9, 9) in spans
 
     def test_costly_clusters_empty(self):
-        assert costly_clusters([]) == []
+        assert TraceAnalyzer().costly_clusters() == []
 
     def test_parallelism_profile(self):
-        profile = parallelism_profile(self.parallel_trace())
+        profile = TraceAnalyzer(self.parallel_trace()).parallelism_profile()
         assert profile.threads_used == 2
         assert profile.max_concurrency == 2
         assert profile.makespan_usec == 150
@@ -219,13 +211,14 @@ class TestAnalysis:
             make_event(0, "start", 0, thread=0),
             make_event(1, "done", 0, thread=0),
         ]
-        anomaly = detect_sequential_anomaly(events, expected_threads=4)
+        anomaly = TraceAnalyzer(events).sequential_anomaly(
+            expected_threads=4)
         assert anomaly.detected
         assert "dataflow" in anomaly.explanation
 
     def test_parallel_run_not_flagged(self):
-        anomaly = detect_sequential_anomaly(self.parallel_trace(),
-                                            expected_threads=2)
+        anomaly = TraceAnalyzer(self.parallel_trace()).sequential_anomaly(
+            expected_threads=2)
         assert not anomaly.detected
 
 
@@ -237,7 +230,7 @@ class TestBirdseye:
             make_event(2, "done", 2, module="algebra"),
             make_event(3, "done", 3, module="sql"),
         ]
-        segments = segment_trace(events)
+        segments = TraceAnalyzer(events).segments()
         assert [s.module for s in segments] == ["sql", "algebra", "sql"]
         assert segments[0].count == 2
 
@@ -246,20 +239,11 @@ class TestBirdseye:
             make_event(0, "done", 0, module="sql", usec=100),
             make_event(1, "done", 1, module="algebra", usec=900),
         ]
-        text = render_birdseye(segment_trace(events))
+        text = render_birdseye(TraceAnalyzer(events).segments())
         assert "algebra" in text and "90.0%" in text
 
     def test_render_empty(self):
         assert "empty" in render_birdseye([])
-
-    def test_min_segment_absorbs_noise(self):
-        events = [
-            make_event(0, "done", 0, module="sql"),
-            make_event(1, "done", 1, module="algebra"),
-            make_event(2, "done", 2, module="sql"),
-        ]
-        segments = segment_trace(events, min_segment=2)
-        assert len(segments) == 1
 
 
 class TestDebugWindow:

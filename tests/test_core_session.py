@@ -6,7 +6,7 @@ import gc
 import pytest
 
 from repro import Database, populate
-from repro.core.microanalysis import TraceAnalyzer
+from repro.core.analysis import TraceAnalyzer
 from repro.core.pruning import (
     ADMINISTRATIVE_FUNCTIONS,
     prune_administrative,
@@ -102,8 +102,13 @@ class TestOfflineSession:
         text = session.birdseye()
         assert "sql" in text and "algebra" in text
 
+    def test_analysis_is_folded_once_on_first_use(self, session):
+        assert "analysis" not in vars(session)
+        assert session.analysis is session.analysis
+        assert session.analysis.events == session.events
+
     def test_analyzer_summary(self, session):
-        summary = session.analyzer().summary()
+        summary = session.analysis.summary()
         assert summary["instructions"] == 8
         assert summary["events"] == 16
         assert summary["p95_usec"] >= summary["p50_usec"]
@@ -134,7 +139,7 @@ class TestOfflineSession:
         assert "." in text and "+" in text
 
     def test_memory_sparkline(self, session):
-        text = session.memory_sparkline(width=30)
+        text = session.analysis.rss_sparkline(width=30)
         assert "peak" in text
 
     def test_gradient_coloring(self, session):
@@ -268,31 +273,31 @@ class TestPruning:
 
 class TestMicroAnalysis:
     def test_per_instruction_sorted(self, session):
-        stats = session.analyzer().per_instruction()
+        stats = session.analysis.per_instruction()
         totals = [s.total_usec for s in stats]
         assert totals == sorted(totals, reverse=True)
 
     def test_per_operator_shares_sum_to_one(self, session):
-        operators = session.analyzer().per_operator()
+        operators = session.analysis.per_operator()
         assert sum(o.share for o in operators) == pytest.approx(1.0)
 
     def test_percentiles_ordered(self, session):
-        analyzer = session.analyzer()
+        analyzer = session.analysis
         assert analyzer.percentile(0) <= analyzer.percentile(50) <= \
             analyzer.percentile(100)
 
     def test_percentile_range_check(self, session):
         with pytest.raises(ValueError):
-            session.analyzer().percentile(150)
+            session.analysis.percentile(150)
 
     def test_window_slicing(self, session):
-        analyzer = session.analyzer()
+        analyzer = session.analysis
         full = analyzer.summary()["events"]
         half = analyzer.window(0, analyzer.summary()["makespan_usec"] // 2)
         assert half.summary()["events"] < full
 
     def test_csv_export(self, session):
-        csv = session.analyzer().to_csv()
+        csv = session.analysis.to_csv()
         lines = csv.splitlines()
         assert lines[0].startswith("pc,")
         assert len(lines) == 9  # header + 8 instructions
@@ -301,6 +306,11 @@ class TestMicroAnalysis:
         analyzer = TraceAnalyzer([])
         assert analyzer.summary()["events"] == 0
         assert analyzer.percentile(50) == 0
+
+    @pytest.mark.parametrize("q", [-1, 150])
+    def test_percentile_range_checked_on_an_empty_trace(self, q):
+        with pytest.raises(ValueError):
+            TraceAnalyzer([]).percentile(q)
 
 
 def _tpch_pair():

@@ -4,7 +4,7 @@ the resources")."""
 
 import pytest
 
-from repro.core.analysis import compare_traces
+from repro.core.analysis import TraceAnalyzer
 from repro.mal.dataflow import SimulatedScheduler
 from repro.mal.optimizer import default_pipe
 from repro.profiler import Profiler
@@ -32,7 +32,7 @@ def trace_with_workers(catalog, sql, workers):
     SimulatedScheduler(catalog, workers=workers, listener=profiler).run(
         program
     )
-    return profiler.events
+    return TraceAnalyzer(profiler.events)
 
 
 class TestInterference:
@@ -40,27 +40,27 @@ class TestInterference:
         sql = query_sql("q6")
         idle = trace_with_workers(catalog, sql, workers=4)
         loaded = trace_with_workers(catalog, sql, workers=1)
-        report = compare_traces(idle, loaded)
+        report = idle.compare(loaded)
         assert report.makespan_inflation > 1.5
 
     def test_same_conditions_no_inflation(self, catalog):
         sql = query_sql("q6")
         a = trace_with_workers(catalog, sql, workers=4)
         b = trace_with_workers(catalog, sql, workers=4)
-        report = compare_traces(a, b)
+        report = a.compare(b)
         assert report.makespan_inflation == pytest.approx(1.0)
 
     def test_per_operator_slowdowns_sorted(self, catalog):
         sql = query_sql("q1")
         idle = trace_with_workers(catalog, sql, workers=4)
         loaded = trace_with_workers(catalog, sql, workers=2)
-        report = compare_traces(idle, loaded)
+        report = idle.compare(loaded)
         slowdowns = [o.slowdown for o in report.operators]
         assert slowdowns == sorted(slowdowns, reverse=True)
         assert report.worst(3)[0].slowdown >= slowdowns[-1]
 
     def test_empty_traces(self):
-        report = compare_traces([], [])
+        report = TraceAnalyzer().compare(TraceAnalyzer())
         assert report.makespan_inflation == 1.0
         assert report.operators == []
 
@@ -70,6 +70,6 @@ class TestInterference:
         sql = query_sql("q6")
         idle = trace_with_workers(catalog, sql, workers=4)
         loaded = trace_with_workers(catalog, sql, workers=1)
-        report = compare_traces(idle, loaded)
+        report = idle.compare(loaded)
         for op in report.operators:
             assert op.slowdown == pytest.approx(1.0)

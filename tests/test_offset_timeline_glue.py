@@ -6,7 +6,7 @@ import io
 import pytest
 
 from repro.cli import main
-from repro.core.analysis import render_rss_sparkline, rss_timeline
+from repro.core.analysis import TraceAnalyzer
 from repro.mal import Interpreter
 from repro.profiler.events import TraceEvent
 from repro.sqlfe import compile_sql
@@ -46,28 +46,28 @@ class TestOffset:
 
 
 class TestRssTimeline:
-    def events(self):
-        return [
+    def analysis(self):
+        return TraceAnalyzer(
             TraceEvent(i, i * 100, "done", i, 0, 10, rss, "x := a.b();")
             for i, rss in enumerate([100, 500, 2000, 800, 300])
-        ]
+        )
 
     def test_timeline_monotone_clock(self):
-        timeline = rss_timeline(self.events(), buckets=10)
+        timeline = self.analysis().rss_timeline(buckets=10)
         clocks = [t for t, _v in timeline]
         assert clocks == sorted(clocks)
         assert len(timeline) == 10
 
     def test_peak_preserved(self):
-        timeline = rss_timeline(self.events(), buckets=10)
+        timeline = self.analysis().rss_timeline(buckets=10)
         assert max(v for _t, v in timeline) == 2000
 
     def test_empty(self):
-        assert rss_timeline([]) == []
-        assert "empty" in render_rss_sparkline([])
+        assert TraceAnalyzer().rss_timeline() == []
+        assert "empty" in TraceAnalyzer().rss_sparkline()
 
     def test_sparkline_shape(self):
-        text = render_rss_sparkline(self.events(), width=20)
+        text = self.analysis().rss_sparkline(width=20)
         assert "peak 2000 bytes" in text
         assert "@" in text  # the peak bucket reaches the top level
 

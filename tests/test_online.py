@@ -3,7 +3,7 @@ live Mserver — the paper's §4.2 multithreaded pipeline end to end."""
 
 import pytest
 
-from repro.core.analysis import detect_sequential_anomaly
+from repro.core.analysis import TraceAnalyzer
 from repro.core.session import Stethoscope
 from repro.core.textual import TextualStethoscope
 from repro.errors import StethoscopeError
@@ -127,6 +127,26 @@ class TestOnlineSession:
         session = Stethoscope.offline(result.dot_path, result.trace_path)
         assert session.trace_map.coverage() > 0
 
+    def test_live_analysis_equals_the_written_trace_file(self, server,
+                                                         tmp_path):
+        """The fold the monitor fed as events arrived gives the views an
+        offline analysis of the trace file it wrote gives."""
+        from repro.profiler import read_trace
+
+        result = self.run_online(
+            server, tmp_path,
+            "select count(*) from lineitem where l_quantity > 10",
+        )
+        assert not result.degraded
+        live = result.analysis
+        offline = TraceAnalyzer(read_trace(result.trace_path))
+        assert live.events == offline.events == result.events
+        for view in ("summary", "thread_utilization", "per_operator",
+                     "memory_by_operator", "per_instruction",
+                     "costly_clusters", "parallelism_profile", "segments",
+                     "rss_timeline", "to_csv"):
+            assert getattr(live, view)() == getattr(offline, view)(), view
+
     def test_display_painted(self, server, tmp_path):
         result = self.run_online(
             server, tmp_path, "select count(*) from customer",
@@ -182,6 +202,5 @@ class TestOnlineSession:
                                          str(tmp_path))
             result = session.run(timeout_s=20.0)
             textual.close()
-        anomaly = detect_sequential_anomaly(result.events,
-                                            expected_threads=2)
+        anomaly = result.analysis.sequential_anomaly(expected_threads=2)
         assert anomaly.detected

@@ -17,7 +17,7 @@ from repro import (
     populate,
     query_sql,
 )
-from repro.core.analysis import detect_sequential_anomaly
+from repro.core.analysis import TraceAnalyzer
 from repro.mal.dataflow import SimulatedScheduler
 from repro.profiler.events import TraceEvent
 from repro.viz.color import RED
@@ -173,7 +173,7 @@ class TestSection5Demos:
         """'Multi-core utilisation analysis exhibits degree of
         multi-threaded parallelization of MAL instructions.'"""
         session = offline_session(db, query_sql("q1"))
-        profile = session.parallelism()
+        profile = session.analysis.parallelism_profile()
         assert profile.threads_used > 1
         assert profile.max_concurrency > 1
 
@@ -190,8 +190,8 @@ class TestSection6Finding:
             db.execute(query_sql("q1"), listener=profiler)
         finally:
             db.set_pipeline("default_pipe")
-        anomaly = detect_sequential_anomaly(profiler.events,
-                                            expected_threads=4)
+        anomaly = TraceAnalyzer(profiler.events).sequential_anomaly(
+            expected_threads=4)
         assert anomaly.detected
 
     @pytest.mark.parametrize("query, pipeline, sequential", [
@@ -206,6 +206,6 @@ class TestSection6Finding:
         profiler = Profiler()
         SimulatedScheduler(db.catalog, workers=4,
                            listener=profiler).run(program)
-        anomaly = detect_sequential_anomaly(profiler.events,
-                                            expected_threads=4)
+        anomaly = TraceAnalyzer(profiler.events).sequential_anomaly(
+            expected_threads=4)
         assert anomaly.detected is sequential, anomaly.explanation
