@@ -8,7 +8,6 @@ from repro.core.replay import ReplayController
 from repro.dot import plan_to_graph
 from repro.layout import layout_graph
 from repro.viz import build_virtual_space
-from repro.viz.events import EventDispatchQueue
 from repro.workloads import synthetic_plan, trace_for_program
 
 PLAN = synthetic_plan(chains=60, chain_length=4)
@@ -18,7 +17,7 @@ SPACE_LAYOUT = layout_graph(plan_to_graph(PLAN))
 
 def fresh_replay(threshold=None):
     space = build_virtual_space(SPACE_LAYOUT)
-    painter = GraphPainter(space, EventDispatchQueue(min_interval_ms=150))
+    painter = GraphPainter(space)
     return ReplayController(EVENTS, painter, threshold)
 
 

@@ -10,13 +10,12 @@ RED signal timely.
 
 import os
 
-from repro.core.coloring import PairSequenceColorizer
+from repro.core.coloring import ColorAction, PairSequenceColorizer
 from repro.core.painter import GraphPainter
 from repro.dot import plan_to_graph
 from repro.layout import layout_graph
 from repro.viz import build_virtual_space
-from repro.viz.color import GREEN
-from repro.viz.events import EventDispatchQueue
+from repro.viz.color import GREEN, RED
 from repro.workloads import synthetic_plan, trace_for_program
 
 PLAN = synthetic_plan(chains=40, chain_length=4)
@@ -28,11 +27,12 @@ def test_e5_throughput_ceiling(benchmark, artifacts):
     """With a 150 ms interval, 100 renders need ~15 s of queue time."""
 
     def drain_hundred():
-        queue = EventDispatchQueue(min_interval_ms=150)
+        painter = GraphPainter(build_virtual_space(LAYOUT))
         for index in range(100):
-            queue.post(f"n{index}", lambda: None)
-        queue.drain()
-        return queue.clock_ms
+            # a painter ignores nodes outside the view: use plan pcs
+            painter.apply(ColorAction(index, RED, "ceiling"))
+        painter.flush()
+        return painter.clock_ms
 
     clock_ms = benchmark(drain_hundred)
     assert clock_ms >= 99 * 150
@@ -47,7 +47,7 @@ def test_e5_backlog_growth_under_stream(benchmark, artifacts):
 
     def stream_all():
         space = build_virtual_space(LAYOUT)
-        painter = GraphPainter(space, EventDispatchQueue(150))
+        painter = GraphPainter(space)
         colorizer = PairSequenceColorizer()
         for index, event in enumerate(EVENTS):
             painter.apply_all(colorizer.push(event))
@@ -68,7 +68,7 @@ def test_e5_sampling_keeps_backlog_bounded(benchmark, artifacts):
 
     def stream_sampled():
         space = build_virtual_space(LAYOUT)
-        painter = GraphPainter(space, EventDispatchQueue(150))
+        painter = GraphPainter(space)
         colorizer = PairSequenceColorizer()
         dropped = 0
         for index, event in enumerate(EVENTS):
@@ -93,14 +93,14 @@ def test_e5_latency_of_red_signal(benchmark):
 
     def red_latency():
         space = build_virtual_space(LAYOUT)
-        painter = GraphPainter(space, EventDispatchQueue(150))
+        painter = GraphPainter(space)
         colorizer = PairSequenceColorizer()
         for event in EVENTS[:200]:
             for action in colorizer.push(event):
                 if action.color != GREEN or painter.backlog() < 4:
                     painter.apply(action)
         painter.flush()
-        return painter.queue.max_latency_ms()
+        return painter.max_latency_ms()
 
     latency = benchmark(red_latency)
     assert latency >= 0

@@ -43,7 +43,6 @@ from repro.metrics.families import (
 )
 from repro.profiler.events import TraceEvent
 from repro.viz.color import GREEN
-from repro.viz.events import EventDispatchQueue
 from repro.viz.vspace import VirtualSpace, build_virtual_space
 
 
@@ -189,7 +188,6 @@ class OnlineResult:
         just watched, at leisure."""
         from repro.core.session import OfflineSession
         from repro.dot.writer import graph_to_dot
-        from repro.errors import StethoscopeError
 
         if self.graph is None:
             raise StethoscopeError("no plan was received during the run")
@@ -208,40 +206,31 @@ class OnlineSession:
         workdir: where the dot and trace files are written.
         backlog_threshold: render-queue backlog above which GREEN
             actions are sampled out.
-        render_interval_ms: the EDT pacing (the paper's ~150 ms).
     """
 
     def __init__(self, connection: ServerConnection,
                  run_query: Callable[[], Any],
                  workdir: str,
                  backlog_threshold: int = 32,
-                 render_interval_ms: float = 150.0,
                  popup_threshold_usec: int = 10_000) -> None:
         self.connection = connection
         self.run_query = run_query
         self.workdir = workdir
         self.backlog_threshold = backlog_threshold
-        self.render_interval_ms = render_interval_ms
         self.popup_threshold_usec = popup_threshold_usec
 
-    def run(self, timeout_s: float = 30.0, degraded_ok: bool = True,
+    def run(self, timeout_s: float = 30.0,
             settle_s: float = 0.5) -> OnlineResult:
         """Run listener, query and monitor threads until the stream ends.
 
-        With ``degraded_ok`` (the default), a stream damaged by UDP loss
-        — missing END marker, sequence gaps, duplicated or reordered
-        datagrams, an unparseable dot shipment — no longer raises or
-        mis-animates: the monitor exits once the query is finished and
-        the stream has been silent for ``settle_s``, normalises the
-        events it did receive (deduplicate, reorder by sequence,
-        interpolate lost starts), repaints the final coloring from the
-        clean stream, and reports a :class:`TraceHealth` with a
-        completeness score.  With ``degraded_ok=False`` the legacy
-        contract holds: a lost END marker raises ``StethoscopeError``.
-
-        Raises:
-            StethoscopeError: only when ``degraded_ok=False`` and the
-                stream never ended within the timeout.
+        A stream damaged by UDP loss — missing END marker, sequence
+        gaps, duplicated or reordered datagrams, an unparseable dot
+        shipment — neither raises nor mis-animates: the monitor exits
+        once the query is finished and the stream has been silent for
+        ``settle_s``, normalises the events it did receive (deduplicate,
+        reorder by sequence, interpolate lost starts), wipes the display
+        and repaints the final coloring from the clean stream, and
+        reports a :class:`TraceHealth` with a completeness score.
         """
         ONLINE_RUNS.inc()
         stop = threading.Event()
@@ -298,9 +287,7 @@ class OnlineSession:
                 else:
                     plan_damaged = False
                     space = build_virtual_space(layout_graph(graph))
-                    painter = GraphPainter(
-                        space, EventDispatchQueue(self.render_interval_ms)
-                    )
+                    painter = GraphPainter(space)
             if graph is not None and progress is None:
                 progress = ProgressWindow(plan_size=graph.node_count())
             new_events = self.connection.events[consumed:]
@@ -324,7 +311,7 @@ class OnlineSession:
                 self.connection.events
             ):
                 break
-            if degraded_ok and not query_thread.is_alive() and \
+            if not query_thread.is_alive() and \
                     time.monotonic() - last_activity > settle_s:
                 # query finished and the stream has gone quiet without
                 # an END marker — it was lost; do not wait out the full
@@ -336,10 +323,6 @@ class OnlineSession:
         query_thread.join(timeout=2.0)
         if query_err:
             raise query_err[0]
-        if not self.connection.ended and not degraded_ok:
-            raise StethoscopeError(
-                "online stream did not finish within the timeout"
-            )
         clean, health = analyze_stream(
             self.connection.events,
             trust_gaps=self.connection.dropped == 0,
@@ -355,15 +338,14 @@ class OnlineSession:
             clean, health.interpolated = interpolate_pairs(clean)
             if health.interpolated:
                 ONLINE_INTERPOLATED.inc(health.interpolated)
-            # repaint and re-fold from the normalised stream: a fresh
-            # colorizer, painter and analysis see the events as if they
-            # had arrived in order, so they match a clean run's
+            # repaint and re-fold from the normalised stream: the wiped
+            # display, a fresh colorizer and a fresh analysis see the
+            # events as if they had arrived in order, so they match a
+            # clean run's
             colorizer = PairSequenceColorizer()
             analysis = TraceAnalyzer(clean)
-            if space is not None:
-                painter = GraphPainter(
-                    space, EventDispatchQueue(self.render_interval_ms)
-                )
+            if painter is not None:
+                painter.reset()
             for event in clean:
                 actions = colorizer.push(event)
                 if painter is not None:

@@ -20,7 +20,6 @@ from repro.core.coloring import ColorAction, PairSequenceColorizer, ThresholdCol
 from repro.core.painter import GraphPainter
 from repro.errors import StethoscopeError
 from repro.profiler.events import TraceEvent
-from repro.viz.color import WHITE
 
 
 class ReplayController:
@@ -106,13 +105,7 @@ class ReplayController:
             raise StethoscopeError(
                 f"seek position {position} outside 0..{len(self.events)}"
             )
-        # wipe: repaint every previously coloured node back to white
-        self.painter.flush()
-        for node_id in list(self.painter.rendered):
-            shape = self.painter.space.shape_of(node_id)
-            shape.fill = WHITE
-        self.painter.rendered.clear()
-        self.painter.history.clear()
+        self.painter.reset()
         self._colorizer = self._fresh_colorizer()
         self.position = 0
         was_paused = self.paused

@@ -35,7 +35,6 @@ from repro.profiler.traceio import iter_trace
 # unused here, but benchmarks/e2e's tracer patches both names in this module
 from repro.svg import layout_to_svg, svg_to_graph  # noqa: F401
 from repro.viz.color import gradient_for
-from repro.viz.events import EventDispatchQueue
 from repro.viz.view import View
 from repro.viz.vspace import build_virtual_space
 
@@ -44,8 +43,7 @@ class OfflineSession:
     """An interactive analysis session over a dot file and a trace file."""
 
     def __init__(self, dot_text: str, events: List[TraceEvent],
-                 threshold_usec: Optional[int] = None,
-                 render_interval_ms: float = 150.0) -> None:
+                 threshold_usec: Optional[int] = None) -> None:
         self.graph: Digraph = parse_dot(dot_text)
         # before the layout: a trace of another plan fails in parse time
         self.trace_map = PlanTraceMap(self.graph, events)
@@ -53,9 +51,7 @@ class OfflineSession:
         self.space = build_virtual_space(self.layout)
         self.view = View(self.space)
         self.view.fit_all()
-        self.painter = GraphPainter(
-            self.space, EventDispatchQueue(render_interval_ms)
-        )
+        self.painter = GraphPainter(self.space)
         self.replay = ReplayController(events, self.painter, threshold_usec)
 
     # ------------------------------------------------------------------

@@ -491,7 +491,7 @@ MAPPING_LOOKUPS = REGISTRY.counter(
 )
 
 # --------------------------------------------------------------------------
-# repro.viz.events — the render queue
+# repro.core.painter — the render queue
 # --------------------------------------------------------------------------
 
 RENDER_TASKS_POSTED = REGISTRY.counter(

@@ -543,16 +543,19 @@ class Database:
                 pipeline_name = chosen
                 ADAPTIVE_DEADLINE_REROUTES.inc()
                 program, key = self._plan(sql, nsql, chosen, workers)
+        started = time.perf_counter_ns()
         execution = self.run_program(program, listener, context, workers)
+        # measured, not modelled: the reroute compares it with a deadline
+        wall_usec = (time.perf_counter_ns() - started) / 1000.0
         # Close the feedback loop: fold the completed trace into the
-        # stats store; the plan cache keeps the run's cost for display.
+        # stats store; the plan cache keeps the run's latency for display.
         scope = program.reads.scope
         self.stats_store.observe_program(program, execution.runs, scope)
         self.stats_store.observe_query(
             nsql, pipeline_name or self.pipeline_name,
-            workers or self.workers, execution.total_usec, scope)
+            workers or self.workers, wall_usec, scope)
         if key is not None:
-            self.plan_cache.observe(key, execution.total_usec)
+            self.plan_cache.observe(key, wall_usec)
         result_set = execution.first
         return QueryOutcome(
             kind="rows",

@@ -2,17 +2,16 @@
 
 The paper builds on ZGrviewer's zoomable interface: glyph objects for
 every shape/text/edge, a *virtual space* canvas, *camera* objects showing
-views at different zoom levels, lenses (fish-eye), animations, and the
-Java Event Dispatch Thread whose queuing limits node-rendering to roughly
-one recolour per 150 ms.  This package reproduces each of those concepts
-with a headless renderer (ASCII for terminals/tests, SVG for files)
-instead of a Swing window.
+views at different zoom levels, lenses (fish-eye) and animations.  The
+Java Event Dispatch Thread, whose queuing limits node-rendering to
+roughly one recolour per 150 ms, is :mod:`repro.core.painter`.  This
+package reproduces the rest with a headless renderer (ASCII for
+terminals/tests, SVG for files) instead of a Swing window.
 """
 
 from repro.viz.animation import Animation, Animator, ease_in_out, linear
 from repro.viz.camera import Camera
 from repro.viz.color import Color, GREEN, RED, WHITE
-from repro.viz.events import EventDispatchQueue, RenderTask
 from repro.viz.glyph import EdgeGlyph, Glyph, RectangleGlyph, TextGlyph
 from repro.viz.lens import FisheyeLens
 from repro.viz.minimap import Minimap
@@ -28,7 +27,6 @@ __all__ = [
     "Camera",
     "Color",
     "EdgeGlyph",
-    "EventDispatchQueue",
     "FisheyeLens",
     "GREEN",
     "Glyph",
@@ -37,7 +35,6 @@ __all__ = [
     "RasterImage",
     "RasterRenderer",
     "RectangleGlyph",
-    "RenderTask",
     "SvgRenderer",
     "TextGlyph",
     "View",

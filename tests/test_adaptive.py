@@ -6,6 +6,7 @@ management."""
 import json
 import os
 import tempfile
+import time
 import zlib
 
 import pytest
@@ -265,7 +266,9 @@ class TestPlanCacheObserve:
         db = _skewed_db(plan_cache_size=8)
         sql = "select a, b from t where a < 900 and b = 7"
         db.execute(sql)
-        outcome = db.execute(sql)
+        started = time.perf_counter_ns()
+        db.execute(sql)
+        wall_usec = (time.perf_counter_ns() - started) / 1000.0
         (entry,) = db.plan_cache.entries()
         assert entry["sql"] == normalize_sql(sql)
         assert entry["pipeline"] == "default_pipe"
@@ -273,7 +276,7 @@ class TestPlanCacheObserve:
         assert entry["tables"] == ["sys.t"]
         assert entry["hits"] == 1
         assert entry["age_s"] >= 0.0
-        assert entry["last_usec"] == outcome.execution.total_usec
+        assert 0.0 < entry["last_usec"] <= wall_usec  # measured
         assert set(entry) == {"sql", "pipeline", "workers", "tables",
                               "hits", "age_s", "last_usec"}
 
@@ -301,6 +304,24 @@ class TestDeadlineReroute:
         outcome = db.execute(sql, context=context)
         assert outcome.rows == expected
         assert ADAPTIVE_DEADLINE_REROUTES.value() == before + 1
+
+    def test_the_store_learns_measured_latency(self, monkeypatch):
+        """What the reroute compares with a wall-clock deadline is the
+        measured run time, never the modelled clock."""
+        db = _skewed_db(plan_cache_size=8)
+        # a model of one second per instruction
+        monkeypatch.setattr(db.cost_model, "cost_usec",
+                            lambda *args: 1_000_000)
+        sql = "select a, b from t where a < 900 and b = 7"
+        started = time.perf_counter_ns()
+        outcome = db.execute(sql)
+        wall_usec = (time.perf_counter_ns() - started) / 1000.0
+        assert outcome.execution.total_usec >= 1_000_000
+        variants = db.stats_store.query_variants(
+            normalize_sql(sql), 2, outcome.program.reads.scope)
+        assert 0.0 < variants["default_pipe"] <= wall_usec
+        (entry,) = db.plan_cache.entries()
+        assert 0.0 < entry["last_usec"] <= wall_usec
 
     def test_no_deadline_means_no_reroute(self):
         before = ADAPTIVE_DEADLINE_REROUTES.value()

@@ -194,15 +194,35 @@ class TestDegradedSession:
                 {n: c.to_hex()
                  for n, c in clean.painter.rendered.items()}
 
-    def test_degraded_false_still_raises(self, server, tmp_path):
-        from repro.errors import StethoscopeError
+    @pytest.mark.parametrize("order", (("s1", "d1", "s2", "d2"),
+                                       ("s1", "s2", "d1", "d2")))
+    def test_degraded_repaint_leaves_no_stale_colour(self, order, tmp_path):
+        """The live painter colours n1 RED when start 2 overtakes it; the
+        repaint from the in-order stream paints nothing, so the glyphs
+        must all be white again, as after the in-order run."""
 
+        def event(seq, status, pc):
+            return TraceEvent(event=seq, clock_usec=seq * 100,
+                              status=status, pc=pc, thread=0,
+                              usec=10 if status == "done" else 0,
+                              rss_bytes=1024, stmt=f"X_{pc} := algebra.op();")
+
+        stream = {"s1": event(0, "start", 1), "d1": event(1, "done", 1),
+                  "s2": event(2, "start", 2), "d2": event(3, "done", 2)}
         textual = TextualStethoscope()
-        connection = textual.connect("strict")
+        connection = textual.connect("finished")
+        connection.dot_lines = ['digraph g { n1 [label="a"];',
+                                'n2 [label="b"]; n1 -> n2 }']
+        connection.events = [stream[name] for name in order]
+        connection.ended = True
         session = OnlineSession(connection, lambda: None, str(tmp_path))
-        with pytest.raises(StethoscopeError):
-            session.run(timeout_s=0.5, degraded_ok=False)
+        result = session.run(timeout_s=5.0)
         textual.close()
+        assert result.degraded == (order[1] == "s2")
+        assert result.painter.rendered == {}
+        assert {node: result.space.shape_of(node).fill.to_hex()
+                for node in result.space.node_ids()} == \
+            {"n1": "#ffffff", "n2": "#ffffff"}
 
     def test_degraded_true_swallows_silent_stream(self, tmp_path):
         textual = TextualStethoscope()

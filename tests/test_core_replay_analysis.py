@@ -6,7 +6,7 @@ import pytest
 from repro.core.analysis import TraceAnalyzer, render_birdseye
 from repro.core.coloring import ColorAction
 from repro.core.inspect import DebugWindow
-from repro.core.painter import GraphPainter
+from repro.core.painter import RENDER_INTERVAL_MS, GraphPainter
 from repro.core.replay import ReplayController
 from repro.dot import plan_to_graph
 from repro.errors import StethoscopeError
@@ -14,7 +14,6 @@ from repro.layout import layout_graph
 from repro.mal.parser import parse_instruction_text
 from repro.profiler.events import TraceEvent
 from repro.viz.color import GREEN, RED, WHITE
-from repro.viz.events import EventDispatchQueue
 from repro.viz.vspace import build_virtual_space
 from repro.workloads import synthetic_plan, trace_for_program
 
@@ -53,7 +52,7 @@ def slow_trace():
 def painter():
     layout = layout_graph(plan_to_graph(parse_instruction_text(PLAN_TEXT)))
     space = build_virtual_space(layout)
-    return GraphPainter(space, EventDispatchQueue(min_interval_ms=150))
+    return GraphPainter(space)
 
 
 class TestPainter:
@@ -73,6 +72,48 @@ class TestPainter:
         painter.apply(ColorAction(999, RED, "t"))
         painter.flush()
         assert painter.color_of("n999") is None
+
+    def test_min_interval_enforced(self, painter):
+        for pc in range(5):
+            painter.apply(ColorAction(pc, RED, "t"))
+        assert painter.pump(0) == 1  # the first paints immediately
+        assert painter.color_of("n0") == RED
+        assert painter.color_of("n1") is None
+        assert painter.pump(RENDER_INTERVAL_MS - 1) == 0
+        assert painter.pump(RENDER_INTERVAL_MS) == 1
+        assert painter.color_of("n1") == RED
+        assert painter.pump(10_000) == 3
+        assert painter.backlog() == 0
+
+    def test_backlog_growth_when_overloaded(self, painter):
+        for index in range(100):
+            painter.apply(ColorAction(index % 5, RED, "t"))
+        painter.pump(1000)  # room for ~7 renders
+        assert painter.backlog() > 90
+
+    def test_flush_paints_everything(self, painter):
+        for index in range(10):
+            painter.apply(ColorAction(index % 5, RED, "t"))
+        assert painter.flush() == 10
+        assert painter.backlog() == 0
+        assert painter.clock_ms >= 9 * RENDER_INTERVAL_MS
+
+    def test_max_latency_reflects_queueing(self, painter):
+        for pc in range(5):
+            painter.apply(ColorAction(pc, RED, "t"))
+        painter.flush()
+        # the 5th waited 4 slots
+        assert painter.max_latency_ms() == 4 * RENDER_INTERVAL_MS
+
+    def test_reset_wipes_display_and_queue(self, painter):
+        painter.apply(ColorAction(1, RED, "t"))
+        painter.flush()
+        painter.apply(ColorAction(2, GREEN, "t"))  # still queued
+        painter.reset()
+        assert painter.rendered == {} and painter.history == []
+        assert painter.backlog() == 0
+        for node in painter.space.node_ids():
+            assert painter.space.shape_of(node).fill == WHITE
 
 
 class TestReplay:

@@ -309,17 +309,23 @@ class TestUdpInstrumentation:
 
 class TestRenderQueueInstrumentation:
     def test_post_and_execute_counted(self):
-        from repro.viz.events import EventDispatchQueue
+        from repro.core.coloring import ColorAction
+        from repro.core.painter import GraphPainter
+        from repro.dot.parser import parse_dot
+        from repro.layout import layout_graph
+        from repro.viz import RED, build_virtual_space
 
+        space = build_virtual_space(layout_graph(parse_dot(
+            'digraph g { n1 [label="a"]; n2 [label="b"]; n1 -> n2 }')))
         posted = counter_value(families.RENDER_TASKS_POSTED)
         executed = counter_value(families.RENDER_TASKS_EXECUTED)
         waits = families.RENDER_QUEUE_WAIT_MS.count()
-        q = EventDispatchQueue(min_interval_ms=150.0)
-        for i in range(3):
-            q.post(f"task{i}", lambda: None)
+        painter = GraphPainter(space)
+        for pc in (1, 2, 1):
+            painter.apply(ColorAction(pc, RED, "t"))
         assert counter_value(families.RENDER_TASKS_POSTED) == posted + 3
         assert counter_value(families.RENDER_QUEUE_DEPTH) == 3
-        q.drain()
+        painter.flush()
         assert counter_value(
             families.RENDER_TASKS_EXECUTED) == executed + 3
         assert counter_value(families.RENDER_QUEUE_DEPTH) == 0

@@ -120,7 +120,7 @@ class Recorder:
             "history": sha([[action.pc, action.color.to_hex(),
                              action.reason] for action in painter.history]),
             "pacing": sha({"backlogs": self.backlogs,
-                           "max_latency_ms": painter.queue.max_latency_ms(),
+                           "max_latency_ms": painter.max_latency_ms(),
                            "render_metrics": deltas}),
         }
 

@@ -1,4 +1,4 @@
-"""Tests for the visualization toolkit (glyphs, camera, queue, lens...)."""
+"""Tests for the visualization toolkit (glyphs, camera, lens...)."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.viz import (
     Animator,
     Camera,
     Color,
-    EventDispatchQueue,
     FisheyeLens,
     GREEN,
     RED,
@@ -137,45 +136,6 @@ class TestCamera:
     def test_bad_zoom_factor(self):
         with pytest.raises(VizError):
             Camera().zoom_in(0)
-
-
-class TestEventDispatchQueue:
-    def test_min_interval_enforced(self):
-        queue = EventDispatchQueue(min_interval_ms=150)
-        ran = []
-        for i in range(5):
-            queue.post(f"node {i}", lambda i=i: ran.append(i))
-        assert queue.run_until(0) == 1  # first runs immediately
-        assert queue.run_until(149) == 0
-        assert queue.run_until(150) == 1
-        assert queue.run_until(10_000) == 3
-        assert ran == [0, 1, 2, 3, 4]
-
-    def test_throughput_bound(self):
-        queue = EventDispatchQueue(min_interval_ms=150)
-        assert queue.throughput_per_second() == pytest.approx(1000 / 150)
-
-    def test_backlog_growth_when_overloaded(self):
-        queue = EventDispatchQueue(min_interval_ms=150)
-        for i in range(100):
-            queue.post(f"n{i}", lambda: None)
-        queue.run_until(1000)  # room for ~7 renders
-        assert queue.pending() > 90
-
-    def test_drain_flushes_everything(self):
-        queue = EventDispatchQueue(min_interval_ms=150)
-        for i in range(10):
-            queue.post(f"n{i}", lambda: None)
-        queue.drain()
-        assert queue.pending() == 0
-        assert queue.executed == 10
-
-    def test_max_latency_reflects_queueing(self):
-        queue = EventDispatchQueue(min_interval_ms=100)
-        for i in range(5):
-            queue.post(f"n{i}", lambda: None)
-        queue.drain()
-        assert queue.max_latency_ms() >= 300  # the 5th waited 4 slots
 
 
 class TestAnimator:
