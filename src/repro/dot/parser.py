@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import DotParseError
 from repro.dot.graph import Digraph
@@ -28,16 +28,18 @@ from repro.dot.graph import Digraph
 _TOKEN_RE = re.compile(
     r"""
     (?:\s+|//[^\n]*|\#[^\n]*|/\*.*?\*/)*        # blanks and comments, then
-    (?: ( "(?:\\.|[^"\\])*"                      # a token: a string,
-        | ->                                      #   an arrow,
-        | [A-Za-z_][A-Za-z_0-9]*|-?\d+(?:\.\d+)?  #   a name or a number,
-        | [{}\[\];,=]                             #   punctuation,
-        | $ )                                     #   '' at the end of the text;
-      | (.) )                                     # or a bad character
+    (?: ( [A-Za-z_][A-Za-z_0-9]*                 # a token: a name,
+        | [{}\[\];,=]                            #   punctuation,
+        | "[^"\\]*(?:\\.[^"\\]*)*"               #   a string (a run per escape),
+        | ->                                     #   an arrow,
+        | -?\d+(?:\.\d+)?                        #   a number,
+        | $ )                                    #   '' at the end of the text;
+      | (.) )                                    # or a bad character
     """,
     re.VERBOSE | re.DOTALL,
 )
 
+#: the keywords, lower case: DOT compares them case-independently
 _KEYWORDS = {"digraph", "graph", "subgraph", "node", "edge", "strict"}
 #: the token texts that are not a name, a number or a string
 _NOT_A_VALUE = {"", "->", "{", "}", "[", "]", ";", ",", "="}
@@ -55,10 +57,7 @@ def _tokenize(text: str) -> List[str]:
     bad = pieces[2::3]
     if any(bad):
         index = next(i for i, char in enumerate(bad) if char)
-        raise DotParseError(
-            f"line {_line_of(text, index)}: "
-            f"unexpected character {bad[index]!r}"
-        )
+        raise _error(text, index, f"unexpected character {bad[index]!r}")
     return pieces[1::3]
 
 
@@ -69,145 +68,174 @@ def _line_of(text: str, index: int) -> int:
     return text.count("\n", 0, match.end() - len(token)) + 1
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-        self.graph: Optional[Digraph] = None
-        self.node_defaults: Dict[str, str] = {}
-        self.edge_defaults: Dict[str, str] = {}
+def _error(text: str, index: int, message: str) -> DotParseError:
+    """``message`` behind the line of token ``index``."""
+    return DotParseError(f"line {_line_of(text, index)}: {message}")
 
-    def peek(self) -> str:
-        return self.tokens[self.index]
 
-    def error(self, message: str) -> DotParseError:
-        """``message`` behind the line of the token :meth:`peek` sees."""
-        line = _line_of(self.text, self.index)
-        return DotParseError(f"line {line}: {message}")
+def _unquote(token: str) -> str:
+    """What a string token says: no quotes, ``\\"``, ``\\n`` and
+    ``\\\\`` unescaped."""
+    body = token[1:-1]
+    if "\\" not in body:
+        return body
+    # one pass, left to right: between two escaped backslashes
+    # the only escapes left are \" and \n
+    return "\\".join(part.replace('\\"', '"').replace("\\n", "\n")
+                     for part in body.split("\\\\"))
 
-    def accept(self, text: str) -> bool:
-        """Step over the next token if it is ``text`` (never ``''``: the
-        end of the text is never stepped over)."""
-        if self.tokens[self.index] != text:
-            return False
-        self.index += 1
-        return True
 
-    def expect(self, text: str) -> None:
-        if not self.accept(text):
-            raise self.error(f"expected {text!r}, got {self.peek()!r}")
-
-    def value(self, what: str) -> str:
-        """Step over a name, number or string; what it says, unquoted."""
-        token = self.peek()
-        if token in _NOT_A_VALUE:
-            raise self.error(f"expected {what}, got {token!r}")
-        self.index += 1
-        if token[0] != '"':
-            return token
-        # one pass, left to right: between two escaped backslashes
-        # the only escapes left are \" and \n
-        return "\\".join(
-            part.replace('\\"', '"').replace("\\n", "\n")
-            for part in token[1:-1].split("\\\\"))
-
-    # ------------------------------------------------------------------
-
-    def parse(self) -> Digraph:
-        self.accept("strict")
-        header = self.peek()
-        if header in _NOT_A_VALUE or header[0] == '"':
-            raise self.error(f"expected 'name', got {header!r}")
-        if header != "digraph":
-            raise self.error("only 'digraph' graphs are supported")
-        self.index += 1
-        name = "G"
-        if self.peek() not in _NOT_A_VALUE:
-            name = self.value("graph name")
-        self.graph = Digraph(name)
-        self._parse_body()
-        if self.peek():
-            raise self.error(f"trailing input {self.peek()!r}")
-        return self.graph
-
-    def _parse_body(self) -> None:
-        self.expect("{")
-        while not self.accept("}"):
-            if not self.peek():
-                raise self.error("missing closing brace")
-            self._parse_statement()
-
-    def _parse_statement(self) -> None:
-        token = self.peek()
-        if token == "subgraph":
-            self.index += 1
-            if self.peek() not in _NOT_A_VALUE:
-                self.index += 1  # subgraph name, ignored (flattened)
-            self._parse_body()
-            self.accept(";")
-            return
-        if token in ("node", "edge", "graph"):
-            self.index += 1
-            attrs = self._parse_attr_list() or {}
-            if token == "node":
-                self.node_defaults.update(attrs)
-            elif token == "edge":
-                self.edge_defaults.update(attrs)
-            else:
-                self.graph.attrs.update(attrs)
-            self.accept(";")
-            return
-        first = self._parse_id()
-        if self.accept("="):
-            if self.peek() in _NOT_A_VALUE:
-                raise self.error("expected attribute value")
-            self.graph.attrs[first] = self.value("attribute value")
-            self.accept(";")
-            return
-        chain = [first]
-        while self.accept("->"):
-            chain.append(self._parse_id())
-        attrs = self._parse_attr_list()
-        if len(chain) == 1:
-            node = self.graph.ensure_node(first)
-            merged = dict(self.node_defaults)
-            merged.update(node.attrs)
-            merged.update(attrs or {})
-            node.attrs = merged
-        else:
-            for src, dst in zip(chain, chain[1:]):
-                for endpoint in (src, dst):
-                    if endpoint not in self.graph.nodes:
-                        self.graph.add_node(endpoint,
-                                            dict(self.node_defaults))
-                merged = dict(self.edge_defaults)
-                merged.update(attrs or {})
-                self.graph.add_edge(src, dst, merged)
-        self.accept(";")
-
-    def _parse_id(self) -> str:
-        if self.peek() in _KEYWORDS:
-            raise self.error(f"keyword {self.peek()!r} cannot be an id")
-        return self.value("node id")
-
-    def _parse_attr_list(self) -> Optional[Dict[str, str]]:
-        if not self.accept("["):
-            return None
-        attrs: Dict[str, str] = {}
-        while not self.accept("]"):
-            key = self.value("name or string")
-            self.expect("=")
-            attrs[key] = self.value("name or string")
-            self.accept(",")
-            self.accept(";")
-        return attrs
+def _attr_list(text: str, tokens: List[str], index: int):
+    """The attributes of the ``[...]`` list whose ``[`` is token
+    ``index``, and the index of the token after its ``]``."""
+    attrs: Dict[str, str] = {}
+    index += 1
+    while True:
+        key = tokens[index]
+        if key == "]":
+            return attrs, index + 1
+        if key in _NOT_A_VALUE:
+            raise _error(text, index,
+                         f"expected name or string, got {key!r}")
+        if tokens[index + 1] != "=":
+            raise _error(text, index + 1,
+                         f"expected '=', got {tokens[index + 1]!r}")
+        value = tokens[index + 2]
+        if value in _NOT_A_VALUE:
+            raise _error(text, index + 2,
+                         f"expected name or string, got {value!r}")
+        attrs[key if key[0] != '"' else _unquote(key)] = \
+            value if value[0] != '"' else _unquote(value)
+        index += 3
+        if tokens[index] == ",":
+            index += 1
+        if tokens[index] == ";":
+            index += 1
 
 
 def parse_dot(text: str) -> Digraph:
     """Parse dot text into a :class:`~repro.dot.graph.Digraph`.
 
+    One loop over the token texts; a subgraph's statements are read as
+    the parent's (flattened), so only the brace depth tells them apart.
+
     Raises:
         DotParseError: on syntax errors, with a line number.
     """
-    return _Parser(text).parse()
+    tokens = _tokenize(text)
+    index = 1 if tokens[0].lower() == "strict" else 0
+    header = tokens[index]
+    if header in _NOT_A_VALUE or header[0] == '"':
+        raise _error(text, index, f"expected 'name', got {header!r}")
+    if header.lower() != "digraph":
+        raise _error(text, index, "only 'digraph' graphs are supported")
+    index += 1
+    name = tokens[index]
+    if name in _NOT_A_VALUE:
+        name = "G"
+    else:
+        index += 1
+        if name[0] == '"':
+            name = _unquote(name)
+    graph = Digraph(name)
+    nodes = graph.nodes
+    node_defaults: Dict[str, str] = {}
+    edge_defaults: Dict[str, str] = {}
+    token = tokens[index]
+    if token != "{":
+        raise _error(text, index, f"expected '{{', got {token!r}")
+    index += 1
+    depth = 1  # braces open
+    while True:
+        token = tokens[index]
+        if token == "}":
+            index += 1
+            depth -= 1
+            if not depth:
+                break
+            if tokens[index] == ";":  # after a subgraph's body
+                index += 1
+            continue
+        if not token:
+            raise _error(text, index, "missing closing brace")
+        keyword = token.lower()
+        if keyword == "subgraph":
+            index += 1
+            if tokens[index] not in _NOT_A_VALUE:
+                index += 1  # subgraph name, ignored (flattened)
+            if tokens[index] != "{":
+                raise _error(text, index,
+                             f"expected '{{', got {tokens[index]!r}")
+            index += 1
+            depth += 1
+            continue
+        if keyword == "node" or keyword == "edge" or keyword == "graph":
+            index += 1
+            if tokens[index] == "[":
+                attrs, index = _attr_list(text, tokens, index)
+                if keyword == "node":
+                    node_defaults.update(attrs)
+                elif keyword == "edge":
+                    edge_defaults.update(attrs)
+                else:
+                    graph.attrs.update(attrs)
+            if tokens[index] == ";":
+                index += 1
+            continue
+        # a node, an edge chain or a graph attribute: ID first
+        chain = []
+        while True:
+            if token.lower() in _KEYWORDS:
+                raise _error(text, index,
+                             f"keyword {token!r} cannot be an id")
+            if token in _NOT_A_VALUE:
+                raise _error(text, index, f"expected node id, got {token!r}")
+            chain.append(token if token[0] != '"' else _unquote(token))
+            index += 1
+            if tokens[index] != "->":
+                break
+            index += 1
+            token = tokens[index]
+        first = chain[0]
+        if len(chain) == 1 and tokens[index] == "=":
+            index += 1
+            value = tokens[index]
+            if value in _NOT_A_VALUE:
+                raise _error(text, index, "expected attribute value")
+            graph.attrs[first] = \
+                value if value[0] != '"' else _unquote(value)
+            index += 1
+        else:
+            attrs = None
+            if tokens[index] == "[":
+                attrs, index = _attr_list(text, tokens, index)
+            if len(chain) == 1:
+                node = nodes.get(first)
+                if node is None:
+                    merged = dict(node_defaults)
+                    if attrs:
+                        merged.update(attrs)
+                    graph.add_node(first, merged)
+                else:
+                    merged = dict(node_defaults)
+                    merged.update(node.attrs)
+                    if attrs:
+                        merged.update(attrs)
+                    node.attrs = merged
+            else:
+                merged = dict(edge_defaults)
+                if attrs:
+                    merged.update(attrs)
+                src = first
+                for dst in chain[1:]:
+                    if src not in nodes:
+                        graph.add_node(src, node_defaults)
+                    if dst not in nodes:
+                        graph.add_node(dst, node_defaults)
+                    graph.add_edge(src, dst, merged)
+                    src = dst
+        if tokens[index] == ";":
+            index += 1
+    if tokens[index]:
+        raise _error(text, index, f"trailing input {tokens[index]!r}")
+    return graph

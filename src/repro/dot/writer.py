@@ -78,8 +78,9 @@ def _quote(value: str) -> str:
     graph name all go through here.
     """
     text = str(value)
-    # a bare keyword is syntax to the parser where an id may stand
-    if _BARE.fullmatch(text) and text not in _KEYWORDS:
+    # a bare keyword, in any case, is syntax to the parser where an id
+    # may stand
+    if _BARE.fullmatch(text) and text.lower() not in _KEYWORDS:
         return text
     escaped = text.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'

@@ -213,6 +213,30 @@ class TestParser:
             parse_dot(text)
         assert str(caught.value) == message
 
+    def test_keywords_are_case_independent(self):
+        """DOT keywords match in any case: ``Node [...]`` sets node
+        defaults (it is not a node named Node), ``DiGraph`` opens a
+        graph, ``SubGraph`` is flattened."""
+        graph = parse_dot('STRICT DiGraph G { GRAPH [rankdir=LR]; '
+                          'Node [shape=box]; EDGE [color=red]; '
+                          'SubGraph s { a; } a -> b; }')
+        assert list(graph.nodes) == ["a", "b"]
+        assert graph.attrs == {"rankdir": "LR"}
+        assert graph.node("a").attrs == {"shape": "box"}
+        assert graph.node("b").attrs == {"shape": "box"}
+        assert [e.attrs for e in graph.edges] == [{"color": "red"}]
+        assert parse_dot('digraph { "Node" [shape=box]; }').has_node("Node")
+
+    @pytest.mark.parametrize("text, message", [
+        ("digraph { a -> Node; }", "line 1: keyword 'Node' cannot be an id"),
+        ("digraph { DIGRAPH; }", "line 1: keyword 'DIGRAPH' cannot be an id"),
+        ("Graph { }", "line 1: only 'digraph' graphs are supported"),
+    ])
+    def test_keyword_in_any_case_is_not_an_id(self, text, message):
+        with pytest.raises(DotParseError) as caught:
+            parse_dot(text)
+        assert str(caught.value) == message
+
     def test_large_generated_graph(self):
         lines = ["digraph big {"]
         for i in range(1500):
@@ -229,6 +253,7 @@ class TestParser:
 #: (not a newline) included
 _TEXT = st.one_of(
     st.sampled_from(["a-b", "0X", "1e", "n 1", "node", "strict", "007",
+                     "Node", "EDGE", "SubGraph", "diGraph",
                      "", "-1", "1.5", 'say "hi"', "back\\slash", "a\nb",
                      "a\\nb", "a\\\\nb", '\\"n']),
     st.text(alphabet=st.sampled_from('ab_09 -.\\"{}[];,=#/*>\n\r\u00e9'),
@@ -252,6 +277,8 @@ class TestRoundTrip:
     @example(name="G", graph_attrs={}, nodes={"a": {"label": "0X"}},
              data=None)
     @example(name="G", graph_attrs={}, nodes={"n 1": {}}, data=None)
+    @example(name="Graph", graph_attrs={"Edge": "NODE"}, data=None,
+             nodes={"Node": {"Strict": "x"}})
     @example(name="G", graph_attrs={}, data=None,
              nodes={"n0": {"label": 'X_1 := algebra.likeselect(X_0,"a\\nb");'}})
     @settings(max_examples=300, deadline=None)
