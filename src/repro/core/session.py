@@ -132,7 +132,7 @@ class OfflineSession:
 
     def save_svg(self, path: str) -> None:
         """Write the display (current colours) as an SVG file."""
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.view.render_svg())
 
     def save_screenshot(self, path: str, width: int = 1280,
@@ -163,7 +163,7 @@ class Stethoscope:
             raise StethoscopeError(f"no dot file at {dot_path!r}")
         if not os.path.exists(trace_path):
             raise StethoscopeError(f"no trace file at {trace_path!r}")
-        with open(dot_path) as handle:
+        with open(dot_path, encoding="utf-8") as handle:
             dot_text = handle.read()
         events = list(iter_trace(trace_path))
         return OfflineSession(dot_text, events, threshold_usec)

@@ -78,7 +78,7 @@ class ServerConnection:
 
     def write_trace_file(self, path: str) -> int:
         """Dump collected (filtered) events to a trace file."""
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             for event in self.events:
                 handle.write(format_event(event) + "\n")
         return len(self.events)
@@ -86,7 +86,7 @@ class ServerConnection:
     def write_dot_file(self, path: str) -> None:
         """Dump the received dot content to a file (paper: "generates a
         new dot file, and stores the content in it")."""
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.dot_text() + "\n")
 
     def close(self) -> None:

@@ -45,7 +45,7 @@ class Profiler:
 
     def attach_file(self, path: str) -> None:
         """Stream matching events to a trace file (line per event)."""
-        handle = open(path, "w")
+        handle = open(path, "w", encoding="utf-8")
 
         def sink(event: TraceEvent) -> None:
             handle.write(format_event(event) + "\n")

@@ -16,7 +16,7 @@ from repro.profiler.events import TraceEvent, format_event, parse_event
 def write_trace(events: Iterable[TraceEvent], path: str) -> int:
     """Write events to a trace file, one line each; returns line count."""
     count = 0
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         for event in events:
             handle.write(format_event(event) + "\n")
             count += 1
@@ -35,7 +35,7 @@ def read_trace(path: str) -> List[TraceEvent]:
 def iter_trace(path: str) -> Iterator[TraceEvent]:
     """Stream a trace file sequentially — the paper's workflow reads the
     trace "in a sequential manner"."""
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped:

@@ -2,6 +2,9 @@
 micro-analysis, tooltips, gradient colouring."""
 
 import gc
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -203,6 +206,61 @@ class TestOfflineFiles:
         with pytest.raises(StethoscopeError):
             Stethoscope.offline(str(tmp_path / "no.dot"),
                                 str(tmp_path / "no.trace"))
+
+
+#: the tool's file round trip, run under the C locale: every file it
+#: writes and reads holds a plan whose text is not ASCII
+_UTF8_ROUND_TRIP = """
+import locale, os, sys
+from repro import Database, Profiler, Stethoscope, plan_to_dot, populate
+from repro.core.textual import ServerConnection
+from repro.profiler import read_trace, write_trace
+
+def path(name):
+    return os.path.join(sys.argv[1], name)
+
+print(locale.getpreferredencoding(False))
+database = Database()
+populate(database.catalog, scale_factor=0.01, seed=1)
+profiler = Profiler()
+profiler.attach_file(path("live.trace"))
+program = database.execute(
+    "select count(*) from lineitem where l_comment = 'caf\\u00e9'",
+    listener=profiler).program
+database.close()
+write_trace(profiler.events, path("written.trace"))
+connection = ServerConnection("s", receiver=None)
+connection.events = profiler.events
+connection.dot_lines = plan_to_dot(program).splitlines()
+connection.write_trace_file(path("plan.trace"))
+connection.write_dot_file(path("plan.dot"))
+for name in ("live.trace", "written.trace"):
+    assert read_trace(path(name)) == profiler.events, name
+session = Stethoscope.offline(path("plan.dot"), path("plan.trace"))
+session.replay.run_to_end()
+session.save_svg(path("plan.svg"))
+"""
+
+
+class TestUtf8Files:
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        """The dot, trace and SVG files are UTF-8 under the C locale
+        too: ``save_svg`` declares ``encoding="UTF-8"``, and a plan
+        whose text is not ASCII writes and opens."""
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+        env.update(PYTHONCOERCECLOCALE="0", LC_ALL="C",
+                   PYTHONPATH=os.path.dirname(session_module.__file__)
+                   .rsplit(os.sep, 2)[0])
+        child = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c", _UTF8_ROUND_TRIP,
+             str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        if child.stdout.split()[0].lower().replace("-", "") == "utf8":
+            pytest.skip("this platform gives the C locale UTF-8")
+        with open(tmp_path / "plan.svg", "rb") as handle:
+            assert "caf\u00e9" in handle.read().decode("utf-8")
 
 
 class TestPruning:
