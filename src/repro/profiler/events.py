@@ -82,14 +82,15 @@ def parse_event(line: str) -> TraceEvent:
     match = _LINE_RE.match(line.strip())
     if match is None:
         raise TraceFormatError(f"bad trace line: {line!r}")
-    stmt = match.group(8).replace('\\"', '"').replace("\\\\", "\\")
-    return TraceEvent(
-        event=int(match.group(1)),
-        clock_usec=int(match.group(2)),
-        status=match.group(3),
-        pc=int(match.group(4)),
-        thread=int(match.group(5)),
-        usec=int(match.group(6)),
-        rss_bytes=int(match.group(7)),
-        stmt=stmt,
-    )
+    number, clock, status, pc, thread, usec, rss, stmt = match.groups()
+    if "\\" in stmt:
+        stmt = stmt.replace('\\"', '"').replace("\\\\", "\\")
+    event = object.__new__(TraceEvent)
+    # the state TraceEvent(...) would set, in one update instead of a
+    # frozen __init__'s eight object.__setattr__ calls
+    vars(event).update(
+        event=int(number), clock_usec=int(clock), status=status,
+        pc=int(pc), thread=int(thread), usec=int(usec),
+        rss_bytes=int(rss), stmt=stmt)
+    return event
+
