@@ -19,6 +19,16 @@ from repro.svg.model import SvgEdge, SvgNode, SvgScene
 #: these, escaped or not, is not well-formed and no parser opens it
 _NOT_XML_CHAR = re.compile(
     "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+#: a character element content cannot hold as it is: one XML forbids,
+#: markup (``&<>``) or a carriage return
+_TEXT_NEEDS_WORK = re.compile(
+    "[^\t\n\x20-\x25\x27-\x3b\x3d\x3f-\ud7ff\ue000-\ufffd"
+    "\U00010000-\U0010ffff]")
+#: the same for a double-quoted attribute value: also ``"``, a tab and
+#: a newline, which ``quoteattr`` writes as references
+_ATTR_NEEDS_WORK = re.compile(
+    "[^\x20\x21\x23-\x25\x27-\x3b\x3d\x3f-\ud7ff\ue000-\ufffd"
+    "\U00010000-\U0010ffff]")
 
 
 def xml_text(value: str) -> str:
@@ -26,11 +36,15 @@ def xml_text(value: str) -> str:
     forbids (a MAL string literal can hold one) replaced by U+FFFD, a
     carriage return as ``&#13;`` (a parser reads a raw one as ``\\n``;
     ``quoteattr`` already writes it so)."""
+    if _TEXT_NEEDS_WORK.search(value) is None:
+        return value
     return escape(_NOT_XML_CHAR.sub("\ufffd", value), {"\r": "&#13;"})
 
 
 def xml_attr(value: str) -> str:
     """``value`` as a quoted attribute value, the same way."""
+    if _ATTR_NEEDS_WORK.search(value) is None:
+        return f'"{value}"'
     return quoteattr(_NOT_XML_CHAR.sub("\ufffd", value))
 
 

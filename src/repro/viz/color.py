@@ -9,6 +9,7 @@ times* as planned future work — :meth:`Color.lerp` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import VizError
 
@@ -42,6 +43,12 @@ class Color:
             raise VizError(f"bad hex colour {text!r}") from None
 
     def to_hex(self) -> str:
+        return self._hex
+
+    @cached_property
+    def _hex(self) -> str:
+        # formatted once per colour: a display writes the same few
+        # colours thousands of times
         return f"#{self.r:02x}{self.g:02x}{self.b:02x}"
 
     def lerp(self, other: "Color", t: float) -> "Color":

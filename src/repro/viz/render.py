@@ -134,42 +134,39 @@ class SvgRenderer:
         width = max(right - left, 1.0) + 20
         height = max(bottom - top, 1.0) + 20
         dx, dy = 10 - left, 10 - top
-        parts = [
-            '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '
-            f'height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">',
-        ]
+        # one pass over the glyphs; edges are drawn first, under the nodes
+        edges: List[str] = []
+        nodes: List[str] = []
         for glyph in space:
             if not glyph.visible:
                 continue
             if isinstance(glyph, EdgeGlyph):
-                points = " ".join(
-                    f"{x + dx:.1f},{y + dy:.1f}" for x, y in glyph.points
-                )
-                parts.append(
+                points = " ".join([f"{x + dx:.1f},{y + dy:.1f}"
+                                   for x, y in glyph.points])
+                edges.append(
                     f'  <polyline class="edge" '
                     f'data-src={xml_attr(glyph.src or "")} '
                     f'data-dst={xml_attr(glyph.dst or "")} '
                     f'points="{points}" fill="none" '
                     f'stroke="{glyph.color.to_hex()}"/>'
                 )
-        for glyph in space:
-            if not glyph.visible:
-                continue
-            if isinstance(glyph, RectangleGlyph):
-                glyph_left, glyph_top, _r, _b = glyph.bounds()
-                parts.append(
+            elif isinstance(glyph, RectangleGlyph):
+                nodes.append(
                     f'  <rect id={xml_attr(glyph.glyph_id)} '
-                    f'x="{glyph_left + dx:.1f}" y="{glyph_top + dy:.1f}" '
+                    f'x="{glyph.x - glyph.width / 2 + dx:.1f}" '
+                    f'y="{glyph.y - glyph.height / 2 + dy:.1f}" '
                     f'width="{glyph.width:.1f}" height="{glyph.height:.1f}" '
                     f'fill="{glyph.fill.to_hex()}" '
                     f'stroke="{glyph.stroke.to_hex()}"/>'
                 )
             elif isinstance(glyph, TextGlyph):
-                parts.append(
+                nodes.append(
                     f'  <text x="{glyph.x + dx:.1f}" y="{glyph.y + dy:.1f}" '
                     f'text-anchor="middle" font-family="monospace" '
                     f'font-size="11">{xml_text(glyph.text)}</text>'
                 )
-        parts.append("</svg>")
-        return "\n".join(parts)
+        return "\n".join([
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '
+            f'height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">',
+            *edges, *nodes, "</svg>"])

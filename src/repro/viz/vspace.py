@@ -7,7 +7,6 @@ views at different zoom levels, in a virtual space."
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import VizError
@@ -81,46 +80,70 @@ class VirtualSpace:
         return None
 
     def bounds(self):
-        """Bounding box of all visible glyphs (left, top, right, bottom)."""
-        left = top = math.inf
-        right = bottom = -math.inf
+        """Bounding box of all visible glyphs (left, top, right, bottom):
+        the union of their ``bounds()``, with the three glyph kinds'
+        arithmetic written out in one pass."""
+        lefts: List[float] = []
+        tops: List[float] = []
+        rights: List[float] = []
+        bottoms: List[float] = []
         for glyph in self._glyphs.values():
             if not glyph.visible:
                 continue
-            g_left, g_top, g_right, g_bottom = glyph.bounds()
-            if g_left < left:
-                left = g_left
-            if g_top < top:
-                top = g_top
-            if g_right > right:
-                right = g_right
-            if g_bottom > bottom:
-                bottom = g_bottom
-        if left > right:  # nothing visible
+            if isinstance(glyph, EdgeGlyph):
+                if glyph.points:
+                    xs, ys = zip(*glyph.points)
+                    lefts += xs
+                    rights += xs
+                    tops += ys
+                    bottoms += ys
+                    continue
+            elif isinstance(glyph, RectangleGlyph):
+                x, y = glyph.x, glyph.y
+                half_width, half_height = glyph.width / 2, glyph.height / 2
+                lefts.append(x - half_width)
+                rights.append(x + half_width)
+                tops.append(y - half_height)
+                bottoms.append(y + half_height)
+                continue
+            elif isinstance(glyph, TextGlyph):
+                x, y = glyph.x, glyph.y
+                half_width = max(len(glyph.text) * 3.5, 1.0)
+                lefts.append(x - half_width)
+                rights.append(x + half_width)
+                tops.append(y - 8)
+                bottoms.append(y + 8)
+                continue
+            left, top, right, bottom = glyph.bounds()
+            lefts.append(left)
+            rights.append(right)
+            tops.append(top)
+            bottoms.append(bottom)
+        if not lefts:  # nothing visible
             return (0.0, 0.0, 0.0, 0.0)
-        return (left, top, right, bottom)
+        return (min(lefts), min(tops), max(rights), max(bottoms))
 
 
 def build_virtual_space(layout: Layout, name: str = "plan") -> VirtualSpace:
     """Build the glyph scene for a laid-out plan.
 
     Exactly as the paper describes for ZGrviewer: one shape glyph and one
-    text glyph per node, one edge glyph per edge.
+    text glyph per node, one edge glyph per edge.  A layout's node ids
+    are unique, so the glyph ids go straight into the space's index.
     """
     space = VirtualSpace(name)
+    glyphs = space._glyphs
     for edge_index, edge in enumerate(layout.edges):
-        space.add(EdgeGlyph(
-            glyph_id=f"edge:{edge_index}",
-            points=edge.points,
-            src=edge.src, dst=edge.dst,
-        ))
+        glyph_id = f"edge:{edge_index}"
+        glyphs[glyph_id] = EdgeGlyph(glyph_id, points=edge.points,
+                                     src=edge.src, dst=edge.dst)
     for node in layout.nodes.values():
-        space.add(RectangleGlyph(
-            glyph_id=f"shape:{node.node_id}", x=node.x, y=node.y,
-            width=node.width, height=node.height, owner=node.node_id,
-        ))
-        space.add(TextGlyph(
-            glyph_id=f"text:{node.node_id}", x=node.x, y=node.y,
-            text=node.label, owner=node.node_id,
-        ))
+        node_id = node.node_id
+        glyph_id = f"shape:{node_id}"
+        glyphs[glyph_id] = RectangleGlyph(
+            glyph_id, x=node.x, y=node.y, width=node.width,
+            height=node.height, owner=node_id)
+        glyph_id = f"text:{node_id}"
+        glyphs[glyph_id] = TextGlyph(glyph_id, x=node.x, y=node.y,
+                                     text=node.label, owner=node_id)
     return space

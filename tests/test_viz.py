@@ -1,6 +1,8 @@
 """Tests for the visualization toolkit (glyphs, camera, lens...)."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.dot import plan_to_graph
 from repro.errors import VizError
@@ -20,6 +22,7 @@ from repro.viz import (
     build_virtual_space,
 )
 from repro.viz.color import gradient_for
+from repro.viz.glyph import EdgeGlyph, TextGlyph
 
 PLAN_TEXT = """
     X_1 := sql.mvc();
@@ -97,6 +100,36 @@ class TestVirtualSpace:
     def test_bounds_nonempty(self, space):
         left, top, right, bottom = space.bounds()
         assert right > left and bottom > top
+
+
+_COORD = st.floats(-1e4, 1e4)
+_GLYPHS = st.lists(st.one_of(
+    st.builds(RectangleGlyph, st.just(""), st.booleans(), _COORD, _COORD,
+              st.floats(-500, 500), st.floats(-500, 500)),
+    st.builds(TextGlyph, st.just(""), st.booleans(), _COORD, _COORD,
+              st.text(max_size=30)),
+    st.builds(EdgeGlyph, st.just(""), st.booleans(),
+              st.lists(st.tuples(_COORD, _COORD), max_size=5)),
+), max_size=12)
+
+
+def reference_bounds(glyphs):
+    """The union of every visible glyph's own ``bounds()``."""
+    boxes = [glyph.bounds() for glyph in glyphs if glyph.visible]
+    if not boxes:
+        return (0.0, 0.0, 0.0, 0.0)
+    lefts, tops, rights, bottoms = zip(*boxes)
+    return (min(lefts), min(tops), max(rights), max(bottoms))
+
+
+@given(_GLYPHS)
+@settings(max_examples=300, deadline=None)
+def test_space_bounds_are_the_union_of_glyph_bounds(glyphs):
+    space = VirtualSpace()
+    for index, glyph in enumerate(glyphs):
+        glyph.glyph_id = f"g{index}"
+        space.add(glyph)
+    assert space.bounds() == reference_bounds(glyphs)
 
 
 class TestCamera:
