@@ -51,19 +51,27 @@ class GraphPainter:
 
     def apply(self, action: ColorAction) -> None:
         """Queue one colour action for rendering."""
-        node_id = action.node_id
-        if f"shape:{node_id}" not in self.space:
-            # colouring a node that is not in the (possibly pruned) view
-            # is a no-op, matching ZGrviewer's behaviour for hidden glyphs
-            return
-        self.history.append(action)
-        self._queue.append((node_id, action.color, self.clock_ms))
-        RENDER_TASKS_POSTED.inc()
-        RENDER_QUEUE_DEPTH.set(len(self._queue))
+        self.apply_all((action,))
 
     def apply_all(self, actions) -> None:
+        """Queue colour actions for rendering, in order; the queue
+        metrics are updated once for the batch."""
+        space = self.space
+        queue = self._queue
+        posted = len(queue)
         for action in actions:
-            self.apply(action)
+            node_id = action.node_id
+            if f"shape:{node_id}" not in space:
+                # colouring a node that is not in the (possibly pruned)
+                # view is a no-op, matching ZGrviewer's behaviour for
+                # hidden glyphs
+                continue
+            self.history.append(action)
+            queue.append((node_id, action.color, self.clock_ms))
+        posted = len(queue) - posted
+        if posted:
+            RENDER_TASKS_POSTED.inc(posted)
+            RENDER_QUEUE_DEPTH.set(len(queue))
 
     def pump(self, clock_ms: float) -> int:
         """Advance time to ``clock_ms``, painting what is due; returns how
@@ -71,26 +79,28 @@ class GraphPainter:
         if clock_ms < self.clock_ms:
             return 0
         queue = self._queue
-        painted = 0
-        while queue and self._next_slot_ms <= clock_ms:
+        shape_of = self.space.shape_of
+        rendered = self.rendered
+        next_slot_ms = self._next_slot_ms
+        waits = []
+        while queue and next_slot_ms <= clock_ms:
             node_id, color, posted_at = queue[0]
-            paint_at = max(self._next_slot_ms, posted_at)
+            paint_at = max(next_slot_ms, posted_at)
             if paint_at > clock_ms:
                 break
             queue.popleft()
-            self.space.shape_of(node_id).fill = color
-            self.rendered[node_id] = color
-            self._next_slot_ms = paint_at + RENDER_INTERVAL_MS
-            painted += 1
-            wait = paint_at - posted_at
-            if wait > self._max_wait_ms:
-                self._max_wait_ms = wait
-            RENDER_QUEUE_WAIT_MS.observe(wait)
-        if painted:
-            RENDER_TASKS_EXECUTED.inc(painted)
+            shape_of(node_id).fill = color
+            rendered[node_id] = color
+            next_slot_ms = paint_at + RENDER_INTERVAL_MS
+            waits.append(paint_at - posted_at)
+        self._next_slot_ms = next_slot_ms
+        if waits:
+            self._max_wait_ms = max(self._max_wait_ms, max(waits))
+            RENDER_QUEUE_WAIT_MS.observe_many(waits)
+            RENDER_TASKS_EXECUTED.inc(len(waits))
             RENDER_QUEUE_DEPTH.set(len(queue))
         self.clock_ms = clock_ms
-        return painted
+        return len(waits)
 
     def flush(self) -> int:
         """Paint everything still queued regardless of pacing (end of

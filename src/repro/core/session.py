@@ -112,13 +112,17 @@ class OfflineSession:
             return 0
         low = min(e.usec for e in done)
         high = max(e.usec for e in done)
-        painted = 0
+        colors = {}  # usec -> colour: plans repeat a few timings
+        actions = []
         for event in done:
-            color = gradient_for(event.usec, low, high)
-            self.painter.apply(ColorAction(event.pc, color, "gradient"))
-            painted += 1
+            color = colors.get(event.usec)
+            if color is None:
+                color = colors[event.usec] = gradient_for(event.usec, low,
+                                                          high)
+            actions.append(ColorAction(event.pc, color, "gradient"))
+        self.painter.apply_all(actions)
         self.painter.flush()
-        return painted
+        return len(actions)
 
     def pruned_view(self, prune_result_plumbing: bool = False) -> Digraph:
         """The plan with administrative instructions pruned out."""
