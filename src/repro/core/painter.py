@@ -33,6 +33,13 @@ from repro.viz.vspace import VirtualSpace
 #: the paper's pacing: at most one node painted per 150 ms
 RENDER_INTERVAL_MS = 150.0
 
+# the four families are unlabeled: updating their one child directly is
+# one call instead of the family's proxy and its lookup
+_POSTED = RENDER_TASKS_POSTED.labels()
+_EXECUTED = RENDER_TASKS_EXECUTED.labels()
+_DEPTH = RENDER_QUEUE_DEPTH.labels()
+_WAIT_MS = RENDER_QUEUE_WAIT_MS.labels()
+
 
 class GraphPainter:
     """Queues node-colour changes, paints them paced, and tracks state."""
@@ -70,8 +77,8 @@ class GraphPainter:
             queue.append((node_id, action.color, self.clock_ms))
         posted = len(queue) - posted
         if posted:
-            RENDER_TASKS_POSTED.inc(posted)
-            RENDER_QUEUE_DEPTH.set(len(queue))
+            _POSTED.inc(posted)
+            _DEPTH.set(len(queue))
 
     def pump(self, clock_ms: float) -> int:
         """Advance time to ``clock_ms``, painting what is due; returns how
@@ -96,9 +103,9 @@ class GraphPainter:
         self._next_slot_ms = next_slot_ms
         if waits:
             self._max_wait_ms = max(self._max_wait_ms, max(waits))
-            RENDER_QUEUE_WAIT_MS.observe_many(waits)
-            RENDER_TASKS_EXECUTED.inc(len(waits))
-            RENDER_QUEUE_DEPTH.set(len(queue))
+            _WAIT_MS.observe_many(waits)
+            _EXECUTED.inc(len(waits))
+            _DEPTH.set(len(queue))
         self.clock_ms = clock_ms
         return len(waits)
 

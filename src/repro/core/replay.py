@@ -63,12 +63,13 @@ class ReplayController:
 
     def step(self) -> Optional[TraceEvent]:
         """Replay one event; returns it (None at end, or while paused)."""
-        if self.paused or self.at_end:
+        if self.paused or self.position >= len(self.events):
             return None
         event = self.events[self.position]
         self.position += 1
         actions = self._colorizer.push(event)
-        self.painter.apply_all(actions)
+        if actions:
+            self.painter.apply_all(actions)
         self.painter.flush()
         return event
 

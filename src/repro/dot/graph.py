@@ -89,8 +89,10 @@ class Digraph:
     def add_edge(self, src: str, dst: str,
                  attrs: Optional[Dict[str, str]] = None) -> Edge:
         """Add a directed edge, declaring endpoints as needed."""
-        self.ensure_node(src)
-        self.ensure_node(dst)
+        if src not in self.nodes:
+            self.add_node(src)
+        if dst not in self.nodes:
+            self.add_node(dst)
         edge = Edge(src, dst, attrs)
         self.edges.append(edge)
         self._out[src].append(dst)

@@ -159,45 +159,39 @@ def parse_dot(text: str) -> Digraph:
         if not token:
             raise _error(text, index, "missing closing brace")
         keyword = token.lower()
-        if keyword == "subgraph":
+        if keyword in _KEYWORDS:
             index += 1
-            if tokens[index] not in _NOT_A_VALUE:
-                index += 1  # subgraph name, ignored (flattened)
-            if tokens[index] != "{":
-                raise _error(text, index,
-                             f"expected '{{', got {tokens[index]!r}")
-            index += 1
-            depth += 1
-            continue
-        if keyword == "node" or keyword == "edge" or keyword == "graph":
-            index += 1
+            if keyword == "subgraph":
+                if tokens[index] not in _NOT_A_VALUE:
+                    index += 1  # subgraph name, ignored (flattened)
+                if tokens[index] != "{":
+                    raise _error(text, index,
+                                 f"expected '{{', got {tokens[index]!r}")
+                index += 1
+                depth += 1
+                continue
+            if keyword == "node":
+                defaults = node_defaults
+            elif keyword == "edge":
+                defaults = edge_defaults
+            elif keyword == "graph":
+                defaults = graph.attrs
+            else:
+                raise _error(text, index - 1,
+                             f"keyword {token!r} cannot be an id")
             if tokens[index] == "[":
                 attrs, index = _attr_list(text, tokens, index)
-                if keyword == "node":
-                    node_defaults.update(attrs)
-                elif keyword == "edge":
-                    edge_defaults.update(attrs)
-                else:
-                    graph.attrs.update(attrs)
+                defaults.update(attrs)
             if tokens[index] == ";":
                 index += 1
             continue
-        # a node, an edge chain or a graph attribute: ID first
-        chain = []
-        while True:
-            if token.lower() in _KEYWORDS:
-                raise _error(text, index,
-                             f"keyword {token!r} cannot be an id")
-            if token in _NOT_A_VALUE:
-                raise _error(text, index, f"expected node id, got {token!r}")
-            chain.append(token if token[0] != '"' else _unquote(token))
-            index += 1
-            if tokens[index] != "->":
-                break
-            index += 1
-            token = tokens[index]
-        first = chain[0]
-        if len(chain) == 1 and tokens[index] == "=":
+        # a node, an edge chain or a graph attribute: an ID first
+        if token in _NOT_A_VALUE:
+            raise _error(text, index, f"expected node id, got {token!r}")
+        first = token if token[0] != '"' else _unquote(token)
+        index += 1
+        token = tokens[index]
+        if token == "=":
             index += 1
             value = tokens[index]
             if value in _NOT_A_VALUE:
@@ -205,35 +199,40 @@ def parse_dot(text: str) -> Digraph:
             graph.attrs[first] = \
                 value if value[0] != '"' else _unquote(value)
             index += 1
-        else:
-            attrs = None
+        elif token == "->":
+            chain = [first]
+            while tokens[index] == "->":
+                index += 1
+                token = tokens[index]
+                if token.lower() in _KEYWORDS:
+                    raise _error(text, index,
+                                 f"keyword {token!r} cannot be an id")
+                if token in _NOT_A_VALUE:
+                    raise _error(text, index,
+                                 f"expected node id, got {token!r}")
+                chain.append(token if token[0] != '"' else _unquote(token))
+                index += 1
+            attrs = edge_defaults  # Digraph.add_edge copies them
             if tokens[index] == "[":
                 attrs, index = _attr_list(text, tokens, index)
-            if len(chain) == 1:
-                node = nodes.get(first)
-                if node is None:
-                    merged = dict(node_defaults)
-                    if attrs:
-                        merged.update(attrs)
-                    graph.add_node(first, merged)
-                else:
-                    merged = dict(node_defaults)
-                    merged.update(node.attrs)
-                    if attrs:
-                        merged.update(attrs)
-                    node.attrs = merged
+                attrs = {**edge_defaults, **attrs}
+            src = first
+            for dst in chain[1:]:
+                if src not in nodes:
+                    graph.add_node(src, node_defaults)
+                if dst not in nodes:
+                    graph.add_node(dst, node_defaults)
+                graph.add_edge(src, dst, attrs)
+                src = dst
+        else:
+            attrs = {}
+            if token == "[":
+                attrs, index = _attr_list(text, tokens, index)
+            node = nodes.get(first)
+            if node is None:  # Digraph.add_node copies the attributes
+                graph.add_node(first, {**node_defaults, **attrs})
             else:
-                merged = dict(edge_defaults)
-                if attrs:
-                    merged.update(attrs)
-                src = first
-                for dst in chain[1:]:
-                    if src not in nodes:
-                        graph.add_node(src, node_defaults)
-                    if dst not in nodes:
-                        graph.add_node(dst, node_defaults)
-                    graph.add_edge(src, dst, merged)
-                    src = dst
+                node.attrs = {**node_defaults, **node.attrs, **attrs}
         if tokens[index] == ";":
             index += 1
     if tokens[index]:
