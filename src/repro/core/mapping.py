@@ -48,10 +48,12 @@ class PlanTraceMap:
         self.graph = graph
         self.events = list(events)
         self._by_node: Dict[str, List[TraceEvent]] = {}
+        by_node = self._by_node
+        nodes = graph.nodes
         hits = 0
         for event in self.events:
             node_id = node_for_pc(event.pc)
-            if not graph.has_node(node_id):
+            if node_id not in nodes:
                 MAPPING_LOOKUPS.labels(result="hit").inc(hits)
                 MAPPING_LOOKUPS.labels(result="miss").inc()
                 raise MappingError(
@@ -66,7 +68,11 @@ class PlanTraceMap:
                         f"stmt/label mismatch at pc={event.pc}: "
                         f"{event.stmt!r} vs {label!r}"
                     )
-            self._by_node.setdefault(node_id, []).append(event)
+            events_of_node = by_node.get(node_id)
+            if events_of_node is None:
+                by_node[node_id] = [event]
+            else:
+                events_of_node.append(event)
         if hits:
             MAPPING_LOOKUPS.labels(result="hit").inc(hits)
 
