@@ -12,7 +12,8 @@ hand-written graphs::
         subgraph cluster_0 { ... }       // flattened into the parent
     }
 
-Comments (``//``, ``#``, ``/* */``) are ignored.  Errors raise
+Comments (``//``, ``#``, ``/* */``) are ignored, and keywords match in
+any case (``Node``, ``DiGraph``), as the DOT grammar says.  Errors raise
 :class:`~repro.errors.DotParseError` with a line number.
 """
 

@@ -93,4 +93,3 @@ def parse_event(line: str) -> TraceEvent:
         pc=int(pc), thread=int(thread), usec=int(usec),
         rss_bytes=int(rss), stmt=stmt)
     return event
-

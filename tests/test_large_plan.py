@@ -4,6 +4,11 @@ clock, so they hold on a shared runner.
 - An opened 1004-node plan is freed by reference counting: no render
   task holds the painter, so ``del session`` leaves no cyclic garbage,
   and the open leaves at most 28 708 tracked objects alive.
+- Opening, replaying, painting and saving it makes a bounded number of
+  Python-level calls: 186 117 when the dot tokenizer, trace reader,
+  painter and SVG writer each walked their input through a method call
+  per item, 70 407 since they make one pass over flat data; the bound
+  is that count plus 10 %.
 - The layout grows linearly with the staircase plan: doubling
   ``synthetic_plan`` from 143 to 286 chains at most 2.2x-es its layout
   entities and its polyline points.  Each long edge is one segment, so
@@ -14,6 +19,7 @@ clock, so they hold on a shared runner.
 
 import gc
 import os
+import sys
 
 import pytest
 
@@ -27,22 +33,29 @@ from repro.profiler import write_trace
 from repro.workloads import synthetic_plan, trace_for_program
 
 
-def test_opened_plan_freed_by_reference_counting(tmp_path):
+@pytest.fixture(scope="module")
+def open_replay_paint_save(tmp_path_factory):
+    """The ``steth_replay`` operation on the 1004-node plan's files."""
     program = synthetic_plan(chains=143)  # 1004 nodes
-    dot, trace, svg = (os.path.join(tmp_path, name)
+    directory = tmp_path_factory.mktemp("large_plan")
+    dot, trace, svg = (os.path.join(directory, name)
                        for name in ("plan.dot", "plan.trace", "display.svg"))
     with open(dot, "w") as handle:
         handle.write(plan_to_dot(program))
     write_trace(trace_for_program(program, workers=4, seed=11), trace)
 
-    def open_replay_paint_save():
+    def operation():
         session = Stethoscope.offline(dot, trace)
         session.replay.run_to_end()
         session.apply_gradient_coloring()
         session.save_svg(svg)
         return session
 
-    open_replay_paint_save()  # first use fills module-level caches
+    operation()  # first use fills module-level caches
+    return operation
+
+
+def test_opened_plan_freed_by_reference_counting(open_replay_paint_save):
     gc.collect()
     gc.disable()  # an automatic collection would hide a cycle
     try:
@@ -56,6 +69,27 @@ def test_opened_plan_freed_by_reference_counting(tmp_path):
         gc.enable()
     assert garbage == 0, f"{garbage} objects were cyclic garbage after del"
     assert alive <= 28708, f"the open left {alive} tracked objects alive"
+
+
+def test_open_makes_a_bounded_number_of_python_calls(open_replay_paint_save):
+    """A count, not a clock: every Python frame entered (a generator's
+    resumption included) while the operation runs, with the collector
+    off so that no finaliser is counted."""
+    calls = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        open_replay_paint_save()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert calls <= 77447, f"the open made {calls} Python-level calls"
 
 
 def layout_size(chains):
