@@ -7,7 +7,7 @@ clock, so they hold on a shared runner.
 - Opening, replaying, painting and saving it makes a bounded number of
   Python-level calls: 186 117 when the dot tokenizer, trace reader,
   painter and SVG writer each walked their input through a method call
-  per item, 70 407 since they make one pass over flat data; the bound
+  per item, 68 399 since they make one pass over flat data; the bound
   is that count plus 10 %.
 - The layout grows linearly with the staircase plan: doubling
   ``synthetic_plan`` from 143 to 286 chains at most 2.2x-es its layout
@@ -89,7 +89,7 @@ def test_open_makes_a_bounded_number_of_python_calls(open_replay_paint_save):
     finally:
         sys.setprofile(None)
         gc.enable()
-    assert calls <= 77447, f"the open made {calls} Python-level calls"
+    assert calls <= 75238, f"the open made {calls} Python-level calls"
 
 
 def layout_size(chains):
