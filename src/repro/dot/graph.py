@@ -79,16 +79,10 @@ class Digraph:
         self._in[node_id] = []
         return node
 
-    def ensure_node(self, node_id: str) -> Node:
-        """Get the node, creating a bare one if absent (dot semantics:
-        mentioning a node in an edge declares it)."""
-        if node_id not in self.nodes:
-            return self.add_node(node_id)
-        return self.nodes[node_id]
-
     def add_edge(self, src: str, dst: str,
                  attrs: Optional[Dict[str, str]] = None) -> Edge:
-        """Add a directed edge, declaring endpoints as needed."""
+        """Add a directed edge, declaring endpoints as needed (dot
+        semantics: mentioning a node in an edge declares it)."""
         if src not in self.nodes:
             self.add_node(src)
         if dst not in self.nodes:
