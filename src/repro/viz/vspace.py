@@ -121,7 +121,10 @@ class VirtualSpace:
             bottoms.append(bottom)
         if not lefts:  # nothing visible
             return (0.0, 0.0, 0.0, 0.0)
-        return (min(lefts), min(tops), max(rights), max(bottoms))
+        left, right = min(lefts), max(rights)
+        if left > right:  # only boxes of negative width: taken as empty
+            return (0.0, 0.0, 0.0, 0.0)
+        return (left, min(tops), right, max(bottoms))
 
 
 def build_virtual_space(layout: Layout, name: str = "plan") -> VirtualSpace:

@@ -114,12 +114,18 @@ _GLYPHS = st.lists(st.one_of(
 
 
 def reference_bounds(glyphs):
-    """The union of every visible glyph's own ``bounds()``."""
-    boxes = [glyph.bounds() for glyph in glyphs if glyph.visible]
-    if not boxes:
+    """The union of every visible glyph's own ``bounds()``, folded one
+    glyph at a time; (0, 0, 0, 0) when it is empty or inside out."""
+    left = top = float("inf")
+    right = bottom = float("-inf")
+    for glyph in glyphs:
+        if glyph.visible:
+            g_left, g_top, g_right, g_bottom = glyph.bounds()
+            left, top = min(left, g_left), min(top, g_top)
+            right, bottom = max(right, g_right), max(bottom, g_bottom)
+    if left > right:
         return (0.0, 0.0, 0.0, 0.0)
-    lefts, tops, rights, bottoms = zip(*boxes)
-    return (min(lefts), min(tops), max(rights), max(bottoms))
+    return (left, top, right, bottom)
 
 
 @given(_GLYPHS)
