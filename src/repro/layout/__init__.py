@@ -19,13 +19,12 @@ hierarchical (dependencies flow top-to-bottom).
 """
 
 from repro.layout.engine import LayeredLayout, layout_graph
-from repro.layout.geometry import Layout, LayoutEdge, LayoutNode, Point
+from repro.layout.geometry import Layout, LayoutEdge, LayoutNode
 
 __all__ = [
     "LayeredLayout",
     "Layout",
     "LayoutEdge",
     "LayoutNode",
-    "Point",
     "layout_graph",
 ]

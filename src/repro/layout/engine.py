@@ -11,7 +11,6 @@ from repro.layout.geometry import (
     Layout,
     LayoutEdge,
     LayoutNode,
-    Point,
     node_size_for_label,
 )
 from repro.layout.ordering import (
@@ -96,7 +95,7 @@ class LayeredLayout:
         # right of its box, and none lies below the lowest box
         width = max(max(node.right for node in nodes.values()), max(xs))
         # one point per node, shared by the polylines through it
-        point_at = list(map(Point, xs, ys)).__getitem__
+        point_at = list(zip(xs, ys)).__getitem__
         edges: List[LayoutEdge] = []
         paths = iter(segmented.edge_paths)
         for index, edge in enumerate(graph.edges):
@@ -106,9 +105,9 @@ class LayeredLayout:
                 tip = node.right + self.h_gap
                 width = max(width, tip)
                 edges.append(LayoutEdge(edge.src, edge.dst, [
-                    Point(node.right, node.y),
-                    Point(tip, node.y),
-                    Point(node.right, node.y + 4.0),
+                    (node.right, node.y),
+                    (tip, node.y),
+                    (node.right, node.y + 4.0),
                 ]))
                 continue
             points = list(map(point_at, next(paths)))
@@ -116,12 +115,10 @@ class LayeredLayout:
                 points.reverse()
             # clip endpoints to the node borders (vertical flow)
             src_node, dst_node = nodes[edge.src], nodes[edge.dst]
-            points[0] = Point(points[0].x, src_node.bottom
-                              if points[0].y <= points[1].y
-                              else src_node.top)
-            points[-1] = Point(points[-1].x, dst_node.top
-                               if points[-1].y >= points[-2].y
-                               else dst_node.bottom)
+            (x, y), (_, next_y) = points[0], points[1]
+            points[0] = (x, src_node.bottom if y <= next_y else src_node.top)
+            (x, y), (_, prev_y) = points[-1], points[-2]
+            points[-1] = (x, dst_node.top if y >= prev_y else dst_node.bottom)
             edges.append(LayoutEdge(edge.src, edge.dst, points))
 
         height = max(n.bottom for n in nodes.values())

@@ -3,19 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
-
-
-class Point(NamedTuple):
-    """A 2D point in layout coordinates (y grows downward, like SVG);
-    an ``(x, y)`` tuple, so a polyline is usable as a coordinate list
-    as it stands."""
-
-    x: float
-    y: float
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        return Point(self.x + dx, self.y + dy)
+from typing import Dict, List, Tuple
 
 
 @dataclass
@@ -53,11 +41,13 @@ class LayoutNode:
 
 @dataclass
 class LayoutEdge:
-    """A laid-out edge: a polyline from source box to target box."""
+    """A laid-out edge: a polyline from source box to target box, as
+    ``(x, y)`` points in layout coordinates (y grows downward, like
+    SVG)."""
 
     src: str
     dst: str
-    points: List[Point] = field(default_factory=list)
+    points: List[Tuple[float, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -68,25 +58,6 @@ class Layout:
     edges: List[LayoutEdge]
     width: float
     height: float
-
-    def node_at(self, x: float, y: float) -> Optional[LayoutNode]:
-        """The topmost node whose box contains (x, y), if any."""
-        for node in self.nodes.values():
-            if node.contains(x, y):
-                return node
-        return None
-
-    def bounds_of(self, node_ids) -> Tuple[float, float, float, float]:
-        """Bounding box (left, top, right, bottom) of a set of nodes."""
-        chosen = [self.nodes[n] for n in node_ids if n in self.nodes]
-        if not chosen:
-            return (0.0, 0.0, 0.0, 0.0)
-        return (
-            min(n.left for n in chosen),
-            min(n.top for n in chosen),
-            max(n.right for n in chosen),
-            max(n.bottom for n in chosen),
-        )
 
 
 def node_size_for_label(label: str, char_width: float = 7.0,

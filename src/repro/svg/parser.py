@@ -1,58 +1,57 @@
-"""SVG → scene/graph parsing (the second stage of the paper's workflow).
+"""SVG → layout/graph parsing (the second stage of the paper's workflow).
 
 Parses the SVG dialect produced by :mod:`repro.svg.writer` using the
-standard-library XML parser, recovering node boxes (with labels and
-fills), edge polylines and the graph structure they encode.
+standard-library XML parser, recovering node boxes (with labels), edge
+polylines and the graph structure they encode.
 """
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from typing import Dict, List, Tuple
 
 from repro.errors import SvgError
 from repro.dot.graph import Digraph
-from repro.svg.model import SvgEdge, SvgNode, SvgScene
+from repro.layout.geometry import Layout, LayoutEdge, LayoutNode
 
 _SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
-def parse_svg(text: str) -> SvgScene:
-    """Parse SVG text into an :class:`~repro.svg.model.SvgScene`.
+def parse_svg(text: str) -> Layout:
+    """Parse SVG text into a :class:`~repro.layout.geometry.Layout`,
+    coordinates as written (the writer's margin included).  A drawing
+    with no node groups (the painted display) yields its edges alone.
 
     Raises:
-        SvgError: on XML errors or missing structural attributes.
+        SvgError: on XML errors, missing structural attributes, a
+            number that is not finite or a repeated node id.
     """
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         raise SvgError(f"bad SVG: {exc}") from None
-    scene = SvgScene(
-        width=_parse_length(root.get("width", "0")),
-        height=_parse_length(root.get("height", "0")),
-    )
+    nodes: Dict[str, LayoutNode] = {}
     for group in root.iter(f"{_SVG_NS}g"):
         if group.get("class") != "node":
             continue
         node_id = group.get("id")
         if not node_id:
             raise SvgError("node group without id")
+        if node_id in nodes:
+            raise SvgError(f"node {node_id!r} drawn twice")
         rect = group.find(f"{_SVG_NS}rect")
         if rect is None:
             raise SvgError(f"node {node_id!r} has no rect")
-        x = float(rect.get("x", "0"))
-        y = float(rect.get("y", "0"))
-        width = float(rect.get("width", "0"))
-        height = float(rect.get("height", "0"))
+        x = _number(rect.get("x", "0"))
+        y = _number(rect.get("y", "0"))
+        width = _number(rect.get("width", "0"))
+        height = _number(rect.get("height", "0"))
         text_el = group.find(f"{_SVG_NS}text")
         label = (text_el.text or "") if text_el is not None else ""
-        scene.add_node(SvgNode(
-            node_id=node_id,
-            x=x + width / 2, y=y + height / 2,
-            width=width, height=height, label=label,
-            fill=rect.get("fill", "white"),
-            stroke=rect.get("stroke", "black"),
-        ))
+        nodes[node_id] = LayoutNode(node_id, x + width / 2, y + height / 2,
+                                    width, height, label)
+    edges: List[LayoutEdge] = []
     for poly in root.iter(f"{_SVG_NS}polyline"):
         if poly.get("class") != "edge":
             continue
@@ -60,12 +59,11 @@ def parse_svg(text: str) -> SvgScene:
         dst = poly.get("data-dst")
         if src is None or dst is None:
             raise SvgError("edge polyline without data-src/data-dst")
-        scene.add_edge(SvgEdge(
-            src=src, dst=dst,
-            points=_parse_points(poly.get("points", "")),
-            stroke=poly.get("stroke", "black"),
-        ))
-    return scene
+        edges.append(LayoutEdge(src, dst,
+                                _parse_points(poly.get("points", ""))))
+    return Layout(nodes, edges,
+                  _number(root.get("width", "0").rstrip("px")),
+                  _number(root.get("height", "0").rstrip("px")))
 
 
 def svg_to_graph(text: str) -> Digraph:
@@ -75,34 +73,33 @@ def svg_to_graph(text: str) -> Digraph:
     ``width``, ``height``) next to the label, so navigation code can work
     from a parsed SVG exactly as from a fresh layout.
     """
-    scene = parse_svg(text)
+    layout = parse_svg(text)
     graph = Digraph("from_svg")
-    for node in scene.nodes.values():
+    for node in layout.nodes.values():
         graph.add_node(node.node_id, {
             "label": node.label,
             "x": f"{node.x:.1f}",
             "y": f"{node.y:.1f}",
             "width": f"{node.width:.1f}",
             "height": f"{node.height:.1f}",
-            "fill": node.fill,
         })
-    for edge in scene.edges:
+    for edge in layout.edges:
         graph.add_edge(edge.src, edge.dst)
     return graph
 
 
-def _parse_length(text: str) -> float:
+def _number(text: str) -> float:
     try:
-        return float(text.rstrip("px"))
+        value = float(text)
     except ValueError:
-        raise SvgError(f"bad SVG length {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise SvgError(f"bad SVG number {text!r}")
+    return value
 
 
 def _parse_points(text: str) -> List[Tuple[float, float]]:
-    try:
-        flat = [float(v) for v in text.replace(",", " ").split()]
-    except ValueError:
-        raise SvgError(f"bad point list {text!r}") from None
+    flat = [_number(v) for v in text.replace(",", " ").split()]
     if len(flat) % 2 != 0:
         raise SvgError(f"odd point list {text!r}")
     return list(zip(flat[0::2], flat[1::2]))

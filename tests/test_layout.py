@@ -186,8 +186,8 @@ class TestOrdering:
         layout = layout_graph(g)
         assert layout.nodes["__v0"].width >= 40.0
         assert layout.nodes["__v0"].height >= 30.0
-        bend = layout.edges[2].points[1]
-        assert not layout.nodes["__v0"].contains(bend.x, bend.y)
+        bend_x, bend_y = layout.edges[2].points[1]
+        assert not layout.nodes["__v0"].contains(bend_x, bend_y)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -312,12 +312,6 @@ class TestEngine:
         for node in layout.nodes.values():
             assert node.left >= 0 and node.top >= 0
 
-    def test_node_at_hit_test(self):
-        layout = layout_graph(diamond())
-        node = layout.nodes["a"]
-        assert layout.node_at(node.x, node.y).node_id == "a"
-        assert layout.node_at(-1000.0, -1000.0) is None
-
     def test_empty_graph(self):
         layout = layout_graph(Digraph())
         assert layout.nodes == {} and layout.edges == []
@@ -359,11 +353,6 @@ class TestEngine:
             g.add_edge(f"n{(i - 1) // 3}", f"n{i}")
         layout = layout_graph(g)
         assert len(layout.nodes) == 1200
-
-    def test_bounds_of_selection(self):
-        layout = layout_graph(diamond())
-        left, top, right, bottom = layout.bounds_of(["a", "d"])
-        assert right > left and bottom > top
 
 
 def reference_order(layers, segments, max_sweeps=8):
@@ -432,20 +421,20 @@ def check_drawing(graph, layout):
     tops = [band[0] for band in bands]
     assert len(layout.edges) == graph.edge_count()
     for edge in layout.edges:
-        ys = [point.y for point in edge.points]
+        ys = [y for _x, y in edge.points]
         assert ys == sorted(ys) or ys == sorted(ys, reverse=True), edge
-        for point in edge.points[1:-1]:
-            band = bisect.bisect_right(tops, point.y) - 1
-            if band < 0 or point.y > bands[band][1]:
+        for x, y in edge.points[1:-1]:
+            band = bisect.bisect_right(tops, y) - 1
+            if band < 0 or y > bands[band][1]:
                 continue
             _top, _bottom, lefts, nodes = bands[band]
-            at = bisect.bisect_left(lefts, point.x) - 1
+            at = bisect.bisect_left(lefts, x) - 1
             for node in nodes[max(at, 0):at + 2]:
                 if node.node_id in (edge.src, edge.dst):
                     continue
-                assert not (node.left < point.x < node.right
-                            and node.top < point.y < node.bottom), \
-                    (edge.src, edge.dst, point, node.node_id)
+                assert not (node.left < x < node.right
+                            and node.top < y < node.bottom), \
+                    (edge.src, edge.dst, (x, y), node.node_id)
 
 
 @st.composite
@@ -590,14 +579,14 @@ def check_long_edges(graph, layout):
             continue
         long_edges += 1
         assert len(edge.points) == 4, edge
-        _start, p, q, _end = edge.points
-        assert p.x == q.x, edge
-        low, high = min(p.y, q.y), max(p.y, q.y)
+        _start, (px, py), (qx, qy), _end = edge.points
+        assert px == qx, edge
+        low, high = min(py, qy), max(py, qy)
         for box in boxes:
             if box.node_id in (edge.src, edge.dst):
                 continue
             if box.bottom > low and box.top < high:
-                assert not box.left <= p.x <= box.right, (edge, box.node_id)
+                assert not box.left <= px <= box.right, (edge, box.node_id)
     return long_edges
 
 
@@ -627,9 +616,9 @@ class TestBounds:
     def check(self, graph):
         layout = layout_graph(graph)
         for edge in layout.edges:
-            for point in edge.points:
-                assert 0 <= point.x <= layout.width, (edge, layout.width)
-                assert 0 <= point.y <= layout.height, (edge, layout.height)
+            for x, y in edge.points:
+                assert 0 <= x <= layout.width, (edge, layout.width)
+                assert 0 <= y <= layout.height, (edge, layout.height)
 
     def test_self_loop(self):
         g = Digraph()

@@ -6,7 +6,8 @@ parsed and an in memory graph structure gets created."  A session no
 longer takes that detour when it opens a plan — it keeps the graph
 ``parse_dot`` returned and the ``Layout`` — so this file holds the two
 routes against each other: what ``svg_to_graph`` reads out of the
-written drawing is the graph, and the geometry, the session works from.
+written drawing is the graph, and the geometry, the session works from,
+and the polylines ``parse_svg`` reads are the layout's.
 
 Inputs: the thirteen ``steth_replay`` plans of ``benchmarks/e2e``
 (restated here, as ``tests/test_layout_golden.py`` does) and random DAGs
@@ -20,7 +21,8 @@ from hypothesis import given, settings
 from repro.dot import parse_dot, plan_to_dot
 from repro.layout import layout_graph
 from repro.server.database import Database
-from repro.svg import layout_to_svg, svg_to_graph
+from repro.svg import layout_to_svg, parse_svg, svg_to_graph
+from repro.svg.writer import MARGIN
 from repro.tpch import populate, query_sql
 from repro.workloads import synthetic_plan
 
@@ -29,17 +31,18 @@ PROFILED_WORKERS = (2, 8)
 SYNTHETIC_CHAINS = (13, 40, 143)
 NAMES = [f"{q}_w{w}" for w in PROFILED_WORKERS for q in PROFILED_QUERIES] \
     + [f"synthetic_{c}" for c in SYNTHETIC_CHAINS]
-#: ``scene_to_svg``'s default margin, added to every coordinate it writes
-MARGIN = 10.0
 #: a recovered centre went through three ``.1f`` roundings: the box's
 #: left edge, half its width, and the centre ``svg_to_graph`` prints
 CENTRE_TOLERANCE = 0.05 + 0.025 + 0.05 + 1e-9
+#: a polyline point went through one ``.1f`` rounding
+POINT_TOLERANCE = 0.05 + 1e-9
 
 
 def assert_routes_agree(dot_text: str) -> None:
     graph = parse_dot(dot_text)
     layout = layout_graph(graph)
-    recovered = svg_to_graph(layout_to_svg(layout))
+    text = layout_to_svg(layout)
+    recovered = svg_to_graph(text)
     assert list(recovered.nodes) == list(graph.nodes)
     assert [recovered.node(n).label for n in graph.nodes] \
         == [graph.node(n).label for n in graph.nodes]
@@ -51,6 +54,13 @@ def assert_routes_agree(dot_text: str) -> None:
         assert attrs["height"] == f"{box.height:.1f}"
         assert abs(float(attrs["x"]) - MARGIN - box.x) <= CENTRE_TOLERANCE
         assert abs(float(attrs["y"]) - MARGIN - box.y) <= CENTRE_TOLERANCE
+    parsed = parse_svg(text).edges
+    assert len(parsed) == len(layout.edges)
+    for edge, read in zip(layout.edges, parsed):
+        assert len(read.points) == len(edge.points), edge
+        for (x, y), (read_x, read_y) in zip(edge.points, read.points):
+            assert abs(read_x - MARGIN - x) <= POINT_TOLERANCE, edge
+            assert abs(read_y - MARGIN - y) <= POINT_TOLERANCE, edge
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ from repro.errors import SvgError
 from repro.layout import layout_graph
 from repro.mal.parser import parse_instruction_text
 from repro.svg import layout_to_svg, parse_svg, svg_to_graph
-from repro.svg.writer import layout_to_scene, scene_to_svg
+from repro.svg.writer import MARGIN
 
 PLAN_TEXT = """
     X_1 := sql.mvc();
@@ -38,42 +38,38 @@ class TestWriter:
         g.add_node("a", {"label": "x < y & z"})
         text = layout_to_svg(layout_graph(g))
         assert "x &lt; y &amp; z" in text
-        assert parse_svg(text).node("a").label == "x < y & z"
+        assert parse_svg(text).nodes["a"].label == "x < y & z"
 
     def test_characters_xml_forbids_are_replaced(self):
         g = Digraph()
         g.add_node("a\x02", {"label": "x\x01y\ufffe"})
         g.add_edge("a\x02", "b")
-        scene = parse_svg(layout_to_svg(layout_graph(g)))
-        assert scene.node("a\ufffd").label == "x\ufffdy\ufffd"
-        assert [(e.src, e.dst) for e in scene.edges] == [("a\ufffd", "b")]
-
-    def test_fill_override(self, plan_layout):
-        text = layout_to_svg(plan_layout, fills={"n2": "red"})
-        assert 'fill="red"' in text
+        layout = parse_svg(layout_to_svg(layout_graph(g)))
+        assert layout.nodes["a\ufffd"].label == "x\ufffdy\ufffd"
+        assert [(e.src, e.dst) for e in layout.edges] == [("a\ufffd", "b")]
 
     def test_scene_counts(self, plan_layout):
-        scene = layout_to_scene(plan_layout)
-        assert len(scene.nodes) == 4
-        assert len(scene.edges) == 3
+        layout = parse_svg(layout_to_svg(plan_layout))
+        assert len(layout.nodes) == 4
+        assert len(layout.edges) == 3
 
 
 class TestParser:
     def test_roundtrip_geometry(self, plan_layout):
-        scene = parse_svg(layout_to_svg(plan_layout, margin=0.0))
+        layout = parse_svg(layout_to_svg(plan_layout))
         for node_id, node in plan_layout.nodes.items():
-            parsed = scene.node(node_id)
-            assert parsed.x == pytest.approx(node.x, abs=0.1)
-            assert parsed.y == pytest.approx(node.y, abs=0.1)
+            parsed = layout.nodes[node_id]
+            assert parsed.x == pytest.approx(node.x + MARGIN, abs=0.1)
+            assert parsed.y == pytest.approx(node.y + MARGIN, abs=0.1)
             assert parsed.width == pytest.approx(node.width, abs=0.1)
 
     def test_roundtrip_labels(self, plan_layout):
-        scene = parse_svg(layout_to_svg(plan_layout))
-        assert scene.node("n0").label.startswith("X_1 := sql.mvc()")
+        layout = parse_svg(layout_to_svg(plan_layout))
+        assert layout.nodes["n0"].label.startswith("X_1 := sql.mvc()")
 
     def test_roundtrip_edges(self, plan_layout):
-        scene = parse_svg(layout_to_svg(plan_layout))
-        pairs = {(e.src, e.dst) for e in scene.edges}
+        layout = parse_svg(layout_to_svg(plan_layout))
+        pairs = {(e.src, e.dst) for e in layout.edges}
         assert ("n1", "n2") in pairs
 
     def test_svg_to_graph_structure(self, plan_layout):
@@ -94,12 +90,33 @@ class TestParser:
         with pytest.raises(SvgError):
             parse_svg(text)
 
-    def test_bad_points_raise(self):
+    @pytest.mark.parametrize("points", ["0,0 1", "inf,1 2,2"])
+    def test_bad_points_raise(self, points):
         text = (
             '<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10">'
-            '<polyline class="edge" data-src="a" data-dst="b" points="0,0 1"/>'
-            "</svg>"
+            '<polyline class="edge" data-src="a" data-dst="b" '
+            f'points="{points}"/></svg>'
         )
+        with pytest.raises(SvgError):
+            parse_svg(text)
+
+    @pytest.mark.parametrize("rect", [
+        'x="oops" y="0" width="5" height="5"',
+        'x="0" y="0" width="nan" height="5"',
+    ])
+    def test_bad_rect_numbers_raise(self, rect):
+        text = (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10">'
+            f'<g class="node" id="a"><rect {rect}/></g></svg>'
+        )
+        with pytest.raises(SvgError):
+            parse_svg(text)
+
+    def test_repeated_node_id_raises(self):
+        group = ('<g class="node" id="a">'
+                 '<rect x="0" y="0" width="5" height="5"/></g>')
+        text = ('<svg xmlns="http://www.w3.org/2000/svg" width="10" '
+                f'height="10">{group}{group}</svg>')
         with pytest.raises(SvgError):
             parse_svg(text)
 
