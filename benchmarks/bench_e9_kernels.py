@@ -10,7 +10,9 @@ the SQL→MAL plan cache (cold parse+optimize versus a warm hit).
 Acceptance targets (ISSUE E9): the select -> fetchjoin -> group ->
 aggregate pipeline over 100k rows beats the pre-PR kernels, a warm
 plan-cache ``compile`` beats a cold one, and no kernel loses to its
-reference.  The factors, and the share of its committed speedup
+reference.  A join race (:func:`run_join_race`) times the two hashes a
+first value-keyed join can build; ``JOIN_HASH_SELF_RATIO`` is read
+off it and it is shown, not gated.  The factors, and the share of its committed speedup
 (``benchmarks/BENCH_E9_kernels.json``) every kernel must keep, are the
 ``e9`` rows of the gate table in ``benchmarks/check_regression.py``;
 ``check_regression.py --only e9`` runs this file and checks them.
@@ -19,7 +21,7 @@ reference.  The factors, and the share of its committed speedup
 import random
 
 from repro.server import Database
-from repro.storage import naive
+from repro.storage import bat as bat_module, naive
 from repro.storage.bat import BAT
 from repro.storage.catalog import Catalog
 from repro.storage.types import INT, OID
@@ -141,6 +143,66 @@ def run_kernel_benchmarks(rows=ROWS):
     return kernels
 
 
+#: the join race: ``other``'s rows, and the self:other size ratios
+JOIN_RACE_ROWS = 12_000
+JOIN_RACE_RATIOS = (50, 16, 8, 2)
+
+
+def run_join_race(rows=JOIN_RACE_ROWS, seed=11):
+    """The two builds a first ``leftjoin`` against a materialised head
+    can make, raced where ``JOIN_HASH_SELF_RATIO`` has to choose.
+
+    ``other`` is the reverse of a ``rows``-row column, with unique
+    heads or each head four times; ``self`` holds ``rows / ratio``
+    probes of its keys.  ``hash_other`` builds ``other``'s head index
+    (and multi-map, on duplicates) and probes it: what the second join
+    against a head does.  ``hash_self`` hashes ``self``'s tail and
+    scans ``other``'s head once: what the first one does when ``self``
+    is the smaller side, here at every ratio (the race sets the ratio
+    to 0 while it runs).  Both start from a head with no memo and give
+    the same rows.
+    """
+    chosen, bat_module.JOIN_HASH_SELF_RATIO = \
+        bat_module.JOIN_HASH_SELF_RATIO, 0
+    try:
+        return _join_race(rows, random.Random(seed))
+    finally:
+        bat_module.JOIN_HASH_SELF_RATIO = chosen
+
+
+def _join_race(rows, rng):
+    race = {}
+    for heads, copies in (("unique", 1), ("dup4", 4)):
+        keys = list(range(rows // copies)) * copies
+        rng.shuffle(keys)
+        other = BAT(INT, keys).reverse()
+        for ratio in JOIN_RACE_RATIOS:
+            size = rows // ratio
+            probes = BAT(INT, [rng.randrange(rows // copies)
+                               for _ in range(size)],
+                         head=list(range(size)))
+
+            def hash_other():
+                other._invalidate_caches()
+                other._join_scans = 1  # as if joined once before
+                return probes.leftjoin(other)
+
+            def hash_self():
+                other._invalidate_caches()
+                return probes.leftjoin(other)
+
+            assert hash_other().tail == hash_self().tail
+            assert other._index_cache is None  # hash_self did not hash it
+            built, scanned = interleaved_medians(
+                hash_other, hash_self, repeat=15, inner=3)
+            race[f"{heads}_1:{ratio}"] = {
+                "hash_other_ms": round(built * 1e3, 3),
+                "hash_self_ms": round(scanned * 1e3, 3),
+                "hash_self_speedup": round(built / scanned, 2),
+            }
+    return race
+
+
 def run_plan_cache_benchmark():
     from repro.tpch import populate
 
@@ -168,6 +230,7 @@ def run_benchmarks(rows=ROWS):
     return {
         "rows": rows,
         "kernels": run_kernel_benchmarks(rows),
+        "join_race": run_join_race(),
         "plan_cache": run_plan_cache_benchmark(),
     }
 

@@ -14,7 +14,6 @@ from typing import Any, List, Optional, Tuple
 from repro.errors import MalRuntimeError, MalTypeError
 from repro.mal.modules import register
 from repro.storage.bat import BAT
-from repro.storage.types import OID
 
 
 class MvcHandle:
@@ -93,13 +92,11 @@ def bind(ctx, instr, args):
 @register("sql.tid")
 def tid(ctx, instr, args):
     """``sql.tid(mvc, schema, table)``: the table's visible oids as a
-    (void, oid) BAT — the candidate list of all rows."""
+    (void, oid) BAT — the candidate list of all rows, one BAT per row
+    count (:meth:`Table.tid`)."""
     if not isinstance(args[0], MvcHandle):
         raise MalTypeError("sql.tid expects an mvc handle first")
-    table = ctx.catalog.schema(str(args[1])).table(str(args[2]))
-    out = BAT(OID)
-    out.tail = list(range(table.row_count()))
-    return out
+    return ctx.catalog.schema(str(args[1])).table(str(args[2])).tid()
 
 
 @register("sql.resultSet")

@@ -27,16 +27,20 @@ memory and make every later lookup positional; a materialised dense
 head forces the next join to hash a column that is its own index.
 ``docs/performance.md`` §1 has the rule kernel by kernel.
 
-Six memoized structures back the hot paths, all invalidated by
+Seven memoized structures back the hot paths, all invalidated by
 :meth:`BAT.append`/:meth:`BAT.extend` (and double-guarded by the BAT's
 current length).  Each is built only when a kernel cannot avoid it:
 
 * a hash index on materialised heads (``{head oid: position}``), built by
-  the first ``leftjoin``/``leftfetchjoin``/``semijoin``/``kdifference``
-  *against* a BAT with a materialised head;
-* a multi-map variant (``{head oid: [positions]}``), built by the first
-  ``leftjoin`` against such a BAT whose index shows a duplicated head —
-  it must produce every match of one;
+  the first ``leftfetchjoin``/``semijoin``/``kdifference`` *against* a
+  BAT with a materialised head, and by the first ``leftjoin`` — or the
+  second, when the first came from a side at most
+  1/``JOIN_HASH_SELF_RATIO`` its size, which hashed its own tail instead;
+* a multi-map variant (``{head oid: [positions]}``), built with the
+  index when it shows a duplicated head — a ``leftjoin`` must produce
+  every match of one;
+* the :meth:`BAT.reverse`, so a column's reverse, and the hashes joins
+  build on its head, live as long as the column;
 * a sort-order index on the tail, built by the *second* range or point
   selection on a BAT of at least ``ORDER_INDEX_MIN_ROWS`` rows — one
   select is no evidence of reuse, and most intermediates die with their
@@ -63,7 +67,7 @@ import operator
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import repeat
+from itertools import compress, repeat
 
 from repro.metrics.families import (
     ADAPTIVE_INDEX_BUILDS, ADAPTIVE_INDEX_DROPS,
@@ -175,6 +179,16 @@ ORDER_INDEX_EAGER_AFTER = 4
 ORDER_INDEX_HIT_FLOOR = 0.1
 ORDER_INDEX_WINDOW = 32
 
+# The first leftjoin against a materialised head with no hash hashes
+# self's tail instead when len(self) * JOIN_HASH_SELF_RATIO <= len(other)
+# (the second builds the head's hash and keeps it).  E9's join race
+# (12 000-row other, seven runs) puts hashing self at 1.0-1.2x at 1:50,
+# 0.9-1.1x at 1:16 and 0.8-0.9x at 1:8 on unique heads, and at 2.4-2.7x,
+# 1.8-2.1x and 1.1-1.5x on heads each four times, where hashing other
+# builds a multi-map: 16 is where unique heads stop winning.  The TPC-H
+# joins it takes sit at 1:20-1:26.
+JOIN_HASH_SELF_RATIO = 16
+
 
 class BAT:
     """An in-memory Binary Association Table.
@@ -194,6 +208,7 @@ class BAT:
     __slots__ = ("tail_type", "tail", "head", "hseqbase", "parent",
                  "_bytes_cache", "_index_cache", "_multimap_cache",
                  "_order_cache", "_ship_cache", "_parts_cache",
+                 "_reverse_cache", "_tdense", "_join_scans",
                  "_range_selects", "_order_hits", "_order_misses",
                  "_order_disabled")
 
@@ -218,6 +233,12 @@ class BAT:
         self._order_cache: Optional[Tuple[int, List[int], List[Any]]] = None
         self._ship_cache: Optional[Tuple[int, bytes]] = None
         self._parts_cache: Optional[Tuple[int, Tuple[BAT, ...]]] = None
+        self._reverse_cache: Optional[Tuple[int, BAT]] = None
+        #: MonetDB's ``tdense``: set only by :meth:`dense_oids`, so it
+        #: means "void head from 0, tail 0..n-1"; a mutation clears it
+        self._tdense = False
+        #: joins against this BAT's head answered without hashing it
+        self._join_scans = 0
         # adaptive index accounting: range selects seen, order-index
         # hits/misses in the current decision window, and whether a poor
         # hit-rate has disabled the index until the next mutation
@@ -309,6 +330,9 @@ class BAT:
         self._order_cache = None
         self._ship_cache = None
         self._parts_cache = None
+        self._reverse_cache = None
+        self._tdense = False
+        self._join_scans = 0
         # a mutation resets the adaptive accounting: the data changed,
         # so a dropped index gets a fresh chance to prove itself
         self._range_selects = 0
@@ -401,6 +425,16 @@ class BAT:
         out = cls(tail_type, hseqbase=hseqbase)
         out.tail = tail
         out.head = head
+        return out
+
+    @classmethod
+    def dense_oids(cls, rows: int) -> "BAT":
+        """The (void, oid) BAT ``0..rows-1`` under a void head from 0 —
+        ``sql.tid``'s candidate list of every row — carrying the
+        density mark that lets a fetch through it return the column."""
+        out = cls(OID)
+        out.tail = list(range(rows))
+        out._tdense = True
         return out
 
     def copy(self) -> "BAT":
@@ -633,15 +667,20 @@ class BAT:
         min/max land inside ``other`` (one C-level prescan), the whole join
         collapses to a single gather comprehension.  A positional fetch
         that drops no row keeps self's head, so a void self gives a void
-        result.  Otherwise a hash join runs against other's memoized head
-        index — or, when that shows duplicate heads, its multi-map — and
-        the head is materialised.  nil tails in self never match (oid
-        nil semantics).
+        result, and one through a complete tid (:meth:`dense_oids`) is
+        ``other`` itself.  Otherwise a hash join runs against other's
+        memoized head index — or, when that shows duplicate heads, its
+        multi-map — and the head is materialised; the first join against
+        a head with no hash, from a side at most 1/``JOIN_HASH_SELF_RATIO``
+        its size, hashes self's tail instead (:meth:`_matches_in`).  nil
+        tails in self never match (oid nil semantics).
         """
         stail = self.tail
         heads: List[int]
         tail: List[Any]
         if other.head is None:
+            if self._is_tid_of(other):
+                return other
             base, size = other.hseqbase, len(other.tail)
             otail = other.tail
             if stail and base == 0 and self.tail_type.name == "oid":
@@ -677,23 +716,31 @@ class BAT:
             otail = other.tail
             heads, tail = [], []
             add_head, add_tail = heads.append, tail.append
-            index = other._head_index()
-            if len(index) == len(otail):
-                # every key unique: one probe per row, no list anywhere
-                position_of = index.get
-                for oid, value in self.items():
-                    pos = position_of(value)
-                    if pos is not None and value is not None:
-                        add_head(oid)
-                        add_tail(otail[pos])
+            if (other._index_cache is None and not other._join_scans
+                    and len(stail) * JOIN_HASH_SELF_RATIO <= len(otail)):
+                # the first join against this head: no evidence it will
+                # be joined again, so hash the smaller side instead
+                other._join_scans = 1
+                positions_of = self._matches_in(other).get
             else:
+                index = other._head_index()
+                if len(index) == len(otail):
+                    # every key unique: one probe per row, no list anywhere
+                    position_of = index.get
+                    for oid, value in self.items():
+                        pos = position_of(value)
+                        if pos is not None and value is not None:
+                            add_head(oid)
+                            add_tail(otail[pos])
+                    return self._like(heads, tail,
+                                      tail_type=other.tail_type)
                 positions_of = other._head_multimap().get
-                for oid, value in self.items():
-                    if value is None:
-                        continue
-                    for pos in positions_of(value, ()):
-                        add_head(oid)
-                        add_tail(otail[pos])
+            for oid, value in self.items():
+                if value is None:
+                    continue
+                for pos in positions_of(value, ()):
+                    add_head(oid)
+                    add_tail(otail[pos])
         return self._like(heads, tail, tail_type=other.tail_type)
 
     def leftfetchjoin(self, other: "BAT") -> "BAT":
@@ -706,11 +753,13 @@ class BAT:
         path as :meth:`leftjoin`; a failed prescan means a guaranteed miss,
         reported by the per-row path.  Every row of self yields exactly
         one output row, so the result always has self's head (void stays
-        void).
+        void), and a fetch through a complete tid is ``other`` itself.
         """
         stail = self.tail
         tail: Optional[List[Any]] = None
         if other.head is None:
+            if self._is_tid_of(other):
+                return other
             base, size = other.hseqbase, len(other.tail)
             otail = other.tail
             if stail and base == 0 and self.tail_type.name == "oid":
@@ -752,6 +801,33 @@ class BAT:
                 add_tail(otail[pos])
         return self._same_heads(tail, other.tail_type)
 
+    def _is_tid_of(self, other: "BAT") -> bool:
+        """True when self is a :meth:`dense_oids` tid as long as
+        ``other``, a void column from 0: a fetch of ``other`` through
+        every row of it, in order, *is* ``other``, as ``mat.pack`` of a
+        column's own partitions is the column."""
+        return (self._tdense and other.head is None and other.hseqbase == 0
+                and len(other.tail) == len(self.tail))
+
+    def _matches_in(self, other: "BAT") -> dict:
+        """``{value: [positions]}`` of self's tail values in ``other``'s
+        materialised head, in head order: the head's multi-map cut down
+        to what self probes, found by hashing self's tail and scanning
+        the head once."""
+        keys = set(self.tail)
+        keys.discard(None)
+        ohead = other.head
+        matches: dict = {}
+        if keys:
+            for pos in compress(range(len(ohead)),
+                                map(keys.__contains__, ohead)):
+                key = ohead[pos]
+                if key in matches:
+                    matches[key].append(pos)
+                else:
+                    matches[key] = [pos]
+        return matches
+
     def join(self, other: "BAT") -> "BAT":
         """``algebra.join``: equi-join self.tail with other.head.
 
@@ -768,10 +844,20 @@ class BAT:
         materialised from the old tail.  Old MonetDB BAT heads may be of
         any atom type (value-keyed joins reverse a value column), so any
         non-nil tail is accepted as the new head.
+
+        Memoized on self and guarded by both lengths, so the reverse of
+        a column is one BAT until the column (or the reverse) changes,
+        and the head hash a join builds on it outlives the query.
         """
+        cached = self._reverse_cache
+        if cached is not None and cached[0] == len(self.tail) \
+                == len(cached[1].tail):
+            return cached[1]
         if None in self.tail:
             raise StorageError("cannot reverse a BAT with nil tails")
-        return self._like(list(self.tail), list(self.heads()), tail_type=OID)
+        out = self._like(list(self.tail), list(self.heads()), tail_type=OID)
+        self._reverse_cache = (len(self.tail), out)
+        return out
 
     def mirror(self) -> "BAT":
         """``bat.mirror``: (head, head) pairs — an identity over the head

@@ -41,6 +41,7 @@ class Table:
             if key in self.columns:
                 raise CatalogError(f"duplicate column {col_name!r} in {name!r}")
             self.columns[key] = Column(col_name, mal_type)
+        self._tid: Optional[BAT] = None
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Table({self.name}, {len(self.columns)} cols, {self.row_count()} rows)"
@@ -62,6 +63,16 @@ class Table:
         """Number of rows (0 for a fresh table)."""
         first = next(iter(self.columns.values()))
         return first.bat.count()
+
+    def tid(self) -> BAT:
+        """``sql.tid``: every row's oid, ``BAT.dense_oids(rows)``, memoized
+        while the row count stands and nobody appended to it (which
+        clears its density mark)."""
+        rows = self.row_count()
+        tid = self._tid
+        if tid is None or not tid._tdense or len(tid.tail) != rows:
+            tid = self._tid = BAT.dense_oids(rows)
+        return tid
 
     def insert(self, row: Sequence[Any]) -> None:
         """Append one row; values are cast to the column types."""

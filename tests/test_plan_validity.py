@@ -7,8 +7,8 @@ rows), while a plan that binds only other tables is (the hit count
 rises and the program object is the one cached before).  Plus: results
 with and without a plan cache agree under interleaved writes, a reader
 keeps its hits while another table is written, a write (or its undo)
-drops the partition slices its columns own, and a warm run derives
-nothing from its program.
+drops the partition slices and reverses its columns own and the tid a
+fetch went through, and a warm run derives nothing from its program.
 """
 
 import datetime
@@ -23,7 +23,8 @@ import repro.stats as stats_module
 from repro.errors import WalError
 from repro.faults import FaultPlan, armed
 from repro.mal.ast import MalProgram
-from repro.mal.interpreter import ReadySet
+from repro.mal.interpreter import Interpreter, ReadySet
+from repro.mal.parser import parse_instruction_text
 from repro.server import Database, MClient
 from repro.storage import INT, STR, Catalog
 from repro.storage.durable import apply_record
@@ -384,6 +385,186 @@ def test_rolled_back_insert_drops_the_partitions(tmp_path):
         _assert_partitioned_rows_match_one_worker(db, oracle)
     finally:
         db.close()
+
+
+# ---------------------------------------------------------------------------
+# a write drops the tid, a column's reverse and the tid's density mark
+# ---------------------------------------------------------------------------
+
+#: q3's join of orders and lineitem with lineitem unfiltered, so that
+#: the plan fetches ``l_orderkey`` through ``sql.tid`` and joins against
+#: its (memoized) reverse
+Q3_SHAPED = """
+    select l_orderkey, sum(l_extendedprice * (1 - l_discount)) as revenue,
+           o_orderdate
+    from orders, lineitem
+    where l_orderkey = o_orderkey and o_orderdate < date '1995-03-15'
+    group by l_orderkey, o_orderdate
+    order by revenue desc, o_orderdate
+    limit 10
+"""
+
+
+def _sequential_copy(db) -> Database:
+    """The same rows in a catalog of their own, run by the interpreter
+    under ``sequential_pipe``: no memo of ``db``'s is shared."""
+    catalog = Catalog()
+    for (schema, _key), table in db.catalog.tables().items():
+        catalog.schema(schema).create_table(
+            table.name, [(column.name, column.mal_type)
+                         for column in table.columns.values()]
+        ).insert_many(table.rows())
+    return Database(catalog=catalog, workers=1,
+                    pipeline_name="sequential_pipe")
+
+
+def _assert_q3_shaped_matches(db, reference):
+    expected = [tuple(pytest.approx(value, rel=1e-12)
+                      if isinstance(value, float) else value
+                      for value in row)
+                for row in reference.execute(Q3_SHAPED).rows]
+    assert expected
+    assert db.execute(Q3_SHAPED).rows == expected
+
+
+def _join_memos(db):
+    """(lineitem, its l_orderkey column) after a run of ``Q3_SHAPED``,
+    which leaves the tid and the column's reverse memoized."""
+    lineitem = db.catalog.table("lineitem")
+    orderkey = lineitem.column("l_orderkey").bat
+    assert orderkey._reverse_cache is not None
+    assert lineitem._tid is not None and lineitem._tid._tdense
+    return lineitem, orderkey
+
+
+def test_insert_drops_the_tid_and_the_column_reverse():
+    db = _tpch(workers=2)
+    reference = _sequential_copy(db)
+    for _ in range(2):  # the second run probes the reverse's hash
+        _assert_q3_shaped_matches(db, reference)
+    lineitem, orderkey = _join_memos(db)
+    tid, reverse = lineitem._tid, orderkey._reverse_cache[1]
+    assert reverse._index_cache is not None
+    insert = _lineitem_insert(reference, 2.0)
+    for database in (db, reference):
+        database.execute(insert)
+    assert orderkey._reverse_cache is None  # dropped by the write
+    _assert_q3_shaped_matches(db, reference)
+    assert lineitem._tid is not tid
+    assert len(lineitem._tid) == lineitem.row_count() > len(tid)
+    assert orderkey.reverse() is not reverse
+
+
+def test_rolled_back_insert_drops_the_tid_and_the_column_reverse(tmp_path):
+    """A read between a durable INSERT and its undo memoizes a tid and
+    a reverse over the doomed rows; the undo drops the reverse, and the
+    tid no longer answers for the table."""
+    db = _tpch(workers=2, wal_dir=str(tmp_path))
+    try:
+        reference = _sequential_copy(db)
+        _assert_q3_shaped_matches(db, reference)
+        rows = db.catalog.table("lineitem").row_count()
+        real_log, hooks = db.durability.log, {}
+
+        def keeping_undo(kind, data, apply, undo):
+            hooks["undo"] = undo
+            return real_log(kind, data, apply, undo)
+
+        db.durability.log = keeping_undo
+        db.execute(_lineitem_insert(reference, 2.0))
+        db.durability.log = real_log
+        db.execute(Q3_SHAPED)
+        lineitem, orderkey = _join_memos(db)
+        doomed = lineitem._tid
+        assert len(doomed) == lineitem.row_count() > rows
+        hooks["undo"]()
+        assert orderkey._reverse_cache is None
+        _assert_q3_shaped_matches(db, reference)
+        assert lineitem._tid is not doomed and len(lineitem._tid) == rows
+        kept = _lineitem_insert(reference, 3.0)  # as many rows again
+        for database in (db, reference):
+            database.execute(kept)
+        _assert_q3_shaped_matches(db, reference)
+    finally:
+        db.close()
+
+
+def test_appending_to_a_tid_does_not_leak_into_the_next_query():
+    """Hand-written MAL may append to what ``sql.tid`` returned, which
+    is the table's memoized tid: the append clears its density mark, so
+    the fetch through it gathers, and the next query gets a new tid."""
+    db = _tpch(workers=2)
+    reference = _sequential_copy(db)
+    _assert_q3_shaped_matches(db, reference)
+    lineitem, orderkey = _join_memos(db)
+    memo, rows = lineitem._tid, lineitem.row_count()
+    result = Interpreter(db.catalog).run(parse_instruction_text("""
+        X_0 := sql.mvc();
+        X_1 := sql.tid(X_0,"sys","lineitem");
+        X_2 := bat.append(X_1,0);
+        X_3 := sql.bind(X_0,"sys","lineitem","l_orderkey",0);
+        X_4 := algebra.leftjoin(X_2,X_3);
+        X_5 := sql.resultSet(1,1);
+        X_6 := sql.rsColumn(X_5,"sys.lineitem","l_orderkey","int",X_4);
+        sql.exportResult(X_6);
+    """))
+    assert len(memo) == rows + 1 and not memo._tdense
+    assert [row[0] for row in result.rows()] == orderkey.tail + \
+        orderkey.tail[:1]
+    _assert_q3_shaped_matches(db, reference)
+    assert lineitem._tid is not memo and lineitem._tid._tdense
+    assert len(lineitem._tid) == rows
+
+
+def test_concurrent_first_runs_share_the_join_memos():
+    """Readers that meet a column with no tid, reverse, count or hash
+    yet race to build them; whoever's copy is kept, every answer is the
+    sequential one."""
+    names = ("q3", "q5", "q18")  # all return rows at scale 1
+
+    def scale_one(**kwargs) -> Database:
+        catalog = Catalog()
+        populate(catalog, scale_factor=1.0, seed=7)
+        return Database(catalog=catalog, **kwargs)
+
+    reference = scale_one(workers=1, pipeline_name="sequential_pipe")
+    expected = {name: reference.execute(query_sql(name)).rows
+                for name in names}
+    assert all(expected.values())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _round in range(3):  # fresh memos each round
+            db = scale_one(workers=2)
+            results, failures = [], []
+            start = threading.Barrier(4)
+
+            def read(order):
+                try:
+                    start.wait(timeout=30)
+                    for name in order * 2:
+                        results.append(
+                            (name, db.execute(query_sql(name)).rows))
+                except BaseException as exc:  # reported below
+                    failures.append(exc)
+
+            threads = [threading.Thread(target=read, args=(names[i:]
+                                                           + names[:i],))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            assert len(results) == 4 * 2 * len(names)
+            for name, rows in results:
+                assert rows == [tuple(pytest.approx(value, rel=1e-12)
+                                      if isinstance(value, float)
+                                      else value for value in row)
+                                for row in expected[name]], name
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
