@@ -108,34 +108,6 @@ def test_e4_mitosis_ablation(benchmark, tpch_db, artifacts):
     assert mitosis < plain
 
 
-def test_e4_contention_ablation(benchmark, tpch_db, artifacts):
-    """Resource contention (the "influence of concurrent processes")
-    bends the speedup curve: with the memory-contention knob on, 4
-    workers gain less than the ideal machine shows."""
-    sql = query_sql("q6")
-    program = plan_for(tpch_db, sql, 4)
-    serial = SimulatedScheduler(tpch_db.catalog, workers=1).run(
-        plan_for(tpch_db, sql, 4)
-    ).total_usec
-
-    def contended():
-        return SimulatedScheduler(
-            tpch_db.catalog, workers=4, contention=0.15
-        ).run(program).total_usec
-
-    loaded = benchmark(contended)
-    ideal = SimulatedScheduler(tpch_db.catalog, workers=4).run(
-        program
-    ).total_usec
-    with open(os.path.join(artifacts, "e4_multicore.txt"), "a") as f:
-        f.write(
-            f"contention q6: serial={serial} ideal4={ideal} "
-            f"contended4={loaded} "
-            f"(speedup {serial / ideal:.2f}x -> {serial / loaded:.2f}x)\n"
-        )
-    assert ideal <= loaded < serial
-
-
 def test_e4_sequential_anomaly_reproduced(benchmark, tpch_db, artifacts):
     """The paper's reported finding, detected from the trace alone."""
     sql = query_sql("q1")

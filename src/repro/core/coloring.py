@@ -58,7 +58,6 @@ class PairSequenceColorizer:
         self._open: List[int] = []
         #: pcs currently painted RED (long-running, not yet done)
         self._red: set = set()
-        self.actions: List[ColorAction] = []
 
     def push(self, event: TraceEvent) -> List[ColorAction]:
         """Process one event; returns the triggered colour actions."""
@@ -84,7 +83,6 @@ class PairSequenceColorizer:
                     # done without its start being overtaken first —
                     # e.g. trace filtered; treat as fast, no colour
                     pass
-        self.actions.extend(out)
         return out
 
     def _overtake(self, exclude: Optional[int]) -> List[ColorAction]:
@@ -99,9 +97,7 @@ class PairSequenceColorizer:
     def finish(self) -> List[ColorAction]:
         """End of trace: instructions still open never finished; paint
         them RED (they are exactly where a hung query is stuck)."""
-        out = self._overtake(exclude=None)
-        self.actions.extend(out)
-        return out
+        return self._overtake(exclude=None)
 
     @property
     def currently_red(self) -> set:
@@ -133,7 +129,6 @@ class ThresholdColorizer:
             raise ValueError("threshold must be positive")
         self.threshold_usec = threshold_usec
         self._started: Dict[int, int] = {}
-        self.actions: List[ColorAction] = []
 
     def push(self, event: TraceEvent) -> List[ColorAction]:
         """Process one event; returns the triggered colour actions."""
@@ -150,7 +145,6 @@ class ThresholdColorizer:
                 out.append(ColorAction(
                     event.pc, GREEN, f"usec {event.usec} < threshold"
                 ))
-        self.actions.extend(out)
         return out
 
     def overdue(self, clock_usec: int) -> List[ColorAction]:

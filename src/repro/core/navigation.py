@@ -23,6 +23,10 @@ from repro.viz.animation import Animator
 from repro.viz.view import View
 
 
+#: The camera altitude a move to a node zooms to.
+FOCUS_ALTITUDE = 25.0
+
+
 class Navigator:
     """Keyboard/mouse-style navigation over a laid-out plan.
 
@@ -36,13 +40,11 @@ class Navigator:
 
     def __init__(self, graph: Digraph, layout: Layout,
                  view: Optional[View] = None,
-                 animator: Optional[Animator] = None,
-                 focus_altitude: float = 25.0) -> None:
+                 animator: Optional[Animator] = None) -> None:
         self.graph = graph
         self.layout = layout
         self.view = view
         self.animator = animator
-        self.focus_altitude = focus_altitude
         roots = graph.roots()
         # prefer a root that actually leads somewhere (administrative
         # markers like language.dataflow are isolated nodes)
@@ -74,11 +76,11 @@ class Navigator:
         node = self.layout.nodes[self.current]
         if self.animator is not None:
             self.animator.animate_camera_to(
-                self.view.camera, node.x, node.y, self.focus_altitude
+                self.view.camera, node.x, node.y, FOCUS_ALTITUDE
             )
         else:
             self.view.camera.look_at(node.x, node.y)
-            self.view.camera.altitude = self.focus_altitude
+            self.view.camera.altitude = FOCUS_ALTITUDE
 
     # ------------------------------------------------------------------
     # dataflow moves

@@ -45,6 +45,9 @@ from repro.profiler.events import TraceEvent
 from repro.viz.color import GREEN
 from repro.viz.vspace import VirtualSpace, build_virtual_space
 
+#: An instruction running this long raises a pop-up while online.
+POPUP_THRESHOLD_USEC = 10_000
+
 
 @dataclass
 class TraceHealth:
@@ -211,13 +214,11 @@ class OnlineSession:
     def __init__(self, connection: ServerConnection,
                  run_query: Callable[[], Any],
                  workdir: str,
-                 backlog_threshold: int = 32,
-                 popup_threshold_usec: int = 10_000) -> None:
+                 backlog_threshold: int = 32) -> None:
         self.connection = connection
         self.run_query = run_query
         self.workdir = workdir
         self.backlog_threshold = backlog_threshold
-        self.popup_threshold_usec = popup_threshold_usec
 
     def run(self, timeout_s: float = 30.0,
             settle_s: float = 0.5) -> OnlineResult:
@@ -259,7 +260,7 @@ class OnlineSession:
         painter: Optional[GraphPainter] = None
         colorizer = PairSequenceColorizer()
         progress: Optional[ProgressWindow] = None
-        popups = PopupManager(self.popup_threshold_usec)
+        popups = PopupManager(POPUP_THRESHOLD_USEC)
         analysis = TraceAnalyzer()
         consumed = 0
         sampled_out = 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.analysis import TraceAnalyzer
-from repro.core.coloring import ColorAction, PairSequenceColorizer, ThresholdColorizer
+from repro.core.coloring import PairSequenceColorizer, ThresholdColorizer
 from repro.core.painter import GraphPainter
 from repro.errors import StethoscopeError
 from repro.profiler.events import TraceEvent
@@ -53,13 +53,6 @@ class ReplayController:
     @property
     def at_end(self) -> bool:
         return self.position >= len(self.events)
-
-    @property
-    def current_event(self) -> Optional[TraceEvent]:
-        """The next event to be replayed (None at end of trace)."""
-        if self.at_end:
-            return None
-        return self.events[self.position]
 
     def step(self) -> Optional[TraceEvent]:
         """Replay one event; returns it (None at end, or while paused)."""
@@ -134,7 +127,3 @@ class ReplayController:
         return TraceAnalyzer(
             self.events[start_position:end_position]
         ).costly_instructions(top)
-
-    def actions_so_far(self) -> List[ColorAction]:
-        """Colour actions produced up to the current position."""
-        return list(self._colorizer.actions)

@@ -24,6 +24,10 @@ from repro.profiler.filters import EventFilter
 from repro.profiler.stream import DOT_PREFIX, END_MARKER, UdpReceiver
 
 
+#: The most lines one :meth:`ServerConnection.drain` pulls.
+DRAIN_MAX_LINES = 10_000
+
+
 class ServerConnection:
     """One connected (possibly remote) server's trace stream."""
 
@@ -44,10 +48,11 @@ class ServerConnection:
         server's profiler)."""
         return self.receiver.port
 
-    def drain(self, max_lines: int = 10000, timeout: float = 0.05) -> int:
-        """Pull available datagrams; returns how many lines arrived."""
+    def drain(self, timeout: float = 0.05) -> int:
+        """Pull available datagrams, at most ``DRAIN_MAX_LINES``; returns
+        how many lines arrived."""
         received = 0
-        for _ in range(max_lines):
+        for _ in range(DRAIN_MAX_LINES):
             line = self.receiver.try_line(timeout=timeout)
             if line is None:
                 break

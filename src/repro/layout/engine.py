@@ -8,6 +8,7 @@ from typing import Dict, List, Optional
 from repro.dot.graph import Digraph
 from repro.layout.acyclic import acyclic_orientation
 from repro.layout.geometry import (
+    H_GAP,
     Layout,
     LayoutEdge,
     LayoutNode,
@@ -23,22 +24,15 @@ from repro.layout.rank import assign_ranks, layers_from_ranks
 
 
 class LayeredLayout:
-    """Configurable hierarchical layout.
+    """Hierarchical layout; box sizes and gaps are the label-box model
+    of :mod:`repro.layout.geometry`.
 
     Args:
-        h_gap / v_gap: minimum horizontal / vertical box gaps.
         max_sweeps: barycenter sweep budget for crossing minimisation.
-        char_width / line_height: label-to-box-size model parameters.
     """
 
-    def __init__(self, h_gap: float = 30.0, v_gap: float = 40.0,
-                 max_sweeps: int = 8, char_width: float = 7.0,
-                 line_height: float = 16.0) -> None:
-        self.h_gap = h_gap
-        self.v_gap = v_gap
+    def __init__(self, max_sweeps: int = 8) -> None:
         self.max_sweeps = max_sweeps
-        self.char_width = char_width
-        self.line_height = line_height
         #: crossings in the final drawing (filled by :meth:`layout`).
         self.last_crossings: Optional[int] = None
 
@@ -69,18 +63,14 @@ class LayeredLayout:
         widths: List[float] = []
         heights: List[float] = []
         for label in labels:
-            width, height = node_size_for_label(
-                label, self.char_width, self.line_height
-            )
+            width, height = node_size_for_label(label)
             widths.append(width)
             heights.append(height)
         widths += [1.0] * virtual
         heights += [1.0] * virtual
 
         xs, ys = assign_coordinates(
-            ordered, widths, heights, segmented.edges, segmented.segments,
-            self.h_gap, self.v_gap,
-        )
+            ordered, widths, heights, segmented.edges, segmented.segments)
 
         nodes: Dict[str, LayoutNode] = {}
         for index, node_id in enumerate(node_ids):
@@ -102,7 +92,7 @@ class LayeredLayout:
             if edge.src == edge.dst:
                 # self-loop: a small triangle beside the node
                 node = nodes[edge.src]
-                tip = node.right + self.h_gap
+                tip = node.right + H_GAP
                 width = max(width, tip)
                 edges.append(LayoutEdge(edge.src, edge.dst, [
                     (node.right, node.y),
@@ -125,6 +115,6 @@ class LayeredLayout:
         return Layout(nodes, edges, width, height)
 
 
-def layout_graph(graph: Digraph, **kwargs) -> Layout:
+def layout_graph(graph: Digraph) -> Layout:
     """One-shot convenience wrapper over :class:`LayeredLayout`."""
-    return LayeredLayout(**kwargs).layout(graph)
+    return LayeredLayout().layout(graph)

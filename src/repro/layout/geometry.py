@@ -60,12 +60,33 @@ class Layout:
     height: float
 
 
-def node_size_for_label(label: str, char_width: float = 7.0,
-                        line_height: float = 16.0,
-                        padding: float = 10.0) -> Tuple[float, float]:
-    """Estimate a node's box size from its label text (monospace model)."""
-    lines = label.splitlines() or [""]
-    longest = max(len(line) for line in lines)
-    width = max(longest * char_width + 2 * padding, 40.0)
-    height = max(len(lines) * line_height + 2 * padding, 30.0)
-    return width, height
+#: The label-box model, in layout units: a monospace label is
+#: ``CHAR_WIDTH`` per character of its longest line and ``LINE_HEIGHT``
+#: per line; its node's box pads that by ``PADDING`` on every side and
+#: is at least ``MIN_WIDTH`` x ``MIN_HEIGHT``.  A text glyph measures
+#: itself by the same model (repro.viz.glyph, repro.viz.vspace).
+CHAR_WIDTH = 7.0
+LINE_HEIGHT = 16.0
+PADDING = 10.0
+MIN_WIDTH = 40.0
+MIN_HEIGHT = 30.0
+#: The smallest horizontal gap between two boxes of a layer, and the
+#: vertical gap between two layers.
+H_GAP = 30.0
+V_GAP = 40.0
+
+
+def text_size(text: str) -> Tuple[float, float]:
+    """Width and height of a label's text: its longest line times
+    ``CHAR_WIDTH``, its line count times ``LINE_HEIGHT``."""
+    if text.isprintable():  # no line break is printable: one line
+        return len(text) * CHAR_WIDTH, LINE_HEIGHT
+    lines = text.splitlines() or [""]
+    return max(map(len, lines)) * CHAR_WIDTH, len(lines) * LINE_HEIGHT
+
+
+def node_size_for_label(label: str) -> Tuple[float, float]:
+    """A node's box size for its label text (monospace model)."""
+    width, height = text_size(label)
+    return (max(width + 2 * PADDING, MIN_WIDTH),
+            max(height + 2 * PADDING, MIN_HEIGHT))

@@ -27,6 +27,7 @@ from itertools import repeat
 from operator import add, sub
 from typing import List, Sequence, Set, Tuple
 
+from repro.layout.geometry import H_GAP, V_GAP
 from repro.layout.ordering import (
     Edge,
     Layer,
@@ -42,8 +43,6 @@ def assign_coordinates(
     heights: Sequence[float],
     edges: Sequence[Edge],
     segments: Sequence[Edge],
-    h_gap: float = 30.0,
-    v_gap: float = 40.0,
 ) -> Tuple[List[float], List[float]]:
     """Compute centre coordinates for every node of the segmented
     layers; nodes are numbered ``0 .. len(widths) - 1``, ``edges`` join
@@ -80,7 +79,7 @@ def assign_coordinates(
             adjacent.sort(key=at)
 
     conflicts = _conflicts(layers, up, position, below, above)
-    lefts, rights, gaps = _separations(layers, half, h_gap, top_of,
+    lefts, rights, gaps = _separations(layers, half, top_of,
                                        bottom_of)
     results = []
     for order, shared, neighbours, land in (
@@ -119,7 +118,7 @@ def assign_coordinates(
         centre = cursor_y + layer_height / 2
         for node in nodes:
             ys[node] = centre
-        cursor_y += layer_height + v_gap
+        cursor_y += layer_height + V_GAP
     return xs, ys
 
 
@@ -150,7 +149,7 @@ def _conflicts(layers: List[Layer], up: List[List[int]],
     return conflicts
 
 
-def _separations(layers: List[Layer], half: List[float], h_gap: float,
+def _separations(layers: List[Layer], half: List[float],
                  top_of: List[int], bottom_of: List[int]
                  ) -> Tuple[List[int], List[int], List[float]]:
     """Node pairs that share a layer, as parallel lists of the left
@@ -187,7 +186,7 @@ def _separations(layers: List[Layer], half: List[float], h_gap: float,
                 lefts.append(previous)
                 rights.append(first)
             previous = last
-    gaps = [left + h_gap + right for left, right in
+    gaps = [left + H_GAP + right for left, right in
             zip(map(half.__getitem__, lefts), map(half.__getitem__, rights))]
     return lefts, rights, gaps
 

@@ -88,10 +88,6 @@ class ListSchedule(Execution):
         return max(self.free[thread], self.ready_usec)
 
     def finish(self, thread: int, start: int, cost: int) -> int:
-        if self.engine.contention > 0:
-            busy = sum(1 for w, free in enumerate(self.free)
-                       if w != thread and free > start)
-            cost = int(round(cost * (1 + self.engine.contention * busy)))
         self.free[thread] = start + cost
         return start + cost
 
@@ -103,15 +99,5 @@ class SimulatedScheduler(Executor):
 
     def __init__(self, catalog: Catalog, workers: int = 4,
                  cost_model: Optional[CostModel] = None,
-                 listener: Optional[RunListener] = None,
-                 contention: float = 0.0) -> None:
-        """``contention`` models shared-resource (memory bandwidth)
-        pressure: an instruction starting while *n* other workers are
-        busy runs ``1 + contention * n`` times slower.  Zero (default)
-        gives the ideal-machine speedups; ~0.05-0.15 reproduces the
-        sub-linear scaling real multi-cores show.
-        """
-        if contention < 0:
-            raise MalRuntimeError("contention must be non-negative")
+                 listener: Optional[RunListener] = None) -> None:
         super().__init__(catalog, cost_model, listener, workers)
-        self.contention = contention

@@ -212,11 +212,6 @@ class TraceBroadcastHub:
         with self._lock:
             return bool(self._subs)
 
-    def subscriber_count(self) -> int:
-        """How many subscriptions are currently attached."""
-        with self._lock:
-            return len(self._subs)
-
     def latest_seq(self) -> int:
         """The newest sequence number published (-1 when none yet)."""
         with self._lock:
@@ -226,11 +221,6 @@ class TraceBroadcastHub:
         """The sequence number the next published entry will get."""
         with self._lock:
             return self._next_seq
-
-    def oldest_retained_seq(self) -> int:
-        """The oldest sequence still in the resume ring."""
-        with self._lock:
-            return self._ring[0].seq if self._ring else self._next_seq
 
     def has_query(self, query_id: str) -> bool:
         """True when the ring still holds entries for ``query_id``."""

@@ -66,7 +66,7 @@ from repro.metrics.families import (
     REPL_RECORDS_APPLIED,
     REPL_ROLE,
 )
-from repro.server.client import MClient, probe_status
+from repro.server.client import MClient, probe_status, split_addr
 from repro.storage.durable import (
     MANIFEST_FILENAME,
     WAL_FILENAME,
@@ -83,18 +83,6 @@ __all__ = ["ReplicationManager", "split_addr"]
 #: Bootstrap file names the primary will serve (column files and the
 #: manifest only — never a path component).
 _SAFE_FILE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
-
-
-def split_addr(addr: str) -> Tuple[str, int]:
-    """Parse ``"host:port"``; raises a typed error on malformed input."""
-    host, sep, port = addr.rpartition(":")
-    if not sep or not host:
-        raise ReplicationError(f"bad peer address {addr!r}: want host:port")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ReplicationError(
-            f"bad peer address {addr!r}: port is not an integer") from None
 
 
 class ReplicationManager:
@@ -134,6 +122,8 @@ class ReplicationManager:
         self.database = database
         self.addr = addr
         self.peers: List[str] = [p for p in peers if p and p != addr]
+        for peer in self.peers + ([primary] if primary else []):
+            split_addr(peer)  # refused here, not at the first pull
         self.role = "replica" if primary else "primary"
         self.primary = primary or addr
         self.poll_interval_s = poll_interval_s

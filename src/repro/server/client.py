@@ -44,6 +44,7 @@ from repro.errors import (
     ConnectionFailedError,
     ConnectionLostError,
     ReadOnlyReplicaError,
+    ReplicationError,
     ReproError,
     RequestTimeoutError,
     ServerError,
@@ -70,15 +71,21 @@ _FRAME_PREALLOCATE = 1 << 20
 _ROUTE_TTL_S = 1.0
 
 
-def _split_addr(addr: str) -> Optional[Tuple[str, int]]:
-    """``"host:port"`` as a pair; None when it is not one."""
+def split_addr(addr: str) -> Tuple[str, int]:
+    """Parse ``"host:port"``; a typed error unless the port is an
+    integer in 1..65535 (``getaddrinfo`` would wrap a larger one)."""
     host, sep, port_text = addr.rpartition(":")
     if not sep or not host:
-        return None
+        raise ReplicationError(f"bad peer address {addr!r}: want host:port")
     try:
-        return host, int(port_text)
+        port = int(port_text)
     except ValueError:
-        return None
+        raise ReplicationError(
+            f"bad peer address {addr!r}: port is not an integer") from None
+    if not 1 <= port <= 65535:
+        raise ReplicationError(
+            f"bad peer address {addr!r}: port outside 1..65535")
+    return host, port
 
 
 def probe_status(addr: str, timeout: float = 0.75
@@ -90,11 +97,9 @@ def probe_status(addr: str, timeout: float = 0.75
     elections probe a whole peer set and must stay cheap even when half
     of it is down.  None on any failure.
     """
-    target = _split_addr(addr)
-    if target is None:
-        return None
     try:
-        with socket.create_connection(target, timeout=timeout) as sock:
+        with socket.create_connection(split_addr(addr),
+                                      timeout=timeout) as sock:
             sock.settimeout(timeout)
             sock.sendall(encode_message({"op": "repl.status"}))
             buffer = b""
@@ -262,8 +267,11 @@ class MClient:
         addr = self._routes["primary"]
         if role == "replica" and self._routes["replicas"]:
             addr = self._rng.choice(self._routes["replicas"])
-        target = _split_addr(addr) if addr else None
-        if target is not None and target != (self.host, self.port):
+        try:
+            target = split_addr(addr or "")
+        except ReplicationError:  # no primary known, or not host:port
+            return
+        if target != (self.host, self.port):
             self._teardown()
             self.host, self.port = target
 

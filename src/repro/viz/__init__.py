@@ -9,7 +9,7 @@ package reproduces the rest with a headless renderer (ASCII for
 terminals/tests, SVG for files) instead of a Swing window.
 """
 
-from repro.viz.animation import Animation, Animator, ease_in_out, linear
+from repro.viz.animation import Animation, Animator, ease_in_out
 from repro.viz.camera import Camera
 from repro.viz.color import Color, GREEN, RED, WHITE
 from repro.viz.glyph import EdgeGlyph, Glyph, RectangleGlyph, TextGlyph
@@ -42,6 +42,5 @@ __all__ = [
     "WHITE",
     "build_virtual_space",
     "ease_in_out",
-    "linear",
     "screenshot",
 ]

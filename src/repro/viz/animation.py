@@ -9,18 +9,12 @@ all active animations on a shared clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.errors import VizError
 from repro.viz.camera import Camera
 from repro.viz.color import Color
 from repro.viz.glyph import RectangleGlyph
-
-
-def linear(t: float) -> float:
-    """Identity easing."""
-    return t
 
 
 def ease_in_out(t: float) -> float:
@@ -33,20 +27,16 @@ class Animation:
 
     Args:
         duration_ms: total run time; must be positive.
-        apply: called with eased progress in [0, 1] every step.
-        easing: progress-shaping function.
-        on_done: optional completion callback.
+        apply: called every step with the progress in [0, 1], eased
+            by :func:`ease_in_out`.
     """
 
-    def __init__(self, duration_ms: float, apply: Callable[[float], None],
-                 easing: Callable[[float], float] = ease_in_out,
-                 on_done: Optional[Callable[[], None]] = None) -> None:
+    def __init__(self, duration_ms: float,
+                 apply: Callable[[float], None]) -> None:
         if duration_ms <= 0:
             raise VizError("animation duration must be positive")
         self.duration_ms = duration_ms
         self.apply = apply
-        self.easing = easing
-        self.on_done = on_done
         self.elapsed_ms = 0.0
         self.finished = False
 
@@ -55,11 +45,13 @@ class Animation:
             return
         self.elapsed_ms += dt_ms
         t = min(1.0, self.elapsed_ms / self.duration_ms)
-        self.apply(self.easing(t))
+        self.apply(ease_in_out(t))
         if t >= 1.0:
             self.finished = True
-            if self.on_done is not None:
-                self.on_done()
+
+
+#: The step budget of :meth:`Animator.run_to_completion`.
+MAX_STEPS = 100_000
 
 
 class Animator:
@@ -82,11 +74,11 @@ class Animator:
     def active(self) -> int:
         return len(self.animations)
 
-    def run_to_completion(self, step_ms: float = 16.0,
-                          max_steps: int = 100000) -> int:
-        """Step until idle; returns steps taken (testing helper)."""
+    def run_to_completion(self, step_ms: float = 16.0) -> int:
+        """Step until idle, at most ``MAX_STEPS`` times; returns steps
+        taken (testing helper)."""
         steps = 0
-        while self.animations and steps < max_steps:
+        while self.animations and steps < MAX_STEPS:
             self.step(step_ms)
             steps += 1
         return steps

@@ -12,28 +12,30 @@ from typing import Tuple
 
 from repro.errors import VizError
 
+#: The focal length of every camera.
+FOCAL = 100.0
+#: How much room :meth:`Camera.fit` leaves around the bounds it frames.
+FIT_MARGIN = 1.1
+
 
 class Camera:
     """A viewpoint with smooth zoom semantics."""
 
     def __init__(self, x: float = 0.0, y: float = 0.0,
-                 altitude: float = 100.0, focal: float = 100.0) -> None:
-        if focal <= 0:
-            raise VizError("focal length must be positive")
+                 altitude: float = 100.0) -> None:
         self.x = x
         self.y = y
-        self.focal = focal
         # ZVTM permits negative altitudes (the camera dips below the
         # focal plane) for magnification beyond 1:1; the floor keeps the
         # projection finite
-        self.altitude = max(-focal * 0.999, altitude)
+        self.altitude = max(-FOCAL * 0.999, altitude)
 
     # ------------------------------------------------------------------
 
     @property
     def scale(self) -> float:
         """World-to-screen magnification at the current altitude."""
-        return self.focal / (self.focal + self.altitude)
+        return FOCAL / (FOCAL + self.altitude)
 
     def world_to_screen(self, wx: float, wy: float,
                         viewport_w: float, viewport_h: float) -> Tuple[float, float]:
@@ -65,15 +67,15 @@ class Camera:
         if factor <= 0:
             raise VizError("zoom factor must be positive")
         self.altitude = max(
-            -self.focal * 0.999,
-            (self.altitude + self.focal) / factor - self.focal,
+            -FOCAL * 0.999,
+            (self.altitude + FOCAL) / factor - FOCAL,
         )
 
     def zoom_out(self, factor: float = 1.5) -> None:
         """Increase altitude (shrink); factor > 1."""
         if factor <= 0:
             raise VizError("zoom factor must be positive")
-        self.altitude = (self.altitude + self.focal) * factor - self.focal
+        self.altitude = (self.altitude + FOCAL) * factor - FOCAL
 
     def look_at(self, x: float, y: float) -> None:
         """Centre the camera on a world point (keyboard navigation)."""
@@ -81,16 +83,15 @@ class Camera:
         self.y = y
 
     def fit(self, bounds: Tuple[float, float, float, float],
-            viewport_w: float, viewport_h: float,
-            margin: float = 1.1) -> None:
+            viewport_w: float, viewport_h: float) -> None:
         """Position and zoom so ``bounds`` fills the viewport — the
         bird's-eye-view operation."""
         left, top, right, bottom = bounds
-        width = max(right - left, 1e-9) * margin
-        height = max(bottom - top, 1e-9) * margin
+        width = max(right - left, 1e-9) * FIT_MARGIN
+        height = max(bottom - top, 1e-9) * FIT_MARGIN
         self.x = (left + right) / 2
         self.y = (top + bottom) / 2
         needed_scale = min(viewport_w / width, viewport_h / height)
         needed_scale = min(needed_scale, 1e6)
-        self.altitude = max(-self.focal * 0.999,
-                            self.focal / needed_scale - self.focal)
+        self.altitude = max(-FOCAL * 0.999,
+                            FOCAL / needed_scale - FOCAL)

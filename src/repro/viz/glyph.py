@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.layout.geometry import text_size
 from repro.viz.color import BLACK, Color, WHITE
 
 Bounds = Tuple[float, float, float, float]  # left, top, right, bottom
@@ -53,7 +54,8 @@ class RectangleGlyph(Glyph):
 
 @dataclass
 class TextGlyph(Glyph):
-    """A node's label text."""
+    """A node's label text, measured by the label-box model
+    (:func:`repro.layout.geometry.text_size`)."""
 
     x: float = 0.0
     y: float = 0.0
@@ -62,9 +64,10 @@ class TextGlyph(Glyph):
     owner: Optional[str] = None
 
     def bounds(self) -> Bounds:
-        half_width = max(len(self.text) * 3.5, 1.0)
-        return (self.x - half_width, self.y - 8, self.x + half_width,
-                self.y + 8)
+        width, height = text_size(self.text)
+        half_width, half_height = max(width / 2, 1.0), height / 2
+        return (self.x - half_width, self.y - half_height,
+                self.x + half_width, self.y + half_height)
 
 
 @dataclass

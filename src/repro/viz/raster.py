@@ -23,13 +23,12 @@ class RasterImage:
     """An RGB image whose ``pixels`` bytearray is the P6 payload:
     row-major, 3 bytes per pixel."""
 
-    def __init__(self, width: int, height: int,
-                 background: Color = WHITE) -> None:
+    def __init__(self, width: int, height: int) -> None:
         if width <= 0 or height <= 0:
             raise VizError("image dimensions must be positive")
         self.width = width
         self.height = height
-        self.pixels = bytearray(_rgb(background) * (width * height))
+        self.pixels = bytearray(_rgb(WHITE) * (width * height))
 
     # ------------------------------------------------------------------
 

@@ -10,15 +10,14 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import VizError
-from repro.layout.geometry import Layout
+from repro.layout.geometry import CHAR_WIDTH, LINE_HEIGHT, Layout, text_size
 from repro.viz.glyph import EdgeGlyph, Glyph, RectangleGlyph, TextGlyph
 
 
 class VirtualSpace:
     """An ordered collection of glyphs with id-based access."""
 
-    def __init__(self, name: str = "plan") -> None:
-        self.name = name
+    def __init__(self) -> None:
         self._glyphs: Dict[str, Glyph] = {}
 
     def add(self, glyph: Glyph) -> Glyph:
@@ -87,6 +86,7 @@ class VirtualSpace:
         tops: List[float] = []
         rights: List[float] = []
         bottoms: List[float] = []
+        half_char, half_line = CHAR_WIDTH / 2, LINE_HEIGHT / 2
         for glyph in self._glyphs.values():
             if not glyph.visible:
                 continue
@@ -107,12 +107,19 @@ class VirtualSpace:
                 bottoms.append(y + half_height)
                 continue
             elif isinstance(glyph, TextGlyph):
-                x, y = glyph.x, glyph.y
-                half_width = max(len(glyph.text) * 3.5, 1.0)
+                x, y, text = glyph.x, glyph.y, glyph.text
+                # text_size's one-line case, inlined: every save_svg
+                # and fit_all measures every node's text here
+                if text.isprintable():
+                    half_width = max(len(text) * half_char, 1.0)
+                    half_height = half_line
+                else:
+                    width, height = text_size(text)
+                    half_width, half_height = max(width / 2, 1.0), height / 2
                 lefts.append(x - half_width)
                 rights.append(x + half_width)
-                tops.append(y - 8)
-                bottoms.append(y + 8)
+                tops.append(y - half_height)
+                bottoms.append(y + half_height)
                 continue
             left, top, right, bottom = glyph.bounds()
             lefts.append(left)
@@ -127,14 +134,14 @@ class VirtualSpace:
         return (left, min(tops), right, max(bottoms))
 
 
-def build_virtual_space(layout: Layout, name: str = "plan") -> VirtualSpace:
+def build_virtual_space(layout: Layout) -> VirtualSpace:
     """Build the glyph scene for a laid-out plan.
 
     Exactly as the paper describes for ZGrviewer: one shape glyph and one
     text glyph per node, one edge glyph per edge.  A layout's node ids
     are unique, so the glyph ids go straight into the space's index.
     """
-    space = VirtualSpace(name)
+    space = VirtualSpace()
     glyphs = space._glyphs
     for edge_index, edge in enumerate(layout.edges):
         glyph_id = f"edge:{edge_index}"

@@ -12,7 +12,7 @@ algorithms to find.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.mal.ast import Const, MalProgram, Var, bat_of, scalar_of
 from repro.mal.printer import format_instruction
@@ -68,14 +68,19 @@ def synthetic_plan(chains: int = 8, chain_length: int = 4) -> MalProgram:
     return program
 
 
+#: A synthetic trace's instruction costs: the long ones take
+#: ``LONG_USEC`` up to 1.5x that, the others ``BASE_USEC`` up to twice.
+LONG_USEC = 50_000
+BASE_USEC = 40
+
+
 def trace_for_program(program: MalProgram, workers: int = 4,
-                      seed: int = 11, long_fraction: float = 0.05,
-                      long_usec: int = 50_000,
-                      base_usec: int = 40) -> List[TraceEvent]:
+                      seed: int = 11,
+                      long_fraction: float = 0.05) -> List[TraceEvent]:
     """A plausible trace for ``program`` without executing it.
 
     Instructions are list-scheduled over ``workers`` on a virtual clock;
-    a seeded ``long_fraction`` of them receive ``long_usec`` durations —
+    a seeded ``long_fraction`` of them receive ``LONG_USEC`` durations —
     the costly outliers the Stethoscope exists to find.
     """
     rng = random.Random(seed)
@@ -94,9 +99,9 @@ def trace_for_program(program: MalProgram, workers: int = 4,
         widx = min(range(workers), key=lambda w: (worker_free[w], w))
         start = max(worker_free[widx], ready_time.get(pc, 0))
         if rng.random() < long_fraction:
-            cost = long_usec + rng.randrange(long_usec // 2)
+            cost = LONG_USEC + rng.randrange(LONG_USEC // 2)
         else:
-            cost = base_usec + rng.randrange(base_usec)
+            cost = BASE_USEC + rng.randrange(BASE_USEC)
         end = start + cost
         worker_free[widx] = end
         stmt = format_instruction(instr, program)

@@ -410,6 +410,45 @@ def _trailed(body):
 
 
 
+class TestSnapshotRestore:
+    """CI runs this class by name ("Stats-store snapshot/restore
+    smoke"): a WAL-backed Database restores its stats.json on reopen,
+    every restored key is a selection signature, and a snapshot with no
+    trailer, or a trailed one with ``"capacity": 0``, opens cold."""
+
+    def test_snapshot_restores_and_malformed_opens_cold(self, tmp_path):
+        workdir = str(tmp_path)
+        db = Database(workers=2, wal_dir=workdir)
+        db.execute("create table t (a int)")
+        db.catalog.table("t").insert_many([[i] for i in range(64)])
+        db.execute("select count(*) from t where a < 10")
+        db.close()
+        path = os.path.join(workdir, "stats.json")
+        assert os.path.exists(path)
+        warm = Database(workers=2, wal_dir=workdir)
+        assert len(warm.stats_store) > 0, "snapshot did not restore"
+        keys = [entry["key"] for entry in warm.stats_store.top_entries(100)]
+        assert keys, "no selection signature restored"
+        for key in keys:  # scope|algebra.<select kind>(column;consts)
+            signature = key.split("|", 1)[1]
+            assert signature.split("(", 1)[0] in (
+                "algebra.select", "algebra.thetaselect",
+                "algebra.likeselect"), key
+            assert "(sys.t.a;" in signature, key
+        warm.close()
+        with open(path) as handle:
+            text = handle.read()
+        body = text[:text.rindex("\n#crc32=")]
+        zero = body.replace('"capacity": 4096', '"capacity": 0')
+        assert zero != body
+        for bad in (body, _trailed(zero)):  # no trailer; capacity 0
+            with open(path, "w") as handle:
+                handle.write(bad)
+            cold = Database(workers=2, wal_dir=workdir)
+            assert len(cold.stats_store) == 0, "malformed snapshot loaded"
+            cold.close()
+
+
 class TestStatsSurfaces:
     def test_stats_verb_exposes_feedback_state(self):
         db = _skewed_db(plan_cache_size=8)

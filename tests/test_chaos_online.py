@@ -51,13 +51,9 @@ def recorded_trace(database, sql="select count(*) from lineitem "
 def final_coloring(events):
     """Each pc's final colour after a full stream + finish."""
     colorizer = PairSequenceColorizer()
-    for event in events:
-        colorizer.push(event)
-    colorizer.finish()
-    final = {}
-    for action in colorizer.actions:
-        final[action.pc] = action.color.to_hex()
-    return final
+    actions = [action for event in events for action in colorizer.push(event)]
+    actions += colorizer.finish()
+    return {action.pc: action.color.to_hex() for action in actions}
 
 
 class TestShuffledStreamsConverge:

@@ -1,14 +1,9 @@
-"""Tests for EXPLAIN/TRACE SQL modifiers and the contention model."""
+"""Tests for the EXPLAIN/TRACE SQL modifiers."""
 
 import pytest
 
-from repro.errors import MalRuntimeError
-from repro.mal.dataflow import SimulatedScheduler
-from repro.mal.optimizer import default_pipe
 from repro.server import Database
-from repro.sqlfe import compile_sql
-from repro.storage import Catalog
-from repro.tpch import populate, query_sql
+from repro.tpch import populate
 
 
 @pytest.fixture(scope="module")
@@ -53,57 +48,3 @@ class TestTraceStatement:
     def test_trace_carries_statement_text(self, db):
         outcome = db.execute("trace select count(*) from region")
         assert any("sql.tid" in row[7] for row in outcome.rows)
-
-
-class TestContention:
-    def program(self, db, workers=4):
-        pipeline = default_pipe(nparts=workers, mitosis_threshold=200)
-        for opt_pass in pipeline.passes:
-            if hasattr(opt_pass, "catalog"):
-                opt_pass.catalog = db.catalog
-        return pipeline.apply(
-            compile_sql(db.catalog, query_sql("q6"))
-        )
-
-    def test_contention_inflates_parallel_makespan(self, db):
-        program = self.program(db)
-        ideal = SimulatedScheduler(db.catalog, workers=4).run(program)
-        contended = SimulatedScheduler(
-            db.catalog, workers=4, contention=0.2
-        ).run(self.program(db))
-        assert contended.total_usec > ideal.total_usec
-
-    def test_contention_ignores_sequential_runs(self, db):
-        program = self.program(db, workers=1)
-        program.dataflow_enabled = False
-        a = SimulatedScheduler(db.catalog, workers=1).run(program)
-        b = SimulatedScheduler(
-            db.catalog, workers=1, contention=0.5
-        ).run(program)
-        assert a.total_usec == b.total_usec  # never >0 other busy workers
-
-    def test_contention_makes_speedup_sublinear(self, db):
-        serial = SimulatedScheduler(db.catalog, workers=1).run(
-            self.program(db)
-        ).total_usec
-        ideal = SimulatedScheduler(db.catalog, workers=4).run(
-            self.program(db)
-        ).total_usec
-        contended = SimulatedScheduler(
-            db.catalog, workers=4, contention=0.15
-        ).run(self.program(db)).total_usec
-        assert serial / contended < serial / ideal
-
-    def test_negative_contention_rejected(self, db):
-        with pytest.raises(MalRuntimeError):
-            SimulatedScheduler(db.catalog, contention=-0.1)
-
-    def test_deterministic_under_contention(self, db):
-        a = SimulatedScheduler(
-            db.catalog, workers=4, contention=0.1
-        ).run(self.program(db))
-        b = SimulatedScheduler(
-            db.catalog, workers=4, contention=0.1
-        ).run(self.program(db))
-        assert [(r.pc, r.start_usec, r.end_usec) for r in a.runs] == \
-            [(r.pc, r.start_usec, r.end_usec) for r in b.runs]

@@ -945,6 +945,40 @@ class TestPartitionedPlansStayVoid:
         assert offenders == []
 
 
+class TestWarmSlices:
+    """A count, not a clock (CI runs this class by name, "A warm round
+    cuts no partition"): a column owns its mitosis partitions
+    (``BAT.partitions``), so a warm round of the 11 timed TPC-H queries
+    cuts only what the plans' ``algebra.slice`` instructions ask for --
+    16 here; slices cut per ``sql.bind`` read 102."""
+
+    def test_a_warm_round_cuts_no_partition(self, monkeypatch):
+        from repro.tpch import QUERIES, populate, query_sql
+
+        catalog = Catalog()
+        populate(catalog, scale_factor=0.05, seed=7)
+        database = Database(catalog=catalog, workers=2,
+                            mitosis_threshold=50)
+        names = [name for name in QUERIES if name != "q14"]
+        cut, calls = BAT.slice_, [0]
+
+        def counted(bat, first, last):
+            calls[0] += 1
+            return cut(bat, first, last)
+
+        monkeypatch.setattr(BAT, "slice_", counted)
+        try:
+            for _ in range(2):
+                calls[0] = 0
+                plans = [database.execute(query_sql(name)).program
+                         for name in names]
+        finally:
+            database.close()
+        asked = sum(instr.qualified_name == "algebra.slice"
+                    for plan in plans for instr in plan.instructions)
+        assert calls[0] == asked, "a warm round cut a partition"
+
+
 def _column_derived(catalog) -> dict:
     """``{id: BAT}`` of every base column, its partitions and the
     memoized reverses of both: what lives as long as the column."""

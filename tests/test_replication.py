@@ -433,8 +433,13 @@ class TestClientRouting:
 
     def test_split_addr_rejects_garbage(self):
         assert split_addr("127.0.0.1:80") == ("127.0.0.1", 80)
-        with pytest.raises(ReplicationError):
-            split_addr("no-port-here")
+        assert split_addr("host:1") == ("host", 1)
+        assert split_addr("host:65535") == ("host", 65535)
+        # getaddrinfo takes 70000 for 4464: a port out of range is refused
+        for garbage in ("no-port-here", "127.0.0.1:70000", "host:65536",
+                        "host:0", "host:-1"):
+            with pytest.raises(ReplicationError):
+                split_addr(garbage)
 
 
 class _StallAfterDropServer(threading.Thread):

@@ -1,6 +1,8 @@
 """Tests for the Database facade, Mserver and MClient."""
 
+import asyncio.events
 import datetime
+import threading
 
 import pytest
 
@@ -227,6 +229,40 @@ class TestMserverProtocol:
             assert a.ping() and b.ping()
             assert a.query("select count(*) from region").rows == \
                 b.query("select count(*) from region").rows
+
+
+class TestLoopCallbacks:
+    """A count, not a clock (CI runs this class by name, "A request
+    crosses the event loop twice"): everything the server's event loop
+    runs goes through asyncio's ``Handle._run``.  A warm query is 3
+    callbacks in 2 loop iterations (the socket read that frames and
+    submits it; the self-pipe wake-up and the hand-back that writes the
+    answer) and a ping 1 in 1; the reader and processor tasks, queue,
+    per-request timer and write lock a connection used to have read 10
+    and 6.  The bounds are 4 and 2."""
+
+    def test_a_request_crosses_the_event_loop_twice(self, monkeypatch):
+        database = Database(workers=2)
+        populate(database.catalog, scale_factor=0.01, seed=3)
+        run, seen = asyncio.events.Handle._run, [0]
+
+        def counted(handle):
+            seen[0] += threading.current_thread().name == "mserver-loop"
+            return run(handle)
+
+        monkeypatch.setattr(asyncio.events.Handle, "_run", counted)
+        sql = "select count(*) from nation"
+        with Mserver(database) as server, \
+                MClient(port=server.port) as client:
+            client.query(sql)
+            per = {}
+            for verb, call in (("query", lambda: client.query(sql)),
+                               ("ping", client.ping)):
+                before = seen[0]
+                for _ in range(200):
+                    call()
+                per[verb] = (seen[0] - before) / 200
+        assert per["query"] <= 4 and per["ping"] <= 2, per
 
 
 class TestProfilerStreaming:

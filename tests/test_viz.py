@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.dot import plan_to_graph
+from repro.dot import Digraph, parse_dot, plan_to_graph
 from repro.errors import VizError
 from repro.layout import layout_graph
 from repro.mal.parser import parse_instruction_text
@@ -21,6 +21,7 @@ from repro.viz import (
     WHITE,
     build_virtual_space,
 )
+from repro.viz.camera import FOCAL
 from repro.viz.color import gradient_for
 from repro.viz.glyph import EdgeGlyph, TextGlyph
 
@@ -138,6 +139,39 @@ def test_space_bounds_are_the_union_of_glyph_bounds(glyphs):
     assert space.bounds() == reference_bounds(glyphs)
 
 
+#: labels with line breaks of the kinds ``str.splitlines`` splits on
+_LABELS = st.text(st.sampled_from("ab= \t\n\r\x0b\x1c\x85\u2028"),
+                  max_size=40)
+
+
+@given(st.lists(_LABELS, min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_every_text_glyph_lies_inside_its_shape(labels):
+    """A text glyph is measured by the model that sized its node's box:
+    its longest line and its line count, however many lines it has."""
+    graph = Digraph()
+    for index, label in enumerate(labels):
+        graph.add_node(f"n{index}", {"label": label})
+        if index:
+            graph.add_edge(f"n{index - 1}", f"n{index}")
+    space = build_virtual_space(layout_graph(graph))
+    for node_id in space.node_ids():
+        s_left, s_top, s_right, s_bottom = space.shape_of(node_id).bounds()
+        left, top, right, bottom = space.text_of(node_id).bounds()
+        assert s_left <= left <= right <= s_right
+        assert s_top <= top <= bottom <= s_bottom
+
+
+def test_a_multi_line_label_frames_its_box():
+    """Three 20-character lines: a 160 x 68 box holding 140 x 48 of
+    text, so the space is the box (the text once measured 434 wide)."""
+    line = "x" * 20
+    space = build_virtual_space(layout_graph(parse_dot(
+        f'digraph G {{ n0 [label="{line}\\n{line}\\n{line}"]; }}')))
+    assert space.text_of("n0").bounds() == (10.0, 10.0, 150.0, 58.0)
+    assert space.bounds() == (0.0, 0.0, 160.0, 68.0)
+
+
 class TestCamera:
     def test_world_screen_roundtrip(self):
         camera = Camera(x=50, y=50, altitude=150)
@@ -162,7 +196,7 @@ class TestCamera:
         for _ in range(10):
             camera.zoom_in(10)
         # negative altitudes magnify past 1:1 but never reach -focal
-        assert -camera.focal < camera.altitude
+        assert -FOCAL < camera.altitude
         assert camera.scale > 1.0
 
     def test_fit_contains_bounds(self):
