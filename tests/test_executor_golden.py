@@ -30,7 +30,10 @@ were recorded at commit e809439, the last commit with the partition
 worker pool, by running both commands with this file copied into that
 checkout; every other entry they rewrote came out unchanged.  The
 ``simulated_w4_contention`` entries left both files, unchanged
-otherwise, when the list schedule's contention model was deleted.
+otherwise, when the list schedule's contention model was deleted; the
+``simulated_w3`` entries (three workers for four mitosis slices, which
+do not divide evenly among them) were recorded the same way at commit
+d0ae1d2, the last commit with that model.
 
 Regenerate either only for a change that is *meant* to alter what the
 file pins, and say so in CHANGES.md.  ``q14`` is left out: it did not
@@ -75,6 +78,11 @@ CONFIGS = {
         "default_pipe",
         lambda cat, listener: SimulatedScheduler(
             cat, workers=4, listener=listener),
+        None),
+    "simulated_w3": (
+        "default_pipe",
+        lambda cat, listener: SimulatedScheduler(
+            cat, workers=3, listener=listener),
         None),
     "simulated_w2_stall": (
         "default_pipe",
