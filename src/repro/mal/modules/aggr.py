@@ -27,5 +27,5 @@ def _aggregate(name: str):
     return impl
 
 
-for _name in ("count", "sum", "min", "max", "avg"):
+for _name in ("count", "count_no_nil", "sum", "min", "max", "avg"):
     register(f"aggr.{_name}")(_aggregate(_name))

@@ -879,17 +879,20 @@ class _GroupEnv:
         if cached is not None:
             return cached
         c = self.compiler
+        function = call.name
         if call.star or not call.args:
             source = next(iter(c._rowmaps.values()))
         else:
             source = c._ensure_bat(c._compile_expr(call.args[0], c._rowmaps))
+            if function == "count":
+                function = "count_no_nil"  # count(column) skips nils
         if self.scalar:
             result_type = scalar_of("lng" if call.name == "count" else "dbl")
-            var = c.emit("aggr", call.name, [source], result_type,
+            var = c.emit("aggr", function, [source], result_type,
                          is_bat=False)
         else:
             var = c.emit(
-                "aggr", call.name, [source, self.groups, self.extents],
+                "aggr", function, [source, self.groups, self.extents],
                 bat_of("lng" if call.name == "count" else "dbl"),
             )
         self._aggregate_cache[key] = var

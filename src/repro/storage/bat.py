@@ -27,7 +27,7 @@ memory and make every later lookup positional; a materialised dense
 head forces the next join to hash a column that is its own index.
 ``docs/performance.md`` §1 has the rule kernel by kernel.
 
-Seven memoized structures back the hot paths, all invalidated by
+Eight memoized structures back the hot paths, all invalidated by
 :meth:`BAT.append`/:meth:`BAT.extend` (and double-guarded by the BAT's
 current length).  Each is built only when a kernel cannot avoid it:
 
@@ -53,7 +53,12 @@ current length).  Each is built only when a kernel cannot avoid it:
   partitioned ``sql.bind`` of the column.  The column owns its slices
   and each slice knows its column (:attr:`BAT.parent`), so a slice's
   own memos live as long as the column does, and ``mat.pack`` of the
-  complete set is the column itself.
+  complete set is the column itself;
+* the histogram of a grouping, kept by the groups BAT :meth:`BAT.group`
+  and :meth:`BAT.refine_group` return: ``aggr.count``, ``aggr.avg``
+  and the nil-free ``aggr.sum`` over that grouping read the sizes
+  instead of counting the group ids again, when the group count they
+  are given is the histogram's.
 
 ``tests/test_kernel_parity.py`` checks every kernel here against the
 per-row reference implementations in :mod:`repro.storage.naive`.
@@ -210,7 +215,7 @@ class BAT:
                  "_order_cache", "_ship_cache", "_parts_cache",
                  "_reverse_cache", "_tdense", "_join_scans",
                  "_range_selects", "_order_hits", "_order_misses",
-                 "_order_disabled")
+                 "_order_disabled", "_hist_cache")
 
     def __init__(
         self,
@@ -234,6 +239,8 @@ class BAT:
         self._ship_cache: Optional[Tuple[int, bytes]] = None
         self._parts_cache: Optional[Tuple[int, Tuple[BAT, ...]]] = None
         self._reverse_cache: Optional[Tuple[int, BAT]] = None
+        #: the group sizes of a :meth:`group`/:meth:`refine_group` result
+        self._hist_cache: Optional[Tuple[int, List[int]]] = None
         #: MonetDB's ``tdense``: set only by :meth:`dense_oids`, so it
         #: means "void head from 0, tail 0..n-1"; a mutation clears it
         self._tdense = False
@@ -331,6 +338,7 @@ class BAT:
         self._ship_cache = None
         self._parts_cache = None
         self._reverse_cache = None
+        self._hist_cache = None
         self._tdense = False
         self._join_scans = 0
         # a mutation resets the adaptive accounting: the data changed,
@@ -681,25 +689,11 @@ class BAT:
         if other.head is None:
             if self._is_tid_of(other):
                 return other
+            gathered = self._gather(other)
+            if gathered is not None:
+                return self._same_heads(gathered, other.tail_type)
             base, size = other.hseqbase, len(other.tail)
             otail = other.tail
-            if stail and base == 0 and self.tail_type.name == "oid":
-                # oids are non-negative by construction, so a blind
-                # gather is safe: a miss raises IndexError, a nil raises
-                # TypeError, and either falls back to the per-row path
-                try:
-                    tail = [otail[v] for v in stail]
-                except (IndexError, TypeError):
-                    tail = None
-                if tail is not None:
-                    return self._same_heads(tail, other.tail_type)
-            elif (stail and self.tail_type.name in _INT_TAILS
-                    and None not in stail):
-                if min(stail) >= base and max(stail) - base < size:
-                    # every oid hits: pure positional gather
-                    tail = ([otail[v - base] for v in stail] if base
-                            else [otail[v] for v in stail])
-                    return self._same_heads(tail, other.tail_type)
             heads, tail = [], []
             add_head, add_tail = heads.append, tail.append
             for oid, value in self.items():
@@ -762,17 +756,7 @@ class BAT:
                 return other
             base, size = other.hseqbase, len(other.tail)
             otail = other.tail
-            if stail and base == 0 and self.tail_type.name == "oid":
-                # blind gather (see leftjoin): misses/nils fall back
-                try:
-                    tail = [otail[v] for v in stail]
-                except (IndexError, TypeError):
-                    tail = None
-            elif (stail and self.tail_type.name in _INT_TAILS
-                    and None not in stail
-                    and min(stail) >= base and max(stail) - base < size):
-                tail = ([otail[v - base] for v in stail] if base
-                        else [otail[v] for v in stail])
+            tail = self._gather(other)
             if tail is None:
                 tail = []
                 add_tail = tail.append
@@ -800,6 +784,31 @@ class BAT:
                         f"fetchjoin miss for oid {value}") from None
                 add_tail(otail[pos])
         return self._same_heads(tail, other.tail_type)
+
+    def _gather(self, other: "BAT") -> Optional[List[Any]]:
+        """Every row's fetch from void-headed ``other`` in one gather
+        comprehension, or None -- a nil, a miss or a tail that is not
+        int-typed -- for the caller's per-row path.
+
+        Oids are non-negative by construction, so from a base of 0 the
+        gather is blind: a miss raises IndexError, a nil TypeError.
+        Any other gather first checks that the tail's min/max land
+        inside ``other``; a nil among them makes that check raise
+        TypeError, so no separate nil scan runs.
+        """
+        stail = self.tail
+        if not stail or self.tail_type.name not in _INT_TAILS:
+            return None
+        otail, base = other.tail, other.hseqbase
+        try:
+            if base == 0 and self.tail_type is OID:
+                return [otail[v] for v in stail]
+            if min(stail) >= base and max(stail) - base < len(otail):
+                return ([otail[v - base] for v in stail] if base
+                        else [otail[v] for v in stail])
+        except (IndexError, TypeError):
+            pass
+        return None
 
     def _is_tid_of(self, other: "BAT") -> bool:
         """True when self is a :meth:`dense_oids` tid as long as
@@ -1016,26 +1025,10 @@ class BAT:
         """
         # One fused pass assigns dense ids in first-appearance order (nil
         # is a hashable dict key like any atom, so no wrapping needed).
-        # Extents exploit that first occurrences are position-ordered:
-        # group g first appears after group g-1, so chained C-level
-        # ``list.index`` calls cost one effective pass in total.
-        tail = self.tail
         mapping: dict = {}
         assign = mapping.setdefault
-        group_ids = [assign(v, len(mapping)) for v in tail]
-        extents: List[int] = []
-        head = self.head
-        base = self.hseqbase
-        position = 0
-        for gid in range(len(mapping)):
-            position = group_ids.index(gid, position)
-            extents.append(base + position if head is None
-                           else head[position])
-        counted = Counter(group_ids)
-        hist = [counted[g] for g in range(len(mapping))]
-        groups = self._like(None, group_ids, tail_type=OID,
-                            hseqbase=self.hseqbase)
-        return groups, BAT(OID, extents), BAT(LNG, hist)
+        group_ids = [assign(v, len(mapping)) for v in self.tail]
+        return self._grouping(group_ids, len(mapping))
 
     def refine_group(self, groups: "BAT") -> Tuple["BAT", "BAT", "BAT"]:
         """Refine an existing grouping with this BAT's tail values
@@ -1043,28 +1036,49 @@ class BAT:
         if len(groups) != len(self):
             raise StorageError("group refinement length mismatch")
         mapping: dict = {}
-        group_ids: List[int] = []
-        extents: List[int] = []
-        hist: List[int] = []
-        lookup = mapping.get
-        add_gid = group_ids.append
-        head = self.head
-        base = self.hseqbase
-        for position, (value, gid_old) in enumerate(zip(self.tail,
-                                                        groups.tail)):
-            key = (gid_old, ("\0nil",) if value is None else value)
-            gid = lookup(key)
-            if gid is None:
-                gid = len(mapping)
-                mapping[key] = gid
-                extents.append(base + position if head is None
-                               else head[position])
-                hist.append(0)
-            hist[gid] += 1
-            add_gid(gid)
-        out_groups = self._like(None, group_ids, tail_type=OID,
-                                hseqbase=self.hseqbase)
-        return out_groups, BAT(OID, extents), BAT(LNG, hist)
+        assign = mapping.setdefault
+        group_ids = [assign(key, len(mapping))
+                     for key in zip(groups.tail, self.tail)]
+        return self._grouping(group_ids, len(mapping))
+
+    def _grouping(self, group_ids: List[int],
+                  ngroups: int) -> Tuple["BAT", "BAT", "BAT"]:
+        """The (groups, extents, histogram) triple of dense first-appearance
+        ``group_ids``; the groups BAT keeps the histogram for the
+        aggregates over it (:meth:`_histogram`).
+
+        No value is cast: every int here was just computed.  First
+        occurrences are position-ordered -- group g first appears after
+        group g-1 -- so chained C-level ``list.index`` calls cost one
+        effective pass in total, and ``Counter``'s first-seen key order
+        is group-id order.
+        """
+        find = group_ids.index
+        positions: List[int] = []
+        position = 0
+        for gid in range(ngroups):
+            position = find(gid, position)
+            positions.append(position)
+        head, base = self.head, self.hseqbase
+        if head is not None:
+            extents = [head[p] for p in positions]
+        else:
+            extents = [base + p for p in positions] if base else positions
+        hist = list(Counter(group_ids).values())
+        groups = self._like(None, group_ids, OID, base)
+        groups._hist_cache = (len(group_ids), list(hist))
+        return (groups, self._like(None, extents, OID),
+                self._like(None, hist, LNG))
+
+    def _histogram(self, ngroups: int) -> Optional[List[int]]:
+        """The group sizes :meth:`_grouping` counted for this groups BAT
+        -- each at least 1 -- or None when another kernel made it, it
+        changed since, or ``ngroups`` is not its group count."""
+        cached = self._hist_cache
+        if (cached is not None and cached[0] == len(self.tail)
+                and len(cached[1]) == ngroups):
+            return cached[1]
+        return None
 
     # ------------------------------------------------------------------
     # aggregates
@@ -1074,12 +1088,15 @@ class BAT:
         """Scalar aggregate over non-nil tails (``aggr.sum`` etc.).
 
         ``count`` counts all associations (MonetDB counts nils too for
-        ``count(*)``-style counts); the others skip nils and return nil on
+        ``count(*)``-style counts) and ``count_no_nil`` the non-nil ones
+        (SQL's ``count(column)``); the others skip nils and return nil on
         an all-nil/empty input.
         """
-        if func == "count":
-            return len(self.tail)
         tail = self.tail
+        if func == "count":
+            return len(tail)
+        if func == "count_no_nil":
+            return len(tail) - tail.count(None)
         values = [v for v in tail if v is not None] if None in tail else tail
         if not values:
             return nil
@@ -1099,7 +1116,10 @@ class BAT:
         Single-pass accumulators instead of materialised buckets.  Sums
         accumulate from 0 in input order — bit-identical to folding each
         bucket with ``sum`` — and ``avg`` divides the same sum by the
-        non-nil count.
+        non-nil count.  Where the count of every row is what a func
+        needs, it is the histogram the grouping kernel left on
+        ``groups`` (:meth:`_histogram`), counted again only for a
+        groups BAT no grouping kernel made.
         """
         if len(groups) != len(self):
             raise StorageError("grouped aggregate length mismatch")
@@ -1107,10 +1127,14 @@ class BAT:
         if groups.tail_type.name not in _INT_TAILS:
             gids = [int(g) for g in gids]
         tail = self.tail
-        if func == "count":
-            counted = Counter(gids)
-            return self._like(None, [counted[g] for g in range(ngroups)],
-                              tail_type=LNG)
+        hist = groups._histogram(ngroups)
+        if func in ("count", "count_no_nil"):
+            if func == "count_no_nil" and None in tail:
+                sizes = _sizes([g for g, v in zip(gids, tail)
+                                if v is not None], ngroups)
+            else:
+                sizes = _sizes(gids, ngroups) if hist is None else list(hist)
+            return self._like(None, sizes, tail_type=LNG)
         if func in ("sum", "avg"):
             sums: List[Any] = [0] * ngroups
             if None in tail:
@@ -1119,25 +1143,18 @@ class BAT:
                     if value is not None:
                         sums[gid] += value
                         nonnil[gid] += 1
-            elif func == "sum":
-                # nil-free sum needs only group *presence*, not counts
-                for value, gid in zip(tail, gids):
-                    sums[gid] += value
-                present = set(gids)
-                results = [sums[g] if g in present else None
-                           for g in range(ngroups)]
-                return self._like(None, results, tail_type=self.tail_type)
             else:
                 for value, gid in zip(tail, gids):
                     sums[gid] += value
-                counted = Counter(gids)
-                nonnil = [counted[g] for g in range(ngroups)]
+                if hist is not None and func == "sum":
+                    # every group of a histogram has a row
+                    return self._like(None, sums, tail_type=self.tail_type)
+                nonnil = _sizes(gids, ngroups) if hist is None else hist
             if func == "sum":
-                results = [sums[g] if nonnil[g] else None
-                           for g in range(ngroups)]
+                results = [s if n else None for s, n in zip(sums, nonnil)]
                 return self._like(None, results, tail_type=self.tail_type)
-            results = [float(sums[g]) / nonnil[g] if nonnil[g] else None
-                       for g in range(ngroups)]
+            results = [float(s) / n if n else None
+                       for s, n in zip(sums, nonnil)]
             return self._like(None, results, tail_type=DBL)
         if func in ("min", "max"):
             best: List[Any] = [None] * ngroups
@@ -1206,6 +1223,8 @@ class BAT:
                 skip_cast = True
             elif op in ("and", "or"):
                 out_type = BIT
+                # bools in give bools out
+                skip_cast = self.tail_type is BIT and other_type is BIT
             elif op == "/":
                 out_type = DBL
                 # true division of numerics is always a float (or nil)
@@ -1224,6 +1243,12 @@ class BAT:
         if not skip_cast:
             tail = [cast_value(v, out_type) for v in tail]
         return self._same_heads(tail, out_type)
+
+
+def _sizes(gids: List[int], ngroups: int) -> List[int]:
+    """Rows per group id ``0..ngroups-1``, counted from scratch."""
+    counted = Counter(gids)
+    return [counted[g] for g in range(ngroups)]
 
 
 def _safe_div(a: Any, b: Any) -> Any:

@@ -99,7 +99,10 @@ class TestStreaming:
                 client.query("insert into tail values (7)")
             replica = _node(tmp_path, "replica", primary=primary.addr)
             try:
-                _wait(lambda: _caught_up(primary, replica),
+                # the snapshot's LSN is visible before _bootstrap counts
+                # it, so wait for both
+                _wait(lambda: (_caught_up(primary, replica)
+                               and replica.mgr.bootstraps >= 1),
                       message="bootstrap catch-up")
                 assert replica.mgr.bootstraps >= 1
                 assert _bytes(replica) == _bytes(primary)
