@@ -1,10 +1,11 @@
 """Experiment E12 — durable storage: group commit and crash recovery.
 
 The durable engine write-ahead logs every DDL/INSERT and fsyncs with
-group commit: the first committer waits a small window, then one fsync
-covers every record that queued behind it.  Checkpoints serialise the
-catalog into binary columnar files so recovery replays only the WAL
-tail.  These benchmarks measure what that design buys:
+group commit: the first committer, if it has company, waits a small
+window, then one fsync covers every record that queued behind it.
+Checkpoints serialise the catalog into binary columnar files so
+recovery replays only the WAL tail.  These benchmarks measure what
+that design buys:
 
 - ``group_commit``: concurrent writers against one WAL, batched window
   vs per-record fsync — the batched run must need strictly fewer
@@ -101,7 +102,7 @@ def run_group_commit_benchmark():
     The serial run is one writer with a zero window: with nobody to
     batch with, every record costs its own fsync — the baseline group
     commit amortises away.  (A *concurrent* zero-window run still
-    batches: the leader adopts whatever queued during its fsync.)
+    batches: whatever queued during an fsync goes out in the next.)
     """
     return {
         "batched": _wal_throughput(commit_window_ms=2.0),

@@ -94,9 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "durable mode (0 disables; checkpoint "
                             "offline with the 'checkpoint' command)")
     serve.add_argument("--commit-window-ms", type=float, default=2.0,
-                       help="group-commit window: how long the first "
+                       help="group-commit window: the longest the first "
                             "writer waits for company before one fsync "
-                            "covers the batch (0 = fsync per statement)")
+                            "covers the batch (a lone writer never "
+                            "waits)")
     serve.add_argument("--max-seconds", type=float, default=None,
                        help="stop after this long (default: run forever)")
     serve.add_argument("--max-concurrent", type=int, default=4,
@@ -667,7 +668,8 @@ def _cmd_checkpoint(args, out) -> int:
         out.write(engine.report.describe() + "\n")
         report = engine.checkpoint()
         out.write(f"checkpoint at lsn {report.lsn}: {report.path} "
-                  f"({report.files} column files, {report.rows} rows, "
+                  f"({report.files} column files, {report.linked} "
+                  f"linked, {report.rows} rows, "
                   f"{report.bytes} bytes); wal truncated\n")
     finally:
         engine.close()

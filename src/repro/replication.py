@@ -551,10 +551,18 @@ class ReplicationManager:
 
         land_directory(final, files())
         catalog, _ckpt_lsn, _rows = load_checkpoint(final)
-        self.database.install_replica_snapshot(catalog, lsn)
-        self.bootstraps += 1
-        self._lag_records = 0
-        self._lag_bytes = 0
+        # the counters go out with the snapshot's lsn, under the lock
+        # status() reads them by: no reader, this thread included, sees
+        # a caught-up replica that has not bootstrapped or still lags
+        with self._lock:
+            self.bootstraps += 1
+            self._lag_records = 0
+            self._lag_bytes = 0
+            try:
+                self.database.install_replica_snapshot(catalog, lsn)
+            except BaseException:
+                self.bootstraps -= 1
+                raise
         REPL_LAG_RECORDS.labels(node=self.addr).set(0.0)
         REPL_LAG_BYTES.labels(node=self.addr).set(0.0)
 

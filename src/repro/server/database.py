@@ -235,9 +235,10 @@ class Database:
             :attr:`recovery`), and every DDL/INSERT is write-ahead
             logged and fsynced before it is acknowledged.  None (the
             default) keeps the catalog purely in-memory, as before.
-        commit_window_ms: group-commit window — how long the first
-            committer waits for concurrent writers to share its fsync.
-            0 degenerates to one fsync per statement.
+        commit_window_ms: group-commit window — the longest a
+            committing leader with company (another writer's record
+            already pending) waits for more to share its fsync.  A
+            lone writer never waits: its commit is one fsync.
         checkpoint_interval: write a checkpoint (and truncate the WAL)
             every this many logged statements; 0 disables automatic
             checkpoints (:meth:`checkpoint` still works).

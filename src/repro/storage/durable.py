@@ -116,27 +116,47 @@ def atomic_write(path: str, data: bytes) -> None:
     _fsync_dir(os.path.dirname(path) or ".")
 
 
-def land_directory(final: str, files: Iterable[Tuple[str, bytes]]) -> None:
+def land_directory(final: str, files: Iterable[Tuple[str, bytes]],
+                   links: Optional[Dict[str, str]] = None) -> int:
     """Make ``final`` a directory holding exactly ``files``, atomically:
     the one routine behind checkpoints, :func:`save_catalog` and the
     replication bootstrap (whose ``files`` generator fetches as it goes).
 
     Each ``(name, data)`` is written into ``final + ".tmp"`` and
-    fsynced, then the temp directory itself (so the renamed directory
+    fsynced — or, when ``links`` maps ``name`` to an existing durable
+    file, hard-linked from it if its bytes still equal ``data`` (so
+    damage since it was written is not carried forward but healed by
+    the write); a link that fails with ``OSError`` (no such file, no
+    hard links on this filesystem) falls back to the write too.  Then
+    the temp directory itself is fsynced (so the renamed directory
     cannot surface after a power loss with entries missing), and it is
     renamed into place.  A directory already at ``final`` is moved
     aside to ``.stale`` for the instant of the rename and removed after
     — never deleted first.  An ``OSError`` removes the temp directory;
     a crash, injected or real, leaves it to :func:`prune_checkpoints`.
+    Returns how many files were linked.
     """
     tmp = final + ".tmp"
     stale = final + ".stale"
+    links = links or {}
+    linked = 0
     if os.path.exists(tmp):
         shutil.rmtree(tmp)
     try:
         os.makedirs(tmp)
         for name, data in files:
-            _write_synced(os.path.join(tmp, name), data)
+            path = os.path.join(tmp, name)
+            if name in links:
+                try:
+                    with open(links[name], "rb") as source:
+                        intact = source.read() == data
+                    if intact:
+                        os.link(links[name], path)
+                        linked += 1
+                        continue
+                except OSError:
+                    pass
+            _write_synced(path, data)
         _fsync_dir(tmp)
         if os.path.exists(final):
             shutil.rmtree(stale, ignore_errors=True)
@@ -147,6 +167,7 @@ def land_directory(final: str, files: Iterable[Tuple[str, bytes]]) -> None:
         raise
     _fsync_dir(os.path.dirname(final) or ".")
     shutil.rmtree(stale, ignore_errors=True)
+    return linked
 
 
 def _iso_date(value: Any) -> str:
@@ -218,9 +239,12 @@ class WriteAheadLog:
     :meth:`append` writes a record's bytes (serialized under a lock, so
     records never interleave) and returns its LSN; :meth:`commit` blocks
     until that LSN is fsynced.  The first committer becomes the *leader*:
-    it sleeps for the commit window (letting concurrent appends pile up),
-    issues one ``fsync`` for the whole batch, and wakes every waiter.
-    A window of 0 degenerates to per-record fsync.
+    it issues one ``fsync`` for the whole batch and wakes every waiter.
+    Only a leader with company — another writer's record already
+    pending — sleeps out the commit window first, letting concurrent
+    appends pile up behind it; records that queue during a leader's
+    fsync are the next leader's company.  A lone writer's commit is one
+    fsync at any window.
 
     LSNs are assigned once and **never reused** — a record rolled back by
     a failed fsync leaves a gap, which recovery tolerates (it requires
@@ -385,10 +409,11 @@ class WriteAheadLog:
                     raise WalError("write-ahead log is closed")
                 if not self._syncing:
                     self._syncing = True
+                    company = len(self._unsynced) > 1
                     break
                 self._cond.wait()
-        # leader: wait out the commit window so concurrent appends batch
-        if self.commit_window:
+        # a leader with company waits out the window so it can batch
+        if company and self.commit_window:
             time.sleep(self.commit_window)
         with self._cond:
             target_bytes = self._written_bytes
@@ -660,13 +685,24 @@ def read_wal_records(path: str, from_lsn: int, durable_bytes: int,
 
 @dataclass
 class CheckpointReport:
-    """What one checkpoint wrote."""
+    """What one checkpoint holds: ``files`` column files of ``bytes`` in
+    all, ``linked`` of them hard links to the previous checkpoint's."""
 
     path: str
     lsn: int
     files: int
     rows: int
     bytes: int
+    linked: int = 0
+
+
+#: A column's place in a catalog: ``(schema, table, column)``.
+ColumnKey = Tuple[str, str, str]
+
+#: What a checkpoint wrote, per column: the ship payload object and the
+#: file that holds it.  :class:`DurableEngine` keeps its last one so the
+#: next checkpoint can link every column whose payload is still it.
+Written = Dict[ColumnKey, Tuple[bytes, str]]
 
 
 def list_checkpoints(directory: str) -> List[Tuple[int, str]]:
@@ -685,13 +721,14 @@ def list_checkpoints(directory: str) -> List[Tuple[int, str]]:
     return found
 
 
-def _snapshot_files(catalog: Catalog,
-                    lsn: int) -> Tuple[List[Tuple[str, bytes]], int]:
+def _snapshot_files(catalog: Catalog, lsn: int
+                    ) -> Tuple[List[Tuple[str, bytes]], int, List[ColumnKey]]:
     """A catalog as checkpoint files: ``(name, bytes)`` for one ``.col``
     per column (the BAT's memoized ship payload) and, last, the manifest
     that names, types, counts and checksums them.  Also returns the
-    total row count."""
+    total row count and each column file's :data:`ColumnKey`."""
     files: List[Tuple[str, bytes]] = []
+    keys: List[ColumnKey] = []
     manifest: Dict[str, Any] = {"format": CHECKPOINT_FORMAT, "lsn": lsn,
                                 "schemas": []}
     total_rows = 0
@@ -705,6 +742,7 @@ def _snapshot_files(catalog: Catalog,
                 payload = column.bat.to_ship_bytes()
                 file_name = f"c{len(files):05d}.col"
                 files.append((file_name, payload))
+                keys.append((schema.name, table.name, column.name))
                 table_doc["columns"].append({
                     "name": column.name,
                     "type": column.mal_type.name,
@@ -716,7 +754,7 @@ def _snapshot_files(catalog: Catalog,
             schema_doc["tables"].append(table_doc)
         manifest["schemas"].append(schema_doc)
     files.append((MANIFEST_FILENAME, json.dumps(manifest).encode("ascii")))
-    return files, total_rows
+    return files, total_rows, keys
 
 
 def _crash_after(files: List[Tuple[str, bytes]], name: str):
@@ -727,25 +765,32 @@ def _crash_after(files: List[Tuple[str, bytes]], name: str):
         f"injected crash before renaming {name}.tmp into place")
 
 
-def write_checkpoint(catalog: Catalog, directory: str,
-                     lsn: int) -> CheckpointReport:
+def write_checkpoint(catalog: Catalog, directory: str, lsn: int,
+                     written: Optional[Written] = None) -> CheckpointReport:
     """Write a checkpoint of ``catalog`` as of WAL position ``lsn``:
     :func:`_snapshot_files` landed by :func:`land_directory`.
+
+    ``written`` is what the previous checkpoint wrote: a column whose
+    payload is the very object written then is unchanged since, and its
+    file is hard-linked instead of written again.  On success
+    ``written`` is updated in place to describe this checkpoint.
 
     A valid checkpoint already present at this LSN is reused as-is —
     same LSN means same durable prefix, and replacing it would open a
     crash window with no checkpoint while its WAL coverage is already
-    truncated; only a damaged one is replaced.  Injected faults: ``partial-manifest`` truncates the manifest *and
-    still renames* (recovery must detect and fall back);
+    truncated; only a damaged one is replaced, and never by links into
+    it.  Injected faults: ``partial-manifest`` truncates the manifest
+    *and still renames* (recovery must detect and fall back);
     ``crash-before-rename`` abandons the temp directory.
     """
     name = f"checkpoint-{lsn:012d}"
     final = os.path.join(directory, name)
+    previous = written or {}
     if os.path.exists(final):
         try:
             _, _, existing_rows = load_checkpoint(final)
         except CheckpointError:
-            pass
+            previous = {}
         else:
             sizes = [os.path.getsize(os.path.join(final, entry))
                      for entry in os.listdir(final)
@@ -756,19 +801,31 @@ def write_checkpoint(catalog: Catalog, directory: str,
     decision = (plan.decide("persist.checkpoint", detail=name)
                 if plan is not None else None)
     fault = decision.action if decision is not None else None
-    files, total_rows = _snapshot_files(catalog, lsn)
+    files, total_rows, keys = _snapshot_files(catalog, lsn)
     columns = files[:-1]
+    links = {}
+    for (file_name, payload), key in zip(columns, keys):
+        payload_then, path = previous.get(key, (None, ""))
+        if payload_then is payload:
+            links[file_name] = path
     if fault == "partial-manifest":
         text = files[-1][1]
         files[-1] = (MANIFEST_FILENAME, text[:max(1, len(text) // 2)])
-    land_directory(final, _crash_after(files, name)
-                   if fault == "crash-before-rename" else files)
+    linked = land_directory(final, _crash_after(files, name)
+                            if fault == "crash-before-rename" else files,
+                            links)
     if fault == "partial-manifest":
         raise CheckpointError(
             f"checkpoint {name} renamed with a torn manifest")
+    if written is not None:
+        written.clear()
+        written.update(
+            (key, (payload, os.path.join(final, file_name)))
+            for (file_name, payload), key in zip(columns, keys))
     return CheckpointReport(path=final, lsn=lsn, files=len(columns),
                             rows=total_rows,
-                            bytes=sum(len(data) for _, data in columns))
+                            bytes=sum(len(data) for _, data in columns),
+                            linked=linked)
 
 
 class _UnsupportedFormat(CheckpointError):
@@ -840,7 +897,7 @@ def save_catalog(catalog: Catalog, path: str) -> int:
     """Save ``catalog`` as the checkpoint directory ``path`` (LSN 0, no
     WAL beside it); returns total rows.  Atomic like any checkpoint:
     a crash mid-save leaves the previous directory intact."""
-    files, total_rows = _snapshot_files(catalog, 0)
+    files, total_rows, _keys = _snapshot_files(catalog, 0)
     land_directory(path, files)
     return total_rows
 
@@ -968,10 +1025,18 @@ def recover(wal_dir: str) -> Tuple[Catalog, RecoveryReport]:
     replays every WAL record with an LSN past the checkpoint, stops at
     the first torn/corrupt record, and truncates the WAL file to its
     valid prefix so subsequent appends continue cleanly.
+
+    Raises:
+        CheckpointError: a skipped checkpoint's history is gone — the
+            WAL holds no record at or below its LSN past the checkpoint
+            loaded instead, because a successful checkpoint truncated
+            it.  Replaying what is left would yield a catalog missing
+            acknowledged rows.
     """
     os.makedirs(wal_dir, exist_ok=True)
     report = RecoveryReport(wal_dir=wal_dir)
     catalog: Optional[Catalog] = None
+    skipped: Optional[int] = None  # the oldest damaged checkpoint's lsn
     for lsn, path in reversed(list_checkpoints(wal_dir)):
         try:
             catalog, ckpt_lsn, rows = load_checkpoint(path)
@@ -979,18 +1044,28 @@ def recover(wal_dir: str) -> Tuple[Catalog, RecoveryReport]:
             raise
         except CheckpointError:
             report.invalid_checkpoints += 1
+            skipped = lsn
             continue
         report.checkpoint_path = path
         report.checkpoint_lsn = ckpt_lsn
         report.checkpoint_rows = rows
         break
     if catalog is None:
-        # No valid checkpoint means the WAL was never truncated (only a
-        # *successful* checkpoint truncates it), so replaying it from an
-        # empty catalog reproduces the full history.
         catalog = Catalog()
     wal_path = os.path.join(wal_dir, WAL_FILENAME)
     scan = scan_wal(wal_path)
+    if skipped is not None:
+        # A checkpoint that failed as it was written (a torn manifest)
+        # never truncated the WAL, which still holds the record at its
+        # lsn; one that failed later may have, and then no fallback
+        # target plus the WAL rebuilds what it held.
+        first = next((lsn for lsn, _, _ in scan.records
+                      if lsn > report.checkpoint_lsn), None)
+        if first is None or first > skipped:
+            raise CheckpointError(
+                f"damaged checkpoint-{skipped:012d} in {wal_dir} held "
+                f"history the WAL no longer has; refusing to rebuild a "
+                f"catalog without it")
     for lsn, kind, data in scan.records:
         if lsn <= report.checkpoint_lsn:
             continue
@@ -1054,6 +1129,9 @@ class DurableEngine:
                                  commit_window_ms=commit_window_ms,
                                  last_lsn=self.report.last_lsn)
         self._since_checkpoint = 0
+        #: what this engine's newest checkpoint wrote (its payloads,
+        #: so a column still shipping the same object is linked)
+        self._written: Written = {}
         #: WAL position of the newest on-disk checkpoint — records at or
         #: below this are only reachable through the checkpoint (the WAL
         #: was truncated), so a follower behind it needs a bootstrap.
@@ -1107,7 +1185,8 @@ class DurableEngine:
                 self.wal.wait_rollbacks()
                 self.wal.sync_all()
                 report = write_checkpoint(self.catalog, self.wal_dir,
-                                          self.wal.durable_lsn)
+                                          self.wal.durable_lsn,
+                                          self._written)
             except (CheckpointError, WalError):
                 PERSIST_CHECKPOINTS.labels(outcome="failed").inc()
                 raise
@@ -1123,6 +1202,7 @@ class DurableEngine:
         generator's) and immediately checkpoint it, so the adopted
         baseline is durable before the first statement runs."""
         self.catalog = catalog
+        self._written.clear()
         return self.checkpoint()
 
     def install_snapshot(self, catalog: Catalog, lsn: int) -> None:
@@ -1138,6 +1218,7 @@ class DurableEngine:
         """
         with self.order_lock:
             self.catalog = catalog
+            self._written.clear()
             self.wal.reset_to(lsn)
             self.checkpoint_lsn = lsn
             self._since_checkpoint = 0

@@ -37,6 +37,7 @@ from repro.storage.durable import (
     list_checkpoints,
     load_catalog,
     load_checkpoint,
+    prune_checkpoints,
     recover,
     save_catalog,
     scan_wal,
@@ -881,3 +882,179 @@ class TestCheckpointWhileWriting:
         leftovers = [name for name in os.listdir(str(tmp_path))
                      if name.endswith(".tmp") or name.endswith(".stale")]
         assert not leftovers, leftovers
+
+
+def _sleep_counter(monkeypatch) -> list:
+    """Record every ``time.sleep`` instead of sleeping."""
+    sleeps: list = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    return sleeps
+
+
+class TestLoneWriter:
+    """A leader waits out the commit window only with company: counted,
+    not timed."""
+
+    def test_lone_writer_commits_without_sleeping(self, tmp_path,
+                                                  monkeypatch):
+        db = _durable(tmp_path, commit_window_ms=2.0)
+        db.execute("create table t (a integer)")
+        wal = db.durability.wal
+        fsyncs = wal.fsyncs
+        sleeps = _sleep_counter(monkeypatch)
+        inserts = 20
+        for i in range(inserts):
+            db.execute(f"insert into t values ({i})")
+            # acknowledged only once fsynced
+            assert wal.durable_lsn == wal.written_lsn
+        assert sleeps == []
+        assert wal.fsyncs - fsyncs == inserts
+        db.close()
+
+    def test_a_pending_record_is_company(self, tmp_path, monkeypatch):
+        wal = WriteAheadLog(str(tmp_path / "wal.log"), commit_window_ms=2.0)
+        sleeps = _sleep_counter(monkeypatch)
+        first = wal.append("insert", {"i": 1})
+        second = wal.append("insert", {"i": 2})
+        wal.commit(second)
+        wal.commit(first)
+        assert sleeps == [0.002]
+        assert (wal.fsyncs, wal.durable_lsn) == (1, second)
+        wal.close()
+
+
+class TestLinkedCheckpoint:
+    """A checkpoint hard-links every column file whose payload the
+    previous checkpoint of the same engine wrote."""
+
+    def _files(self, path) -> dict:
+        """``(table, column) -> file path`` from a checkpoint manifest."""
+        import json
+
+        with open(os.path.join(path, MANIFEST_FILENAME)) as handle:
+            manifest = json.load(handle)
+        return {(table["name"], column["name"]):
+                os.path.join(path, column["file"])
+                for schema in manifest["schemas"]
+                for table in schema["tables"]
+                for column in table["columns"]}
+
+    def _flip(self, path) -> None:
+        """Flip one bit near the end of a column file, in place."""
+        with open(path, "r+b") as handle:
+            last = handle.read()[-2]
+            handle.seek(-2, os.SEEK_END)
+            handle.write(bytes([last ^ 0x01]))
+
+    def _seeded(self, tmp_path) -> Database:
+        db = _durable(tmp_path)
+        db.execute("create table t (a integer, b varchar(8))")
+        db.execute("create table u (c integer, d double)")
+        db.execute("insert into t values (1, 'one'), (2, 'two')")
+        db.execute("insert into u values (3, 0.5), (4, null)")
+        return db
+
+    def test_unchanged_files_share_an_inode(self, tmp_path):
+        db = self._seeded(tmp_path)
+        first = db.checkpoint()
+        assert first.linked == 0
+        db.execute("insert into t values (5, 'five')")
+        # sorts before t and u: every file after it is renumbered, so
+        # matching must go by column, not by cNNNNN.col position
+        db.execute("create table a (z integer)")
+        second = db.checkpoint()
+        before, after = self._files(first.path), self._files(second.path)
+        assert os.path.basename(after[("u", "c")]) != \
+            os.path.basename(before[("u", "c")])
+
+        def inode(path):
+            return os.stat(path).st_ino
+
+        for key in (("u", "c"), ("u", "d")):
+            assert inode(after[key]) == inode(before[key])
+        for key in (("t", "a"), ("t", "b")):
+            assert inode(after[key]) != inode(before[key])
+        assert (second.files, second.linked) == (5, 2)
+        # bytes counts every column file, linked or written
+        assert second.bytes == sum(os.path.getsize(p)
+                                   for p in after.values())
+        db.close()
+
+    def test_recovery_after_pruning_the_older_directory(self, tmp_path):
+        db = self._seeded(tmp_path)
+        db.checkpoint()
+        db.execute("insert into t values (5, 'five')")
+        second = db.checkpoint()
+        assert second.linked == 2
+        expected = _bytes(db)
+        db.close()
+        prune_checkpoints(str(tmp_path), keep=1)
+        assert [path for _, path in list_checkpoints(str(tmp_path))] == \
+            [second.path]
+        catalog, report = recover(str(tmp_path))
+        assert report.checkpoint_path == second.path
+        assert _bytes(catalog) == expected
+
+    def test_a_failing_link_writes_the_file(self, tmp_path, monkeypatch):
+        db = self._seeded(tmp_path)
+        first = db.checkpoint()
+        db.execute("insert into t values (5, 'five')")
+        links = []
+
+        def no_hard_links(source, target):
+            links.append(target)
+            raise OSError(1, "hard links not supported")
+
+        monkeypatch.setattr(os, "link", no_hard_links)
+        second = db.checkpoint()
+        assert len(links) == 2 and second.linked == 0
+        before, after = self._files(first.path), self._files(second.path)
+        for key, path in after.items():
+            assert os.stat(path).st_nlink == 1
+            assert os.stat(path).st_ino != os.stat(before[key]).st_ino
+        _catalog, lsn, rows = load_checkpoint(second.path)
+        assert (lsn, rows) == (second.lsn, 5)
+        expected = _bytes(db)
+        db.close()
+        assert _bytes(recover(str(tmp_path))[0]) == expected
+
+    def test_a_flipped_byte_in_a_linked_file_is_refused(self, tmp_path):
+        db = self._seeded(tmp_path)
+        first = db.checkpoint()
+        db.execute("insert into t values (5, 'five')")
+        second = db.checkpoint()
+        db.execute("insert into u values (6, 1.5)")  # a WAL tail
+        db.durability.simulate_crash()
+        db.close()
+        self._flip(self._files(second.path)[("u", "d")])
+        # one inode, two checkpoints: both are damaged now
+        for path in (first.path, second.path):
+            with pytest.raises(CheckpointError, match="checksum mismatch"):
+                load_checkpoint(path)
+        # the WAL was truncated at the second checkpoint: falling back
+        # to nothing would rebuild t and u without their rows
+        with pytest.raises(CheckpointError, match="no longer has"):
+            recover(str(tmp_path))
+        with pytest.raises(CheckpointError):
+            _durable(tmp_path)
+
+    def test_a_damaged_unchanged_file_is_written_afresh(self, tmp_path):
+        db = self._seeded(tmp_path)
+        first = db.checkpoint()
+        damaged = self._files(first.path)[("u", "d")]
+        self._flip(damaged)  # u is unchanged, its payload still cached
+        db.execute("insert into t values (5, 'five')")
+        second = db.checkpoint()
+        after = self._files(second.path)
+        assert second.linked == 1  # u.c only
+        assert os.stat(after[("u", "d")]).st_ino != os.stat(damaged).st_ino
+        assert os.stat(after[("u", "c")]).st_ino == \
+            os.stat(self._files(first.path)[("u", "c")]).st_ino
+        load_checkpoint(second.path)
+        expected = _bytes(db)
+        db.close()
+        prune_checkpoints(str(tmp_path), keep=1)
+        catalog, report = recover(str(tmp_path))
+        assert (report.checkpoint_path, report.invalid_checkpoints) == \
+            (second.path, 0)
+        assert _bytes(catalog) == expected

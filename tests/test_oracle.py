@@ -32,7 +32,10 @@ statements group a table the test fills with nil cells by 0-3 of its
 key columns (nil keys form their own group) and aggregate it with
 ``count(*)``, ``count(column)``, ``sum``, ``avg``, ``min`` and ``max``,
 each run twice; ``count(column)`` skips nils (``aggr.count_no_nil``).
-They add about 0.3 s.  The suite costs about 2.6 s of tier-1 on a
+They add about 0.3 s.  Last, a seeded wrong answer — ``<`` selecting
+as ``<=`` in the bulk kernels and the naive reference at once, which no
+bulk-against-naive parity suite can see — must make the comparison
+fail; it adds about 0.5 s.  The suite costs about 3.1 s of tier-1 on a
 2-core box.  A generator over the whole dialect and the plan-shape
 steering are not here yet.
 """
@@ -260,3 +263,66 @@ def test_grouped_statements_over_nil_cells_agree_with_sqlite():
         connection.close()
         database.close()
 
+
+
+def test_a_seeded_wrong_answer_is_caught():
+    """A ``<`` that selects as ``<=`` — in BAT's scan kernels, its
+    order-index bisect and the naive reference alike, so the bulk
+    against naive parity suites cannot see it — makes the TPC-H queries
+    disagree with SQLite at scale 1.0 (q6's ``l_quantity < 24`` among
+    them; at 0.1 no row sits on a ``<`` boundary)."""
+    from repro.storage import bat as bat_module, naive
+    from repro.storage.bat import BAT
+    from repro.storage.types import INT
+
+    catalog = Catalog()
+    populate(catalog, scale_factor=1.0, seed=7)
+    database = Database(catalog=catalog, workers=2, mitosis_threshold=50)
+    connection = load_sqlite(catalog)
+    probe = BAT(INT, [1, 24, 30])
+
+    def lt_agrees() -> list:
+        bulk = probe.thetaselect(24, "<").tail
+        assert bulk == naive.thetaselect(probe, 24, "<").tail
+        return bulk
+
+    def mismatches() -> list:
+        found = []
+        for name in sorted(QUERIES):
+            sql = query_sql(name)
+            expected = connection.execute(sqlite_text(sql)).fetchall()
+            ordered = re.search(r"\border\s+by\b", sql,
+                                re.IGNORECASE) is not None
+            try:
+                assert_same_rows(database.execute(sql).rows, expected,
+                                 ordered)
+            except AssertionError:
+                found.append(name)
+        return found
+
+    select_by_order = BAT._select_by_order
+
+    def inclusive_bisect(self, low, high, include_low, include_high):
+        # (None, high, _, False) is what ``< high`` asks of the index
+        return select_by_order(self, low, high, include_low,
+                               include_high or low is None)
+
+    saved = (bat_module._THETA_KERNELS["<"], bat_module._positions_lt,
+             naive._OPS["<"])
+    try:
+        bat_module._THETA_KERNELS["<"] = bat_module._positions_le
+        bat_module._positions_lt = bat_module._positions_le
+        BAT._select_by_order = inclusive_bisect
+        naive._OPS["<"] = naive._OPS["<="]
+        assert lt_agrees() == [1, 24]
+        assert "q6" in mismatches()
+    finally:
+        (bat_module._THETA_KERNELS["<"], bat_module._positions_lt,
+         naive._OPS["<"]) = saved
+        BAT._select_by_order = select_by_order
+    try:
+        assert lt_agrees() == [1]
+        assert mismatches() == []
+    finally:
+        connection.close()
+        database.close()

@@ -111,6 +111,44 @@ class TestStreaming:
         finally:
             primary.server.stop()
 
+    def test_bootstrap_publishes_its_counters_with_the_snapshot(
+            self, tmp_path, monkeypatch):
+        primary = _node(tmp_path, "primary")
+        try:
+            with MClient(port=primary.port) as client:
+                client.query("create table t (a integer)")
+                client.query("insert into t values (1)")
+            lsn = primary.db.checkpoint().lsn
+            db = Database(wal_dir=str(tmp_path / "replica"),
+                          commit_window_ms=0.0)
+            server = Mserver(db).start()
+            try:
+                mgr = ReplicationManager(
+                    server, addr=f"127.0.0.1:{server.port}",
+                    primary=primary.addr, poll_interval_s=0.01,
+                    auto_failover=False)
+                mgr._lag_records, mgr._lag_bytes = 5, 512  # stale
+                seen = []
+                installed = threading.Event()
+                original = db.install_replica_snapshot
+
+                def install(catalog, at_lsn):
+                    original(catalog, at_lsn)
+                    seen.append(mgr.status())
+                    installed.set()
+
+                monkeypatch.setattr(db, "install_replica_snapshot", install)
+                server.replication = mgr.start()
+                assert installed.wait(timeout=10.0), "no bootstrap"
+                status = seen[0]
+                assert status["durable_lsn"] == lsn
+                assert status["bootstraps"] >= 1
+                assert (status["lag_records"], status["lag_bytes"]) == (0, 0)
+            finally:
+                server.stop()
+        finally:
+            primary.server.stop()
+
     def test_bootstrap_refuses_path_like_file_names(self, cluster):
         # the manifest comes off the wire; a name with a path component
         # must not be written (it would land outside the temp directory)
