@@ -111,7 +111,8 @@ GATE = [
     Row("e13", "failover.first_read_seconds", INFO, MEASURED),
 
     *_invariants("e14", "rows_byte_identical", "cold_plan_matches_static",
-                 "adaptive_plan_reordered", "stats_snapshot_roundtrips"),
+                 "adaptive_plan_reordered", "cached_plan_replanned_once",
+                 "stats_snapshot_roundtrips"),
     Row("e14", "measured.speedup", INFO, MEASURED),
     Row("e14", "modelled.speedup", 1.5, MODELLED),
     Row("e14", "modelled.speedup", BASELINE, MODELLED),

@@ -82,6 +82,10 @@ class AdaptiveOrder:
         scope: the tables the statement reads and their row counts
             (:attr:`repro.storage.catalog.Observed.scope`), which the
             lookups are keyed by; injected the same way.
+        unknown: whether the last :meth:`run` met a chain with no
+            observed selectivity at all (``outcome="unknown"``), which
+            so kept its syntactic order; the plan cache re-plans such a
+            plan once, after its first run has been observed.
     """
 
     name = "adaptive_order"
@@ -90,10 +94,12 @@ class AdaptiveOrder:
                  scope: Optional[str] = None) -> None:
         self.stats = stats
         self.scope = scope
+        self.unknown = False
 
     # ------------------------------------------------------------------
 
     def run(self, program: MalProgram) -> MalProgram:
+        self.unknown = False
         if self.stats is None or self.scope is None:
             return program
         names = {instr.qualified_name for instr in program.instructions}
@@ -240,6 +246,7 @@ class AdaptiveOrder:
                 observed += 1
             selectivities.append(1.0 if estimate is None else estimate)
         if observed == 0:
+            self.unknown = True
             ADAPTIVE_REORDERS.labels(outcome="unknown").inc()
             return None
         order = sorted(range(len(links)), key=lambda i: selectivities[i])

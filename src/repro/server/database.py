@@ -57,13 +57,20 @@ from repro.storage.durable import (
 class _PlanEntry:
     """One cached plan plus what the ``stats`` verb shows of it."""
 
-    __slots__ = ("program", "last_usec", "hits", "created_monotonic")
+    __slots__ = ("program", "last_usec", "hits", "created_monotonic",
+                 "replan", "replanning")
 
-    def __init__(self, program: MalProgram) -> None:
+    def __init__(self, program: MalProgram, replan: bool = False) -> None:
         self.program = program
         self.last_usec: Optional[float] = None
         self.hits = 0
         self.created_monotonic = time.monotonic()
+        #: compiled while a select chain had no observed selectivity:
+        #: the first lookup after a run was observed compiles it again
+        self.replan = replan
+        #: that lookup happened; the next ``put`` of the key is the
+        #: re-plan, which is never marked
+        self.replanning = False
 
 
 class PlanCache:
@@ -80,6 +87,16 @@ class PlanCache:
     table's plans at once instead of at their next lookup.  Nothing
     else evicts a plan but capacity: no statement rewrites rows in
     place, so a plan whose tables are unchanged still fits their data.
+
+    One plan is compiled again without being evicted: one put with
+    ``replan`` (``adaptive_order`` found a select chain whose
+    selectivities the stats store had never observed, so the plan kept
+    its syntactic order).  Once a run of it has been observed, the next
+    :meth:`get` of its key is a miss, and that caller compiles with warm
+    statistics; every other caller keeps the old, still valid plan
+    until the successor is put.  The successor is never marked, so an
+    entry re-plans at most once; an evicted or invalidated one starts
+    afresh.
 
     A ``capacity`` of 0 disables caching entirely (every ``get`` is a
     silent miss and ``put`` is a no-op) — useful for benchmarking cold
@@ -109,7 +126,8 @@ class PlanCache:
         """The cached plan for ``key``, or None (counts a hit/miss).
 
         A plan one of whose tables changed in ``catalog`` since it was
-        compiled is dropped: a miss plus an ``invalidate`` eviction."""
+        compiled is dropped: a miss plus an ``invalidate`` eviction.  A
+        plan owed its re-plan stays, and this one lookup is a miss."""
         if not self.capacity:
             return None
         with self._lock:
@@ -121,6 +139,11 @@ class PlanCache:
                 PLAN_CACHE_EVICTIONS.labels(reason="invalidate").inc()
                 PLAN_CACHE_SIZE.set(len(self._entries))
                 entry = None
+            elif entry is not None and entry.replan \
+                    and entry.last_usec is not None:
+                entry.replan = False
+                entry.replanning = True
+                entry = None
             if entry is None:
                 self.misses += 1
                 PLAN_CACHE_MISSES.inc()
@@ -131,12 +154,17 @@ class PlanCache:
             PLAN_CACHE_HITS.inc()
             return entry.program
 
-    def put(self, key: tuple, program: MalProgram) -> None:
-        """Insert ``key`` → ``program``, evicting the LRU entry if full."""
+    def put(self, key: tuple, program: MalProgram,
+            replan: bool = False) -> None:
+        """Insert ``key`` → ``program``, evicting the LRU entry if full;
+        ``replan`` marks it for one re-plan unless it is one."""
         if not self.capacity:
             return
         with self._lock:
-            self._entries[key] = _PlanEntry(program)
+            old = self._entries.get(key)
+            if old is not None and old.replanning:
+                replan = False
+            self._entries[key] = _PlanEntry(program, replan)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -145,7 +173,8 @@ class PlanCache:
             PLAN_CACHE_SIZE.set(len(self._entries))
 
     def observe(self, key: tuple, usec: float) -> None:
-        """Record ``key``'s latest execution latency for :meth:`entries`."""
+        """Record ``key``'s latest execution latency for :meth:`entries`
+        (for a plan marked ``replan``, also that a run was observed)."""
         if not self.capacity:
             return
         with self._lock:
@@ -425,6 +454,8 @@ class Database:
         :func:`normalize_sql` left it (``nsql``; None means never
         cached) plus the effective pipeline and worker count.  A
         hit skips lexing, parsing, binding and the optimizer pipeline.
+        A plan in which ``adaptive_order`` met a chain it knew nothing
+        of is cached for one re-plan (see :class:`PlanCache`).
         """
         key = None
         program = None
@@ -439,11 +470,13 @@ class Database:
             # AdaptiveOrder looks statistics up under is what the plan is
             # sealed with and what its runs are recorded under
             reads = self.catalog.observe(program.tables_read(), tables)
-            program = self._pipeline(
-                pipeline_name, workers, reads.scope).apply(program)
+            pipeline = self._pipeline(pipeline_name, workers, reads.scope)
+            program = pipeline.apply(program)
             program.seal(reads)
             if key is not None:
-                self.plan_cache.put(key, program)
+                self.plan_cache.put(key, program, any(
+                    isinstance(opt_pass, AdaptiveOrder) and opt_pass.unknown
+                    for opt_pass in pipeline.passes))
         self.last_program = program
         return program, key
 
@@ -549,7 +582,8 @@ class Database:
         # measured, not modelled: the reroute compares it with a deadline
         wall_usec = (time.perf_counter_ns() - started) / 1000.0
         # Close the feedback loop: fold the completed trace into the
-        # stats store; the plan cache keeps the run's latency for display.
+        # stats store; the plan cache keeps the run's latency for display
+        # and, once it has it, re-plans a plan compiled on cold stats.
         scope = program.reads.scope
         self.stats_store.observe_program(program, execution.runs, scope)
         self.stats_store.observe_query(

@@ -6,6 +6,7 @@ management."""
 import json
 import os
 import tempfile
+import threading
 import time
 import zlib
 
@@ -26,6 +27,7 @@ from repro.server.lifecycle import QueryContext
 from repro.stats import StatsStore, program_signatures, select_signature
 from repro.storage import INT, BAT
 from repro.storage import bat as bat_module
+from repro.tpch import populate, query_sql
 
 FP = "sys.t=3"  # a scope: the tables a plan reads and their row counts
 
@@ -265,6 +267,7 @@ class TestPlanCacheObserve:
     def test_plan_entry_diagnostics(self):
         db = _skewed_db(plan_cache_size=8)
         sql = "select a, b from t where a < 900 and b = 7"
+        db.execute(sql)  # compiled on cold stats: re-planned next
         db.execute(sql)
         started = time.perf_counter_ns()
         db.execute(sql)
@@ -279,6 +282,150 @@ class TestPlanCacheObserve:
         assert 0.0 < entry["last_usec"] <= wall_usec  # measured
         assert set(entry) == {"sql", "pipeline", "workers", "tables",
                               "hits", "age_s", "last_usec"}
+
+
+# ---------------------------------------------------------------------------
+# a cached plan compiled on cold statistics re-plans once (counts, no clock)
+# ---------------------------------------------------------------------------
+
+SKEWED = "select a, b from t where a < 900 and b = 7"
+
+
+def _counted_compiles(db):
+    """A list that grows by one statement per SQL compile on ``db``."""
+    compiles = []
+    compile_statement = db.compiler.compile
+
+    def counted(statement):
+        compiles.append(statement)
+        return compile_statement(statement)
+    db.compiler.compile = counted
+    return compiles
+
+
+def _tpch_db(**kwargs):
+    db = Database(workers=2, **kwargs)
+    populate(db.catalog, scale_factor=0.01, seed=3)
+    return db
+
+
+class TestReplanOnce:
+    @pytest.mark.parametrize("source", ["q19", "skewed"])
+    def test_five_executions_compile_twice(self, source):
+        if source == "q19":
+            db, sql = _tpch_db(), query_sql("q19")
+        else:
+            db, sql = _skewed_db(), SKEWED
+        compiles = _counted_compiles(db)
+        programs = [db.execute(sql).program for _ in range(5)]
+        assert len(compiles) == 2
+        assert programs[0] is not programs[1]
+        assert all(program is programs[2] for program in programs[2:])
+        stats = db.plan_cache.stats()
+        # the re-plan is a miss, never an eviction
+        assert (stats["misses"], stats["hits"], stats["evictions"]) \
+            == (2, 3, 0)
+
+    def test_the_replan_runs_the_selective_predicate_first(self):
+        db = _skewed_db()
+        cold = db.execute(SKEWED).program
+        warm = db.execute(SKEWED).program
+        cold_text, warm_text = _plan_text(cold), _plan_text(warm)
+        assert cold_text.index("algebra.thetaselect") < \
+            cold_text.index("algebra.select(")
+        assert warm_text.index("algebra.select(") < \
+            warm_text.index("algebra.thetaselect")
+
+    def test_a_chain_still_unknown_after_its_replan_is_kept(self):
+        db = _skewed_db()
+        db.execute("create table e (a int, b int)")
+        # no row in, so no selectivity is learned: the re-plan is as
+        # cold as the first compile, and it is not marked again
+        compiles = _counted_compiles(db)
+        for _ in range(5):
+            db.execute("select a, b from e where a < 900 and b = 7")
+        assert len(compiles) == 2
+
+    def test_a_query_with_no_chain_compiles_once(self):
+        db = _skewed_db()
+        compiles = _counted_compiles(db)
+        for _ in range(5):
+            db.execute("select a, b from t where b = 7")
+        assert len(compiles) == 1
+
+    def test_a_chain_whose_selectivities_are_known_compiles_once(self):
+        db = _skewed_db()
+        # the same selections run under another pipeline warm the store
+        db.execute(SKEWED, pipeline_name="static_pipe")
+        compiles = _counted_compiles(db)
+        programs = [db.execute(SKEWED).program for _ in range(5)]
+        assert len(compiles) == 1
+        assert all(program is programs[0] for program in programs)
+
+    def test_a_plan_compiled_but_never_run_is_not_replanned(self):
+        db = _skewed_db()
+        compiles = _counted_compiles(db)
+        first = db.compile(SKEWED)
+        assert db.compile(SKEWED) is first  # no run observed yet
+        assert db.execute(SKEWED).program is first
+        db.execute(SKEWED)
+        assert len(compiles) == 2
+
+    def test_racing_lookups_of_a_marked_entry_compile_once(self):
+        db = _skewed_db()
+        expected = db.execute(SKEWED).rows  # marked, and its run observed
+        compiles = _counted_compiles(db)
+        start = threading.Barrier(2)
+        results, failures = [], []
+
+        def run():
+            try:
+                start.wait(timeout=30)
+                results.append(db.execute(SKEWED).rows)
+            except BaseException as exc:  # reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert results == [expected, expected]
+        assert len(compiles) == 1
+        db.execute(SKEWED)
+        assert len(compiles) == 1
+
+    def test_an_insert_allows_at_most_one_more_replan(self):
+        db = _skewed_db()
+        compiles = _counted_compiles(db)
+        for _ in range(3):
+            db.execute(SKEWED)
+        assert len(compiles) == 2
+        db.execute("insert into t values (5, 7)")
+        # the insert invalidates the plan, and stats are kept per row
+        # count, so the recompile is cold again and re-plans once more
+        programs = [db.execute(SKEWED).program for _ in range(5)]
+        assert len(compiles) == 4
+        assert all(program is programs[2] for program in programs[2:])
+
+    @pytest.mark.parametrize("source", ["q19", "skewed"])
+    def test_marked_and_replanned_rows_match_static_pipe(self, source):
+        if source == "q19":
+            static, adaptive = (_tpch_db(pipeline_name="static_pipe"),
+                                _tpch_db())
+            sql = query_sql("q19")
+        else:
+            static, adaptive = (_skewed_db(pipeline_name="static_pipe"),
+                                _skewed_db())
+            sql = SKEWED
+        expected = static.execute(sql).rows
+        marked = adaptive.execute(sql)
+        replanned = adaptive.execute(sql)
+        assert replanned.program is not marked.program
+        assert marked.rows == expected
+        assert replanned.rows == expected
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +601,11 @@ class TestStatsSurfaces:
         db = _skewed_db(plan_cache_size=8)
         with Mserver(db) as server:
             with MClient(port=server.port) as client:
-                client.query("select a, b from t where a < 900 and b = 7")
-                client.query("select a, b from t where a < 900 and b = 7")
+                # the first plan is compiled on cold stats, the second
+                # is its re-plan, the third run is a hit
+                for _ in range(3):
+                    client.query(
+                        "select a, b from t where a < 900 and b = 7")
                 payload = client.stats_payload()
         store = payload["stats_store"]
         assert store["observations"] > 0

@@ -29,6 +29,14 @@ snapshot bytes, and — because 48 entries of selections outlast 48 of
 every instruction — let two statements' select chains be reordered,
 which moved two ``repro_mal_instruction_usec`` sums by 8 µs and the
 utilisation sum; every count, row and ``repro_server_*`` sample held.
+And once more when a cached plan compiled on cold statistics began to
+be re-planned once after its first observed run: six repeated
+statements of the sequence re-plan, five of them into reordered
+chains, which lowered the ``algebra`` and ``bat`` sums of
+``repro_mal_instruction_usec`` by 107 and 8 µs (three cumulative bucket
+counts moved by one), moved the utilisation sum and changed the
+snapshot's selection entries; again every count, row and
+``repro_server_*`` sample held.
 """
 
 import json
