@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import MalRuntimeError
 from repro.mal.interpreter import (CostModel, Execution, Executor, ReadySet,
@@ -52,12 +52,14 @@ class ListSchedule(Execution):
     faults = True
 
     def drive(self) -> None:
-        self.free = [0] * self.workers  # when each worker next idles
+        free = self.free
         tracker = self.program.derived(ReadySet)
-        waiting = list(tracker.waiting)
+        instructions, deps = tracker.instructions, tracker.deps
+        successors, waiting = tracker.successors, list(tracker.waiting)
         ready = [(0, pc) for pc in tracker.initial]  # (ready_usec, pc)
         heapq.heapify(ready)
-        ends: Dict[int, int] = {}
+        ends = [0] * len(instructions)
+        end_of = ends.__getitem__
         # step stays quiet; this loop releases its events in clock order
         listener, self.listener = self.listener, None
         pending: List[tuple] = []  # (usec, pc, done, run) not yet heard
@@ -67,29 +69,22 @@ class ListSchedule(Execution):
                 _usec, _pc, done, record = heapq.heappop(pending)
                 listener("done" if done else "start", record)
 
-        for _ in self.program.instructions:
+        for _ in instructions:
             if not ready:
                 raise MalRuntimeError("dataflow deadlock: no ready instruction")
             self.ready_usec, pc = heapq.heappop(ready)
-            widx = self.free.index(min(self.free))  # lowest index on a tie
-            run = self.step(tracker.instructions[pc], widx)
+            # the worker that frees earliest, the lowest index on a tie
+            run = self.step(instructions[pc], free.index(min(free)))
             ends[pc] = run.end_usec
-            for succ in tracker.complete(waiting, pc):
-                heapq.heappush(
-                    ready, (max(ends[d] for d in tracker.deps[succ]), succ))
+            for succ in successors[pc]:
+                waiting[succ] -= 1
+                if not waiting[succ]:
+                    heapq.heappush(ready, (max(map(end_of, deps[succ])), succ))
             if listener is not None:
                 heapq.heappush(pending, (run.start_usec, pc, False, run))
                 heapq.heappush(pending, (run.end_usec, pc, True, run))
-                release(min(self.free))
+                release(min(free))
         release(math.inf)
-
-    def begin(self, thread: int, stall: int) -> int:
-        self.free[thread] += stall  # the worker idles before taking the job
-        return max(self.free[thread], self.ready_usec)
-
-    def finish(self, thread: int, start: int, cost: int) -> int:
-        self.free[thread] = start + cost
-        return start + cost
 
 
 class SimulatedScheduler(Executor):

@@ -9,6 +9,11 @@ trace events.  What differs between engines is the scheduling policy that
 drives the step: program order on one worker here (:class:`Interpreter`),
 list scheduling over N modelled workers in :mod:`repro.mal.dataflow`.
 
+A trace has a record per instruction, ``language.pass`` included, so
+the step makes five Python-level calls besides the kernel, on a plan
+resolved once (``impl_cache``, :class:`ReadySet`);
+``tests/test_executor_bookkeeping.py`` counts them.
+
 Timing is *virtual* by default: a deterministic :class:`CostModel` assigns
 each instruction a duration from its operator class and input/output
 cardinalities, so traces are reproducible across machines.
@@ -139,27 +144,28 @@ class CostModel:
                      "aggr": "aggr"}
 
     def __init__(self) -> None:
-        #: qualified name -> operator class, resolved once per name
-        self._class_of: Dict[str, str] = {}
+        #: qualified name -> (base usec, usec per input row, sorts?),
+        #: resolved once per name
+        self._coefficients: Dict[str, Tuple[float, float, bool]] = {}
 
     def cost_usec(self, instr: MalInstruction, inputs: Sequence[Any],
                   outputs: Sequence[Any]) -> int:
         """Modelled duration of one instruction execution."""
-        qname = instr.qualified_name
-        klass = self._class_of.get(qname)
-        if klass is None:
-            klass = self._class_of[qname] = (
-                self._FUNCTION_CLASS.get(qname)
-                or self._MODULE_CLASS.get(instr.module, "admin"))
-        base, per_row = self._CLASSES[klass]
+        coefficients = self._coefficients.get(instr.qualified_name)
+        if coefficients is None:
+            klass = (self._FUNCTION_CLASS.get(instr.qualified_name)
+                     or self._MODULE_CLASS.get(instr.module, "admin"))
+            coefficients = self._coefficients[instr.qualified_name] = (
+                *self._CLASSES[klass], klass == "sort")
+        base, per_row, sorts = coefficients
         rows_in = 0
         for value in inputs:
             if isinstance(value, BAT):
-                rows_in += len(value)
+                rows_in += len(value.tail)
         cost = base + per_row * rows_in
-        if klass == "sort" and rows_in > 1:
+        if sorts and rows_in > 1:
             cost += 0.08 * rows_in * math.log2(rows_in)
-        return max(1, int(round(cost)))
+        return max(1, round(cost))
 
 
 class EvalContext:
@@ -258,31 +264,25 @@ def record_execution(scheduler: str, runs: Sequence[InstructionRun],
 _GROWS_BOUND = frozenset(("bat.append", "bat.insert", "sql.append"))
 
 
-def resolve_impl(instr: MalInstruction):
-    """Registry implementation of ``instr``, memoized on the instruction.
-
-    The registry lookup (an f-string build plus dict probe) used to run
-    on every ``execute_instruction`` call; compiled programs are
-    immutable after optimization, so the first resolution is cached on
-    the instruction and reused by every scheduler — and by every later
-    run of the same program when the plan cache serves it again.
-    Unknown instructions are not cached, so they raise consistently.
-    """
-    impl = instr.impl_cache
-    if impl is None:
-        impl = lookup(instr.module, instr.function)
-        instr.impl_cache = impl
-    return impl
-
-
 def execute_instruction(ctx: EvalContext, instr: MalInstruction) -> Tuple[list, list]:
     """Evaluate one instruction in ``ctx``; returns (inputs, outputs).
 
     Results are bound into the environment.  Multi-result instructions
-    must return exactly as many values as they declare.
+    must return exactly as many values as they declare.  The kernel is
+    looked up once and kept on the instruction (``impl_cache``) for
+    every later run of its plan; an unknown one is not kept, so it
+    raises every time.
     """
-    impl = resolve_impl(instr)
-    inputs = [ctx.value_of(arg) for arg in instr.args]
+    impl = instr.impl_cache
+    if impl is None:
+        impl = instr.impl_cache = lookup(instr.module, instr.function)
+    env = ctx.env
+    try:
+        inputs = [env[arg.name] if arg.__class__ is Var else arg.value
+                  for arg in instr.args]
+    except (KeyError, AttributeError):
+        # an unbound name or a bad argument: value_of says which, typed
+        inputs = [ctx.value_of(arg) for arg in instr.args]
     try:
         out = impl(ctx, instr, inputs)
     except MalRuntimeError:
@@ -291,27 +291,30 @@ def execute_instruction(ctx: EvalContext, instr: MalInstruction) -> Tuple[list, 
         raise MalRuntimeError(
             f"pc={instr.pc} {instr.qualified_name}: {exc}"
         ) from exc
-    if len(instr.results) <= 1:
-        outputs = [out] if instr.results else []
+    results = instr.results
+    if len(results) == 1:
+        outputs = [out]
+        name = results[0]
+        if name in env:  # only a plan run without validation rebinds
+            ctx.bind(name, out)
+        else:
+            env[name] = out
+            if isinstance(out, BAT):
+                ctx.rss += out.bytes()
+    elif not results:
+        outputs = []
     else:
-        if not isinstance(out, tuple) or len(out) != len(instr.results):
+        if not isinstance(out, tuple) or len(out) != len(results):
             raise MalRuntimeError(
                 f"pc={instr.pc} {instr.qualified_name}: expected "
-                f"{len(instr.results)} results"
+                f"{len(results)} results"
             )
         outputs = list(out)
-    for name, value in zip(instr.results, outputs):
-        ctx.bind(name, value)
+        for name, value in zip(results, outputs):
+            ctx.bind(name, value)
     if instr.qualified_name in _GROWS_BOUND:
         ctx.rss = ctx.rss_bytes()
     return inputs, outputs
-
-
-def _first_bat_rows(values: Sequence[Any]) -> int:
-    for value in values:
-        if isinstance(value, BAT):
-            return len(value)
-    return 0
 
 
 #: Result delivery and appends keep program order even under dataflow;
@@ -324,10 +327,9 @@ class ReadySet:
     """Which instructions may run: the dataflow dependencies (the
     program's def-use walk), their successor index and the side-effect
     chain — ``program.derived(ReadySet)``, so built once per sealed
-    plan.  A run owns only its countdown, a copy of ``waiting`` that it
-    passes to :meth:`complete`.  Every collection is indexed by an
-    instruction's place in the list, which in a numbered program is its
-    pc.
+    plan.  A run owns only its countdown, a copy of ``waiting``.  Every
+    collection is indexed by an instruction's place in the list, which
+    in a numbered program is its pc.
 
     A cached plan keeps its ReadySet for as long as it lives, so the
     per-instruction collections are tuples of ints: the cycle collector
@@ -365,38 +367,33 @@ class ReadySet:
         self.initial = tuple(pc for pc, wanted in enumerate(deps)
                              if not wanted)
 
-    def complete(self, waiting: List[int], pc: int) -> List[int]:
-        """Record that ``pc`` finished; returns what that made ready."""
-        ready = []
-        for succ in self.successors[pc]:
-            waiting[succ] -= 1
-            if not waiting[succ]:
-                ready.append(succ)
-        return ready
-
 
 class Execution:
     """One run of one program: the step every instruction goes through,
     under the reference scheduling policy — program order on one worker
     and a virtual clock, with no dispatch to inject a fault at.
 
-    A subclass is another policy.  It overrides ``drive`` (which
-    instruction next, on which worker) and ``begin``/``finish`` (the
-    clock: an injected stall and a modelled cost become the start and
-    end timestamps of the run record).
+    A subclass is another policy: it overrides ``drive``, which picks
+    the instruction to run next, the worker that runs it and, in
+    :attr:`ready_usec`, when its inputs were ready.  The clock is the
+    same for every policy: an instruction starts once its worker is
+    free (after an injected stall) and its inputs are ready, and ends
+    its modelled cost later.
     """
 
     label = "interpreter"  #: ``record_execution`` scheduler label
     faults = False  #: ``step`` consults the ``scheduler.worker`` fault site
-    clock = 0
+    ready_usec = 0  #: when the inputs of the next instruction were ready
 
     def __init__(self, engine: "Executor", program: MalProgram,
                  context: Optional["QueryContext"]) -> None:
-        self.engine = engine
         self.program = program
         self.context = context
         self.workers = engine.workers if program.dataflow_enabled else 1
+        #: when each worker next idles; the latest is the makespan
+        self.free = [0] * self.workers
         self.fault_plan = ACTIVE.plan if self.faults else None  # captured once
+        self.cost_usec = engine.cost_model.cost_usec
         self.ctx = EvalContext(engine.catalog, program)
         self.runs: List[InstructionRun] = []
         #: hears ``start``/``done`` from ``step``, as they happen; a
@@ -410,13 +407,15 @@ class Execution:
         deadline, RSS budget), consults the fault plan, runs the
         instruction, asks the cost model and builds the run record.  An
         injected stall is slept for real (``value`` microseconds) and
-        modelled by ``begin``.  :attr:`listener` hears ``start`` with the
-        RSS before the instruction and ``done`` with the RSS after it.
+        delays the worker on the modelled clock.  :attr:`listener` hears
+        ``start`` with the RSS before the instruction and ``done`` with
+        the RSS after it.
         """
         ctx = self.ctx
         if self.context is not None:
             self.context.check(ctx.rss)
-        stall = 0
+        free = self.free
+        start = free[thread]
         if self.fault_plan is not None:
             decision = self.fault_plan.decide("scheduler.worker",
                                               detail=str(instr.pc))
@@ -426,7 +425,9 @@ class Execution:
             if decision is not None and decision.action == "stall":
                 stall = int(decision.value or 1000)
                 time.sleep(stall / 1_000_000.0)
-        start = self.begin(thread, stall)
+                start += stall
+        if start < self.ready_usec:
+            start = self.ready_usec
         listener = self.listener
         # records are built positionally (a third of the keyword cost):
         # instr, program, pc, start, end, usec, thread, rss, rows, rows_in
@@ -435,11 +436,19 @@ class Execution:
                 instr, self.program, instr.pc, start, start, 0, thread,
                 ctx.rss, 0))
         inputs, outputs = execute_instruction(ctx, instr)
-        cost = self.engine.cost_model.cost_usec(instr, inputs, outputs)
-        end = self.finish(thread, start, cost)
-        run = InstructionRun(
-            instr, self.program, instr.pc, start, end, end - start, thread,
-            ctx.rss, _first_bat_rows(outputs), _first_bat_rows(inputs))
+        end = free[thread] = start + self.cost_usec(instr, inputs, outputs)
+        # the cardinalities of the first BAT argument and result
+        rows_in = rows = 0
+        for value in inputs:
+            if isinstance(value, BAT):
+                rows_in = len(value.tail)
+                break
+        for value in outputs:
+            if isinstance(value, BAT):
+                rows = len(value.tail)
+                break
+        run = InstructionRun(instr, self.program, instr.pc, start, end,
+                             end - start, thread, ctx.rss, rows, rows_in)
         self.runs.append(run)
         if listener is not None:
             listener("done", run)
@@ -449,15 +458,6 @@ class Execution:
         """Run every instruction of the program through :meth:`step`."""
         for instr in self.program.instructions:
             self.step(instr, 0)
-
-    def begin(self, thread: int, stall: int) -> int:
-        """Start timestamp of the instruction ``thread`` takes next."""
-        return self.clock
-
-    def finish(self, thread: int, start: int, cost: int) -> int:
-        """End timestamp of an instruction of modelled ``cost``."""
-        self.clock = start + cost
-        return self.clock
 
 
 class Executor:
@@ -490,7 +490,7 @@ class Executor:
         execution = self.policy(self, program, context)
         execution.drive()
         runs = execution.runs
-        total_usec = max((run.end_usec for run in runs), default=0)
+        total_usec = max(execution.free)  # the last instruction's end
         record_execution(execution.label, runs, execution.workers, total_usec)
         return ExecutionResult(
             result_sets=execution.ctx.result_sets, runs=runs,

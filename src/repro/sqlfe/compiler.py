@@ -58,7 +58,7 @@ from repro.sqlfe.ast import (
 from repro.sqlfe.binder import Binder, contains_aggregate
 from repro.sqlfe.parser import parse_sql
 from repro.storage.catalog import Catalog, _sql_type_to_mal
-from repro.storage.types import BIT, DATE, DBL, LNG, MalType, infer_type
+from repro.storage.types import BIT, DATE, DBL, LNG, STR, MalType, infer_type
 
 _CMP_TO_THETA = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
@@ -880,20 +880,26 @@ class _GroupEnv:
             return cached
         c = self.compiler
         function = call.name
+        tail = LNG if function == "count" else DBL
         if call.star or not call.args:
             source = next(iter(c._rowmaps.values()))
         else:
             source = c._ensure_bat(c._compile_expr(call.args[0], c._rowmaps))
             if function == "count":
                 function = "count_no_nil"  # count(column) skips nils
+            elif function in ("min", "max"):
+                # a number widens to dbl; a string or a date keeps its
+                # type (mitosis folds partials in a BAT of this type)
+                column = c.program.type_of(source.name).tail
+                if column in (STR, DATE):
+                    tail = column
         if self.scalar:
-            result_type = scalar_of("lng" if call.name == "count" else "dbl")
-            var = c.emit("aggr", function, [source], result_type,
+            var = c.emit("aggr", function, [source], scalar_of(tail),
                          is_bat=False)
         else:
             var = c.emit(
                 "aggr", function, [source, self.groups, self.extents],
-                bat_of("lng" if call.name == "count" else "dbl"),
+                bat_of(tail),
             )
         self._aggregate_cache[key] = var
         return var

@@ -13,10 +13,12 @@ release runs while the figures are checked.
 
 The second half are counting guards that time nothing: a run nobody
 listens to renders no statement text and asks a BAT for its bytes at
-most once per binding.
+most once per binding, and an executed instruction costs a bounded
+number of Python-level calls in the executor modules.
 """
 
 import random
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -259,3 +261,64 @@ class TestNothingIsComputedForNobody:
         before = counts["format"]
         assert run.stmt == by_pc[run.pc] and run.stmt is run.stmt
         assert counts["format"] <= before + 1  # rendered once, then kept
+
+
+class TestScaffoldingIsCounted:
+    """A count, not a clock (CI runs this class by name, "An
+    instruction's scaffolding is counted"): over a warm round of the 11
+    timed TPC-H queries (scale 0.1, ``workers=2``, 1 119 instructions),
+    the Python-level calls whose code is in ``repro/mal/interpreter.py``
+    or ``repro/mal/dataflow.py``, plus the dataclass-generated
+    ``__init__`` they call, per executed instruction.
+
+    ``sys.setprofile`` sees every call and no time, so the figure is
+    exact under any ``PYTHONHASHSEED``.  It reads 5.21: ``step``,
+    ``execute_instruction`` and its argument comprehension,
+    ``cost_usec`` and the run record's ``__init__``, plus what a run
+    makes once.  It was 16.71 while ``step`` asked ``begin``/``finish``
+    for its clock and ``_first_bat_rows`` for its cardinalities,
+    ``execute_instruction`` resolved its kernel, read each argument and
+    bound each result through a method, and the list schedule counted
+    successors down through ``ReadySet.complete`` and a generator per
+    successor.  The bound is the count + 10 %.
+    """
+
+    CALLS_PER_INSTRUCTION_BOUND = 5.73
+    NAMES = ("demo", "q1", "q3", "q4", "q5", "q6", "q10", "q12", "q17",
+             "q18", "q19")
+    EXECUTOR = ("repro/mal/interpreter.py", "repro/mal/dataflow.py")
+
+    def test_an_instruction_pays_a_bounded_number_of_calls(self):
+        cat = Catalog()
+        populate(cat, scale_factor=0.1)
+        db = Database(catalog=cat, workers=2)
+        executor = self.EXECUTOR
+        calls = [0]
+
+        def profile(frame, event, _arg):
+            if event != "call":
+                return
+            code = frame.f_code
+            if code.co_filename.endswith(executor) or (
+                    code.co_filename == "<string>"
+                    and code.co_name == "__init__"
+                    and frame.f_back.f_code.co_filename.endswith(executor)):
+                calls[0] += 1
+
+        try:
+            texts = [query_sql(name) for name in self.NAMES]
+            for sql in texts:
+                db.execute(sql)
+            instructions = 0
+            sys.setprofile(profile)
+            try:
+                for sql in texts:
+                    instructions += len(db.execute(sql).execution.runs)
+            finally:
+                sys.setprofile(None)
+        finally:
+            db.close()
+        assert instructions == 1119
+        per_instruction = calls[0] / instructions
+        assert per_instruction <= self.CALLS_PER_INSTRUCTION_BOUND, \
+            f"{per_instruction:.2f} executor calls per instruction"
