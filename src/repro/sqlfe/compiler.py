@@ -887,12 +887,13 @@ class _GroupEnv:
             source = c._ensure_bat(c._compile_expr(call.args[0], c._rowmaps))
             if function == "count":
                 function = "count_no_nil"  # count(column) skips nils
-            elif function in ("min", "max"):
-                # a number widens to dbl; a string or a date keeps its
-                # type (mitosis folds partials in a BAT of this type)
-                column = c.program.type_of(source.name).tail
-                if column in (STR, DATE):
-                    tail = column
+            elif function != "avg":
+                # a scalar one has the type it has unpartitioned (mitosis
+                # folds its partials in a BAT of this type); grouped, a
+                # number widens to dbl and a string or a date keeps its own
+                typed = c.binder.type_of(call.args[0])
+                if self.scalar or typed in (STR, DATE):
+                    tail = typed
         if self.scalar:
             var = c.emit("aggr", function, [source], scalar_of(tail),
                          is_bat=False)

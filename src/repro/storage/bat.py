@@ -27,7 +27,18 @@ memory and make every later lookup positional; a materialised dense
 head forces the next join to hash a column that is its own index.
 ``docs/performance.md`` §1 has the rule kernel by kernel.
 
-Eight memoized structures back the hot paths, all invalidated by
+**The oid-space rule.**  A void slice that is one of the current
+:meth:`BAT.partitions` of a void column from 0 is a window on that
+column: its position ``i`` is oid ``hseqbase + i``, and the value there
+is the column's ``tail[hseqbase + i]``.  So a selection on it (scan or
+order index), a gather from it and its ``semijoin``/``kdifference``
+against a hashed head count in oids and read the column
+(:meth:`BAT._column_tail`): no row pays an offset.  A slice its column
+no longer owns — cut before the column was appended to or patched, or
+changed itself — reads its own tail by offset, as every other void
+BAT above 0 does.  ``docs/performance.md`` §23 has what it saves.
+
+Nine memoized structures back the hot paths, all invalidated by
 :meth:`BAT.append`/:meth:`BAT.extend` (and double-guarded by the BAT's
 current length).  Each is built only when a kernel cannot avoid it:
 
@@ -58,7 +69,11 @@ current length).  Each is built only when a kernel cannot avoid it:
   and :meth:`BAT.refine_group` return: ``aggr.count``, ``aggr.avg``
   and the nil-free ``aggr.sum`` over that grouping read the sizes
   instead of counting the group ids again, when the group count they
-  are given is the histogram's.
+  are given is the histogram's;
+* the least and greatest value of an int tail, which a gather from a
+  void BAT not based at 0 checks its oids against: a plan fetches
+  several columns through one candidate list (q1 six through each
+  partition's), and only the first fetch scans for them.
 
 ``tests/test_kernel_parity.py`` checks every kernel here against the
 per-row reference implementations in :mod:`repro.storage.naive`.
@@ -109,30 +124,38 @@ _NUMERIC_TAILS = frozenset(("int", "lng", "flt", "dbl"))
 # these beat every ``map``/``itertools.compress`` formulation measured —
 # comprehension bytecode is inlined and COMPARE_OP is specialized, while
 # bound-method dispatch through ``map`` pays a call per element.
+# ``start`` numbers the positions: 0 for a BAT's own, its hseqbase for a
+# partition read in its column's oid space (``BAT._column_tail``).
 # --------------------------------------------------------------------------
 
-def _positions_eq(tail: List[Any], value: Any) -> List[int]:
-    return [i for i, v in enumerate(tail) if v is not None and v == value]
+def _positions_eq(tail: List[Any], start: int, value: Any) -> List[int]:
+    return [i for i, v in enumerate(tail, start)
+            if v is not None and v == value]
 
 
-def _positions_ne(tail: List[Any], value: Any) -> List[int]:
-    return [i for i, v in enumerate(tail) if v is not None and v != value]
+def _positions_ne(tail: List[Any], start: int, value: Any) -> List[int]:
+    return [i for i, v in enumerate(tail, start)
+            if v is not None and v != value]
 
 
-def _positions_lt(tail: List[Any], value: Any) -> List[int]:
-    return [i for i, v in enumerate(tail) if v is not None and v < value]
+def _positions_lt(tail: List[Any], start: int, value: Any) -> List[int]:
+    return [i for i, v in enumerate(tail, start)
+            if v is not None and v < value]
 
 
-def _positions_le(tail: List[Any], value: Any) -> List[int]:
-    return [i for i, v in enumerate(tail) if v is not None and v <= value]
+def _positions_le(tail: List[Any], start: int, value: Any) -> List[int]:
+    return [i for i, v in enumerate(tail, start)
+            if v is not None and v <= value]
 
 
-def _positions_gt(tail: List[Any], value: Any) -> List[int]:
-    return [i for i, v in enumerate(tail) if v is not None and v > value]
+def _positions_gt(tail: List[Any], start: int, value: Any) -> List[int]:
+    return [i for i, v in enumerate(tail, start)
+            if v is not None and v > value]
 
 
-def _positions_ge(tail: List[Any], value: Any) -> List[int]:
-    return [i for i, v in enumerate(tail) if v is not None and v >= value]
+def _positions_ge(tail: List[Any], start: int, value: Any) -> List[int]:
+    return [i for i, v in enumerate(tail, start)
+            if v is not None and v >= value]
 
 
 _THETA_KERNELS: dict = {
@@ -145,25 +168,34 @@ _THETA_KERNELS: dict = {
 }
 
 
-def _positions_range(tail: List[Any], low: Any, high: Any,
+def _positions_like(tail: List[Any], start: int,
+                    match: Callable[[str], Any]) -> List[int]:
+    return [i for i, v in enumerate(tail, start)
+            if v is not None and match(v) is not None]
+
+
+def _positions_range(tail: List[Any], start: int, low: Any, high: Any,
                      include_low: bool, include_high: bool) -> List[int]:
-    """Qualifying positions for a range select; nil bounds are open ends."""
+    """Qualifying positions for a range select, numbered from ``start``;
+    nil bounds are open ends."""
     if low is None and high is None:
-        return [i for i, v in enumerate(tail) if v is not None]
+        return [i for i, v in enumerate(tail, start) if v is not None]
     if low is None:
-        return (_positions_le if include_high else _positions_lt)(tail, high)
+        return (_positions_le if include_high else _positions_lt)(
+            tail, start, high)
     if high is None:
-        return (_positions_ge if include_low else _positions_gt)(tail, low)
+        return (_positions_ge if include_low else _positions_gt)(
+            tail, start, low)
     if include_low and include_high:
-        return [i for i, v in enumerate(tail)
+        return [i for i, v in enumerate(tail, start)
                 if v is not None and low <= v <= high]
     if include_low:
-        return [i for i, v in enumerate(tail)
+        return [i for i, v in enumerate(tail, start)
                 if v is not None and low <= v < high]
     if include_high:
-        return [i for i, v in enumerate(tail)
+        return [i for i, v in enumerate(tail, start)
                 if v is not None and low < v <= high]
-    return [i for i, v in enumerate(tail)
+    return [i for i, v in enumerate(tail, start)
             if v is not None and low < v < high]
 
 
@@ -215,7 +247,8 @@ class BAT:
                  "_order_cache", "_ship_cache", "_parts_cache",
                  "_reverse_cache", "_tdense", "_join_scans",
                  "_range_selects", "_order_hits", "_order_misses",
-                 "_order_disabled", "_hist_cache")
+                 "_order_disabled", "_hist_cache", "_bounds_cache",
+                 "_oid_reads", "_offset_reads")
 
     def __init__(
         self,
@@ -235,17 +268,24 @@ class BAT:
         self._bytes_cache: Optional[Tuple[Any, int]] = None
         self._index_cache: Optional[Tuple[int, dict]] = None
         self._multimap_cache: Optional[Tuple[int, dict]] = None
-        self._order_cache: Optional[Tuple[int, List[int], List[Any]]] = None
+        self._order_cache: Optional[
+            Tuple[int, List[int], List[Any], int]] = None
         self._ship_cache: Optional[Tuple[int, bytes]] = None
         self._parts_cache: Optional[Tuple[int, Tuple[BAT, ...]]] = None
         self._reverse_cache: Optional[Tuple[int, BAT]] = None
         #: the group sizes of a :meth:`group`/:meth:`refine_group` result
         self._hist_cache: Optional[Tuple[int, List[int]]] = None
+        #: the (min, max) of the tail, for :meth:`_gather`'s bounds check
+        self._bounds_cache: Optional[Tuple[int, Any, Any]] = None
         #: MonetDB's ``tdense``: set only by :meth:`dense_oids`, so it
         #: means "void head from 0, tail 0..n-1"; a mutation clears it
         self._tdense = False
         #: joins against this BAT's head answered without hashing it
         self._join_scans = 0
+        #: kernels that read this partition by its column's oids, and
+        #: those that found it stale and read it by offset
+        self._oid_reads = 0
+        self._offset_reads = 0
         # adaptive index accounting: range selects seen, order-index
         # hits/misses in the current decision window, and whether a poor
         # hit-rate has disabled the index until the next mutation
@@ -284,11 +324,13 @@ class BAT:
             return self.hseqbase + index
         return self.head[index]
 
-    def heads(self) -> Iterator[int]:
-        """Iterate over head oids in association order."""
+    def heads(self) -> Sequence[int]:
+        """The head oids in association order: the materialised head
+        itself (read, never change it), or the void head's range, so a
+        copy or a concatenation of them is one C-level pass."""
         if self.head is None:
-            return iter(range(self.hseqbase, self.hseqbase + len(self.tail)))
-        return iter(self.head)
+            return range(self.hseqbase, self.hseqbase + len(self.tail))
+        return self.head
 
     def items(self) -> Iterator[Tuple[int, Any]]:
         """Iterate over (head oid, tail value) pairs."""
@@ -339,8 +381,11 @@ class BAT:
         self._parts_cache = None
         self._reverse_cache = None
         self._hist_cache = None
+        self._bounds_cache = None
         self._tdense = False
         self._join_scans = 0
+        # a slice that changed is no longer a slice of its column
+        self.parent = None
         # a mutation resets the adaptive accounting: the data changed,
         # so a dropped index gets a fresh chance to prove itself
         self._range_selects = 0
@@ -464,8 +509,15 @@ class BAT:
         heads = None if self.head is None else list(self.head)
         return self._like(heads, tail, tail_type, self.hseqbase)
 
-    def _take(self, positions: List[int]) -> "BAT":
-        """Gather the associations at ``positions`` (order preserved)."""
+    def _take(self, positions: List[int],
+              column: Optional[List[Any]] = None) -> "BAT":
+        """Gather the associations at ``positions`` (order preserved).
+
+        With ``column`` (:meth:`_column_tail`), ``positions`` are oids
+        of the column: they are the heads, and index its tail.
+        """
+        if column is not None:
+            return self._like(positions, [column[o] for o in positions])
         tail = self.tail
         if self.head is None:
             base = self.hseqbase
@@ -474,6 +526,22 @@ class BAT:
             shead = self.head
             heads = [shead[i] for i in positions]
         return self._like(heads, [tail[i] for i in positions])
+
+    def _column_tail(self) -> Optional[List[Any]]:
+        """The tail of the void column from 0 that self is one of the
+        current :meth:`partitions` of, or None: the oid-space rule of
+        the module docstring.  Every ask counts, on the slice, as an oid
+        read or (a stale slice) an offset read."""
+        parent = self.parent
+        if parent is None or parent.head is not None or parent.hseqbase:
+            return None
+        cached = parent._parts_cache
+        if (cached is not None and cached[0] == len(parent.tail)
+                and self in cached[1]):
+            self._oid_reads += 1
+            return parent.tail
+        self._offset_reads += 1
+        return None
 
     # ------------------------------------------------------------------
     # memoized head indexes
@@ -513,9 +581,11 @@ class BAT:
         self._multimap_cache = (len(head), index)
         return index
 
-    def _tail_order(self) -> Optional[Tuple[List[int], List[Any]]]:
+    def _tail_order(self) -> Optional[
+            Tuple[List[int], List[Any], Optional[List[Any]]]]:
         """Memoized sort-order index: (positions of non-nil tails sorted
-        by value, the values in that order).
+        by value, the values in that order, :meth:`_column_tail`).  On
+        a current partition the positions are the column's oids.
 
         Built on the second range selection against a BAT of at least
         ``ORDER_INDEX_MIN_ROWS`` rows (the first is no evidence of reuse,
@@ -539,19 +609,22 @@ class BAT:
         cached = self._order_cache
         if cached is None and self._range_selects < needed:
             return None
-        if cached is not None and cached[0] == rows:
-            return cached[1], cached[2]
+        column = self._column_tail()
+        origin = 0 if column is None else self.hseqbase
+        if cached is not None and cached[0] == rows and cached[3] == origin:
+            return cached[1], cached[2], column
         tail = self.tail
-        positions = ([i for i, v in enumerate(tail) if v is not None]
-                     if None in tail else list(range(len(tail))))
+        positions = ([i for i, v in enumerate(tail, origin) if v is not None]
+                     if None in tail else list(range(origin, origin + rows)))
+        source = tail if column is None else column
         try:
-            positions.sort(key=tail.__getitem__)
+            positions.sort(key=source.__getitem__)
         except TypeError:
             return None
-        values = [tail[i] for i in positions]
-        self._order_cache = (rows, positions, values)
+        values = [source[i] for i in positions]
+        self._order_cache = (rows, positions, values, origin)
         ADAPTIVE_INDEX_BUILDS.labels(trigger=trigger).inc()
-        return positions, values
+        return positions, values, column
 
     def _order_outcome(self, hit: bool) -> None:
         """Fold one index consult into the hit-rate window; drop the
@@ -582,7 +655,7 @@ class BAT:
         index = self._tail_order()
         if index is None:
             return None
-        order, values = index
+        order, values, column = index
         if low is None:
             first = 0
         elif include_low:
@@ -597,13 +670,13 @@ class BAT:
             last = bisect_left(values, high)
         if last <= first:
             self._order_outcome(hit=True)
-            return self._take([])
+            return self._take([], column)
         if (last - first) * ORDER_INDEX_SCAN_FALLBACK > len(self.tail):
             # wide runs: re-sorting k positions costs more than one scan
             self._order_outcome(hit=False)
             return None
         self._order_outcome(hit=True)
-        return self._take(sorted(order[first:last]))
+        return self._take(sorted(order[first:last]), column)
 
     # ------------------------------------------------------------------
     # selections
@@ -623,12 +696,12 @@ class BAT:
             indexed = self._select_by_order(low, low, True, True)
             if indexed is not None:
                 return indexed
-            return self._take(_positions_eq(self.tail, low))
+            return self._scan(_positions_eq, low)
         indexed = self._select_by_order(low, high, include_low, include_high)
         if indexed is not None:
             return indexed
-        return self._take(_positions_range(self.tail, low, high,
-                                           include_low, include_high))
+        return self._scan(_positions_range, low, high, include_low,
+                          include_high)
 
     def thetaselect(self, value: Any, op: str) -> "BAT":
         """Selection with a comparison operator (MAL ``algebra.thetaselect``)."""
@@ -645,7 +718,7 @@ class BAT:
             indexed = self._select_by_order(*bounds)
             if indexed is not None:
                 return indexed
-        return self._take(kernel(self.tail, value))
+        return self._scan(kernel, value)
 
     def likeselect(self, pattern: str) -> "BAT":
         """SQL LIKE selection over string tails (``%`` and ``_`` wildcards)."""
@@ -655,12 +728,14 @@ class BAT:
             "^" + re.escape(pattern).replace("%", ".*").replace("_", ".") + "$",
             re.DOTALL,
         ).match
-        return self._take([i for i, v in enumerate(self.tail)
-                           if v is not None and match(v) is not None])
+        return self._scan(_positions_like, match)
 
-    def _filter(self, predicate: Callable[[Any], bool]) -> "BAT":
-        return self._take([i for i, v in enumerate(self.tail)
-                           if v is not None and predicate(v)])
+    def _scan(self, kernel: Callable[..., List[int]], *args: Any) -> "BAT":
+        """The associations a position kernel selects: on a current
+        partition, counted from its oids and read from its column."""
+        column = self._column_tail()
+        start = 0 if column is None else self.hseqbase
+        return self._take(kernel(self.tail, start, *args), column)
 
     # ------------------------------------------------------------------
     # joins and projections
@@ -792,9 +867,11 @@ class BAT:
 
         Oids are non-negative by construction, so from a base of 0 the
         gather is blind: a miss raises IndexError, a nil TypeError.
-        Any other gather first checks that the tail's min/max land
-        inside ``other``; a nil among them makes that check raise
-        TypeError, so no separate nil scan runs.
+        Any other gather first checks that the tail's min/max
+        (:meth:`_bounds`) land inside ``other``; a nil among them makes
+        that check raise TypeError, so no separate nil scan runs.
+        Inside a current partition, an oid indexes its column's tail as
+        it is.
         """
         stail = self.tail
         if not stail or self.tail_type.name not in _INT_TAILS:
@@ -803,12 +880,28 @@ class BAT:
         try:
             if base == 0 and self.tail_type is OID:
                 return [otail[v] for v in stail]
-            if min(stail) >= base and max(stail) - base < len(otail):
-                return ([otail[v - base] for v in stail] if base
-                        else [otail[v] for v in stail])
+            low, high = self._bounds()
+            if low >= base and high - base < len(otail):
+                if not base:
+                    return [otail[v] for v in stail]
+                column = other._column_tail()
+                if column is not None:
+                    return [column[v] for v in stail]
+                return [otail[v - base] for v in stail]
         except (IndexError, TypeError):
             pass
         return None
+
+    def _bounds(self) -> Tuple[Any, Any]:
+        """Memoized ``(min, max)`` of the tail, guarded by its length;
+        a nil in it raises TypeError (and memoizes nothing)."""
+        tail = self.tail
+        cached = self._bounds_cache
+        if cached is not None and cached[0] == len(tail):
+            return cached[1], cached[2]
+        low, high = min(tail), max(tail)
+        self._bounds_cache = (len(tail), low, high)
+        return low, high
 
     def _is_tid_of(self, other: "BAT") -> bool:
         """True when self is a :meth:`dense_oids` tid as long as
@@ -963,9 +1056,7 @@ class BAT:
                                if not lo <= h < hi])
         index = other._head_index()
         if self.head is None:
-            base = self.hseqbase
-            return self._take([i for i in range(len(self.tail))
-                               if base + i not in index])
+            return self._take_run(index, False)
         shead = self.head
         return self._take([i for i, h in enumerate(shead) if h not in index])
 
@@ -987,11 +1078,25 @@ class BAT:
                                if lo <= h < hi])
         index = other._head_index()
         if self.head is None:
-            base = self.hseqbase
-            return self._take([i for i in range(len(self.tail))
-                               if base + i in index])
+            return self._take_run(index, True)
         shead = self.head
         return self._take([i for i, h in enumerate(shead) if h in index])
+
+    def _take_run(self, index: dict, inside: bool) -> "BAT":
+        """The rows of void self whose oid is (``inside``) or is not in
+        ``index``, tested as oids; a current partition reads them from
+        its column, any other void BAT from its own positions."""
+        base = self.hseqbase
+        run = range(base, base + len(self.tail))
+        oids = ([o for o in run if o in index] if inside
+                else [o for o in run if o not in index])
+        if not base:
+            return self._take(oids)
+        column = self._column_tail()
+        if column is not None:
+            return self._take(oids, column)
+        tail = self.tail
+        return self._like(oids, [tail[o - base] for o in oids])
 
     # ------------------------------------------------------------------
     # ordering and grouping
