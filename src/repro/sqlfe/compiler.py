@@ -888,11 +888,14 @@ class _GroupEnv:
             if function == "count":
                 function = "count_no_nil"  # count(column) skips nils
             elif function != "avg":
-                # a scalar one has the type it has unpartitioned (mitosis
-                # folds its partials in a BAT of this type); grouped, a
-                # number widens to dbl and a string or a date keeps its own
+                # mitosis folds a scalar one's partials in a BAT of this
+                # type, so one over a column or a cast keeps that type,
+                # as unpartitioned; any other number widens to dbl (the
+                # binder types a CASE by its first branch and a nil as
+                # int), and a string or a date keeps its own
                 typed = c.binder.type_of(call.args[0])
-                if self.scalar or typed in (STR, DATE):
+                exact = isinstance(call.args[0], (ColumnRef, Cast))
+                if typed in (STR, DATE) or (self.scalar and exact):
                     tail = typed
         if self.scalar:
             var = c.emit("aggr", function, [source], scalar_of(tail),

@@ -36,7 +36,13 @@ against a hashed head count in oids and read the column
 (:meth:`BAT._column_tail`): no row pays an offset.  A slice its column
 no longer owns — cut before the column was appended to or patched, or
 changed itself — reads its own tail by offset, as every other void
-BAT above 0 does.  ``docs/performance.md`` §23 has what it saves.
+BAT above 0 does.  A slice keeps its own copy of its rows, so a column
+cut short under a read (a durable INSERT rolled back in place, which
+does not wait for readers) costs that read an IndexError it catches and
+answers from the copy; only a read that outlives the rollback *and* the
+next INSERT can see that INSERT's rows where the rolled-back ones were,
+rows no statement has yet committed either way.  ``docs/performance.md``
+§23 has what the rule saves.
 
 Nine memoized structures back the hot paths, all invalidated by
 :meth:`BAT.append`/:meth:`BAT.extend` (and double-guarded by the BAT's
@@ -514,11 +520,19 @@ class BAT:
         """Gather the associations at ``positions`` (order preserved).
 
         With ``column`` (:meth:`_column_tail`), ``positions`` are oids
-        of the column: they are the heads, and index its tail.
+        of the column: they are the heads, and index its tail -- unless
+        the column was cut short under the read (an INSERT rolled back
+        in place), when they index self's own tail, which still holds
+        every row it was cut with.
         """
-        if column is not None:
-            return self._like(positions, [column[o] for o in positions])
         tail = self.tail
+        if column is not None:
+            try:
+                return self._like(positions, [column[o] for o in positions])
+            except IndexError:
+                base = self.hseqbase
+                return self._like(positions,
+                                  [tail[o - base] for o in positions])
         if self.head is None:
             base = self.hseqbase
             heads = [base + i for i in positions] if base else positions
@@ -619,9 +633,10 @@ class BAT:
         source = tail if column is None else column
         try:
             positions.sort(key=source.__getitem__)
-        except TypeError:
+            values = [source[i] for i in positions]
+        except (TypeError, IndexError):
+            # unordered values, or a column cut short under the read
             return None
-        values = [source[i] for i in positions]
         self._order_cache = (rows, positions, values, origin)
         ADAPTIVE_INDEX_BUILDS.labels(trigger=trigger).inc()
         return positions, values, column

@@ -1126,6 +1126,31 @@ class TestOidSpace:
             assert offset > 0 or column.hseqbase or not part.hseqbase \
                 or not len(part)
 
+    @pytest.mark.parametrize("mal_type", [INT, STR])
+    def test_a_rollback_under_the_read_leaves_the_slices_whole(
+            self, mal_type, monkeypatch):
+        """An INSERT's rows are cut into the partitions, then its undo
+        (``del tail[length:]``, which waits for no reader) runs between
+        a kernel's ask for the column and its read of it: the last
+        slice's oids past the cut miss, and it answers from its own
+        rows, as naive does."""
+        rng = random.Random(11)
+        column = make_bat(rng, mal_type, n=900, nil_rate=0.1, void=True,
+                          hseqbase=0)
+        inserted, length = list(column.tail), 600
+        parts = column.partitions(3)
+        ask = BAT._column_tail
+
+        def ask_then_roll_back(part):
+            column.tail[length:] = inserted[length:]   # the INSERT applied
+            handed = ask(part)
+            del column.tail[length:]                   # and rolled back
+            return handed
+
+        monkeypatch.setattr(BAT, "_column_tail", ask_then_roll_back)
+        _run_on_slices(rng, parts, mal_type)
+        assert parts[2]._oid_reads > 0
+
     def test_a_changed_slice_leaves_its_column(self):
         column = BAT(INT, list(range(20)))
         part = column.partitions(2)[1]

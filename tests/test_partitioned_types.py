@@ -8,11 +8,15 @@ column came back ``2039`` at ``workers=1`` and ``2039.0`` at
 ``count``/``sum``/``avg``/``min``/``max`` under 0-3 grouping columns
 (``tests/test_oracle.py``), scalar and GROUP BY alike, each as it is and
 under a WHERE (a scalar aggregate over a whole column is not folded) —
-and a scalar statement over ``lineitem`` must give the same rows, with
-the same Python type in every cell, at ``workers`` 1, 2 and 4.
+and scalar statements over ``lineitem`` (an int column, and a CASE
+whose first branch is int and whose ELSE is dbl) must give the same
+rows, with the same Python type in every cell, at ``workers`` 1, 2
+and 4.
 """
 
 import random
+
+import pytest
 
 from repro.server.database import Database
 from repro.storage.catalog import Catalog
@@ -62,17 +66,31 @@ def test_grouped_statements_keep_their_cells_at_every_worker_count():
             database.close()
 
 
-def test_a_scalar_sum_of_an_int_column_stays_int():
+@pytest.fixture(scope="module")
+def lineitem_databases():
     catalog = Catalog()
     populate(catalog, scale_factor=0.2, seed=7)
     databases = [Database(catalog=catalog, workers=workers)
                  for workers in WORKERS]
+    yield databases
+    for database in databases:
+        database.close()
+
+
+def test_a_scalar_sum_of_an_int_column_stays_int(lineitem_databases):
     sql = ("select min(l_orderkey), sum(l_linenumber), max(l_linenumber) "
            "from lineitem where l_discount < 0.05")
-    try:
-        _assert_invariant(databases, sql)
-        assert [type(v) for v in databases[1].execute(sql).rows[0]] \
-            == [int, int, int]
-    finally:
-        for database in databases:
-            database.close()
+    _assert_invariant(lineitem_databases, sql)
+    assert [type(v) for v in lineitem_databases[1].execute(sql).rows[0]] \
+        == [int, int, int]
+
+
+def test_a_scalar_aggregate_of_a_case_keeps_its_other_branches(
+        lineitem_databases):
+    """The binder types a CASE by its first branch: an int ``0`` here,
+    while the ELSE yields dbl prices, so the fold must not take int."""
+    branches = "case when l_discount < 0.05 then 0 else l_extendedprice end"
+    sql = (f"select sum({branches}), min({branches}), max({branches}) "
+           "from lineitem where l_quantity < 30")
+    _assert_invariant(lineitem_databases, sql)
+    assert isinstance(lineitem_databases[1].execute(sql).rows[0][0], float)
