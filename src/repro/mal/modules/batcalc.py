@@ -61,6 +61,18 @@ def not_(ctx, instr, args):
     return out
 
 
+@register("batcalc.neg")
+def neg(ctx, instr, args):
+    """``batcalc.neg(b)``: elementwise arithmetic negation (``-v``, so
+    ``-0.0`` keeps its sign), nil-propagating."""
+    bat = args[0]
+    if not isinstance(bat, BAT):
+        raise MalTypeError("batcalc.neg expects a BAT")
+    out = bat.copy()
+    out.tail = [nil if v is nil else -v for v in bat.tail]
+    return out
+
+
 @register("batcalc.contains")
 def contains(ctx, instr, args):
     """``batcalc.contains(b, members)``: elementwise SQL IN over the

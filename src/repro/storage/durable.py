@@ -696,15 +696,6 @@ class CheckpointReport:
     linked: int = 0
 
 
-#: A column's place in a catalog: ``(schema, table, column)``.
-ColumnKey = Tuple[str, str, str]
-
-#: What a checkpoint wrote, per column: the ship payload object and the
-#: file that holds it.  :class:`DurableEngine` keeps its last one so the
-#: next checkpoint can link every column whose payload is still it.
-Written = Dict[ColumnKey, Tuple[bytes, str]]
-
-
 def list_checkpoints(directory: str) -> List[Tuple[int, str]]:
     """(lsn, path) of every completed checkpoint, oldest first."""
     found = []
@@ -722,13 +713,12 @@ def list_checkpoints(directory: str) -> List[Tuple[int, str]]:
 
 
 def _snapshot_files(catalog: Catalog, lsn: int
-                    ) -> Tuple[List[Tuple[str, bytes]], int, List[ColumnKey]]:
+                    ) -> Tuple[List[Tuple[str, bytes]], int]:
     """A catalog as checkpoint files: ``(name, bytes)`` for one ``.col``
     per column (the BAT's memoized ship payload) and, last, the manifest
     that names, types, counts and checksums them.  Also returns the
-    total row count and each column file's :data:`ColumnKey`."""
+    total row count."""
     files: List[Tuple[str, bytes]] = []
-    keys: List[ColumnKey] = []
     manifest: Dict[str, Any] = {"format": CHECKPOINT_FORMAT, "lsn": lsn,
                                 "schemas": []}
     total_rows = 0
@@ -742,7 +732,6 @@ def _snapshot_files(catalog: Catalog, lsn: int
                 payload = column.bat.to_ship_bytes()
                 file_name = f"c{len(files):05d}.col"
                 files.append((file_name, payload))
-                keys.append((schema.name, table.name, column.name))
                 table_doc["columns"].append({
                     "name": column.name,
                     "type": column.mal_type.name,
@@ -754,7 +743,34 @@ def _snapshot_files(catalog: Catalog, lsn: int
             schema_doc["tables"].append(table_doc)
         manifest["schemas"].append(schema_doc)
     files.append((MANIFEST_FILENAME, json.dumps(manifest).encode("ascii")))
-    return files, total_rows, keys
+    return files, total_rows
+
+
+def _column_files(manifest: bytes) -> Dict[Any, Tuple[Any, str]]:
+    """``(schema, table, column) -> (crc32, file)`` for every column a
+    checkpoint manifest lists."""
+    return {(schema["name"], table["name"], column["name"]):
+            (column["crc32"], column["file"])
+            for schema in json.loads(manifest)["schemas"]
+            for table in schema["tables"] for column in table["columns"]}
+
+
+def _unchanged(directory: str, lsn: int, manifest: bytes) -> Dict[str, str]:
+    """Link candidates for a new checkpoint with ``manifest``: each of
+    its column files whose column the newest checkpoint below ``lsn``
+    lists with the same CRC, mapped to that older file.  There are none
+    when no checkpoint lies below ``lsn`` or its manifest is missing or
+    unreadable; :func:`land_directory` checks each byte for byte."""
+    older = [path for at, path in list_checkpoints(directory) if at < lsn]
+    try:
+        with open(os.path.join(older[-1], MANIFEST_FILENAME), "rb") as handle:
+            then = _column_files(handle.read())
+        return {file: os.path.join(older[-1], then[key][1])
+                for key, (crc, file) in _column_files(manifest).items()
+                if key in then and then[key][0] == crc}
+    except (IndexError, OSError, KeyError, TypeError, ValueError,
+            AttributeError):
+        return {}
 
 
 def _crash_after(files: List[Tuple[str, bytes]], name: str):
@@ -765,15 +781,14 @@ def _crash_after(files: List[Tuple[str, bytes]], name: str):
         f"injected crash before renaming {name}.tmp into place")
 
 
-def write_checkpoint(catalog: Catalog, directory: str, lsn: int,
-                     written: Optional[Written] = None) -> CheckpointReport:
+def write_checkpoint(catalog: Catalog, directory: str,
+                     lsn: int) -> CheckpointReport:
     """Write a checkpoint of ``catalog`` as of WAL position ``lsn``:
     :func:`_snapshot_files` landed by :func:`land_directory`.
 
-    ``written`` is what the previous checkpoint wrote: a column whose
-    payload is the very object written then is unchanged since, and its
-    file is hard-linked instead of written again.  On success
-    ``written`` is updated in place to describe this checkpoint.
+    A column whose bytes the previous checkpoint already holds is
+    unchanged since, and its file is hard-linked instead of written
+    again (:func:`_unchanged`), whoever wrote that checkpoint.
 
     A valid checkpoint already present at this LSN is reused as-is —
     same LSN means same durable prefix, and replacing it would open a
@@ -785,12 +800,11 @@ def write_checkpoint(catalog: Catalog, directory: str, lsn: int,
     """
     name = f"checkpoint-{lsn:012d}"
     final = os.path.join(directory, name)
-    previous = written or {}
     if os.path.exists(final):
         try:
             _, _, existing_rows = load_checkpoint(final)
         except CheckpointError:
-            previous = {}
+            pass
         else:
             sizes = [os.path.getsize(os.path.join(final, entry))
                      for entry in os.listdir(final)
@@ -801,13 +815,9 @@ def write_checkpoint(catalog: Catalog, directory: str, lsn: int,
     decision = (plan.decide("persist.checkpoint", detail=name)
                 if plan is not None else None)
     fault = decision.action if decision is not None else None
-    files, total_rows, keys = _snapshot_files(catalog, lsn)
+    files, total_rows = _snapshot_files(catalog, lsn)
     columns = files[:-1]
-    links = {}
-    for (file_name, payload), key in zip(columns, keys):
-        payload_then, path = previous.get(key, (None, ""))
-        if payload_then is payload:
-            links[file_name] = path
+    links = _unchanged(directory, lsn, files[-1][1])
     if fault == "partial-manifest":
         text = files[-1][1]
         files[-1] = (MANIFEST_FILENAME, text[:max(1, len(text) // 2)])
@@ -817,11 +827,6 @@ def write_checkpoint(catalog: Catalog, directory: str, lsn: int,
     if fault == "partial-manifest":
         raise CheckpointError(
             f"checkpoint {name} renamed with a torn manifest")
-    if written is not None:
-        written.clear()
-        written.update(
-            (key, (payload, os.path.join(final, file_name)))
-            for (file_name, payload), key in zip(columns, keys))
     return CheckpointReport(path=final, lsn=lsn, files=len(columns),
                             rows=total_rows,
                             bytes=sum(len(data) for _, data in columns),
@@ -897,7 +902,7 @@ def save_catalog(catalog: Catalog, path: str) -> int:
     """Save ``catalog`` as the checkpoint directory ``path`` (LSN 0, no
     WAL beside it); returns total rows.  Atomic like any checkpoint:
     a crash mid-save leaves the previous directory intact."""
-    files, total_rows, _keys = _snapshot_files(catalog, 0)
+    files, total_rows = _snapshot_files(catalog, 0)
     land_directory(path, files)
     return total_rows
 
@@ -1129,9 +1134,6 @@ class DurableEngine:
                                  commit_window_ms=commit_window_ms,
                                  last_lsn=self.report.last_lsn)
         self._since_checkpoint = 0
-        #: what this engine's newest checkpoint wrote (its payloads,
-        #: so a column still shipping the same object is linked)
-        self._written: Written = {}
         #: WAL position of the newest on-disk checkpoint — records at or
         #: below this are only reachable through the checkpoint (the WAL
         #: was truncated), so a follower behind it needs a bootstrap.
@@ -1185,8 +1187,7 @@ class DurableEngine:
                 self.wal.wait_rollbacks()
                 self.wal.sync_all()
                 report = write_checkpoint(self.catalog, self.wal_dir,
-                                          self.wal.durable_lsn,
-                                          self._written)
+                                          self.wal.durable_lsn)
             except (CheckpointError, WalError):
                 PERSIST_CHECKPOINTS.labels(outcome="failed").inc()
                 raise
@@ -1202,7 +1203,6 @@ class DurableEngine:
         generator's) and immediately checkpoint it, so the adopted
         baseline is durable before the first statement runs."""
         self.catalog = catalog
-        self._written.clear()
         return self.checkpoint()
 
     def install_snapshot(self, catalog: Catalog, lsn: int) -> None:
@@ -1218,7 +1218,6 @@ class DurableEngine:
         """
         with self.order_lock:
             self.catalog = catalog
-            self._written.clear()
             self.wal.reset_to(lsn)
             self.checkpoint_lsn = lsn
             self._since_checkpoint = 0

@@ -290,6 +290,35 @@ class TestCli:
         assert code == 0 and "function user." in out
         thread.join(timeout=10)
 
+    def test_checkpoint_of_a_recovered_wal_dir_links_what_is_unchanged(
+            self, tmp_path):
+        import os
+        import re
+
+        from repro.server import Database
+        from repro.storage.durable import list_checkpoints
+
+        wal_dir = str(tmp_path / "wal")
+        db = Database(wal_dir=wal_dir, commit_window_ms=0.0)
+        db.execute("create table t (a integer, b varchar(8))")
+        db.execute("create table u (c integer, d double)")
+        db.execute("insert into t values (1, 'one')")
+        db.execute("insert into u values (2, 0.5)")
+        db.checkpoint()
+        db.execute("insert into t values (3, 'three')")  # the WAL tail
+        db.close()
+
+        code, out = run_cli("checkpoint", wal_dir)
+        assert code == 0 and "wal truncated" in out
+        linked = int(re.search(r"(\d+) linked", out).group(1))
+        (_, before), (_, after) = list_checkpoints(wal_dir)
+        unchanged = [name for name in os.listdir(after)
+                     if name.endswith(".col") and
+                     os.path.exists(os.path.join(before, name)) and
+                     os.path.samefile(os.path.join(before, name),
+                                      os.path.join(after, name))]
+        assert linked == len(unchanged) == 2
+
     @pytest.mark.parametrize("flag", ["--parallel-workers",
                                       "--parallel-min-rows",
                                       "--order-index-min-rows"])

@@ -34,6 +34,7 @@ from repro.storage.durable import (
     DurableEngine,
     WriteAheadLog,
     catalog_canonical_bytes,
+    land_directory,
     list_checkpoints,
     load_catalog,
     load_checkpoint,
@@ -924,8 +925,9 @@ class TestLoneWriter:
 
 
 class TestLinkedCheckpoint:
-    """A checkpoint hard-links every column file whose payload the
-    previous checkpoint of the same engine wrote."""
+    """A checkpoint hard-links every column file whose bytes the
+    previous checkpoint in its directory holds, whichever engine, open
+    or replica bootstrap wrote that checkpoint."""
 
     def _files(self, path) -> dict:
         """``(table, column) -> file path`` from a checkpoint manifest."""
@@ -1057,4 +1059,80 @@ class TestLinkedCheckpoint:
         catalog, report = recover(str(tmp_path))
         assert (report.checkpoint_path, report.invalid_checkpoints) == \
             (second.path, 0)
+        assert _bytes(catalog) == expected
+
+    def _shared(self, first, second) -> set:
+        """The columns whose file ``second`` shares with ``first``."""
+        before, after = self._files(first), self._files(second)
+        return {key for key, path in after.items()
+                if os.stat(path).st_ino == os.stat(before[key]).st_ino}
+
+    def test_the_first_checkpoint_after_a_reopen_links(self, tmp_path):
+        db = self._seeded(tmp_path)
+        first = db.checkpoint()
+        db.close()
+        db = _durable(tmp_path)
+        db.execute("insert into t values (5, 'five')")
+        second = db.checkpoint()
+        assert (second.files, second.linked) == (4, 2)
+        assert self._shared(first.path, second.path) == {("u", "c"),
+                                                         ("u", "d")}
+        expected = _bytes(db)
+        db.close()
+        assert _bytes(recover(str(tmp_path))[0]) == expected
+
+    def test_a_replica_links_after_installing_a_snapshot(self, tmp_path):
+        primary = self._seeded(tmp_path / "primary")
+        shipped = primary.checkpoint()
+        replica = _durable(tmp_path / "replica")
+        # what a bootstrap does: land the shipped files, validate, install
+        installed = os.path.join(str(tmp_path / "replica"),
+                                 os.path.basename(shipped.path))
+        def read(name):
+            with open(os.path.join(shipped.path, name), "rb") as handle:
+                return name, handle.read()
+
+        land_directory(installed, map(read, os.listdir(shipped.path)))
+        catalog, lsn, _rows = load_checkpoint(installed)
+        replica.install_replica_snapshot(catalog, lsn)
+        replica.execute("insert into t values (5, 'five')")
+        report = replica.checkpoint()
+        assert report.linked == 2
+        assert self._shared(installed, report.path) == {("u", "c"),
+                                                        ("u", "d")}
+        primary.close()
+        replica.close()
+
+    def test_a_re_encoded_unchanged_column_links(self, tmp_path):
+        db = self._seeded(tmp_path)
+        first = db.checkpoint()
+        column = db.catalog.table("u").column("c").bat
+        payload = column.to_ship_bytes()
+        column._invalidate_caches()  # no change: same bytes, new object
+        assert column.to_ship_bytes() is not payload
+        db.execute("insert into t values (5, 'five')")
+        second = db.checkpoint()
+        assert second.linked == 2
+        assert self._shared(first.path, second.path) == {("u", "c"),
+                                                         ("u", "d")}
+        db.close()
+
+    def test_a_torn_previous_manifest_links_nothing(self, tmp_path):
+        db = self._seeded(tmp_path)
+        plan = FaultPlan.from_spec(
+            "persist.checkpoint:partial-manifest@1.0#1", seed=1)
+        with armed(plan):
+            with pytest.raises(CheckpointError):
+                db.checkpoint()
+        db.execute("insert into t values (5, 'five')")
+        report = db.checkpoint()
+        assert report.linked == 0
+        for path in self._files(report.path).values():
+            assert os.stat(path).st_nlink == 1
+        _catalog, lsn, rows = load_checkpoint(report.path)
+        assert (lsn, rows) == (report.lsn, 5)
+        expected = _bytes(db)
+        db.close()
+        catalog, recovered = recover(str(tmp_path))
+        assert recovered.checkpoint_path == report.path
         assert _bytes(catalog) == expected

@@ -276,6 +276,36 @@ def test_grouped_statements_over_nil_cells_agree_with_sqlite():
 
 
 
+#: unary minus over an int and a dbl column, in an aggregate, a group
+#: and a projection (``batcalc.neg``)
+NEGATED = (
+    "select min(-l_linenumber) from lineitem",
+    "select max(-l_extendedprice), sum(-l_discount) from lineitem",
+    "select l_returnflag, min(-l_tax) from lineitem group by l_returnflag",
+    "select -l_quantity, -l_linenumber from lineitem where l_orderkey < 40",
+)
+
+
+def test_unary_minus_agrees_with_sqlite_at_every_worker_count():
+    catalog = Catalog()
+    populate(catalog, scale_factor=0.1, seed=7)
+    connection = load_sqlite(catalog)
+    try:
+        for sql in NEGATED:
+            expected = connection.execute(sql).fetchall()
+            answers = []
+            for workers in (1, 2, 4):
+                database = Database(catalog=catalog, workers=workers,
+                                    mitosis_threshold=50)
+                answers.append(sorted(database.execute(sql).rows,
+                                      key=_sort_key))
+                database.close()
+            assert answers[0] == answers[1] == answers[2], sql
+            assert_same_rows(answers[0], expected, ordered=False)
+    finally:
+        connection.close()
+
+
 def test_a_seeded_wrong_answer_is_caught():
     """A ``<`` that selects as ``<=`` — in BAT's scan kernels, its
     order-index bisect and the naive reference alike, so the bulk
