@@ -7,10 +7,10 @@ and rides the existing line protocol:
 
 * each **replica** runs a puller thread that repeatedly asks its
   primary ``repl.sync`` for committed records past its own durable LSN
-  and applies them through the PR 8 recovery path
-  (:func:`~repro.storage.durable.apply_record`), appending each record
-  to its *own* WAL at the primary-assigned LSN first — so a replica's
-  directory recovers exactly like a primary's;
+  and hands them to :meth:`~repro.storage.durable.DurableEngine.log_shipped`,
+  which checks each, appends it to the replica's *own* WAL at the
+  primary-assigned LSN, then applies it — so a replica's directory
+  recovers exactly like a primary's;
 * a **new or lagging** follower (its position predates the primary's
   newest checkpoint, or its history diverged) gets a **checkpoint
   bootstrap** instead: the primary's on-disk checkpoint files are
@@ -70,8 +70,6 @@ from repro.server.client import MClient, probe_status, split_addr
 from repro.storage.durable import (
     MANIFEST_FILENAME,
     WAL_FILENAME,
-    apply_record,
-    decode_payload,
     land_directory,
     load_checkpoint,
     read_wal_records,
@@ -481,37 +479,18 @@ class ReplicationManager:
             REPL_EPOCH.labels(node=self.addr).set(float(engine.epoch))
 
     def _apply_batch(self, response: Dict[str, Any]) -> int:
-        """Apply one shipped record batch through the recovery path."""
+        """Apply one shipped record batch through the engine's write
+        path (:meth:`~repro.storage.durable.DurableEngine.log_shipped`)."""
         engine = self.database.durability
-        records = response.get("records") or []
-        applied = 0
-        last_lsn: Optional[int] = None
-        kinds: List[str] = []
-        with engine.order_lock:
-            for item in records:
-                lsn = int(item[0])
-                payload = base64.b64decode(item[1])
-                if lsn <= engine.wal.written_lsn:
-                    continue  # duplicate delivery after a retry
-                kind, data = decode_payload(payload)
-                engine.wal.append_raw(lsn, kind, payload)
-                apply_record(engine.catalog, kind, data)
-                kinds.append(kind)
-                applied += 1
-                last_lsn = lsn
-        if last_lsn is not None:
-            engine.wal.commit(last_lsn)
-            if "ddl" in kinds:  # frees a dropped table's plans at once
-                self.database.plan_cache.clear()
-            for kind in kinds:
-                REPL_RECORDS_APPLIED.labels(kind=kind).inc()
-            self.records_applied += applied
-            engine._since_checkpoint += applied
-            try:
-                engine.maybe_checkpoint()
-            except ReproError:
-                pass  # an unharvested WAL only means a longer replay
-        return applied
+        kinds = engine.log_shipped(
+            (int(item[0]), base64.b64decode(item[1]))
+            for item in response.get("records") or [])
+        if "ddl" in kinds:  # frees a dropped table's plans at once
+            self.database.plan_cache.clear()
+        for kind in kinds:
+            REPL_RECORDS_APPLIED.labels(kind=kind).inc()
+        self.records_applied += len(kinds)
+        return len(kinds)
 
     def _update_lag(self, response: Dict[str, Any]) -> None:
         engine = self.database.durability

@@ -22,10 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from typing import TYPE_CHECKING
 
 from repro.dot.writer import plan_to_dot
-from repro.errors import (
-    CatalogError, CheckpointError, SqlError, StorageError, TypeMismatchError,
-    WalError,
-)
+from repro.errors import SqlError, StorageError, TypeMismatchError
 from repro.metrics.families import (
     ADAPTIVE_DEADLINE_REROUTES, PLAN_CACHE_EVICTIONS, PLAN_CACHE_HITS,
     PLAN_CACHE_MISSES, PLAN_CACHE_SIZE,
@@ -48,9 +45,9 @@ from repro.sqlfe.ast import CreateTable, DropTable, Insert, Literal, Select, Una
 from repro.sqlfe.compiler import SqlCompiler
 from repro.sqlfe.lexer import normalize_sql
 from repro.sqlfe.parser import parse_sql
-from repro.storage.catalog import Catalog, Column, Table, _sql_type_to_mal
+from repro.storage.catalog import Catalog, Column, _sql_type_to_mal
 from repro.storage.durable import (
-    CheckpointReport, DurableEngine, RecoveryReport,
+    CheckpointReport, DurableEngine, RecoveryReport, apply_record,
 )
 
 
@@ -372,20 +369,6 @@ class Database:
                 "checkpoint requires a database opened with a wal_dir")
         return self.durability.checkpoint()
 
-    def _maybe_checkpoint(self) -> None:
-        """Post-statement periodic checkpoint hook.
-
-        A failed checkpoint (injected fault or real I/O error) never
-        fails the statement — it was already fsynced to the WAL, and an
-        unharvested WAL only means a longer replay on the next open.
-        """
-        if self.durability is None:
-            return
-        try:
-            self.durability.maybe_checkpoint()
-        except (CheckpointError, WalError):
-            pass
-
     # ------------------------------------------------------------------
 
     def set_pipeline(self, name: str) -> None:
@@ -548,12 +531,9 @@ class Database:
                 else:
                     self._execute_drop(statement)
                 self.plan_cache.clear()
-                self._maybe_checkpoint()
                 return QueryOutcome(kind="ddl")
             if isinstance(statement, Insert):
-                outcome = self._execute_insert(statement)
-                self._maybe_checkpoint()
-                return outcome
+                return self._execute_insert(statement)
             if not isinstance(statement, Select):
                 raise SqlError(
                     f"unsupported statement {type(statement).__name__}")
@@ -639,59 +619,27 @@ class Database:
         return outcome
 
     # ------------------------------------------------------------------
-    # the write path (DDL / INSERT): validate, then apply — through the
-    # WAL when the database is durable
+    # the write path (DDL / INSERT): one record per statement, checked
+    # and applied by repro.storage.durable — through the WAL if durable
     # ------------------------------------------------------------------
 
-    def _execute_create(self, statement: CreateTable) -> None:
-        schema = self.catalog.schema()
+    def _write(self, kind: str, data: Dict[str, Any]) -> int:
+        """Check and apply one statement's record; returns the rows it
+        inserted."""
         if self.durability is None:
-            self.catalog.create_table_from_sql_types(
-                statement.table, statement.columns)
-            return
-        # Validate fully before logging: the WAL record must be
-        # replayable, so apply() is not allowed to fail.
-        resolved = [(name, _sql_type_to_mal(type_name))
-                    for name, type_name in statement.columns]
-        key = statement.table.lower()
-        if key in schema.tables:
-            raise CatalogError(
-                f"table {statement.table!r} already exists in "
-                f"{schema.name!r}")
-        table = Table(statement.table, resolved)
-        data = {"op": "create", "schema": schema.name,
-                "table": statement.table,
-                "columns": [[name, mal_type.name]
-                            for name, mal_type in resolved]}
+            return apply_record(self.catalog, kind, data)
+        return self.durability.log(kind, data)
 
-        def apply() -> None:
-            schema.tables[key] = table
-
-        def undo() -> None:
-            schema.tables.pop(key, None)
-
-        self.durability.log("ddl", data, apply, undo)
+    def _execute_create(self, statement: CreateTable) -> None:
+        self._write("ddl", {
+            "op": "create", "schema": self.catalog.schema().name,
+            "table": statement.table,
+            "columns": [[name, _sql_type_to_mal(type_name).name]
+                        for name, type_name in statement.columns]})
 
     def _execute_drop(self, statement: DropTable) -> None:
-        schema = self.catalog.schema()
-        if self.durability is None:
-            schema.drop_table(statement.table)
-            return
-        key = statement.table.lower()
-        table = schema.tables.get(key)
-        if table is None:
-            raise CatalogError(
-                f"no table {statement.table!r} in {schema.name!r}")
-        data = {"op": "drop", "schema": schema.name,
-                "table": statement.table}
-
-        def apply() -> None:
-            del schema.tables[key]
-
-        def undo() -> None:
-            schema.tables[key] = table
-
-        self.durability.log("ddl", data, apply, undo)
+        self._write("ddl", {"op": "drop", "schema": self.catalog.schema().name,
+                            "table": statement.table})
 
     def _execute_insert(self, statement: Insert) -> QueryOutcome:
         table = self.catalog.table(statement.table)
@@ -706,33 +654,9 @@ class Database:
                 self._bind_insert_value(expr, column)
                 for expr, column in zip(row_exprs, columns)
             ])
-        if self.durability is None:
-            return QueryOutcome(kind="insert",
-                                affected=table.insert_many(rows))
-        data = {"schema": self.catalog.schema().name, "table": table.name,
-                "rows": rows}
-        # Pre-insert lengths for rollback.  Captured inside apply() —
-        # i.e. under the engine's order lock, immediately before the
-        # insert — never out here: the server runs statements on a
-        # thread pool, so a concurrent INSERT into the same table could
-        # commit between an early snapshot and our apply, and our undo
-        # would then truncate its acknowledged, WAL-durable rows away.
-        snapshots: List[int] = []
-
-        def apply() -> int:
-            snapshots[:] = [column.bat.count() for column in columns]
-            return table.insert_many(rows)
-
-        def undo() -> None:
-            # truncate-to-length: idempotent and safe under any
-            # interleaving of same-batch rollbacks
-            for column, length in zip(columns, snapshots):
-                del column.bat.tail[length:]
-                column.bat._invalidate_caches()
-
-        return QueryOutcome(
-            kind="insert",
-            affected=self.durability.log("insert", data, apply, undo))
+        return QueryOutcome(kind="insert", affected=self._write("insert", {
+            "schema": self.catalog.schema().name, "table": table.name,
+            "rows": rows}))
 
     def _bind_insert_value(self, expr: Any, column: Column) -> Any:
         """Evaluate one INSERT literal and type-check it at bind time.

@@ -83,6 +83,24 @@ class Table:
         for column, value in zip(self.columns.values(), row):
             column.bat.append(value)
 
+    def cast_columns(self, rows: Sequence[Sequence[Any]]) -> List[List[Any]]:
+        """``rows`` as one list of cast values per column; raises on a
+        wrong arity or a value that does not cast, and touches nothing."""
+        arity = len(self.columns)
+        for row in rows:
+            if len(row) != arity:
+                raise CatalogError(
+                    f"row arity {len(row)} != table arity {arity}"
+                )
+        cast_columns: List[List[Any]] = []
+        for position, column in enumerate(self.columns.values()):
+            caster = column.mal_type.caster
+            cast_columns.append([
+                None if row[position] is None else caster(row[position])
+                for row in rows
+            ])
+        return cast_columns
+
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
         """Append many rows in one bulk pass; returns the number inserted.
 
@@ -92,21 +110,9 @@ class Table:
         before any column is touched.
         """
         rows = [tuple(row) for row in rows]
-        arity = len(self.columns)
-        for row in rows:
-            if len(row) != arity:
-                raise CatalogError(
-                    f"row arity {len(row)} != table arity {arity}"
-                )
+        cast_columns = self.cast_columns(rows)
         if not rows:
             return 0
-        cast_columns: List[List[Any]] = []
-        for position, column in enumerate(self.columns.values()):
-            caster = column.mal_type.caster
-            cast_columns.append([
-                None if row[position] is None else caster(row[position])
-                for row in rows
-            ])
         for column, values in zip(self.columns.values(), cast_columns):
             column.bat._extend_raw(values)
         return len(rows)

@@ -37,6 +37,7 @@ for the on-disk formats and the recovery algorithm.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import json
 import os
@@ -47,9 +48,10 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
-from repro.errors import CheckpointError, StorageError, WalError
+from repro.errors import CatalogError, CheckpointError, StorageError, WalError
 from repro.faults.plan import ACTIVE
 from repro.metrics.families import (
     PERSIST_CHECKPOINTS, PERSIST_GROUP_COMMIT_BATCH, PERSIST_RECOVERED_RECORDS,
@@ -57,7 +59,7 @@ from repro.metrics.families import (
     PERSIST_WAL_BYTES,
 )
 from repro.storage.bat import BAT
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, Table
 from repro.storage.types import type_by_name
 
 #: WAL record header: ``<QII`` = lsn (8 bytes), payload length (4),
@@ -343,9 +345,7 @@ class WriteAheadLog:
                lsn: Optional[int] = None) -> int:
         """The one locked write: frame ``payload`` and log it at ``lsn``
         (the next local one when None — the only case faults fire in)."""
-        with self._cond:
-            while self._pending_rollbacks and not self._closed:
-                self._cond.wait()
+        with self.quiesced():
             if self._closed:
                 raise WalError("write-ahead log is closed")
             if self._poisoned:
@@ -452,20 +452,26 @@ class WriteAheadLog:
         """Report that ``lsn``'s in-memory effect has been undone;
         appends resume once every failed statement has reported."""
         with self._cond:
+            self._failed.discard(lsn)
             self._pending_rollbacks.discard(lsn)
             if not self._pending_rollbacks:
                 self._cond.notify_all()
 
-    def wait_rollbacks(self) -> None:
-        """Block until no failed statement is still undoing itself."""
+    @contextlib.contextmanager
+    def quiesced(self) -> Iterator[None]:
+        """Hold the log's lock once no failed statement is still undoing
+        itself: no fsync failure can be marked between a check made
+        inside and an append made inside after it."""
         with self._cond:
-            while self._pending_rollbacks:
+            while self._pending_rollbacks and not self._closed:
                 self._cond.wait()
+            yield
 
     def sync_all(self) -> None:
-        """Make every written record durable (checkpoint prologue)."""
+        """Wait until no failed statement is still undoing itself, then
+        make every written record durable (checkpoint prologue)."""
         with self._cond:
-            while self._syncing:
+            while self._syncing or self._pending_rollbacks:
                 self._cond.wait()
             if not self._unsynced:
                 return
@@ -940,36 +946,75 @@ def prune_checkpoints(directory: str, keep: int = KEEP_CHECKPOINTS) -> int:
 # replay and recovery
 # --------------------------------------------------------------------------
 
-def apply_record(catalog: Catalog, kind: str, data: Dict[str, Any]) -> int:
-    """Apply one WAL record to ``catalog``; returns rows inserted.
+def _bind(tables: Dict[str, Table], key: str, table: Optional[Table]) -> int:
+    """Name ``table`` ``key``, or no table when None: a CREATE, a DROP
+    and each one's undo."""
+    if table is None:
+        tables.pop(key, None)
+    else:
+        tables[key] = table
+    return 0
 
-    Records are validated *before* they are logged (see
-    ``Database._execute_insert`` and friends), so replaying a valid WAL
-    against the checkpoint it extends cannot fail; a record that
-    decodes but does not have its kind's shape raises :class:`WalError`.
+
+def prepare_record(catalog: Catalog, kind: str, data: Dict[str, Any]
+                   ) -> Tuple[Callable[[], int], Callable[[], None]]:
+    """Check one record against ``catalog``; returns ``(apply, undo)``.
+
+    Every check that can fail runs here and changes nothing, so
+    ``apply()`` (which returns the rows it inserted) cannot fail, and
+    ``undo()`` exactly reverses it.  A record that decodes but does not
+    have its kind's shape raises :class:`WalError`.
     """
     try:
         if kind == "ddl":
             op = data["op"]
             schema = catalog.schema(data.get("schema"))
+            name = data["table"]
+            tables, key = schema.tables, name.lower()
             if op == "create":
-                schema.create_table(
-                    data["table"],
-                    [(name, type_by_name(type_name))
-                     for name, type_name in data["columns"]])
+                if key in tables:
+                    raise CatalogError(
+                        f"table {name!r} already exists in {schema.name!r}")
+                before, after = None, Table(
+                    name, [(column, type_by_name(type_name))
+                           for column, type_name in data["columns"]])
             elif op == "drop":
-                schema.drop_table(data["table"])
+                before, after = schema.table(name), None
             else:
                 raise StorageError(f"unknown DDL op {op!r} in WAL record")
-            return 0
+            return (lambda: _bind(tables, key, after),
+                    lambda: _bind(tables, key, before))
         if kind == "insert":
             table = catalog.table(data["table"], data.get("schema"))
-            return table.insert_many(data["rows"])
+            rows = data["rows"]
+            table.cast_columns(rows)
+            columns = table.columns.values()
+            lengths: List[int] = []
+
+            def apply() -> int:
+                lengths[:] = [column.bat.count() for column in columns]
+                return table.insert_many(rows)
+
+            def undo() -> None:
+                # truncate-to-length: idempotent and safe under any
+                # interleaving of same-batch rollbacks
+                for column, length in zip(columns, lengths):
+                    del column.bat.tail[length:]
+                    column.bat._invalidate_caches()
+
+            return apply, undo
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise WalError(
             f"malformed {kind} record: {type(exc).__name__}: {exc}") \
             from None
     raise StorageError(f"unknown WAL record kind {kind!r}")
+
+
+def apply_record(catalog: Catalog, kind: str, data: Dict[str, Any]) -> int:
+    """Check and apply one record (recovery, a database without a WAL);
+    returns rows inserted.  A logged record passed the same check, so
+    replaying a valid WAL onto its checkpoint cannot fail."""
+    return prepare_record(catalog, kind, data)[0]()
 
 
 @dataclass
@@ -1101,26 +1146,29 @@ class DurableEngine:
     catalog from the newest valid checkpoint plus the WAL tail (see
     :attr:`report`) and reopens the log where it left off.
 
-    The write pipeline (:meth:`log`) is the durability contract's
-    enforcement point::
+    The write pipeline (:meth:`log`, and :meth:`log_shipped` for a
+    replica's records) is the durability contract's enforcement point::
 
-        with order_lock:  lsn = wal.append(record); apply()
+        with order_lock:  apply, undo = prepare_record(catalog, record)
+                          lsn = wal.append(record); apply()
         wal.commit(lsn)            # group-commit fsync, outside the lock
         on WalError:  undo(); wal.acknowledge_rollback(lsn); re-raise
 
-    Appending and applying under one lock keeps the WAL's record order
-    identical to the in-memory apply order; committing outside it is
-    what lets concurrent writers share an fsync.  Undos deliberately run
-    *without* the order lock: a failed fsync makes the WAL block every
-    new append (and checkpoint) until each failed statement acknowledges
-    its rollback, so the only concurrent catalog mutators during an undo
-    are the other undoers of the same batch — whose truncate-to-length
-    semantics commute — and taking the lock would deadlock against an
-    appender already blocked inside it.  A statement is
-    acknowledged (returns) only after :meth:`~WriteAheadLog.commit`, and
-    a failed commit rolls the in-memory effect back — so the catalog
-    observable to readers only ever runs *ahead* of disk by statements
-    whose fate is still undecided, never behind it.
+    Checking, appending and applying under one lock keeps the WAL's
+    record order identical to the in-memory apply order, and checks each
+    record against the catalog it will be replayed onto; committing
+    outside it is what lets concurrent writers share an fsync.  Undos
+    deliberately run *without* the order lock: a failed fsync makes the
+    WAL block every new append (and checkpoint) until each failed
+    statement acknowledges its rollback, so the only concurrent catalog
+    mutators during an undo are the other undoers of the same batch —
+    whose truncate-to-length semantics commute — and taking the lock
+    would deadlock against an appender already blocked inside it.  A
+    statement is acknowledged (returns) only after
+    :meth:`~WriteAheadLog.commit`, and a failed commit rolls the
+    in-memory effect back — so the catalog observable to readers only
+    ever runs *ahead* of disk by statements whose fate is still
+    undecided, never behind it.
     """
 
     def __init__(self, wal_dir: str, commit_window_ms: float = 2.0,
@@ -1144,38 +1192,80 @@ class DurableEngine:
 
     # -- the write pipeline ---------------------------------------------
 
-    def log(self, kind: str, data: Any, apply: Callable[[], Any],
-            undo: Callable[[], None]) -> Any:
-        """Durably execute one pre-validated statement.
+    def log(self, kind: str, data: Dict[str, Any]) -> int:
+        """Durably execute one statement's record; returns the rows it
+        inserted once the record is fsynced.
 
-        ``apply`` must not fail (validate before calling); ``undo`` must
-        exactly reverse it and be safe under any interleaving of
-        concurrent statements (truncate-to-length, not pop-by-value).
-        Returns ``apply()``'s result after the record is fsynced.
+        The check (:func:`prepare_record`) and the append share the
+        log's quiet moment, so no check is passed by what a failed fsync
+        is taking back.  The apply comes after the append: a failed
+        fsync holds appends until its statements have undone themselves,
+        and an INSERT's truncating undo would cut the rows of a
+        statement that applied before its append waited.
         """
         with self.order_lock:
-            lsn = self.wal.append(kind, data)
+            with self.wal.quiesced():
+                apply, undo = prepare_record(self.catalog, kind, data)
+                lsn = self.wal.append(kind, data)
             result = apply()
-        try:
-            self.wal.commit(lsn)
-        except WalError:
-            try:
-                undo()
-            finally:
-                self.wal.acknowledge_rollback(lsn)
-            raise
-        self._since_checkpoint += 1
+        self._commit([(lsn, undo)])
         return result
+
+    def log_shipped(self, records: Iterable[Tuple[int, bytes]]
+                    ) -> List[str]:
+        """:meth:`log` for a primary's ``(lsn, payload)`` records, each
+        appended byte for byte at its LSN unless it is a duplicate
+        delivery; returns the kinds applied."""
+        logged: List[Tuple[int, Callable[[], None]]] = []
+        kinds: List[str] = []
+        with self.order_lock:
+            for lsn, payload in records:
+                if lsn <= self.wal.written_lsn:
+                    continue
+                kind, data = decode_payload(payload)
+                apply, undo = prepare_record(self.catalog, kind, data)
+                self.wal.append_raw(lsn, kind, payload)
+                apply()
+                logged.append((lsn, undo))
+                kinds.append(kind)
+        if logged:
+            self._commit(logged)
+        return kinds
+
+    def _commit(self, logged: List[Tuple[int, Callable[[], None]]]
+                ) -> None:
+        """Wait for the newest ``(lsn, undo)`` to be fsynced, then
+        :meth:`maybe_checkpoint`; on :class:`WalError` undo each, newest
+        first, and re-raise."""
+        try:
+            self.wal.commit(logged[-1][0])
+        except WalError:
+            for lsn, undo in reversed(logged):
+                try:
+                    undo()
+                finally:
+                    self.wal.acknowledge_rollback(lsn)
+            raise
+        self._since_checkpoint += len(logged)
+        self.maybe_checkpoint()
 
     # -- checkpointing ---------------------------------------------------
 
     def maybe_checkpoint(self) -> Optional[CheckpointReport]:
-        """Checkpoint when the configured record interval has elapsed."""
+        """Checkpoint when the configured record interval has elapsed.
+
+        A failed checkpoint (injected fault or real I/O error) returns
+        None: the records before it are already fsynced to the WAL, and
+        an unharvested WAL only means a longer replay on the next open.
+        """
         if not self.checkpoint_interval:
             return None
         if self._since_checkpoint < self.checkpoint_interval:
             return None
-        return self.checkpoint()
+        try:
+            return self.checkpoint()
+        except (CheckpointError, WalError):
+            return None
 
     def checkpoint(self) -> CheckpointReport:
         """Write a checkpoint of the current catalog, then truncate the
@@ -1184,7 +1274,6 @@ class DurableEngine:
         can apply between the fsync and the copy."""
         with self.order_lock:
             try:
-                self.wal.wait_rollbacks()
                 self.wal.sync_all()
                 report = write_checkpoint(self.catalog, self.wal_dir,
                                           self.wal.durable_lsn)

@@ -28,7 +28,7 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, armed, disarm
 from repro.server.database import Database
-from repro.storage import Catalog
+from repro.storage import Catalog, durable
 from repro.storage.durable import (
     MANIFEST_FILENAME,
     DurableEngine,
@@ -58,6 +58,19 @@ def always_disarm():
 def _durable(tmp_path, **kwargs) -> Database:
     kwargs.setdefault("commit_window_ms", 0.0)
     return Database(wal_dir=str(tmp_path), **kwargs)
+
+
+def _keeping_undo(hooks):
+    """A stand-in for ``prepare_record`` that keeps the undo it built in
+    ``hooks["undo"]``, as a failed fsync would run it."""
+    prepare = durable.prepare_record
+
+    def keeping_undo(catalog, kind, data):
+        apply, undo = prepare(catalog, kind, data)
+        hooks["undo"] = undo
+        return apply, undo
+
+    return keeping_undo
 
 
 def _bytes(db_or_catalog) -> bytes:
@@ -346,32 +359,33 @@ class TestWritePathRegressions:
     """Reviewed durability edge cases, pinned so they stay fixed."""
 
     def test_insert_rollback_spares_concurrently_committed_rows(
-            self, tmp_path):
-        """Rollback snapshots are captured at apply() time — under the
-        engine's order lock — not at statement-construction time.  A
-        concurrent INSERT that commits in between must survive this
-        statement's rollback; truncating it away would leave memory
-        *behind* the durable WAL, and the next checkpoint would persist
-        the loss."""
+            self, tmp_path, monkeypatch):
+        """The lengths an INSERT's undo truncates to are read when it
+        applies — under the engine's order lock — not when the statement
+        was bound.  A concurrent INSERT that commits in between must
+        survive this statement's rollback; truncating it away would
+        leave memory *behind* the durable WAL, and the next checkpoint
+        would persist the loss."""
         db = _durable(tmp_path)
         db.execute("create table t (a integer)")
         table = db.catalog.table("t")
         real_log = db.durability.log
         hooks = {}
 
-        def interleaving_log(kind, data, apply, undo):
-            # Between this statement's closure construction and its
-            # apply(), another thread's INSERT commits — the exact
+        def interleaving_log(kind, data):
+            # Between this statement's binding and its record entering
+            # the engine, another thread's INSERT commits — the exact
             # interleaving the server's executor threads allow.
             real_log("insert",
-                     {"schema": "sys", "table": "t", "rows": [[1]]},
-                     lambda: table.insert_many([[1]]), lambda: None)
-            hooks["undo"] = undo
-            return real_log(kind, data, apply, undo)
+                     {"schema": "sys", "table": "t", "rows": [[1]]})
+            monkeypatch.setattr(durable, "prepare_record",
+                                _keeping_undo(hooks))
+            return real_log(kind, data)
 
         db.durability.log = interleaving_log
         db.execute("insert into t values (2)")
         db.durability.log = real_log
+        monkeypatch.undo()
         assert table.row_count() == 2
         # roll the second statement back, as its failed fsync would
         hooks["undo"]()
@@ -441,6 +455,155 @@ class TestWritePathRegressions:
         # and the directory is reopenable
         again = _durable(tmp_path)
         again.close()
+
+
+class TestWriteRace:
+    """Two statements through one durable Database, the second run at
+    the point where the first enters the engine — an interleaving the
+    server's executor threads allow.  Each is acknowledged or refused
+    with a typed CatalogError, and the WAL replays to the live catalog."""
+
+    @pytest.mark.parametrize("setup, first, second", [
+        ("create table t (a integer)", "drop table t", "drop table t"),
+        ("create table t (a integer)", "insert into t values (1)",
+         "drop table t"),
+        (None, "create table t (a integer)", "create table t (b integer)"),
+    ], ids=["drop-vs-drop", "insert-vs-drop", "create-vs-create"])
+    def test_the_loser_is_refused_before_it_is_logged(
+            self, tmp_path, setup, first, second):
+        db = _durable(tmp_path)
+        if setup:
+            db.execute(setup)
+        real_log = db.durability.log
+        outcomes = {}
+
+        def run(sql, role):
+            try:
+                db.execute(sql)
+                outcomes[role] = "acknowledged"
+            except Exception as exc:  # the type is what is asserted
+                outcomes[role] = exc
+
+        def racing_log(*args, **kwargs):
+            db.durability.log = real_log
+            run(second, "second")
+            return real_log(*args, **kwargs)
+
+        db.durability.log = racing_log
+        try:
+            run(first, "first")
+            live = _bytes(db)
+        finally:
+            db.close()
+        assert outcomes["second"] == "acknowledged"
+        assert isinstance(outcomes["first"], CatalogError), outcomes
+        again = _durable(tmp_path)
+        try:
+            assert _bytes(again) == live
+        finally:
+            again.close()
+
+    def test_a_check_is_not_passed_by_a_failed_fsync(self, tmp_path,
+                                                     monkeypatch):
+        """CREATE u fails its fsync while INSERT INTO u, bound while u
+        stood, is being checked.  The failure cannot land between the
+        INSERT's check and its append, so the INSERT is never logged
+        after the CREATE's undo: it fails with the CREATE's batch."""
+        db = _durable(tmp_path)
+        wal = db.durability.wal
+        checked, create_done = threading.Event(), threading.Event()
+        real_commit, prepare = wal.commit, durable.prepare_record
+        outcomes = {}
+
+        def commit(lsn):
+            if not checked.is_set():  # the CREATE's, once INSERT checks
+                checked.wait(5)
+                wal._fail_next_sync = True
+            return real_commit(lsn)
+
+        def checking(catalog, kind, data):
+            result = prepare(catalog, kind, data)
+            if kind == "insert":
+                checked.set()
+                create_done.wait(0.5)  # times out: the check holds the log
+            return result
+
+        def run(sql, role):
+            try:
+                db.execute(sql)
+                outcomes[role] = "acknowledged"
+            except Exception as exc:  # the type is what is asserted
+                outcomes[role] = exc
+            if role == "create":
+                create_done.set()
+
+        monkeypatch.setattr(wal, "commit", commit)
+        monkeypatch.setattr(durable, "prepare_record", checking)
+        creator = threading.Thread(
+            target=run, args=("create table u (a integer)", "create"))
+        creator.start()
+        try:
+            while "u" not in db.catalog.schema().tables and \
+                    creator.is_alive():
+                time.sleep(0.001)
+            run("insert into u values (1)", "insert")
+            creator.join(10)
+            assert not creator.is_alive()
+            live = _bytes(db)
+        finally:
+            monkeypatch.undo()
+            db.close()
+        assert all(isinstance(outcome, WalError)
+                   for outcome in outcomes.values()), outcomes
+        again = _durable(tmp_path)
+        try:
+            assert _bytes(again) == live
+        finally:
+            again.close()
+
+
+class TestMemoryDurableParity:
+    """A statement gives the same outcome, error type and message with
+    and without a WAL, and the WAL reopens to the in-memory catalog."""
+
+    @pytest.mark.parametrize("statements", [
+        ["create table d (a integer, a integer)"],
+        ["create table t (b integer)"],
+        ["insert into t values (1, 2)"],
+        ["insert into missing values (1)"],
+        ["drop table missing"],
+        ["insert into t values (null)"],
+        ["insert into t values ('x')"],
+        ["create table u (a integer)", "drop table u",
+         "insert into u values (1)"],
+    ], ids=["duplicate-column", "existing-table", "wrong-arity",
+            "missing-table", "drop-missing", "nil-insert",
+            "mistyped-literal", "insert-after-drop"])
+    def test_with_and_without_a_wal(self, tmp_path, statements):
+        def outcomes(db):
+            seen = []
+            for sql in ["create table t (a integer)"] + statements:
+                try:
+                    outcome = db.execute(sql)
+                    seen.append((outcome.kind, outcome.affected))
+                except Exception as exc:  # compared, type and message
+                    seen.append((type(exc), str(exc)))
+            return seen
+
+        memory = Database()
+        durable_db = _durable(tmp_path)
+        try:
+            expected = outcomes(memory)
+            assert outcomes(durable_db) == expected
+            assert _bytes(durable_db) == _bytes(memory)
+        finally:
+            durable_db.close()
+            memory.close()
+        again = _durable(tmp_path)
+        try:
+            assert _bytes(again) == _bytes(memory)
+        finally:
+            again.close()
 
 
 class TestInsertBindTyping:

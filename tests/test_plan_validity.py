@@ -26,9 +26,10 @@ from repro.mal.ast import MalProgram
 from repro.mal.interpreter import Interpreter, ReadySet
 from repro.mal.parser import parse_instruction_text
 from repro.server import Database, MClient
-from repro.storage import INT, STR, Catalog
+from repro.storage import INT, STR, Catalog, durable
 from repro.storage.durable import apply_record
 from repro.tpch import populate, query_sql
+from tests.test_durability import _keeping_undo
 from tests.test_replication import _caught_up, _node, _wait
 
 ON_T = "select a, b from t order by a"
@@ -359,7 +360,7 @@ def test_insert_drops_the_partitions():
                    for old, bat in zip(before, columns))
 
 
-def test_rolled_back_insert_drops_the_partitions(tmp_path):
+def test_rolled_back_insert_drops_the_partitions(tmp_path, monkeypatch):
     """A durable INSERT undone after a read cut partitions at its length;
     then an INSERT of as many other rows.  The column is as long as when
     those partitions were cut, so only the undo's drop keeps them from
@@ -367,15 +368,10 @@ def test_rolled_back_insert_drops_the_partitions(tmp_path):
     db, oracle = _tpch(workers=2, wal_dir=str(tmp_path)), _tpch(workers=1)
     try:
         _assert_partitioned_rows_match_one_worker(db, oracle)
-        real_log, hooks = db.durability.log, {}
-
-        def keeping_undo(kind, data, apply, undo):
-            hooks["undo"] = undo
-            return real_log(kind, data, apply, undo)
-
-        db.durability.log = keeping_undo
+        hooks = {}
+        monkeypatch.setattr(durable, "prepare_record", _keeping_undo(hooks))
         db.execute(_lineitem_insert(oracle, 2.0))
-        db.durability.log = real_log
+        monkeypatch.undo()
         for name in PARTITIONED:  # partitions cut over the doomed rows
             db.execute(query_sql(name))
         hooks["undo"]()
@@ -455,7 +451,8 @@ def test_insert_drops_the_tid_and_the_column_reverse():
     assert orderkey.reverse() is not reverse
 
 
-def test_rolled_back_insert_drops_the_tid_and_the_column_reverse(tmp_path):
+def test_rolled_back_insert_drops_the_tid_and_the_column_reverse(
+        tmp_path, monkeypatch):
     """A read between a durable INSERT and its undo memoizes a tid and
     a reverse over the doomed rows; the undo drops the reverse, and the
     tid no longer answers for the table."""
@@ -464,15 +461,10 @@ def test_rolled_back_insert_drops_the_tid_and_the_column_reverse(tmp_path):
         reference = _sequential_copy(db)
         _assert_q3_shaped_matches(db, reference)
         rows = db.catalog.table("lineitem").row_count()
-        real_log, hooks = db.durability.log, {}
-
-        def keeping_undo(kind, data, apply, undo):
-            hooks["undo"] = undo
-            return real_log(kind, data, apply, undo)
-
-        db.durability.log = keeping_undo
+        hooks = {}
+        monkeypatch.setattr(durable, "prepare_record", _keeping_undo(hooks))
         db.execute(_lineitem_insert(reference, 2.0))
-        db.durability.log = real_log
+        monkeypatch.undo()
         db.execute(Q3_SHAPED)
         lineitem, orderkey = _join_memos(db)
         doomed = lineitem._tid

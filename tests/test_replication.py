@@ -8,6 +8,7 @@ are identical to the primary's — plus a live trace subscription served
 by the replica itself.
 """
 
+import base64
 import json
 import os
 import socket
@@ -18,17 +19,23 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import (
+    CatalogError,
     ReadOnlyReplicaError,
     ReplicationError,
     ReplicationFencedError,
     RequestTimeoutError,
     ServerError,
+    WalError,
 )
 from repro.replication import ReplicationManager, split_addr
 from repro.server.client import MClient
 from repro.server.database import Database
 from repro.server.mserver import Mserver
-from repro.storage.durable import catalog_canonical_bytes, read_epoch
+from repro.storage.durable import (
+    catalog_canonical_bytes,
+    encode_payload,
+    read_epoch,
+)
 from repro.tpch import QUERIES, populate, query_sql
 
 
@@ -188,6 +195,69 @@ class TestStreaming:
             assert status["role"] == "standalone"
             with pytest.raises(ServerError):
                 client.promote()
+
+
+def _follower(tmp_path):
+    """A replica's database and manager, no server and no puller: the
+    test hands ``_apply_batch`` what a ``repl.sync`` response carries."""
+    db = Database(wal_dir=str(tmp_path / "follower"), commit_window_ms=0.0)
+    mgr = ReplicationManager(SimpleNamespace(database=db),
+                             addr="127.0.0.1:1", primary="127.0.0.1:2",
+                             auto_failover=False)
+    return db, mgr
+
+
+def _shipped(*records):
+    return {"records": [[lsn, base64.b64encode(
+        encode_payload(kind, data)).decode("ascii")]
+        for lsn, kind, data in records]}
+
+
+_CREATE_T = ("ddl", {"op": "create", "schema": "sys", "table": "t",
+                     "columns": [["a", "int"]]})
+_INSERT_T = ("insert", {"schema": "sys", "table": "t", "rows": [[1]]})
+
+
+class TestWriteRace:
+    def test_shipped_record_that_does_not_apply_is_not_appended(
+            self, tmp_path):
+        db, mgr = _follower(tmp_path)
+        try:
+            wal = db.durability.wal
+            before = wal.written_lsn
+            with pytest.raises(CatalogError):
+                mgr._apply_batch(_shipped((before + 1,) + _INSERT_T))
+            assert wal.written_lsn == before
+            # the lsn is still free for the record the primary resends
+            assert mgr._apply_batch(_shipped((before + 1,) + _CREATE_T,
+                                             (before + 2,) + _INSERT_T)) == 2
+            live = catalog_canonical_bytes(db.catalog)
+        finally:
+            db.close()
+        again = Database(wal_dir=str(tmp_path / "follower"))
+        try:
+            assert catalog_canonical_bytes(again.catalog) == live
+        finally:
+            again.close()
+
+    def test_failed_fsync_takes_the_shipped_batch_back(self, tmp_path):
+        db, mgr = _follower(tmp_path)
+        try:
+            wal = db.durability.wal
+            before = wal.written_lsn
+            create, insert = (before + 1,) + _CREATE_T, \
+                (before + 2,) + _INSERT_T
+            wal._fail_next_sync = True
+            with pytest.raises(WalError):
+                mgr._apply_batch(_shipped(create, insert))
+            assert "t" not in db.catalog.schema().tables
+            # resent one by one, each is appended again: neither waits
+            # on the rollback nor fails for the batch it was part of
+            assert mgr._apply_batch(_shipped(create)) == 1
+            assert mgr._apply_batch(_shipped(insert)) == 1
+            assert db.catalog.table("t").row_count() == 1
+        finally:
+            db.close()
 
 
 class TestReadOnlyReplica:
