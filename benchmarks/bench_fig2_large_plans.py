@@ -31,7 +31,7 @@ def test_fig2_layout_scaling(benchmark, chains, chain_length, artifacts):
     graph = plan_to_graph(plan_of(chains, chain_length))
     engine = LayeredLayout()
     layout = benchmark(engine.layout, graph)
-    assert len(layout.nodes) == graph.node_count()
+    assert len(layout.node_ids) == graph.node_count()
     line = (f"nodes={graph.node_count():>5} edges={graph.edge_count():>5} "
             f"crossings={engine.last_crossings}\n")
     with open(os.path.join(artifacts, "fig2_layout_sweep.txt"), "a") as f:

@@ -28,7 +28,7 @@ def main() -> None:
     started = time.perf_counter()
     layout = engine.layout(graph)
     elapsed = time.perf_counter() - started
-    print(f"layout: {len(layout.nodes)} nodes in {elapsed:.2f}s, "
+    print(f"layout: {len(layout.node_ids)} nodes in {elapsed:.2f}s, "
           f"{engine.last_crossings} edge crossings, "
           f"canvas {layout.width:.0f}x{layout.height:.0f}")
 

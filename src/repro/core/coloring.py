@@ -23,16 +23,16 @@ Two algorithms, exactly as the paper offers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from repro.profiler.events import TraceEvent
 from repro.viz.color import Color, GREEN, RED
 
 
-@dataclass(frozen=True)
-class ColorAction:
-    """One colouring decision: paint node ``n<pc>`` with ``color``."""
+class ColorAction(NamedTuple):
+    """One colouring decision: paint node ``n<pc>`` with ``color``.  A
+    named tuple, cheap to build: a replay makes one per colour change
+    and the painter keeps every one."""
 
     pc: int
     color: Color

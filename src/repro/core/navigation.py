@@ -43,6 +43,9 @@ class Navigator:
                  animator: Optional[Animator] = None) -> None:
         self.graph = graph
         self.layout = layout
+        #: node id -> its number in the layout's columns
+        self._number = {node_id: number
+                        for number, node_id in enumerate(layout.node_ids)}
         self.view = view
         self.animator = animator
         roots = graph.roots()
@@ -71,15 +74,16 @@ class Navigator:
         return node_id
 
     def _update_camera(self) -> None:
-        if self.view is None or self.current not in self.layout.nodes:
+        number = self._number.get(self.current)
+        if self.view is None or number is None:
             return
-        node = self.layout.nodes[self.current]
+        x, y = self.layout.xs[number], self.layout.ys[number]
         if self.animator is not None:
             self.animator.animate_camera_to(
-                self.view.camera, node.x, node.y, FOCUS_ALTITUDE
+                self.view.camera, x, y, FOCUS_ALTITUDE
             )
         else:
-            self.view.camera.look_at(node.x, node.y)
+            self.view.camera.look_at(x, y)
             self.view.camera.altitude = FOCUS_ALTITUDE
 
     # ------------------------------------------------------------------
@@ -110,14 +114,15 @@ class Navigator:
 
     def sibling(self, offset: int = 1) -> Optional[str]:
         """Move left/right within the current node's rank, in x order."""
-        if self.current is None or self.current not in self.layout.nodes:
+        number = self._number.get(self.current)
+        if number is None:
             return None
-        me = self.layout.nodes[self.current]
-        rank_nodes = sorted(
-            (n for n in self.layout.nodes.values() if n.rank == me.rank),
-            key=lambda n: n.x,
-        )
-        ids = [n.node_id for n in rank_nodes]
+        layout = self.layout
+        rank = layout.ranks[number]
+        row = [other for other, other_rank in enumerate(layout.ranks)
+               if other_rank == rank]
+        row.sort(key=layout.xs.__getitem__)
+        ids = [layout.node_ids[other] for other in row]
         position = ids.index(self.current) + offset
         if not (0 <= position < len(ids)):
             return None

@@ -19,12 +19,10 @@ hierarchical (dependencies flow top-to-bottom).
 """
 
 from repro.layout.engine import LayeredLayout, layout_graph
-from repro.layout.geometry import Layout, LayoutEdge, LayoutNode
+from repro.layout.geometry import Layout
 
 __all__ = [
     "LayeredLayout",
     "Layout",
-    "LayoutEdge",
-    "LayoutNode",
     "layout_graph",
 ]

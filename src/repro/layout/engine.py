@@ -3,17 +3,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from operator import add, sub
+from typing import List, Optional, Tuple
 
 from repro.dot.graph import Digraph
 from repro.layout.acyclic import acyclic_orientation
-from repro.layout.geometry import (
-    H_GAP,
-    Layout,
-    LayoutEdge,
-    LayoutNode,
-    node_size_for_label,
-)
+from repro.layout.geometry import H_GAP, Layout, node_size_for_label
 from repro.layout.ordering import (
     count_crossings,
     insert_virtual_nodes,
@@ -42,15 +37,16 @@ class LayeredLayout:
         ``src, p, q, dst``, with a vertical run from p to q."""
         node_ids = list(graph.nodes)
         if not node_ids:
-            return Layout({}, [], 0.0, 0.0)
+            return Layout([], [], [], [], [], [], [], [], [], [], 0.0, 0.0)
         oriented, reversed_indices = acyclic_orientation(graph)
         rank = assign_ranks(node_ids, oriented)
         layers = layers_from_ranks(rank)
         # the phases below number the nodes: real ones 0 .. n-1 in graph
         # order, virtual, p- and q-vertices from n (repro.layout.ordering)
         number = {node_id: index for index, node_id in enumerate(node_ids)}
+        ranks = [rank[node_id] for node_id in node_ids]
         segmented = insert_virtual_nodes(
-            [rank[node_id] for node_id in node_ids],
+            ranks,
             [[number[node_id] for node_id in layer] for layer in layers],
             [(number[src], number[dst]) for src, dst in oriented],
         )
@@ -59,60 +55,59 @@ class LayeredLayout:
             ordered, segmented.edges + segmented.segments)
 
         labels = [graph.node(node_id).label for node_id in node_ids]
-        virtual = segmented.size - len(node_ids)
+        real = len(node_ids)
         widths: List[float] = []
         heights: List[float] = []
         for label in labels:
             width, height = node_size_for_label(label)
             widths.append(width)
             heights.append(height)
-        widths += [1.0] * virtual
-        heights += [1.0] * virtual
+        widths += [1.0] * (segmented.size - real)
+        heights += [1.0] * (segmented.size - real)
 
         xs, ys = assign_coordinates(
             ordered, widths, heights, segmented.edges, segmented.segments)
-
-        nodes: Dict[str, LayoutNode] = {}
-        for index, node_id in enumerate(node_ids):
-            nodes[node_id] = LayoutNode(
-                node_id=node_id, x=xs[index], y=ys[index],
-                width=widths[index], height=heights[index],
-                label=labels[index], rank=rank[node_id],
-            )
-
+        # one point per node, shared by the polylines through it
+        point_at = list(zip(xs, ys)).__getitem__
         # the bounds hold every box and every polyline point: a point is
         # a node's centre, a point on a box's border or a self-loop's tip
         # right of its box, and none lies below the lowest box
-        width = max(max(node.right for node in nodes.values()), max(xs))
-        # one point per node, shared by the polylines through it
-        point_at = list(zip(xs, ys)).__getitem__
-        edges: List[LayoutEdge] = []
-        paths = iter(segmented.edge_paths)
-        for index, edge in enumerate(graph.edges):
-            if edge.src == edge.dst:
-                # self-loop: a small triangle beside the node
-                node = nodes[edge.src]
-                tip = node.right + H_GAP
-                width = max(width, tip)
-                edges.append(LayoutEdge(edge.src, edge.dst, [
-                    (node.right, node.y),
-                    (tip, node.y),
-                    (node.right, node.y + 4.0),
-                ]))
-                continue
-            points = list(map(point_at, next(paths)))
-            if index in reversed_indices:
-                points.reverse()
-            # clip endpoints to the node borders (vertical flow)
-            src_node, dst_node = nodes[edge.src], nodes[edge.dst]
-            (x, y), (_, next_y) = points[0], points[1]
-            points[0] = (x, src_node.bottom if y <= next_y else src_node.top)
-            (x, y), (_, prev_y) = points[-1], points[-2]
-            points[-1] = (x, dst_node.top if y >= prev_y else dst_node.bottom)
-            edges.append(LayoutEdge(edge.src, edge.dst, points))
+        width = max(xs)
+        del xs[real:], ys[real:], widths[real:], heights[real:]
+        rights = list(map(add, xs, [box_width / 2 for box_width in widths]))
+        halves = [box_height / 2 for box_height in heights]
+        tops = list(map(sub, ys, halves))
+        bottoms = list(map(add, ys, halves))
+        width = max(max(rights), width)
 
-        height = max(n.bottom for n in nodes.values())
-        return Layout(nodes, edges, width, height)
+        srcs = [edge.src for edge in graph.edges]
+        dsts = [edge.dst for edge in graph.edges]
+        polylines: List[List[Tuple[float, float]]] = []
+        paths = iter(segmented.edge_paths)
+        for index, (src, dst) in enumerate(zip(srcs, dsts)):
+            if src == dst:
+                # self-loop: a small triangle beside the node
+                node = number[src]
+                right, y = rights[node], ys[node]
+                tip = right + H_GAP
+                width = max(width, tip)
+                polylines.append([(right, y), (tip, y), (right, y + 4.0)])
+                continue
+            path = next(paths)
+            if index in reversed_indices:
+                path.reverse()
+            points = list(map(point_at, path))
+            # clip the ends to the borders of their boxes (vertical flow)
+            first, last = path[0], path[-1]
+            points[0] = (xs[first], bottoms[first]
+                         if ys[first] <= points[1][1] else tops[first])
+            points[-1] = (xs[last], tops[last]
+                          if ys[last] >= points[-2][1] else bottoms[last])
+            polylines.append(points)
+
+        height = max(bottoms)
+        return Layout(node_ids, xs, ys, widths, heights, labels, ranks,
+                      srcs, dsts, polylines, width, height)
 
 
 def layout_graph(graph: Digraph) -> Layout:

@@ -2,62 +2,36 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
-
-
-@dataclass
-class LayoutNode:
-    """A laid-out node: centre position, box size, label, rank."""
-
-    node_id: str
-    x: float
-    y: float
-    width: float
-    height: float
-    label: str = ""
-    rank: int = 0
-
-    @property
-    def left(self) -> float:
-        return self.x - self.width / 2
-
-    @property
-    def right(self) -> float:
-        return self.x + self.width / 2
-
-    @property
-    def top(self) -> float:
-        return self.y - self.height / 2
-
-    @property
-    def bottom(self) -> float:
-        return self.y + self.height / 2
-
-    def contains(self, x: float, y: float) -> bool:
-        """Point-in-box test (the Stethoscope's click hit-testing)."""
-        return self.left <= x <= self.right and self.top <= y <= self.bottom
-
-
-@dataclass
-class LayoutEdge:
-    """A laid-out edge: a polyline from source box to target box, as
-    ``(x, y)`` points in layout coordinates (y grows downward, like
-    SVG)."""
-
-    src: str
-    dst: str
-    points: List[Tuple[float, float]] = field(default_factory=list)
+from dataclasses import dataclass
+from typing import List, Tuple
 
 
 @dataclass
 class Layout:
-    """The result of laying out a graph."""
+    """The result of laying out a graph, as columns: node ``k`` is
+    ``node_ids[k]``, a ``widths[k]`` x ``heights[k]`` box centred at
+    ``(xs[k], ys[k])`` in rank ``ranks[k]`` holding ``labels[k]``; edge
+    ``k`` runs from ``srcs[k]`` to ``dsts[k]`` along ``polylines[k]``,
+    ``(x, y)`` points in layout coordinates (y grows downward, like
+    SVG).  ``width`` and ``height`` hold every box and every point."""
 
-    nodes: Dict[str, LayoutNode]
-    edges: List[LayoutEdge]
+    node_ids: List[str]
+    xs: List[float]
+    ys: List[float]
+    widths: List[float]
+    heights: List[float]
+    labels: List[str]
+    ranks: List[int]
+    srcs: List[str]
+    dsts: List[str]
+    polylines: List[List[Tuple[float, float]]]
     width: float
     height: float
+
+    @property
+    def edges(self) -> List[Tuple[str, str]]:
+        """Every edge's ``(src, dst)``, in drawing order."""
+        return list(zip(self.srcs, self.dsts))
 
 
 #: The label-box model, in layout units: a monospace label is

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import repeat
-from operator import add, sub
-from typing import List, Sequence, Set, Tuple
+from operator import add, itemgetter, sub
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.layout.geometry import H_GAP, V_GAP
 from repro.layout.ordering import (
@@ -153,8 +153,9 @@ def _separations(layers: List[Layer], half: List[float],
                  top_of: List[int], bottom_of: List[int]
                  ) -> Tuple[List[int], List[int], List[float]]:
     """Node pairs that share a layer, as parallel lists of the left
-    node, the right node and the least distance between their centres:
-    enough pairs that keeping all of them keeps every layer apart.
+    node, the right node and the least distance between their centres,
+    sorted by that distance: enough pairs that keeping all of them
+    keeps every layer apart.
 
     A segment stands for itself by its p-vertex.  Besides neighbours at
     item boundaries, each segment end or container edge is paired with
@@ -188,7 +189,9 @@ def _separations(layers: List[Layer], half: List[float],
             previous = last
     gaps = [left + H_GAP + right for left, right in
             zip(map(half.__getitem__, lefts), map(half.__getitem__, rights))]
-    return lefts, rights, gaps
+    order = sorted(range(len(gaps)), key=gaps.__getitem__)
+    return ([lefts[pair] for pair in order], [rights[pair] for pair in order],
+            [gaps[pair] for pair in order])
 
 
 def _align(order: List[Layer], shared: List[Shared],
@@ -261,22 +264,28 @@ def _compact(root: List[int], lefts: List[int], rights: List[int],
     """Block x coordinates, indexed by root: each block as far left as
     the blocks left of its members allow, taking blocks in topological
     order.  ``lefts[k]`` stays at least ``gaps[k]`` left of
-    ``rights[k]``."""
-    size = len(root)
-    after: List[List[int]] = [[] for _node in range(size)]
-    for pair, block in enumerate(map(root.__getitem__, lefts)):
-        after[block].append(pair)
-    targets = list(map(root.__getitem__, rights))
-    incoming = Counter(targets)
-    x = [0.0] * size
-    ready = [block for block in set(root) if block not in incoming]
+    ``rights[k]``; the pairs come sorted by gap, so the last pair of two
+    blocks is the widest, and each pair of blocks is relaxed once.
+    ``x + max(gaps)`` is ``max(x + gap)`` to the bit, as rounding is
+    monotone, and a block's x is a maximum over the blocks left of it,
+    whatever order they come in."""
+    widest = dict(zip(zip(map(root.__getitem__, lefts),
+                          map(root.__getitem__, rights)), gaps))
+    after: Dict[int, List[Tuple[int, float]]] = {}
+    for (block, successor), gap in widest.items():
+        if block in after:
+            after[block].append((successor, gap))
+        else:
+            after[block] = [(successor, gap)]
+    incoming = Counter(map(itemgetter(1), widest))
+    x = [0.0] * len(root)
+    ready = [block for block in after if block not in incoming]
     while ready:
         block = ready.pop()
         base = x[block]
-        for pair in after[block]:
-            successor = targets[pair]
-            if x[successor] < base + gaps[pair]:
-                x[successor] = base + gaps[pair]
+        for successor, gap in after.get(block, ()):
+            if x[successor] < base + gap:
+                x[successor] = base + gap
             incoming[successor] -= 1
             if not incoming[successor]:
                 ready.append(successor)

@@ -64,8 +64,11 @@ _LINE_RE = re.compile(
 
 
 def format_event(event: TraceEvent) -> str:
-    """Render an event as one trace line."""
-    stmt = event.stmt.replace("\\", "\\\\").replace('"', '\\"')
+    """Render an event as one trace line: ``\\``, ``"``, a line feed and
+    a carriage return in ``stmt`` are backslash-escaped, so no statement
+    breaks the line."""
+    stmt = event.stmt.replace("\\", "\\\\").replace('"', '\\"') \
+        .replace("\n", "\\n").replace("\r", "\\r")
     return (
         f"[ {event.event},\t{event.clock_usec},\t\"{event.status}\","
         f"\t{event.pc},\t{event.thread},\t{event.usec},"
@@ -84,7 +87,11 @@ def parse_event(line: str) -> TraceEvent:
         raise TraceFormatError(f"bad trace line: {line!r}")
     number, clock, status, pc, thread, usec, rss, stmt = match.groups()
     if "\\" in stmt:
-        stmt = stmt.replace('\\"', '"').replace("\\\\", "\\")
+        # one pass, left to right: between two escaped backslashes the
+        # only escapes left are \", \n and \r
+        stmt = "\\".join(
+            part.replace('\\"', '"').replace("\\n", "\n")
+            .replace("\\r", "\r") for part in stmt.split("\\\\"))
     event = object.__new__(TraceEvent)
     # the state TraceEvent(...) would set, in one update instead of a
     # frozen __init__'s eight object.__setattr__ calls

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
-from typing import Dict, List, Tuple
+from typing import List, Set, Tuple
 
 from repro.errors import SvgError
 from repro.dot.graph import Digraph
-from repro.layout.geometry import Layout, LayoutEdge, LayoutNode
+from repro.layout.geometry import Layout
 
 _SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -31,15 +31,22 @@ def parse_svg(text: str) -> Layout:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         raise SvgError(f"bad SVG: {exc}") from None
-    nodes: Dict[str, LayoutNode] = {}
+    seen: Set[str] = set()
+    node_ids: List[str] = []
+    xs: List[float] = []
+    ys: List[float] = []
+    widths: List[float] = []
+    heights: List[float] = []
+    labels: List[str] = []
     for group in root.iter(f"{_SVG_NS}g"):
         if group.get("class") != "node":
             continue
         node_id = group.get("id")
         if not node_id:
             raise SvgError("node group without id")
-        if node_id in nodes:
+        if node_id in seen:
             raise SvgError(f"node {node_id!r} drawn twice")
+        seen.add(node_id)
         rect = group.find(f"{_SVG_NS}rect")
         if rect is None:
             raise SvgError(f"node {node_id!r} has no rect")
@@ -48,10 +55,15 @@ def parse_svg(text: str) -> Layout:
         width = _number(rect.get("width", "0"))
         height = _number(rect.get("height", "0"))
         text_el = group.find(f"{_SVG_NS}text")
-        label = (text_el.text or "") if text_el is not None else ""
-        nodes[node_id] = LayoutNode(node_id, x + width / 2, y + height / 2,
-                                    width, height, label)
-    edges: List[LayoutEdge] = []
+        node_ids.append(node_id)
+        xs.append(x + width / 2)
+        ys.append(y + height / 2)
+        widths.append(width)
+        heights.append(height)
+        labels.append((text_el.text or "") if text_el is not None else "")
+    srcs: List[str] = []
+    dsts: List[str] = []
+    polylines: List[List[Tuple[float, float]]] = []
     for poly in root.iter(f"{_SVG_NS}polyline"):
         if poly.get("class") != "edge":
             continue
@@ -59,9 +71,12 @@ def parse_svg(text: str) -> Layout:
         dst = poly.get("data-dst")
         if src is None or dst is None:
             raise SvgError("edge polyline without data-src/data-dst")
-        edges.append(LayoutEdge(src, dst,
-                                _parse_points(poly.get("points", ""))))
-    return Layout(nodes, edges,
+        srcs.append(src)
+        dsts.append(dst)
+        polylines.append(_parse_points(poly.get("points", "")))
+    # a drawing does not record ranks
+    return Layout(node_ids, xs, ys, widths, heights, labels,
+                  [0] * len(node_ids), srcs, dsts, polylines,
                   _number(root.get("width", "0").rstrip("px")),
                   _number(root.get("height", "0").rstrip("px")))
 
@@ -75,16 +90,18 @@ def svg_to_graph(text: str) -> Digraph:
     """
     layout = parse_svg(text)
     graph = Digraph("from_svg")
-    for node in layout.nodes.values():
-        graph.add_node(node.node_id, {
-            "label": node.label,
-            "x": f"{node.x:.1f}",
-            "y": f"{node.y:.1f}",
-            "width": f"{node.width:.1f}",
-            "height": f"{node.height:.1f}",
+    for node_id, x, y, width, height, label in zip(
+            layout.node_ids, layout.xs, layout.ys, layout.widths,
+            layout.heights, layout.labels):
+        graph.add_node(node_id, {
+            "label": label,
+            "x": f"{x:.1f}",
+            "y": f"{y:.1f}",
+            "width": f"{width:.1f}",
+            "height": f"{height:.1f}",
         })
-    for edge in layout.edges:
-        graph.add_edge(edge.src, edge.dst)
+    for src, dst in zip(layout.srcs, layout.dsts):
+        graph.add_edge(src, dst)
     return graph
 
 

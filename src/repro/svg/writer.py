@@ -59,28 +59,31 @@ def layout_to_svg(layout: Layout) -> str:
         f'width="{width:.1f}" height="{height:.1f}" '
         f'viewBox="0 0 {width:.1f} {height:.1f}">',
     ]
-    for edge in layout.edges:
+    for src, dst, polyline in zip(layout.srcs, layout.dsts,
+                                  layout.polylines):
         points = " ".join(
-            f"{x + MARGIN:.1f},{y + MARGIN:.1f}" for x, y in edge.points
+            f"{x + MARGIN:.1f},{y + MARGIN:.1f}" for x, y in polyline
         )
         parts.append(
-            f'  <polyline class="edge" data-src={xml_attr(edge.src)} '
-            f'data-dst={xml_attr(edge.dst)} points="{points}" '
+            f'  <polyline class="edge" data-src={xml_attr(src)} '
+            f'data-dst={xml_attr(dst)} points="{points}" '
             f'fill="none" stroke="black"/>'
         )
-    for node in layout.nodes.values():
-        parts.append(f'  <g class="node" id={xml_attr(node.node_id)}>')
+    for node_id, x, y, box_width, box_height, label in zip(
+            layout.node_ids, layout.xs, layout.ys, layout.widths,
+            layout.heights, layout.labels):
+        parts.append(f'  <g class="node" id={xml_attr(node_id)}>')
         parts.append(
-            f'    <rect x="{node.left + MARGIN:.1f}" '
-            f'y="{node.top + MARGIN:.1f}" '
-            f'width="{node.width:.1f}" height="{node.height:.1f}" '
+            f'    <rect x="{x - box_width / 2 + MARGIN:.1f}" '
+            f'y="{y - box_height / 2 + MARGIN:.1f}" '
+            f'width="{box_width:.1f}" height="{box_height:.1f}" '
             f'fill="white" stroke="black"/>'
         )
         parts.append(
-            f'    <text x="{node.x + MARGIN:.1f}" y="{node.y + MARGIN:.1f}" '
+            f'    <text x="{x + MARGIN:.1f}" y="{y + MARGIN:.1f}" '
             f'text-anchor="middle" dominant-baseline="middle" '
             f'font-family="monospace" font-size="11">'
-            f"{xml_text(node.label)}</text>"
+            f"{xml_text(label)}</text>"
         )
         parts.append("  </g>")
     parts.append("</svg>")

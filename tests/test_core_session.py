@@ -165,7 +165,7 @@ class TestOfflineSession:
             saved = f.read()
         assert "a\ufffdb" in saved
         scene = parse_svg(saved)
-        assert [(e.src, e.dst) for e in scene.edges] == [("n0", "n1")]
+        assert scene.edges == [("n0", "n1")]
 
     def test_trace_of_another_plan_fails_before_layout(self, catalog,
                                                        monkeypatch):

@@ -3,16 +3,17 @@ clock, so they hold on a shared runner.
 
 - An opened 1004-node plan is freed by reference counting: no render
   task holds the painter, so ``del session`` leaves no cyclic garbage,
-  and the open leaves at most 17 036 tracked objects alive: 15 488
-  since polyline points are plain ``(x, y)`` tuples, which the
-  collector untracks (18 059 while they were 2 571 ``Point``
-  NamedTuples), plus 10 %.
+  and the open leaves at most 14 681 tracked objects alive: 13 346
+  since the layout is columns and the glyphs are made from them (15 487
+  with a ``LayoutNode`` per node and a ``LayoutEdge`` per edge, 18 059
+  while polyline points were 2 571 ``Point`` NamedTuples), plus 10 %.
 - Opening, replaying, painting and saving it makes a bounded number of
   Python-level calls: 186 117 when the dot tokenizer, trace reader,
   painter and SVG writer each walked their input through a method call
   per item, 68 399 once they made one pass over flat data, 64 824 since
   polyline points are tuples (building a ``Point`` was a Python-level
-  call); the bound is that count plus 10 %.
+  call), 58 098 since no ``LayoutNode``/``LayoutEdge`` is built and the
+  space takes its bounds once; the bound is that count plus 10 %.
 - The layout grows linearly with the staircase plan: doubling
   ``synthetic_plan`` from 143 to 286 chains at most 2.2x-es its layout
   entities and its polyline points.  Each long edge is one segment, so
@@ -72,7 +73,7 @@ def test_opened_plan_freed_by_reference_counting(open_replay_paint_save):
     finally:
         gc.enable()
     assert garbage == 0, f"{garbage} objects were cyclic garbage after del"
-    assert alive <= 17036, f"the open left {alive} tracked objects alive"
+    assert alive <= 14681, f"the open left {alive} tracked objects alive"
 
 
 def test_open_makes_a_bounded_number_of_python_calls(open_replay_paint_save):
@@ -93,7 +94,7 @@ def test_open_makes_a_bounded_number_of_python_calls(open_replay_paint_save):
     finally:
         sys.setprofile(None)
         gc.enable()
-    assert calls <= 71306, f"the open made {calls} Python-level calls"
+    assert calls <= 63908, f"the open made {calls} Python-level calls"
 
 
 def layout_size(chains):
@@ -110,7 +111,7 @@ def layout_size(chains):
         [[number[node_id] for node_id in layer]
          for layer in layers_from_ranks(rank)],
         [(number[src], number[dst]) for src, dst in oriented])
-    points = sum(len(edge.points) for edge in layout_graph(graph).edges)
+    points = sum(map(len, layout_graph(graph).polylines))
     return segmented.size + len(segmented.segments), points
 
 

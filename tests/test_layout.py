@@ -20,6 +20,7 @@ from repro.layout.rank import assign_ranks, layers_from_ranks
 from repro.mal.parser import parse_instruction_text
 from repro.workloads import synthetic_plan
 
+from tests.boxes import boxes, lines
 from tests.test_layout_golden import dense_random_dag, dot_inputs
 
 
@@ -184,10 +185,11 @@ class TestOrdering:
         assert seg.size == 4
         assert sorted(seg.layers[1]) == [1, 3]  # the plan's __v0, then ours
         layout = layout_graph(g)
-        assert layout.nodes["__v0"].width >= 40.0
-        assert layout.nodes["__v0"].height >= 30.0
-        bend_x, bend_y = layout.edges[2].points[1]
-        assert not layout.nodes["__v0"].contains(bend_x, bend_y)
+        box = boxes(layout)["__v0"]
+        assert box.width >= 40.0
+        assert box.height >= 30.0
+        bend_x, bend_y = layout.polylines[2][1]
+        assert not box.contains(bend_x, bend_y)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -251,15 +253,15 @@ class TestOrdering:
         after = engines[1].layout(build(names))
         assert engines[0].last_crossings == engines[1].last_crossings
         for old, new in zip(original, names):
-            moved, kept = before.nodes[old], after.nodes[new]
+            moved, kept = boxes(before)[old], boxes(after)[new]
             assert (moved.x, moved.y, moved.width, moved.height,
                     moved.label, moved.rank) == \
                 (kept.x, kept.y, kept.width, kept.height, kept.label,
                  kept.rank)
         rename = dict(zip(original, names))
         assert [(rename[e.src], rename[e.dst], e.points)
-                for e in before.edges] == \
-            [(e.src, e.dst, e.points) for e in after.edges]
+                for e in lines(before)] == \
+            [(e.src, e.dst, e.points) for e in lines(after)]
 
     def test_sweeps_remove_trivial_crossing(self):
         g = Digraph()
@@ -274,7 +276,7 @@ class TestOrdering:
 class TestEngine:
     def test_every_node_positioned(self):
         layout = layout_graph(diamond())
-        assert set(layout.nodes) == {"a", "b", "c", "d"}
+        assert set(layout.node_ids) == {"a", "b", "c", "d"}
 
     def test_no_overlap_within_layer(self):
         program = parse_instruction_text("""
@@ -288,7 +290,7 @@ class TestEngine:
         """)
         layout = layout_graph(plan_to_graph(program))
         by_rank = {}
-        for node in layout.nodes.values():
+        for node in boxes(layout).values():
             by_rank.setdefault(node.rank, []).append(node)
         for nodes in by_rank.values():
             nodes.sort(key=lambda n: n.x)
@@ -299,45 +301,45 @@ class TestEngine:
 
     def test_edges_have_polylines(self):
         layout = layout_graph(diamond())
-        assert len(layout.edges) == 4
-        assert all(len(e.points) >= 2 for e in layout.edges)
+        assert len(layout.polylines) == 4
+        assert all(len(points) >= 2 for points in layout.polylines)
 
     def test_dependency_flows_downward(self):
         layout = layout_graph(diamond())
-        assert layout.nodes["a"].y < layout.nodes["b"].y < layout.nodes["d"].y
+        y = dict(zip(layout.node_ids, layout.ys))
+        assert y["a"] < y["b"] < y["d"]
 
     def test_bounds_positive(self):
         layout = layout_graph(diamond())
         assert layout.width > 0 and layout.height > 0
-        for node in layout.nodes.values():
+        for node in boxes(layout).values():
             assert node.left >= 0 and node.top >= 0
 
     def test_empty_graph(self):
         layout = layout_graph(Digraph())
-        assert layout.nodes == {} and layout.edges == []
+        assert layout.node_ids == [] and layout.polylines == []
 
     def test_single_node(self):
         g = Digraph()
         g.add_node("only", {"label": "hello"})
         layout = layout_graph(g)
-        assert layout.nodes["only"].label == "hello"
+        assert layout.labels == ["hello"]
 
     def test_self_loop_rendered(self):
         g = Digraph()
         g.add_edge("a", "a")
         layout = layout_graph(g)
-        assert len(layout.edges) == 1
-        assert len(layout.edges[0].points) == 3
+        assert len(layout.polylines) == 1
+        assert len(layout.polylines[0]) == 3
 
     def test_ring_laid_out(self):
         g = Digraph()
         for i in range(8):
             g.add_edge(f"n{i}", f"n{(i + 1) % 8}")
         layout = layout_graph(g)
-        assert len(layout.nodes) == 8 and len(layout.edges) == 8
+        assert len(layout.node_ids) == 8 and len(layout.polylines) == 8
         assert layout.width > 0 and layout.height > 0
-        for node in layout.nodes.values():
-            assert node.x >= 0 and node.y >= 0
+        assert min(layout.xs) >= 0 and min(layout.ys) >= 0
 
     def test_label_size_model(self):
         small_w, _ = node_size_for_label("ab")
@@ -352,7 +354,7 @@ class TestEngine:
         for i in range(1, 1200):
             g.add_edge(f"n{(i - 1) // 3}", f"n{i}")
         layout = layout_graph(g)
-        assert len(layout.nodes) == 1200
+        assert len(layout.node_ids) == 1200
 
 
 def reference_order(layers, segments, max_sweeps=8):
@@ -397,7 +399,7 @@ def reference_order(layers, segments, max_sweeps=8):
 def layer_orders(layout):
     """Each rank's real nodes, left to right."""
     by_rank = {}
-    for node in layout.nodes.values():
+    for node in boxes(layout).values():
         by_rank.setdefault(node.rank, []).append(node)
     return {rank: [node.node_id for node in sorted(nodes, key=lambda n: n.x)]
             for rank, nodes in by_rank.items()}
@@ -408,7 +410,7 @@ def check_drawing(graph, layout):
     rank never overlap, a polyline runs one way in y, and no bend sits
     inside a box its edge does not end at."""
     rows = {}
-    for node in layout.nodes.values():
+    for node in boxes(layout).values():
         rows.setdefault(node.rank, []).append(node)
     bands = []  # (top, bottom, lefts, nodes) per rank, sorted by top
     for nodes in rows.values():
@@ -419,8 +421,8 @@ def check_drawing(graph, layout):
                       [n.left for n in nodes], nodes))
     bands.sort(key=lambda band: band[0])
     tops = [band[0] for band in bands]
-    assert len(layout.edges) == graph.edge_count()
-    for edge in layout.edges:
+    assert len(layout.polylines) == graph.edge_count()
+    for edge in lines(layout):
         ys = [y for _x, y in edge.points]
         assert ys == sorted(ys) or ys == sorted(ys, reverse=True), edge
         for x, y in edge.points[1:-1]:
@@ -571,10 +573,10 @@ def check_long_edges(graph, layout):
     """An edge spanning three ranks or more is drawn with four points,
     its p -> q run is vertical, and the run passes no box of the ranks
     between (except boxes it ends at)."""
-    boxes = list(layout.nodes.values())
+    box_of = boxes(layout)
     long_edges = 0
-    for edge in layout.edges:
-        src, dst = layout.nodes[edge.src], layout.nodes[edge.dst]
+    for edge in lines(layout):
+        src, dst = box_of[edge.src], box_of[edge.dst]
         if edge.src == edge.dst or abs(dst.rank - src.rank) < 3:
             continue
         long_edges += 1
@@ -582,7 +584,7 @@ def check_long_edges(graph, layout):
         _start, (px, py), (qx, qy), _end = edge.points
         assert px == qx, edge
         low, high = min(py, qy), max(py, qy)
-        for box in boxes:
+        for box in box_of.values():
             if box.node_id in (edge.src, edge.dst):
                 continue
             if box.bottom > low and box.top < high:
@@ -615,10 +617,10 @@ class TestBounds:
 
     def check(self, graph):
         layout = layout_graph(graph)
-        for edge in layout.edges:
-            for x, y in edge.points:
-                assert 0 <= x <= layout.width, (edge, layout.width)
-                assert 0 <= y <= layout.height, (edge, layout.height)
+        for points in layout.polylines:
+            for x, y in points:
+                assert 0 <= x <= layout.width, (points, layout.width)
+                assert 0 <= y <= layout.height, (points, layout.height)
 
     def test_self_loop(self):
         g = Digraph()

@@ -14,6 +14,8 @@ from repro.profiler.events import TraceEvent
 from repro.viz import Animator, View, build_virtual_space
 from repro.viz.color import GREEN, RED
 
+from tests.boxes import boxes
+
 PLAN_TEXT = """
     X_1 := sql.mvc();
     X_2 := sql.bind(X_1,"sys","t","a",0);
@@ -91,7 +93,7 @@ class TestNavigator:
         view = View(space)
         navigator = Navigator(graph, layout, view=view)
         navigator.goto("n4")
-        node = layout.nodes["n4"]
+        node = boxes(layout)["n4"]
         assert (view.camera.x, view.camera.y) == (node.x, node.y)
 
     def test_animated_camera(self, setup):
@@ -103,7 +105,7 @@ class TestNavigator:
         navigator.goto("n4")
         assert animator.active == 1
         animator.run_to_completion()
-        node = layout.nodes["n4"]
+        node = boxes(layout)["n4"]
         assert view.camera.x == pytest.approx(node.x)
 
     def test_next_colored(self, setup):

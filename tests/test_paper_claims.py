@@ -90,7 +90,7 @@ class TestFeatureList:
         graph = plan_to_graph(plan)
         assert graph.node_count() > 1000
         layout = layout_graph(graph)
-        assert len(layout.nodes) == graph.node_count()
+        assert len(layout.node_ids) == graph.node_count()
 
 
 class TestSection421:
@@ -133,7 +133,7 @@ class TestSection4Workflow:
         from repro.svg import layout_to_svg, parse_svg, svg_to_graph
 
         svg_text = layout_to_svg(session.layout)
-        assert set(parse_svg(svg_text).nodes) == set(session.graph.nodes)
+        assert set(parse_svg(svg_text).node_ids) == set(session.graph.nodes)
         graph = svg_to_graph(svg_text)
         for node_id, node in session.graph.nodes.items():
             assert graph.node(node_id).label == node.label

@@ -16,6 +16,8 @@ from repro.storage import BAT, INT, STR, Catalog, nil
 from repro.storage.types import format_value, parse_value
 from repro.viz.color import GREEN, RED, Color
 
+from tests.boxes import boxes
+
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -170,10 +172,10 @@ class TestLayoutProperties:
             return
         layout = layout_graph(graph)
         # every node placed
-        assert set(layout.nodes) == set(graph.nodes)
+        assert set(layout.node_ids) == set(graph.nodes)
         # no same-rank overlap
         by_rank = {}
-        for node in layout.nodes.values():
+        for node in boxes(layout).values():
             by_rank.setdefault(node.rank, []).append(node)
         for nodes in by_rank.values():
             nodes.sort(key=lambda n: n.x)
@@ -190,8 +192,8 @@ class TestLayoutProperties:
         for src, dst in edge_list:
             graph.add_edge(f"a{src}", f"b{dst}")
         layout = layout_graph(graph)
-        assert len(layout.edges) == graph.edge_count()
-        assert all(len(e.points) >= 2 for e in layout.edges)
+        assert len(layout.polylines) == graph.edge_count()
+        assert all(len(points) >= 2 for points in layout.polylines)
 
 
 # ---------------------------------------------------------------------------

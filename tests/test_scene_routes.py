@@ -26,6 +26,8 @@ from repro.svg.writer import MARGIN
 from repro.tpch import populate, query_sql
 from repro.workloads import synthetic_plan
 
+from tests.boxes import boxes
+
 PROFILED_QUERIES = ("q6", "q1", "q3", "q5", "q18")
 PROFILED_WORKERS = (2, 8)
 SYNTHETIC_CHAINS = (13, 40, 143)
@@ -48,17 +50,18 @@ def assert_routes_agree(dot_text: str) -> None:
         == [graph.node(n).label for n in graph.nodes]
     assert [(e.src, e.dst) for e in recovered.edges] \
         == [(e.src, e.dst) for e in graph.edges]
-    for node_id, box in layout.nodes.items():
+    for node_id, box in boxes(layout).items():
         attrs = recovered.node(node_id).attrs
         assert attrs["width"] == f"{box.width:.1f}"
         assert attrs["height"] == f"{box.height:.1f}"
         assert abs(float(attrs["x"]) - MARGIN - box.x) <= CENTRE_TOLERANCE
         assert abs(float(attrs["y"]) - MARGIN - box.y) <= CENTRE_TOLERANCE
-    parsed = parse_svg(text).edges
-    assert len(parsed) == len(layout.edges)
-    for edge, read in zip(layout.edges, parsed):
-        assert len(read.points) == len(edge.points), edge
-        for (x, y), (read_x, read_y) in zip(edge.points, read.points):
+    parsed = parse_svg(text)
+    assert parsed.edges == layout.edges
+    for edge, points, read in zip(layout.edges, layout.polylines,
+                                  parsed.polylines):
+        assert len(read) == len(points), edge
+        for (x, y), (read_x, read_y) in zip(points, read):
             assert abs(read_x - MARGIN - x) <= POINT_TOLERANCE, edge
             assert abs(read_y - MARGIN - y) <= POINT_TOLERANCE, edge
 

@@ -9,6 +9,8 @@ from repro.mal.parser import parse_instruction_text
 from repro.svg import layout_to_svg, parse_svg, svg_to_graph
 from repro.svg.writer import MARGIN
 
+from tests.boxes import boxes
+
 PLAN_TEXT = """
     X_1 := sql.mvc();
     X_2 := sql.bind(X_1,"sys","t","x",0);
@@ -38,38 +40,40 @@ class TestWriter:
         g.add_node("a", {"label": "x < y & z"})
         text = layout_to_svg(layout_graph(g))
         assert "x &lt; y &amp; z" in text
-        assert parse_svg(text).nodes["a"].label == "x < y & z"
+        assert parse_svg(text).labels == ["x < y & z"]
 
     def test_characters_xml_forbids_are_replaced(self):
         g = Digraph()
         g.add_node("a\x02", {"label": "x\x01y\ufffe"})
         g.add_edge("a\x02", "b")
         layout = parse_svg(layout_to_svg(layout_graph(g)))
-        assert layout.nodes["a\ufffd"].label == "x\ufffdy\ufffd"
-        assert [(e.src, e.dst) for e in layout.edges] == [("a\ufffd", "b")]
+        assert layout.node_ids[0] == "a\ufffd"
+        assert layout.labels[0] == "x\ufffdy\ufffd"
+        assert layout.edges == [("a\ufffd", "b")]
 
     def test_scene_counts(self, plan_layout):
         layout = parse_svg(layout_to_svg(plan_layout))
-        assert len(layout.nodes) == 4
+        assert len(layout.node_ids) == 4
         assert len(layout.edges) == 3
 
 
 class TestParser:
     def test_roundtrip_geometry(self, plan_layout):
         layout = parse_svg(layout_to_svg(plan_layout))
-        for node_id, node in plan_layout.nodes.items():
-            parsed = layout.nodes[node_id]
+        parsed_boxes = boxes(layout)
+        for node_id, node in boxes(plan_layout).items():
+            parsed = parsed_boxes[node_id]
             assert parsed.x == pytest.approx(node.x + MARGIN, abs=0.1)
             assert parsed.y == pytest.approx(node.y + MARGIN, abs=0.1)
             assert parsed.width == pytest.approx(node.width, abs=0.1)
 
     def test_roundtrip_labels(self, plan_layout):
         layout = parse_svg(layout_to_svg(plan_layout))
-        assert layout.nodes["n0"].label.startswith("X_1 := sql.mvc()")
+        assert boxes(layout)["n0"].label.startswith("X_1 := sql.mvc()")
 
     def test_roundtrip_edges(self, plan_layout):
         layout = parse_svg(layout_to_svg(plan_layout))
-        pairs = {(e.src, e.dst) for e in layout.edges}
+        pairs = set(layout.edges)
         assert ("n1", "n2") in pairs
 
     def test_svg_to_graph_structure(self, plan_layout):
@@ -126,7 +130,7 @@ class TestParser:
             '<g class="decoration"><rect x="0" y="0" width="5" height="5"/>'
             "</g></svg>"
         )
-        assert parse_svg(text).nodes == {}
+        assert parse_svg(text).node_ids == []
 
 
 class TestWorkflowChain:

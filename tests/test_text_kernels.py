@@ -5,11 +5,15 @@ the trace-line parser.
 Each oracle below is the straightforward version these kernels started
 from, kept here verbatim: the one-regex ``split`` tokenizer, ``escape``
 and ``quoteattr`` over the U+FFFD substitution, and the eight-``group``
-line parser.  The kernels in ``src/`` may be rewritten for speed; they
-must give what the oracle gives, error messages included.
+line parser, whose statement is unescaped one character at a time
+since line feeds and carriage returns are escaped too.  The kernels in
+``src/`` may be rewritten for speed; they must give what the oracle
+gives, error messages included.
 """
 
+import os
 import re
+import tempfile
 from dataclasses import fields
 from itertools import islice
 from xml.sax.saxutils import escape, quoteattr
@@ -21,6 +25,7 @@ from hypothesis import example, given, settings
 from repro.dot.parser import _tokenize
 from repro.errors import DotParseError, TraceFormatError
 from repro.profiler.events import TraceEvent, format_event, parse_event
+from repro.profiler.traceio import read_trace, write_trace
 from repro.svg.writer import xml_attr, xml_text
 
 # ---------------------------------------------------------------------
@@ -137,11 +142,28 @@ _ORACLE_LINE_RE = re.compile(
 )
 
 
+#: what a backslash and the character after it stand for
+_ORACLE_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "r": "\r"}
+
+
+def oracle_unescape(text):
+    """Left to right: a backslash and the character after it are one
+    escape; one the format does not define stays as it is."""
+    out = []
+    chars = iter(text)
+    for char in chars:
+        if char == "\\":
+            after = next(chars, "")
+            char = _ORACLE_ESCAPES.get(after, char + after)
+        out.append(char)
+    return "".join(out)
+
+
 def oracle_parse_event(line):
     match = _ORACLE_LINE_RE.match(line.strip())
     if match is None:
         raise TraceFormatError(f"bad trace line: {line!r}")
-    stmt = match.group(8).replace('\\"', '"').replace("\\\\", "\\")
+    stmt = oracle_unescape(match.group(8))
     return TraceEvent(
         event=int(match.group(1)),
         clock_usec=int(match.group(2)),
@@ -169,7 +191,8 @@ _EVENTS = st.builds(
 _LINE_EDITS = st.sampled_from([
     ("", ""), (",", ""), ("\t", "  "), ('"', ""), ('"', '\\"'),
     ("done", "doing"), ("start", "Start"), ("[", ""), ("]", "]]"),
-    ("1", "-1"), ("1", "x"), ("\\", "\\\\"), ("[ ", "["),
+    ("1", "-1"), ("1", "x"), ("\\", "\\\\"), ("[ ", "["), ("\\n", "\n"),
+    ("\\", ""),
 ])
 
 
@@ -196,6 +219,17 @@ class TestTraceLines:
         line = format_event(event)
         assert parse_event(line) == event
         assert_same_parse(line)
+
+    @given(st.lists(_EVENTS, max_size=4))
+    @example([TraceEvent(1, 2, "done", 3, 0, 5, 6, 'X_1:str := "a\nb";')])
+    @example([TraceEvent(1, 2, "done", 3, 0, 5, 6, "\\\r\\n\\")])
+    @settings(max_examples=300, deadline=None)
+    def test_a_trace_file_round_trips_every_statement(self, events):
+        """One physical line per event, whatever its statement holds."""
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "events.trace")
+            write_trace(events, path)
+            assert read_trace(path) == events
 
     @given(_EVENTS, _LINE_EDITS, st.sampled_from(["", " ", "\n", "\t "]))
     @settings(max_examples=1000, deadline=None)

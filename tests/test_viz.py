@@ -25,6 +25,8 @@ from repro.viz.camera import FOCAL
 from repro.viz.color import gradient_for
 from repro.viz.glyph import EdgeGlyph, TextGlyph
 
+from tests.test_layout_golden import dot_inputs
+
 PLAN_TEXT = """
     X_1 := sql.mvc();
     X_2 := sql.bind(X_1,"sys","t","x",0);
@@ -104,14 +106,15 @@ class TestVirtualSpace:
 
 
 _COORD = st.floats(-1e4, 1e4)
-_GLYPHS = st.lists(st.one_of(
+_GLYPH = st.one_of(
     st.builds(RectangleGlyph, st.just(""), st.booleans(), _COORD, _COORD,
               st.floats(-500, 500), st.floats(-500, 500)),
     st.builds(TextGlyph, st.just(""), st.booleans(), _COORD, _COORD,
               st.text(max_size=30)),
     st.builds(EdgeGlyph, st.just(""), st.booleans(),
               st.lists(st.tuples(_COORD, _COORD), max_size=5)),
-), max_size=12)
+)
+_GLYPHS = st.lists(_GLYPH, max_size=12)
 
 
 def reference_bounds(glyphs):
@@ -137,6 +140,63 @@ def test_space_bounds_are_the_union_of_glyph_bounds(glyphs):
         glyph.glyph_id = f"g{index}"
         space.add(glyph)
     assert space.bounds() == reference_bounds(glyphs)
+
+
+def assert_bounds_kept(space, extra, victim):
+    """The bounds ``space`` took when it was built are the union of its
+    glyphs' own, and so are the ones it takes after ``extra`` is added
+    and after the glyph ``victim`` and then ``extra`` are removed."""
+    assert space.bounds() == reference_bounds(space)
+    extra.glyph_id = "extra"
+    space.add(extra)
+    assert space.bounds() == reference_bounds(space)
+    space.remove(victim)
+    assert space.bounds() == reference_bounds(space)
+    space.remove("extra")
+    assert space.bounds() == reference_bounds(space)
+
+
+@st.composite
+def random_dags(draw):
+    """A DAG of up to 9 nodes, labels with line breaks, long edges and
+    self-loops included."""
+    count = draw(st.integers(1, 9))
+    graph = Digraph()
+    for index in range(count):
+        graph.add_node(f"n{index}", {"label": draw(_LABELS)})
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, count - 1),
+                                            st.integers(0, count - 1)),
+                                  max_size=14)):
+        graph.add_edge(f"n{min(src, dst)}", f"n{max(src, dst)}")
+    return graph
+
+
+@given(random_dags(), _GLYPH, st.data())
+@settings(max_examples=200, deadline=None)
+def test_bounds_taken_at_build_are_the_union_of_glyph_bounds(graph, extra,
+                                                              data):
+    space = build_virtual_space(layout_graph(graph))
+    victim = data.draw(st.sampled_from([glyph.glyph_id for glyph in space]))
+    assert_bounds_kept(space, extra, victim)
+
+
+@pytest.fixture(scope="module")
+def replay_plans():
+    """The thirteen ``steth_replay`` plans, as dot text."""
+    inputs = dot_inputs()
+    del inputs["dense_random_dag"]
+    return inputs
+
+
+def test_replay_plans_take_their_bounds_at_build(replay_plans):
+    assert len(replay_plans) == 13
+    for dot_text in replay_plans.values():
+        space = build_virtual_space(layout_graph(parse_dot(dot_text)))
+        left, top, right, bottom = space.bounds()
+        # a box past the bottom right, then the glyph that held the left
+        extra = RectangleGlyph("", True, right + 100, bottom + 100, 50, 50)
+        victim = min(space, key=lambda glyph: glyph.bounds()[0]).glyph_id
+        assert_bounds_kept(space, extra, victim)
 
 
 #: labels with line breaks of the kinds ``str.splitlines`` splits on
