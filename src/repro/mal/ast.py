@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import MalError
 from repro.storage.catalog import UNOBSERVED, Observed
@@ -184,13 +184,15 @@ class MalProgram:
     # construction
     # ------------------------------------------------------------------
 
-    def new_var(self, type_spec: TypeSpec = ANY) -> str:
-        """Allocate a fresh variable name (``X_<n>``) with a type."""
+    def new_var(self, type_spec: Optional[TypeSpec] = None) -> str:
+        """Allocate a fresh variable name (``X_<n>``) with a type; without
+        one, :meth:`add` types it by its kernel."""
         while True:
             name = f"X_{self._counter}"
             self._counter += 1
             if name not in self.var_types:
-                self.var_types[name] = type_spec
+                if type_spec is not None:
+                    self.var_types[name] = type_spec
                 return name
 
     def declare(self, name: str, type_spec: TypeSpec = ANY) -> str:
@@ -202,22 +204,36 @@ class MalProgram:
 
     def add(self, module: str, function: str, args: Sequence[Argument] = (),
             results: Sequence[str] = ()) -> MalInstruction:
-        """Append an instruction; result variables must be declared or are
-        auto-declared with unknown type."""
-        for res in results:
-            if res not in self.var_types:
-                self.var_types[res] = ANY
+        """Append an instruction; a result not declared yet takes the type
+        its kernel returns (:meth:`type_results`), ``ANY`` if unknown."""
         instr = MalInstruction(list(results), module, function, list(args),
                                pc=len(self.instructions))
+        self.type_results(instr)
         self.instructions.append(instr)
         return instr
 
+    def type_results(self, instr: MalInstruction) -> None:
+        """Declare each result of ``instr`` not declared yet with the type
+        its kernel returns (:func:`repro.mal.modules.result_types`)."""
+        types, derived = self.var_types, None
+        for index, name in enumerate(instr.results):
+            if name not in types:
+                if derived is None:
+                    derived = _kernels.result_types(instr, types)
+                types[name] = derived[index] if index < len(derived) else ANY
+
     def call(self, module: str, function: str, args: Sequence[Argument] = (),
-             result_type: TypeSpec = ANY) -> Var:
-        """Append a single-result instruction and return a Var for it."""
-        result = self.new_var(result_type)
-        self.add(module, function, args, [result])
-        return Var(result)
+             result_type: Optional[TypeSpec] = None) -> Var:
+        """Append a single-result instruction and return a Var for it,
+        typed ``result_type`` or by its kernel, as :meth:`add` types it."""
+        instr = MalInstruction([], module, function, list(args),
+                               len(self.instructions))
+        if result_type is None:
+            result_type = (_kernels.result_types(instr, self.var_types)
+                           or (ANY,))[0]
+        instr.results.append(self.new_var(result_type))
+        self.instructions.append(instr)
+        return Var(instr.results[0])
 
     def renumber(self) -> None:
         """Re-assign pcs after structural edits (optimizer passes)."""
@@ -359,10 +375,17 @@ class MalProgram:
         return DefUse(sites, last_use)
 
     def validate(self) -> None:
-        """Check SSA discipline and use-before-def; raises MalError."""
+        """Check SSA discipline, use-before-def and every instruction
+        against its kernel's signature
+        (:func:`repro.mal.modules.check_types`); raises MalError."""
         self.derived(MalProgram.def_use)
+        _kernels.check_types(self)
 
     def __str__(self) -> str:
         from repro.mal.printer import format_program
 
         return format_program(self)
+
+
+# The kernel registry decides result types; its modules import this one.
+from repro.mal import modules as _kernels  # noqa: E402

@@ -124,10 +124,8 @@ class CostModel:
         "algebra.thetaselect": "scan",
         "algebra.likeselect": "scan",
         "algebra.leftjoin": "join",
-        "algebra.leftfetchjoin": "join",
         "algebra.join": "join",
         "algebra.semijoin": "join",
-        "algebra.kdifference": "join",
         "algebra.sortTail": "sort",
         "algebra.sortReverseTail": "sort",
         "group.new": "group",

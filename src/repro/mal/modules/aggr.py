@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from repro.errors import MalRuntimeError, MalTypeError
-from repro.mal.modules import register
+from repro.mal.ast import bat_of, scalar_of
+from repro.mal.modules import Signature, declared, register
 from repro.storage.bat import BAT
+from repro.storage.types import DBL, LNG
 
 
 def _aggregate(name: str):
@@ -27,5 +29,16 @@ def _aggregate(name: str):
     return impl
 
 
+def _signature(name: str) -> Signature:
+    """Of ``lng`` (counts), ``dbl`` (``avg``) or b's tail: a scalar for
+    ``aggr.f(b)``, a BAT for ``aggr.f(b, g, e)``."""
+    fixed = {"count": LNG, "count_no_nil": LNG, "avg": DBL}.get(name)
+    kind = f"`:{fixed.name}`" if fixed else "the tail of argument 1"
+    return Signature(
+        f"{kind}: a scalar, or a BAT when grouped",
+        lambda args, var_types: ((scalar_of if len(args) == 1 else bat_of)(
+            (fixed or declared(args[0], var_types).tail).name),))
+
+
 for _name in ("count", "count_no_nil", "sum", "min", "max", "avg"):
-    register(f"aggr.{_name}")(_aggregate(_name))
+    register(f"aggr.{_name}", _signature(_name))(_aggregate(_name))

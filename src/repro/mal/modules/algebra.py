@@ -8,7 +8,9 @@ These carry the old (2012-era) MonetDB semantics the paper's plans use:
 from __future__ import annotations
 
 from repro.errors import MalRuntimeError, MalTypeError
-from repro.mal.modules import register
+from repro.mal.ast import bat_of
+from repro.mal.modules import (Signature, declared, operand, register,
+                               tail_of)
 from repro.storage.bat import BAT
 
 
@@ -18,7 +20,7 @@ def _require_bat(value, name: str) -> BAT:
     return value
 
 
-@register("algebra.select")
+@register("algebra.select", tail_of(0))
 def select(ctx, instr, args):
     """``select(b, val)`` point or ``select(b, low, high[, li, hi])`` range
     selection over the tail."""
@@ -33,21 +35,21 @@ def select(ctx, instr, args):
     raise MalRuntimeError("algebra.select expects 2, 3 or 5 arguments")
 
 
-@register("algebra.thetaselect")
+@register("algebra.thetaselect", tail_of(0))
 def thetaselect(ctx, instr, args):
     """``thetaselect(b, val, op)`` selection with a comparison operator."""
     bat = _require_bat(args[0], "algebra.thetaselect")
     return bat.thetaselect(args[1], str(args[2]))
 
 
-@register("algebra.likeselect")
+@register("algebra.likeselect", tail_of(0))
 def likeselect(ctx, instr, args):
     """``likeselect(b, pattern)`` SQL LIKE selection over string tails."""
     bat = _require_bat(args[0], "algebra.likeselect")
     return bat.likeselect(str(args[1]))
 
 
-@register("algebra.leftjoin")
+@register("algebra.leftjoin", tail_of(1))
 def leftjoin(ctx, instr, args):
     """``leftjoin(a, b)``: match a's tail against b's head, keep a's order."""
     return _require_bat(args[0], "algebra.leftjoin").leftjoin(
@@ -55,15 +57,7 @@ def leftjoin(ctx, instr, args):
     )
 
 
-@register("algebra.leftfetchjoin")
-def leftfetchjoin(ctx, instr, args):
-    """``leftfetchjoin(a, b)``: positional projection, errors on misses."""
-    return _require_bat(args[0], "algebra.leftfetchjoin").leftfetchjoin(
-        _require_bat(args[1], "algebra.leftfetchjoin")
-    )
-
-
-@register("algebra.join")
+@register("algebra.join", tail_of(1))
 def join(ctx, instr, args):
     """``join(a, b)``: equi-join a's tail with b's head."""
     return _require_bat(args[0], "algebra.join").join(
@@ -71,7 +65,7 @@ def join(ctx, instr, args):
     )
 
 
-@register("algebra.semijoin")
+@register("algebra.semijoin", tail_of(0))
 def semijoin(ctx, instr, args):
     """``semijoin(a, b)``: keep a's associations whose head occurs in b."""
     return _require_bat(args[0], "algebra.semijoin").semijoin(
@@ -79,15 +73,7 @@ def semijoin(ctx, instr, args):
     )
 
 
-@register("algebra.kdifference")
-def kdifference(ctx, instr, args):
-    """``kdifference(a, b)``: drop a's associations whose head occurs in b."""
-    return _require_bat(args[0], "algebra.kdifference").kdifference(
-        _require_bat(args[1], "algebra.kdifference")
-    )
-
-
-@register("algebra.markT")
+@register("algebra.markT", tail_of(0))
 def mark_t(ctx, instr, args):
     """``markT(b[, base])``: renumber the head as a dense sequence."""
     bat = _require_bat(args[0], "algebra.markT")
@@ -95,26 +81,36 @@ def mark_t(ctx, instr, args):
     return bat.mark(base)
 
 
-@register("algebra.slice")
+@register("algebra.slice", tail_of(0))
 def slice_(ctx, instr, args):
     """``slice(b, first, last)``: positional window, both ends inclusive."""
     bat = _require_bat(args[0], "algebra.slice")
     return bat.slice_(int(args[1]), int(args[2]))
 
 
-@register("algebra.sortTail")
+@register("algebra.sortTail", tail_of(0))
 def sort_tail(ctx, instr, args):
     """``sortTail(b)``: ascending stable sort on tail values."""
     return _require_bat(args[0], "algebra.sortTail").sort()
 
 
-@register("algebra.sortReverseTail")
+@register("algebra.sortReverseTail", tail_of(0))
 def sort_reverse_tail(ctx, instr, args):
     """``sortReverseTail(b)``: descending stable sort on tail values."""
     return _require_bat(args[0], "algebra.sortReverseTail").sort(reverse=True)
 
 
-@register("algebra.project")
+def _project(args, var_types):
+    tail = operand(args[1], var_types)[1]
+    return (bat_of((tail or declared(args[0], var_types).tail).name),)
+
+
+#: ``BAT.project`` types the column by its value, or as b's tail for nil
+_PROJECT = Signature("a BAT of the constant's atom (of argument 1's tail "
+                     "for nil)", _project)
+
+
+@register("algebra.project", _PROJECT)
 def project(ctx, instr, args):
     """``project(b, v)``: constant tail ``v`` under b's head column."""
     bat = _require_bat(args[0], "algebra.project")

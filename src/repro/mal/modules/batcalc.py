@@ -6,8 +6,10 @@ combinations, mirroring MonetDB's overloads; nil propagates per element.
 
 from __future__ import annotations
 
-from repro.errors import MalRuntimeError, MalTypeError
-from repro.mal.modules import register
+from repro.errors import MalTypeError
+from repro.mal.ast import bat_of
+from repro.mal.modules import (BIT_BAT, binary, promoted, register, returns,
+                               tail_of)
 from repro.storage.bat import BAT
 from repro.storage.types import (cast_value, infer_type, nil, promote,
                                  type_by_name)
@@ -47,10 +49,10 @@ def _binary(name: str):
 
 
 for _name in _SYMBOL:
-    register(f"batcalc.{_name}")(_binary(_name))
+    register(f"batcalc.{_name}", binary(_name, bat_of))(_binary(_name))
 
 
-@register("batcalc.not")
+@register("batcalc.not", tail_of(0))
 def not_(ctx, instr, args):
     """``batcalc.not(b)``: elementwise boolean negation."""
     bat = args[0]
@@ -61,7 +63,7 @@ def not_(ctx, instr, args):
     return out
 
 
-@register("batcalc.neg")
+@register("batcalc.neg", tail_of(0))
 def neg(ctx, instr, args):
     """``batcalc.neg(b)``: elementwise arithmetic negation (``-v``, so
     ``-0.0`` keeps its sign), nil-propagating."""
@@ -73,7 +75,7 @@ def neg(ctx, instr, args):
     return out
 
 
-@register("batcalc.contains")
+@register("batcalc.contains", returns(BIT_BAT))
 def contains(ctx, instr, args):
     """``batcalc.contains(b, members)``: elementwise SQL IN over the
     member BAT's tail values.
@@ -104,7 +106,7 @@ def contains(ctx, instr, args):
     return out
 
 
-@register("batcalc.isnil")
+@register("batcalc.isnil", returns(BIT_BAT))
 def isnil(ctx, instr, args):
     """``batcalc.isnil(b)``: elementwise nil test (never nil itself)."""
     bat = args[0]
@@ -124,7 +126,7 @@ def _branch_type(branch):
     return None if branch is nil else infer_type(branch)
 
 
-@register("batcalc.ifthenelse")
+@register("batcalc.ifthenelse", promoted(bat_of, first=1))
 def ifthenelse(ctx, instr, args):
     """``batcalc.ifthenelse(cond, t, f)`` with BAT condition and scalar or
     BAT branches.
@@ -173,4 +175,5 @@ def _cast(type_name: str):
 
 
 for _type_name in ("bit", "int", "lng", "flt", "dbl", "str", "oid"):
-    register(f"batcalc.{_type_name}")(_cast(_type_name))
+    register(f"batcalc.{_type_name}", returns(bat_of(_type_name)))(
+        _cast(_type_name))

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from repro.errors import MalRuntimeError, MalTypeError
-from repro.mal.ast import Const
-from repro.mal.modules import register
+from repro.mal.ast import Const, bat_of
+from repro.mal.modules import (OID_BAT, Signature, Unknown, register, returns,
+                               tail_of)
 from repro.storage.bat import BAT
-from repro.storage.types import type_by_name
 
 
 def _require_bat(value, name: str) -> BAT:
@@ -15,28 +15,24 @@ def _require_bat(value, name: str) -> BAT:
     return value
 
 
-@register("bat.new")
+def _new(args, var_types):
+    tail = args[1].mal_type if args[1].__class__ is Const else None
+    if tail is None:
+        raise Unknown
+    return (bat_of(tail.name),)
+
+
+@register("bat.new", Signature("a BAT of argument 2's typed constant", _new))
 def new(ctx, instr, args):
-    """``bat.new(nil:oid, nil:<tail>)``: an empty BAT.
-
-    The tail type comes from the literal type annotation of the second
-    argument, or from the instruction's declared result type.
-    """
-    tail_type = None
-    if len(instr.args) >= 2 and isinstance(instr.args[1], Const):
-        tail_type = instr.args[1].mal_type
-    if tail_type is None and instr.results:
-        spec = None
-        if ctx.program is not None:
-            spec = ctx.program.type_of(instr.results[0])
-        if spec is not None and spec.is_bat and spec.tail is not None:
-            tail_type = spec.tail
-    if tail_type is None:
-        raise MalRuntimeError("bat.new cannot determine its tail type")
-    return BAT(tail_type)
+    """``bat.new(nil:oid, nil:<tail>)``: an empty BAT, its tail type the
+    second argument's literal type annotation (its signature)."""
+    try:
+        return BAT(_new(instr.args, None)[0].tail)
+    except (Unknown, IndexError):
+        raise MalRuntimeError("bat.new needs a typed nil:<tail>") from None
 
 
-@register("bat.append")
+@register("bat.append", tail_of(0))
 def append(ctx, instr, args):
     """``bat.append(b, v)``: append a value; returns the same BAT."""
     bat = _require_bat(args[0], "bat.append")
@@ -44,7 +40,7 @@ def append(ctx, instr, args):
     return bat
 
 
-@register("bat.insert")
+@register("bat.insert", tail_of(0))
 def insert(ctx, instr, args):
     """``bat.insert(b, src)``: append all of src's tail values to b."""
     bat = _require_bat(args[0], "bat.insert")
@@ -53,25 +49,20 @@ def insert(ctx, instr, args):
     return bat
 
 
-@register("bat.reverse")
+@register("bat.reverse", returns(OID_BAT))
 def reverse(ctx, instr, args):
     """``bat.reverse(b)``: swap head and tail columns."""
     return _require_bat(args[0], "bat.reverse").reverse()
 
 
-@register("bat.mirror")
+@register("bat.mirror", returns(OID_BAT))
 def mirror(ctx, instr, args):
     """``bat.mirror(b)``: (head, head) identity pairs."""
     return _require_bat(args[0], "bat.mirror").mirror()
 
 
-@register("bat.copy")
+@register("bat.copy", tail_of(0))
 def copy(ctx, instr, args):
     """``bat.copy(b)``: an independent copy."""
     return _require_bat(args[0], "bat.copy").copy()
 
-
-@register("bat.setName")
-def set_name(ctx, instr, args):
-    """``bat.setName(b, name)``: administrative no-op kept for plan shape."""
-    return _require_bat(args[0], "bat.setName")

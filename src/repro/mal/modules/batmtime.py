@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from repro.errors import MalTypeError
-from repro.mal.modules import register
+from repro.mal.ast import bat_of
+from repro.mal.modules import register, returns
 from repro.mal.modules.mtime import adddays as _scalar_adddays
 from repro.mal.modules.mtime import addmonths as _scalar_addmonths
 from repro.storage.bat import BAT
@@ -24,14 +25,14 @@ def _map(bat: BAT, fn, out_type_name: str) -> BAT:
     return out
 
 
-@register("batmtime.year")
+@register("batmtime.year", returns(bat_of("int")))
 def year(ctx, instr, args):
     """``batmtime.year(b)``: elementwise calendar year."""
     bat = _require_bat(args[0], "batmtime.year")
     return _map(bat, lambda v: v.year, "int")
 
 
-@register("batmtime.adddays")
+@register("batmtime.adddays", returns(bat_of("date")))
 def adddays(ctx, instr, args):
     """``batmtime.adddays(b, n)``: elementwise date plus n days."""
     bat = _require_bat(args[0], "batmtime.adddays")
@@ -39,7 +40,7 @@ def adddays(ctx, instr, args):
     return _map(bat, lambda v: _scalar_adddays(ctx, instr, [v, days]), "date")
 
 
-@register("batmtime.addmonths")
+@register("batmtime.addmonths", returns(bat_of("date")))
 def addmonths(ctx, instr, args):
     """``batmtime.addmonths(b, n)``: elementwise date plus n months."""
     bat = _require_bat(args[0], "batmtime.addmonths")

@@ -5,7 +5,8 @@ from __future__ import annotations
 import re
 
 from repro.errors import MalTypeError
-from repro.mal.modules import register
+from repro.mal.ast import bat_of
+from repro.mal.modules import BIT_BAT, register, returns
 from repro.storage.bat import BAT
 from repro.storage.types import nil, type_by_name
 
@@ -24,7 +25,7 @@ def _map(bat: BAT, fn, out_type_name: str) -> BAT:
     return out
 
 
-@register("batstr.like")
+@register("batstr.like", returns(BIT_BAT))
 def like(ctx, instr, args):
     """``batstr.like(b, pattern)``: elementwise SQL LIKE giving a bit BAT
     (unlike ``algebra.likeselect``, which filters)."""
@@ -37,13 +38,13 @@ def like(ctx, instr, args):
     return _map(bat, lambda v: regex.match(v) is not None, "bit")
 
 
-@register("batstr.length")
+@register("batstr.length", returns(bat_of("int")))
 def length(ctx, instr, args):
     """``batstr.length(b)``: elementwise string length."""
     return _map(_require_str_bat(args[0], "batstr.length"), len, "int")
 
 
-@register("batstr.substring")
+@register("batstr.substring", returns(bat_of("str")))
 def substring(ctx, instr, args):
     """``batstr.substring(b, start, length)``: 1-based substring."""
     bat = _require_str_bat(args[0], "batstr.substring")
@@ -52,13 +53,7 @@ def substring(ctx, instr, args):
     return _map(bat, lambda v: v[begin : begin + count], "str")
 
 
-@register("batstr.toLower")
-def to_lower(ctx, instr, args):
-    """``batstr.toLower(b)``: elementwise lower-casing."""
-    return _map(_require_str_bat(args[0], "batstr.toLower"), str.lower, "str")
-
-
-@register("batstr.toUpper")
+@register("batstr.toUpper", returns(bat_of("str")))
 def to_upper(ctx, instr, args):
     """``batstr.toUpper(b)``: elementwise upper-casing."""
     return _map(_require_str_bat(args[0], "batstr.toUpper"), str.upper, "str")

@@ -8,8 +8,8 @@ through every operation, mirroring SQL three-valued logic.
 
 from __future__ import annotations
 
-from repro.errors import MalRuntimeError
-from repro.mal.modules import register
+from repro.mal.ast import scalar_of
+from repro.mal.modules import binary, promoted, register, returns, tail_of
 from repro.storage.types import cast_value, nil, type_by_name
 
 _BINARY = {
@@ -45,10 +45,10 @@ def _binary(name: str):
 
 
 for _name in _BINARY:
-    register(f"calc.{_name}")(_binary(_name))
+    register(f"calc.{_name}", binary(_name, scalar_of))(_binary(_name))
 
 
-@register("calc.not")
+@register("calc.not", returns(scalar_of("bit")))
 def not_(ctx, instr, args):
     """``calc.not(a)``: boolean negation, nil-propagating."""
     if args[0] is nil:
@@ -56,7 +56,7 @@ def not_(ctx, instr, args):
     return not args[0]
 
 
-@register("calc.neg")
+@register("calc.neg", tail_of(0, scalar_of))
 def neg(ctx, instr, args):
     """``calc.neg(a)``: arithmetic negation, nil-propagating."""
     if args[0] is nil:
@@ -64,25 +64,19 @@ def neg(ctx, instr, args):
     return -args[0]
 
 
-@register("calc.isnil")
+@register("calc.isnil", returns(scalar_of("bit")))
 def isnil(ctx, instr, args):
     """``calc.isnil(a)``: true iff a is nil."""
     return args[0] is nil
 
 
-@register("calc.ifthenelse")
+@register("calc.ifthenelse", promoted(scalar_of, first=1))
 def ifthenelse(ctx, instr, args):
     """``calc.ifthenelse(cond, t, f)``: nil condition yields nil."""
     cond = args[0]
     if cond is nil:
         return nil
     return args[1] if cond else args[2]
-
-
-@register("calc.identity")
-def identity(ctx, instr, args):
-    """``calc.identity(a)``: pass a value through (plan glue)."""
-    return args[0]
 
 
 def _cast(type_name: str):
@@ -96,4 +90,5 @@ def _cast(type_name: str):
 
 
 for _type_name in ("bit", "int", "lng", "flt", "dbl", "str", "oid", "date"):
-    register(f"calc.{_type_name}")(_cast(_type_name))
+    register(f"calc.{_type_name}", returns(scalar_of(_type_name)))(
+        _cast(_type_name))

@@ -7,11 +7,15 @@ grouped aggregates consume.
 from __future__ import annotations
 
 from repro.errors import MalTypeError
-from repro.mal.modules import register
+from repro.mal.ast import bat_of
+from repro.mal.modules import OID_BAT, register, returns
 from repro.storage.bat import BAT
 
+#: (groups, extents, histogram)
+_GROUPING = returns(OID_BAT, OID_BAT, bat_of("lng"))
 
-@register("group.new")
+
+@register("group.new", _GROUPING)
 def new(ctx, instr, args):
     """``(g, e, h) := group.new(b)``: group rows by tail value."""
     if not isinstance(args[0], BAT):
@@ -19,7 +23,7 @@ def new(ctx, instr, args):
     return args[0].group()
 
 
-@register("group.derive")
+@register("group.derive", _GROUPING)
 def derive(ctx, instr, args):
     """``(g, e, h) := group.derive(g0, b)``: refine grouping g0 by b."""
     groups, values = args[0], args[1]

@@ -8,16 +8,16 @@ planned *selective pruning* feature (reproduced in
 
 from __future__ import annotations
 
-from repro.mal.modules import register
+from repro.mal.modules import register, returns
 
 
-@register("language.pass")
+@register("language.pass", returns())
 def pass_(ctx, instr, args):
     """``language.pass(v)``: release a variable early; returns nothing."""
     return None
 
 
-@register("language.dataflow")
+@register("language.dataflow", returns())
 def dataflow(ctx, instr, args):
     """``language.dataflow()``: marker admitting parallel interpretation of
     the instructions that follow; a no-op for the sequential interpreter."""

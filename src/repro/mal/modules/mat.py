@@ -8,11 +8,11 @@ concatenates the per-partition results back into one BAT.
 from __future__ import annotations
 
 from repro.errors import MalRuntimeError, MalTypeError
-from repro.mal.modules import register
+from repro.mal.modules import register, tail_of
 from repro.storage.bat import BAT
 
 
-@register("mat.pack")
+@register("mat.pack", tail_of(0))
 def pack(ctx, instr, args):
     """``mat.pack(b1, b2, ...)``: concatenate partition results.
 

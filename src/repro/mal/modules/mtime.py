@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import datetime
 
-from repro.errors import MalTypeError
-from repro.mal.modules import register
+from repro.mal.ast import scalar_of
+from repro.mal.modules import register, returns
 from repro.storage.types import cast_value, nil, DATE
 
 
@@ -15,7 +15,7 @@ def _as_date(value):
     return cast_value(value, DATE)
 
 
-@register("mtime.adddays")
+@register("mtime.adddays", returns(scalar_of("date")))
 def adddays(ctx, instr, args):
     """``mtime.adddays(d, n)``: date plus n days (nil-propagating)."""
     date = _as_date(args[0])
@@ -24,7 +24,7 @@ def adddays(ctx, instr, args):
     return date + datetime.timedelta(days=int(args[1]))
 
 
-@register("mtime.addmonths")
+@register("mtime.addmonths", returns(scalar_of("date")))
 def addmonths(ctx, instr, args):
     """``mtime.addmonths(d, n)``: date plus n months, clamping the day to
     the target month's length (SQL interval semantics)."""
@@ -39,7 +39,7 @@ def addmonths(ctx, instr, args):
     return datetime.date(year, month, day)
 
 
-@register("mtime.year")
+@register("mtime.year", returns(scalar_of("int")))
 def year(ctx, instr, args):
     """``mtime.year(d)``: calendar year of a date."""
     date = _as_date(args[0])

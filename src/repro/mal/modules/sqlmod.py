@@ -9,10 +9,11 @@ finished :class:`ResultSet`.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.errors import MalRuntimeError, MalTypeError
-from repro.mal.modules import register
+from repro.mal.ast import scalar_of
+from repro.mal.modules import DECLARED, OID_BAT, register, returns, tail_of
 from repro.storage.bat import BAT
 
 
@@ -60,13 +61,17 @@ class ResultSet:
         return f"ResultSet({self.names}, {self.row_count()} rows)"
 
 
-@register("sql.mvc")
+#: handles (the transaction context, a result set) print as oids
+_HANDLE = returns(scalar_of("oid"))
+
+
+@register("sql.mvc", _HANDLE)
 def mvc(ctx, instr, args):
     """``sql.mvc()``: obtain the SQL transaction context handle."""
     return MvcHandle(ctx.catalog)
 
 
-@register("sql.bind")
+@register("sql.bind", DECLARED)
 def bind(ctx, instr, args):
     """``sql.bind(mvc, schema, table, column, access)``: the column's BAT.
 
@@ -89,7 +94,7 @@ def bind(ctx, instr, args):
     return bat.partitions(nparts)[part]
 
 
-@register("sql.tid")
+@register("sql.tid", returns(OID_BAT))
 def tid(ctx, instr, args):
     """``sql.tid(mvc, schema, table)``: the table's visible oids as a
     (void, oid) BAT — the candidate list of all rows, one BAT per row
@@ -99,13 +104,13 @@ def tid(ctx, instr, args):
     return ctx.catalog.schema(str(args[1])).table(str(args[2])).tid()
 
 
-@register("sql.resultSet")
+@register("sql.resultSet", _HANDLE)
 def result_set(ctx, instr, args):
     """``sql.resultSet(ncols, nrows)``: start building a result set."""
     return ResultSet()
 
 
-@register("sql.rsColumn")
+@register("sql.rsColumn", _HANDLE)
 def rs_column(ctx, instr, args):
     """``sql.rsColumn(rs, table, column, type, b)``: append one column.
 
@@ -121,7 +126,7 @@ def rs_column(ctx, instr, args):
     return rs
 
 
-@register("sql.exportResult")
+@register("sql.exportResult", returns())
 def export_result(ctx, instr, args):
     """``sql.exportResult(rs)``: hand the finished result to the client."""
     rs = args[0]
@@ -131,7 +136,7 @@ def export_result(ctx, instr, args):
     return None
 
 
-@register("sql.single")
+@register("sql.single", tail_of(0, scalar_of))
 def single(ctx, instr, args):
     """``sql.single(b)``: the scalar value of a one-row column.
 
@@ -150,14 +155,14 @@ def single(ctx, instr, args):
     return bat.tail[0]
 
 
-@register("sql.affectedRows")
+@register("sql.affectedRows", returns())
 def affected_rows(ctx, instr, args):
     """``sql.affectedRows(mvc, n)``: record a DML row count."""
     ctx.affected_rows = int(args[1])
     return None
 
 
-@register("sql.append")
+@register("sql.append", _HANDLE)
 def append(ctx, instr, args):
     """``sql.append(mvc, schema, table, column, b)``: append a BAT's tail
     to a stored column (simplified single-column INSERT path)."""

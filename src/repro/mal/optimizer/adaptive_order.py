@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.mal.ast import Const, MalInstruction, MalProgram, Var, bat_of
+from repro.mal.ast import Const, MalInstruction, MalProgram, Var
 from repro.metrics.families import ADAPTIVE_REORDERS
 from repro.stats import StatsStore, select_signature
 
@@ -45,18 +45,14 @@ _SELECTS = frozenset((
 class _Link:
     """One predicate of a select chain, in re-emittable form."""
 
-    __slots__ = ("pcs", "bind_var", "qname", "consts", "sel_type",
-                 "src_type", "cand_var")
+    __slots__ = ("pcs", "bind_var", "qname", "consts", "cand_var")
 
     def __init__(self, pcs: Set[int], bind_var: Var, qname: str,
-                 consts: Sequence[Const], sel_type, src_type,
-                 cand_var: str) -> None:
+                 consts: Sequence[Const], cand_var: str) -> None:
         self.pcs = pcs              # chain-owned pcs (not the bind)
         self.bind_var = bind_var    # the sql.bind result feeding the link
         self.qname = qname          # algebra.select / thetaselect / like
         self.consts = list(consts)  # the constant predicate arguments
-        self.sel_type = sel_type    # TypeSpec of the selection result
-        self.src_type = src_type    # TypeSpec of the leftjoin projection
         self.cand_var = cand_var    # candidate produced by this link
 
 
@@ -138,12 +134,12 @@ class AdaptiveOrder:
             first = self._as_select(sel, defs, users)
             if first is None:
                 continue
-            bind_var, qname, consts, sel_type = first
+            bind_var, qname, consts = first
             # the selection must feed this mirror and nothing else
             if users.get(sel.results[0], []) != [instr.pc]:
                 continue
             links = [_Link({sel.pc, instr.pc}, bind_var, qname, consts,
-                           sel_type, None, instr.results[0])]
+                           instr.results[0])]
             while True:
                 link = self._extend(program, links[-1], defs, users)
                 if link is None:
@@ -157,7 +153,7 @@ class AdaptiveOrder:
 
     @staticmethod
     def _as_select(sel: Optional[MalInstruction], defs, users):
-        """(bind_var, qname, consts, sel_type) when ``sel`` is a
+        """(bind_var, qname, consts) when ``sel`` is a
         selection reading a ``sql.bind`` directly; else None."""
         if sel is None or sel.qualified_name not in _SELECTS:
             return None
@@ -168,7 +164,7 @@ class AdaptiveOrder:
         bind = defs.get(sel.args[0].name)
         if bind is None or bind.qualified_name != "sql.bind":
             return None
-        return (sel.args[0], sel.qualified_name, sel.args[1:], None)
+        return (sel.args[0], sel.qualified_name, sel.args[1:])
 
     def _extend(self, program: MalProgram, prev: _Link,
                 defs: Dict[str, MalInstruction],
@@ -223,8 +219,7 @@ class AdaptiveOrder:
                 and semi.args[1].name == sel.results[0]):
             return None
         return _Link({join.pc, sel.pc, semi.pc}, join.args[1],
-                     sel.qualified_name, sel.args[1:], None, None,
-                     semi.results[0])
+                     sel.qualified_name, sel.args[1:], semi.results[0])
 
     # ------------------------------------------------------------------
     # decision + rewrite
@@ -280,21 +275,6 @@ class AdaptiveOrder:
             chain_pcs.update(link.pcs)
         insert_at = min(chain_pcs)
 
-        # record the original result types so re-emitted instructions
-        # carry the same TypeSpecs (sel type per link, src type per link)
-        sel_types = {}
-        src_types = {}
-        for link in links:
-            for pc in link.pcs:
-                instr = program.instructions[pc]
-                qname = instr.qualified_name
-                if qname in _SELECTS:
-                    sel_types[id(link)] = program.var_types.get(
-                        instr.results[0])
-                elif qname == "algebra.leftjoin":
-                    src_types[id(link)] = program.var_types.get(
-                        instr.results[0])
-
         # binds defined after the insertion point must be hoisted up to
         # it (they depend only on the mvc and constants, so this is
         # SSA-safe); binds already above the insertion point stay put
@@ -311,38 +291,37 @@ class AdaptiveOrder:
         moved_bind_pcs.sort()
 
         final_cand = links[-1].cand_var
-        oid_bat = bat_of("oid")
         emit: List[MalInstruction] = []
+
+        def link_step(qname: str, args: List, result: str) -> str:
+            """A re-emitted instruction, its fresh result typed by its
+            kernel (the chain's last candidate keeps its name)."""
+            module, function = qname.split(".")
+            instr = MalInstruction([result], module, function, args, pc=0)
+            program.type_results(instr)
+            emit.append(instr)
+            return result
+
         prev_cand: Optional[str] = None
         for position, index in enumerate(order):
             link = links[index]
             is_last = position == len(order) - 1
-            sel_type = sel_types.get(id(link)) or bat_of("oid")
-            sel_var = program.new_var(sel_type)
+            sel_var = program.new_var()
             if prev_cand is None:
-                emit.append(MalInstruction(
-                    [sel_var], link.qname.split(".")[0],
-                    link.qname.split(".")[1],
-                    [link.bind_var] + list(link.consts), pc=0))
-                cand_var = (final_cand if is_last
-                            else program.new_var(oid_bat))
-                emit.append(MalInstruction(
-                    [cand_var], "bat", "mirror", [Var(sel_var)], pc=0))
+                link_step(link.qname, [link.bind_var] + list(link.consts),
+                          sel_var)
+                cand_var = link_step(
+                    "bat.mirror", [Var(sel_var)],
+                    final_cand if is_last else program.new_var())
             else:
-                src_type = src_types.get(id(link)) or sel_type
-                src_var = program.new_var(src_type)
-                emit.append(MalInstruction(
-                    [src_var], "algebra", "leftjoin",
-                    [Var(prev_cand), link.bind_var], pc=0))
-                emit.append(MalInstruction(
-                    [sel_var], link.qname.split(".")[0],
-                    link.qname.split(".")[1],
-                    [Var(src_var)] + list(link.consts), pc=0))
-                cand_var = (final_cand if is_last
-                            else program.new_var(oid_bat))
-                emit.append(MalInstruction(
-                    [cand_var], "algebra", "semijoin",
-                    [Var(prev_cand), Var(sel_var)], pc=0))
+                src_var = link_step(
+                    "algebra.leftjoin", [Var(prev_cand), link.bind_var],
+                    program.new_var())
+                link_step(link.qname, [Var(src_var)] + list(link.consts),
+                          sel_var)
+                cand_var = link_step(
+                    "algebra.semijoin", [Var(prev_cand), Var(sel_var)],
+                    final_cand if is_last else program.new_var())
             prev_cand = cand_var
         return _Rewrite(chain_pcs, insert_at, moved_bind_pcs, emit)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.mal.ast import Argument, Const, MalProgram, Var
-from repro.mal.modules import is_registered, lookup
+from repro.mal.modules import lookup
 from repro.mal.optimizer.base import substitute_args
 from repro.storage.types import infer_type, nil
 
@@ -32,14 +32,13 @@ class ConstantFold:
             if (
                 instr.module in self.FOLDABLE_MODULES
                 and len(instr.results) == 1
-                and is_registered(instr.module, instr.function)
                 and all(isinstance(a, Const) for a in instr.args)
             ):
-                impl = lookup(instr.module, instr.function)
                 try:
-                    value = impl(None, instr, [a.value for a in instr.args])
+                    value = lookup(instr.module, instr.function)(
+                        None, instr, [a.value for a in instr.args])
                 except Exception:
-                    continue  # fold failure: leave for runtime
+                    continue  # unknown or failing: left for runtime
                 mal_type = None if value is nil else infer_type(value)
                 replacements[instr.results[0]] = Const(value, mal_type)
                 folded.append(index)

@@ -30,11 +30,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OptimizerError
 from repro.mal.ast import Const, MalInstruction, MalProgram, Var
+from repro.storage.types import OID
 
 _SELECTIONS = {"algebra.select", "algebra.thetaselect", "algebra.likeselect"}
-_LEFT_PARTITIONED_JOINS = {
-    "algebra.leftjoin", "algebra.leftfetchjoin", "algebra.join",
-}
+_LEFT_PARTITIONED_JOINS = {"algebra.leftjoin", "algebra.join"}
 _AGG_FOLD = {"sum": "add", "count": "add", "min": "min", "max": "max"}
 
 
@@ -71,7 +70,7 @@ class Mitosis:
         source = program.instructions
         program.instructions = []  # rewritten from ``source``
         partitions: Dict[str, List[str]] = {}
-        packed: Dict[str, str] = {}
+        packed: Dict[str, Var] = {}
         for instr in source:
             if instr.qualified_name == "sql.bind" \
                     and self._is_target_bind(instr, target):
@@ -88,7 +87,7 @@ class Mitosis:
             if self._partition_transparent(instr, partitions, program):
                 self._emit_replicas(program, instr, partitions)
                 continue
-            if self._foldable_aggregate(instr, partitions):
+            if self._foldable_aggregate(instr, partitions, program):
                 self._emit_folded_aggregate(program, instr, partitions)
                 continue
             self._emit_with_packs(program, instr, partitions, packed)
@@ -142,20 +141,14 @@ class Mitosis:
 
     def _emit_partition_binds(self, out: MalProgram,
                               instr: MalInstruction) -> List[str]:
-        parts: List[str] = []
-        for index in range(self.nparts):
-            var = out.new_var(out.type_of(instr.results[0]))
-            out.add(
-                "sql", "bind",
-                list(instr.args) + [Const(index), Const(self.nparts)],
-                [var],
-            )
-            parts.append(var)
-        return parts
+        return [out.call("sql", "bind",
+                         list(instr.args) + [Const(index), Const(self.nparts)],
+                         out.type_of(instr.results[0])).name
+                for index in range(self.nparts)]
 
     def _partition_transparent(self, instr: MalInstruction,
                                partitions: Dict[str, List[str]],
-                               program: Optional[MalProgram] = None) -> bool:
+                               program: MalProgram) -> bool:
         qname = instr.qualified_name
         args = instr.args
         #: which arguments are partitioned variables
@@ -173,8 +166,6 @@ class Mitosis:
                 return True  # projection against the full column
             # both sides partitioned: only safe when the left side is a
             # candidate list (oid tails) matching the same oid ranges
-            if program is None:
-                return False
             spec = program.type_of(args[0].name)
             return spec.is_bat and spec.tail is not None \
                 and spec.tail.name == "oid"
@@ -208,7 +199,10 @@ class Mitosis:
         partitions.update(result_parts)
 
     def _foldable_aggregate(self, instr: MalInstruction,
-                            partitions: Dict[str, List[str]]) -> bool:
+                            partitions: Dict[str, List[str]],
+                            program: MalProgram) -> bool:
+        """A scalar sum/count/min/max of a partitioned BAT, typed (its
+        partials are folded in a BAT of its type)."""
         return (
             instr.module == "aggr"
             and instr.function in _AGG_FOLD
@@ -216,62 +210,43 @@ class Mitosis:
             and isinstance(instr.args[0], Var)
             and instr.args[0].name in partitions
             and len(instr.results) == 1
+            and program.type_of(instr.results[0]).kind == "scalar"
         )
 
     def _emit_folded_aggregate(self, out: MalProgram, instr: MalInstruction,
                                partitions: Dict[str, List[str]]) -> None:
-        """Per-partition aggregates folded through a partials BAT.
+        """Per-partition aggregates folded through a partials BAT of the
+        aggregate's own type.
 
         An empty partition yields a nil partial (except ``count``), so
         the fold must skip nils — re-aggregating a BAT of partials does
         exactly that, mirroring MonetDB's mergetable rewrite.
         """
-        from repro.mal.ast import bat_of
-        from repro.storage.types import DBL, LNG, OID
-
-        parts = partitions[instr.args[0].name]
-        result_spec = out.type_of(instr.results[0])
-        if instr.function == "count":
-            tail_type = LNG
-        elif result_spec.tail is not None:
-            tail_type = result_spec.tail
-        else:
-            tail_type = DBL
-        partials: List[str] = []
-        for part in parts:
-            var = out.new_var(out.type_of(instr.results[0]))
-            out.add("aggr", instr.function, [Var(part)], [var])
-            partials.append(var)
-        accumulator = out.new_var(bat_of(tail_type))
-        out.add("bat", "new", [Const(None, OID), Const(None, tail_type)],
-                [accumulator])
+        partials = [out.call("aggr", instr.function, [Var(part)])
+                    for part in partitions[instr.args[0].name]]
+        accumulator = out.call("bat", "new", [
+            Const(None, OID),
+            Const(None, out.type_of(instr.results[0]).tail)])
         for partial in partials:
-            next_var = out.new_var(bat_of(tail_type))
-            out.add("bat", "append", [Var(accumulator), Var(partial)],
-                    [next_var])
-            accumulator = next_var
+            accumulator = out.call("bat", "append", [accumulator, partial])
         # partial counts are summed; sums/mins/maxes re-aggregate; the
         # final value lands in the original result name so downstream
         # instructions keep working untouched
         fold = "sum" if instr.function == "count" else instr.function
-        out.add("aggr", fold, [Var(accumulator)], [instr.results[0]])
+        out.add("aggr", fold, [accumulator], [instr.results[0]])
 
     def _emit_with_packs(self, out: MalProgram, instr: MalInstruction,
                          partitions: Dict[str, List[str]],
-                         packed: Dict[str, str]) -> None:
+                         packed: Dict[str, Var]) -> None:
         new_args = []
         for arg in instr.args:
             if isinstance(arg, Var) and arg.name in partitions:
                 pack_var = packed.get(arg.name)
                 if pack_var is None:
-                    pack_var = out.new_var(out.type_of(arg.name))
-                    out.add(
+                    pack_var = packed[arg.name] = out.call(
                         "mat", "pack",
-                        [Var(p) for p in partitions[arg.name]],
-                        [pack_var],
-                    )
-                    packed[arg.name] = pack_var
-                new_args.append(Var(pack_var))
+                        [Var(p) for p in partitions[arg.name]])
+                new_args.append(pack_var)
             else:
                 new_args.append(arg)
         instr.args = new_args

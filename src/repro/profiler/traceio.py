@@ -36,25 +36,24 @@ def iter_trace(path: str) -> Iterator[TraceEvent]:
     """Stream a trace file sequentially — the paper's workflow reads the
     trace "in a sequential manner"."""
     with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                yield parse_event(stripped)
-            except TraceFormatError as exc:
-                raise TraceFormatError(f"{path}:{number}: {exc}") from None
+        yield from _parse_lines(handle, f"{path}:")
 
 
 def parse_trace_text(text: str) -> List[TraceEvent]:
-    """Parse trace lines from a string (e.g. collected from UDP)."""
-    events: List[TraceEvent] = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    """Parse trace lines from a string (e.g. collected from UDP); lines
+    end at ``\\n`` (or ``\\r\\n``), as in a file, and at nothing
+    else a statement may hold."""
+    return list(_parse_lines(text.split("\n"), "line "))
+
+
+def _parse_lines(lines: Iterable[str], where: str) -> Iterator[TraceEvent]:
+    """The events of trace lines, blank lines skipped; a malformed line
+    raises TraceFormatError naming ``where`` and its line number."""
+    for number, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            events.append(parse_event(stripped))
+            yield parse_event(stripped)
         except TraceFormatError as exc:
-            raise TraceFormatError(f"line {number}: {exc}") from None
-    return events
+            raise TraceFormatError(f"{where}{number}: {exc}") from None

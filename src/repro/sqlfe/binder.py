@@ -8,8 +8,8 @@ generator uses for casts, result metadata and date/interval arithmetic.
 
 from __future__ import annotations
 
-import datetime
-from typing import Dict, List, Optional, Tuple
+from functools import reduce
+from typing import Dict
 
 from repro.errors import BindError
 from repro.sqlfe.ast import (
@@ -29,7 +29,6 @@ from repro.sqlfe.ast import (
     Literal,
     ScalarSubquery,
     Select,
-    TableRef,
     UnaryOp,
 )
 from repro.storage.catalog import Catalog, Table, _sql_type_to_mal
@@ -39,7 +38,6 @@ from repro.storage.types import (
     DBL,
     INT,
     LNG,
-    STR,
     MalType,
     infer_type,
     promote,
@@ -206,7 +204,18 @@ class Binder:
                 return DBL
             return self.type_of(expr.args[0])
         if isinstance(expr, CaseWhen):
-            return self.type_of(expr.branches[0][1])
+            # promoted over every branch and the ELSE, as the nest of
+            # batcalc.ifthenelse is: a nil takes the others' type
+            values = [value for _cond, value in expr.branches]
+            types = [self.type_of(value) for value in values + [expr.otherwise]
+                     if not (value is None or isinstance(value, Literal)
+                             and value.value is None)] or [INT]
+            try:
+                return types[0] if all(t is types[0] for t in types) \
+                    else reduce(promote, types)
+            except Exception:
+                raise BindError(f"CASE over {', '.join(t.name for t in types)}"
+                                ) from None
         if isinstance(expr, Cast):
             return _sql_type_to_mal(expr.type_name)
         if isinstance(expr, ExtractYear):

@@ -28,29 +28,22 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import SqlError
-from repro.mal.ast import (
-    Const, MalInstruction, MalProgram, TypeSpec, Var, bat_of, scalar_of,
-)
+from repro.mal.ast import Const, MalProgram, Var, bat_of
 from repro.sqlfe.ast import (
     Between,
     BinaryOp,
     CaseWhen,
     Cast,
     ColumnRef,
-    CreateTable,
-    DropTable,
     ExtractYear,
     Expression,
     FuncCall,
     InList,
     InSubquery,
-    Insert,
     Interval,
     IsNull,
-    JoinCondition,
     Like,
     Literal,
-    OrderItem,
     ScalarSubquery,
     Select,
     UnaryOp,
@@ -58,12 +51,13 @@ from repro.sqlfe.ast import (
 from repro.sqlfe.binder import Binder, contains_aggregate
 from repro.sqlfe.parser import parse_sql
 from repro.storage.catalog import Catalog, _sql_type_to_mal
-from repro.storage.types import BIT, DATE, DBL, LNG, STR, MalType, infer_type
 
 _CMP_TO_THETA = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
-_ARITH = {"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "mod"}
-_CMP = {"=": "eq", "<>": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
+#: the calc/batcalc function of each binary operator
+_CALC = {"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "mod",
+         "=": "eq", "<>": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
+         "AND": "and", "OR": "or"}
 
 
 @dataclass
@@ -111,7 +105,6 @@ class _SelectCompiler:
 
     def __init__(self, catalog: Catalog, schema: str, select: Select,
                  name: str, program: Optional[MalProgram] = None,
-                 bat_vars: Optional[Set[str]] = None,
                  binder: Optional[Binder] = None,
                  mvc: Optional[Var] = None) -> None:
         self.catalog = catalog
@@ -122,7 +115,6 @@ class _SelectCompiler:
         # variable names stay unique across the whole plan
         self.program = program or MalProgram(name, {"autoCommit": True})
         self.mvc: Optional[Var] = mvc
-        self._bat_vars: Set[str] = bat_vars if bat_vars is not None else set()
         self._bind_cache: Dict[Tuple[str, str], Var] = {}
         self._candidates: Dict[str, Var] = {}
         self._rowmaps: Dict[str, Var] = {}
@@ -132,22 +124,14 @@ class _SelectCompiler:
     # emission helpers
     # ------------------------------------------------------------------
 
-    def emit(self, module: str, function: str, args: Sequence,
-             result_type: TypeSpec = None, is_bat: bool = True) -> Var:
+    def emit(self, module: str, function: str, args: Sequence) -> Var:
         """Append ``result := module.function(args)`` and return the
-        fresh result variable."""
-        program = self.program
-        name = program.new_var(
-            result_type if result_type is not None else bat_of("int"))
-        program.instructions.append(MalInstruction(
-            [name], module, function, list(args),
-            len(program.instructions)))
-        if is_bat:
-            self._bat_vars.add(name)
-        return Var(name)
+        fresh result variable, typed by the kernel's signature."""
+        return self.program.call(module, function, args)
 
     def is_bat(self, value) -> bool:
-        return isinstance(value, Var) and value.name in self._bat_vars
+        return value.__class__ is Var \
+            and self.program.var_types[value.name].kind == "bat"
 
     def bind_column(self, table_key: str, column: str) -> Var:
         """``sql.bind`` for a column, cached per (table, column)."""
@@ -155,12 +139,12 @@ class _SelectCompiler:
         if cached is not None:
             return cached
         table = self.binder.tables[table_key]
-        mal_type = table.column(column).mal_type
-        var = self.emit(
+        # the one result type the plan states: the catalog column's
+        var = self.program.call(
             "sql", "bind",
             [self.mvc, Const(self.schema), Const(table.name), Const(column),
              Const(0)],
-            bat_of(mal_type),
+            bat_of(table.column(column).mal_type),
         )
         self._bind_cache[(table_key, column)] = var
         return var
@@ -171,7 +155,7 @@ class _SelectCompiler:
 
     def compile(self) -> MalProgram:
         self.binder.bind()
-        self.mvc = self.emit("sql", "mvc", [], scalar_of("oid"), is_bat=False)
+        self.mvc = self.emit("sql", "mvc", [])
         outputs = self._compile_body()
         self._emit_result(outputs)
         return self.program
@@ -261,15 +245,12 @@ class _SelectCompiler:
                 deferred.append(predicate)
         if cand is None:
             table = self.binder.tables[table_key]
-            cand = self.emit(
-                "sql", "tid",
-                [self.mvc, Const(self.schema), Const(table.name)],
-                bat_of("oid"),
-            )
+            cand = self.emit("sql", "tid", [self.mvc, Const(self.schema),
+                                             Const(table.name)])
         for predicate in deferred:
             self._projection_cache.clear()
             sel = self._filter_by_bit(cand, predicate, {table_key: cand})
-            cand = self.emit("algebra", "semijoin", [cand, sel], bat_of("oid"))
+            cand = self.emit("algebra", "semijoin", [cand, sel])
         self._projection_cache.clear()
         self._candidates[table_key] = cand
         self._rowmaps = dict(self._candidates)
@@ -284,34 +265,23 @@ class _SelectCompiler:
         column, kind, payload = parts
         col_bat = self.bind_column(table_key, column)
         source = col_bat if cand is None else self.emit(
-            "algebra", "leftjoin", [cand, col_bat],
-            bat_of(self._column_type(table_key, column)),
-        )
+            "algebra", "leftjoin", [cand, col_bat])
         if kind == "theta":
             value, op = payload
             if op == "=":
-                sel = self.emit("algebra", "select", [source, Const(value)],
-                                bat_of(self._column_type(table_key, column)))
+                sel = self.emit("algebra", "select", [source, Const(value)])
             else:
-                sel = self.emit(
-                    "algebra", "thetaselect",
-                    [source, Const(value), Const(_CMP_TO_THETA[op])],
-                    bat_of(self._column_type(table_key, column)),
-                )
+                sel = self.emit("algebra", "thetaselect", [
+                    source, Const(value), Const(_CMP_TO_THETA[op])])
         elif kind == "range":
             low, high = payload
-            sel = self.emit(
-                "algebra", "select", [source, Const(low), Const(high)],
-                bat_of(self._column_type(table_key, column)),
-            )
+            sel = self.emit("algebra", "select",
+                            [source, Const(low), Const(high)])
         else:  # like
-            sel = self.emit(
-                "algebra", "likeselect", [source, Const(payload)],
-                bat_of("str"),
-            )
+            sel = self.emit("algebra", "likeselect", [source, Const(payload)])
         if cand is None:
-            return self.emit("bat", "mirror", [sel], bat_of("oid"))
-        return self.emit("algebra", "semijoin", [cand, sel], bat_of("oid"))
+            return self.emit("bat", "mirror", [sel])
+        return self.emit("algebra", "semijoin", [cand, sel])
 
     def _simple_parts(self, predicate: Expression):
         """Decompose a predicate into (column, kind, payload) when it is a
@@ -340,9 +310,6 @@ class _SelectCompiler:
                 isinstance(predicate.operand, ColumnRef):
             return predicate.operand.column, "like", predicate.pattern
         return None
-
-    def _column_type(self, table_key: str, column: str) -> MalType:
-        return self.binder.tables[table_key].column(column).mal_type
 
     # ------------------------------------------------------------------
     # joins
@@ -389,23 +356,15 @@ class _SelectCompiler:
         inner_vals = self._project(inner.table_key, inner.column)
         outer_cand = self._candidates[outer.table_key]
         outer_col = self.bind_column(outer.table_key, outer.column)
-        outer_vals = self.emit(
-            "algebra", "leftjoin", [outer_cand, outer_col],
-            bat_of(self._column_type(outer.table_key, outer.column)),
-        )
-        reversed_outer = self.emit("bat", "reverse", [outer_vals], bat_of("oid"))
-        pairs = self.emit("algebra", "join", [inner_vals, reversed_outer],
-                          bat_of("oid"))
-        new_outer_map = self.emit("algebra", "markT", [pairs, Const(0)],
-                                  bat_of("oid"))
-        reversed_pairs = self.emit("bat", "reverse", [pairs], bat_of("oid"))
-        old_row_map = self.emit("algebra", "markT", [reversed_pairs, Const(0)],
-                                bat_of("oid"))
+        outer_vals = self.emit("algebra", "leftjoin", [outer_cand, outer_col])
+        reversed_outer = self.emit("bat", "reverse", [outer_vals])
+        pairs = self.emit("algebra", "join", [inner_vals, reversed_outer])
+        new_outer_map = self.emit("algebra", "markT", [pairs, Const(0)])
+        reversed_pairs = self.emit("bat", "reverse", [pairs])
+        old_row_map = self.emit("algebra", "markT", [reversed_pairs, Const(0)])
         for key in list(self._rowmaps):
             self._rowmaps[key] = self.emit(
-                "algebra", "leftjoin", [old_row_map, self._rowmaps[key]],
-                bat_of("oid"),
-            )
+                "algebra", "leftjoin", [old_row_map, self._rowmaps[key]])
         self._rowmaps[outer.table_key] = new_outer_map
         self._projection_cache.clear()
 
@@ -421,9 +380,7 @@ class _SelectCompiler:
             sel = filtered
             for key in list(self._rowmaps):
                 self._rowmaps[key] = self.emit(
-                    "algebra", "semijoin", [self._rowmaps[key], sel],
-                    bat_of("oid"),
-                )
+                    "algebra", "semijoin", [self._rowmaps[key], sel])
             self._projection_cache.clear()
 
     def _filter_by_bit(self, space_var: Var, predicate: Expression,
@@ -432,10 +389,8 @@ class _SelectCompiler:
         the true rows; returns a BAT whose heads are the surviving rows."""
         bit = self._compile_expr(predicate, rowmaps)
         if not self.is_bat(bit):
-            bit = self.emit("algebra", "project", [space_var, bit],
-                            bat_of("bit"))
-        return self.emit("algebra", "select", [bit, Const(True)],
-                         bat_of("bit"))
+            bit = self.emit("algebra", "project", [space_var, bit])
+        return self.emit("algebra", "select", [bit, Const(True)])
 
     # ------------------------------------------------------------------
     # row-space expression compilation
@@ -447,8 +402,7 @@ class _SelectCompiler:
             return cached
         rowmap = self._rowmaps[table_key]
         col_bat = self.bind_column(table_key, column)
-        var = self.emit("algebra", "leftjoin", [rowmap, col_bat],
-                        bat_of(self._column_type(table_key, column)))
+        var = self.emit("algebra", "leftjoin", [rowmap, col_bat])
         self._projection_cache[(table_key, column)] = var
         return var
 
@@ -507,8 +461,7 @@ class _SelectCompiler:
             operand = self._compile_expr(expr.operand, rowmaps)
             if not self.is_bat(operand):
                 raise SqlError("LIKE over a non-column value")
-            bit = self.emit("batstr", "like", [operand, Const(expr.pattern)],
-                            bat_of("bit"))
+            bit = self.emit("batstr", "like", [operand, Const(expr.pattern)])
             if expr.negated:
                 bit = self._emit_calc("not", [bit])
             return bit
@@ -518,19 +471,14 @@ class _SelectCompiler:
             if not self.is_bat(operand):
                 raise SqlError("IN (subquery) needs a column operand")
             if self.is_bat(members):
-                bit = self.emit("batcalc", "contains", [operand, members],
-                                bat_of("bit"))
+                bit = self.emit("batcalc", "contains", [operand, members])
             else:
                 bit = self._emit_calc("eq", [operand, members])
             if expr.negated:
                 bit = self._emit_calc("not", [bit])
             return bit
         if isinstance(expr, ScalarSubquery):
-            value = self._compile_sub_select(expr)
-            if self.is_bat(value):
-                value = self.emit("sql", "single", [value],
-                                  scalar_of("int"), is_bat=False)
-            return value
+            return self._scalar_subquery(expr)
         if isinstance(expr, CaseWhen):
             return self._compile_case(expr, rowmaps)
         if isinstance(expr, Cast):
@@ -540,9 +488,8 @@ class _SelectCompiler:
         if isinstance(expr, ExtractYear):
             operand = self._compile_expr(expr.operand, rowmaps)
             if self.is_bat(operand):
-                return self.emit("batmtime", "year", [operand], bat_of("int"))
-            return self.emit("mtime", "year", [operand], scalar_of("int"),
-                             is_bat=False)
+                return self.emit("batmtime", "year", [operand])
+            return self.emit("mtime", "year", [operand])
         if isinstance(expr, FuncCall):
             raise SqlError(
                 f"aggregate {expr.name}() in a non-aggregate context"
@@ -555,13 +502,12 @@ class _SelectCompiler:
             return date_arith
         left = self._compile_expr(expr.left, rowmaps)
         right = self._compile_expr(expr.right, rowmaps)
-        if expr.op in _ARITH:
-            return self._emit_calc(_ARITH[expr.op], [left, right])
-        if expr.op in _CMP:
-            return self._emit_calc(_CMP[expr.op], [left, right])
-        if expr.op in ("AND", "OR"):
-            return self._emit_calc(expr.op.lower(), [left, right])
-        raise SqlError(f"unknown operator {expr.op!r}")
+        return self._emit_binary(expr.op, left, right)
+
+    def _emit_binary(self, op: str, left, right) -> Var:
+        if op not in _CALC:
+            raise SqlError(f"unknown operator {op!r}")
+        return self._emit_calc(_CALC[op], [left, right])
 
     def _try_date_arithmetic(self, expr: BinaryOp, rowmaps: Dict[str, Var]):
         """``date ± interval`` compiles to mtime/batmtime instructions."""
@@ -584,10 +530,8 @@ class _SelectCompiler:
                 amount *= 12
         operand = self._compile_expr(other, rowmaps)
         if self.is_bat(operand):
-            return self.emit("batmtime", function, [operand, Const(amount)],
-                             bat_of("date"))
-        return self.emit("mtime", function, [operand, Const(amount)],
-                         scalar_of("date"), is_bat=False)
+            return self.emit("batmtime", function, [operand, Const(amount)])
+        return self.emit("mtime", function, [operand, Const(amount)])
 
     def _compile_sub_select(self, expr):
         """Compile an uncorrelated subquery into the enclosing program;
@@ -597,9 +541,14 @@ class _SelectCompiler:
         nested = _SelectCompiler(
             self.catalog, self.schema, expr.select,
             self.program.name, program=self.program,
-            bat_vars=self._bat_vars, binder=expr.sub_binder, mvc=self.mvc,
+            binder=expr.sub_binder, mvc=self.mvc,
         )
         return nested.compile_subquery().value
+
+    def _scalar_subquery(self, expr: ScalarSubquery):
+        value = self._compile_sub_select(expr)
+        return self.emit("sql", "single", [value]) if self.is_bat(value) \
+            else value
 
     def _compile_case(self, expr: CaseWhen, rowmaps: Dict[str, Var]):
         otherwise = (
@@ -617,9 +566,8 @@ class _SelectCompiler:
         """Scalar ``calc`` or elementwise ``batcalc`` depending on operand
         BAT-ness."""
         if any(self.is_bat(op) for op in operands):
-            return self.emit("batcalc", function, operands, bat_of("int"))
-        return self.emit("calc", function, operands, scalar_of("int"),
-                         is_bat=False)
+            return self.emit("batcalc", function, operands)
+        return self.emit("calc", function, operands)
 
     # ------------------------------------------------------------------
     # ungrouped output
@@ -628,11 +576,8 @@ class _SelectCompiler:
     def _compile_plain(self):
         outputs: List[OutputColumn] = []
         for item in self.select.items:
-            value = self._compile_expr(item.expr, self._rowmaps)
-            if isinstance(value, Const) or not self.is_bat(value):
-                space = next(iter(self._rowmaps.values()))
-                value = self.emit("algebra", "project", [space, value],
-                                  bat_of(self.binder.type_of(item.expr)))
+            value = self._ensure_bat(
+                self._compile_expr(item.expr, self._rowmaps))
             outputs.append(OutputColumn(
                 name=item.alias or _display_name(item.expr),
                 type_name=self.binder.type_of(item.expr).name,
@@ -664,10 +609,8 @@ class _SelectCompiler:
         for item in select.items:
             value = group_env.compile(item.expr)
             if not group_env.scalar and not self.is_bat(value):
-                value = self.emit(
-                    "algebra", "project", [group_env.extents, value],
-                    bat_of(self.binder.type_of(item.expr)),
-                )
+                value = self.emit("algebra", "project",
+                                  [group_env.extents, value])
             outputs.append(OutputColumn(
                 name=item.alias or _display_name(item.expr),
                 type_name=self.binder.type_of(item.expr).name,
@@ -681,41 +624,29 @@ class _SelectCompiler:
             bit = group_env.compile(select.having)
             if not self.is_bat(bit):
                 raise SqlError("HAVING must reference the grouping")
-            sel = self.emit("algebra", "select", [bit, Const(True)],
-                            bat_of("bit"))
+            sel = self.emit("algebra", "select", [bit, Const(True)])
             for output in outputs:
-                output.value = self.emit(
-                    "algebra", "semijoin", [output.value, sel],
-                    bat_of(output.type_name),
-                )
-            order_keys = [
-                (self.emit("algebra", "semijoin", [var, sel], bat_of("int")),
-                 desc)
-                for var, desc in order_keys
-            ]
+                output.value = self.emit("algebra", "semijoin",
+                                         [output.value, sel])
+            order_keys = [(self.emit("algebra", "semijoin", [var, sel]), desc)
+                          for var, desc in order_keys]
         return outputs, order_keys
 
     def _ensure_bat(self, value) -> Var:
         if self.is_bat(value):
             return value
         space = next(iter(self._rowmaps.values()))
-        return self.emit("algebra", "project", [space, value], bat_of("int"))
+        return self.emit("algebra", "project", [space, value])
 
     def _emit_grouping(self, key_vars: List[Var]):
         groups = extents = hist = None
         for index, key in enumerate(key_vars):
-            results = [
-                self.program.new_var(bat_of("oid")),
-                self.program.new_var(bat_of("oid")),
-                self.program.new_var(bat_of("lng")),
-            ]
+            results = [self.program.new_var() for _ in range(3)]
             if index == 0:
                 self.program.add("group", "new", [key], results)
             else:
                 self.program.add("group", "derive", [groups, key], results)
             groups, extents, hist = (Var(r) for r in results)
-            for var in (groups, extents, hist):
-                self._bat_vars.add(var.name)
         return groups, extents, hist
 
     # ------------------------------------------------------------------
@@ -756,21 +687,16 @@ class _SelectCompiler:
         perm: Optional[Var] = None
         for key_var, descending in reversed(order_keys):
             source = key_var if perm is None else self.emit(
-                "algebra", "leftjoin", [perm, key_var], bat_of("int")
-            )
+                "algebra", "leftjoin", [perm, key_var])
             function = "sortReverseTail" if descending else "sortTail"
-            sorted_var = self.emit("algebra", function, [source], bat_of("int"))
-            mirrored = self.emit("bat", "mirror", [sorted_var], bat_of("oid"))
-            this_perm = self.emit("algebra", "markT", [mirrored, Const(0)],
-                                  bat_of("oid"))
+            sorted_var = self.emit("algebra", function, [source])
+            mirrored = self.emit("bat", "mirror", [sorted_var])
+            this_perm = self.emit("algebra", "markT", [mirrored, Const(0)])
             perm = this_perm if perm is None else self.emit(
-                "algebra", "leftjoin", [this_perm, perm], bat_of("oid")
-            )
+                "algebra", "leftjoin", [this_perm, perm])
         for output in outputs:
-            output.value = self.emit(
-                "algebra", "leftjoin", [perm, output.value],
-                bat_of(output.type_name),
-            )
+            output.value = self.emit("algebra", "leftjoin",
+                                     [perm, output.value])
         return outputs
 
     def _apply_limit(self, outputs: List[OutputColumn]):
@@ -780,28 +706,19 @@ class _SelectCompiler:
         first = self.select.offset
         last = first + limit - 1
         for output in outputs:
-            output.value = self.emit(
-                "algebra", "slice",
-                [output.value, Const(first), Const(last)],
-                bat_of(output.type_name),
-            )
+            output.value = self.emit("algebra", "slice", [
+                output.value, Const(first), Const(last)])
         return outputs
 
     def _emit_result(self, outputs: List[OutputColumn]) -> None:
-        rs = self.emit(
-            "sql", "resultSet", [Const(len(outputs)), Const(-1)],
-            scalar_of("oid"), is_bat=False,
-        )
+        rs = self.emit("sql", "resultSet", [Const(len(outputs)), Const(-1)])
         table_label = ".".join(
             [self.schema] + [self.select.tables[0].table]
         )
         for output in outputs:
-            rs = self.emit(
-                "sql", "rsColumn",
-                [rs, Const(table_label), Const(output.name),
-                 Const(output.type_name), output.value],
-                scalar_of("oid"), is_bat=False,
-            )
+            rs = self.emit("sql", "rsColumn", [
+                rs, Const(table_label), Const(output.name),
+                Const(output.type_name), output.value])
         self.program.add("sql", "exportResult", [rs])
 
 
@@ -833,14 +750,7 @@ class _GroupEnv:
             return Const(expr.value)
         if isinstance(expr, BinaryOp):
             left = self.compile(expr.left)
-            right = self.compile(expr.right)
-            if expr.op in _ARITH:
-                return c._emit_calc(_ARITH[expr.op], [left, right])
-            if expr.op in _CMP:
-                return c._emit_calc(_CMP[expr.op], [left, right])
-            if expr.op in ("AND", "OR"):
-                return c._emit_calc(expr.op.lower(), [left, right])
-            raise SqlError(f"unknown operator {expr.op!r}")
+            return c._emit_binary(expr.op, left, self.compile(expr.right))
         if isinstance(expr, UnaryOp):
             operand = self.compile(expr.operand)
             return c._emit_calc("not" if expr.op == "NOT" else "neg",
@@ -850,11 +760,7 @@ class _GroupEnv:
             return c._emit_calc(_sql_type_to_mal(expr.type_name).name,
                                 [operand])
         if isinstance(expr, ScalarSubquery):
-            value = c._compile_sub_select(expr)
-            if c.is_bat(value):
-                value = c.emit("sql", "single", [value], scalar_of("int"),
-                               is_bat=False)
-            return value
+            return c._scalar_subquery(expr)
         if isinstance(expr, ColumnRef):
             raise SqlError(
                 f"column {expr.display()!r} is neither grouped nor aggregated"
@@ -866,10 +772,8 @@ class _GroupEnv:
         if cached is not None:
             return cached
         c = self.compiler
-        var = c.emit(
-            "algebra", "leftjoin", [self.extents, self._key_by_repr[key_repr]],
-            bat_of("int"),
-        )
+        var = c.emit("algebra", "leftjoin",
+                     [self.extents, self._key_by_repr[key_repr]])
         self._key_projection_cache[key_repr] = var
         return var
 
@@ -880,32 +784,15 @@ class _GroupEnv:
             return cached
         c = self.compiler
         function = call.name
-        tail = LNG if function == "count" else DBL
         if call.star or not call.args:
             source = next(iter(c._rowmaps.values()))
         else:
             source = c._ensure_bat(c._compile_expr(call.args[0], c._rowmaps))
             if function == "count":
                 function = "count_no_nil"  # count(column) skips nils
-            elif function != "avg":
-                # mitosis folds a scalar one's partials in a BAT of this
-                # type, so one over a column or a cast keeps that type,
-                # as unpartitioned; any other number widens to dbl (the
-                # binder types a CASE by its first branch and a nil as
-                # int), and a string or a date keeps its own
-                typed = c.binder.type_of(call.args[0])
-                exact = isinstance(call.args[0], (ColumnRef, Cast))
-                if typed in (STR, DATE) or (self.scalar and exact):
-                    tail = typed
-        if self.scalar:
-            var = c.emit("aggr", function, [source], scalar_of(tail),
-                         is_bat=False)
-        else:
-            var = c.emit(
-                "aggr", function, [source, self.groups, self.extents],
-                bat_of(tail),
-            )
-        self._aggregate_cache[key] = var
+        args = [source] if self.scalar else [source, self.groups,
+                                             self.extents]
+        var = self._aggregate_cache[key] = c.emit("aggr", function, args)
         return var
 
 

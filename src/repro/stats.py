@@ -61,7 +61,7 @@ _SELECT_FUNCTIONS = frozenset((
 #: def-chain hops the signature resolver follows from a selection's
 #: source back to the ``sql.bind`` naming its column
 _RESOLVE_THROUGH = frozenset((
-    "algebra.leftjoin", "algebra.semijoin", "algebra.kdifference",
+    "algebra.leftjoin", "algebra.semijoin",
     "bat.mirror", "algebra.markT", "bat.reverse", "algebra.slice",
 ))
 

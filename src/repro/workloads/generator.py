@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.mal.ast import Const, MalProgram, Var, bat_of, scalar_of
+from repro.mal.ast import Const, MalProgram, Var, bat_of
 from repro.mal.printer import format_instruction
 from repro.profiler.events import TraceEvent
 
@@ -29,40 +29,30 @@ def synthetic_plan(chains: int = 8, chain_length: int = 4) -> MalProgram:
     chain_length=4`` gives 1004 nodes and ``chains=167`` gives 1172.
     """
     program = MalProgram("user.synthetic")
-    mvc = program.call("sql", "mvc", [], scalar_of("oid"))
+    mvc = program.call("sql", "mvc")
     partials: List[Var] = []
     for chain in range(chains):
-        bind = program.call(
+        current = program.call(
             "sql", "bind",
             [mvc, Const("sys"), Const("fact"), Const("v"), Const(0),
              Const(chain), Const(chains)],
             bat_of("int"),
         )
-        current = bind
         for step in range(chain_length):
             if step % 2 == 0:
                 current = program.call(
                     "algebra", "thetaselect",
-                    [current, Const(step), Const(">")], bat_of("int"),
-                )
+                    [current, Const(step), Const(">")])
             else:
-                current = program.call(
-                    "batcalc", "add", [current, Const(1)], bat_of("int"),
-                )
-        partials.append(
-            program.call("aggr", "sum", [current], scalar_of("lng"))
-        )
+                current = program.call("batcalc", "add", [current, Const(1)])
+        partials.append(program.call("aggr", "sum", [current]))
     total = partials[0]
     for partial in partials[1:]:
-        total = program.call("calc", "add", [total, partial],
-                             scalar_of("lng"))
-    rs = program.call("sql", "resultSet", [Const(1), Const(1)],
-                      scalar_of("oid"))
+        total = program.call("calc", "add", [total, partial])
+    rs = program.call("sql", "resultSet", [Const(1), Const(1)])
     rs = program.call(
         "sql", "rsColumn",
-        [rs, Const("sys.fact"), Const("total"), Const("lng"), total],
-        scalar_of("oid"),
-    )
+        [rs, Const("sys.fact"), Const("total"), Const("lng"), total])
     program.add("sql", "exportResult", [rs])
     program.renumber()
     return program

@@ -1,6 +1,8 @@
 """Tests for the profiler: events, filters, trace I/O and UDP streaming."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceFormatError
 from repro.mal import Interpreter
@@ -164,6 +166,21 @@ class TestTraceIo:
         profiler = run_profiled(catalog)
         text = "\n".join(format_event(e) for e in profiler.events)
         assert parse_trace_text(text) == profiler.events
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_parse_trace_text_splits_only_at_line_feeds(self, stmt):
+        """A statement may hold any character; the text ends lines where a
+        file does (``\\x0b``, ``\\x85`` or U+2028 split ``splitlines``)."""
+        event = TraceEvent(1, 2, "done", 3, 0, 5, 6, stmt)
+        assert parse_trace_text(format_event(event) + "\n") == [event]
+        assert parse_trace_text(format_event(event) + "\r\n"
+                                + format_event(event)) == [event, event]
+
+    def test_parse_trace_text_names_the_line(self):
+        event = format_event(TraceEvent(1, 2, "done", 3, 0, 5, 6, "a\x0cb"))
+        with pytest.raises(TraceFormatError, match="line 3"):
+            parse_trace_text(event + "\n\ngarbage\n")
 
 
 class TestUdpStream:
