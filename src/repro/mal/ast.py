@@ -81,16 +81,15 @@ class Var:
 
 @dataclass(frozen=True)
 class Const:
-    """A literal argument with an optional explicit type annotation."""
+    """A literal argument with an optional explicit type annotation,
+    printed for a nil too (``nil:int``), as the parser reads it back."""
 
     value: Any
     mal_type: Optional[MalType] = None
 
     def __str__(self) -> str:
         text = format_value(self.value)
-        if self.mal_type is not None and self.value is not None and not isinstance(
-            self.value, str
-        ):
+        if self.mal_type is not None and not isinstance(self.value, str):
             return f"{text}:{self.mal_type.name}"
         return text
 
@@ -226,6 +225,8 @@ class MalProgram:
              result_type: Optional[TypeSpec] = None) -> Var:
         """Append a single-result instruction and return a Var for it,
         typed ``result_type`` or by its kernel, as :meth:`add` types it."""
+        # not through add(): one derive and no loop is 0.6 us less per
+        # call by timeit, ~9 us of a compiled plan's 15 front-end calls
         instr = MalInstruction([], module, function, list(args),
                                len(self.instructions))
         if result_type is None:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from repro.errors import MalRuntimeError, MalTypeError
 from repro.mal.ast import bat_of
-from repro.mal.modules import (Signature, declared, operand, register,
-                               tail_of)
+from repro.mal.modules import (Signature, declared, nil_type, operand,
+                               register, tail_of)
 from repro.storage.bat import BAT
+from repro.storage.types import nil
 
 
 def _require_bat(value, name: str) -> BAT:
@@ -105,13 +106,15 @@ def _project(args, var_types):
     return (bat_of((tail or declared(args[0], var_types).tail).name),)
 
 
-#: ``BAT.project`` types the column by its value, or as b's tail for nil
+#: ``BAT.project`` types the column by its value, a nil by its declared
+#: type, an untyped nil constant as b's tail
 _PROJECT = Signature("a BAT of the constant's atom (of argument 1's tail "
-                     "for nil)", _project)
+                     "for an untyped nil)", _project)
 
 
 @register("algebra.project", _PROJECT)
 def project(ctx, instr, args):
     """``project(b, v)``: constant tail ``v`` under b's head column."""
     bat = _require_bat(args[0], "algebra.project")
-    return bat.project(args[1])
+    return bat.project(args[1],
+                       nil_type(ctx, instr) if args[1] is nil else None)

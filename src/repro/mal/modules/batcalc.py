@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from repro.errors import MalTypeError
 from repro.mal.ast import bat_of
-from repro.mal.modules import (BIT_BAT, binary, promoted, register, returns,
-                               tail_of)
+from repro.mal.modules import (BIT_BAT, binary, nil_type, promoted, register,
+                               returns, tail_of)
 from repro.storage.bat import BAT
 from repro.storage.types import (cast_value, infer_type, nil, promote,
                                  type_by_name)
@@ -39,9 +39,12 @@ def _binary(name: str):
         if isinstance(a, BAT) and isinstance(b, BAT):
             return a.calc(b, op)
         if isinstance(a, BAT):
-            return a.calc_const(b, op)
+            return a.calc_const(
+                b, op, out_type=nil_type(ctx, instr) if b is nil else None)
         if isinstance(b, BAT):
-            return b.calc_const(a, op, swapped=True)
+            return b.calc_const(
+                a, op, swapped=True,
+                out_type=nil_type(ctx, instr) if a is nil else None)
         raise MalTypeError(f"batcalc.{name} needs at least one BAT operand")
 
     impl.__doc__ = f"``batcalc.{name}``: elementwise {op} with nil propagation."
@@ -143,8 +146,11 @@ def ifthenelse(ctx, instr, args):
         return branch.tail[index] if isinstance(branch, BAT) else branch
 
     then_type, else_type = _branch_type(args[1]), _branch_type(args[2])
-    if then_type is None or else_type is None or then_type is else_type:
-        out_type = then_type or else_type or type_by_name("int")
+    if then_type is None or else_type is None:  # a nil scalar branch
+        out_type = (nil_type(ctx, instr) or then_type or else_type
+                    or type_by_name("int"))
+    elif then_type is else_type:
+        out_type = then_type
     else:
         out_type = promote(then_type, else_type)
     out = BAT(out_type)

@@ -9,8 +9,10 @@ through every operation, mirroring SQL three-valued logic.
 from __future__ import annotations
 
 from repro.mal.ast import scalar_of
-from repro.mal.modules import binary, promoted, register, returns, tail_of
-from repro.storage.types import cast_value, nil, type_by_name
+from repro.mal.modules import (binary, nil_type, promoted, register,
+                               returns, tail_of)
+from repro.storage.types import (cast_value, infer_type, nil, promote,
+                                 type_by_name)
 
 _BINARY = {
     "add": lambda a, b: a + b,
@@ -24,8 +26,8 @@ _BINARY = {
     "le": lambda a, b: a <= b,
     "gt": lambda a, b: a > b,
     "ge": lambda a, b: a >= b,
-    "and": lambda a, b: a and b,
-    "or": lambda a, b: a or b,
+    "and": lambda a, b: bool(a and b),
+    "or": lambda a, b: bool(a or b),
     "min": min,
     "max": max,
 }
@@ -72,11 +74,18 @@ def isnil(ctx, instr, args):
 
 @register("calc.ifthenelse", promoted(scalar_of, first=1))
 def ifthenelse(ctx, instr, args):
-    """``calc.ifthenelse(cond, t, f)``: nil condition yields nil."""
-    cond = args[0]
+    """``calc.ifthenelse(cond, t, f)``: nil condition yields nil; the
+    branch taken is cast to the promotion of both (to the declared type
+    when the other is nil), as ``batcalc.ifthenelse`` casts."""
+    cond, then, otherwise = args
     if cond is nil:
         return nil
-    return args[1] if cond else args[2]
+    value = then if cond else otherwise
+    if value is nil or type(then) is type(otherwise):
+        return value
+    out_type = nil_type(ctx, instr) if then is nil or otherwise is nil \
+        else promote(infer_type(then), infer_type(otherwise))
+    return value if out_type is None else cast_value(value, out_type)
 
 
 def _cast(type_name: str):

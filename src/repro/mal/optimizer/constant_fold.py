@@ -1,5 +1,6 @@
 """Constant folding: evaluate scalar ``calc``/``mtime`` operations whose
-arguments are all literals, replacing their uses with the literal result.
+arguments are all literals, replacing their uses with the literal result,
+typed by the result's declared type, so a folded nil keeps it.
 
 TPC-H predicates profit directly: ``date '1998-12-01' - interval '90'
 day`` compiles to an ``mtime.adddays`` over constants, which this pass
@@ -10,10 +11,10 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.mal.ast import Argument, Const, MalProgram, Var
-from repro.mal.modules import lookup
+from repro.mal.ast import ANY, Argument, Const, MalProgram, Var
+from repro.mal.modules import lookup, value_atom
 from repro.mal.optimizer.base import substitute_args
-from repro.storage.types import infer_type, nil
+from repro.storage.types import cast_value, infer_type, nil
 
 
 class ConstantFold:
@@ -39,8 +40,13 @@ class ConstantFold:
                         None, instr, [a.value for a in instr.args])
                 except Exception:
                     continue  # unknown or failing: left for runtime
-                mal_type = None if value is nil else infer_type(value)
-                replacements[instr.results[0]] = Const(value, mal_type)
+                mal_type = value_atom(
+                    program.var_types.get(instr.results[0], ANY))
+                if mal_type is None and value is not nil:
+                    mal_type = infer_type(value)
+                replacements[instr.results[0]] = Const(
+                    value if mal_type is None else cast_value(value, mal_type),
+                    mal_type)
                 folded.append(index)
         for index in reversed(folded):
             del program.instructions[index]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Dict
 
-from repro.errors import BindError
+from repro.errors import BindError, TypeMismatchError
 from repro.sqlfe.ast import (
     Between,
     BinaryOp,
@@ -213,7 +213,7 @@ class Binder:
             try:
                 return types[0] if all(t is types[0] for t in types) \
                     else reduce(promote, types)
-            except Exception:
+            except TypeMismatchError:
                 raise BindError(f"CASE over {', '.join(t.name for t in types)}"
                                 ) from None
         if isinstance(expr, Cast):

@@ -487,9 +487,7 @@ class _SelectCompiler:
             return self._emit_calc(mal_type.name, [operand])
         if isinstance(expr, ExtractYear):
             operand = self._compile_expr(expr.operand, rowmaps)
-            if self.is_bat(operand):
-                return self.emit("batmtime", "year", [operand])
-            return self.emit("mtime", "year", [operand])
+            return self._emit_calc("year", [operand], "mtime")
         if isinstance(expr, FuncCall):
             raise SqlError(
                 f"aggregate {expr.name}() in a non-aggregate context"
@@ -529,9 +527,7 @@ class _SelectCompiler:
             if interval.unit == "year":
                 amount *= 12
         operand = self._compile_expr(other, rowmaps)
-        if self.is_bat(operand):
-            return self.emit("batmtime", function, [operand, Const(amount)])
-        return self.emit("mtime", function, [operand, Const(amount)])
+        return self._emit_calc(function, [operand, Const(amount)], "mtime")
 
     def _compile_sub_select(self, expr):
         """Compile an uncorrelated subquery into the enclosing program;
@@ -562,12 +558,13 @@ class _SelectCompiler:
             result = self._emit_calc("ifthenelse", [cond, then, result])
         return result
 
-    def _emit_calc(self, function: str, operands: List) -> Var:
-        """Scalar ``calc`` or elementwise ``batcalc`` depending on operand
-        BAT-ness."""
+    def _emit_calc(self, function: str, operands: List,
+                   module: str = "calc") -> Var:
+        """Scalar ``calc`` (or ``mtime``) or elementwise ``batcalc`` (or
+        ``batmtime``) depending on operand BAT-ness."""
         if any(self.is_bat(op) for op in operands):
-            return self.emit("batcalc", function, operands)
-        return self.emit("calc", function, operands)
+            module = "bat" + module
+        return self.emit(module, function, operands)
 
     # ------------------------------------------------------------------
     # ungrouped output
@@ -790,9 +787,12 @@ class _GroupEnv:
             source = c._ensure_bat(c._compile_expr(call.args[0], c._rowmaps))
             if function == "count":
                 function = "count_no_nil"  # count(column) skips nils
-        args = [source] if self.scalar else [source, self.groups,
-                                             self.extents]
-        var = self._aggregate_cache[key] = c.emit("aggr", function, args)
+        if self.scalar:
+            var = c.emit("aggr", function, [source])
+        else:
+            var = c.emit("aggr", function,
+                         [source, self.groups, self.extents])
+        self._aggregate_cache[key] = var
         return var
 
 

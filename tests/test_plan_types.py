@@ -12,7 +12,8 @@ tests hold the plans to it where it shows:
 * every pass of ``default_pipe`` leaves a plan that validates, so a pass
   that mistypes names itself;
 * a CASE is typed over all its branches, in the plan and in the result
-  set, and a folded aggregate of an int expression stays int;
+  set, a folded constant (a nil among them) keeps its declared type, and
+  a folded aggregate of an int expression stays int;
 * hand-written MAL that declares a type its kernel does not return, or
   calls no kernel, fails ``validate`` naming the pc.
 """
@@ -25,8 +26,9 @@ import repro.mal.interpreter as interpreter
 from repro.errors import MalRuntimeError, MalTypeError
 from repro.mal import Interpreter
 from repro.mal.ast import MalProgram
+from repro.mal.modules import lookup
 from repro.mal.optimizer import default_pipe
-from repro.mal.parser import parse_instruction_text
+from repro.mal.parser import parse_instruction_text, parse_program
 from repro.server.database import Database
 from repro.storage import BAT, INT, Catalog
 from repro.tpch import QUERIES, populate, query_sql
@@ -34,6 +36,20 @@ from repro.workloads import random_query
 
 WORKERS = (1, 2, 4)
 RANDOM_STATEMENTS = 200
+
+#: constant scalar expressions, which ``constant_fold`` turns into
+#: literals: a nil (``1/0``, ``null + 1``, a CASE that matches nothing)
+#: and an unpromoted branch keep the type the plan declared
+CONSTANT_EXPRESSIONS = [
+    "select 1/0 from lineitem",
+    "select null + 1 from lineitem",
+    "select case when 1 = 2 then 1 end from lineitem",
+    "select case when 1 = 1 then 1 else 2.5 end from lineitem",
+    "select l_linenumber + 1/0, l_linenumber * (case when 1 = 2 then 2.5 "
+    "end) from lineitem",
+    "select case when (select count(*) from nation) > 100 then 2.5 else 1 "
+    "end from lineitem",
+]
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +59,10 @@ def tpch():
     return catalog
 
 
-def _statements():
+def _statements(randoms=RANDOM_STATEMENTS):
     rng = random.Random(17)
-    return [query_sql(name) for name in sorted(QUERIES)] + [
-        random_query(rng) for _ in range(RANDOM_STATEMENTS)]
+    return [query_sql(name) for name in sorted(QUERIES)] \
+        + CONSTANT_EXPRESSIONS + [random_query(rng) for _ in range(randoms)]
 
 
 def test_every_bound_bat_has_its_declared_tail(tpch, monkeypatch):
@@ -83,7 +99,7 @@ def test_every_pass_of_default_pipe_leaves_a_valid_plan(tpch):
     for workers in WORKERS:
         database = Database(catalog=tpch, workers=workers,
                             mitosis_threshold=50, plan_cache_size=0)
-        for sql in _statements()[:40]:
+        for sql in _statements(randoms=28):
             database.execute(sql)
             program = database.compiler.compile_text(sql)
             program.validate()
@@ -120,6 +136,47 @@ def test_a_case_is_typed_over_every_branch(tpch):
         assert outcome.rows == [(1.0 if quantity > 10 else 2.5,)
                                 for (quantity,) in quantities]
         assert all(type(value) is float for (value,) in outcome.rows)
+
+
+def test_a_folded_constant_keeps_its_declared_type(tpch):
+    """A folded nil or unpromoted branch once failed ``validate`` after
+    ``constant_fold``; each column is the type the result set states, and
+    a scalar CASE casts the branch it takes, as the BAT one does."""
+    expected = {
+        CONSTANT_EXPRESSIONS[0]: (["dbl"], (None,)),
+        CONSTANT_EXPRESSIONS[1]: (["int"], (None,)),
+        CONSTANT_EXPRESSIONS[2]: (["int"], (None,)),
+        CONSTANT_EXPRESSIONS[3]: (["dbl"], (1.0,)),
+        CONSTANT_EXPRESSIONS[4]: (["dbl", "dbl"], (None, None)),
+        CONSTANT_EXPRESSIONS[5]: (["dbl"], (1.0,)),
+    }
+    for workers in WORKERS:
+        database = Database(catalog=tpch, workers=workers)
+        for sql, (types, row) in expected.items():
+            outcome = database.execute(sql)
+            assert outcome.execution.result_sets[0].types == types, sql
+            assert set(outcome.rows) == {row}, sql
+            assert [type(value) for value in outcome.rows[0]] == [
+                type(value) for value in row], sql
+
+
+def test_a_printed_plan_parses_back_to_the_same_answer(tpch):
+    """A typed nil prints with its type (``bat.new(nil:oid,nil:int)`` of
+    a partitioned fold, a folded ``1/0``), so EXPLAIN text reads back
+    into a plan that validates and answers as the original does."""
+    database = Database(catalog=tpch, workers=2, mitosis_threshold=50)
+    for sql in ["select sum(l_linenumber), max(l_quantity) from lineitem "
+                "where l_discount < 0.05"] + CONSTANT_EXPRESSIONS[:5]:
+        program = parse_program(database.explain(sql))
+        program.validate()
+        assert Interpreter(tpch).run(program).rows() == \
+            database.execute(sql).rows, sql
+
+
+def test_scalar_booleans_are_bits():
+    assert lookup("calc", "and")(None, None, [1, 2]) is True
+    assert lookup("calc", "or")(None, None, [0, "x"]) is True
+    assert lookup("calc", "and")(None, None, [0, 2]) is False
 
 
 def test_a_folded_aggregate_of_an_expression_keeps_its_type(tpch):
