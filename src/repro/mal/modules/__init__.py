@@ -153,7 +153,8 @@ def nil_type(ctx, instr) -> Optional[MalType]:
     it when that scalar is nil, which carries no type: the result's
     declared type, its signature's answer (None outside a plan)."""
     program = getattr(ctx, "program", None)
-    return program.type_of(instr.results[0]).tail if program else None
+    return (program.type_of(instr.results[0]).tail
+            if program is not None and instr.results else None)
 
 
 def returns(*specs: TypeSpec) -> Signature:
