@@ -182,33 +182,40 @@ def tail_of(index: int, of: Callable[[str], TypeSpec] = bat_of
                      f"tail of argument {index + 1}", derive)
 
 
-def promoted(of: Callable[[str], TypeSpec], first: int = 0) -> Signature:
-    """The numeric promotion of the atoms of arguments ``first`` and
-    ``first + 1`` (the operands, or ``ifthenelse``'s branches), led by a
-    BAT one (``BAT.calc_const``): a nil takes the other's atom, two nils
-    are ``int``, and a non-number keeps the leading one."""
+def promoted(function: str, of: Callable[[str], TypeSpec], first: int = 0
+             ) -> Signature:
+    """The promotion of the atoms of arguments ``first`` and ``first + 1``
+    (the operands, or ``ifthenelse``'s branches) of ``calc.function``
+    (``of=bat_of``: ``batcalc.function``), led by a BAT one
+    (``BAT.calc_const``): two equal atoms stay that atom, numbers
+    promote, a nil takes the other's atom and two nils are ``int``; any
+    other mix raises :class:`MalTypeError` naming the kernel."""
+    parts = "branches" if first else "operands"
 
     def derive(args, var_types):
         lead_bat, lead = operand(args[first], var_types)
         other_bat, other = operand(args[first + 1], var_types)
         if other_bat and not lead_bat:
             lead, other = other, lead
-        if lead is None or other is None:
+        if lead is None or other is None or lead is other:
             return (of((lead or other or INT).name),)
         try:
             return (of(promote(lead, other).name),)
         except TypeMismatchError:
-            return (of(lead.name),)
+            raise MalTypeError(
+                f"{'batcalc' if of is bat_of else 'calc'}.{function}: "
+                f"{parts} {lead.name} and {other.name} do not promote"
+            ) from None
 
-    return Signature("the numeric promotion of its "
-                     + ("branches" if first else "operands"), derive)
+    return Signature(f"the promotion of its {parts} (equal atoms, or "
+                     "numbers)", derive)
 
 
 def binary(name: str, of: Callable[[str], TypeSpec]) -> Signature:
     """``calc``/``batcalc`` ``name``: arithmetic promotes, division is
     ``dbl``, a comparison or a boolean is ``bit``."""
     if name in ("add", "sub", "mul", "mod", "min", "max"):
-        return promoted(of)
+        return promoted(name, of)
     return returns(of("dbl" if name == "div" else "bit"))
 
 

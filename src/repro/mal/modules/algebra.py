@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from repro.errors import MalRuntimeError, MalTypeError
 from repro.mal.ast import bat_of
-from repro.mal.modules import (Signature, declared, nil_type, operand,
-                               register, tail_of)
+from repro.mal.modules import (Signature, nil_type, operand, register,
+                               tail_of)
 from repro.storage.bat import BAT
-from repro.storage.types import nil
+from repro.storage.types import INT, nil
 
 
 def _require_bat(value, name: str) -> BAT:
@@ -103,13 +103,13 @@ def sort_reverse_tail(ctx, instr, args):
 
 def _project(args, var_types):
     tail = operand(args[1], var_types)[1]
-    return (bat_of((tail or declared(args[0], var_types).tail).name),)
+    return (bat_of((tail or INT).name),)
 
 
 #: ``BAT.project`` types the column by its value, a nil by its declared
-#: type, an untyped nil constant as b's tail
-_PROJECT = Signature("a BAT of the constant's atom (of argument 1's tail "
-                     "for an untyped nil)", _project)
+#: type, an untyped nil constant ``int``
+_PROJECT = Signature("a BAT of the constant's atom (`int` for an untyped "
+                     "nil)", _project)
 
 
 @register("algebra.project", _PROJECT)

@@ -129,7 +129,7 @@ def _branch_type(branch):
     return None if branch is nil else infer_type(branch)
 
 
-@register("batcalc.ifthenelse", promoted(bat_of, first=1))
+@register("batcalc.ifthenelse", promoted("ifthenelse", bat_of, first=1))
 def ifthenelse(ctx, instr, args):
     """``batcalc.ifthenelse(cond, t, f)`` with BAT condition and scalar or
     BAT branches.

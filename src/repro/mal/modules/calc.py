@@ -72,7 +72,7 @@ def isnil(ctx, instr, args):
     return args[0] is nil
 
 
-@register("calc.ifthenelse", promoted(scalar_of, first=1))
+@register("calc.ifthenelse", promoted("ifthenelse", scalar_of, first=1))
 def ifthenelse(ctx, instr, args):
     """``calc.ifthenelse(cond, t, f)``: nil condition yields nil; the
     branch taken is cast to the promotion of both (to the declared type

@@ -1,14 +1,15 @@
 """SQL abstract syntax tree.
 
 Plain dataclasses; the binder decorates them (resolved column references,
-inferred types) rather than building a second tree.
+bound subqueries) rather than building a second tree.  :func:`children`
+is the one list of an expression's parts every walker goes over.
 """
 
 from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +162,29 @@ class ExtractYear(Expression):
     """``EXTRACT(YEAR FROM expr)`` — the only EXTRACT TPC-H needs."""
 
     operand: Expression
+
+
+def children(expr: Expression) -> Iterator[Expression]:
+    """The sub-expressions of ``expr`` in its own scope: a subquery's
+    SELECT is not one of them, an IN-subquery's operand is."""
+    if isinstance(expr, BinaryOp):
+        yield expr.left
+        yield expr.right
+    elif isinstance(expr, (UnaryOp, IsNull, Like, Cast, ExtractYear,
+                           InSubquery)):
+        yield expr.operand
+    elif isinstance(expr, Between):
+        yield from (expr.operand, expr.low, expr.high)
+    elif isinstance(expr, InList):
+        yield expr.operand
+        yield from expr.items
+    elif isinstance(expr, FuncCall):
+        yield from expr.args
+    elif isinstance(expr, CaseWhen):
+        for branch in expr.branches:
+            yield from branch  # (condition, value)
+        if expr.otherwise is not None:
+            yield expr.otherwise
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,12 @@ from repro.sqlfe.ast import (
     ScalarSubquery,
     Select,
     UnaryOp,
+    children,
 )
-from repro.sqlfe.binder import Binder, contains_aggregate
+from repro.sqlfe.binder import Binder
 from repro.sqlfe.parser import parse_sql
 from repro.storage.catalog import Catalog, _sql_type_to_mal
+from repro.storage.types import INT, cast_value, infer_type
 
 _CMP_TO_THETA = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
@@ -65,7 +67,6 @@ class OutputColumn:
     """One column of the final result set."""
 
     name: str
-    type_name: str
     value: Union[Var, Const]
     is_scalar: bool
 
@@ -190,9 +191,9 @@ class _SelectCompiler:
 
     def _has_aggregates(self) -> bool:
         select = self.select
-        if any(contains_aggregate(i.expr) for i in select.items):
+        if any(_contains_aggregate(i.expr) for i in select.items):
             return True
-        if select.having is not None and contains_aggregate(select.having):
+        if select.having is not None and _contains_aggregate(select.having):
             return True
         return False
 
@@ -480,7 +481,8 @@ class _SelectCompiler:
         if isinstance(expr, ScalarSubquery):
             return self._scalar_subquery(expr)
         if isinstance(expr, CaseWhen):
-            return self._compile_case(expr, rowmaps)
+            return self._compile_case(
+                expr, lambda e: self._compile_expr(e, rowmaps))
         if isinstance(expr, Cast):
             operand = self._compile_expr(expr.operand, rowmaps)
             mal_type = _sql_type_to_mal(expr.type_name)
@@ -546,16 +548,14 @@ class _SelectCompiler:
         return self.emit("sql", "single", [value]) if self.is_bat(value) \
             else value
 
-    def _compile_case(self, expr: CaseWhen, rowmaps: Dict[str, Var]):
-        otherwise = (
-            self._compile_expr(expr.otherwise, rowmaps)
-            if expr.otherwise is not None else Const(None)
-        )
-        result = otherwise
+    def _compile_case(self, expr: CaseWhen, compile_fn):
+        """A nest of ``ifthenelse``, its parts compiled by
+        ``compile_fn`` (over the row space or in group space)."""
+        result = (compile_fn(expr.otherwise) if expr.otherwise is not None
+                  else Const(None))
         for condition, value in reversed(expr.branches):
-            cond = self._compile_expr(condition, rowmaps)
-            then = self._compile_expr(value, rowmaps)
-            result = self._emit_calc("ifthenelse", [cond, then, result])
+            result = self._emit_calc("ifthenelse", [
+                compile_fn(condition), compile_fn(value), result])
         return result
 
     def _emit_calc(self, function: str, operands: List,
@@ -577,7 +577,6 @@ class _SelectCompiler:
                 self._compile_expr(item.expr, self._rowmaps))
             outputs.append(OutputColumn(
                 name=item.alias or _display_name(item.expr),
-                type_name=self.binder.type_of(item.expr).name,
                 value=value, is_scalar=False,
             ))
         order_keys = self._compile_order_keys(
@@ -610,7 +609,6 @@ class _SelectCompiler:
                                   [group_env.extents, value])
             outputs.append(OutputColumn(
                 name=item.alias or _display_name(item.expr),
-                type_name=self.binder.type_of(item.expr).name,
                 value=value,
                 is_scalar=group_env.scalar,
             ))
@@ -713,9 +711,14 @@ class _SelectCompiler:
             [self.schema] + [self.select.tables[0].table]
         )
         for output in outputs:
+            value = output.value
+            if value.__class__ is Var:  # the type the plan declares
+                atom = self.program.type_of(value.name).tail
+            else:  # a constant in a scalar aggregate's select list
+                atom = INT if value.value is None else infer_type(value.value)
             rs = self.emit("sql", "rsColumn", [
                 rs, Const(table_label), Const(output.name),
-                Const(output.type_name), output.value])
+                Const(atom.name), value])
         self.program.add("sql", "exportResult", [rs])
 
 
@@ -758,6 +761,8 @@ class _GroupEnv:
                                 [operand])
         if isinstance(expr, ScalarSubquery):
             return c._scalar_subquery(expr)
+        if isinstance(expr, CaseWhen):
+            return c._compile_case(expr, self.compile)
         if isinstance(expr, ColumnRef):
             raise SqlError(
                 f"column {expr.display()!r} is neither grouped nor aggregated"
@@ -806,20 +811,18 @@ _NOT_CONST = object()
 
 def _const_eval(expr: Expression):
     """Evaluate a literal-only expression at compile time; returns
-    ``_NOT_CONST`` when the expression involves columns or aggregates."""
+    ``_NOT_CONST`` when the expression involves columns or aggregates,
+    or is nil: a selection cannot take a nil, which compares as nil, so
+    its predicate is computed as a ``bit``."""
     if isinstance(expr, Literal):
-        return expr.value
+        return _NOT_CONST if expr.value is None else expr.value
     if isinstance(expr, UnaryOp) and expr.op == "-":
         value = _const_eval(expr.operand)
-        if value is _NOT_CONST or value is None:
-            return _NOT_CONST
-        return -value
+        return value if value is _NOT_CONST else -value
     if isinstance(expr, Cast):
         value = _const_eval(expr.operand)
-        if value is _NOT_CONST or value is None:
+        if value is _NOT_CONST:
             return _NOT_CONST
-        from repro.storage.types import cast_value
-
         return cast_value(value, _sql_type_to_mal(expr.type_name))
     if isinstance(expr, BinaryOp) and expr.op in ("+", "-", "*", "/", "%"):
         if isinstance(expr.right, Interval) or isinstance(expr.left, Interval):
@@ -828,8 +831,6 @@ def _const_eval(expr: Expression):
         right = _const_eval(expr.right)
         if left is _NOT_CONST or right is _NOT_CONST:
             return _NOT_CONST
-        if left is None or right is None:
-            return None
         try:
             if expr.op == "+":
                 return left + right
@@ -838,8 +839,8 @@ def _const_eval(expr: Expression):
             if expr.op == "*":
                 return left * right
             if expr.op == "/":
-                return left / right if right else None
-            return left % right if right else None
+                return left / right if right else _NOT_CONST
+            return left % right if right else _NOT_CONST
         except TypeError:
             return _NOT_CONST
     return _NOT_CONST
@@ -874,41 +875,17 @@ def _split_conjuncts(expr: Optional[Expression]) -> List[Expression]:
 
 
 def _tables_of(expr: Expression) -> Set[str]:
-    found: Set[str] = set()
+    """The FROM keys of the columns under ``expr`` (a subquery is
+    uncorrelated, so it adds none)."""
+    if isinstance(expr, ColumnRef):
+        return {expr.table_key} if expr.table_key else set()
+    return set().union(*map(_tables_of, children(expr)))
 
-    def walk(node) -> None:
-        if isinstance(node, ColumnRef):
-            if node.table_key:
-                found.add(node.table_key)
-        elif isinstance(node, BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, (IsNull, Like, Cast, ExtractYear)):
-            walk(node.operand)
-        elif isinstance(node, Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, InSubquery):
-            walk(node.operand)  # the subquery itself is uncorrelated
-        elif isinstance(node, FuncCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, CaseWhen):
-            for condition, value in node.branches:
-                walk(condition)
-                walk(value)
-            if node.otherwise is not None:
-                walk(node.otherwise)
 
-    walk(expr)
-    return found
+def _contains_aggregate(expr: Expression) -> bool:
+    """True when any FuncCall aggregate occurs under ``expr``."""
+    return isinstance(expr, FuncCall) \
+        or any(map(_contains_aggregate, children(expr)))
 
 
 def _display_name(expr: Expression) -> str:

@@ -38,9 +38,11 @@ each run twice; ``count(column)`` skips nils (``aggr.count_no_nil``).
 They add about 0.3 s.  Last, a seeded wrong answer — ``<`` selecting
 as ``<=`` in the bulk kernels and the naive reference at once, which no
 bulk-against-naive parity suite can see — must make the comparison
-fail; it adds about 0.5 s.  The suite costs about 3.1 s of tier-1 on a
-2-core box.  A generator over the whole dialect and the plan-shape
-steering are not here yet.
+fail; it adds about 0.5 s.  A nil constant in a predicate
+(``NIL_PREDICATES``) and a CASE in a grouped select list
+(``GROUPED_CASES``) are checked at ``workers`` 1 and 2.  The suite
+costs about 4 s of tier-1 on a 2-core box.  A generator over the whole
+dialect and the plan-shape steering are not here yet.
 """
 
 import calendar
@@ -302,6 +304,65 @@ def test_unary_minus_agrees_with_sqlite_at_every_worker_count():
                 database.close()
             assert answers[0] == answers[1] == answers[2], sql
             assert_same_rows(answers[0], expected, ordered=False)
+    finally:
+        connection.close()
+
+
+#: a nil constant in a predicate selects no row, as a comparison with
+#: nil is nil: the predicate is computed as a bit, never pushed into a
+#: selection (``> null`` once raised in ``algebra.thetaselect``, and
+#: ``<> null`` or a BETWEEN with a nil bound counted the non-nil rows)
+NIL_PREDICATES = (
+    "select count(*) from t where a > null",
+    "select count(*) from t where a > (1/0)",
+    "select count(*) from t where a = null",
+    "select count(*) from t where a <> null",
+    "select count(*) from t where a between null and 3",
+    "select count(*) from t where a between 1 and null",
+    "select count(*) from t where not (a between 1 and null)",
+)
+
+
+def test_a_nil_constant_in_a_predicate_agrees_with_sqlite():
+    for workers in (1, 2):
+        database = Database(catalog=Catalog(), workers=workers)
+        database.execute("create table t (a int)")
+        database.execute("insert into t values (1), (null), (3)")
+        connection = load_sqlite(database.catalog)
+        try:
+            for sql in NIL_PREDICATES:
+                assert database.execute(sql).rows == \
+                    connection.execute(sql).fetchall(), (workers, sql)
+        finally:
+            connection.close()
+            database.close()
+
+
+#: a CASE in a grouped select list, over an aggregate and over a key
+GROUPED_CASES = (
+    "select l_returnflag, case when count(*) > 140 then 1 else 0 end "
+    "from lineitem group by l_returnflag",
+    "select l_returnflag, l_linestatus, case when l_returnflag = 'A' "
+    "then 'a' else 'other' end from lineitem "
+    "group by l_returnflag, l_linestatus",
+    "select case when max(l_quantity) > 40 then sum(l_quantity) else 0 "
+    "end from lineitem",
+)
+
+
+def test_a_case_in_group_space_agrees_with_sqlite():
+    catalog = Catalog()
+    populate(catalog, scale_factor=0.1, seed=7)
+    connection = load_sqlite(catalog)
+    try:
+        for workers in (1, 2):
+            database = Database(catalog=catalog, workers=workers,
+                                mitosis_threshold=50)
+            for sql in GROUPED_CASES:
+                assert_same_rows(database.execute(sql).rows,
+                                 connection.execute(sql).fetchall(),
+                                 ordered=False)
+            database.close()
     finally:
         connection.close()
 

@@ -14,6 +14,10 @@ tests hold the plans to it where it shows:
 * a CASE is typed over all its branches, in the plan and in the result
   set, a folded constant (a nil among them) keeps its declared type, and
   a folded aggregate of an int expression stays int;
+* a result set's types are its plan's: every ``sql.rsColumn`` type is
+  the declared tail of the value it labels, and an operator whose
+  operands do not promote fails at its kernel's signature when the
+  statement compiles, before any kernel runs;
 * hand-written MAL that declares a type its kernel does not return, or
   calls no kernel, fails ``validate`` naming the pc.
 """
@@ -25,7 +29,7 @@ import pytest
 import repro.mal.interpreter as interpreter
 from repro.errors import MalRuntimeError, MalTypeError
 from repro.mal import Interpreter
-from repro.mal.ast import MalProgram
+from repro.mal.ast import MalProgram, Var
 from repro.mal.modules import lookup
 from repro.mal.optimizer import default_pipe
 from repro.mal.parser import parse_instruction_text, parse_program
@@ -63,6 +67,21 @@ def _statements(randoms=RANDOM_STATEMENTS):
     rng = random.Random(17)
     return [query_sql(name) for name in sorted(QUERIES)] \
         + CONSTANT_EXPRESSIONS + [random_query(rng) for _ in range(randoms)]
+
+
+#: where the binder once typed a column otherwise than its plan: the BAT
+#: of ``cast(1 as bigint)`` holds ints, and an untyped nil projects as int
+PLAN_TYPED = [
+    "select null from lineitem",
+    "select cast(1 as bigint) from lineitem",
+]
+
+#: operands or branches that do not promote: a MalTypeError at compile
+ILL_TYPED = [
+    "select case when 1 = 1 then 'a' else 1 end from lineitem",
+    "select l_comment + 1 from lineitem",
+    "select l_shipdate * 2 from lineitem",
+]
 
 
 def test_every_bound_bat_has_its_declared_tail(tpch, monkeypatch):
@@ -120,6 +139,34 @@ def test_every_pass_of_default_pipe_leaves_a_valid_plan(tpch):
                         for line in after):
                     folded += 1
     assert reordered and folded
+
+
+def test_a_result_sets_types_are_its_plans(tpch):
+    labelled = 0
+    for workers in WORKERS:
+        database = Database(catalog=tpch, workers=workers,
+                            plan_cache_size=0)
+        for sql in _statements() + PLAN_TYPED:
+            outcome = database.execute(sql)
+            program, types = outcome.program, []
+            for instr in program.instructions:
+                if instr.qualified_name == "sql.rsColumn":
+                    value, type_name = instr.args[4], instr.args[3].value
+                    assert value.__class__ is Var, sql
+                    assert program.type_of(value.name).tail.name \
+                        == type_name, sql
+                    types.append(type_name)
+            labelled += len(types)
+            assert outcome.execution.result_sets[0].types == types, sql
+            if sql in PLAN_TYPED:
+                assert types == ["int"], sql
+    assert labelled > 1_000
+
+
+@pytest.mark.parametrize("sql", ILL_TYPED)
+def test_operands_that_do_not_promote_fail_at_compile(tpch, sql):
+    with pytest.raises(MalTypeError, match="do not promote"):
+        Database(catalog=tpch).compile(sql)
 
 
 def test_a_case_is_typed_over_every_branch(tpch):
