@@ -104,6 +104,8 @@ def check_types(program) -> None:
             derived = kernel[1].derive(instr.args, types)
         except (Unknown, IndexError, TypeMismatchError):
             continue
+        except MalTypeError as error:  # operands that do not promote
+            raise MalTypeError(f"pc={instr.pc}: {error}") from None
         for name, want in zip(instr.results, derived):
             have = types.get(name, ANY)
             if have is not want and have.tail is not None \
@@ -140,6 +142,12 @@ def operand(arg: Argument, var_types: Types) -> Tuple[bool, Optional[MalType]]:
     if spec.kind == "bat":
         return True, spec.tail
     return False, value_atom(spec)
+
+
+def column_atom(arg: Argument, var_types: Types) -> MalType:
+    """The tail of a column of scalar ``arg`` (``BAT.project``, a scalar
+    result column): its atom, ``int`` for an untyped nil."""
+    return operand(arg, var_types)[1] or INT
 
 
 def value_atom(spec: TypeSpec) -> Optional[MalType]:
@@ -187,17 +195,19 @@ def promoted(function: str, of: Callable[[str], TypeSpec], first: int = 0
     """The promotion of the atoms of arguments ``first`` and ``first + 1``
     (the operands, or ``ifthenelse``'s branches) of ``calc.function``
     (``of=bat_of``: ``batcalc.function``), led by a BAT one
-    (``BAT.calc_const``): two equal atoms stay that atom, numbers
-    promote, a nil takes the other's atom and two nils are ``int``; any
-    other mix raises :class:`MalTypeError` naming the kernel."""
+    (``BAT.calc_const``): numbers promote, a nil takes the other's atom
+    and two nils are ``int``; a choice of one value (``ifthenelse``,
+    ``min``, ``max``) also keeps two equal atoms.  Any other mix raises
+    :class:`MalTypeError` naming the kernel."""
     parts = "branches" if first else "operands"
+    choice = first or function in ("min", "max")
 
     def derive(args, var_types):
         lead_bat, lead = operand(args[first], var_types)
         other_bat, other = operand(args[first + 1], var_types)
         if other_bat and not lead_bat:
             lead, other = other, lead
-        if lead is None or other is None or lead is other:
+        if lead is None or other is None or choice and lead is other:
             return (of((lead or other or INT).name),)
         try:
             return (of(promote(lead, other).name),)
@@ -207,8 +217,8 @@ def promoted(function: str, of: Callable[[str], TypeSpec], first: int = 0
                 f"{parts} {lead.name} and {other.name} do not promote"
             ) from None
 
-    return Signature(f"the promotion of its {parts} (equal atoms, or "
-                     "numbers)", derive)
+    return Signature(f"the promotion of its {parts} (numbers"
+                     f"{', or equal atoms' if choice else ''})", derive)
 
 
 def binary(name: str, of: Callable[[str], TypeSpec]) -> Signature:
@@ -274,6 +284,7 @@ __all__ = [
     "MalImplementation",
     "Signature",
     "check_types",
+    "column_atom",
     "lookup",
     "nil_type",
     "register",

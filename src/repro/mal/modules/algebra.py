@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from repro.errors import MalRuntimeError, MalTypeError
 from repro.mal.ast import bat_of
-from repro.mal.modules import (Signature, nil_type, operand, register,
+from repro.mal.modules import (Signature, column_atom, nil_type, register,
                                tail_of)
 from repro.storage.bat import BAT
-from repro.storage.types import INT, nil
+from repro.storage.types import nil
 
 
 def _require_bat(value, name: str) -> BAT:
@@ -102,8 +102,7 @@ def sort_reverse_tail(ctx, instr, args):
 
 
 def _project(args, var_types):
-    tail = operand(args[1], var_types)[1]
-    return (bat_of((tail or INT).name),)
+    return (bat_of(column_atom(args[1], var_types).name),)
 
 
 #: ``BAT.project`` types the column by its value, a nil by its declared

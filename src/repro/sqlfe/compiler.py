@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import SqlError
 from repro.mal.ast import Const, MalProgram, Var, bat_of
+from repro.mal.modules import column_atom
 from repro.sqlfe.ast import (
     Between,
     BinaryOp,
@@ -52,7 +53,7 @@ from repro.sqlfe.ast import (
 from repro.sqlfe.binder import Binder
 from repro.sqlfe.parser import parse_sql
 from repro.storage.catalog import Catalog, _sql_type_to_mal
-from repro.storage.types import INT, cast_value, infer_type
+from repro.storage.types import cast_value
 
 _CMP_TO_THETA = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
@@ -715,7 +716,7 @@ class _SelectCompiler:
             if value.__class__ is Var:  # the type the plan declares
                 atom = self.program.type_of(value.name).tail
             else:  # a constant in a scalar aggregate's select list
-                atom = INT if value.value is None else infer_type(value.value)
+                atom = column_atom(value, {})
             rs = self.emit("sql", "rsColumn", [
                 rs, Const(table_label), Const(output.name),
                 Const(atom.name), value])

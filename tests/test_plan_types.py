@@ -30,7 +30,7 @@ import repro.mal.interpreter as interpreter
 from repro.errors import MalRuntimeError, MalTypeError
 from repro.mal import Interpreter
 from repro.mal.ast import MalProgram, Var
-from repro.mal.modules import lookup
+from repro.mal.modules import column_atom, lookup
 from repro.mal.optimizer import default_pipe
 from repro.mal.parser import parse_instruction_text, parse_program
 from repro.server.database import Database
@@ -76,11 +76,17 @@ PLAN_TYPED = [
     "select cast(1 as bigint) from lineitem",
 ]
 
-#: operands or branches that do not promote: a MalTypeError at compile
+#: constants beside a scalar aggregate stay constants in ``sql.rsColumn``
+CONSTANT_COLUMNS = "select 1, 'a', null, 2.5, count(*) from lineitem"
+
+#: operands or branches that do not promote: a MalTypeError at compile;
+#: equal atoms that are not numbers do not promote in arithmetic
 ILL_TYPED = [
     "select case when 1 = 1 then 'a' else 1 end from lineitem",
     "select l_comment + 1 from lineitem",
     "select l_shipdate * 2 from lineitem",
+    "select l_comment + l_comment from lineitem",
+    "select (l_quantity > 10) + (l_quantity > 20) from lineitem",
 ]
 
 
@@ -146,20 +152,22 @@ def test_a_result_sets_types_are_its_plans(tpch):
     for workers in WORKERS:
         database = Database(catalog=tpch, workers=workers,
                             plan_cache_size=0)
-        for sql in _statements() + PLAN_TYPED:
+        for sql in _statements() + PLAN_TYPED + [CONSTANT_COLUMNS]:
             outcome = database.execute(sql)
             program, types = outcome.program, []
             for instr in program.instructions:
                 if instr.qualified_name == "sql.rsColumn":
                     value, type_name = instr.args[4], instr.args[3].value
-                    assert value.__class__ is Var, sql
-                    assert program.type_of(value.name).tail.name \
+                    assert (program.type_of(value.name).tail
+                            if value.__class__ is Var
+                            else column_atom(value, {})).name \
                         == type_name, sql
                     types.append(type_name)
             labelled += len(types)
             assert outcome.execution.result_sets[0].types == types, sql
             if sql in PLAN_TYPED:
                 assert types == ["int"], sql
+    assert types == ["int", "str", "int", "dbl", "lng"]  # CONSTANT_COLUMNS
     assert labelled > 1_000
 
 
@@ -269,6 +277,14 @@ def test_a_declared_type_its_kernel_does_not_return_fails_validate(items):
         Interpreter(items).run(_program(":bat[:oid,:int]"))
     for declared in ("", ":bat[:oid,:bit]"):  # any, and the right type
         assert Interpreter(items).run(_program(declared)).rows() == [(2,)]
+
+
+def test_hand_written_operands_that_do_not_promote_fail_validate():
+    for text in ('X_1:str := calc.add("a","b");', 'X_1 := calc.add("a",1);'):
+        with pytest.raises(MalTypeError, match=r"pc=0: calc\.add: operands "
+                           r"str and (str|int) do not promote"):
+            parse_instruction_text(text).validate()
+    parse_instruction_text('X_1:str := calc.min("a","b");').validate()
 
 
 def test_an_instruction_no_kernel_implements_fails_at_compile_time():
