@@ -47,7 +47,9 @@ def _binary(name: str):
                 out_type=nil_type(ctx, instr) if a is nil else None)
         raise MalTypeError(f"batcalc.{name} needs at least one BAT operand")
 
-    impl.__doc__ = f"``batcalc.{name}``: elementwise {op} with nil propagation."
+    impl.__doc__ = f"``batcalc.{name}``: elementwise {op}" + (
+        ", three-valued." if name in ("and", "or")
+        else " with nil propagation.")
     return impl
 
 

@@ -3,7 +3,8 @@
 MonetDB spells these with symbolic names (``calc.+``); to keep plans
 parseable by a conventional tokenizer this reproduction uses spelled-out
 names (``calc.add``), a choice recorded in DESIGN.md.  nil propagates
-through every operation, mirroring SQL three-valued logic.
+through every operation but ``and``/``or``, which follow SQL's
+three-valued logic (FALSE AND nil is FALSE, TRUE OR nil is TRUE).
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 from repro.mal.ast import scalar_of
 from repro.mal.modules import (binary, nil_type, promoted, register,
                                returns, tail_of)
-from repro.storage.types import (cast_value, infer_type, nil, promote,
-                                 type_by_name)
+from repro.storage.types import (cast_value, infer_type, logical_and,
+                                 logical_or, nil, promote, type_by_name)
 
 _BINARY = {
     "add": lambda a, b: a + b,
@@ -26,8 +27,6 @@ _BINARY = {
     "le": lambda a, b: a <= b,
     "gt": lambda a, b: a > b,
     "ge": lambda a, b: a >= b,
-    "and": lambda a, b: bool(a and b),
-    "or": lambda a, b: bool(a or b),
     "min": min,
     "max": max,
 }
@@ -48,6 +47,18 @@ def _binary(name: str):
 
 for _name in _BINARY:
     register(f"calc.{_name}", binary(_name, scalar_of))(_binary(_name))
+
+
+@register("calc.and", binary("and", scalar_of))
+def and_(ctx, instr, args):
+    """``calc.and(a, b)``: three-valued, FALSE AND nil is FALSE."""
+    return logical_and(args[0], args[1])
+
+
+@register("calc.or", binary("or", scalar_of))
+def or_(ctx, instr, args):
+    """``calc.or(a, b)``: three-valued, TRUE OR nil is TRUE."""
+    return logical_or(args[0], args[1])
 
 
 @register("calc.not", returns(scalar_of("bit")))

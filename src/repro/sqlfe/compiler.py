@@ -23,13 +23,12 @@ actually execute (and whose dot file the Stethoscope displays).
 
 from __future__ import annotations
 
-import datetime
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import SqlError
 from repro.mal.ast import Const, MalProgram, Var, bat_of
-from repro.mal.modules import column_atom
+from repro.mal.modules import column_atom, lookup
 from repro.sqlfe.ast import (
     Between,
     BinaryOp,
@@ -53,7 +52,7 @@ from repro.sqlfe.ast import (
 from repro.sqlfe.binder import Binder
 from repro.sqlfe.parser import parse_sql
 from repro.storage.catalog import Catalog, _sql_type_to_mal
-from repro.storage.types import cast_value
+from repro.storage.types import nil
 
 _CMP_TO_THETA = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
@@ -119,8 +118,7 @@ class _SelectCompiler:
         self.mvc: Optional[Var] = mvc
         self._bind_cache: Dict[Tuple[str, str], Var] = {}
         self._candidates: Dict[str, Var] = {}
-        self._rowmaps: Dict[str, Var] = {}
-        self._projection_cache: Dict[Tuple[str, str], Var] = {}
+        self._space: Optional[_RowSpace] = None
 
     # ------------------------------------------------------------------
     # emission helpers
@@ -250,12 +248,11 @@ class _SelectCompiler:
             cand = self.emit("sql", "tid", [self.mvc, Const(self.schema),
                                              Const(table.name)])
         for predicate in deferred:
-            self._projection_cache.clear()
-            sel = self._filter_by_bit(cand, predicate, {table_key: cand})
+            sel = self._filter_by_bit(
+                predicate, _RowSpace(self, {table_key: cand}))
             cand = self.emit("algebra", "semijoin", [cand, sel])
-        self._projection_cache.clear()
         self._candidates[table_key] = cand
-        self._rowmaps = dict(self._candidates)
+        self._space = _RowSpace(self, dict(self._candidates))
 
     def _try_simple_selection(self, table_key: str, predicate: Expression,
                               cand: Optional[Var]) -> Optional[Var]:
@@ -355,7 +352,7 @@ class _SelectCompiler:
     def _join_step(self, inner: ColumnRef, outer: ColumnRef) -> None:
         """Join the already-joined row space (via ``inner``) with the fresh
         table referenced by ``outer``."""
-        inner_vals = self._project(inner.table_key, inner.column)
+        inner_vals = self._space.leaf(inner)
         outer_cand = self._candidates[outer.table_key]
         outer_col = self.bind_column(outer.table_key, outer.column)
         outer_vals = self.emit("algebra", "leftjoin", [outer_cand, outer_col])
@@ -364,11 +361,10 @@ class _SelectCompiler:
         new_outer_map = self.emit("algebra", "markT", [pairs, Const(0)])
         reversed_pairs = self.emit("bat", "reverse", [pairs])
         old_row_map = self.emit("algebra", "markT", [reversed_pairs, Const(0)])
-        for key in list(self._rowmaps):
-            self._rowmaps[key] = self.emit(
-                "algebra", "leftjoin", [old_row_map, self._rowmaps[key]])
-        self._rowmaps[outer.table_key] = new_outer_map
-        self._projection_cache.clear()
+        rowmaps = {key: self.emit("algebra", "leftjoin", [old_row_map, rowmap])
+                   for key, rowmap in self._space.rowmaps.items()}
+        rowmaps[outer.table_key] = new_outer_map
+        self._space = _RowSpace(self, rowmaps)
 
     # ------------------------------------------------------------------
     # residual predicates
@@ -376,65 +372,47 @@ class _SelectCompiler:
 
     def _apply_residuals(self, residuals: List[Expression]) -> None:
         for predicate in residuals:
-            first_map = next(iter(self._rowmaps.values()))
-            filtered = self._filter_by_bit(first_map, predicate, self._rowmaps)
+            sel = self._filter_by_bit(predicate, self._space)
             # the selection on the shared row space applies to all maps
-            sel = filtered
-            for key in list(self._rowmaps):
-                self._rowmaps[key] = self.emit(
-                    "algebra", "semijoin", [self._rowmaps[key], sel])
-            self._projection_cache.clear()
+            self._space = _RowSpace(self, {
+                key: self.emit("algebra", "semijoin", [rowmap, sel])
+                for key, rowmap in self._space.rowmaps.items()})
 
-    def _filter_by_bit(self, space_var: Var, predicate: Expression,
-                       rowmaps: Dict[str, Var]) -> Var:
-        """Compute ``predicate`` as a bit BAT over the row space and select
+    def _filter_by_bit(self, predicate: Expression, space: _RowSpace) -> Var:
+        """Compute ``predicate`` as a bit BAT over ``space`` and select
         the true rows; returns a BAT whose heads are the surviving rows."""
-        bit = self._compile_expr(predicate, rowmaps)
+        bit = self._compile_expr(predicate, space)
         if not self.is_bat(bit):
-            bit = self.emit("algebra", "project", [space_var, bit])
+            bit = self.emit("algebra", "project", [space.rows, bit])
         return self.emit("algebra", "select", [bit, Const(True)])
 
     # ------------------------------------------------------------------
-    # row-space expression compilation
+    # expression compilation
     # ------------------------------------------------------------------
 
-    def _project(self, table_key: str, column: str) -> Var:
-        cached = self._projection_cache.get((table_key, column))
-        if cached is not None:
-            return cached
-        rowmap = self._rowmaps[table_key]
-        col_bat = self.bind_column(table_key, column)
-        var = self.emit("algebra", "leftjoin", [rowmap, col_bat])
-        self._projection_cache[(table_key, column)] = var
-        return var
-
-    def _compile_expr(self, expr: Expression,
-                      rowmaps: Dict[str, Var]):
-        """Compile an expression over the current row space.
+    def _compile_expr(self, expr: Expression, space):
+        """Compile an expression in ``space`` (a :class:`_RowSpace` or a
+        :class:`_GroupSpace`, which compiles the leaves).
 
         Returns a Var (BAT when any input was a BAT, scalar otherwise) or
         a Const for literal subtrees.
         """
+        leaf = space.leaf(expr)
+        if leaf is not None:
+            return leaf
         if isinstance(expr, Literal):
             return Const(expr.value)
         if isinstance(expr, Interval):
             raise SqlError("interval literal outside date arithmetic")
-        if isinstance(expr, ColumnRef):
-            saved = self._rowmaps
-            self._rowmaps = rowmaps
-            try:
-                return self._project(expr.table_key, expr.column)
-            finally:
-                self._rowmaps = saved
         if isinstance(expr, BinaryOp):
-            return self._compile_binary(expr, rowmaps)
+            return self._compile_binary(expr, space)
         if isinstance(expr, UnaryOp):
-            operand = self._compile_expr(expr.operand, rowmaps)
+            operand = self._compile_expr(expr.operand, space)
             if expr.op == "NOT":
                 return self._emit_calc("not", [operand])
             return self._emit_calc("neg", [operand])
         if isinstance(expr, IsNull):
-            operand = self._compile_expr(expr.operand, rowmaps)
+            operand = self._compile_expr(expr.operand, space)
             bit = self._emit_calc("isnil", [operand])
             if expr.negated:
                 bit = self._emit_calc("not", [bit])
@@ -445,7 +423,7 @@ class _SelectCompiler:
                 BinaryOp(">=", expr.operand, expr.low),
                 BinaryOp("<=", expr.operand, expr.high),
             )
-            bit = self._compile_binary(lowered, rowmaps)
+            bit = self._compile_binary(lowered, space)
             if expr.negated:
                 bit = self._emit_calc("not", [bit])
             return bit
@@ -453,14 +431,14 @@ class _SelectCompiler:
             bit = None
             for item in expr.items:
                 eq = self._compile_binary(
-                    BinaryOp("=", expr.operand, item), rowmaps
+                    BinaryOp("=", expr.operand, item), space
                 )
                 bit = eq if bit is None else self._emit_calc("or", [bit, eq])
             if expr.negated:
                 bit = self._emit_calc("not", [bit])
             return bit
         if isinstance(expr, Like):
-            operand = self._compile_expr(expr.operand, rowmaps)
+            operand = self._compile_expr(expr.operand, space)
             if not self.is_bat(operand):
                 raise SqlError("LIKE over a non-column value")
             bit = self.emit("batstr", "like", [operand, Const(expr.pattern)])
@@ -469,7 +447,7 @@ class _SelectCompiler:
             return bit
         if isinstance(expr, InSubquery):
             members = self._compile_sub_select(expr)
-            operand = self._compile_expr(expr.operand, rowmaps)
+            operand = self._compile_expr(expr.operand, space)
             if not self.is_bat(operand):
                 raise SqlError("IN (subquery) needs a column operand")
             if self.is_bat(members):
@@ -481,56 +459,34 @@ class _SelectCompiler:
             return bit
         if isinstance(expr, ScalarSubquery):
             return self._scalar_subquery(expr)
-        if isinstance(expr, CaseWhen):
-            return self._compile_case(
-                expr, lambda e: self._compile_expr(e, rowmaps))
+        if isinstance(expr, CaseWhen):  # a nest of ``ifthenelse``
+            result = (self._compile_expr(expr.otherwise, space)
+                      if expr.otherwise is not None else Const(None))
+            for condition, value in reversed(expr.branches):
+                result = self._emit_calc("ifthenelse", [
+                    self._compile_expr(condition, space),
+                    self._compile_expr(value, space), result])
+            return result
         if isinstance(expr, Cast):
-            operand = self._compile_expr(expr.operand, rowmaps)
+            operand = self._compile_expr(expr.operand, space)
             mal_type = _sql_type_to_mal(expr.type_name)
             return self._emit_calc(mal_type.name, [operand])
         if isinstance(expr, ExtractYear):
-            operand = self._compile_expr(expr.operand, rowmaps)
+            operand = self._compile_expr(expr.operand, space)
             return self._emit_calc("year", [operand], "mtime")
-        if isinstance(expr, FuncCall):
-            raise SqlError(
-                f"aggregate {expr.name}() in a non-aggregate context"
-            )
         raise SqlError(f"cannot compile expression {expr!r}")
 
-    def _compile_binary(self, expr: BinaryOp, rowmaps: Dict[str, Var]):
-        date_arith = self._try_date_arithmetic(expr, rowmaps)
-        if date_arith is not None:
-            return date_arith
-        left = self._compile_expr(expr.left, rowmaps)
-        right = self._compile_expr(expr.right, rowmaps)
-        return self._emit_binary(expr.op, left, right)
-
-    def _emit_binary(self, op: str, left, right) -> Var:
-        if op not in _CALC:
-            raise SqlError(f"unknown operator {op!r}")
-        return self._emit_calc(_CALC[op], [left, right])
-
-    def _try_date_arithmetic(self, expr: BinaryOp, rowmaps: Dict[str, Var]):
-        """``date ± interval`` compiles to mtime/batmtime instructions."""
-        if expr.op not in ("+", "-"):
-            return None
-        interval = None
-        other = None
-        if isinstance(expr.right, Interval):
-            interval, other = expr.right, expr.left
-        elif isinstance(expr.left, Interval) and expr.op == "+":
-            interval, other = expr.left, expr.right
-        if interval is None:
-            return None
-        amount = interval.amount if expr.op == "+" else -interval.amount
-        if interval.unit == "day":
-            function = "adddays"
-        else:
-            function = "addmonths"
-            if interval.unit == "year":
-                amount *= 12
-        operand = self._compile_expr(other, rowmaps)
-        return self._emit_calc(function, [operand, Const(amount)], "mtime")
+    def _compile_binary(self, expr: BinaryOp, space):
+        date_arith = _date_arithmetic(expr)
+        if date_arith is not None:  # mtime/batmtime instructions
+            function, operand, amount = date_arith
+            return self._emit_calc(function, [
+                self._compile_expr(operand, space), Const(amount)], "mtime")
+        if expr.op not in _CALC:
+            raise SqlError(f"unknown operator {expr.op!r}")
+        left = self._compile_expr(expr.left, space)
+        right = self._compile_expr(expr.right, space)
+        return self._emit_calc(_CALC[expr.op], [left, right])
 
     def _compile_sub_select(self, expr):
         """Compile an uncorrelated subquery into the enclosing program;
@@ -549,16 +505,6 @@ class _SelectCompiler:
         return self.emit("sql", "single", [value]) if self.is_bat(value) \
             else value
 
-    def _compile_case(self, expr: CaseWhen, compile_fn):
-        """A nest of ``ifthenelse``, its parts compiled by
-        ``compile_fn`` (over the row space or in group space)."""
-        result = (compile_fn(expr.otherwise) if expr.otherwise is not None
-                  else Const(None))
-        for condition, value in reversed(expr.branches):
-            result = self._emit_calc("ifthenelse", [
-                compile_fn(condition), compile_fn(value), result])
-        return result
-
     def _emit_calc(self, function: str, operands: List,
                    module: str = "calc") -> Var:
         """Scalar ``calc`` (or ``mtime``) or elementwise ``batcalc`` (or
@@ -575,15 +521,12 @@ class _SelectCompiler:
         outputs: List[OutputColumn] = []
         for item in self.select.items:
             value = self._ensure_bat(
-                self._compile_expr(item.expr, self._rowmaps))
+                self._compile_expr(item.expr, self._space))
             outputs.append(OutputColumn(
                 name=item.alias or _display_name(item.expr),
                 value=value, is_scalar=False,
             ))
-        order_keys = self._compile_order_keys(
-            outputs, lambda e: self._compile_expr(e, self._rowmaps)
-        )
-        return outputs, order_keys
+        return outputs, self._compile_order_keys(outputs, self._space)
 
     # ------------------------------------------------------------------
     # grouped / aggregate output
@@ -591,33 +534,31 @@ class _SelectCompiler:
 
     def _compile_grouped(self):
         select = self.select
-        group_exprs = select.group_by
-        if group_exprs:
+        groups = extents = None
+        keys: Dict[str, Var] = {}
+        if select.group_by:
             key_vars = [
-                self._ensure_bat(self._compile_expr(e, self._rowmaps))
-                for e in group_exprs
+                self._ensure_bat(self._compile_expr(e, self._space))
+                for e in select.group_by
             ]
             groups, extents, _hist = self._emit_grouping(key_vars)
-            group_env = _GroupEnv(self, groups, extents, group_exprs,
-                                  key_vars)
-        else:
-            group_env = _GroupEnv(self, None, None, [], [])
+            keys = dict(zip(map(repr, select.group_by), key_vars))
+        space = _GroupSpace(self, groups, extents, keys)
         outputs: List[OutputColumn] = []
         for item in select.items:
-            value = group_env.compile(item.expr)
-            if not group_env.scalar and not self.is_bat(value):
-                value = self.emit("algebra", "project",
-                                  [group_env.extents, value])
+            value = self._compile_expr(item.expr, space)
+            if not space.scalar and not self.is_bat(value):
+                value = self.emit("algebra", "project", [extents, value])
             outputs.append(OutputColumn(
                 name=item.alias or _display_name(item.expr),
                 value=value,
-                is_scalar=group_env.scalar,
+                is_scalar=space.scalar,
             ))
-        order_keys = self._compile_order_keys(outputs, group_env.compile)
+        order_keys = self._compile_order_keys(outputs, space)
         if select.having is not None:
-            if group_env.scalar:
+            if space.scalar:
                 raise SqlError("HAVING without GROUP BY is not supported")
-            bit = group_env.compile(select.having)
+            bit = self._compile_expr(select.having, space)
             if not self.is_bat(bit):
                 raise SqlError("HAVING must reference the grouping")
             sel = self.emit("algebra", "select", [bit, Const(True)])
@@ -631,8 +572,7 @@ class _SelectCompiler:
     def _ensure_bat(self, value) -> Var:
         if self.is_bat(value):
             return value
-        space = next(iter(self._rowmaps.values()))
-        return self.emit("algebra", "project", [space, value])
+        return self.emit("algebra", "project", [self._space.rows, value])
 
     def _emit_grouping(self, key_vars: List[Var]):
         groups = extents = hist = None
@@ -649,7 +589,7 @@ class _SelectCompiler:
     # ordering / limit / result
     # ------------------------------------------------------------------
 
-    def _compile_order_keys(self, outputs: List[OutputColumn], compile_fn):
+    def _compile_order_keys(self, outputs: List[OutputColumn], space):
         keys = []
         if not self.select.order_by:
             return keys
@@ -674,7 +614,8 @@ class _SelectCompiler:
             if matched is not None:
                 keys.append((matched.value, order.descending))
                 continue
-            keys.append((self._ensure_bat(compile_fn(expr)), order.descending))
+            keys.append((self._ensure_bat(self._compile_expr(expr, space)),
+                         order.descending))
         return keys
 
     def _apply_ordering(self, outputs: List[OutputColumn], order_keys):
@@ -723,83 +664,84 @@ class _SelectCompiler:
         self.program.add("sql", "exportResult", [rs])
 
 
-class _GroupEnv:
-    """Expression compilation in group space (after GROUP BY) or scalar
-    aggregate space (aggregates without GROUP BY)."""
+class _RowSpace:
+    """The leaves of an expression over the row space (one table's
+    candidates, or the joined rows): a column is a ``leftjoin`` of its
+    table's row map against the bound column, emitted once per space.
+    A join or a filter makes a new space."""
+
+    def __init__(self, compiler: _SelectCompiler,
+                 rowmaps: Dict[str, Var]) -> None:
+        self.compiler = compiler
+        self.rowmaps = rowmaps
+        self.rows = next(iter(rowmaps.values()))
+        self._columns: Dict[Tuple[str, str], Var] = {}
+
+    def leaf(self, expr: Expression) -> Optional[Var]:
+        if isinstance(expr, ColumnRef):
+            key = (expr.table_key, expr.column)
+            var = self._columns.get(key)
+            if var is None:
+                c = self.compiler
+                var = self._columns[key] = c.emit("algebra", "leftjoin", [
+                    self.rowmaps[expr.table_key], c.bind_column(*key)])
+            return var
+        if isinstance(expr, FuncCall):
+            raise SqlError(
+                f"aggregate {expr.name}() in a non-aggregate context"
+            )
+        return None
+
+
+class _GroupSpace:
+    """The leaves of an expression after GROUP BY (the group space) or
+    over aggregates without GROUP BY (the scalar aggregate space): a key,
+    matched by ``repr``, projects through the extents; an aggregate
+    compiles its argument in the row space; any other column is an
+    error.  Each leaf is emitted once."""
 
     def __init__(self, compiler: _SelectCompiler, groups, extents,
-                 group_exprs: List[Expression], key_vars: List[Var]) -> None:
+                 keys: Dict[str, Var]) -> None:
         self.compiler = compiler
         self.groups = groups
         self.extents = extents
         self.scalar = groups is None
-        self._key_by_repr = {
-            repr(e): var for e, var in zip(group_exprs, key_vars)
-        }
-        self._key_projection_cache: Dict[str, Var] = {}
-        self._aggregate_cache: Dict[str, Any] = {}
+        self._keys = keys
+        self._leaves: Dict[str, Var] = {}
 
-    def compile(self, expr: Expression):
+    def leaf(self, expr: Expression) -> Optional[Var]:
+        # (a scalar aggregate has no keys: only an aggregate needs a repr)
+        text = repr(expr) if self._keys or isinstance(expr, FuncCall) \
+            else None
+        if text in self._leaves:
+            return self._leaves[text]
         c = self.compiler
-        if self._key_by_repr:  # (a scalar aggregate has no keys)
-            key = repr(expr)
-            if key in self._key_by_repr:
-                return self._project_key(key)
-        if isinstance(expr, FuncCall):
-            return self._aggregate(expr)
-        if isinstance(expr, Literal):
-            return Const(expr.value)
-        if isinstance(expr, BinaryOp):
-            left = self.compile(expr.left)
-            return c._emit_binary(expr.op, left, self.compile(expr.right))
-        if isinstance(expr, UnaryOp):
-            operand = self.compile(expr.operand)
-            return c._emit_calc("not" if expr.op == "NOT" else "neg",
-                                [operand])
-        if isinstance(expr, Cast):
-            operand = self.compile(expr.operand)
-            return c._emit_calc(_sql_type_to_mal(expr.type_name).name,
-                                [operand])
-        if isinstance(expr, ScalarSubquery):
-            return c._scalar_subquery(expr)
-        if isinstance(expr, CaseWhen):
-            return c._compile_case(expr, self.compile)
-        if isinstance(expr, ColumnRef):
+        if text in self._keys:
+            var = c.emit("algebra", "leftjoin",
+                         [self.extents, self._keys[text]])
+        elif isinstance(expr, FuncCall):
+            var = self._aggregate(expr)
+        elif isinstance(expr, ColumnRef):
             raise SqlError(
                 f"column {expr.display()!r} is neither grouped nor aggregated"
             )
-        raise SqlError(f"cannot compile {type(expr).__name__} in group space")
-
-    def _project_key(self, key_repr: str) -> Var:
-        cached = self._key_projection_cache.get(key_repr)
-        if cached is not None:
-            return cached
-        c = self.compiler
-        var = c.emit("algebra", "leftjoin",
-                     [self.extents, self._key_by_repr[key_repr]])
-        self._key_projection_cache[key_repr] = var
+        else:
+            return None
+        self._leaves[text] = var
         return var
 
-    def _aggregate(self, call: FuncCall):
-        key = repr(call)
-        cached = self._aggregate_cache.get(key)
-        if cached is not None:
-            return cached
+    def _aggregate(self, call: FuncCall) -> Var:
         c = self.compiler
         function = call.name
         if call.star or not call.args:
-            source = next(iter(c._rowmaps.values()))
+            source = c._space.rows
         else:
-            source = c._ensure_bat(c._compile_expr(call.args[0], c._rowmaps))
+            source = c._ensure_bat(c._compile_expr(call.args[0], c._space))
             if function == "count":
                 function = "count_no_nil"  # count(column) skips nils
         if self.scalar:
-            var = c.emit("aggr", function, [source])
-        else:
-            var = c.emit("aggr", function,
-                         [source, self.groups, self.extents])
-        self._aggregate_cache[key] = var
-        return var
+            return c.emit("aggr", function, [source])
+        return c.emit("aggr", function, [source, self.groups, self.extents])
 
 
 # ---------------------------------------------------------------------------
@@ -811,60 +753,56 @@ _NOT_CONST = object()
 
 
 def _const_eval(expr: Expression):
-    """Evaluate a literal-only expression at compile time; returns
+    """Evaluate a literal-only expression at compile time, on the
+    ``calc``/``mtime`` kernels that would compute it at run time; returns
     ``_NOT_CONST`` when the expression involves columns or aggregates,
-    or is nil: a selection cannot take a nil, which compares as nil, so
+    when a kernel fails (the plan then fails at run time, typed), or when
+    it is nil: a selection cannot take a nil, which compares as nil, so
     its predicate is computed as a ``bit``."""
     if isinstance(expr, Literal):
         return _NOT_CONST if expr.value is None else expr.value
+    module = "calc"
     if isinstance(expr, UnaryOp) and expr.op == "-":
-        value = _const_eval(expr.operand)
-        return value if value is _NOT_CONST else -value
-    if isinstance(expr, Cast):
-        value = _const_eval(expr.operand)
-        if value is _NOT_CONST:
-            return _NOT_CONST
-        return cast_value(value, _sql_type_to_mal(expr.type_name))
-    if isinstance(expr, BinaryOp) and expr.op in ("+", "-", "*", "/", "%"):
-        if isinstance(expr.right, Interval) or isinstance(expr.left, Interval):
-            return _const_interval_arith(expr)
-        left = _const_eval(expr.left)
-        right = _const_eval(expr.right)
-        if left is _NOT_CONST or right is _NOT_CONST:
-            return _NOT_CONST
-        try:
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            if expr.op == "/":
-                return left / right if right else _NOT_CONST
-            return left % right if right else _NOT_CONST
-        except TypeError:
-            return _NOT_CONST
-    return _NOT_CONST
-
-
-def _const_interval_arith(expr: BinaryOp):
-    if isinstance(expr.right, Interval):
-        base = _const_eval(expr.left)
-        interval = expr.right
-    elif expr.op == "+":
-        base = _const_eval(expr.right)
-        interval = expr.left
+        function, operands = "neg", [_const_eval(expr.operand)]
+    elif isinstance(expr, Cast):
+        function = _sql_type_to_mal(expr.type_name).name
+        operands = [_const_eval(expr.operand)]
+    elif isinstance(expr, BinaryOp) and expr.op in ("+", "-", "*", "/", "%"):
+        date_arith = _date_arithmetic(expr)
+        if date_arith is None:
+            function = _CALC[expr.op]
+            operands = [_const_eval(expr.left), _const_eval(expr.right)]
+        else:
+            module = "mtime"
+            function, operand, amount = date_arith
+            operands = [_const_eval(operand), amount]
     else:
         return _NOT_CONST
-    if base is _NOT_CONST or not isinstance(base, datetime.date):
+    if any(operand is _NOT_CONST for operand in operands):
         return _NOT_CONST
+    try:
+        value = lookup(module, function)(None, None, operands)
+    except Exception:
+        return _NOT_CONST
+    return _NOT_CONST if value is nil else value
+
+
+def _date_arithmetic(expr: BinaryOp):
+    """``date ± interval`` as the ``mtime`` call that computes it:
+    ``(function, date operand, amount)``; None for any other operation."""
+    if expr.op not in ("+", "-"):
+        return None
+    if isinstance(expr.right, Interval):
+        interval, operand = expr.right, expr.left
+    elif isinstance(expr.left, Interval) and expr.op == "+":
+        interval, operand = expr.left, expr.right
+    else:
+        return None
     amount = interval.amount if expr.op == "+" else -interval.amount
     if interval.unit == "day":
-        return base + datetime.timedelta(days=amount)
-    months = amount * (12 if interval.unit == "year" else 1)
-    from repro.mal.modules.mtime import addmonths
-
-    return addmonths(None, None, [base, months])
+        return "adddays", operand, amount
+    months = amount * 12 if interval.unit == "year" else amount
+    return "addmonths", operand, months
 
 
 def _split_conjuncts(expr: Optional[Expression]) -> List[Expression]:

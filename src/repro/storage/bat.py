@@ -102,7 +102,8 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, 
 
 from repro.errors import StorageError, TypeMismatchError
 from repro.storage.types import (
-    BIT, DATE, DBL, LNG, OID, MalType, cast_value, nil, type_by_name,
+    BIT, DATE, DBL, LNG, OID, MalType, cast_value, logical_and, logical_or,
+    nil, type_by_name,
 )
 
 _OPS: dict = {
@@ -1305,7 +1306,7 @@ class BAT:
             raise StorageError("batcalc length mismatch")
         fn = _calc_fn(op)
         a, b = self.tail, other.tail
-        if None in a or None in b:
+        if op not in _THREE_VALUED and (None in a or None in b):
             tail = [None if (x is None or y is None) else fn(x, y)
                     for x, y in zip(a, b)]
         else:
@@ -1317,8 +1318,10 @@ class BAT:
         """Elementwise binary op against a constant."""
         fn = _calc_fn(op)
         a = self.tail
-        if value is nil:
-            tail: List[Any] = [nil] * len(a)
+        if op in _THREE_VALUED:  # commutative, and an answer for a nil
+            tail: List[Any] = list(map(fn, a, repeat(value)))
+        elif value is nil:
+            tail = [nil] * len(a)
         elif None in a:
             if swapped:
                 tail = [None if v is None else fn(value, v) for v in a]
@@ -1337,14 +1340,11 @@ class BAT:
                   out_type: Optional[MalType], other_type: MalType) -> "BAT":
         skip_cast = False
         if out_type is None:
-            if op in _OPS:
-                # comparison kernels yield real bools: already BIT-shaped
+            if op in _OPS or op in _THREE_VALUED:
+                # comparison and logical kernels yield real bools (or
+                # nils): already BIT-shaped
                 out_type = BIT
                 skip_cast = True
-            elif op in ("and", "or"):
-                out_type = BIT
-                # bools in give bools out
-                skip_cast = self.tail_type is BIT and other_type is BIT
             elif op == "/":
                 out_type = DBL
                 # true division of numerics is always a float (or nil)
@@ -1379,14 +1379,6 @@ def _safe_mod(a: Any, b: Any) -> Any:
     return a % b if b else None
 
 
-def _logical_and(a: Any, b: Any) -> Any:
-    return a and b
-
-
-def _logical_or(a: Any, b: Any) -> Any:
-    return a or b
-
-
 _CALC_FNS: dict = {
     **_OPS,
     "+": operator.add,
@@ -1394,9 +1386,12 @@ _CALC_FNS: dict = {
     "*": operator.mul,
     "/": _safe_div,
     "%": _safe_mod,
-    "and": _logical_and,
-    "or": _logical_or,
+    "and": logical_and,
+    "or": logical_or,
 }
+#: the calc operators that answer for a nil operand (SQL's three-valued
+#: logic) instead of propagating it
+_THREE_VALUED = frozenset(("and", "or"))
 
 
 def _calc_fn(op: str) -> Callable[[Any, Any], Any]:

@@ -311,10 +311,7 @@ def calc(bat: BAT, other: BAT, op: str,
     if len(other) != len(bat):
         raise StorageError("batcalc length mismatch")
     fn = _calc_fn(op)
-    tail = [
-        nil if (a is nil or b is nil) else fn(a, b)
-        for a, b in zip(bat.tail, other.tail)
-    ]
+    tail = [fn(a, b) for a, b in zip(bat.tail, other.tail)]
     return _calc_out(bat, tail, op, out_type, other.tail_type)
 
 
@@ -322,12 +319,7 @@ def calc_const(bat: BAT, value: Any, op: str, swapped: bool = False,
                out_type: Optional[MalType] = None) -> BAT:
     """Reference elementwise binary op against a constant."""
     fn = _calc_fn(op)
-    if value is nil:
-        tail: List[Any] = [nil] * len(bat.tail)
-    elif swapped:
-        tail = [nil if v is nil else fn(value, v) for v in bat.tail]
-    else:
-        tail = [nil if v is nil else fn(v, value) for v in bat.tail]
+    tail = [fn(value, v) if swapped else fn(v, value) for v in bat.tail]
     other_type = bat.tail_type if value is nil else infer_type(value)
     return _calc_out(bat, tail, op, out_type, other_type)
 
@@ -352,21 +344,36 @@ def _calc_out(bat: BAT, tail: List[Any], op: str,
 
 
 def _calc_fn(op: str) -> Callable[[Any, Any], Any]:
-    if op in _OPS:
-        return _OPS[op]
+    """The reference of ``op`` on two values, nil included."""
     table: dict = {
+        **_OPS,
         "+": lambda a, b: a + b,
         "-": lambda a, b: a - b,
         "*": lambda a, b: a * b,
         "/": lambda a, b: a / b if b else nil,
         "%": lambda a, b: a % b if b else nil,
-        "and": lambda a, b: a and b,
-        "or": lambda a, b: a or b,
     }
+    if op in ("and", "or"):
+        return _and3 if op == "and" else _or3
     try:
-        return table[op]
+        fn = table[op]
     except KeyError:
         raise StorageError(f"unknown calc operator {op!r}") from None
+    return lambda a, b: nil if a is nil or b is nil else fn(a, b)
+
+
+def _and3(a: Any, b: Any) -> Any:
+    """Reference three-valued AND: any false operand decides."""
+    if (a is not nil and not a) or (b is not nil and not b):
+        return False
+    return nil if a is nil or b is nil else True
+
+
+def _or3(a: Any, b: Any) -> Any:
+    """Reference three-valued OR: any true operand decides."""
+    if (a is not nil and a) or (b is not nil and b):
+        return True
+    return nil if a is nil or b is nil else False
 
 
 def bat_bytes(bat: BAT) -> int:

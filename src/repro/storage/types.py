@@ -21,6 +21,22 @@ from repro.errors import TypeMismatchError
 nil = None
 
 
+def logical_and(a: Any, b: Any) -> Optional[bool]:
+    """SQL's three-valued AND: a false operand makes it false, else a
+    nil one makes it nil."""
+    if a and b:
+        return True
+    return nil if (a is nil or a) and (b is nil or b) else False
+
+
+def logical_or(a: Any, b: Any) -> Optional[bool]:
+    """SQL's three-valued OR: a true operand makes it true, else a nil
+    one makes it nil."""
+    if a or b:
+        return True
+    return nil if a is nil or b is nil else False
+
+
 @dataclass(frozen=True)
 class MalType:
     """A MAL atom type.

@@ -707,9 +707,14 @@ class TestCalcParity:
 
     @pytest.mark.parametrize("op", ["and", "or"])
     def test_boolean_truthiness_semantics(self, op):
-        a = BAT(BIT, [True, True, False, False])
-        b = BAT(BIT, [True, False, True, False])
+        """Three-valued: FALSE AND nil is FALSE, TRUE OR nil is TRUE,
+        any other nil operand gives nil."""
+        a = BAT(BIT, [True] * 3 + [False] * 3 + [nil] * 3)
+        b = BAT(BIT, [True, False, nil] * 3)
         assert_parity(a.calc(b, op), naive.calc(a, b, op))
+        assert a.calc(b, op).tail == {
+            "and": [True, False, nil, False, False, False, nil, False, nil],
+            "or": [True, True, True, True, False, nil, True, nil, nil]}[op]
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("op", ["and", "or"])

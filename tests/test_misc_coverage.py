@@ -123,14 +123,17 @@ class TestFilterWindowExtras:
 
 
 class TestGroupSpaceErrors:
-    def test_like_in_group_space_rejected(self, catalog):
+    def test_like_in_group_space_filters_the_groups(self, catalog):
         from repro.sqlfe import compile_sql
 
-        with pytest.raises(SqlError):
-            compile_sql(
+        for pattern, groups in (("v%", range(10)), ("v1%", [1])):
+            program = compile_sql(
                 catalog,
-                "select s, count(*) from t group by s having s like 'v%'",
+                f"select s, count(*) from t group by s "
+                f"having s like '{pattern}'",
             )
+            assert sorted(Interpreter(catalog).run(program).rows()) == \
+                [(f"v{i}", 1) for i in groups]
 
     def test_bare_column_in_having_rejected(self, catalog):
         from repro.sqlfe import compile_sql

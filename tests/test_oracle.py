@@ -39,8 +39,11 @@ They add about 0.3 s.  Last, a seeded wrong answer — ``<`` selecting
 as ``<=`` in the bulk kernels and the naive reference at once, which no
 bulk-against-naive parity suite can see — must make the comparison
 fail; it adds about 0.5 s.  A nil constant in a predicate
-(``NIL_PREDICATES``) and a CASE in a grouped select list
-(``GROUPED_CASES``) are checked at ``workers`` 1 and 2.  The suite
+(``NIL_PREDICATES``, among them SQL's three-valued AND and OR: FALSE
+AND nil is FALSE, TRUE OR nil is TRUE) and group space
+(``GROUPED_CASES``: a CASE in a grouped select list, BETWEEN, an IN
+list, LIKE and IN (subquery) in HAVING, IS NULL over an aggregate) are
+checked at ``workers`` 1 and 2.  The suite
 costs about 4 s of tier-1 on a 2-core box.  A generator over the whole
 dialect and the plan-shape steering are not here yet.
 """
@@ -320,6 +323,11 @@ NIL_PREDICATES = (
     "select count(*) from t where a between null and 3",
     "select count(*) from t where a between 1 and null",
     "select count(*) from t where not (a between 1 and null)",
+    # three-valued AND/OR: FALSE AND nil is FALSE, TRUE OR nil is TRUE
+    "select count(*) from t where not (a between 2 and null)",
+    "select count(*) from t where a = 1 or a > null",
+    "select count(*) from t where a in (1, null)",
+    "select count(*) from t where not (a in (2, null))",
 )
 
 
@@ -338,7 +346,9 @@ def test_a_nil_constant_in_a_predicate_agrees_with_sqlite():
             database.close()
 
 
-#: a CASE in a grouped select list, over an aggregate and over a key
+#: group space: a CASE in a grouped select list, over an aggregate and
+#: over a key; BETWEEN and an IN list in HAVING, LIKE and IN (subquery)
+#: on a key, IS NULL over an aggregate
 GROUPED_CASES = (
     "select l_returnflag, case when count(*) > 140 then 1 else 0 end "
     "from lineitem group by l_returnflag",
@@ -347,6 +357,17 @@ GROUPED_CASES = (
     "group by l_returnflag, l_linestatus",
     "select case when max(l_quantity) > 40 then sum(l_quantity) else 0 "
     "end from lineitem",
+    "select l_returnflag, count(*) from lineitem group by l_returnflag "
+    "having count(*) between 100 and 200",
+    "select l_returnflag, count(*) from lineitem group by l_returnflag "
+    "having l_returnflag in ('A', 'R')",
+    "select l_returnflag, count(*) from lineitem group by l_returnflag "
+    "having l_returnflag like 'A%'",
+    "select l_returnflag, count(*) from lineitem group by l_returnflag "
+    "having l_returnflag in "
+    "(select l_returnflag from lineitem where l_linestatus = 'O')",
+    "select l_returnflag, max(l_quantity) is null from lineitem "
+    "group by l_returnflag",
 )
 
 

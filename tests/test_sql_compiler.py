@@ -1,15 +1,18 @@
 """End-to-end tests: SQL text → MAL plan → interpreter → result rows."""
 
+import calendar
 import datetime
 
 import pytest
 
-from repro.errors import BindError, SqlError
+from repro.errors import BindError, ReproError, SqlError
 from repro.mal import Interpreter
 from repro.mal.optimizer import default_pipe, sequential_pipe
 from repro.mal.dataflow import SimulatedScheduler
+from repro.server.database import Database
 from repro.sqlfe import compile_sql
 from repro.storage import Catalog, DATE, DBL, INT, STR
+from repro.tpch import populate
 
 
 @pytest.fixture
@@ -232,6 +235,63 @@ class TestAggregates:
     def test_ungrouped_column_rejected(self, catalog):
         with pytest.raises(SqlError):
             run(catalog, "select o_custkey, count(*) from orders")
+
+
+class TestDateFunctionsInGroupSpace:
+    """``EXTRACT`` and interval arithmetic over an aggregate or a key,
+    per group, against each group's ungrouped ``max``."""
+
+    @pytest.fixture(scope="class")
+    def tpch(self):
+        cat = Catalog()
+        populate(cat, scale_factor=0.01, seed=7)
+        return cat
+
+    @staticmethod
+    def latest(tpch, flag):
+        return run(tpch, "select max(l_shipdate) from lineitem "
+                         f"where l_returnflag = '{flag}'")[0][0]
+
+    def test_extract_year_of_a_grouped_max(self, tpch):
+        rows = run(tpch, "select l_returnflag, extract(year from "
+                         "max(l_shipdate)) from lineitem "
+                         "group by l_returnflag")
+        assert len(rows) == 3
+        for flag, year in rows:
+            assert year == self.latest(tpch, flag).year
+
+    def test_a_month_after_a_grouped_max(self, tpch):
+        rows = run(tpch, "select l_returnflag, max(l_shipdate) + interval "
+                         "'1' month from lineitem group by l_returnflag")
+        assert len(rows) == 3
+        for flag, shifted in rows:
+            latest = self.latest(tpch, flag)
+            year, month = divmod(latest.year * 12 + latest.month, 12)
+            day = min(latest.day, calendar.monthrange(year, month + 1)[1])
+            assert shifted == datetime.date(year, month + 1, day)
+
+    def test_a_day_after_a_key(self, tpch):
+        rows = run(tpch, "select l_shipdate, l_shipdate + interval '1' day "
+                         "from lineitem group by l_shipdate")
+        assert rows and all(after == day + datetime.timedelta(days=1)
+                            for day, after in rows)
+
+
+@pytest.mark.parametrize("predicate", [
+    "d > -date '1995-01-01'", "a > -'abc'", "a > cast('abc' as int)"])
+def test_a_literal_operand_that_fails_answers_a_typed_error(predicate):
+    """A constant the compiler cannot fold is left to the kernel that
+    computes it at run time, whose failure is typed: never a raw
+    TypeError or ValueError, which the server answers as an internal
+    error."""
+    database = Database(catalog=Catalog(), workers=1)
+    try:
+        database.execute("create table t (a int, d date)")
+        database.execute("insert into t values (1, date '1995-01-02')")
+        with pytest.raises(ReproError):
+            database.execute(f"select count(*) from t where {predicate}")
+    finally:
+        database.close()
 
 
 class TestOrderingAndLimit:
