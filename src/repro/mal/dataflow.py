@@ -26,7 +26,7 @@ import math
 from typing import List, Optional
 
 from repro.errors import MalRuntimeError
-from repro.mal.interpreter import (CostModel, Execution, Executor, ReadySet,
+from repro.mal.interpreter import (CostModel, Execution, Executor,
                                    RunListener)
 # Tracers patch ``execute_instruction`` in both executor modules, so the
 # name stays here; the core calls the interpreter module's.
@@ -53,7 +53,7 @@ class ListSchedule(Execution):
 
     def drive(self) -> None:
         free = self.free
-        tracker = self.program.derived(ReadySet)
+        tracker = self.plan
         instructions, deps = tracker.instructions, tracker.deps
         successors, waiting = tracker.successors, list(tracker.waiting)
         ready = [(0, pc) for pc in tracker.initial]  # (ready_usec, pc)
@@ -74,7 +74,7 @@ class ListSchedule(Execution):
                 raise MalRuntimeError("dataflow deadlock: no ready instruction")
             self.ready_usec, pc = heapq.heappop(ready)
             # the worker that frees earliest, the lowest index on a tie
-            run = self.step(instructions[pc], free.index(min(free)))
+            run = self.step(instructions[pc], pc, free.index(min(free)))
             ends[pc] = run.end_usec
             for succ in successors[pc]:
                 waiting[succ] -= 1

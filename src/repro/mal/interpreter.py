@@ -12,7 +12,10 @@ list scheduling over N modelled workers in :mod:`repro.mal.dataflow`.
 A trace has a record per instruction, ``language.pass`` included, so
 the step makes five Python-level calls besides the kernel, on a plan
 resolved once (``impl_cache``, :class:`ReadySet`);
-``tests/test_executor_bookkeeping.py`` counts them.
+``tests/test_executor_bookkeeping.py`` counts them.  After the kernel
+the step drops each value the instruction was the last to read,
+whichever order the policy ran its readers in: a run holds an
+intermediate only while an instruction that reads it has still to run.
 
 Timing is *virtual* by default: a deterministic :class:`CostModel` assigns
 each instruction a duration from its operator class and input/output
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
@@ -174,8 +178,11 @@ class EvalContext:
         self.program = program
         self.env: Dict[str, Any] = {}
         #: simulated resident set, kept by :meth:`bind`: the bytes of
-        #: every BAT bound so far (``language.pass`` frees nothing)
+        #: every BAT bound so far, released ones included
         self.rss = 0
+        #: ``(weak reference, bytes)`` of each BAT a run dropped from
+        #: :attr:`env` after its last reader (:meth:`Execution.step`)
+        self.released: List[Tuple[weakref.ref, int]] = []
         self.result_sets: List[Any] = []
         self.affected_rows = 0
 
@@ -203,8 +210,20 @@ class EvalContext:
     def rss_bytes(self) -> int:
         """Simulated resident set, summed from scratch: the definition
         :attr:`rss` is maintained against, and what the kernels that
-        grow an already-bound BAT re-read after themselves."""
-        return sum(v.bytes() for v in self.env.values() if isinstance(v, BAT))
+        grow an already-bound BAT re-read after themselves.
+
+        A released BAT still counts: at its current size while it is
+        alive (``bat.append`` returns the BAT it grew, so an alias may
+        grow it further), else at the last size read here or when it
+        was released."""
+        released = []
+        for ref, size in self.released:
+            bat = ref()
+            released.append((ref, size if bat is None else bat.bytes()))
+        self.released = released
+        return sum(v.bytes() for v in self.env.values()
+                   if isinstance(v, BAT)) + sum(
+                       size for _ref, size in released)
 
 
 @dataclass
@@ -297,7 +316,7 @@ def execute_instruction(ctx: EvalContext, instr: MalInstruction) -> Tuple[list, 
             ctx.bind(name, out)
         else:
             env[name] = out
-            if isinstance(out, BAT):
+            if out.__class__ is BAT:
                 ctx.rss += out.bytes()
     elif not results:
         outputs = []
@@ -324,46 +343,62 @@ _SIDE_EFFECTS = _GROWS_BOUND | frozenset((
 class ReadySet:
     """Which instructions may run: the dataflow dependencies (the
     program's def-use walk), their successor index and the side-effect
-    chain — ``program.derived(ReadySet)``, so built once per sealed
-    plan.  A run owns only its countdown, a copy of ``waiting``.  Every
-    collection is indexed by an instruction's place in the list, which
-    in a numbered program is its pc.
+    chain — and which values each one lets go: ``drops`` names every
+    variable an instruction reads, and each of its results nobody
+    reads; ``readers`` counts how often each name is listed.  Built by
+    ``program.derived(ReadySet)``, so once per sealed plan; a run owns
+    only its countdowns, copies of ``waiting`` and ``readers``.  Every
+    per-instruction collection is indexed by an instruction's place in
+    the list, which in a numbered program is its pc.
 
     A cached plan keeps its ReadySet for as long as it lives, so the
-    per-instruction collections are tuples of ints: the cycle collector
-    stops visiting those after its first pass, where a list or a set
-    per instruction is walked by every collection (a third more
-    tracked objects behind 64 cached plans, a quarter longer per young
-    collection)."""
+    per-instruction collections are tuples of ints or names: the cycle
+    collector stops visiting those after its first pass, where a list
+    or a set per instruction is walked by every collection (a third
+    more tracked objects behind 64 cached plans, a quarter longer per
+    young collection)."""
 
     def __init__(self, program: MalProgram) -> None:
         instructions = program.instructions
-        sites = program.derived(MalProgram.def_use).sites
+        sites, last_use = program.derived(MalProgram.def_use)
+        readers = dict.fromkeys(last_use, 0)
         deps: List[Tuple[int, ...]] = []
-        for instr in instructions:
+        drops: List[Tuple[str, ...]] = []
+        successors: List[List[int]] = [[] for _ in instructions]
+        initial: List[int] = []
+        effect = None  # the last side effect so far
+        for pc, instr in enumerate(instructions):
             wanted: List[int] = []  # the site of each variable it reads
+            read: List[str] = []  # and the variable, as often as read
             for arg in instr.args:
                 if arg.__class__ is Var:
-                    site = sites[arg.name]
+                    name = arg.name
+                    read.append(name)
+                    readers[name] += 1
+                    site = sites[name]
                     if site not in wanted:
                         wanted.append(site)
+                        successors[site].append(pc)
+            if instr.qualified_name in _SIDE_EFFECTS:
+                if effect is not None and effect not in wanted:
+                    wanted.append(effect)
+                    successors[effect].append(pc)
+                effect = pc
+            if not wanted:
+                initial.append(pc)
             deps.append(tuple(wanted))
-        chained = [pc for pc, instr in enumerate(instructions)
-                   if instr.qualified_name in _SIDE_EFFECTS]
-        for prev, nxt in zip(chained, chained[1:]):
-            if prev not in deps[nxt]:
-                deps[nxt] += (prev,)
-        successors: List[List[int]] = [[] for _ in deps]
-        for pc, wanted in enumerate(deps):
-            for dep in wanted:
-                successors[dep].append(pc)
+            drops.append(tuple(read))
+        for name in sites.keys() - last_use.keys():  # nobody reads it
+            drops[sites[name]] += (name,)
+            readers[name] = 1
         self.instructions = instructions
         self.deps = deps
+        self.drops = drops
+        self.readers = readers
         self.successors = [tuple(after) for after in successors]
         self.waiting = [len(wanted) for wanted in deps]
         #: the instructions that wait for nothing
-        self.initial = tuple(pc for pc, wanted in enumerate(deps)
-                             if not wanted)
+        self.initial = tuple(initial)
 
 
 class Execution:
@@ -372,11 +407,11 @@ class Execution:
     and a virtual clock, with no dispatch to inject a fault at.
 
     A subclass is another policy: it overrides ``drive``, which picks
-    the instruction to run next, the worker that runs it and, in
-    :attr:`ready_usec`, when its inputs were ready.  The clock is the
-    same for every policy: an instruction starts once its worker is
-    free (after an injected stall) and its inputs are ready, and ends
-    its modelled cost later.
+    the instruction to run next (by its place in the plan), the worker
+    that runs it and, in :attr:`ready_usec`, when its inputs were
+    ready.  The clock is the same for every policy: an instruction
+    starts once its worker is free (after an injected stall) and its
+    inputs are ready, and ends its modelled cost later.
     """
 
     label = "interpreter"  #: ``record_execution`` scheduler label
@@ -386,6 +421,11 @@ class Execution:
     def __init__(self, engine: "Executor", program: MalProgram,
                  context: Optional["QueryContext"]) -> None:
         self.program = program
+        plan = self.plan = program.derived(ReadySet)
+        self.drops = plan.drops
+        #: per name, how often instructions that have still to run list
+        #: it in ``drops``
+        self.left = plan.readers.copy()
         self.context = context
         self.workers = engine.workers if program.dataflow_enabled else 1
         #: when each worker next idles; the latest is the makespan
@@ -398,12 +438,15 @@ class Execution:
         #: policy that releases events itself clears it
         self.listener = engine.listener
 
-    def step(self, instr: MalInstruction, thread: int) -> InstructionRun:
-        """Execute ``instr`` on worker ``thread``; returns its run record.
+    def step(self, instr: MalInstruction, place: int,
+             thread: int) -> InstructionRun:
+        """Execute ``instr``, at ``place`` in the plan, on worker
+        ``thread``; returns its run record.
 
         The one place that checks the query context (cancellation,
         deadline, RSS budget), consults the fault plan, runs the
-        instruction, asks the cost model and builds the run record.  An
+        instruction, asks the cost model, builds the run record and
+        drops the values nothing that has still to run reads.  An
         injected stall is slept for real (``value`` microseconds) and
         delays the worker on the modelled clock.  :attr:`listener` hears
         ``start`` with the RSS before the instruction and ``done`` with
@@ -438,13 +481,25 @@ class Execution:
         # the cardinalities of the first BAT argument and result
         rows_in = rows = 0
         for value in inputs:
-            if isinstance(value, BAT):
+            if value.__class__ is BAT:
                 rows_in = len(value.tail)
                 break
         for value in outputs:
-            if isinstance(value, BAT):
+            if value.__class__ is BAT:
                 rows = len(value.tail)
                 break
+        left = self.left
+        for name in self.drops[place]:
+            readers = left[name] - 1
+            if readers:
+                left[name] = readers
+            else:  # its last reader has run
+                value = ctx.env.pop(name)
+                if value.__class__ is BAT:
+                    # sized when bound: its memo, not another bytes()
+                    size = value._bytes_cache
+                    ctx.released.append((weakref.ref(value), size[1]
+                                         if size else value.bytes()))
         run = InstructionRun(instr, self.program, instr.pc, start, end,
                              end - start, thread, ctx.rss, rows, rows_in)
         self.runs.append(run)
@@ -454,8 +509,8 @@ class Execution:
 
     def drive(self) -> None:
         """Run every instruction of the program through :meth:`step`."""
-        for instr in self.program.instructions:
-            self.step(instr, 0)
+        for place, instr in enumerate(self.plan.instructions):
+            self.step(instr, place, 0)
 
 
 class Executor:

@@ -94,9 +94,6 @@ def contains(ctx, instr, args):
         raise MalTypeError("batcalc.contains expects two BAT arguments")
     member_set = {v for v in members.tail if v is not nil}
     has_nil_member = any(v is nil for v in members.tail)
-    out = BAT(type_by_name("bit"))
-    out.head = None if bat.head is None else list(bat.head)
-    out.hseqbase = bat.hseqbase
     tail = []
     for value in bat.tail:
         if value is nil:
@@ -107,8 +104,7 @@ def contains(ctx, instr, args):
             tail.append(nil)
         else:
             tail.append(False)
-    out.tail = tail
-    return out
+    return bat.same_heads(tail, type_by_name("bit"))
 
 
 @register("batcalc.isnil", returns(BIT_BAT))
@@ -117,11 +113,7 @@ def isnil(ctx, instr, args):
     bat = args[0]
     if not isinstance(bat, BAT):
         raise MalTypeError("batcalc.isnil expects a BAT")
-    out = BAT(type_by_name("bit"))
-    out.head = None if bat.head is None else list(bat.head)
-    out.hseqbase = bat.hseqbase
-    out.tail = [v is nil for v in bat.tail]
-    return out
+    return bat.same_heads([v is nil for v in bat.tail], type_by_name("bit"))
 
 
 def _branch_type(branch):
@@ -155,14 +147,10 @@ def ifthenelse(ctx, instr, args):
         out_type = then_type
     else:
         out_type = promote(then_type, else_type)
-    out = BAT(out_type)
-    out.head = None if cond.head is None else list(cond.head)
-    out.hseqbase = cond.hseqbase
-    out.tail = [
+    return cond.same_heads([
         nil if flag is nil
         else cast_value(pick(args[1] if flag else args[2], index), out_type)
-        for index, flag in enumerate(cond.tail)]
-    return out
+        for index, flag in enumerate(cond.tail)], out_type)
 
 
 def _cast(type_name: str):
@@ -172,11 +160,8 @@ def _cast(type_name: str):
         bat = args[0]
         if not isinstance(bat, BAT):
             raise MalTypeError(f"batcalc.{type_name} expects a BAT")
-        out = BAT(mal_type)
-        out.head = None if bat.head is None else list(bat.head)
-        out.hseqbase = bat.hseqbase
-        out.tail = [cast_value(v, mal_type) for v in bat.tail]
-        return out
+        return bat.same_heads([cast_value(v, mal_type) for v in bat.tail],
+                              mal_type)
 
     impl.__doc__ = f"``batcalc.{type_name}(b)``: elementwise cast to {type_name}."
     return impl

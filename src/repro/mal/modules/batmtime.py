@@ -18,11 +18,8 @@ def _require_bat(value, name: str) -> BAT:
 
 
 def _map(bat: BAT, fn, out_type_name: str) -> BAT:
-    out = BAT(type_by_name(out_type_name))
-    out.head = None if bat.head is None else list(bat.head)
-    out.hseqbase = bat.hseqbase
-    out.tail = [nil if v is nil else fn(v) for v in bat.tail]
-    return out
+    return bat.same_heads([nil if v is nil else fn(v) for v in bat.tail],
+                          type_by_name(out_type_name))
 
 
 @register("batmtime.year", returns(bat_of("int")))

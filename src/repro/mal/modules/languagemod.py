@@ -13,7 +13,11 @@ from repro.mal.modules import register, returns
 
 @register("language.pass", returns())
 def pass_(ctx, instr, args):
-    """``language.pass(v)``: release a variable early; returns nothing."""
+    """``language.pass(v)``: MonetDB's early release of ``v``; a no-op
+    here that returns nothing.  A run drops each value once every
+    instruction that reads it has run, the pass included
+    (``Execution.step``): the list schedule may run a pass before
+    another reader of ``v``, and many variables have no pass."""
     return None
 
 

@@ -335,7 +335,7 @@ class _SelectCompiler:
                 elif lin or rin:
                     if rin:
                         left, right = right, left
-                    self._join_step(left, right)
+                    self._join_step(left, right, joined)
                     joined.add(right.table_key)
                     remaining.remove(edge)
                     progress = True
@@ -349,9 +349,15 @@ class _SelectCompiler:
         for left, right in post_filters:
             self._apply_residuals([BinaryOp("=", left, right)])
 
-    def _join_step(self, inner: ColumnRef, outer: ColumnRef) -> None:
+    def _join_step(self, inner: ColumnRef, outer: ColumnRef,
+                   joined: Set[str]) -> None:
         """Join the already-joined row space (via ``inner``) with the fresh
-        table referenced by ``outer``."""
+        table referenced by ``outer``.
+
+        Only the maps of the ``joined`` tables follow the new rows: the
+        map of a table not joined yet is never read before the step that
+        joins it in replaces it.  Each one skipped still draws the name
+        its ``leftjoin`` had, so every later variable keeps its number."""
         inner_vals = self._space.leaf(inner)
         outer_cand = self._candidates[outer.table_key]
         outer_col = self.bind_column(outer.table_key, outer.column)
@@ -361,8 +367,14 @@ class _SelectCompiler:
         new_outer_map = self.emit("algebra", "markT", [pairs, Const(0)])
         reversed_pairs = self.emit("bat", "reverse", [pairs])
         old_row_map = self.emit("algebra", "markT", [reversed_pairs, Const(0)])
-        rowmaps = {key: self.emit("algebra", "leftjoin", [old_row_map, rowmap])
-                   for key, rowmap in self._space.rowmaps.items()}
+        rowmaps = {}
+        for key, rowmap in self._space.rowmaps.items():
+            if key in joined:
+                rowmap = self.emit("algebra", "leftjoin",
+                                   [old_row_map, rowmap])
+            else:
+                self.program.new_var()
+            rowmaps[key] = rowmap
         rowmaps[outer.table_key] = new_outer_map
         self._space = _RowSpace(self, rowmaps)
 

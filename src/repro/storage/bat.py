@@ -255,7 +255,10 @@ class BAT:
                  "_reverse_cache", "_tdense", "_join_scans",
                  "_range_selects", "_order_hits", "_order_misses",
                  "_order_disabled", "_hist_cache", "_bounds_cache",
-                 "_oid_reads", "_offset_reads")
+                 "_oid_reads", "_offset_reads",
+                 # a run keeps a weak reference to each BAT it released
+                 # (repro.mal.interpreter.EvalContext.rss_bytes)
+                 "__weakref__")
 
     def __init__(
         self,
@@ -344,9 +347,12 @@ class BAT:
         return zip(self.heads(), self.tail)
 
     def append(self, value: Any) -> None:
-        """Append one association with the next dense head oid."""
-        if self.head is not None:
-            self.head.append((self.head[-1] + 1) if self.head else self.hseqbase)
+        """Append one association with the next dense head oid.  A
+        materialised head is rebound to a longer list: other BATs may
+        share the one it had (:meth:`same_heads`)."""
+        head = self.head
+        if head is not None:
+            self.head = head + [(head[-1] + 1) if head else self.hseqbase]
         self.tail.append(cast_value(value, self.tail_type))
         self._invalidate_caches()
 
@@ -366,10 +372,12 @@ class BAT:
 
         Bulk loaders that cast a whole batch up front (for all-or-nothing
         semantics across several columns) use this to avoid re-casting.
+        A materialised head is rebound, as by :meth:`append`.
         """
-        if self.head is not None:
-            start = (self.head[-1] + 1) if self.head else self.hseqbase
-            self.head.extend(range(start, start + len(cast_values)))
+        head = self.head
+        if head is not None:
+            start = (head[-1] + 1) if head else self.hseqbase
+            self.head = [*head, *range(start, start + len(cast_values))]
         self.tail.extend(cast_values)
         self._invalidate_caches()
 
@@ -511,10 +519,11 @@ class BAT:
         out.head = heads
         return out
 
-    def _same_heads(self, tail: List[Any], tail_type: MalType) -> "BAT":
-        """A new tail under self's head column: void stays void."""
-        heads = None if self.head is None else list(self.head)
-        return self._like(heads, tail, tail_type, self.hseqbase)
+    def same_heads(self, tail: List[Any], tail_type: MalType) -> "BAT":
+        """A new tail under self's head column: void stays void, and a
+        materialised head is shared, not copied — no BAT changes a head
+        list in place (:meth:`append` and :meth:`extend` rebind it)."""
+        return self._like(self.head, tail, tail_type, self.hseqbase)
 
     def _take(self, positions: List[int],
               column: Optional[List[Any]] = None) -> "BAT":
@@ -782,7 +791,7 @@ class BAT:
                 return other
             gathered = self._gather(other)
             if gathered is not None:
-                return self._same_heads(gathered, other.tail_type)
+                return self.same_heads(gathered, other.tail_type)
             base, size = other.hseqbase, len(other.tail)
             otail = other.tail
             heads, tail = [], []
@@ -874,7 +883,7 @@ class BAT:
                     raise StorageError(
                         f"fetchjoin miss for oid {value}") from None
                 add_tail(otail[pos])
-        return self._same_heads(tail, other.tail_type)
+        return self.same_heads(tail, other.tail_type)
 
     def _gather(self, other: "BAT") -> Optional[List[Any]]:
         """Every row's fetch from void-headed ``other`` in one gather
@@ -980,7 +989,7 @@ class BAT:
     def mirror(self) -> "BAT":
         """``bat.mirror``: (head, head) pairs — an identity over the head
         (the tail is materialised; a void head stays void)."""
-        return self._same_heads(list(self.heads()), OID)
+        return self.same_heads(list(self.heads()), OID)
 
     def mark(self, base: int = 0) -> "BAT":
         """``algebra.markT``: renumber as a dense void head starting at base."""
@@ -992,7 +1001,7 @@ class BAT:
             from repro.storage.types import infer_type
 
             value_type = self.tail_type if value is nil else infer_type(value)
-        return self._same_heads(
+        return self.same_heads(
             [cast_value(value, value_type)] * len(self.tail), value_type)
 
     def slice_(self, first: int, last: int) -> "BAT":
@@ -1362,7 +1371,7 @@ class BAT:
                     skip_cast = op in ("+", "-", "*", "%")
         if not skip_cast:
             tail = [cast_value(v, out_type) for v in tail]
-        return self._same_heads(tail, out_type)
+        return self.same_heads(tail, out_type)
 
 
 def _sizes(gids: List[int], ngroups: int) -> List[int]:

@@ -114,10 +114,12 @@ GROUPED = ("select l_returnflag, sum(l_quantity) from lineitem "
 
 #: ``Pipeline.reports`` of the two statements at commit 8ac7a30, scale
 #: 0.1, workers 2: ``(pass, instructions before, after)``; a pass saw
-#: the same counts in every pipeline that has it.
+#: the same counts in every pipeline that has it.  q3's first three
+#: counts read 73 until a join step stopped emitting the ``leftjoin``s
+#: of tables not joined yet, which deadcode removed (73 -> 66).
 REPORTS = {
-    "q3": [("constant_fold", 73, 73), ("cse", 73, 73),
-           ("deadcode", 73, 66), ("adaptive_order", 66, 66),
+    "q3": [("constant_fold", 70, 70), ("cse", 70, 70),
+           ("deadcode", 70, 66), ("adaptive_order", 66, 66),
            ("mitosis", 66, 66), ("garbage_collector", 66, 126),
            ("dataflow", 126, 127)],
     "grouped": [("constant_fold", 23, 23), ("cse", 23, 23),

@@ -27,6 +27,8 @@ from hypothesis import given, settings
 import repro.mal.interpreter as interpreter
 from repro.mal import Interpreter
 from repro.mal.dataflow import SimulatedScheduler
+from repro.mal.ast import Var
+from repro.mal.debugger import MalDebugger
 from repro.mal.parser import parse_instruction_text
 from repro.mal.printer import format_instruction
 from repro.profiler import Profiler
@@ -189,6 +191,164 @@ class TestMaintainedRssIsTheRecomputedOne:
         ctx.bind("a", big)
         ctx.bind("b", "scalar now")
         assert ctx.rss == ctx.rss_bytes() == big.bytes()
+
+
+class LastReaders:
+    """Wraps the function an instruction is executed through.  Before
+    each instruction a run executes, every BAT its environment holds
+    must still have a reader that has not run (the instruction about to
+    run counts); a run's environment ends empty."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.ctx = None
+        self.runs = self.checked = 0
+        monkeypatch.setattr(interpreter, "execute_instruction",
+                            self.checking(interpreter.execute_instruction))
+
+    def checking(self, function):
+        def checked(ctx, instr):
+            if ctx is not self.ctx:
+                self.finish()
+                self.start(ctx)
+            held = [name for name, value in ctx.env.items()
+                    if isinstance(value, BAT)
+                    and not self.readers.get(name, set()) - self.ran]
+            assert held == [], f"before pc={instr.pc}: nobody reads {held}"
+            out = function(ctx, instr)
+            self.ran.add(id(instr))
+            self.checked += 1
+            return out
+        return checked
+
+    def start(self, ctx) -> None:
+        self.ctx, self.ran, self.readers = ctx, set(), {}
+        for instr in ctx.program.instructions:
+            for arg in instr.args:
+                if isinstance(arg, Var):
+                    self.readers.setdefault(arg.name, set()).add(id(instr))
+
+    def finish(self) -> None:
+        """The last run checked let go of everything it bound."""
+        if self.ctx is not None:
+            assert self.ctx.env == {}, sorted(self.ctx.env)
+            self.runs += 1
+            self.ctx = None
+
+
+class TestReleasedAfterLastReader:
+    """A run drops each value from its environment once every
+    instruction that reads it has run, whichever order the policy runs
+    them in, and a value nobody reads right after it is bound; the
+    modelled RSS still counts every BAT bound (``EvalContext.rss_bytes``
+    sizes the released ones)."""
+
+    @pytest.fixture()
+    def last_readers(self, monkeypatch):
+        return LastReaders(monkeypatch)
+
+    @pytest.mark.parametrize("engine", ["list_schedule", "interpreter"])
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_tpch(self, query, workers, engine, catalog, last_readers):
+        db = Database(catalog=catalog, workers=workers,
+                      mitosis_threshold=50)
+        try:
+            program = db.compile(query_sql(query))
+            if engine == "interpreter":
+                result = Interpreter(catalog).run(program)
+            else:
+                result = db.run_program(program)
+        finally:
+            db.close()
+        last_readers.finish()
+        assert last_readers.runs == 1
+        assert last_readers.checked == len(result.runs) == len(program)
+
+    def test_generated_statements(self, database, last_readers):
+        rows = 0
+        for seed in range(200):
+            outcome = database.execute(random_query(random.Random(seed)))
+            rows += len(outcome.rows)
+        last_readers.finish()
+        assert last_readers.runs == 200 and rows > 0
+
+    PASS_FIRST = """
+        X_1 := sql.mvc();
+        X_2 := sql.bind(X_1,"sys","t","x",0);
+        X_3 := sql.bind(X_1,"sys","t","y",0);
+        X_4 := algebra.thetaselect(X_2,100,">");
+        X_5 := bat.mirror(X_4);
+        X_6 := algebra.leftjoin(X_5,X_3);
+        X_7 := algebra.thetaselect(X_6,600,">");
+        X_8 := algebra.semijoin(X_5,X_7);
+        language.pass(X_5);
+        X_9 := aggr.count(X_8);
+        X_10 := sql.resultSet(1,1);
+        X_11 := sql.rsColumn(X_10,"sys.t","n","lng",X_9);
+        sql.exportResult(X_11);
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_a_pass_run_before_the_last_reader(self, workers, last_readers):
+        """``language.pass(X_5)`` waits only for X_5's definition, so
+        the list schedule runs it before ``algebra.semijoin``, which
+        also reads X_5 but waits for the select after the fetch: a run
+        that released at the pass would find X_5 gone."""
+        cat = Catalog()
+        table = cat.schema().create_table("t", [("x", INT), ("y", INT)])
+        table.insert_many([[i, 2 * i] for i in range(500)])
+        program = parse_instruction_text(self.PASS_FIRST)
+        program.dataflow_enabled = True
+        result = SimulatedScheduler(cat, workers=workers).run(program)
+        order = [run.pc for run in result.runs]
+        assert order.index(8) < order.index(7)  # the pass, the semijoin
+        assert result.rows() == [(199,)]  # 300 < x < 500
+        assert Interpreter(cat).run(
+            parse_instruction_text(self.PASS_FIRST)).rows() == [(199,)]
+        last_readers.finish()
+        assert last_readers.runs == 2
+
+    @staticmethod
+    def growing_catalog():
+        cat = Catalog()
+        table = cat.schema().create_table("t", [("x", INT), ("s", STR)])
+        table.insert_many([[i, "v" * i] for i in range(9)])
+        return cat
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_released_aliases_keep_the_rss(self, engine, monkeypatch):
+        """The GROWING plan releases X_4 once ``bat.append`` has
+        returned its BAT as X_5, and ``bat.insert`` grows that BAT
+        further: the released name is counted at the BAT's current size,
+        as it was while the name was bound.  So the figure is the
+        recomputed one at every boundary, and in program order it is,
+        pc by pc, that of the MAL debugger, which releases nothing."""
+        boundaries = Boundaries(monkeypatch)
+        executed = interpreter.execute_instruction
+        aliased = []  # pcs after which a released BAT is bound again
+
+        def watching(ctx, instr):
+            out = executed(ctx, instr)
+            bound = {id(value) for value in ctx.env.values()}
+            if any(id(ref()) in bound for ref, _size in ctx.released):
+                aliased.append(instr.pc)
+            return out
+
+        monkeypatch.setattr(interpreter, "execute_instruction", watching)
+        grow = TestMaintainedRssIsTheRecomputedOne.GROWING
+        program = parse_instruction_text(grow)
+        program.dataflow_enabled = True
+        result = boundaries.run(ENGINES[engine](self.growing_catalog()),
+                                program)
+        assert 5 in aliased  # bat.insert grew what X_4 named
+        if engine == "interpreter":
+            debugger = MalDebugger(self.growing_catalog(),
+                                   parse_instruction_text(grow))
+            kept = []
+            while debugger.step() is not None:
+                kept.append(debugger.ctx.rss)
+            assert [run.rss_bytes for run in result.runs] == kept
+            assert len(debugger.ctx.env) == len(program)
 
 
 class TestStringFootprint:

@@ -176,6 +176,28 @@ class TestJoins:
         )
         assert rows == [("ann",), ("ann",)]
 
+    def test_a_join_step_maps_only_the_joined_tables(self):
+        """A join step carries the row maps of the tables already
+        joined; the map of a table not joined yet (or the one it joins
+        in) would be replaced before anything read it.  Each map it
+        skips keeps its variable number, so the optimised plan is the
+        one the step compiled when it emitted them (X_14, X_15, X_27),
+        and only the orders map, which ``count(*)`` does not read, is
+        left to the dead-code pass."""
+        cat = Catalog()
+        populate(cat, scale_factor=0.01, seed=7)
+        program = compile_sql(
+            cat, "select count(*) from lineitem, orders, customer "
+            "where l_orderkey = o_orderkey and o_custkey = c_custkey")
+        read = {arg.name for instr in program.instructions
+                for arg in instr.args if hasattr(arg, "name")}
+        unread = [instr.results[0] for instr in program.instructions
+                  if instr.qualified_name == "algebra.leftjoin"
+                  and instr.results[0] not in read]
+        assert unread == ["X_26"]
+        assert len(program.instructions) == 29
+        assert "X_27" not in program.var_types and "X_28" in read
+
 
 class TestAggregates:
     def test_scalar_count_star(self, catalog):
