@@ -63,9 +63,8 @@ def not_(ctx, instr, args):
     bat = args[0]
     if not isinstance(bat, BAT):
         raise MalTypeError("batcalc.not expects a BAT")
-    out = bat.copy()
-    out.tail = [nil if v is nil else (not v) for v in bat.tail]
-    return out
+    return bat.same_heads([nil if v is nil else (not v) for v in bat.tail],
+                          bat.tail_type)._marked(bat._nil_mark() is False)
 
 
 @register("batcalc.neg", tail_of(0))
@@ -75,9 +74,8 @@ def neg(ctx, instr, args):
     bat = args[0]
     if not isinstance(bat, BAT):
         raise MalTypeError("batcalc.neg expects a BAT")
-    out = bat.copy()
-    out.tail = [nil if v is nil else -v for v in bat.tail]
-    return out
+    return bat.same_heads([nil if v is nil else -v for v in bat.tail],
+                          bat.tail_type)._marked(bat._nil_mark() is False)
 
 
 @register("batcalc.contains", returns(BIT_BAT))
@@ -93,7 +91,7 @@ def contains(ctx, instr, args):
     if not isinstance(bat, BAT) or not isinstance(members, BAT):
         raise MalTypeError("batcalc.contains expects two BAT arguments")
     member_set = {v for v in members.tail if v is not nil}
-    has_nil_member = any(v is nil for v in members.tail)
+    has_nil_member = members.has_nil()
     tail = []
     for value in bat.tail:
         if value is nil:
@@ -104,7 +102,8 @@ def contains(ctx, instr, args):
             tail.append(nil)
         else:
             tail.append(False)
-    return bat.same_heads(tail, type_by_name("bit"))
+    return bat.same_heads(tail, type_by_name("bit"))._marked(
+        not has_nil_member and bat._nil_mark() is False)
 
 
 @register("batcalc.isnil", returns(BIT_BAT))
@@ -113,7 +112,15 @@ def isnil(ctx, instr, args):
     bat = args[0]
     if not isinstance(bat, BAT):
         raise MalTypeError("batcalc.isnil expects a BAT")
-    return bat.same_heads([v is nil for v in bat.tail], type_by_name("bit"))
+    return bat.same_heads([v is nil for v in bat.tail],
+                          type_by_name("bit"))._marked(True)
+
+
+def _nil_free(operand) -> bool:
+    """True for a BAT marked nil-free and for a scalar that is not nil."""
+    if isinstance(operand, BAT):
+        return operand._nil_mark() is False
+    return operand is not nil
 
 
 def _branch_type(branch):
@@ -130,7 +137,8 @@ def ifthenelse(ctx, instr, args):
 
     The result is typed from the two branches, never from the values
     picked: whichever branch row 0 takes, ``case when c then <dbl> else 0
-    end`` is a ``dbl`` column.
+    end`` is a ``dbl`` column.  It is nil-free when the condition and
+    both branches are.
     """
     cond = args[0]
     if not isinstance(cond, BAT):
@@ -150,7 +158,8 @@ def ifthenelse(ctx, instr, args):
     return cond.same_heads([
         nil if flag is nil
         else cast_value(pick(args[1] if flag else args[2], index), out_type)
-        for index, flag in enumerate(cond.tail)], out_type)
+        for index, flag in enumerate(cond.tail)], out_type)._marked(
+            all(_nil_free(value) for value in args[:3]))
 
 
 def _cast(type_name: str):
@@ -161,7 +170,7 @@ def _cast(type_name: str):
         if not isinstance(bat, BAT):
             raise MalTypeError(f"batcalc.{type_name} expects a BAT")
         return bat.same_heads([cast_value(v, mal_type) for v in bat.tail],
-                              mal_type)
+                              mal_type)._marked(bat._nil_mark() is False)
 
     impl.__doc__ = f"``batcalc.{type_name}(b)``: elementwise cast to {type_name}."
     return impl

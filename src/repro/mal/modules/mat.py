@@ -22,7 +22,7 @@ def pack(ctx, instr, args):
     pack into the column itself, memos and all.
     Any other inputs are concatenated into a new BAT, which is void when
     they are void with adjacent oid ranges (slices of one void column,
-    and whatever kept their heads).
+    and whatever kept their heads), and nil-free when they all are.
     """
     if not args:
         raise MalRuntimeError("mat.pack needs at least one argument")
@@ -48,4 +48,4 @@ def pack(ctx, instr, args):
         head = out.head = []
         for bat in args:
             head += bat.heads()
-    return out
+    return out._marked(all(bat._nil_mark() is False for bat in args))

@@ -44,7 +44,20 @@ next INSERT can see that INSERT's rows where the rolled-back ones were,
 rows no statement has yet committed either way.  ``docs/performance.md``
 §23 has what the rule saves.
 
-Nine memoized structures back the hot paths, all invalidated by
+**The nil-free rule.**  A BAT carries MonetDB's ``tnonil`` as a mark
+(:meth:`BAT.has_nil`'s memo): known from the inputs and what the kernel
+does, never by scanning a result only to mark it.  So a slice, gather
+or fetch from a nil-free tail is nil-free, ``mat.pack`` of nil-free
+parts is nil-free, ``+ - *``, comparisons and ``and``/``or`` over
+nil-free operands and non-nil constants are nil-free (``/`` and ``%``
+are not: a zero divisor answers nil), and every selection result, group
+id, extent and histogram is nil-free.  An empty tail is nil-free, and
+:meth:`BAT.append`/:meth:`BAT.extend` keep the mark by testing only the
+values appended, so a column loaded through them is never scanned for
+nil.  Any other BAT is tested once, by the first kernel that needs the
+answer.  ``docs/performance.md`` §27 has what the rule saves.
+
+Ten memoized structures back the hot paths, all invalidated by
 :meth:`BAT.append`/:meth:`BAT.extend` (and double-guarded by the BAT's
 current length).  Each is built only when a kernel cannot avoid it:
 
@@ -79,7 +92,13 @@ current length).  Each is built only when a kernel cannot avoid it:
 * the least and greatest value of an int tail, which a gather from a
   void BAT not based at 0 checks its oids against: a plan fetches
   several columns through one candidate list (q1 six through each
-  partition's), and only the first fetch scans for them.
+  partition's), and only the first fetch scans for them;
+* the nil-free mark (:meth:`BAT.has_nil`), by the nil-free rule above:
+  the one nil test of every kernel reads it, and a kernel that knows
+  its result holds no nil sets it.  With it a grouped ``aggr.sum``
+  leaves its sums on the values BAT, and an ``aggr.avg`` of the same
+  values over the same grouping (q1 averages two of the columns it
+  sums) divides them instead of summing again.
 
 ``tests/test_kernel_parity.py`` checks every kernel here against the
 per-row reference implementations in :mod:`repro.storage.naive`.
@@ -255,7 +274,7 @@ class BAT:
                  "_reverse_cache", "_tdense", "_join_scans",
                  "_range_selects", "_order_hits", "_order_misses",
                  "_order_disabled", "_hist_cache", "_bounds_cache",
-                 "_oid_reads", "_offset_reads",
+                 "_nil_cache", "_sums_cache", "_oid_reads", "_offset_reads",
                  # a run keeps a weak reference to each BAT it released
                  # (repro.mal.interpreter.EvalContext.rss_bytes)
                  "__weakref__")
@@ -287,6 +306,11 @@ class BAT:
         self._hist_cache: Optional[Tuple[int, List[int]]] = None
         #: the (min, max) of the tail, for :meth:`_gather`'s bounds check
         self._bounds_cache: Optional[Tuple[int, Any, Any]] = None
+        #: MonetDB's ``tnonil``: (length, whether the tail holds a nil)
+        self._nil_cache: Optional[Tuple[int, bool]] = None
+        #: a grouped sum's (length, histogram, sums, non-nil counts)
+        self._sums_cache: Optional[
+            Tuple[int, List[int], List[Any], List[int]]] = None
         #: MonetDB's ``tdense``: set only by :meth:`dense_oids`, so it
         #: means "void head from 0, tail 0..n-1"; a mutation clears it
         self._tdense = False
@@ -353,8 +377,8 @@ class BAT:
         head = self.head
         if head is not None:
             self.head = head + [(head[-1] + 1) if head else self.hseqbase]
-        self.tail.append(cast_value(value, self.tail_type))
-        self._invalidate_caches()
+        value = cast_value(value, self.tail_type)
+        self._grow([value], value is None)
 
     def extend(self, values: Iterable[Any]) -> None:
         """Append many tail values in one bulk pass (see :meth:`append`).
@@ -378,8 +402,29 @@ class BAT:
         if head is not None:
             start = (head[-1] + 1) if head else self.hseqbase
             self.head = [*head, *range(start, start + len(cast_values))]
-        self.tail.extend(cast_values)
+        self._grow(cast_values, None in cast_values)
+
+    def _grow(self, values: List[Any], nil_among: bool) -> None:
+        """Append ``values`` to the tail and drop the memos; the nil-free
+        mark is kept, from the mark and ``nil_among``, the answer for the
+        appended values alone."""
+        known = self._nil_mark()
+        self.tail.extend(values)
         self._invalidate_caches()
+        if known is not None:
+            self._nil_cache = (len(self.tail), known or nil_among)
+
+    def truncate(self, length: int) -> None:
+        """Cut back to the first ``length`` associations (a rolled-back
+        INSERT's undo): idempotent, and a prefix of a nil-free tail is
+        nil-free, so the mark is kept."""
+        nil_free = self._nil_mark() is False
+        del self.tail[length:]
+        if self.head is not None:
+            self.head = self.head[:length]
+        self._invalidate_caches()
+        if nil_free:
+            self._nil_cache = (len(self.tail), False)
 
     def _invalidate_caches(self) -> None:
         """Drop memoized footprint/index state after a mutation.
@@ -397,6 +442,8 @@ class BAT:
         self._reverse_cache = None
         self._hist_cache = None
         self._bounds_cache = None
+        self._nil_cache = None
+        self._sums_cache = None
         self._tdense = False
         self._join_scans = 0
         # a slice that changed is no longer a slice of its column
@@ -407,6 +454,36 @@ class BAT:
         self._order_hits = 0
         self._order_misses = 0
         self._order_disabled = False
+
+    def has_nil(self) -> bool:
+        """The nil test: True when the tail holds a nil.  Every kernel
+        that asks calls this.  It reads the nil-free mark (the nil-free
+        rule of the module docstring) and scans only a BAT whose mark is
+        not known, memoizing the answer like every memo here."""
+        known = self._nil_mark()
+        if known is None:
+            tail = self.tail
+            rows = len(tail)
+            known = None in tail
+            self._nil_cache = (rows, known)
+        return known
+
+    def _nil_mark(self) -> Optional[bool]:
+        """What the mark knows without reading the tail: False (no nil),
+        True (a nil), or None (not known)."""
+        tail = self.tail
+        if not tail:
+            return False
+        cached = self._nil_cache
+        if cached is not None and cached[0] == len(tail):
+            return cached[1]
+        return None
+
+    def _marked(self, nil_free: bool) -> "BAT":
+        """Self, marked nil-free when ``nil_free`` (a kernel's proof)."""
+        if nil_free:
+            self._nil_cache = (len(self.tail), False)
+        return self
 
     def bytes(self) -> int:
         """Approximate memory footprint, for rss accounting in traces.
@@ -477,9 +554,9 @@ class BAT:
             type_name, hseqbase, head, tail = json.loads(payload)
             tail_type = type_by_name(type_name)
             atom = int if tail_type is DATE else tail_type.pytypes[0]
+            atoms = set(map(type, tail)) if type(tail) is list else None
             if not (type(hseqbase) is int and hseqbase >= 0
-                    and type(tail) is list
-                    and set(map(type, tail)) <= {atom, type(None)}
+                    and atoms is not None and atoms <= {atom, type(None)}
                     and (head is None or (
                         type(head) is list and len(head) == len(tail)
                         and set(map(type, head)) <= {int}))):
@@ -493,6 +570,8 @@ class BAT:
         out = cls(tail_type, hseqbase=hseqbase)
         out.tail = tail
         out.head = head
+        # the type check saw every element: a nil is a NoneType among them
+        out._nil_cache = (len(tail), type(None) in atoms)
         return out
 
     @classmethod
@@ -503,21 +582,23 @@ class BAT:
         out = cls(OID)
         out.tail = list(range(rows))
         out._tdense = True
-        return out
+        return out._marked(True)
 
     def copy(self) -> "BAT":
         """Deep-enough copy (tails hold immutable atoms)."""
         out = BAT(self.tail_type, hseqbase=self.hseqbase)
         out.tail = list(self.tail)
         out.head = None if self.head is None else list(self.head)
+        out._nil_cache = self._nil_cache
         return out
 
     def _like(self, heads: Optional[List[int]], tail: List[Any],
-              tail_type: Optional[MalType] = None, hseqbase: int = 0) -> "BAT":
+              tail_type: Optional[MalType] = None, hseqbase: int = 0,
+              nil_free: bool = False) -> "BAT":
         out = BAT(tail_type or self.tail_type, hseqbase=hseqbase)
         out.tail = tail
         out.head = heads
-        return out
+        return out._marked(nil_free)
 
     def same_heads(self, tail: List[Any], tail_type: MalType) -> "BAT":
         """A new tail under self's head column: void stays void, and a
@@ -526,30 +607,40 @@ class BAT:
         return self._like(self.head, tail, tail_type, self.hseqbase)
 
     def _take(self, positions: List[int],
-              column: Optional[List[Any]] = None) -> "BAT":
+              column: Optional[List[Any]] = None, *,
+              ascending: bool = False, selected: bool = False) -> "BAT":
         """Gather the associations at ``positions`` (order preserved).
 
         With ``column`` (:meth:`_column_tail`), ``positions`` are oids
         of the column: they are the heads, and index its tail -- unless
         the column was cut short under the read (an INSERT rolled back
         in place), when they index self's own tail, which still holds
-        every row it was cut with.
+        every row it was cut with.  ``ascending`` positions that are
+        all of self's rows are its own, so a materialised head is
+        shared.  The result is nil-free when self is, or when
+        the positions were ``selected`` (a nil never qualifies).
         """
         tail = self.tail
+        nil_free = selected or self._nil_mark() is False
         if column is not None:
             try:
-                return self._like(positions, [column[o] for o in positions])
+                return self._like(positions, [column[o] for o in positions],
+                                  nil_free=nil_free)
             except IndexError:
                 base = self.hseqbase
                 return self._like(positions,
-                                  [tail[o - base] for o in positions])
+                                  [tail[o - base] for o in positions],
+                                  nil_free=nil_free)
         if self.head is None:
             base = self.hseqbase
             heads = [base + i for i in positions] if base else positions
+        elif ascending and len(positions) == len(tail):
+            heads = self.head
         else:
             shead = self.head
             heads = [shead[i] for i in positions]
-        return self._like(heads, [tail[i] for i in positions])
+        return self._like(heads, [tail[i] for i in positions],
+                          nil_free=nil_free)
 
     def _column_tail(self) -> Optional[List[Any]]:
         """The tail of the void column from 0 that self is one of the
@@ -639,7 +730,7 @@ class BAT:
             return cached[1], cached[2], column
         tail = self.tail
         positions = ([i for i, v in enumerate(tail, origin) if v is not None]
-                     if None in tail else list(range(origin, origin + rows)))
+                     if self.has_nil() else list(range(origin, origin + rows)))
         source = tail if column is None else column
         try:
             positions.sort(key=source.__getitem__)
@@ -695,13 +786,14 @@ class BAT:
             last = bisect_left(values, high)
         if last <= first:
             self._order_outcome(hit=True)
-            return self._take([], column)
+            return self._take([], column, selected=True)
         if (last - first) * ORDER_INDEX_SCAN_FALLBACK > len(self.tail):
             # wide runs: re-sorting k positions costs more than one scan
             self._order_outcome(hit=False)
             return None
         self._order_outcome(hit=True)
-        return self._take(sorted(order[first:last]), column)
+        return self._take(sorted(order[first:last]), column,
+                          ascending=True, selected=True)
 
     # ------------------------------------------------------------------
     # selections
@@ -760,7 +852,8 @@ class BAT:
         partition, counted from its oids and read from its column."""
         column = self._column_tail()
         start = 0 if column is None else self.hseqbase
-        return self._take(kernel(self.tail, start, *args), column)
+        return self._take(kernel(self.tail, start, *args), column,
+                          ascending=True, selected=True)
 
     # ------------------------------------------------------------------
     # joins and projections
@@ -780,18 +873,22 @@ class BAT:
         memoized head index — or, when that shows duplicate heads, its
         multi-map — and the head is materialised; the first join against
         a head with no hash, from a side at most 1/``JOIN_HASH_SELF_RATIO``
-        its size, hashes self's tail instead (:meth:`_matches_in`).  nil
-        tails in self never match (oid nil semantics).
+        its size, hashes self's tail instead (:meth:`_matches_in`); a
+        unique-key probe that matches every row of a materialised self
+        shares its head.  nil tails in self never match (oid nil
+        semantics).  Every value comes from other's tail, so the result
+        is nil-free when other is.
         """
         stail = self.tail
         heads: List[int]
         tail: List[Any]
+        nil_free = other._nil_mark() is False
         if other.head is None:
             if self._is_tid_of(other):
                 return other
             gathered = self._gather(other)
             if gathered is not None:
-                return self.same_heads(gathered, other.tail_type)
+                return self.same_heads(gathered, other.tail_type)._marked(nil_free)
             base, size = other.hseqbase, len(other.tail)
             otail = other.tail
             heads, tail = [], []
@@ -805,7 +902,8 @@ class BAT:
                     add_tail(otail[pos])
             if self.head is None and len(tail) == len(stail):
                 # no row dropped: self's void head is the result's
-                return self._like(None, tail, other.tail_type, self.hseqbase)
+                return self._like(None, tail, other.tail_type, self.hseqbase,
+                                  nil_free)
         else:
             otail = other.tail
             heads, tail = [], []
@@ -826,8 +924,10 @@ class BAT:
                         if pos is not None and value is not None:
                             add_head(oid)
                             add_tail(otail[pos])
-                    return self._like(heads, tail,
-                                      tail_type=other.tail_type)
+                    if self.head is not None and len(heads) == len(stail):
+                        heads = self.head   # every row matched once
+                    return self._like(heads, tail, other.tail_type,
+                                      nil_free=nil_free)
                 positions_of = other._head_multimap().get
             for oid, value in self.items():
                 if value is None:
@@ -835,7 +935,7 @@ class BAT:
                 for pos in positions_of(value, ()):
                     add_head(oid)
                     add_tail(otail[pos])
-        return self._like(heads, tail, tail_type=other.tail_type)
+        return self._like(heads, tail, other.tail_type, nil_free=nil_free)
 
     def leftfetchjoin(self, other: "BAT") -> "BAT":
         """``algebra.leftfetchjoin``: positional fetch, errors on misses.
@@ -848,26 +948,30 @@ class BAT:
         reported by the per-row path.  Every row of self yields exactly
         one output row, so the result always has self's head (void stays
         void), and a fetch through a complete tid is ``other`` itself.
+        A nil oid fetches a nil, so the result is nil-free when other is
+        and self is, or the gather (which a nil oid fails) ran.
         """
         stail = self.tail
         tail: Optional[List[Any]] = None
+        nil_free = other._nil_mark() is False
         if other.head is None:
             if self._is_tid_of(other):
                 return other
             base, size = other.hseqbase, len(other.tail)
             otail = other.tail
             tail = self._gather(other)
-            if tail is None:
-                tail = []
-                add_tail = tail.append
-                for value in stail:
-                    if value is None:
-                        add_tail(None)
-                        continue
-                    pos = int(value) - base
-                    if not (0 <= pos < size):
-                        raise StorageError(f"fetchjoin miss for oid {value}")
-                    add_tail(otail[pos])
+            if tail is not None:
+                return self.same_heads(tail, other.tail_type)._marked(nil_free)
+            tail = []
+            add_tail = tail.append
+            for value in stail:
+                if value is None:
+                    add_tail(None)
+                    continue
+                pos = int(value) - base
+                if not (0 <= pos < size):
+                    raise StorageError(f"fetchjoin miss for oid {value}")
+                add_tail(otail[pos])
         else:
             position_of = other._head_index()
             otail = other.tail
@@ -883,7 +987,8 @@ class BAT:
                     raise StorageError(
                         f"fetchjoin miss for oid {value}") from None
                 add_tail(otail[pos])
-        return self.same_heads(tail, other.tail_type)
+        return self.same_heads(tail, other.tail_type)._marked(
+            nil_free and self._nil_mark() is False)
 
     def _gather(self, other: "BAT") -> Optional[List[Any]]:
         """Every row's fetch from void-headed ``other`` in one gather
@@ -980,20 +1085,22 @@ class BAT:
         if cached is not None and cached[0] == len(self.tail) \
                 == len(cached[1].tail):
             return cached[1]
-        if None in self.tail:
+        if self.has_nil():
             raise StorageError("cannot reverse a BAT with nil tails")
-        out = self._like(list(self.tail), list(self.heads()), tail_type=OID)
+        out = self._like(list(self.tail), list(self.heads()), tail_type=OID,
+                         nil_free=True)
         self._reverse_cache = (len(self.tail), out)
         return out
 
     def mirror(self) -> "BAT":
         """``bat.mirror``: (head, head) pairs — an identity over the head
         (the tail is materialised; a void head stays void)."""
-        return self.same_heads(list(self.heads()), OID)
+        return self.same_heads(list(self.heads()), OID)._marked(True)
 
     def mark(self, base: int = 0) -> "BAT":
         """``algebra.markT``: renumber as a dense void head starting at base."""
-        return self._like(None, list(self.tail), hseqbase=base)
+        return self._like(None, list(self.tail), hseqbase=base,
+                          nil_free=self._nil_mark() is False)
 
     def project(self, value: Any, value_type: Optional[MalType] = None) -> "BAT":
         """``algebra.project``: constant tail with self's heads."""
@@ -1002,7 +1109,8 @@ class BAT:
 
             value_type = self.tail_type if value is nil else infer_type(value)
         return self.same_heads(
-            [cast_value(value, value_type)] * len(self.tail), value_type)
+            [cast_value(value, value_type)] * len(self.tail),
+            value_type)._marked(value is not nil)
 
     def slice_(self, first: int, last: int) -> "BAT":
         """``algebra.slice``: positions ``first..last`` inclusive.
@@ -1012,10 +1120,13 @@ class BAT:
         """
         first = max(first, 0)
         stop = max(min(last, len(self.tail) - 1) + 1, first)
+        nil_free = self._nil_mark() is False
         if self.head is None:
             return self._like(None, self.tail[first:stop],
-                              hseqbase=self.hseqbase + first)
-        return self._like(self.head[first:stop], self.tail[first:stop])
+                              hseqbase=self.hseqbase + first,
+                              nil_free=nil_free)
+        return self._like(self.head[first:stop], self.tail[first:stop],
+                          nil_free=nil_free)
 
     def partitions(self, nparts: int) -> Tuple["BAT", ...]:
         """The ``nparts`` horizontal slices ``sql.bind(…, part, nparts)``
@@ -1069,26 +1180,31 @@ class BAT:
                 right_start = max(min(hi, base + n), base)
                 tail = (self.tail[:left_end - base]
                         + self.tail[right_start - base:])
+                nil_free = self._nil_mark() is False
                 if left_end == base:    # a prefix (or nothing) removed
-                    return self._like(None, tail, hseqbase=right_start)
+                    return self._like(None, tail, hseqbase=right_start,
+                                      nil_free=nil_free)
                 if right_start in (left_end, base + n):  # nothing, a suffix
-                    return self._like(None, tail, hseqbase=base)
+                    return self._like(None, tail, hseqbase=base,
+                                      nil_free=nil_free)
                 heads = (list(range(base, left_end))
                          + list(range(right_start, base + n)))
-                return self._like(heads, tail)
+                return self._like(heads, tail, nil_free=nil_free)
             shead = self.head
             return self._take([i for i, h in enumerate(shead)
-                               if not lo <= h < hi])
+                               if not lo <= h < hi], ascending=True)
         index = other._head_index()
         if self.head is None:
             return self._take_run(index, False)
         shead = self.head
-        return self._take([i for i, h in enumerate(shead) if h not in index])
+        return self._take([i for i, h in enumerate(shead) if h not in index],
+                          ascending=True)
 
     def semijoin(self, other: "BAT") -> "BAT":
         """``algebra.semijoin``: keep associations whose head occurs in
         other's head column.  Same fast paths as :meth:`kdifference`;
-        void-on-void is one run of self, so always void."""
+        void-on-void is one run of self, so always void.  When every row
+        of a materialised self survives, its head is shared."""
         if other.head is None:
             lo = other.hseqbase
             hi = lo + len(other.tail)
@@ -1097,15 +1213,17 @@ class BAT:
                 start = max(lo, base)
                 end = max(min(hi, base + n), start)
                 return self._like(None, self.tail[start - base:end - base],
-                                  hseqbase=start)
+                                  hseqbase=start,
+                                  nil_free=self._nil_mark() is False)
             shead = self.head
             return self._take([i for i, h in enumerate(shead)
-                               if lo <= h < hi])
+                               if lo <= h < hi], ascending=True)
         index = other._head_index()
         if self.head is None:
             return self._take_run(index, True)
         shead = self.head
-        return self._take([i for i, h in enumerate(shead) if h in index])
+        return self._take([i for i, h in enumerate(shead) if h in index],
+                          ascending=True)
 
     def _take_run(self, index: dict, inside: bool) -> "BAT":
         """The rows of void self whose oid is (``inside``) or is not in
@@ -1121,7 +1239,8 @@ class BAT:
         if column is not None:
             return self._take(oids, column)
         tail = self.tail
-        return self._like(oids, [tail[o - base] for o in oids])
+        return self._like(oids, [tail[o - base] for o in oids],
+                          nil_free=self._nil_mark() is False)
 
     # ------------------------------------------------------------------
     # ordering and grouping
@@ -1135,7 +1254,7 @@ class BAT:
         tail's own ``__getitem__`` as the key — no per-element wrapper.
         """
         tail = self.tail
-        if None in tail:
+        if self.has_nil():
             non_nil = [i for i, v in enumerate(tail) if v is not None]
             nils = [i for i, v in enumerate(tail) if v is None]
             non_nil.sort(key=tail.__getitem__, reverse=reverse)
@@ -1195,10 +1314,10 @@ class BAT:
         else:
             extents = [base + p for p in positions] if base else positions
         hist = list(Counter(group_ids).values())
-        groups = self._like(None, group_ids, OID, base)
+        groups = self._like(None, group_ids, OID, base, nil_free=True)
         groups._hist_cache = (len(group_ids), list(hist))
-        return (groups, self._like(None, extents, OID),
-                self._like(None, hist, LNG))
+        return (groups, self._like(None, extents, OID, nil_free=True),
+                self._like(None, hist, LNG, nil_free=True))
 
     def _histogram(self, ngroups: int) -> Optional[List[int]]:
         """The group sizes :meth:`_grouping` counted for this groups BAT
@@ -1225,9 +1344,10 @@ class BAT:
         tail = self.tail
         if func == "count":
             return len(tail)
+        has_nil = self.has_nil()
         if func == "count_no_nil":
-            return len(tail) - tail.count(None)
-        values = [v for v in tail if v is not None] if None in tail else tail
+            return len(tail) - tail.count(None) if has_nil else len(tail)
+        values = [v for v in tail if v is not None] if has_nil else tail
         if not values:
             return nil
         if func == "sum":
@@ -1249,7 +1369,9 @@ class BAT:
         non-nil count.  Where the count of every row is what a func
         needs, it is the histogram the grouping kernel left on
         ``groups`` (:meth:`_histogram`), counted again only for a
-        groups BAT no grouping kernel made.
+        groups BAT no grouping kernel made; over such a histogram a
+        ``sum`` leaves its sums on self for an ``avg`` over the same
+        grouping (:meth:`_group_sums`).
         """
         if len(groups) != len(self):
             raise StorageError("grouped aggregate length mismatch")
@@ -1259,33 +1381,25 @@ class BAT:
         tail = self.tail
         hist = groups._histogram(ngroups)
         if func in ("count", "count_no_nil"):
-            if func == "count_no_nil" and None in tail:
+            if func == "count_no_nil" and self.has_nil():
                 sizes = _sizes([g for g, v in zip(gids, tail)
                                 if v is not None], ngroups)
             else:
                 sizes = _sizes(gids, ngroups) if hist is None else list(hist)
-            return self._like(None, sizes, tail_type=LNG)
+            return self._like(None, sizes, tail_type=LNG, nil_free=True)
         if func in ("sum", "avg"):
-            sums: List[Any] = [0] * ngroups
-            if None in tail:
-                nonnil = [0] * ngroups
-                for value, gid in zip(tail, gids):
-                    if value is not None:
-                        sums[gid] += value
-                        nonnil[gid] += 1
-            else:
-                for value, gid in zip(tail, gids):
-                    sums[gid] += value
-                if hist is not None and func == "sum":
-                    # every group of a histogram has a row
-                    return self._like(None, sums, tail_type=self.tail_type)
-                nonnil = _sizes(gids, ngroups) if hist is None else hist
+            sums, nonnil = self._group_sums(gids, ngroups, hist, func)
+            # every group of a histogram has a row: counted by it, none
+            # of them is empty
+            every = nonnil is hist
             if func == "sum":
-                results = [s if n else None for s, n in zip(sums, nonnil)]
-                return self._like(None, results, tail_type=self.tail_type)
+                results = (list(sums) if every
+                           else [s if n else None for s, n in zip(sums, nonnil)])
+                return self._like(None, results, tail_type=self.tail_type,
+                                  nil_free=every)
             results = [float(s) / n if n else None
                        for s, n in zip(sums, nonnil)]
-            return self._like(None, results, tail_type=DBL)
+            return self._like(None, results, tail_type=DBL, nil_free=every)
         if func in ("min", "max"):
             best: List[Any] = [None] * ngroups
             if func == "min":
@@ -1302,51 +1416,95 @@ class BAT:
                     current = best[gid]
                     if current is None or value > current:
                         best[gid] = value
-            return self._like(None, best, tail_type=self.tail_type)
+            return self._like(None, best, tail_type=self.tail_type,
+                              nil_free=(hist is not None
+                                        and self._nil_mark() is False))
         raise StorageError(f"unknown aggregate {func!r}")
+
+    def _group_sums(self, gids: List[int], ngroups: int,
+                    hist: Optional[List[int]], func: str
+                    ) -> Tuple[Sequence[Any], Sequence[int]]:
+        """Per-group (sums, non-nil counts) of the tail; the counts are
+        ``hist`` itself when no row is nil.  Over a histogram a ``sum``
+        keeps them on self, keyed by that histogram (one list per
+        grouping, dropped with the groups BAT's memos), and an ``avg``
+        over it reads them instead of summing the rows again."""
+        tail = self.tail
+        cached = self._sums_cache
+        if (func == "avg" and cached is not None and hist is not None
+                and cached[1] is hist and cached[0] == len(tail)):
+            return cached[2], cached[3]
+        sums: List[Any] = [0] * ngroups
+        if self.has_nil():
+            nonnil = [0] * ngroups
+            for value, gid in zip(tail, gids):
+                if value is not None:
+                    sums[gid] += value
+                    nonnil[gid] += 1
+        else:
+            for value, gid in zip(tail, gids):
+                sums[gid] += value
+            nonnil = _sizes(gids, ngroups) if hist is None else hist
+        if func == "sum" and hist is not None:
+            self._sums_cache = (len(tail), hist, sums, nonnil)
+        return sums, nonnil
 
     # ------------------------------------------------------------------
     # elementwise calculation (MAL batcalc)
     # ------------------------------------------------------------------
 
     def calc(self, other: "BAT", op: str, out_type: Optional[MalType] = None) -> "BAT":
-        """Elementwise binary op with another BAT of equal length."""
+        """Elementwise binary op with another BAT of equal length; over
+        nil-free operands the result is nil-free, but for ``/`` and
+        ``%`` (a zero divisor answers nil)."""
         if len(other) != len(self):
             raise StorageError("batcalc length mismatch")
         fn = _calc_fn(op)
         a, b = self.tail, other.tail
-        if op not in _THREE_VALUED and (None in a or None in b):
+        if op in _THREE_VALUED:
+            nil_free = (self._nil_mark() is False
+                        and other._nil_mark() is False)
+            tail = list(map(fn, a, b))
+        elif self.has_nil() or other.has_nil():
+            nil_free = False
             tail = [None if (x is None or y is None) else fn(x, y)
                     for x, y in zip(a, b)]
         else:
+            nil_free = op not in _NIL_ANSWERING
             tail = list(map(fn, a, b))
-        return self._calc_out(tail, op, out_type, other.tail_type)
+        return self._calc_out(tail, op, out_type, other.tail_type, nil_free)
 
     def calc_const(self, value: Any, op: str, swapped: bool = False,
                    out_type: Optional[MalType] = None) -> "BAT":
-        """Elementwise binary op against a constant."""
+        """Elementwise binary op against a constant; nil-free as
+        :meth:`calc`, for a constant that is not nil."""
         fn = _calc_fn(op)
         a = self.tail
+        nil_free = False
         if op in _THREE_VALUED:  # commutative, and an answer for a nil
+            nil_free = value is not nil and self._nil_mark() is False
             tail: List[Any] = list(map(fn, a, repeat(value)))
         elif value is nil:
             tail = [nil] * len(a)
-        elif None in a:
+        elif self.has_nil():
             if swapped:
                 tail = [None if v is None else fn(value, v) for v in a]
             else:
                 tail = [None if v is None else fn(v, value) for v in a]
-        elif swapped:
-            tail = list(map(fn, repeat(value), a))
         else:
-            tail = list(map(fn, a, repeat(value)))
+            nil_free = op not in _NIL_ANSWERING
+            if swapped:
+                tail = list(map(fn, repeat(value), a))
+            else:
+                tail = list(map(fn, a, repeat(value)))
         from repro.storage.types import infer_type
 
         other_type = self.tail_type if value is nil else infer_type(value)
-        return self._calc_out(tail, op, out_type, other_type)
+        return self._calc_out(tail, op, out_type, other_type, nil_free)
 
     def _calc_out(self, tail: List[Any], op: str,
-                  out_type: Optional[MalType], other_type: MalType) -> "BAT":
+                  out_type: Optional[MalType], other_type: MalType,
+                  nil_free: bool) -> "BAT":
         skip_cast = False
         if out_type is None:
             if op in _OPS or op in _THREE_VALUED:
@@ -1371,7 +1529,7 @@ class BAT:
                     skip_cast = op in ("+", "-", "*", "%")
         if not skip_cast:
             tail = [cast_value(v, out_type) for v in tail]
-        return self.same_heads(tail, out_type)
+        return self.same_heads(tail, out_type)._marked(nil_free)
 
 
 def _sizes(gids: List[int], ngroups: int) -> List[int]:
@@ -1401,6 +1559,9 @@ _CALC_FNS: dict = {
 #: the calc operators that answer for a nil operand (SQL's three-valued
 #: logic) instead of propagating it
 _THREE_VALUED = frozenset(("and", "or"))
+#: the calc operators that answer nil for operands that are not nil
+#: (:func:`_safe_div`, :func:`_safe_mod`: a zero divisor)
+_NIL_ANSWERING = frozenset(("/", "%"))
 
 
 def _calc_fn(op: str) -> Callable[[Any, Any], Any]:

@@ -999,8 +999,7 @@ def prepare_record(catalog: Catalog, kind: str, data: Dict[str, Any]
                 # truncate-to-length: idempotent and safe under any
                 # interleaving of same-batch rollbacks
                 for column, length in zip(columns, lengths):
-                    del column.bat.tail[length:]
-                    column.bat._invalidate_caches()
+                    column.bat.truncate(length)
 
             return apply, undo
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

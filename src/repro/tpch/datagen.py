@@ -209,5 +209,6 @@ def populate(catalog: Catalog, scale_factor: float = 0.1,
     for position, orderkey in enumerate(key_bat.tail):
         total_bat.tail[position] = round(totals[orderkey], 2)
     total_bat._invalidate_caches()  # in-place patch bypassed append/extend
+    total_bat._marked(True)  # every row now holds a number
 
     return counts

@@ -449,3 +449,30 @@ def test_a_seeded_wrong_answer_is_caught():
     finally:
         connection.close()
         database.close()
+
+
+#: ``/`` by a column holding zeros answers nil there (``_safe_div``), and
+#: ``sum``, ``avg`` and ``count(x)`` over the quotient skip those nils,
+#: grouped and ungrouped, whatever the operands' nil-free marks say
+DIVIDED = (
+    "select sum(x / z), avg(x / z), count(x / z), count(*) from d",
+    "select k, sum(x / z), avg(x / z), count(x / z) from d group by k",
+)
+
+
+def test_a_division_by_zero_inside_an_aggregate_agrees_with_sqlite():
+    for workers in (1, 2):
+        database = Database(catalog=Catalog(), workers=workers)
+        database.execute("create table d (k int, x double, z double)")
+        database.execute(
+            "insert into d values (1, 1.5, 0.0), (1, 3.0, 2.0), "
+            "(2, 4.5, 0.0), (2, 2.0, 4.0), (3, 6.0, 0.0), (1, 8.0, 1.0)")
+        connection = load_sqlite(database.catalog)
+        try:
+            for sql in DIVIDED:
+                assert_same_rows(database.execute(sql).rows,
+                                 connection.execute(sql).fetchall(),
+                                 ordered=False)
+        finally:
+            connection.close()
+            database.close()
