@@ -1,10 +1,12 @@
 """Online monitoring of a live query (paper §4.2 and §5, online demo).
 
 Starts an Mserver in the background, connects the textual Stethoscope to
-its profiler UDP stream, launches a TPC-H query in a separate thread and
-monitors it live: the dot file arrives first, the display is built, and
-trace events colour nodes through the throttled render queue — with
-sampling when the stream outruns the ~150 ms/node render ceiling.
+its profiler UDP stream (its receiver drains the socket in a thread of
+its own), launches a TPC-H query in the query thread and monitors it
+live from this one: the dot file arrives first, a session is opened on
+it, and each trace event is pushed into that session and colours nodes
+through the throttled render queue — with sampling when the stream
+outruns the ~150 ms/node render ceiling.
 
 Afterwards the same run is repeated under ``sequential_pipe`` to show the
 paper's reported anomaly: a plan that executes sequentially although
@@ -33,22 +35,20 @@ def monitor_query(server: Mserver, sql: str, pipeline: str,
             finally:
                 client.set_pipeline("default_pipe")
 
-    session = Stethoscope.online(connection, run_query, workdir,
-                                 backlog_threshold=16)
-    result = session.run(timeout_s=30.0)
+    result = Stethoscope.online(connection, run_query, workdir,
+                                backlog_threshold=16, timeout_s=30.0)
     textual.close()
+    session = result.session
 
     print(f"\n=== pipeline={pipeline} ===")
-    print(f"received {len(result.events)} events; "
+    print(f"received {len(session.events)} events; "
           f"dot file: {result.dot_path}; trace file: {result.trace_path}")
-    print(f"plan: {result.graph.node_count()} nodes")
+    print(f"plan: {session.graph.node_count()} nodes")
     print(f"render-queue sampling dropped {result.sampled_out} repaints")
-    if result.red_pcs:
-        print(f"instructions still RED at end (stuck/slow): "
-              f"{result.red_pcs}")
+    print(session.progress.render())
 
     # the analysis was folded live, one event at a time, as they arrived
-    profile = result.analysis.parallelism_profile()
+    profile = session.analysis.parallelism_profile()
     print(f"threads used: {profile.threads_used}, "
           f"max concurrency: {profile.max_concurrency}, "
           f"speedup vs serial: {profile.speedup_vs_serial:.2f}x")

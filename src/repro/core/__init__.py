@@ -3,13 +3,15 @@
 The paper's contribution — everything above the substrates: the textual
 Stethoscope (UDP trace client), trace↔dot mapping, the §4.2.1 colouring
 algorithms, offline replay (step / fast-forward / rewind / pause),
-online monitoring (listener, query and monitor threads with trace
-sampling), tool-tips and debug windows, gradient colouring and
-administrative-instruction pruning.  Every run-time analysis — thread
-utilisation, memory per operator, costly-instruction clustering, the
-bird's-eye view, the micro-analysis table — is a view of one fold,
-:class:`TraceAnalyzer`, which offline sessions, ``repro analyze`` and
-the online monitor all feed.
+online monitoring, tool-tips and debug windows, gradient colouring and
+administrative-instruction pruning.  One session type,
+:class:`OfflineSession`, serves both modes: an online run pushes the
+live stream into it, its three threads the receiver's (the textual
+Stethoscope), the query's and the caller, which monitors.  Every
+run-time analysis — thread utilisation, memory per
+operator, costly-instruction clustering, the bird's-eye view, the
+micro-analysis table — is a view of one fold, :class:`TraceAnalyzer`,
+which sessions of both modes and ``repro analyze`` feed.
 """
 
 from repro.core.analysis import TraceAnalyzer

@@ -147,6 +147,10 @@ class ThresholdColorizer:
                 ))
         return out
 
+    def finish(self) -> List[ColorAction]:
+        """End of trace: every done event was coloured as it arrived."""
+        return []
+
     def overdue(self, clock_usec: int) -> List[ColorAction]:
         """Still-running instructions already over the threshold."""
         out = []

@@ -55,11 +55,7 @@ class PlanTraceMap:
             node_id = node_for_pc(event.pc)
             if node_id not in nodes:
                 MAPPING_LOOKUPS.labels(result="hit").inc(hits)
-                MAPPING_LOOKUPS.labels(result="miss").inc()
-                raise MappingError(
-                    f"trace event pc={event.pc} has no node {node_id!r} "
-                    "in the dot file — trace/plan mismatch?"
-                )
+                raise _unmapped(event, node_id)
             hits += 1
             if strict_labels:
                 label = graph.node(node_id).label
@@ -75,6 +71,21 @@ class PlanTraceMap:
                 events_of_node.append(event)
         if hits:
             MAPPING_LOOKUPS.labels(result="hit").inc(hits)
+
+    def push(self, event: TraceEvent) -> None:
+        """Map and index one more event (a live stream's next one)."""
+        node_id = node_for_pc(event.pc)
+        if node_id not in self.graph.nodes:
+            raise _unmapped(event, node_id)
+        MAPPING_LOOKUPS.labels(result="hit").inc()
+        self.events.append(event)
+        self._by_node.setdefault(node_id, []).append(event)
+
+    def clear(self) -> None:
+        """Forget every event (the list is emptied in place, so whoever
+        shares it sees the empty trace too)."""
+        self.events.clear()
+        self._by_node.clear()
 
     # ------------------------------------------------------------------
 
@@ -114,3 +125,11 @@ class PlanTraceMap:
     def total_usec(self) -> int:
         """Clock of the last event (query makespan)."""
         return max((e.clock_usec for e in self.events), default=0)
+
+
+def _unmapped(event: TraceEvent, node_id: str) -> MappingError:
+    MAPPING_LOOKUPS.labels(result="miss").inc()
+    return MappingError(
+        f"trace event pc={event.pc} has no node {node_id!r} "
+        "in the dot file — trace/plan mismatch?"
+    )

@@ -13,7 +13,7 @@ directly would have produced.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.analysis import TraceAnalyzer
 from repro.core.coloring import PairSequenceColorizer, ThresholdColorizer
@@ -26,15 +26,17 @@ class ReplayController:
     """Replays a recorded trace over the plan display.
 
     Args:
-        events: the full trace, in file order.
+        events: the full trace, in file order.  The list is shared, not
+            copied: an event appended to it later (a live stream's) is
+            replayed too.
         painter: the display to colour.
         threshold_usec: when given, use the threshold colouring algorithm
             instead of the default pair-sequence one.
     """
 
-    def __init__(self, events: Sequence[TraceEvent], painter: GraphPainter,
+    def __init__(self, events: List[TraceEvent], painter: GraphPainter,
                  threshold_usec: Optional[int] = None) -> None:
-        self.events = list(events)
+        self.events = events
         self.painter = painter
         self.threshold_usec = threshold_usec
         self.position = 0
@@ -56,15 +58,29 @@ class ReplayController:
 
     def step(self) -> Optional[TraceEvent]:
         """Replay one event; returns it (None at end, or while paused)."""
+        actions = self.advance()
+        if actions is None:
+            return None
+        if actions:
+            self.painter.apply_all(actions)
+        self.painter.flush()
+        return self.events[self.position - 1]
+
+    def advance(self) -> Optional[list]:
+        """Move past one event and return the colour actions it triggers,
+        unpainted (None at end, or while paused): an online run paints
+        them itself, sampled and paced."""
         if self.paused or self.position >= len(self.events):
             return None
         event = self.events[self.position]
         self.position += 1
-        actions = self._colorizer.push(event)
-        if actions:
-            self.painter.apply_all(actions)
+        return self._colorizer.push(event)
+
+    def finish(self) -> None:
+        """End of the trace: paint what the colouring algorithm decides
+        about the instructions still open, then flush the display."""
+        self.painter.apply_all(self._colorizer.finish())
         self.painter.flush()
-        return event
 
     def fast_forward(self, count: int) -> int:
         """Replay up to ``count`` events; returns how many ran."""

@@ -1,4 +1,4 @@
-"""The Stethoscope facade: offline and online analysis sessions.
+"""The Stethoscope facade: one analysis session for both modes.
 
 The paper's offline workflow (§4): "the dot file gets parsed and an
 intermediate scalar vector graphics (svg) representation gets created.
@@ -9,6 +9,9 @@ its layout back; here the layout is in memory, so a session keeps the
 ``parse_dot`` graph and builds the display from the layout.  The
 two-step parse lives in :mod:`repro.svg`, the importer for SVG files;
 ``tests/test_scene_routes.py`` checks that it recovers the same graph.
+
+Online mode (§4.2) differs only in where the events come from: a live
+stream is pushed into the session (:func:`repro.core.online.run_online`).
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from repro.core.analysis import TraceAnalyzer, render_birdseye
 from repro.core.coloring import ColorAction
 from repro.core.inspect import DebugWindow, tooltip_text
 from repro.core.mapping import PlanTraceMap
-from repro.core.online import OnlineSession
 from repro.core.painter import GraphPainter
+from repro.core.progress import ProgressWindow
 from repro.core.pruning import prune_administrative
 from repro.core.replay import ReplayController
-from repro.core.textual import ServerConnection, TextualStethoscope
+from repro.core.textual import ServerConnection
 from repro.dot.graph import Digraph
 from repro.dot.parser import parse_dot
 from repro.errors import StethoscopeError
@@ -39,8 +42,17 @@ from repro.viz.view import View
 from repro.viz.vspace import build_virtual_space
 
 
+#: The views :meth:`OfflineSession.push` folds an event into once they
+#: are built, and how each folds one.
+_FOLDS = {
+    "analysis": TraceAnalyzer.push,
+    "progress": ProgressWindow.observe,
+}
+
+
 class OfflineSession:
-    """An interactive analysis session over a dot file and a trace file."""
+    """An interactive analysis session over a plan and its trace: a dot
+    file and a trace file, or a live stream pushed event by event."""
 
     def __init__(self, dot_text: str, events: List[TraceEvent],
                  threshold_usec: Optional[int] = None) -> None:
@@ -52,7 +64,29 @@ class OfflineSession:
         self.view = View(self.space)
         self.view.fit_all()
         self.painter = GraphPainter(self.space)
-        self.replay = ReplayController(events, self.painter, threshold_usec)
+        # the one event list: the replay reads what the map was pushed
+        self.replay = ReplayController(self.trace_map.events, self.painter,
+                                       threshold_usec)
+
+    def push(self, event: TraceEvent) -> None:
+        """Feed one more event (a live stream's): mapped to its node
+        (:class:`~repro.errors.MappingError` when the plan has none),
+        appended to the trace the replay reads, and folded into each view
+        already built.  A view built later folds the whole trace then."""
+        self.trace_map.push(event)
+        built = self.__dict__
+        for view, fold in _FOLDS.items():
+            if view in built:
+                fold(built[view], event)
+
+    def reset(self) -> None:
+        """Forget the trace: no events, the replay back at 0 over a wiped
+        display, and no folded view (the degraded online path, before it
+        pushes the repaired stream)."""
+        self.trace_map.clear()
+        self.replay.seek(0)
+        for view in _FOLDS:
+            self.__dict__.pop(view, None)
 
     # ------------------------------------------------------------------
     # inspection
@@ -89,6 +123,14 @@ class OfflineSession:
     def analysis(self) -> TraceAnalyzer:
         """Every analysis view of the full trace, folded on first use."""
         return TraceAnalyzer(self.events)
+
+    @cached_property
+    def progress(self) -> ProgressWindow:
+        """The progress window over the trace, folded on first use."""
+        window = ProgressWindow(plan_size=self.graph.node_count())
+        for event in self.events:
+            window.observe(event)
+        return window
 
     def birdseye(self, width: int = 72) -> str:
         """The bird's-eye trace clustering band."""
@@ -181,7 +223,11 @@ class Stethoscope:
 
     @staticmethod
     def online(connection: ServerConnection, run_query: Callable,
-               workdir: str, backlog_threshold: int = 32) -> OnlineSession:
-        """Prepare an online session against a live server connection."""
-        return OnlineSession(connection, run_query, workdir,
-                             backlog_threshold)
+               workdir: str, backlog_threshold: int = 32,
+               timeout_s: float = 30.0, settle_s: float = 0.5):
+        """Monitor one query live (paper §4.2); returns its
+        :class:`~repro.core.online.OnlineRun`."""
+        from repro.core.online import run_online
+
+        return run_online(connection, run_query, workdir,
+                          backlog_threshold, timeout_s, settle_s)

@@ -52,30 +52,31 @@ class ServerConnection:
         """Pull available datagrams, at most ``DRAIN_MAX_LINES``; returns
         how many lines arrived."""
         received = 0
-        for _ in range(DRAIN_MAX_LINES):
-            line = self.receiver.try_line(timeout=timeout)
-            if line is None:
-                break
+        while received < DRAIN_MAX_LINES and self.receive(timeout):
             received += 1
-            self._consume(line)
         return received
 
-    def _consume(self, line: str) -> None:
+    def receive(self, timeout: float) -> bool:
+        """Block for one line, at most ``timeout`` seconds, and file it
+        (dot line, event or END); False when none arrived."""
+        line = self.receiver.try_line(timeout=timeout)
+        if line is None:
+            return False
         if line == END_MARKER:
             self.ended = True
-            return
-        if line.startswith(DOT_PREFIX):
+        elif line.startswith(DOT_PREFIX):
             self.dot_lines.append(line[len(DOT_PREFIX):])
-            return
-        try:
-            event = parse_event(line)
-        except TraceFormatError:
-            self.malformed += 1
-            return
-        if self.event_filter.matches(event):
-            self.events.append(event)
         else:
-            self.dropped += 1
+            try:
+                event = parse_event(line)
+            except TraceFormatError:
+                self.malformed += 1
+            else:
+                if self.event_filter.matches(event):
+                    self.events.append(event)
+                else:
+                    self.dropped += 1
+        return True
 
     def dot_text(self) -> str:
         """The dot file shipped ahead of the trace (may be empty)."""

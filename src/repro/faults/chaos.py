@@ -137,10 +137,10 @@ def run_case(server, seed: int, mix: str, spec: Optional[str] = None,
     """Run one chaos case against a started ``Mserver``.
 
     Arms a fresh plan from ``spec`` (default: ``MIXES[mix]``), monitors
-    one profiled SELECT through the degraded-capable online session,
+    one profiled SELECT through the degraded-capable online run,
     and checks the per-case invariants.  Always disarms on exit.
     """
-    from repro.core.online import OnlineSession
+    from repro.core.online import analyze_stream, run_online
     from repro.core.textual import TextualStethoscope
     from repro.metrics.families import UDP_DATAGRAMS_SENT
     from repro.server.client import MClient
@@ -174,38 +174,33 @@ def run_case(server, seed: int, mix: str, spec: Optional[str] = None,
             finally:
                 client.close()
 
-        session = OnlineSession(connection, _Typed(run_query),
-                                workdir=workdir)
-        result = session.run(timeout_s=wall_cap_s, settle_s=0.3)
-        outcome, payload = result.query_result
+        run = run_online(connection, _Typed(run_query), workdir,
+                         timeout_s=wall_cap_s, settle_s=0.3)
+        outcome, payload = run.query_result
         if outcome == "typed-error":
             error = repr(payload)
         elif outcome != "rows":
             violations.append(f"untyped failure: {payload!r}")
         # let in-flight datagrams (e.g. a reordered tail) land before
-        # auditing the stream, then recount from the full connection
-        for _ in range(5):
+        # auditing the stream, recounting from the full connection on
+        # each pass: a case with exact accounting stops waiting once it
+        # balances, any other waits out the 250 ms cap
+        audited = mix in UDP_ONLY_MIXES and outcome == "rows"
+        settle_by = time.monotonic() + 0.25
+        while True:
+            _clean, health = analyze_stream(connection.events)
+            mismatch = _accounting(plan, int(sent_events.value()
+                                             - sent_before),
+                                   health.distinct)
+            if (audited and mismatch is None) or \
+                    time.monotonic() >= settle_by:
+                break
             connection.drain(timeout=0.05)
-        from repro.core.online import analyze_stream
-        _clean, health = analyze_stream(connection.events)
-        sent_delta = sent_events.value() - sent_before
     wall_s = time.monotonic() - began
     if wall_s >= wall_cap_s:
         violations.append(f"case ran {wall_s:.1f}s >= cap {wall_cap_s}s")
-    if mix in UDP_ONLY_MIXES and outcome == "rows":
-        # exact accounting: what went on the wire must be what we saw.
-        # The journal's detail field records the line kind, so fires on
-        # dot/end lines do not pollute the event arithmetic.
-        dup = sum(1 for site, action, detail in plan.journal
-                  if action == "dup" and detail == "event")
-        truncated = sum(1 for site, action, detail in plan.journal
-                        if action == "truncate" and detail == "event")
-        expected = int(sent_delta) - dup - truncated
-        if health.distinct != expected:
-            violations.append(
-                f"accounting: {health.distinct} distinct events vs "
-                f"{expected} expected ({int(sent_delta)} sent - "
-                f"{dup} dup - {truncated} truncated)")
+    if audited and mismatch is not None:
+        violations.append(mismatch)
     return CaseResult(
         seed=seed, mix=mix, ok=not violations, wall_s=wall_s,
         outcome=outcome, error=error,
@@ -213,6 +208,21 @@ def run_case(server, seed: int, mix: str, spec: Optional[str] = None,
         fault_fires=len(plan.journal), journal=list(plan.journal),
         violations=violations,
     )
+
+
+def _accounting(plan: FaultPlan, sent: int, distinct: int) -> Optional[str]:
+    """What went on the wire must be what we saw: the mismatch, or None.
+    The journal's detail field records the line kind, so fires on
+    dot/end lines do not pollute the event arithmetic."""
+    dup = sum(1 for site, action, detail in plan.journal
+              if action == "dup" and detail == "event")
+    truncated = sum(1 for site, action, detail in plan.journal
+                    if action == "truncate" and detail == "event")
+    expected = sent - dup - truncated
+    if distinct == expected:
+        return None
+    return (f"accounting: {distinct} distinct events vs {expected} "
+            f"expected ({sent} sent - {dup} dup - {truncated} truncated)")
 
 
 class _Typed:

@@ -7,13 +7,10 @@ import random
 import pytest
 
 from repro.core.coloring import PairSequenceColorizer
-from repro.core.online import (
-    OnlineSession,
-    analyze_stream,
-    interpolate_pairs,
-)
+from repro.core.online import analyze_stream, interpolate_pairs, run_online
 from repro.core.textual import TextualStethoscope
 from repro.faults import FaultPlan, armed, disarm
+from repro.profiler import read_trace
 from repro.profiler.events import TraceEvent
 from repro.server import Database, MClient, Mserver
 from repro.tpch import populate
@@ -136,9 +133,9 @@ class TestDegradedSession:
                 return client.query("select count(*) from lineitem "
                                     "where l_quantity > 10").rows
 
-        session = OnlineSession(connection, run_query, str(tmp_path))
         try:
-            return session.run(timeout_s=timeout_s, settle_s=0.3)
+            return run_online(connection, run_query, str(tmp_path),
+                              timeout_s=timeout_s, settle_s=0.3)
         finally:
             textual.close()
 
@@ -164,14 +161,14 @@ class TestDegradedSession:
         assert elapsed < 10.0  # never waits out the full timeout
         assert result.health is not None
         if not result.health.ended:
-            assert result.degraded
+            assert result.health.degraded
             assert ONLINE_DEGRADED.value() > before
         assert 0.0 <= result.health.completeness <= 1.0
 
     def test_degraded_coloring_matches_clean_run(self, server, tmp_path):
         clean = self._run(server, tmp_path)
-        assert clean.health is not None and not clean.degraded
-        reference = final_coloring(clean.events)
+        assert clean.health is not None and not clean.health.degraded
+        reference = final_coloring(clean.session.events)
         plan = FaultPlan(seed=8).on("udp.emit", "reorder",
                                     probability=0.3)
         with armed(plan):
@@ -181,14 +178,14 @@ class TestDegradedSession:
         # reordered-only streams lose nothing: full completeness...
         assert chaotic.health.completeness == 1.0
         # ...and the normalised stream converges to the clean coloring
-        assert final_coloring(chaotic.clean_events) == reference
-        if chaotic.painter is not None and clean.painter is not None:
+        assert final_coloring(read_trace(chaotic.trace_path)) == reference
+        if chaotic.session is not None and clean.session is not None:
             # when the dot shipment survived too, the repainted nodes
             # agree with the clean run's
             assert {n: c.to_hex()
-                    for n, c in chaotic.painter.rendered.items()} == \
+                    for n, c in chaotic.session.painter.rendered.items()} == \
                 {n: c.to_hex()
-                 for n, c in clean.painter.rendered.items()}
+                 for n, c in clean.session.painter.rendered.items()}
 
     @pytest.mark.parametrize("order", (("s1", "d1", "s2", "d2"),
                                        ("s1", "s2", "d1", "d2")))
@@ -211,25 +208,26 @@ class TestDegradedSession:
                                 'n2 [label="b"]; n1 -> n2 }']
         connection.events = [stream[name] for name in order]
         connection.ended = True
-        session = OnlineSession(connection, lambda: None, str(tmp_path))
-        result = session.run(timeout_s=5.0)
+        result = run_online(connection, lambda: None, str(tmp_path),
+                            timeout_s=5.0)
         textual.close()
-        assert result.degraded == (order[1] == "s2")
-        assert result.painter.rendered == {}
-        assert {node: result.space.shape_of(node).fill.to_hex()
-                for node in result.space.node_ids()} == \
+        assert result.health.degraded == (order[1] == "s2")
+        session = result.session
+        assert session.painter.rendered == {}
+        assert {node: session.space.shape_of(node).fill.to_hex()
+                for node in session.space.node_ids()} == \
             {"n1": "#ffffff", "n2": "#ffffff"}
 
     def test_degraded_true_swallows_silent_stream(self, tmp_path):
         textual = TextualStethoscope()
         connection = textual.connect("silent")
-        session = OnlineSession(connection, lambda: None, str(tmp_path))
-        result = session.run(timeout_s=5.0, settle_s=0.2)
+        result = run_online(connection, lambda: None, str(tmp_path),
+                            timeout_s=5.0, settle_s=0.2)
         textual.close()
         assert result.health is not None
         assert not result.health.ended
-        assert result.degraded
-        assert result.events == []
+        assert result.health.degraded
+        assert result.session is None and result.trace_path is None
 
 
 class TestDurabilityChaosCase:

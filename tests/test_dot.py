@@ -267,8 +267,8 @@ _ATTRS = st.dictionaries(_TEXT, _TEXT, max_size=3)
 class TestRoundTrip:
     """``parse_dot(graph_to_dot(g))`` is ``g``: every id, attribute name
     and value and the graph name is written as an ID the parser reads
-    back as the same text.  ``OnlineResult.to_offline_session`` opens its
-    live graph through exactly this pair."""
+    back as the same text.  An online run writes its session's graph
+    for a later offline session through exactly this pair."""
 
     @given(name=_TEXT, graph_attrs=_ATTRS,
            nodes=st.dictionaries(_TEXT, _ATTRS, min_size=1, max_size=5),

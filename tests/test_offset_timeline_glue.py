@@ -73,35 +73,44 @@ class TestRssTimeline:
 
 
 class TestOnlineToOffline:
+    @staticmethod
+    def finished_connection(dot_lines, events):
+        """A connection whose stream already ended: the run reads what it
+        holds and waits for nothing."""
+        from repro.core.textual import ServerConnection
+
+        connection = ServerConnection("done", receiver=None)
+        connection.dot_lines = dot_lines
+        connection.events = events
+        connection.ended = True
+        return connection
+
     def test_round_trip(self, catalog, tmp_path):
-        """An OnlineResult converts into a working offline session."""
-        from repro.core.online import OnlineResult
-        from repro.dot import plan_to_graph
+        """An online run returns the session it fed, which replays."""
+        from repro.core.online import run_online
+        from repro.dot import plan_to_dot
         from repro.profiler import Profiler
 
         program = compile_sql(catalog, "select count(*) from t")
         profiler = Profiler()
         Interpreter(catalog, listener=profiler).run(program)
-        result = OnlineResult(
-            graph=plan_to_graph(program), space=None, painter=None,
-            events=profiler.events, dot_path=None, trace_path=None,
-            query_result=None, sampled_out=0,
-        )
-        session = result.to_offline_session()
+        connection = self.finished_connection(
+            plan_to_dot(program).splitlines(), list(profiler.events))
+        session = run_online(connection, lambda: None,
+                             str(tmp_path)).session
+        assert session.events == profiler.events
+        session.replay.seek(0)
         session.replay.run_to_end()
         assert session.trace_map.coverage() == 1.0
 
-    def test_no_graph_raises(self):
-        from repro.core.online import OnlineResult
-        from repro.errors import StethoscopeError
+    def test_no_plan_no_session(self, tmp_path):
+        from repro.core.online import run_online
 
-        result = OnlineResult(
-            graph=None, space=None, painter=None, events=[],
-            dot_path=None, trace_path=None, query_result=None,
-            sampled_out=0,
-        )
-        with pytest.raises(StethoscopeError):
-            result.to_offline_session()
+        result = run_online(self.finished_connection([], []),
+                            lambda: "rows", str(tmp_path))
+        assert result.session is None
+        assert result.query_result == "rows"
+        assert result.health.ended and result.dot_path is None
 
 
 class TestScreenshotCli:

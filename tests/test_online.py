@@ -7,6 +7,7 @@ from repro.core.analysis import TraceAnalyzer
 from repro.core.session import Stethoscope
 from repro.core.textual import TextualStethoscope
 from repro.errors import StethoscopeError
+from repro.metrics.families import ONLINE_EVENTS, ONLINE_RUNS
 from repro.profiler import EventFilter, UdpEmitter
 from repro.server import Database, MClient, Mserver
 from repro.tpch import populate
@@ -105,12 +106,11 @@ class TestOnlineSession:
                 client.set_profiler(port=connection.port)
                 return client.query(sql).rows
 
-        session = Stethoscope.online(
-            connection, run_query, str(tmp_path),
-            backlog_threshold=backlog_threshold,
-        )
         try:
-            return session.run(timeout_s=20.0)
+            return Stethoscope.online(
+                connection, run_query, str(tmp_path),
+                backlog_threshold=backlog_threshold, timeout_s=20.0,
+            )
         finally:
             textual.close()
 
@@ -119,9 +119,9 @@ class TestOnlineSession:
             server, tmp_path,
             "select count(*) from lineitem where l_quantity > 10",
         )
-        assert result.graph is not None
+        assert result.session is not None
         assert result.query_result and result.query_result[0][0] > 0
-        assert result.events
+        assert result.session.events
         assert result.dot_path and result.trace_path
         # files usable for a later offline session
         session = Stethoscope.offline(result.dot_path, result.trace_path)
@@ -137,10 +137,10 @@ class TestOnlineSession:
             server, tmp_path,
             "select count(*) from lineitem where l_quantity > 10",
         )
-        assert not result.degraded
-        live = result.analysis
+        assert not result.health.degraded
+        live = result.session.analysis
         offline = TraceAnalyzer(read_trace(result.trace_path))
-        assert live.events == offline.events == result.events
+        assert live.events == offline.events == result.session.events
         for view in ("summary", "thread_utilization", "per_operator",
                      "memory_by_operator", "per_instruction",
                      "costly_clusters", "parallelism_profile", "segments",
@@ -151,36 +151,155 @@ class TestOnlineSession:
         result = self.run_online(
             server, tmp_path, "select count(*) from customer",
         )
-        assert result.painter is not None
+        assert result.session is not None
         # at minimum, the painter processed the stream without backlog left
-        assert result.painter.backlog() == 0
+        assert result.session.painter.backlog() == 0
 
     def test_progress_window_completes(self, server, tmp_path):
         result = self.run_online(
             server, tmp_path, "select count(*) from customer",
         )
-        assert result.progress is not None
-        assert result.progress.complete
-        assert "100%" in result.progress.render()
+        assert result.session is not None
+        assert result.session.progress.complete
+        assert "100%" in result.session.progress.render()
 
     def test_online_to_offline_followup(self, server, tmp_path):
         result = self.run_online(
             server, tmp_path, "select count(*) from customer",
         )
-        session = result.to_offline_session()
+        session = result.session
+        session.replay.seek(0)
         session.replay.run_to_end()
         assert session.replay.at_end
 
-    def test_sampling_under_pressure(self, server, tmp_path):
-        result = self.run_online(
-            server, tmp_path,
-            "select count(*) from lineitem where l_quantity > 1",
-            backlog_threshold=0,
-        )
-        # with a zero threshold every GREEN is sampled out once the
-        # queue holds anything; reds always pass
-        assert result.sampled_out >= 0
+    def test_sampling_under_pressure(self, database, tmp_path):
+        """One burst at a zero backlog threshold: every GREEN repaint is
+        sampled out once the render queue holds anything, and no RED is
+        ever dropped."""
+        from repro.core.coloring import color_buffer
+        from repro.dot import plan_to_dot
+        from repro.profiler import Profiler
+        from repro.viz.color import RED
 
+        profiler = Profiler()
+        program = database.execute(
+            "select count(*) from lineitem where l_quantity > 1",
+            listener=profiler).program
+        textual = TextualStethoscope()
+        connection = textual.connect("burst")
+
+        def burst():
+            with UdpEmitter(port=connection.port) as emitter:
+                emitter.send_dot(plan_to_dot(program))
+                for event in profiler.events:
+                    emitter(event)
+                emitter.send_end()
+
+        try:
+            result = Stethoscope.online(connection, burst, str(tmp_path),
+                                        backlog_threshold=0, timeout_s=20.0)
+        finally:
+            textual.close()
+        assert not result.health.degraded
+        assert result.sampled_out > 0
+        reds = [action for action in color_buffer(result.session.events)
+                if action.color == RED]
+        assert reds
+        history = result.session.painter.history
+        assert all(red in history for red in reds)
+
+    def test_counters_count_the_run_and_its_pushes(self, server, tmp_path):
+        runs_before = ONLINE_RUNS.value()
+        events_before = ONLINE_EVENTS.value()
+        result = self.run_online(server, tmp_path,
+                                 "select count(*) from customer")
+        assert not result.health.degraded
+        assert ONLINE_RUNS.value() - runs_before == 1
+        assert ONLINE_EVENTS.value() - events_before == \
+            len(result.session.events) > 0
+
+    def test_a_run_starts_only_the_query_thread(self, server, tmp_path,
+                                                monkeypatch):
+        """The paper's three threads are the receiver's (started with
+        the connection), the query thread and the caller: a run starts
+        one thread, and waits for lines without a listener of its own."""
+        import threading
+
+        textual = TextualStethoscope()
+        connection = textual.connect("local")
+        caller = threading.current_thread()
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            if threading.current_thread() is caller:
+                started.append(thread)
+            start(thread)
+
+        def run_query():
+            with MClient(port=server.port) as client:
+                client.set_profiler(port=connection.port)
+                return client.query("select count(*) from region").rows
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        try:
+            result = Stethoscope.online(connection, run_query,
+                                        str(tmp_path), timeout_s=20.0)
+        finally:
+            monkeypatch.undo()
+            textual.close()
+        assert result.query_result
+        assert len(started) == 1
+
+
+def painted(session):
+    return {node: color.to_hex()
+            for node, color in session.painter.rendered.items()}
+
+
+class TestOnlinePaintsItsTraceFile:
+    """An online run's final colouring is the offline replay's of the
+    dot and trace files the same run wrote."""
+
+    def run_online(self, server, tmp_path):
+        textual = TextualStethoscope()
+        connection = textual.connect("local")
+
+        def run_query():
+            with MClient(port=server.port) as client:
+                client.set_profiler(port=connection.port)
+                return client.query("select count(*) from lineitem "
+                                    "where l_quantity > 10").rows
+
+        try:
+            return Stethoscope.online(connection, run_query,
+                                      str(tmp_path), timeout_s=20.0)
+        finally:
+            textual.close()
+
+    def replayed(self, result):
+        offline = Stethoscope.offline(result.dot_path, result.trace_path)
+        offline.replay.run_to_end()
+        offline.replay.finish()
+        return painted(offline)
+
+    def test_clean_run(self, server, tmp_path):
+        result = self.run_online(server, tmp_path)
+        assert not result.health.degraded
+        assert result.sampled_out == 0
+        assert painted(result.session)
+        assert painted(result.session) == self.replayed(result)
+
+    def test_reorder_run(self, server, tmp_path):
+        from repro.faults import FaultPlan, armed
+
+        # a seed whose reordering left the dot shipment parseable
+        plan = FaultPlan(seed=0).on("udp.emit", "reorder", probability=0.3)
+        with armed(plan):
+            result = self.run_online(server, tmp_path)
+        assert result.health.out_of_order > 0
+        assert result.session is not None
+        assert painted(result.session) == self.replayed(result)
     def test_anomaly_detection_from_online_trace(self, database, tmp_path):
         with Mserver(database) as server:
             textual = TextualStethoscope()
@@ -198,9 +317,9 @@ class TestOnlineSession:
                     finally:
                         client.set_pipeline("default_pipe")
 
-            session = Stethoscope.online(connection, run_query,
-                                         str(tmp_path))
-            result = session.run(timeout_s=20.0)
+            result = Stethoscope.online(connection, run_query,
+                                        str(tmp_path), timeout_s=20.0)
             textual.close()
-        anomaly = result.analysis.sequential_anomaly(expected_threads=2)
+        anomaly = result.session.analysis.sequential_anomaly(
+            expected_threads=2)
         assert anomaly.detected
