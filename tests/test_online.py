@@ -251,6 +251,30 @@ class TestOnlineSession:
         assert result.query_result
         assert len(started) == 1
 
+    def test_anomaly_detection_from_online_trace(self, database, tmp_path):
+        with Mserver(database) as server:
+            textual = TextualStethoscope()
+            connection = textual.connect("local")
+
+            def run_query():
+                with MClient(port=server.port) as client:
+                    client.set_pipeline("sequential_pipe")
+                    client.set_profiler(port=connection.port)
+                    try:
+                        return client.query(
+                            "select count(*) from lineitem "
+                            "where l_quantity > 10"
+                        ).rows
+                    finally:
+                        client.set_pipeline("default_pipe")
+
+            result = Stethoscope.online(connection, run_query,
+                                        str(tmp_path), timeout_s=20.0)
+            textual.close()
+        anomaly = result.session.analysis.sequential_anomaly(
+            expected_threads=2)
+        assert anomaly.detected
+
 
 def painted(session):
     return {node: color.to_hex()
@@ -300,26 +324,3 @@ class TestOnlinePaintsItsTraceFile:
         assert result.health.out_of_order > 0
         assert result.session is not None
         assert painted(result.session) == self.replayed(result)
-    def test_anomaly_detection_from_online_trace(self, database, tmp_path):
-        with Mserver(database) as server:
-            textual = TextualStethoscope()
-            connection = textual.connect("local")
-
-            def run_query():
-                with MClient(port=server.port) as client:
-                    client.set_pipeline("sequential_pipe")
-                    client.set_profiler(port=connection.port)
-                    try:
-                        return client.query(
-                            "select count(*) from lineitem "
-                            "where l_quantity > 10"
-                        ).rows
-                    finally:
-                        client.set_pipeline("default_pipe")
-
-            result = Stethoscope.online(connection, run_query,
-                                        str(tmp_path), timeout_s=20.0)
-            textual.close()
-        anomaly = result.session.analysis.sequential_anomaly(
-            expected_threads=2)
-        assert anomaly.detected
