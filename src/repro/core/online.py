@@ -180,8 +180,9 @@ def run_online(connection: ServerConnection, run_query: Callable[[], Any],
 
     A stream damaged by UDP loss — missing END marker, sequence gaps,
     duplicated or reordered datagrams, an unparseable dot shipment —
-    neither raises nor mis-animates: once the query has finished, a
-    receive that waits ``settle_s`` in vain ends the run, whose events
+    neither raises nor mis-animates: once the query has finished,
+    ``settle_s`` without a line ends the run (a receive is cut short to
+    paint the next queued colour in its slot), whose events
     are normalised (deduplicated, reordered by sequence, lost starts
     interpolated) and replace the session's trace, replayed from 0; the
     :class:`TraceHealth` says what was wrong.
@@ -210,7 +211,7 @@ def run_online(connection: ServerConnection, run_query: Callable[[], Any],
     session: Optional[OfflineSession] = None
     plan_damaged = False
     dot_lines_tried = pushed = sampled_out = 0
-    began = time.monotonic()
+    began = heard = time.monotonic()  # heard: the last line's arrival
     deadline = began + timeout_s
     while True:
         if session is None and len(connection.dot_lines) > dot_lines_tried \
@@ -245,7 +246,12 @@ def run_online(connection: ServerConnection, run_query: Callable[[], Any],
         remaining = deadline - time.monotonic()
         if connection.ended or remaining <= 0:
             break
-        if not connection.receive(min(settle_s, remaining)) and \
+        # wake in time to paint the next queued colour in its slot
+        due = session.painter.next_due_ms() if session else float("inf")
+        wait = min(settle_s, remaining, began + due / 1000 - time.monotonic())
+        if connection.receive(max(wait, 0.0)):
+            heard = time.monotonic()
+        elif time.monotonic() - heard >= settle_s and \
                 not query_thread.is_alive():
             break  # the query is done and its END marker was lost
     query_thread.join(timeout=2.0)

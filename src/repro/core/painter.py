@@ -137,6 +137,11 @@ class GraphPainter:
         """Unrendered colour actions — the sampling trigger."""
         return len(self._queue)
 
+    def next_due_ms(self) -> float:
+        """When :meth:`pump` paints the next queued colour (inf if none)."""
+        queue = self._queue
+        return max(self._next_slot_ms, queue[0][2]) if queue else float("inf")
+
     def max_latency_ms(self) -> float:
         """Worst queue latency (painting - posting) among painted colours."""
         return self._max_wait_ms

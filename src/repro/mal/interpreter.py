@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import time
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
@@ -56,8 +55,8 @@ class InstructionRun:
 
     ``start_usec``/``end_usec`` are microsecond timestamps on the query's
     clock; ``usec`` their difference; ``rss_bytes`` the interpreter's
-    simulated resident set after the instruction; ``thread`` the worker
-    that ran it (always 0 for the sequential interpreter); ``rows`` the
+    simulated resident set after the instruction, its inputs held;
+    ``thread`` the worker that ran it (0 for the interpreter); ``rows`` the
     output cardinality when the result is a BAT; ``rows_in`` the input
     cardinality (first BAT argument), which together with ``rows`` gives
     the stats store an observed selectivity per selection.  The record
@@ -177,12 +176,9 @@ class EvalContext:
         self.catalog = catalog
         self.program = program
         self.env: Dict[str, Any] = {}
-        #: simulated resident set, kept by :meth:`bind`: the bytes of
-        #: every BAT bound so far, released ones included
+        #: simulated resident set, the bytes of the BATs bound now:
+        #: :meth:`bind` adds, :meth:`Execution.step` subtracts its drops
         self.rss = 0
-        #: ``(weak reference, bytes)`` of each BAT a run dropped from
-        #: :attr:`env` after its last reader (:meth:`Execution.step`)
-        self.released: List[Tuple[weakref.ref, int]] = []
         self.result_sets: List[Any] = []
         self.affected_rows = 0
 
@@ -212,18 +208,11 @@ class EvalContext:
         :attr:`rss` is maintained against, and what the kernels that
         grow an already-bound BAT re-read after themselves.
 
-        A released BAT still counts: at its current size while it is
-        alive (``bat.append`` returns the BAT it grew, so an alias may
-        grow it further), else at the last size read here or when it
-        was released."""
-        released = []
-        for ref, size in self.released:
-            bat = ref()
-            released.append((ref, size if bat is None else bat.bytes()))
-        self.released = released
+        Counted per name: a BAT two names hold (``bat.append`` returns
+        the BAT it grew) counts twice, and a head shared with another
+        BAT counts in each."""
         return sum(v.bytes() for v in self.env.values()
-                   if isinstance(v, BAT)) + sum(
-                       size for _ref, size in released)
+                   if isinstance(v, BAT))
 
 
 @dataclass
@@ -450,7 +439,8 @@ class Execution:
         injected stall is slept for real (``value`` microseconds) and
         delays the worker on the modelled clock.  :attr:`listener` hears
         ``start`` with the RSS before the instruction and ``done`` with
-        the RSS after it.
+        the RSS after it, its inputs still held: what the instruction
+        was the last to read is subtracted after ``done``.
         """
         ctx = self.ctx
         if self.context is not None:
@@ -488,6 +478,8 @@ class Execution:
             if value.__class__ is BAT:
                 rows = len(value.tail)
                 break
+        run = InstructionRun(instr, self.program, instr.pc, start, end,
+                             end - start, thread, ctx.rss, rows, rows_in)
         left = self.left
         for name in self.drops[place]:
             readers = left[name] - 1
@@ -498,10 +490,7 @@ class Execution:
                 if value.__class__ is BAT:
                     # sized when bound: its memo, not another bytes()
                     size = value._bytes_cache
-                    ctx.released.append((weakref.ref(value), size[1]
-                                         if size else value.bytes()))
-        run = InstructionRun(instr, self.program, instr.pc, start, end,
-                             end - start, thread, ctx.rss, rows, rows_in)
+                    ctx.rss -= size[1] if size else value.bytes()
         self.runs.append(run)
         if listener is not None:
             listener("done", run)

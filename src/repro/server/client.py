@@ -491,9 +491,9 @@ class MClient:
 
         ``server_deadline_s`` asks the server to cancel the query when
         its wall clock exceeds the budget (typed
-        ``QueryDeadlineError``); ``max_rss_bytes`` bounds the query's
-        simulated resident set (``QueryBudgetError``).  ``deadline_s``
-        is the *client-side* budget covering transport and retries.
+        ``QueryDeadlineError``); ``max_rss_bytes`` bounds the bytes held
+        now (``QueryBudgetError``).  ``deadline_s`` is the *client-side*
+        budget covering transport and retries.
 
         Only SELECTs are retried after a connection loss — a data
         statement may already have applied on the server side, so

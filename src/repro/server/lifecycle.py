@@ -58,6 +58,7 @@ from repro.metrics.families import (
 class QueryContext:
     """Cancellation token, deadline and RSS budget for one query.
 
+    The budget bounds the simulated resident set, the bytes held now.
     Execution engines call :meth:`check` between instructions; the
     ``cancel`` verb and the drain call :meth:`cancel` from other
     threads.  All

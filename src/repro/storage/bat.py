@@ -274,10 +274,7 @@ class BAT:
                  "_reverse_cache", "_tdense", "_join_scans",
                  "_range_selects", "_order_hits", "_order_misses",
                  "_order_disabled", "_hist_cache", "_bounds_cache",
-                 "_nil_cache", "_sums_cache", "_oid_reads", "_offset_reads",
-                 # a run keeps a weak reference to each BAT it released
-                 # (repro.mal.interpreter.EvalContext.rss_bytes)
-                 "__weakref__")
+                 "_nil_cache", "_sums_cache", "_oid_reads", "_offset_reads")
 
     def __init__(
         self,

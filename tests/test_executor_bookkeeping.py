@@ -15,10 +15,15 @@ The second half are counting guards that time nothing: a run nobody
 listens to renders no statement text and asks a BAT for its bytes at
 most once per binding, and an executed instruction costs a bounded
 number of Python-level calls in the executor modules.
+
+Run as a script, ``python tests/test_executor_bookkeeping.py --report``
+prints the modelled bytes against ``tracemalloc`` per operator class
+(``fit_report``; ``docs/performance.md`` §29).
 """
 
 import random
 import sys
+import weakref
 
 import hypothesis.strategies as st
 import pytest
@@ -26,13 +31,16 @@ from hypothesis import given, settings
 
 import repro.mal.interpreter as interpreter
 from repro.mal import Interpreter
+from repro.errors import QueryBudgetError
 from repro.mal.dataflow import SimulatedScheduler
 from repro.mal.ast import Var
+from repro.mal.interpreter import ReadySet
 from repro.mal.debugger import MalDebugger
 from repro.mal.parser import parse_instruction_text
 from repro.mal.printer import format_instruction
 from repro.profiler import Profiler
 from repro.server.database import Database
+from repro.server.lifecycle import QueryContext
 from repro.storage import INT, STR, Catalog, naive
 from repro.storage.bat import BAT
 from repro.storage.types import nil
@@ -177,9 +185,14 @@ class TestMaintainedRssIsTheRecomputedOne:
         result = boundaries.run(ENGINES[engine](cat), program)
         assert len(cat.bind("sys", "t", "x")) == 9 + 1 + 9
         rss = {r.pc: r.rss_bytes for r in result.runs}
-        # sql.append grew the column X_3 names; no binding says so
-        assert rss[11] - rss[10] > naive.bat_bytes(
-            BAT(STR, ["v" * i for i in range(9)]))
+        if engine == "interpreter":
+            # sql.append grew the column X_3 names; no binding says so.
+            # In program order the step lets go of X_6 (ten ints) between
+            # the two; a list schedule may run aggr.count(X_3) first and
+            # let X_3 go, so there the boundaries above are the check
+            released = BAT(INT, [7, *range(9)]).bytes()
+            assert rss[11] - rss[10] + released > naive.bat_bytes(
+                BAT(STR, ["v" * i for i in range(9)]))
 
     def test_rebinding_a_name_subtracts_what_it_held(self, catalog):
         ctx = interpreter.EvalContext(catalog)
@@ -239,8 +252,8 @@ class TestReleasedAfterLastReader:
     """A run drops each value from its environment once every
     instruction that reads it has run, whichever order the policy runs
     them in, and a value nobody reads right after it is bound; the
-    modelled RSS still counts every BAT bound (``EvalContext.rss_bytes``
-    sizes the released ones)."""
+    modelled RSS falls by what it drops (``EvalContext.rss_bytes`` sums
+    only the environment)."""
 
     @pytest.fixture()
     def last_readers(self, monkeypatch):
@@ -319,19 +332,24 @@ class TestReleasedAfterLastReader:
     def test_released_aliases_keep_the_rss(self, engine, monkeypatch):
         """The GROWING plan releases X_4 once ``bat.append`` has
         returned its BAT as X_5, and ``bat.insert`` grows that BAT
-        further: the released name is counted at the BAT's current size,
-        as it was while the name was bound.  So the figure is the
-        recomputed one at every boundary, and in program order it is,
-        pc by pc, that of the MAL debugger, which releases nothing."""
+        further: before the insert the BAT counts once, under X_5, at
+        the size the append grew it to, and the figure is the bytes the
+        environment holds.  So the figure is the recomputed one at every
+        boundary, and in program order it is, pc by pc, that of the MAL
+        debugger, which releases nothing, less the bytes of the names
+        the run has let go."""
         boundaries = Boundaries(monkeypatch)
         executed = interpreter.execute_instruction
-        aliased = []  # pcs after which a released BAT is bound again
+        held = {}  # pc -> (bound names, rss) after the kernel
+        before_insert = []  # (env, bytes, rss) as bat.insert starts
 
         def watching(ctx, instr):
+            if instr.pc == 5:
+                before_insert.append((dict(ctx.env), {
+                    name: value.bytes() for name, value in ctx.env.items()
+                    if isinstance(value, BAT)}, ctx.rss))
             out = executed(ctx, instr)
-            bound = {id(value) for value in ctx.env.values()}
-            if any(id(ref()) in bound for ref, _size in ctx.released):
-                aliased.append(instr.pc)
+            held[instr.pc] = (set(ctx.env), ctx.rss)
             return out
 
         monkeypatch.setattr(interpreter, "execute_instruction", watching)
@@ -340,15 +358,118 @@ class TestReleasedAfterLastReader:
         program.dataflow_enabled = True
         result = boundaries.run(ENGINES[engine](self.growing_catalog()),
                                 program)
-        assert 5 in aliased  # bat.insert grew what X_4 named
+        (env, sizes, rss), = before_insert
+        grown = env["X_5"]
+        assert "X_4" not in env
+        assert [value for value in env.values() if value is grown] == [grown]
+        assert sizes["X_5"] == INT.width  # bat.append's one value
+        assert rss == sum(sizes.values())
         if engine == "interpreter":
             debugger = MalDebugger(self.growing_catalog(),
                                    parse_instruction_text(grow))
-            kept = []
-            while debugger.step() is not None:
-                kept.append(debugger.ctx.rss)
-            assert [run.rss_bytes for run in result.runs] == kept
+            for run in result.runs:
+                assert debugger.step() is not None
+                names, kept = held[run.pc]
+                let_go = sum(value.bytes() for name, value
+                             in debugger.ctx.env.items()
+                             if name not in names and isinstance(value, BAT))
+                assert run.rss_bytes == kept == debugger.ctx.rss - let_go
             assert len(debugger.ctx.env) == len(program)
+
+
+class TestRssFallsWhenARunLetsGo:
+    """The trace's ``rss`` is the bytes of the BATs a run holds now: a
+    ``done`` carries the figure with the instruction's inputs and
+    results held, and the next ``start`` the figure after it let go of
+    what it was the last to read.  No weak reference is kept for that:
+    a BAT takes none.  The RSS budget of a ``QueryContext`` therefore
+    bounds what a query holds."""
+
+    def test_a_bat_takes_no_weak_reference(self):
+        with pytest.raises(TypeError):
+            weakref.ref(BAT(INT, []))
+
+    @pytest.mark.parametrize("query", ["GROWING", *sorted(QUERIES)])
+    def test_a_start_is_the_last_done_less_what_it_let_go(
+            self, query, catalog, monkeypatch):
+        """In program order, each ``start`` carries the previous
+        ``done``'s figure less the memoized bytes of the BATs that
+        instruction was the last to read."""
+        if query == "GROWING":
+            catalog = TestReleasedAfterLastReader.growing_catalog()
+            program = parse_instruction_text(
+                TestMaintainedRssIsTheRecomputedOne.GROWING)
+        else:
+            db = Database(catalog=catalog, workers=1)
+            try:
+                program = db.compile(query_sql(query))
+            finally:
+                db.close()
+        executed = interpreter.execute_instruction
+        memos = {}  # pc -> {name: BAT memo} after the kernel
+
+        def watching(ctx, instr):
+            out = executed(ctx, instr)
+            memos[instr.pc] = {name: value._bytes_cache for name, value
+                               in ctx.env.items() if value.__class__ is BAT}
+            return out
+
+        monkeypatch.setattr(interpreter, "execute_instruction", watching)
+        heard = Heard()
+        Interpreter(catalog, listener=heard).run(program)
+        last = {}  # name -> the place that lets it go
+        for place, names in enumerate(program.derived(ReadySet).drops):
+            last.update(dict.fromkeys(names, place))
+        let_go = [0] * len(program)
+        for name, place in last.items():
+            if name in memos[place]:
+                memo = memos[place][name]
+                assert memo is not None, name  # sized when bound
+                let_go[place] += memo[1]
+        assert sum(let_go) > 0
+        records = [record for _kind, record in heard]
+        assert [kind for kind, _r in heard] == ["start", "done"] * len(program)
+        for done, start in zip(records[1::2], records[2::2]):
+            assert start.pc == done.pc + 1
+            assert start.rss_bytes == done.rss_bytes - let_go[done.pc]
+
+    def test_q18_ends_below_its_peak(self, database):
+        profiler = Profiler()
+        database.execute(query_sql("q18"), listener=profiler)
+        done = [e.rss_bytes for e in profiler.events if e.status == "done"]
+        assert done[-1] < max(e.rss_bytes for e in profiler.events)
+
+    def test_the_budget_bounds_what_q18_holds(self, database, monkeypatch):
+        """q18 completes under a budget of its profiled run's largest
+        ``start`` figure, which is the most its environment held at an
+        instruction boundary, and is stopped one byte below it.  In
+        program order, where a ``start`` is heard before its kernel runs
+        (the list schedule renders both events from the finished
+        record)."""
+        catalog = database.catalog
+        program = database.compile(query_sql("q18"))
+        executed = interpreter.execute_instruction
+        held = []  # the bytes bound as each instruction starts
+
+        def watching(ctx, instr):
+            held.append(sum(value.bytes() for value in ctx.env.values()
+                            if isinstance(value, BAT)))
+            return executed(ctx, instr)
+
+        monkeypatch.setattr(interpreter, "execute_instruction", watching)
+        profiler = Profiler()
+        rows = Interpreter(catalog, listener=profiler).run(program).rows()
+        monkeypatch.undo()
+        budget = max(e.rss_bytes for e in profiler.events
+                     if e.status == "start")
+        assert budget == max(held) > 0
+        context = QueryContext("q18", "select", rss_budget_bytes=budget)
+        context.mark_running()
+        assert Interpreter(catalog).run(program, context).rows() == rows
+        context = QueryContext("q18", "select", rss_budget_bytes=budget - 1)
+        context.mark_running()
+        with pytest.raises(QueryBudgetError):
+            Interpreter(catalog).run(program, context)
 
 
 class TestStringFootprint:
@@ -482,3 +603,98 @@ class TestScaffoldingIsCounted:
         per_instruction = calls[0] / instructions
         assert per_instruction <= self.CALLS_PER_INSTRUCTION_BOUND, \
             f"{per_instruction:.2f} executor calls per instruction"
+
+
+def fit_report(scale: float = 0.05) -> str:
+    """The modelled live bytes against stdlib ``tracemalloc``, as
+    Markdown tables (``docs/performance.md`` §29).  Each TPC-H plan is
+    compiled at ``workers=1`` and run twice in program order, the
+    collector off: once to build the memos a first run leaves on the
+    catalog's columns, then traced from its first instruction.  At each
+    instruction boundary the traced bytes still held are summed over
+    the allocations made outside the executor modules and this file
+    (which hold the run records, the argument lists and the report's
+    own lists).  Per operator class (``CostModel``'s): the bytes the
+    model adds across its instructions' kernels, the traced bytes they
+    add, and the correlation of the two over the instructions.  Per
+    query: the peaks of the two curves and their correlation.
+    Tracing is slow; this is a report, never on the run path."""
+    import gc
+    import math
+    import statistics
+    import tracemalloc
+
+    from repro.mal.interpreter import CostModel
+
+    def klass(instr):
+        return (CostModel._FUNCTION_CLASS.get(instr.qualified_name)
+                or CostModel._MODULE_CLASS.get(instr.module, "admin"))
+
+    def pearson(pairs):
+        xs, ys = zip(*pairs)
+        if len(set(xs)) < 2 or len(set(ys)) < 2:
+            return math.nan
+        return statistics.correlation(xs, ys)
+
+    outside = [tracemalloc.Filter(False, pattern) for pattern in (
+        "*/repro/mal/interpreter.py", "*/repro/mal/dataflow.py", "<string>",
+        __file__, tracemalloc.__file__)]
+
+    def held():
+        snapshot = tracemalloc.take_snapshot().filter_traces(outside)
+        return sum(stat.size for stat in snapshot.statistics("filename"))
+
+    cat = Catalog()
+    populate(cat, scale_factor=scale, seed=7)
+    db = Database(catalog=cat, workers=1)
+    programs = {name: db.compile(query_sql(name)) for name in sorted(QUERIES)}
+    db.close()
+    executed = interpreter.execute_instruction
+    per_class = {}  # class -> [(modelled, traced) per instruction]
+    curves = {}  # query -> [(modelled, traced) per boundary]
+
+    def measuring(ctx, instr):
+        before_rss, before = ctx.rss, held()
+        out = executed(ctx, instr)
+        after = held()
+        per_class.setdefault(klass(instr), []).append(
+            (ctx.rss - before_rss, after - before))
+        curve.append((ctx.rss, after))
+        return out
+
+    gc.disable()
+    try:
+        for name, program in programs.items():
+            Interpreter(cat).run(program)
+            curve = curves[name] = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(interpreter, "execute_instruction", measuring)
+                tracemalloc.start()
+                try:
+                    Interpreter(cat).run(program)
+                finally:
+                    tracemalloc.stop()
+    finally:
+        gc.enable()
+    lines = ["| class | instructions | modelled bytes | traced bytes "
+             "| traced / modelled | r |", "|---|---:|---:|---:|---:|---:|"]
+    for name, pairs in sorted(per_class.items()):
+        modelled = sum(m for m, _t in pairs)
+        traced = sum(t for _m, t in pairs)
+        ratio = f"{traced / modelled:.2f}" if modelled else "-"
+        lines.append(f"| {name} | {len(pairs)} | {modelled:,} | {traced:,} "
+                     f"| {ratio} | {pearson(pairs):.2f} |")
+    lines += ["", "| query | instructions | modelled peak | traced peak "
+              "| traced / modelled | r |", "|---|---:|---:|---:|---:|---:|"]
+    for name, pairs in curves.items():
+        modelled = max(m for m, _t in pairs)
+        traced = max(t for _m, t in pairs)
+        lines.append(f"| {name} | {len(pairs)} | {modelled:,} | {traced:,} "
+                     f"| {traced / modelled:.2f} | {pearson(pairs):.2f} |")
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--report"]:
+        sys.exit("usage: python tests/test_executor_bookkeeping.py --report")
+    print(fit_report())

@@ -208,6 +208,70 @@ class TestOnlineSession:
         history = result.session.painter.history
         assert all(red in history for red in reds)
 
+    def test_queued_colours_are_painted_across_a_stall(self, database,
+                                                       tmp_path,
+                                                       monkeypatch):
+        """A stream that stalls with colours queued: the monitor wakes
+        for each one's 150 ms slot instead of waiting ``settle_s`` for
+        the next line (only a full ``settle_s`` of silence after the
+        query has finished may end a run)."""
+        import time
+
+        from repro.core.painter import RENDER_INTERVAL_MS, GraphPainter
+        from repro.dot import plan_to_dot
+        from repro.profiler import Profiler
+
+        profiler = Profiler()
+        program = database.execute("select count(*) from customer",
+                                   listener=profiler).program
+        events = profiler.events
+        head = 8  # events sent before the stall
+        posted, painted = [], []  # wall time of each colour queued, painted
+        apply_all, pump = GraphPainter.apply_all, GraphPainter.pump
+
+        def timed_apply_all(painter, actions):
+            before = painter.backlog()
+            apply_all(painter, actions)
+            posted.extend([time.monotonic()] * (painter.backlog() - before))
+
+        def timed_pump(painter, clock_ms):
+            count = pump(painter, clock_ms)
+            painted.extend([time.monotonic()] * count)
+            return count
+
+        monkeypatch.setattr(GraphPainter, "apply_all", timed_apply_all)
+        monkeypatch.setattr(GraphPainter, "pump", timed_pump)
+        textual = TextualStethoscope()
+        connection = textual.connect("stall")
+        resumed = []
+
+        def stalling():
+            with UdpEmitter(port=connection.port) as emitter:
+                emitter.send_dot(plan_to_dot(program))
+                for event in events[:head]:
+                    emitter(event)
+                time.sleep(2.0)
+                resumed.append(time.monotonic())
+                for event in events[head:]:
+                    emitter(event)
+                emitter.send_end()
+
+        try:
+            result = Stethoscope.online(connection, stalling, str(tmp_path),
+                                        settle_s=3.0, timeout_s=20.0)
+        finally:
+            textual.close()
+        assert not result.health.degraded
+        queued = [at for at in posted if at < resumed[0]]
+        assert len(queued) >= 3
+        # each colour queued before the stall is painted in its own slot
+        # (one per RENDER_INTERVAL_MS from the first), plus slack, while
+        # the stream is silent
+        for slot, at in enumerate(painted[:len(queued)]):
+            assert at < resumed[0]
+            assert at - queued[0] <= \
+                slot * RENDER_INTERVAL_MS / 1000.0 + 0.25, slot
+
     def test_counters_count_the_run_and_its_pushes(self, server, tmp_path):
         runs_before = ONLINE_RUNS.value()
         events_before = ONLINE_EVENTS.value()
